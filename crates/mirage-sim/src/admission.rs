@@ -51,6 +51,11 @@ impl RecentStarts {
     /// averaging window are dropped.
     const CAP: usize = 4096;
 
+    /// Forgets every dispatch, keeping the ring's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.log.clear();
+    }
+
     /// Records a dispatch at `now` of a job that waited `wait` seconds.
     ///
     /// The backing ring is reserved to its cap on first use so the hot

@@ -1450,6 +1450,49 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert_eq!(err.field, "faults.job_fail_prob");
+        // Weights that would make every priority NaN or infinite — the
+        // scheduling pass sorts on a key it requires to be finite — are
+        // typed errors on both backends.
+        for (weights, field) in [
+            (
+                PriorityWeights {
+                    age_max: 0,
+                    ..PriorityWeights::default()
+                },
+                "weights.age_max",
+            ),
+            (
+                PriorityWeights {
+                    age: f64::NAN,
+                    ..PriorityWeights::default()
+                },
+                "weights.age",
+            ),
+            (
+                PriorityWeights {
+                    size: f64::INFINITY,
+                    ..PriorityWeights::default()
+                },
+                "weights.size",
+            ),
+            (
+                PriorityWeights {
+                    fairshare: -1.0,
+                    ..PriorityWeights::default()
+                },
+                "weights.fairshare",
+            ),
+        ] {
+            for kind in [BackendKind::EventDriven, BackendKind::Tick] {
+                let err = SimConfig::builder()
+                    .nodes(2)
+                    .weights(weights)
+                    .backend(kind)
+                    .try_build()
+                    .unwrap_err();
+                assert_eq!(err.field, field);
+            }
+        }
         // The tick backend additionally validates its cadences.
         let err = SimConfig::builder()
             .nodes(2)

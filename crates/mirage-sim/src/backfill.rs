@@ -1,9 +1,12 @@
 //! Scheduling-plan core: priority order + EASY backfill.
 //!
-//! [`plan_schedule`] is a pure function shared by the fast simulator and
-//! the reference simulator. Given the pending queue in priority order, the
-//! free-node count and the *estimated* release times of running jobs, it
-//! decides which pending jobs start right now.
+//! One planner (`plan_queue`) serves both simulators. Given the pending
+//! queue in priority order, the free-node count and the *estimated*
+//! release times of running jobs, it decides which pending jobs start
+//! right now. [`plan_schedule`] / [`plan_schedule_into`] feed it a slice
+//! that is already sorted (the reference simulator, the benchmarks); the
+//! event-driven simulator feeds it a `LazyOrder`, which puts an
+//! unordered queue in priority order only as far as the planner reads.
 //!
 //! The planner follows Slurm semantics:
 //!
@@ -63,8 +66,158 @@ struct Reservation {
 /// scheduling pass allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
+    /// Sorted copy of the caller's `running` (public entry point only).
     releases: Vec<(i64, u32)>,
+    /// `(release, nodes)` of the jobs started this pass while reservations
+    /// are still being made, sorted.
+    fresh: Vec<(i64, u32)>,
     reservations: Vec<Reservation>,
+}
+
+/// The pending queue as the planner consumes it: strictly in priority
+/// order, but only as far as it reads.
+pub(crate) trait PlanQueue {
+    /// The next job in priority order as `(handle, view)`; the handle is
+    /// what the plan reports in `starts`.
+    fn next(&mut self) -> Option<(usize, PendingView)>;
+
+    /// Drops not-yet-read jobs that fail `keep`, where that saves ordering
+    /// them. The planner only passes a test whose failures are sure to
+    /// fail again when it reaches them, so dropping is optional.
+    fn retain_rest(&mut self, keep: impl FnMut(&PendingView) -> bool);
+}
+
+/// A queue that is already fully ordered: the public entry points' case.
+struct SortedSlice<'a> {
+    pending: &'a [PendingView],
+    cursor: usize,
+}
+
+impl PlanQueue for SortedSlice<'_> {
+    fn next(&mut self) -> Option<(usize, PendingView)> {
+        let at = self.cursor;
+        let view = *self.pending.get(at)?;
+        self.cursor += 1;
+        Some((at, view))
+    }
+
+    fn retain_rest(&mut self, _keep: impl FnMut(&PendingView) -> bool) {}
+}
+
+/// One queued job as [`LazyOrder`] holds it: its sort key, the handle
+/// the plan reports for it, and what the planner sees of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    /// `(rank, submit, id)`, ascending = descending priority with FIFO,
+    /// then id, tie-breaks. Ids are unique, which makes the order total:
+    /// selecting minima one at a time yields exactly the sequence a full
+    /// sort would.
+    key: (i64, i64, u64),
+    handle: usize,
+    view: PendingView,
+}
+
+impl Queued {
+    /// Keys a job of the given `priority` (finite —
+    /// `PriorityWeights::validate`), submitted at `submit` under `id`.
+    pub(crate) fn new(
+        priority: f64,
+        submit: i64,
+        id: u64,
+        handle: usize,
+        view: PendingView,
+    ) -> Self {
+        // `f64::total_cmp`'s own fold of the sign-magnitude bits, applied
+        // once per job so every later comparison is a plain integer one.
+        let bits = (-priority).to_bits() as i64;
+        let rank = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        Self {
+            key: (rank, submit, id),
+            handle,
+            view,
+        }
+    }
+}
+
+/// An unordered queue put in priority order only as far as the planner
+/// reads it.
+///
+/// Invariant: `order[..cursor]`, the jobs handed out, is the **sorted
+/// prefix** — exactly the `cursor` smallest keys, ascending, i.e. the jobs
+/// a full sort would put first, in that order. `order[cursor..]` holds the
+/// rest: in no particular order until `rest_sorted`, ascending after.
+///
+/// The prefix grows one linear minimum-scan at a time. A congested pass
+/// reads one or two jobs ahead of the backfill cut and a few survivors
+/// after it; a pass after a maintenance window can start hundreds. So once
+/// the scans spent reach `log2` of what is left, the rest is sorted once —
+/// a pass never costs more than the full sort it used to be.
+pub(crate) struct LazyOrder<'a> {
+    order: &'a mut Vec<Queued>,
+    cursor: usize,
+    rest_sorted: bool,
+    scans: u32,
+}
+
+impl<'a> LazyOrder<'a> {
+    /// Queues `order`, first cutting it to its `depth` smallest keys
+    /// (Slurm's `bf_max_job_test`) — by selection, not by sorting.
+    pub(crate) fn new(order: &'a mut Vec<Queued>, depth: usize) -> Self {
+        let depth = depth.max(1);
+        if order.len() > depth {
+            order.select_nth_unstable_by_key(depth - 1, |q| q.key);
+            order.truncate(depth);
+        }
+        Self {
+            order,
+            cursor: 0,
+            rest_sorted: false,
+            scans: 0,
+        }
+    }
+}
+
+impl PlanQueue for LazyOrder<'_> {
+    fn next(&mut self) -> Option<(usize, PendingView)> {
+        let rest = &mut self.order[self.cursor..];
+        if rest.is_empty() {
+            return None;
+        }
+        if !self.rest_sorted {
+            // Bring the minimum of the rest to its front.
+            if self.scans < rest.len().ilog2() {
+                self.scans += 1;
+                let mut min = 0;
+                for at in 1..rest.len() {
+                    if rest[at].key < rest[min].key {
+                        min = at;
+                    }
+                }
+                rest.swap(0, min);
+            } else {
+                rest.sort_unstable_by_key(|q| q.key);
+                self.rest_sorted = true;
+            }
+        }
+        let job = rest[0];
+        self.cursor += 1;
+        Some((job.handle, job.view))
+    }
+
+    fn retain_rest(&mut self, mut keep: impl FnMut(&PendingView) -> bool) {
+        if self.rest_sorted {
+            return; // the ordering is already paid for: nothing to save
+        }
+        let mut kept = self.cursor;
+        for at in self.cursor..self.order.len() {
+            let job = self.order[at];
+            if keep(&job.view) {
+                self.order[kept] = job;
+                kept += 1;
+            }
+        }
+        self.order.truncate(kept);
+    }
 }
 
 /// Decides which pending jobs start now (allocating convenience wrapper
@@ -101,6 +254,11 @@ pub fn plan_schedule(
 /// [`plan_schedule`] writing into caller-provided buffers: `starts` is
 /// cleared and filled with the pending indices to start, `scratch` holds
 /// the plan's working vectors for reuse across passes.
+///
+/// This is the "already fully ordered" case of the one planner
+/// (`plan_queue`) the event-driven simulator drives with a
+/// `LazyOrder`: the slice is its own sorted prefix, and `running` is
+/// sorted here because the planner takes a sorted release ledger.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_schedule_into(
     pending: &[PendingView],
@@ -112,105 +270,176 @@ pub fn plan_schedule_into(
     scratch: &mut PlanScratch,
     starts: &mut Vec<usize>,
 ) {
-    let mut free = free_nodes;
-    starts.clear();
-    let releases = &mut scratch.releases;
+    let mut releases = std::mem::take(&mut scratch.releases);
     releases.clear();
     releases.extend_from_slice(running);
+    if policy != BackfillPolicy::None {
+        releases.sort_unstable(); // only reservations read the ledger
+    }
+    plan_queue(
+        &mut SortedSlice { pending, cursor: 0 },
+        free_nodes,
+        total_nodes,
+        now,
+        &releases,
+        policy,
+        scratch,
+        starts,
+    );
+    scratch.releases = releases;
+}
+
+/// The planner. Reads `queue` in priority order and fills `starts` with
+/// the handles of the jobs to start now, in start order. `ledger` is the
+/// `(estimated_release_time, nodes)` of every running job, **sorted**.
+///
+/// A job is *harmless* if it fits in the free nodes and, for every
+/// reservation made so far, ends by the shadow or fits in the spare nodes
+/// there (which starting it then uses up).
+///
+/// * Phase 1 starts jobs in strict priority order until the first that
+///   does not fit (the blocked *head*).
+/// * Phase 2 reads on from the head until `reserve_depth` jobs have been
+///   found blocked. A harmless job on the way starts; a blocked one gets a
+///   reservation where one exists — none if it can never run
+///   (`nodes > total_nodes`) or no release satisfies it. Later
+///   reservations pessimistically assume the jobs *actually reserved*
+///   before them hold their nodes forever (documented simplification;
+///   exact for depth 1, where this phase reads the head and nothing else).
+/// * Phase 3 starts every remaining job that is harmless, in priority
+///   order.
+///
+/// Before phase 3 reads the queue, and again after every start, the unread
+/// rest is cut to the jobs that are harmless against the *current* `free`
+/// and reservations. The cut is exact: `free` and every `extra` only
+/// shrink during phase 3, so a job failing now fails when its turn comes,
+/// and a failing job changes nothing — dropping it cannot alter any later
+/// decision. It is what lets a lazy queue order only the survivors.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_queue(
+    queue: &mut impl PlanQueue,
+    free_nodes: u32,
+    total_nodes: u32,
+    now: i64,
+    ledger: &[(i64, u32)],
+    policy: BackfillPolicy,
+    scratch: &mut PlanScratch,
+    starts: &mut Vec<usize>,
+) {
+    let mut free = free_nodes;
+    starts.clear();
+    let fresh = &mut scratch.fresh;
+    fresh.clear();
 
     // Phase 1: strict priority order until the first blocked job.
-    let mut head = None;
-    for (i, p) in pending.iter().enumerate() {
-        if p.nodes <= free {
-            free -= p.nodes;
-            releases.push((now + p.timelimit, p.nodes));
-            starts.push(i);
-        } else {
-            head = Some(i);
-            break;
+    let head = loop {
+        let Some((handle, p)) = queue.next() else {
+            return; // everything fit
+        };
+        if p.nodes > free {
+            break (handle, p);
         }
-    }
-
-    let Some(head) = head else {
-        return; // everything fit
+        free -= p.nodes;
+        fresh.push((now + p.timelimit, p.nodes));
+        starts.push(handle);
     };
     let BackfillPolicy::Easy { reserve_depth } = policy else {
         return; // no backfill: stop at the blocked head
     };
+    fresh.sort_unstable();
 
-    releases.sort_unstable();
-
-    // Phase 2: reservations for the top `reserve_depth` blocked jobs
-    // (`head..pending.len()` is the blocked range). Later reservations
-    // pessimistically assume earlier reserved jobs hold their nodes
-    // forever (documented simplification; exact for depth 1).
+    // Phase 2: reservations for the top `reserve_depth` blocked jobs.
     let reservations = &mut scratch.reservations;
     reservations.clear();
-    for bi in (head..pending.len()).take(reserve_depth.max(1)) {
-        let need = pending[bi].nodes;
-        if need > total_nodes {
-            // Can never run; don't let it wedge the reservation chain.
-            continue;
-        }
-        let mut avail = free;
-        // Deduct nodes promised to earlier reservations from all future
-        // availability (pessimistic for depth > 1, exact for depth 1).
-        let promised: u32 = (head..pending.len())
-            .take(reservations.len())
-            .map(|j| pending[j].nodes)
-            .sum();
-        let mut shadow = now;
-        let mut found = false;
-        if avail.saturating_sub(promised) >= need {
-            found = true;
+    let mut promised = 0u32;
+    let mut to_reserve = reserve_depth.max(1);
+    let mut blocked = Some(head);
+    while to_reserve > 0 {
+        let Some((handle, p)) = blocked.take().or_else(|| queue.next()) else {
+            return;
+        };
+        if harmless(&p, free, now, reservations) {
+            backfill(&p, &mut free, now, reservations);
+            starts.push(handle);
+            let release = (now + p.timelimit, p.nodes);
+            fresh.insert(fresh.partition_point(|r| *r < release), release);
         } else {
-            for &(t, n) in releases.iter() {
-                avail += n;
-                if avail.saturating_sub(promised) >= need {
-                    shadow = t;
-                    found = true;
-                    break;
-                }
+            to_reserve -= 1;
+            if let Some(r) = reserve(p.nodes, free, promised, total_nodes, now, ledger, fresh) {
+                reservations.push(r);
+                promised += p.nodes;
             }
         }
-        if !found {
-            continue;
-        }
-        reservations.push(Reservation {
-            shadow,
-            extra: avail.saturating_sub(promised) - need,
-        });
     }
 
-    // Phase 3: try to backfill every blocked job that has no reservation.
-    let blocked_len = pending.len() - head;
-    let reserved_count = reservations.len().min(blocked_len);
-    for bi in (head..pending.len()).skip(reserved_count) {
-        let p = pending[bi];
-        if p.nodes > free {
-            continue;
-        }
-        let est_end = now + p.timelimit;
-        let harmless = reservations.iter_mut().all(|r| {
-            if est_end <= r.shadow {
-                true // returns its nodes before the reserved job needs them
-            } else if p.nodes <= r.extra {
-                r.extra -= p.nodes; // consumes spare capacity at the shadow
-                true
-            } else {
-                false
-            }
-        });
-        if harmless {
-            free -= p.nodes;
-            starts.push(bi);
+    // Phase 3: backfill whatever is harmless among the rest.
+    queue.retain_rest(|p| harmless(p, free, now, reservations));
+    while let Some((handle, p)) = queue.next() {
+        if harmless(&p, free, now, reservations) {
+            backfill(&p, &mut free, now, reservations);
+            starts.push(handle);
+            queue.retain_rest(|p| harmless(p, free, now, reservations));
         }
     }
+}
+
+/// Whether starting `p` now delays no reserved job.
+fn harmless(p: &PendingView, free: u32, now: i64, reservations: &[Reservation]) -> bool {
+    p.nodes <= free
+        && reservations
+            .iter()
+            .all(|r| now + p.timelimit <= r.shadow || p.nodes <= r.extra)
+}
+
+/// Books the start of a [`harmless`] job: it takes its nodes now, and out
+/// of the spare capacity of every reservation it runs past.
+fn backfill(p: &PendingView, free: &mut u32, now: i64, reservations: &mut [Reservation]) {
+    *free -= p.nodes;
+    for r in reservations {
+        if now + p.timelimit > r.shadow {
+            r.extra -= p.nodes;
+        }
+    }
+}
+
+/// The reservation of a blocked job needing `need` nodes: the earliest
+/// instant — now, or a release in the merge of the sorted `ledger` and
+/// `fresh` — by which `need` nodes are available beyond the `promised`
+/// ones. `None` if the job can never run or no release satisfies it.
+fn reserve(
+    need: u32,
+    free: u32,
+    promised: u32,
+    total_nodes: u32,
+    now: i64,
+    ledger: &[(i64, u32)],
+    fresh: &[(i64, u32)],
+) -> Option<Reservation> {
+    if need > total_nodes {
+        return None; // can never run; must not wedge the reservation chain
+    }
+    let mut avail = free;
+    let mut shadow = now;
+    let (mut ledger, mut fresh) = (ledger.iter().peekable(), fresh.iter().peekable());
+    while avail.saturating_sub(promised) < need {
+        let &(t, n) = match (ledger.peek(), fresh.peek()) {
+            (Some(l), Some(f)) if l <= f => ledger.next()?,
+            (Some(_), None) => ledger.next()?,
+            _ => fresh.next()?,
+        };
+        avail += n;
+        shadow = t;
+    }
+    Some(Reservation {
+        shadow,
+        extra: avail.saturating_sub(promised) - need,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const EASY: BackfillPolicy = BackfillPolicy::Easy { reserve_depth: 1 };
 
@@ -312,5 +541,201 @@ mod tests {
     fn empty_queue_is_a_noop() {
         let starts = plan_schedule(&[], 8, 8, 0, &[], EASY);
         assert!(starts.is_empty());
+    }
+
+    #[test]
+    fn unrunnable_head_does_not_hold_back_the_job_behind_it() {
+        // Depth 2. The head can never run, so it gets no reservation and
+        // nothing blocks B or C. (Counting the head as "reserved" offered
+        // B to backfill against its own start-now reservation, which then
+        // starved C.)
+        let pending = [p(16, 100), p(2, 100), p(2, 1000)];
+        let deep = BackfillPolicy::Easy { reserve_depth: 2 };
+        let starts = plan_schedule(&pending, 4, 8, 0, &[(50, 4)], deep);
+        assert_eq!(starts, vec![1, 2]);
+    }
+
+    #[test]
+    fn reservations_behind_an_unrunnable_head_promise_the_right_nodes() {
+        // Depth 3, 12 nodes, 4 free, 4 more at t=50 and at t=80. A can
+        // never run. B(6) reserves t=50 with 2 spare; C(6) must count B's 6
+        // nodes as promised — not A's 16 — which gives it t=80 with none
+        // spare. X runs past both shadows and fits B's spare but not C's,
+        // so only Y (done by t=40) backfills.
+        let pending = [p(16, 100), p(6, 100), p(6, 100), p(1, 100), p(1, 40)];
+        let deep = BackfillPolicy::Easy { reserve_depth: 3 };
+        let starts = plan_schedule(&pending, 4, 12, 0, &[(50, 4), (80, 4)], deep);
+        assert_eq!(starts, vec![4]);
+        // With C unreserved (depth 2) X is free to use B's spare nodes.
+        let starts = plan_schedule(
+            &pending,
+            4,
+            12,
+            0,
+            &[(50, 4), (80, 4)],
+            BackfillPolicy::Easy { reserve_depth: 2 },
+        );
+        assert_eq!(starts, vec![3, 4]);
+    }
+
+    #[test]
+    fn harmless_job_behind_the_head_starts_instead_of_reserving() {
+        // Depth 2. B ends long before A's shadow: it starts now rather
+        // than taking the second reservation (at t=80) and waiting for it.
+        let pending = [p(8, 100), p(2, 10)];
+        let deep = BackfillPolicy::Easy { reserve_depth: 2 };
+        let starts = plan_schedule(&pending, 4, 12, 0, &[(50, 4), (80, 4)], deep);
+        assert_eq!(starts, vec![1]);
+    }
+
+    /// The planner written flat over a sorted slice — no queue trait, no
+    /// ledger merge, no cut — as the oracle for the proptests below.
+    fn oracle(
+        pending: &[PendingView],
+        mut free: u32,
+        total: u32,
+        now: i64,
+        running: &[(i64, u32)],
+        policy: BackfillPolicy,
+    ) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut timeline = running.to_vec();
+        let mut at = 0;
+        while at < pending.len() && pending[at].nodes <= free {
+            free -= pending[at].nodes;
+            timeline.push((now + pending[at].timelimit, pending[at].nodes));
+            starts.push(at);
+            at += 1;
+        }
+        let BackfillPolicy::Easy { reserve_depth } = policy else {
+            return starts;
+        };
+        let mut reserved: Vec<(i64, u32)> = Vec::new(); // (shadow, extra)
+        let mut promised = 0;
+        let mut to_reserve = reserve_depth.max(1);
+        for (i, job) in pending.iter().enumerate().skip(at) {
+            let end = now + job.timelimit;
+            let fits = job.nodes <= free
+                && reserved
+                    .iter()
+                    .all(|&(shadow, extra)| end <= shadow || job.nodes <= extra);
+            if fits {
+                free -= job.nodes;
+                for (shadow, extra) in &mut reserved {
+                    if end > *shadow {
+                        *extra -= job.nodes;
+                    }
+                }
+                timeline.push((end, job.nodes));
+                starts.push(i);
+            } else if to_reserve > 0 {
+                to_reserve -= 1;
+                if job.nodes > total {
+                    continue;
+                }
+                timeline.sort_unstable();
+                let mut avail = free;
+                let mut shadow = (avail.saturating_sub(promised) >= job.nodes).then_some(now);
+                for &(t, n) in &timeline {
+                    if shadow.is_some() {
+                        break;
+                    }
+                    avail += n;
+                    shadow = (avail.saturating_sub(promised) >= job.nodes).then_some(t);
+                }
+                if let Some(shadow) = shadow {
+                    reserved.push((shadow, avail - promised - job.nodes));
+                    promised += job.nodes;
+                }
+            }
+        }
+        starts
+    }
+
+    const POLICIES: [BackfillPolicy; 3] = [
+        BackfillPolicy::None,
+        EASY,
+        BackfillPolicy::Easy { reserve_depth: 3 },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The planner over a sorted slice equals the flat oracle.
+        #[test]
+        fn plan_matches_the_flat_oracle(
+            jobs in prop::collection::vec((1u32..=20, 0usize..6), 0..40),
+            running in prop::collection::vec((1i64..50_000, 1u32..=8), 0..12),
+            free in 0u32..=16,
+            down in 0u32..=6,
+        ) {
+            const LIMITS: [i64; 6] = [60, 600, 3_600, 20_000, 50_000, 100_000];
+            let pending: Vec<_> = jobs.iter().map(|&(n, l)| p(n, LIMITS[l])).collect();
+            for policy in POLICIES {
+                let got = plan_schedule(&pending, free, 16 - down, 10, &running, policy);
+                let want = oracle(&pending, free, 16 - down, 10, &running, policy);
+                prop_assert_eq!(got, want, "{:?}", policy);
+            }
+        }
+
+        /// A lazily ordered queue plans exactly what sorting it first and
+        /// planning over the slice does: duplicated priorities (FIFO and id
+        /// tie-breaks decide), `sched_depth` truncation, no backfill, deep
+        /// reservations, nodes down.
+        #[test]
+        fn lazy_order_matches_sort_then_plan(
+            jobs in prop::collection::vec(
+                (0u32..4, 0i64..3, 1u32..=20, 0usize..6), 0..60),
+            running in prop::collection::vec((1i64..50_000, 1u32..=8), 0..12),
+            free in 0u32..=16,
+            down in 0u32..=6,
+            depth in 1usize..70,
+        ) {
+            const LIMITS: [i64; 6] = [60, 600, 3_600, 20_000, 50_000, 100_000];
+            // Handles are deliberately not positions: 1000 + arrival index.
+            let queue: Vec<Queued> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(prio, submit, n, l))| {
+                    Queued::new(f64::from(prio) * 0.5, submit, i as u64 + 1, 1000 + i,
+                                p(n, LIMITS[l]))
+                })
+                .collect();
+            let mut sorted = queue.clone();
+            sorted.sort_by_key(|q| q.key);
+            sorted.truncate(depth);
+            let views: Vec<_> = sorted.iter().map(|q| q.view).collect();
+            let mut ledger = running.clone();
+            ledger.sort_unstable();
+
+            let mut scratch = PlanScratch::default();
+            let mut starts = Vec::new();
+            for policy in POLICIES {
+                let want: Vec<usize> =
+                    plan_schedule(&views, free, 16 - down, 10, &running, policy)
+                        .into_iter()
+                        .map(|at| sorted[at].handle)
+                        .collect();
+                let mut order = queue.clone();
+                let mut lazy = LazyOrder::new(&mut order, depth);
+                plan_queue(&mut lazy, free, 16 - down, 10, &ledger, policy,
+                           &mut scratch, &mut starts);
+                prop_assert_eq!(&starts, &want, "{:?}", policy);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_orders_like_total_cmp_on_the_negated_priority() {
+        let priorities = [0.0, 1e-300, 0.5, 1.0, 1.0 + f64::EPSILON, 1700.0, 1e300];
+        for a in priorities {
+            for b in priorities {
+                let (ka, kb) = (
+                    Queued::new(a, 0, 1, 0, p(1, 1)),
+                    Queued::new(b, 0, 1, 0, p(1, 1)),
+                );
+                assert_eq!(ka.key.0.cmp(&kb.key.0), (-a).total_cmp(&-b), "{a} vs {b}");
+            }
+        }
     }
 }

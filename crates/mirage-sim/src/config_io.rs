@@ -666,6 +666,43 @@ mod tests {
     }
 
     #[test]
+    fn unsound_weights_in_a_file_are_typed_errors_at_validation() {
+        // Parsing only checks shape; `validate()` is where a persisted
+        // config that would turn every priority into NaN/inf is refused.
+        for (json, field) in [
+            (
+                r#"{"nodes": 4, "weights": {"age_max": 0}}"#,
+                "weights.age_max",
+            ),
+            (
+                r#"{"nodes": 4, "weights": {"age_max": -5}}"#,
+                "weights.age_max",
+            ),
+            (r#"{"nodes": 4, "weights": {"age": -1.0}}"#, "weights.age"),
+            (
+                r#"{"nodes": 4, "weights": {"size": 1e999}}"#,
+                "weights.size",
+            ),
+            (
+                r#"{"nodes": 4, "weights": {"fairshare": -0.5}}"#,
+                "weights.fairshare",
+            ),
+        ] {
+            let err = sim_config_from_json(json).unwrap().validate().unwrap_err();
+            assert_eq!(err.field, field, "{json}");
+            let err = reference_config_from_json(json)
+                .unwrap()
+                .validate()
+                .unwrap_err();
+            assert_eq!(err.field, field, "{json}");
+        }
+        // A disabled half-life and zero weights stay legal.
+        let ok = r#"{"nodes": 4, "weights": {"age": 0.0, "size": 0.0,
+                     "fairshare": 0.0, "fairshare_halflife": 0}}"#;
+        assert!(sim_config_from_json(ok).unwrap().validate().is_ok());
+    }
+
+    #[test]
     fn pool_kind_strings_escape_round_trip() {
         let mut cfg = SimConfig::new(2);
         cfg.hetero = HeteroModel::with_pools(vec![NodePool::new("a\"b\\c", 2, 1.0)], 0.0, 1);

@@ -83,6 +83,13 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Drops every outstanding event and restarts the tie-break sequence,
+    /// keeping the heap's capacity: indistinguishable from a new queue.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+
     /// Schedules an event.
     pub fn push(&mut self, ev: Event) {
         self.seq += 1;

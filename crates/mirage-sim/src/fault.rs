@@ -320,6 +320,11 @@ pub struct EvictionLog {
 const EVICTION_LOG_CAP: usize = 4096;
 
 impl EvictionLog {
+    /// Forgets every eviction, keeping the ring's capacity.
+    pub fn clear(&mut self) {
+        self.times.clear();
+    }
+
     /// Records an eviction at `now`.
     pub fn record(&mut self, now: i64) {
         if self.times.len() == EVICTION_LOG_CAP {

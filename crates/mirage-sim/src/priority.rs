@@ -17,6 +17,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::fault::SimConfigError;
+
 /// Weights of the multifactor priority, mirroring Slurm's
 /// `PriorityWeightAge`, `PriorityWeightJobSize` and `PriorityWeightFairshare`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,17 +50,99 @@ impl Default for PriorityWeights {
     }
 }
 
-/// Tracks decayed per-user usage for the fair-share factor.
-#[derive(Debug, Clone, Default)]
+impl PriorityWeights {
+    /// Rejects weights that make a priority NaN or infinite: the
+    /// scheduling pass orders the queue by a key it requires to be finite.
+    /// (`fairshare_halflife <= 0` is legal: it disables decay.)
+    pub fn validate(&self) -> Result<(), SimConfigError> {
+        if self.age_max <= 0 {
+            return Err(SimConfigError::new(
+                "weights.age_max",
+                self.age_max,
+                "age saturation point must be positive",
+            ));
+        }
+        for (field, w) in [
+            ("weights.age", self.age),
+            ("weights.size", self.size),
+            ("weights.fairshare", self.fairshare),
+        ] {
+            if !w.is_finite() || w < 0.0 {
+                return Err(SimConfigError::new(
+                    field,
+                    w,
+                    "priority weight must be finite and non-negative",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decayed usage below this many node-seconds is dropped to exactly zero,
+/// so a user who went idle long ago is indistinguishable from a new one.
+const NEGLIGIBLE_USAGE: f64 = 1e-6;
+
+/// Tracks decayed per-user usage for the fair-share factor, densely.
+///
+/// Users are interned to **slots** ([`FairshareTracker::slot`]); usage and
+/// the cached factor live in `Vec`s indexed by slot, so the scheduling
+/// pass never hashes. Invariants:
+///
+/// * a slot stays valid from `slot()` until [`FairshareTracker::clear`]
+///   (the simulators intern at admission and clear on `reset()`, which
+///   also drops every job that carried a slot),
+/// * `factor[slot]` is either NaN (stale) or exactly
+///   `fairshare_factor(normalized_usage(slot))`; every write to
+///   `usage[slot]` (`record`, an effective `decay_to`) marks it stale, so
+///   [`FairshareTracker::factor`] computes `2^(-usage)` at most once per
+///   user per change — once per user per pass — instead of once per
+///   pending job,
+/// * usage that decays to `NEGLIGIBLE_USAGE` (1e-6) or below becomes exactly
+///   `0.0`, which reads and accumulates like an absent entry.
+#[derive(Debug, Clone)]
 pub struct FairshareTracker {
-    usage: HashMap<u32, f64>,
+    slots: HashMap<u32, u32>,
+    usage: Vec<f64>,
+    factor: Vec<f64>,
+    /// Node-seconds the cluster delivers over one half-life; usage is
+    /// normalized by it. Non-positive disables the factor (usage reads 0).
+    capacity: f64,
     last_decay: i64,
 }
 
 impl FairshareTracker {
-    /// Creates a tracker with no recorded usage.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a tracker with no recorded usage, normalizing against
+    /// `capacity_node_seconds` (the cluster's node-seconds over one
+    /// half-life).
+    pub fn new(capacity_node_seconds: f64) -> Self {
+        Self {
+            slots: HashMap::new(),
+            usage: Vec::new(),
+            factor: Vec::new(),
+            capacity: capacity_node_seconds,
+            last_decay: 0,
+        }
+    }
+
+    /// Forgets every user and all usage (invalidating every slot handed
+    /// out), keeping the capacity and the allocations.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.usage.clear();
+        self.factor.clear();
+        self.last_decay = 0;
+    }
+
+    /// The slot of `user`, interning it (with zero usage) on first sight.
+    pub fn slot(&mut self, user: u32) -> u32 {
+        let next = self.usage.len() as u32;
+        let slot = *self.slots.entry(user).or_insert(next);
+        if slot == next {
+            self.usage.push(0.0);
+            self.factor.push(f64::NAN);
+        }
+        slot
     }
 
     /// Decays all recorded usage to instant `now` with the given half-life.
@@ -68,28 +152,50 @@ impl FairshareTracker {
             return;
         }
         let dt = (now - self.last_decay) as f64;
-        let factor = 0.5f64.powf(dt / halflife as f64);
-        for u in self.usage.values_mut() {
-            *u *= factor;
+        let decay = 0.5f64.powf(dt / halflife as f64);
+        for (u, f) in self.usage.iter_mut().zip(&mut self.factor) {
+            *u *= decay;
+            if *u <= NEGLIGIBLE_USAGE {
+                *u = 0.0;
+            }
+            *f = f64::NAN;
         }
-        // Drop negligible entries so long simulations don't accumulate users.
-        self.usage.retain(|_, u| *u > 1e-6);
         self.last_decay = now;
     }
 
-    /// Records `node_seconds` of consumption by `user`.
-    pub fn record(&mut self, user: u32, node_seconds: f64) {
-        *self.usage.entry(user).or_insert(0.0) += node_seconds;
+    /// Records `node_seconds` of consumption by the user in `slot`.
+    pub fn record(&mut self, slot: u32, node_seconds: f64) {
+        self.usage[slot as usize] += node_seconds;
+        self.factor[slot as usize] = f64::NAN;
     }
 
-    /// Normalized usage of `user` relative to `capacity_node_seconds` (the
-    /// cluster's node-seconds over one half-life). 0 = idle user.
-    pub fn normalized_usage(&self, user: u32, capacity_node_seconds: f64) -> f64 {
-        if capacity_node_seconds <= 0.0 {
+    /// Normalized usage of the user in `slot` relative to the tracker's
+    /// capacity. 0 = idle user.
+    pub fn normalized_usage(&self, slot: u32) -> f64 {
+        if self.capacity <= 0.0 {
             return 0.0;
         }
-        self.usage.get(&user).copied().unwrap_or(0.0) / capacity_node_seconds
+        self.usage[slot as usize] / self.capacity
     }
+
+    /// The fair-share factor of the user in `slot`:
+    /// `fairshare_factor(normalized_usage(slot))`, bit for bit, cached
+    /// until the slot's usage next changes.
+    pub fn factor(&mut self, slot: u32) -> f64 {
+        let cached = self.factor[slot as usize];
+        if !cached.is_nan() {
+            return cached;
+        }
+        let fresh = fairshare_factor(self.normalized_usage(slot));
+        self.factor[slot as usize] = fresh;
+        fresh
+    }
+}
+
+/// Slurm's fair-share curve: `2^(-usage)`; idle users get 1.0. `exp2`
+/// instead of `powf` — generic `pow` is several times slower.
+fn fairshare_factor(usage_norm: f64) -> f64 {
+    (-usage_norm.max(0.0)).exp2()
 }
 
 /// Computes the multifactor priority of one pending job.
@@ -104,18 +210,33 @@ pub fn priority(
     total_nodes: u32,
     usage_norm: f64,
 ) -> f64 {
+    priority_from_factor(
+        weights,
+        age,
+        nodes,
+        total_nodes,
+        fairshare_factor(usage_norm),
+    )
+}
+
+/// [`priority`] given the fair-share factor itself (see
+/// [`FairshareTracker::factor`]) rather than the usage it derives from.
+pub(crate) fn priority_from_factor(
+    weights: &PriorityWeights,
+    age: i64,
+    nodes: u32,
+    total_nodes: u32,
+    fs_factor: f64,
+) -> f64 {
     let age_factor = (age as f64 / weights.age_max as f64).clamp(0.0, 1.0);
     let size_factor = f64::from(nodes) / f64::from(total_nodes.max(1));
-    // Slurm's fair-share curve: 2^(-usage); idle users get 1.0. `exp2`
-    // instead of `powf` — this runs once per pending job per scheduling
-    // pass, and generic `pow` is several times slower than direct exp2.
-    let fs_factor = (-usage_norm.max(0.0)).exp2();
     weights.age * age_factor + weights.size * size_factor + weights.fairshare * fs_factor
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const W: PriorityWeights = PriorityWeights {
         age: 1000.0,
@@ -152,38 +273,137 @@ mod tests {
 
     #[test]
     fn usage_decays_with_halflife() {
-        let mut fs = FairshareTracker::new();
-        fs.record(1, 100.0);
+        let mut fs = FairshareTracker::new(1.0);
+        let u = fs.slot(1);
+        fs.record(u, 100.0);
         fs.decay_to(1000, 1000);
-        assert!((fs.normalized_usage(1, 1.0) - 50.0).abs() < 1e-9);
+        assert!((fs.normalized_usage(u) - 50.0).abs() < 1e-9);
         fs.decay_to(2000, 1000);
-        assert!((fs.normalized_usage(1, 1.0) - 25.0).abs() < 1e-9);
+        assert!((fs.normalized_usage(u) - 25.0).abs() < 1e-9);
     }
 
     #[test]
     fn decay_is_lazy_and_monotone() {
-        let mut fs = FairshareTracker::new();
-        fs.record(1, 8.0);
+        let mut fs = FairshareTracker::new(1.0);
+        let u = fs.slot(1);
+        fs.record(u, 8.0);
         fs.decay_to(500, 1000);
         fs.decay_to(500, 1000); // idempotent at same instant
-        let u = fs.normalized_usage(1, 1.0);
-        assert!(u < 8.0 && u > 4.0);
+        let usage = fs.normalized_usage(u);
+        assert!(usage < 8.0 && usage > 4.0);
         // time never goes backwards
         fs.decay_to(100, 1000);
-        assert!((fs.normalized_usage(1, 1.0) - u).abs() < 1e-12);
+        assert!((fs.normalized_usage(u) - usage).abs() < 1e-12);
     }
 
     #[test]
     fn unknown_user_has_zero_usage() {
-        let fs = FairshareTracker::new();
-        assert_eq!(fs.normalized_usage(42, 100.0), 0.0);
+        let mut fs = FairshareTracker::new(100.0);
+        let u = fs.slot(42);
+        assert_eq!(fs.normalized_usage(u), 0.0);
+        assert_eq!(fs.factor(u), 1.0);
     }
 
     #[test]
     fn negligible_usage_is_dropped() {
-        let mut fs = FairshareTracker::new();
-        fs.record(1, 1e-3);
+        let mut fs = FairshareTracker::new(1.0);
+        let u = fs.slot(1);
+        fs.record(u, 1e-3);
         fs.decay_to(100_000, 100); // 1000 half-lives
-        assert_eq!(fs.normalized_usage(1, 1.0), 0.0);
+        assert_eq!(fs.normalized_usage(u), 0.0);
+    }
+
+    #[test]
+    fn slots_are_stable_until_clear() {
+        let mut fs = FairshareTracker::new(1.0);
+        let (a, b) = (fs.slot(7), fs.slot(9));
+        assert_ne!(a, b);
+        assert_eq!(fs.slot(7), a, "re-interning returns the same slot");
+        fs.record(a, 2.0);
+        assert_eq!(fs.factor(a), 0.25);
+        fs.record(a, 1.0);
+        assert_eq!(fs.factor(a), 0.125, "record invalidates the cached factor");
+        fs.clear();
+        let again = fs.slot(9);
+        assert_eq!(again, 0, "clear restarts slot numbering");
+        assert_eq!(fs.normalized_usage(again), 0.0);
+    }
+
+    /// The tracker as it was before slots: a user-keyed map whose
+    /// negligible entries are removed. The oracle for the proptest below.
+    #[derive(Default)]
+    struct MapTracker {
+        usage: HashMap<u32, f64>,
+        last_decay: i64,
+    }
+
+    impl MapTracker {
+        fn decay_to(&mut self, now: i64, halflife: i64) {
+            if now <= self.last_decay || halflife <= 0 {
+                self.last_decay = self.last_decay.max(now);
+                return;
+            }
+            let dt = (now - self.last_decay) as f64;
+            let factor = 0.5f64.powf(dt / halflife as f64);
+            for u in self.usage.values_mut() {
+                *u *= factor;
+            }
+            self.usage.retain(|_, u| *u > 1e-6);
+            self.last_decay = now;
+        }
+
+        fn normalized_usage(&self, user: u32, capacity: f64) -> f64 {
+            if capacity <= 0.0 {
+                return 0.0;
+            }
+            self.usage.get(&user).copied().unwrap_or(0.0) / capacity
+        }
+    }
+
+    proptest! {
+        /// Slot-based factors give the same priority, bit for bit, as
+        /// `priority` over the user-keyed map's normalized usage — across
+        /// interleaved records and decays, tiny usages that fall under the
+        /// drop threshold included.
+        #[test]
+        fn slot_factors_match_the_map_tracker_bitwise(
+            ops in prop::collection::vec(
+                (0u32..6, 0u32..3, 0i64..40, 0i64..400_000), 1..60),
+            capacity in 0u32..3,
+            halflife in 0i64..3,
+        ) {
+            let capacity = [0.0, 1.0, 84.0 * 604_800.0][capacity as usize];
+            let halflife = [0, 3_600, 604_800][halflife as usize];
+            let mut dense = FairshareTracker::new(capacity);
+            let mut map = MapTracker::default();
+            let mut now = 0;
+            for (user, kind, magnitude, dt) in ops {
+                let slot = dense.slot(user);
+                match kind {
+                    0 => {
+                        now += dt;
+                        dense.decay_to(now, halflife);
+                        map.decay_to(now, halflife);
+                    }
+                    _ => {
+                        // 2^-20 .. 2^19 node-seconds: straddles 1e-6.
+                        let consumed = (f64::from(magnitude as i32) - 20.0).exp2();
+                        dense.record(slot, consumed);
+                        *map.usage.entry(user).or_insert(0.0) += consumed;
+                    }
+                }
+                for probe in 0u32..6 {
+                    let slot = dense.slot(probe);
+                    let expected = priority(
+                        &W, now, 1 + probe, 8, map.normalized_usage(probe, capacity));
+                    let got = priority_from_factor(&W, now, 1 + probe, 8, dense.factor(slot));
+                    prop_assert_eq!(got.to_bits(), expected.to_bits(), "user {}", probe);
+                    prop_assert_eq!(
+                        dense.normalized_usage(slot).to_bits(),
+                        map.normalized_usage(probe, capacity).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -77,7 +77,7 @@ impl ReferenceConfig {
 
     /// Rejects configurations that cannot run a sound tick-driven
     /// simulation: an empty partition, non-positive cadences, or
-    /// fault/retry fields their own `validate()`s reject.
+    /// weight/fault/retry fields their own `validate()`s reject.
     pub fn validate(&self) -> Result<(), crate::fault::SimConfigError> {
         use crate::fault::SimConfigError;
         if self.nodes == 0 {
@@ -100,6 +100,7 @@ impl ReferenceConfig {
                 });
             }
         }
+        self.weights.validate()?;
         self.faults.validate()?;
         self.hetero.validate(self.nodes)?;
         self.retry.validate()
@@ -173,6 +174,8 @@ impl ReferenceSimulator {
     /// the fast simulator derives from the same model and seed).
     pub fn new(cfg: ReferenceConfig) -> Self {
         let free = cfg.nodes;
+        let fairshare =
+            FairshareTracker::new(f64::from(cfg.nodes) * cfg.weights.fairshare_halflife as f64);
         let node_events = cfg.faults.node_schedule(cfg.nodes);
         let pool_free = if cfg.hetero.is_none() {
             Vec::new()
@@ -205,7 +208,7 @@ impl ReferenceSimulator {
             running: Vec::new(),
             id_map: HashMap::new(),
             next_id: 1,
-            fairshare: FairshareTracker::new(),
+            fairshare,
             busy_node_seconds: 0.0,
             first_submit: None,
             rejected: 0,
@@ -487,7 +490,8 @@ impl ReferenceSimulator {
                 }
             }
             let consumed = f64::from(self.jobs[idx].nodes) * (t - start) as f64;
-            self.fairshare.record(self.jobs[idx].user, consumed);
+            let slot = self.fairshare.slot(self.jobs[idx].user);
+            self.fairshare.record(slot, consumed);
         }
         // Crash/recovery tape entries inside this tick. Running them after
         // the tick's completions is a deliberate coarsening (ticks are the
@@ -628,7 +632,8 @@ impl ReferenceSimulator {
         self.free_nodes += self.jobs[idx].nodes;
         self.release_pools(idx);
         let consumed = f64::from(self.jobs[idx].nodes) * (t - start) as f64;
-        self.fairshare.record(self.jobs[idx].user, consumed);
+        let slot = self.fairshare.slot(self.jobs[idx].user);
+        self.fairshare.record(slot, consumed);
         self.unlink_running(idx);
         self.job_faults_v[idx].evictions += 1;
         self.evicted_at[idx] = t;
@@ -652,7 +657,6 @@ impl ReferenceSimulator {
         if self.pending.is_empty() {
             return;
         }
-        let capacity_ns = f64::from(self.cfg.nodes) * self.cfg.weights.fairshare_halflife as f64;
         self.fairshare
             .decay_to(self.now, self.cfg.weights.fairshare_halflife);
         let w = self.cfg.weights;
@@ -660,7 +664,8 @@ impl ReferenceSimulator {
         let mut prio: HashMap<usize, f64> = HashMap::with_capacity(order.len());
         for &i in &order {
             let r = &self.jobs[i];
-            let usage = self.fairshare.normalized_usage(r.user, capacity_ns);
+            let slot = self.fairshare.slot(r.user);
+            let usage = self.fairshare.normalized_usage(slot);
             prio.insert(
                 i,
                 priority(&w, self.now - r.submit, r.nodes, self.cfg.nodes, usage),

@@ -13,12 +13,12 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, RecentStarts};
-use crate::backfill::{plan_schedule_into, BackfillPolicy, PendingView, PlanScratch};
+use crate::backfill::{plan_queue, BackfillPolicy, LazyOrder, PendingView, PlanScratch, Queued};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::priority::{priority, FairshareTracker, PriorityWeights};
+use crate::priority::{priority_from_factor, FairshareTracker, PriorityWeights};
 use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
 
 /// Simulator configuration.
@@ -67,8 +67,8 @@ impl SimConfig {
     }
 
     /// Rejects configurations that cannot run a sound simulation: an
-    /// empty partition, a zero scheduling depth, or fault/retry fields
-    /// their own `validate()`s reject. Called by
+    /// empty partition, a zero scheduling depth, or weight/fault/retry
+    /// fields their own `validate()`s reject. Called by
     /// [`SimBuilder::try_build`](crate::backend::SimBuilder::try_build)
     /// so bad configs fail at build time with a typed error.
     pub fn validate(&self) -> Result<(), SimConfigError> {
@@ -86,6 +86,7 @@ impl SimConfig {
                 reason: "each scheduling pass must consider at least one job",
             });
         }
+        self.weights.validate()?;
         self.faults.validate()?;
         self.hetero.validate(self.nodes)?;
         self.retry.validate()
@@ -127,6 +128,8 @@ pub enum JobStatus {
 struct SimJob {
     record: JobRecord,
     status: JobStatus,
+    /// The user's fair-share slot, interned at admission.
+    user_slot: u32,
     /// Index of this job inside `running` while it runs (kept current by
     /// swap-remove fixups), so completion never scans the running list.
     run_slot: usize,
@@ -172,14 +175,22 @@ pub struct Simulator {
     rejected: usize,
     next_id: u64,
     recent_starts: RecentStarts,
+    /// `(start + timelimit, nodes)` of every running job — the planner
+    /// only knows the *limit*, not the real runtime — kept sorted across
+    /// passes: inserted at start, removed at completion/eviction.
+    releases: Vec<(i64, u32)>,
     /// Lower bound on the smallest node request among pending jobs.
-    /// `plan_schedule` can only ever start a job whose request fits in
+    /// The planner can only ever start a job whose request fits in
     /// `free_nodes` (both the priority and the backfill phase check it),
     /// so a pass with `free_nodes < min_pending_nodes` is provably a
     /// no-op and is skipped wholesale — on a congested cluster that is
-    /// most passes. Kept as a *lower* bound (arrivals tighten it, starts
-    /// trigger an exact recompute), so staleness only costs a redundant
-    /// pass, never skips a productive one.
+    /// most passes. Skipping also skips the pass's fair-share decay, so
+    /// *which* passes are skipped is part of the replayed arithmetic: the
+    /// bound is tightened by arrivals and recomputed exactly (in the same
+    /// sweep that drops started jobs from `pending`) after every pass that
+    /// starts something, and nothing else may move it. Between those
+    /// points it can only be too low, which costs a redundant pass, never
+    /// skips a productive one.
     min_pending_nodes: u32,
     // Completion bookkeeping, maintained incrementally at completion time
     // so `completed()`/`metrics()` never re-filter or sort the job arena:
@@ -193,9 +204,7 @@ pub struct Simulator {
     first_completed_submit: Option<i64>,
     // Scratch buffers reused across scheduling passes (perf-book: reuse
     // workhorse collections instead of reallocating in the hot loop).
-    scratch_order: Vec<(f64, i64, u64, usize)>,
-    scratch_views: Vec<PendingView>,
-    scratch_releases: Vec<(i64, u32)>,
+    scratch_order: Vec<Queued>,
     scratch_starts: Vec<usize>,
     scratch_plan: PlanScratch,
 }
@@ -205,18 +214,13 @@ impl Simulator {
     /// its full crash/recovery tape into the event queue up front, so the
     /// same config (and seed) always replays the same faults.
     pub fn new(cfg: SimConfig) -> Self {
-        let free_nodes = cfg.nodes;
-        let pool_free = if cfg.hetero.is_none() {
-            Vec::new()
-        } else {
-            cfg.hetero.pool_totals()
-        };
+        let capacity_ns = f64::from(cfg.nodes) * cfg.weights.fairshare_halflife as f64;
         let mut sim = Self {
             cfg,
             now: 0,
-            free_nodes,
+            free_nodes: 0,
             down_nodes: 0,
-            pool_free,
+            pool_free: Vec::new(),
             hetero_stats: HeteroStats::default(),
             contended_running: 0,
             fault_stats: FaultStats::default(),
@@ -226,12 +230,13 @@ impl Simulator {
             pending: Vec::new(),
             running: Vec::new(),
             events: EventQueue::new(),
-            fairshare: FairshareTracker::new(),
+            fairshare: FairshareTracker::new(capacity_ns),
             busy_node_seconds: 0.0,
             first_submit: None,
             rejected: 0,
             next_id: 1,
             recent_starts: RecentStarts::default(),
+            releases: Vec::new(),
             min_pending_nodes: u32::MAX,
             completed_order: Vec::new(),
             wait_sum: 0.0,
@@ -239,19 +244,10 @@ impl Simulator {
             last_end: 0,
             first_completed_submit: None,
             scratch_order: Vec::new(),
-            scratch_views: Vec::new(),
-            scratch_releases: Vec::new(),
             scratch_starts: Vec::new(),
             scratch_plan: PlanScratch::default(),
         };
-        for ev in sim.cfg.faults.node_schedule(sim.cfg.nodes) {
-            let kind = if ev.up {
-                EventKind::NodeUp
-            } else {
-                EventKind::NodeDown
-            };
-            sim.events.push(Event::new(ev.time, kind, ev.node as usize));
-        }
+        sim.reset();
         sim
     }
 
@@ -353,6 +349,7 @@ impl Simulator {
         );
         let idx = self.jobs.len();
         self.jobs.push(SimJob {
+            user_slot: self.fairshare.slot(job.user),
             record: job,
             status: JobStatus::Future,
             run_slot: usize::MAX,
@@ -454,9 +451,83 @@ impl Simulator {
     }
 
     /// Returns to an idle cluster at time 0 with the same configuration,
-    /// dropping all loaded jobs and history.
+    /// dropping all loaded jobs and history — in place: collections are
+    /// cleared, not dropped, so the next episode reuses the job arena, the
+    /// event heap and every scratch buffer. [`Simulator::new`] is "empty,
+    /// then `reset()`", so a reset simulator and a fresh one differ in
+    /// nothing but spare capacity. Fair-share slots do not survive: every
+    /// job that carried one is gone, and users are interned afresh.
     pub fn reset(&mut self) {
-        *self = Simulator::new(self.cfg.clone());
+        // Exhaustive on purpose: a new field must decide what reset means.
+        let Self {
+            cfg,
+            now,
+            free_nodes,
+            down_nodes,
+            pool_free,
+            hetero_stats,
+            contended_running,
+            fault_stats,
+            evictions_log,
+            jobs,
+            id_map,
+            pending,
+            running,
+            events,
+            fairshare,
+            busy_node_seconds,
+            first_submit,
+            rejected,
+            next_id,
+            recent_starts,
+            releases,
+            min_pending_nodes,
+            completed_order,
+            wait_sum,
+            jct_sum,
+            last_end,
+            first_completed_submit,
+            scratch_order: _,
+            scratch_starts: _,
+            scratch_plan: _,
+        } = self;
+        *now = 0;
+        *free_nodes = cfg.nodes;
+        *down_nodes = 0;
+        pool_free.clear();
+        if !cfg.hetero.is_none() {
+            pool_free.extend(cfg.hetero.pools.iter().map(|p| p.nodes));
+        }
+        *hetero_stats = HeteroStats::default();
+        *contended_running = 0;
+        *fault_stats = FaultStats::default();
+        evictions_log.clear();
+        jobs.clear();
+        id_map.clear();
+        pending.clear();
+        running.clear();
+        events.clear();
+        fairshare.clear();
+        *busy_node_seconds = 0.0;
+        *first_submit = None;
+        *rejected = 0;
+        *next_id = 1;
+        recent_starts.clear();
+        releases.clear();
+        *min_pending_nodes = u32::MAX;
+        completed_order.clear();
+        *wait_sum = 0.0;
+        *jct_sum = 0.0;
+        *last_end = 0;
+        *first_completed_submit = None;
+        for ev in cfg.faults.node_schedule(cfg.nodes) {
+            let kind = if ev.up {
+                EventKind::NodeUp
+            } else {
+                EventKind::NodeDown
+            };
+            events.push(Event::new(ev.time, kind, ev.node as usize));
+        }
     }
 
     /// Advances simulated time to `t_end`, processing every event up to and
@@ -626,30 +697,9 @@ impl Simulator {
         job.status = JobStatus::Completed { start, end: now };
         job.record.start = Some(start);
         job.record.end = Some(now);
-        self.free_nodes += job.record.nodes;
-        if !self.cfg.hetero.is_none() {
-            for (c, f) in job.pool_alloc.iter_mut().zip(self.pool_free.iter_mut()) {
-                *f += *c;
-                *c = 0;
-            }
-            if job.slowed {
-                self.contended_running -= 1;
-                job.slowed = false;
-            }
-        }
-        let consumed = f64::from(job.record.nodes) * (now - start) as f64;
-        let user = job.record.user;
         let submit = job.record.submit;
         let id = job.record.id;
-        self.fairshare.record(user, consumed);
-
-        // O(1) removal from the running list via the stored slot index.
-        let slot = job.run_slot;
-        debug_assert_eq!(self.running[slot], idx, "stale running slot");
-        self.running.swap_remove(slot);
-        if let Some(&moved) = self.running.get(slot) {
-            self.jobs[moved].run_slot = slot;
-        }
+        self.vacate(idx, start);
 
         // Incremental completion bookkeeping: ends arrive non-decreasing,
         // so `completed_order` stays `(end, id)`-sorted with at most a few
@@ -675,6 +725,41 @@ impl Simulator {
         );
     }
 
+    /// Takes the job that ran since `start` off the cluster (completion
+    /// and eviction alike): frees its nodes and pool slots, charges the
+    /// run to fair-share, and drops it from the release ledger and the
+    /// running list.
+    fn vacate(&mut self, idx: usize, start: i64) {
+        let job = &mut self.jobs[idx];
+        self.free_nodes += job.record.nodes;
+        if !self.cfg.hetero.is_none() {
+            for (c, f) in job.pool_alloc.iter_mut().zip(self.pool_free.iter_mut()) {
+                *f += *c;
+                *c = 0;
+            }
+            if job.slowed {
+                self.contended_running -= 1;
+                job.slowed = false;
+            }
+        }
+        let consumed = f64::from(job.record.nodes) * (self.now - start) as f64;
+        self.fairshare.record(job.user_slot, consumed);
+        let release = (start + job.record.timelimit, job.record.nodes);
+        let at = self
+            .releases
+            .binary_search(&release)
+            .expect("every running job is in the release ledger");
+        self.releases.remove(at);
+
+        // O(1) removal from the running list via the stored slot index.
+        let slot = job.run_slot;
+        debug_assert_eq!(self.running[slot], idx, "stale running slot");
+        self.running.swap_remove(slot);
+        if let Some(&moved) = self.running.get(slot) {
+            self.jobs[moved].run_slot = slot;
+        }
+    }
+
     fn start_job(&mut self, idx: usize) {
         let now = self.now;
         let job = &mut self.jobs[idx];
@@ -687,6 +772,9 @@ impl Simulator {
             job.faults.downtime += now - job.evicted_at;
         }
         self.free_nodes -= job.record.nodes;
+        let release = (now + job.record.timelimit, job.record.nodes);
+        let at = self.releases.partition_point(|r| *r < release);
+        self.releases.insert(at, release);
         // Jobs are killed at their wall-clock limit.
         let mut run = job.record.runtime.min(job.record.timelimit);
         if !self.cfg.hetero.is_none() {
@@ -815,29 +903,10 @@ impl Simulator {
         let JobStatus::Running { start } = job.status else {
             unreachable!("evicting a non-running job");
         };
-        self.free_nodes += job.record.nodes;
-        if !self.cfg.hetero.is_none() {
-            for (c, f) in job.pool_alloc.iter_mut().zip(self.pool_free.iter_mut()) {
-                *f += *c;
-                *c = 0;
-            }
-            if job.slowed {
-                self.contended_running -= 1;
-                job.slowed = false;
-            }
-        }
-        let consumed = f64::from(job.record.nodes) * (now - start) as f64;
-        self.fairshare.record(job.record.user, consumed);
         job.faults.evictions += 1;
         job.evicted_at = now;
         let attempt = job.attempt;
-
-        let slot = job.run_slot;
-        debug_assert_eq!(self.running[slot], idx, "stale running slot");
-        self.running.swap_remove(slot);
-        if let Some(&moved) = self.running.get(slot) {
-            self.jobs[moved].run_slot = slot;
-        }
+        self.vacate(idx, start);
 
         self.fault_stats.evictions += 1;
         self.evictions_log.record(now);
@@ -857,100 +926,77 @@ impl Simulator {
         }
     }
 
-    /// One scheduling pass: priority ordering + backfill plan + starts.
+    /// One scheduling pass: priority keys, the plan over a lazily ordered
+    /// queue, then the starts — one linear scan of the pending queue per
+    /// stage, no hashing and no full sort.
     ///
-    /// Only the `sched_depth` highest-priority queued jobs are examined
-    /// (Slurm's `bf_max_job_test`), keeping the pass cheap even with a
-    /// multi-thousand-job backlog.
+    /// * Every pending job is keyed by `(-priority, submit, id)`; the
+    ///   fair-share factor comes from its slot, computed once per user per
+    ///   pass.
+    /// * [`LazyOrder`] first cuts the queue to the `sched_depth` best keys
+    ///   (Slurm's `bf_max_job_test`), then orders it only as far as
+    ///   [`plan_queue`] reads: the jobs phase 1 starts, the blocked head
+    ///   (and, for `reserve_depth > 1`, on to the last reserved job) — then
+    ///   whatever survives the exact backfill cut. The resulting starts,
+    ///   and their order, are those of sorting the whole queue first.
+    /// * The planner sees only physically available capacity: crashed
+    ///   nodes cannot host a reservation until they recover. Priority and
+    ///   fair-share keep the nominal partition size, matching how Slurm's
+    ///   multifactor weights stay fixed across drained nodes.
     fn schedule_pass(&mut self) {
         // Provably-futile passes (nothing pending, or no pending job fits
         // in the free nodes) are skipped outright; see `min_pending_nodes`.
         if self.pending.is_empty() || self.free_nodes < self.min_pending_nodes {
             return;
         }
-        let capacity_ns = f64::from(self.cfg.nodes) * self.cfg.weights.fairshare_halflife as f64;
-        self.fairshare
-            .decay_to(self.now, self.cfg.weights.fairshare_halflife);
-
         let w = self.cfg.weights;
         let now = self.now;
         let total = self.cfg.nodes;
+        self.fairshare.decay_to(now, w.fairshare_halflife);
 
-        // (−priority, submit, id, idx): ascending sort gives descending
-        // priority with FIFO tie-breaks, no hashing in the hot loop.
         let order = &mut self.scratch_order;
         order.clear();
         order.reserve(self.pending.len());
         for &i in &self.pending {
-            let r = &self.jobs[i].record;
-            let usage = self.fairshare.normalized_usage(r.user, capacity_ns);
-            let p = priority(&w, now - r.submit, r.nodes, total, usage);
-            order.push((-p, r.submit, r.id, i));
-        }
-        // total_cmp on the leading (finite, non-NaN) priority key:
-        // branchless float compares make this per-event sort noticeably
-        // cheaper than partial_cmp + unwrap.
-        let key_cmp = |a: &(f64, i64, u64, usize), b: &(f64, i64, u64, usize)| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
-        };
-        let depth = self.cfg.sched_depth.max(1);
-        if order.len() > depth {
-            order.select_nth_unstable_by(depth - 1, key_cmp);
-            order.truncate(depth);
-        }
-        order.sort_unstable_by(key_cmp);
-
-        self.scratch_views.clear();
-        self.scratch_views
-            .extend(order.iter().map(|&(_, _, _, i)| PendingView {
-                nodes: self.jobs[i].record.nodes,
-                timelimit: self.jobs[i].record.timelimit,
-            }));
-        self.scratch_releases.clear();
-        self.scratch_releases.extend(self.running.iter().map(|&i| {
-            let j = &self.jobs[i];
-            let JobStatus::Running { start } = j.status else {
-                unreachable!()
+            let job = &self.jobs[i];
+            let r = &job.record;
+            let fs_factor = self.fairshare.factor(job.user_slot);
+            let p = priority_from_factor(&w, now - r.submit, r.nodes, total, fs_factor);
+            let view = PendingView {
+                nodes: r.nodes,
+                timelimit: r.timelimit,
             };
-            // The scheduler only knows the *limit*, not the real runtime.
-            (start + j.record.timelimit, j.record.nodes)
-        }));
-
+            order.push(Queued::new(p, r.submit, r.id, i, view));
+        }
+        let mut queue = LazyOrder::new(order, self.cfg.sched_depth);
         let mut starts = std::mem::take(&mut self.scratch_starts);
-        // The planner sees only physically available capacity: crashed
-        // nodes cannot host a reservation until they recover. Priority and
-        // fairshare above keep the nominal partition size, matching how
-        // Slurm's multifactor weights stay fixed across drained nodes.
-        plan_schedule_into(
-            &self.scratch_views,
+        plan_queue(
+            &mut queue,
             self.free_nodes,
-            self.cfg.nodes - self.down_nodes,
-            self.now,
-            &self.scratch_releases,
+            total - self.down_nodes,
+            now,
+            &self.releases,
             self.cfg.backfill,
             &mut self.scratch_plan,
             &mut starts,
         );
-        if starts.is_empty() {
-            self.scratch_starts = starts;
-            return;
-        }
-        for &s in &starts {
-            let idx = self.scratch_order[s].3;
+        for &idx in &starts {
             self.start_job(idx);
         }
+        if !starts.is_empty() {
+            // One sweep drops the started jobs and recomputes the exact
+            // bound over what is left.
+            let mut min_nodes = u32::MAX;
+            self.pending.retain(|&i| {
+                let pending = matches!(self.jobs[i].status, JobStatus::Pending);
+                if pending {
+                    min_nodes = min_nodes.min(self.jobs[i].record.nodes);
+                }
+                pending
+            });
+            self.min_pending_nodes = min_nodes;
+        }
         self.scratch_starts = starts;
-        self.pending
-            .retain(|&i| matches!(self.jobs[i].status, JobStatus::Pending));
-        // Starts removed pending jobs: recompute the exact bound (cheap
-        // relative to the pass that just ran).
-        self.min_pending_nodes = self
-            .pending
-            .iter()
-            .map(|&i| self.jobs[i].record.nodes)
-            .min()
-            .unwrap_or(u32::MAX);
     }
 }
 
