@@ -21,17 +21,16 @@
 
 use mirage_ensemble::{Dataset, ForestConfig, GbdtConfig, GradientBoosting, RandomForest};
 use mirage_nn::foundation::FoundationKind;
-use mirage_nn::transformer::TransformerConfig;
+use mirage_nn::transformer::{TransformerConfig, TransformerConfigError};
 use mirage_rl::{
     pretrain_foundation, ActionEncoding, BalancedReplay, DqnAgent, DqnConfig, DualHeadConfig,
-    DualHeadNet, EpisodeSample, Experience, ExploreLane, PgAgent, PgConfig, PretrainConfig,
-    RewardSample,
+    DualHeadNet, EpisodeSample, Experience, ExploreLane, HeadBatchCache, PgAgent, PgConfig,
+    PretrainConfig, RewardSample,
 };
 use mirage_sim::{BackendFactory, BackendPool, ClusterBackend};
 use mirage_trace::{JobRecord, DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
@@ -479,18 +478,32 @@ fn transformer_config(cfg: &TrainConfig) -> TransformerConfig {
 }
 
 /// Builds and pretrains a dual-head network of the given foundation kind.
+/// Panics with the [`TransformerConfigError`] message when `cfg`'s widths
+/// cannot form an encoder — use [`try_build_pretrained_net`] to handle it.
 pub fn build_pretrained_net(
     kind: FoundationKind,
     cfg: &TrainConfig,
     data: &OfflineData,
 ) -> DualHeadNet {
-    let mut net = DualHeadNet::new(DualHeadConfig {
+    try_build_pretrained_net(kind, cfg, data)
+        .unwrap_or_else(|e| panic!("build_pretrained_net: {e}"))
+}
+
+/// [`build_pretrained_net`] with the config checked first: a zero or
+/// indivisible `d_model` / `heads` / `history_k` in `cfg` is a typed
+/// error here, before anything is built or trained.
+pub fn try_build_pretrained_net(
+    kind: FoundationKind,
+    cfg: &TrainConfig,
+    data: &OfflineData,
+) -> Result<DualHeadNet, TransformerConfigError> {
+    let mut net = DualHeadNet::try_new(DualHeadConfig {
         foundation: kind,
         transformer: transformer_config(cfg),
         action_encoding: ActionEncoding::TwoHead,
         freeze_foundation: false,
         seed: cfg.seed,
-    });
+    })?;
     if !data.reward_samples.is_empty() {
         if data.reward_samples.len() > cfg.max_pretrain_samples {
             // Deterministic stride subsample keeps episode diversity.
@@ -506,7 +519,7 @@ pub fn build_pretrained_net(
             pretrain_foundation(&mut net, &data.reward_samples, &cfg.pretrain);
         }
     }
-    net
+    Ok(net)
 }
 
 /// The per-lane RNG seed of online-DQN training episode `i` (the seed
@@ -762,6 +775,11 @@ fn snapshot_dqn(
 /// best-reward offline run of each training episode: cross-entropy between
 /// the P-head's softmax and the demonstrated submit/no-submit decisions.
 /// REINFORCE then fine-tunes from a sensible policy instead of noise.
+///
+/// Each mini-batch is one row-stacked forward/backward through the P-head
+/// into a retained `Grads` (fused sink), bit-identical to the per-sample
+/// loop it replaced; a foundation that cannot batch (top-1 MoE) keeps
+/// that loop.
 pub fn behavior_clone(
     net: &mut DualHeadNet,
     samples: &[(mirage_nn::Matrix, usize)],
@@ -769,10 +787,25 @@ pub fn behavior_clone(
     lr: f32,
     seed: u64,
 ) {
+    let batched = net.supports_batched_p_train();
+    behavior_clone_with(net, samples, epochs, lr, seed, batched);
+}
+
+/// [`behavior_clone`] with the mini-batch path chosen by the caller:
+/// `batched = false` is the per-sample loop, the fallback for foundations
+/// that cannot batch and the oracle the tests hold the batched path to.
+fn behavior_clone_with(
+    net: &mut DualHeadNet,
+    samples: &[(mirage_nn::Matrix, usize)],
+    epochs: usize,
+    lr: f32,
+    seed: u64,
+    batched: bool,
+) {
     use mirage_nn::loss::softmax_cross_entropy;
-    use mirage_nn::optim::{Adam, Optimizer};
-    use mirage_nn::Grads;
-    use rand::seq::SliceRandom;
+    use mirage_nn::{GradSink, Grads, Scratch};
+    use mirage_rl::dualhead::stack_states_into;
+    use mirage_rl::offline::fit_minibatches;
 
     if samples.is_empty() {
         return;
@@ -794,38 +827,54 @@ pub fn behavior_clone(
             0.0
         },
     ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut opt = Adam::new(lr);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    for _ in 0..epochs {
-        order.shuffle(&mut rng);
-        for chunk in order.chunks(32) {
-            let netref = &*net;
-            // Collect per-sample grads in order, then fold sequentially:
-            // floating-point merge order stays deterministic across runs.
-            let per_sample: Vec<Grads> = chunk
-                .par_iter()
-                .map(|&i| {
-                    let (state, action) = &samples[i];
-                    let (logits, cache) = netref.p_forward(state);
-                    let (_, d_logits) = softmax_cross_entropy(&logits, *action);
-                    let d_logits = d_logits.scale(class_w[*action]);
-                    let mut grads = Grads::new(&netref.ps);
-                    netref.p_backward(&cache, &d_logits, &mut grads);
-                    grads
-                })
-                .collect();
-            let mut grads = per_sample
-                .into_iter()
-                .fold(Grads::new(&netref.ps), |mut acc, g| {
-                    acc.merge(g);
-                    acc
-                });
-            grads.scale(1.0 / chunk.len() as f32);
-            grads.clip_global_norm(5.0);
-            opt.step(&mut net.ps, &grads);
+    let fit = PretrainConfig {
+        epochs,
+        batch_size: 32,
+        lr,
+        seed,
+        grad_clip: 5.0,
+    };
+    let mut sample_grads = Grads::new(&net.ps);
+    let mut scratch = Scratch::new();
+    let mut cache = HeadBatchCache::default();
+    fit_minibatches(net, samples.len(), &fit, |net, chunk, grads| {
+        let mut loss_sum = 0.0f32;
+        if batched {
+            let mut states = scratch.take(0, 0);
+            let n = stack_states_into(chunk.iter().map(|&i| &samples[i].0), &mut states);
+            let mut logits = scratch.take(n, 2);
+            net.p_forward_batch_train(&states, n, &mut logits, &mut cache, &mut scratch);
+            let mut d_logits = scratch.take(n, 2);
+            let mut row = scratch.take(1, 2);
+            for (b, &i) in chunk.iter().enumerate() {
+                let action = samples[i].1;
+                row.row_mut(0).copy_from_slice(logits.row(b));
+                let (loss, d) = softmax_cross_entropy(&row, action);
+                let d = d.scale(class_w[action]);
+                d_logits.row_mut(b).copy_from_slice(d.row(0));
+                loss_sum += loss;
+            }
+            let mut sink = GradSink::Fused(grads);
+            net.p_backward_batch(&mut cache, &states, &d_logits, n, &mut sink, &mut scratch);
+            scratch.give(row);
+            scratch.give(d_logits);
+            scratch.give(logits);
+            scratch.give(states);
+        } else {
+            // One isolated gradient per sample, merged in order.
+            for &i in chunk {
+                let (state, action) = &samples[i];
+                let (logits, cache) = net.p_forward(state);
+                let (loss, d_logits) = softmax_cross_entropy(&logits, *action);
+                let d_logits = d_logits.scale(class_w[*action]);
+                sample_grads.reset();
+                net.p_backward(&cache, &d_logits, &mut sample_grads);
+                grads.merge_ref(&sample_grads);
+                loss_sum += loss;
+            }
         }
-    }
+        loss_sum
+    });
 }
 
 /// Online PG fine-tuning (§4.9.2b): Monte-Carlo rollouts under the
@@ -1225,6 +1274,76 @@ mod tests {
             (0, 14 * DAY),
         );
         assert_eq!(p.name(), "transformer+PG");
+    }
+
+    #[test]
+    fn bad_widths_are_a_typed_error_before_any_training() {
+        let data = OfflineData::default();
+        let indivisible = TrainConfig {
+            d_model: 10,
+            heads: 4,
+            ..tiny_cfg()
+        };
+        assert_eq!(
+            try_build_pretrained_net(FoundationKind::Transformer, &indivisible, &data).err(),
+            Some(TransformerConfigError::HeadsDoNotDivide {
+                d_model: 10,
+                heads: 4
+            })
+        );
+        let no_heads = TrainConfig {
+            heads: 0,
+            ..tiny_cfg()
+        };
+        assert_eq!(
+            try_build_pretrained_net(FoundationKind::MoE { experts: 2 }, &no_heads, &data).err(),
+            Some(TransformerConfigError::Zero { field: "heads" })
+        );
+        assert!(try_build_pretrained_net(FoundationKind::Transformer, &tiny_cfg(), &data).is_ok());
+    }
+
+    #[test]
+    fn batched_behavior_cloning_ends_on_the_per_sample_weights() {
+        // 70 demonstrations (one submit in ten): two full mini-batches
+        // and a remainder of 6 per epoch.
+        let mut rng = StdRng::seed_from_u64(5);
+        let samples: Vec<(mirage_nn::Matrix, usize)> = (0..70)
+            .map(|i| {
+                let state = mirage_nn::Matrix::from_fn(3, 5, |_, _| rng.gen_range(-1.0f32..1.0));
+                (state, usize::from(i % 10 == 0))
+            })
+            .collect();
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
+                let mut batched = DualHeadNet::new(DualHeadConfig {
+                    foundation: kind,
+                    transformer: TransformerConfig {
+                        input_dim: 5,
+                        seq_len: 3,
+                        d_model: 8,
+                        heads: 2,
+                        layers: 1,
+                        ff_mult: 2,
+                    },
+                    action_encoding: enc,
+                    freeze_foundation: false,
+                    seed: 6,
+                });
+                let mut oracle = batched.clone();
+                assert!(batched.supports_batched_p_train());
+                behavior_clone(&mut batched, &samples, 3, 3e-3, 7);
+                behavior_clone_with(&mut oracle, &samples, 3, 3e-3, 7, false);
+                for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
+                    let bits = |m: &mirage_nn::Matrix| {
+                        m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(a), bits(b), "{kind:?}/{enc:?}");
+                }
+            }
+        }
     }
 
     #[test]

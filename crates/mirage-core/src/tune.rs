@@ -6,7 +6,7 @@
 //! after a short pretraining run. Deterministic, parallel over candidates.
 
 use mirage_nn::foundation::FoundationKind;
-use mirage_nn::transformer::TransformerConfig;
+use mirage_nn::transformer::{TransformerConfig, TransformerConfigError};
 use mirage_rl::{
     pretrain_foundation, reward_mse, ActionEncoding, DualHeadConfig, DualHeadNet, PretrainConfig,
     RewardSample,
@@ -68,12 +68,14 @@ impl Default for TuneGrid {
 }
 
 impl TuneGrid {
-    /// Enumerates all valid grid points (heads must divide d_model).
+    /// Enumerates the grid points whose head count divides their width.
+    /// Zero widths and head counts are kept: [`grid_search`] rejects them
+    /// with a typed error instead of dropping them silently.
     pub fn candidates(&self) -> Vec<Candidate> {
         let mut out = Vec::new();
         for &d_model in &self.d_models {
             for &heads in &self.heads {
-                if d_model % heads != 0 {
+                if heads != 0 && d_model % heads != 0 {
                     continue;
                 }
                 for &layers in &self.layers {
@@ -94,7 +96,9 @@ impl TuneGrid {
 
 /// Scores every candidate on `(train, valid)` reward pools; returns
 /// results sorted best-first. Candidates are evaluated in parallel, each
-/// with its own deterministic seed.
+/// with its own deterministic seed. A candidate (or `history_k`) that
+/// cannot form an encoder is a typed error, raised before any candidate
+/// trains.
 pub fn grid_search(
     grid: &TuneGrid,
     train: &[RewardSample],
@@ -102,22 +106,26 @@ pub fn grid_search(
     history_k: usize,
     epochs: usize,
     seed: u64,
-) -> Vec<TuneResult> {
+) -> Result<Vec<TuneResult>, TransformerConfigError> {
     assert!(!train.is_empty() && !valid.is_empty(), "empty tuning pools");
-    let mut results: Vec<TuneResult> = grid
-        .candidates()
+    let candidates = grid.candidates();
+    let shape = |c: &Candidate| TransformerConfig {
+        input_dim: STATE_VARS,
+        seq_len: history_k,
+        d_model: c.d_model,
+        heads: c.heads,
+        layers: c.layers,
+        ff_mult: 2,
+    };
+    for c in &candidates {
+        shape(c).validate()?;
+    }
+    let mut results: Vec<TuneResult> = candidates
         .par_iter()
         .map(|&candidate| {
             let mut net = DualHeadNet::new(DualHeadConfig {
                 foundation: candidate.foundation,
-                transformer: TransformerConfig {
-                    input_dim: STATE_VARS,
-                    seq_len: history_k,
-                    d_model: candidate.d_model,
-                    heads: candidate.heads,
-                    layers: candidate.layers,
-                    ff_mult: 2,
-                },
+                transformer: shape(&candidate),
                 action_encoding: ActionEncoding::TwoHead,
                 freeze_foundation: false,
                 seed,
@@ -142,7 +150,7 @@ pub fn grid_search(
         })
         .collect();
     results.sort_by(|a, b| a.val_mse.partial_cmp(&b.val_mse).unwrap());
-    results
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -196,7 +204,7 @@ mod tests {
                 FoundationKind::MoE { experts: 2 },
             ],
         };
-        let results = grid_search(&grid, &train, &valid, 3, 2, 7);
+        let results = grid_search(&grid, &train, &valid, 3, 2, 7).unwrap();
         assert_eq!(results.len(), 2);
         assert!(
             results[0].val_mse <= results[1].val_mse,
@@ -217,6 +225,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_sized_candidates_are_a_typed_error() {
+        let (train, valid) = pools(3);
+        let grid = TuneGrid {
+            d_models: vec![8],
+            heads: vec![2, 0],
+            layers: vec![1],
+            foundations: vec![FoundationKind::Transformer],
+        };
+        assert_eq!(
+            grid_search(&grid, &train, &valid, 3, 1, 7),
+            Err(TransformerConfigError::Zero { field: "heads" })
+        );
+        assert_eq!(
+            grid_search(&TuneGrid::default(), &train, &valid, 0, 1, 7),
+            Err(TransformerConfigError::Zero { field: "seq_len" })
+        );
+    }
+
+    #[test]
     fn search_is_deterministic() {
         let (train, valid) = pools(3);
         let grid = TuneGrid {
@@ -225,8 +252,8 @@ mod tests {
             layers: vec![1],
             foundations: vec![FoundationKind::Transformer],
         };
-        let a = grid_search(&grid, &train, &valid, 3, 2, 9);
-        let b = grid_search(&grid, &train, &valid, 3, 2, 9);
+        let a = grid_search(&grid, &train, &valid, 3, 2, 9).unwrap();
+        let b = grid_search(&grid, &train, &valid, 3, 2, 9).unwrap();
         assert_eq!(a, b);
     }
 }

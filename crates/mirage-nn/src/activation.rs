@@ -51,14 +51,24 @@ pub fn fast_tanh(x: f32) -> f32 {
 /// `2^n · e^r` with `|r| ≤ ln2/2`, evaluate a degree-6 minimax
 /// polynomial for `e^r`, and apply `2^n` exactly through the exponent
 /// bits. Relative error stays below ~3e-7 — tighter than f32 matmul
-/// noise — and `fast_exp(0) = 1` exactly.
+/// noise — and `fast_exp(0) = 1` exactly. NaN in gives NaN out (the
+/// guard policy depends on non-finite values surviving); ±∞ clamp like
+/// any other out-of-range input.
 ///
 /// `libm`'s `expf` dominates the attention softmax the same way `tanhf`
-/// dominated GELU before [`fast_tanh`]: one serial call per score.
-/// Every step here (clamp, add-magic round, FMA chain, integer scale)
-/// vectorizes, so [`crate::tensor::softmax_in_place`] — the one softmax
-/// kernel shared by the training and inference paths, which keeps them
-/// bit-identical — runs ~5× faster.
+/// dominated GELU before [`fast_tanh`]: one serial call per score. This
+/// body exists to run eight lanes wide inside the softmax loops
+/// ([`crate::tensor::softmax_in_place`] and the attention core, which
+/// share it so training and inference stay bit-identical), and two
+/// innocent-looking steps used to keep it scalar at ~2 ns per element:
+/// `f32::clamp`, and the saturating `n as i32` that built the `2^n`
+/// scale. The clamp is now two selects and the scale is built with float
+/// and bit operations only; results are bit-identical to the old body for
+/// every non-NaN input (pinned in the tests against a frozen copy). To
+/// check that it still vectorizes after a toolchain change, time
+/// `softmax_rows_in_place` on a few hundred elements — ~0.3 ns per
+/// element is vector code, ~2 ns is not — or look for `vmulps … ymm` in
+/// the disassembly of a softmax loop.
 #[inline]
 #[allow(clippy::excessive_precision)] // Cephes reference constants, kept verbatim
 pub fn fast_exp(x: f32) -> f32 {
@@ -69,9 +79,14 @@ pub fn fast_exp(x: f32) -> f32 {
     // 1.5 · 2^23: adding then subtracting rounds to the nearest integer
     // (in f32's round-to-nearest mode) without a scalar `round` call.
     const ROUND_MAGIC: f32 = 12_582_912.0;
+    // 2^23 + 127: added to the integer `n ∈ [−126, 127]` the sum is
+    // exact and has `n + 127` in its low mantissa bits.
+    const EXPONENT_MAGIC: f32 = 8_388_735.0;
     // Clamp keeps 2^n inside normal-float range: e^-87 ≈ 1.6e-38 is the
-    // smallest normal scale, e^88 the largest before overflow.
-    let x = x.clamp(-87.0, 88.0);
+    // smallest normal scale, e^88 the largest before overflow. NaN fails
+    // both comparisons and passes through.
+    let x = if x < -87.0 { -87.0 } else { x };
+    let x = if x > 88.0 { 88.0 } else { x };
     let n = (x * LOG2E + ROUND_MAGIC) - ROUND_MAGIC;
     let r = (x - n * LN2_HI) - n * LN2_LO;
     let mut p = 1.987_569_1e-4;
@@ -81,7 +96,9 @@ pub fn fast_exp(x: f32) -> f32 {
     p = p * r + 1.666_666_5e-1;
     p = p * r + 5.000_000_2e-1;
     let z = p * r * r + r + 1.0;
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    // Shifting the biased exponent `n + 127` from the low mantissa bits
+    // into the exponent field (everything above falls off) is `2^n`.
+    let scale = f32::from_bits((n + EXPONENT_MAGIC).to_bits() << 23);
     z * scale
 }
 
@@ -211,6 +228,62 @@ mod tests {
         assert!(fast_exp(-100.0) > 0.0 && fast_exp(-100.0) < 1e-37);
         assert!(fast_exp(100.0).is_finite());
         assert!(fast_exp(1.0) > fast_exp(0.999));
+    }
+
+    /// The body `fast_exp` had before it was rewritten to vectorize,
+    /// frozen: `f32::clamp` and the saturating `n as i32` scale.
+    #[allow(clippy::excessive_precision)]
+    fn fast_exp_frozen(x: f32) -> f32 {
+        let x = x.clamp(-87.0, 88.0);
+        let n = (x * std::f32::consts::LOG2_E + 12_582_912.0) - 12_582_912.0;
+        let r = (x - n * 0.693_359_375) - n * -2.121_944_4e-4;
+        let mut p = 1.987_569_1e-4;
+        p = p * r + 1.398_199_9e-3;
+        p = p * r + 8.333_452e-3;
+        p = p * r + 4.166_579_6e-2;
+        p = p * r + 1.666_666_5e-1;
+        p = p * r + 5.000_000_2e-1;
+        let z = p * r * r + r + 1.0;
+        z * f32::from_bits((((n as i32) + 127) << 23) as u32)
+    }
+
+    #[test]
+    fn fast_exp_matches_frozen_reference() {
+        let same = |x: f32| {
+            let (new, old) = (fast_exp(x), fast_exp_frozen(x));
+            if x.is_nan() {
+                // The guard policy depends on non-finite values surviving.
+                assert!(new.is_nan() && old.is_nan(), "NaN {:#x} lost", x.to_bits());
+            } else {
+                assert_eq!(new.to_bits(), old.to_bits(), "fast_exp({x:e})");
+            }
+        };
+        // Every 4 099th bit pattern: both signs, every exponent,
+        // subnormals, infinities and NaNs of both kinds.
+        (0..=u32::MAX)
+            .step_by(4_099)
+            .for_each(|b| same(f32::from_bits(b)));
+        for x in [-87.0f32, 88.0, 0.0, 1.0, f32::MIN_POSITIVE, 1e-45, f32::MAX] {
+            // The value, its neighbours on both sides, and all three negated.
+            for b in [x.to_bits().saturating_sub(1), x.to_bits(), x.to_bits() + 1] {
+                same(f32::from_bits(b));
+                same(-f32::from_bits(b));
+            }
+        }
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+            same(x);
+        }
+        assert_eq!(fast_exp(f32::NEG_INFINITY), fast_exp(-87.0));
+        assert_eq!(fast_exp(f32::INFINITY), fast_exp(88.0));
+        // Both zeros give exactly 1: a score equal to its row maximum
+        // shifts to `0.0` or `-0.0` depending on the maximum's sign.
+        assert_eq!(fast_exp(-0.0).to_bits(), 1.0f32.to_bits());
+        // A dense sweep of where softmax inputs live.
+        let mut x = -100.0f32;
+        while x <= 100.0 {
+            same(x);
+            x += 0.000_37;
+        }
     }
 
     #[test]

@@ -3,6 +3,67 @@
 //! This is the mechanism §4.6 of the paper leans on: attention over the
 //! sequence of historical cluster snapshots "filters out irrelevant
 //! snapshots in history and identifies ones that contribute to prediction".
+//!
+//! # One core, one accumulation order
+//!
+//! [`MultiHeadAttention::forward`] and [`MultiHeadAttention::backward`]
+//! are the definition: allocating, one sequence at a time, every head
+//! sliced out into its own matrices and pushed through the generic
+//! [`Matrix`] kernels. Every other entry point — `forward_into`,
+//! `forward_batch_into`, `forward_batch_cache`, `backward_batch` — runs
+//! the Q/K/V/output projections as one matmul each over the row-stacked
+//! batch and hands each `(block, head)` to one private core
+//! (`attend_head`, `backward_head`) that must reproduce the
+//! definition **bit for bit**. The contract, per element:
+//!
+//! * **score** `s[r][c]`: the products `q[r][t]·k[c][t]` summed in
+//!   ascending `t` on a single accumulator starting at `0.0`, then one
+//!   multiply by `1/√d_head`;
+//! * **softmax** of row `r`: the maximum of the row with NaN skipped
+//!   (`f32::max` folded from `−∞`), subtract,
+//!   [`crate::activation::fast_exp`], sum in ascending `c` from
+//!   `Iterator::sum`'s identity, divide when the sum is `> 0`;
+//! * **mix** `o[r][j]`: the products `a[r][c]·v[c][j]` summed in
+//!   ascending `c` on a single accumulator starting at `0.0`;
+//! * **backward**: `da[r][c]` ascending `j` from `0.0`; the softmax
+//!   Jacobian row exactly as [`softmax_rows_backward_into`], then one
+//!   multiply by the scale; `dq[r][j]` ascending `c` from `0.0`;
+//!   `dk[c][j]` and `dv[c][j]` ascending `r` from `0.0`;
+//! * no `mul_add` anywhere — a fused multiply-add rounds once where the
+//!   definition rounds twice.
+//!
+//! Those chains fix the order *within* an element and nothing else. Each
+//! is one dependent add per step, so a kernel that walks one row at a
+//! time waits on add latency, and one that slices heads out spends more
+//! time copying than computing (the old cores ran at a quarter of the
+//! projections' flop rate). The core gets its speed from what the
+//! contract leaves open:
+//!
+//! * the head's columns of Q/K/V (and of the gradients) are read and
+//!   written **in place** in the row-stacked `rows × d_model` matrices —
+//!   head columns are contiguous within a row, so nothing is sliced out
+//!   or copied back;
+//! * `ROWS` query rows are processed together, so that many
+//!   independent chains are in flight per lane vector and every key or
+//!   value vector loaded is used `ROWS` times; a sequence that is not a
+//!   multiple of `ROWS` ends in one narrower group of the same code;
+//! * lanes run across *keys* for the scores — the one copy made is the
+//!   head's keys (values, in the backward) transposed into a
+//!   `d_head × seq` tile once per `(block, head)` — and across *head
+//!   columns* for the mixes and the `dk`/`dv` updates. The tile and the
+//!   row-group stage are padded to a multiple of `LANES` columns with
+//!   zero keys, so every score and `fast_exp` vector is full width; pad
+//!   columns are computed and never read — maxima, sums and mixes stop at
+//!   `seq`. A head width that is not a multiple of `LANES` is covered
+//!   by full tiles, then one `HALF` tile, then single columns, each a
+//!   fixed-width copy of the same loop;
+//! * the softmax is staged per row group (scale, maxima, shift, one flat
+//!   `fast_exp` pass over the whole stage, sums, divide), which keeps a
+//!   `k = 144` row group in L1 where a whole `seq × seq` score matrix
+//!   would not be.
+//!
+//! `crates/mirage-nn/tests/attention_identity.rs` holds all of this over
+//! `seq` 1..=40, `d_head` up to 32, 1–4 heads and batches of 1 and 3.
 
 use rand::Rng;
 
@@ -10,6 +71,17 @@ use crate::linear::{Linear, LinearCache};
 use crate::param::{GradSink, Grads, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
+
+/// Query rows the core processes together: that many independent
+/// accumulator chains in flight per lane vector.
+const ROWS: usize = 4;
+/// Lane width of a key tile and of a head-column tile: 8 × f32 is one
+/// 256-bit vector, as in the matmul microkernel.
+const LANES: usize = 8;
+/// Half a lane vector: the tile that follows the full tiles when a head
+/// width is not a multiple of [`LANES`]; what is left after it goes one
+/// column at a time.
+const HALF: usize = 4;
 
 /// Multi-head self-attention over a `seq × d_model` input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -42,6 +114,13 @@ pub struct AttentionCache {
     attn: Vec<Matrix>,
 }
 
+impl AttentionCache {
+    /// The softmaxed `seq × seq` attention matrix of each head.
+    pub fn attn(&self) -> &[Matrix] {
+        &self.attn
+    }
+}
+
 /// Retained training cache for a row-stacked batch of sequences. All
 /// buffers are reused across calls (reset in place), so a warm update
 /// loop never allocates.
@@ -55,6 +134,14 @@ pub struct AttentionBatchCache {
     concat: Matrix,
     /// Softmaxed attention per `(block, head)`, indexed `b·heads + h`.
     attn: Vec<Matrix>,
+}
+
+impl AttentionBatchCache {
+    /// The softmaxed `seq × seq` attention matrix of each `(block, head)`,
+    /// indexed `block · heads + head`.
+    pub fn attn(&self) -> &[Matrix] {
+        &self.attn
+    }
 }
 
 impl MultiHeadAttention {
@@ -83,6 +170,21 @@ impl MultiHeadAttention {
     /// Head width.
     fn d_head(&self) -> usize {
         self.d_model / self.heads
+    }
+
+    /// The per-`(block, head)` problem of a stack of `rows` rows holding
+    /// `batch` equal blocks.
+    fn head_shape(&self, rows: usize, batch: usize) -> HeadShape {
+        assert!(
+            batch >= 1 && rows.is_multiple_of(batch),
+            "batch {batch} must evenly divide {rows} stacked rows"
+        );
+        let dh = self.d_head();
+        HeadShape {
+            seq: rows / batch,
+            dh,
+            scale: 1.0 / (dh as f32).sqrt(),
+        }
     }
 
     /// Self-attention forward over `x` (`seq × d_model`).
@@ -123,9 +225,9 @@ impl MultiHeadAttention {
 
     /// Inference-only forward into a caller-provided buffer, with every
     /// temporary drawn from `scratch`: no cache, no allocation once the
-    /// arena is warm. Bit-identical to [`MultiHeadAttention::forward`]
-    /// (same projection, score, softmax and mixing arithmetic in the same
-    /// order). Single-sequence special case of
+    /// arena is warm. Bit-identical to [`MultiHeadAttention::forward`] at
+    /// every head width (see the module docs for the contract).
+    /// Single-sequence special case of
     /// [`MultiHeadAttention::forward_batch_into`].
     pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
         self.forward_batch_into(ps, x, 1, out, scratch);
@@ -135,18 +237,11 @@ impl MultiHeadAttention {
     /// `seq × d_model` sequences (`x.rows() = batch · seq`), and `out`
     /// receives the row-stacked attention outputs. The Q/K/V and output
     /// projections run as **one matmul each over the whole batch** (the
-    /// amortization this path exists for), while the score/softmax/mix
-    /// stage is confined to each block — sequences never attend across
-    /// episode boundaries. Per block the arithmetic is bit-identical to
-    /// [`MultiHeadAttention::forward_into`] on that block alone:
-    ///
-    /// * projections are row-local, so row-stacking cannot change them,
-    /// * the per-head Q/K/V column slices are read *in place* from the
-    ///   projected matrices (head columns are contiguous within each
-    ///   row), with the scale folded into the score multiply exactly as
-    ///   the cached path's `scale` pass applies it,
-    /// * head outputs accumulate straight into the concat buffer in
-    ///   ascending key order, like the cached path's `a.matmul(&vh)`.
+    /// amortization this path exists for; row-local, so row-stacking
+    /// cannot change them), while the score/softmax/mix core is confined
+    /// to each block — sequences never attend across episode boundaries.
+    /// Per block the result is bit-identical to
+    /// [`MultiHeadAttention::forward`] on that block alone.
     pub fn forward_batch_into(
         &self,
         ps: &ParamSet,
@@ -156,93 +251,58 @@ impl MultiHeadAttention {
         scratch: &mut Scratch,
     ) {
         let rows = x.rows();
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "batch {batch} must evenly divide {rows} stacked rows"
-        );
-        let seq = rows / batch;
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-
         let mut q = scratch.take(rows, self.d_model);
         let mut k = scratch.take(rows, self.d_model);
         let mut v = scratch.take(rows, self.d_model);
         self.wq.forward_into(ps, x, &mut q);
         self.wk.forward_into(ps, x, &mut k);
         self.wv.forward_into(ps, x, &mut v);
-
         let mut concat = scratch.take(rows, self.d_model);
-        let mut scores = scratch.take(seq, seq);
-        // Transposed-key buffer, only materialized for the narrow-head
-        // fast path below (zero-sized otherwise).
-        let use_kt = dh <= 8;
-        let mut kt = scratch.take(if use_kt { dh } else { 0 }, if use_kt { seq } else { 0 });
-        for blk in 0..batch {
-            let row0 = blk * seq;
-            for h in 0..self.heads {
-                let cols = h * dh..(h + 1) * dh;
-                // scores[r][c] = ⟨q_h[row0+r], k_h[row0+c]⟩ · scale.
-                //
-                // For d_head ≤ 8 the keys are transposed per head/block
-                // and the dot accumulates key-outer: the inner loop runs
-                // across *keys* (vector-width parallel, no horizontal
-                // sums), while each score still sums its products in
-                // ascending head-dim order — `tensor::dot`'s exact order
-                // below one full lane chunk, so the cached path's
-                // `qh.matmul_t(&kh)` is reproduced bit for bit. Wider
-                // heads fall back to `dot`, whose lane-chunked order is
-                // what the cached path computes there.
-                if use_kt {
-                    for (t, c0) in cols.clone().enumerate() {
-                        let ktrow = kt.row_mut(t);
-                        for (c, kv) in ktrow.iter_mut().enumerate() {
-                            *kv = k.get(row0 + c, c0);
-                        }
-                    }
-                    for r in 0..seq {
-                        let qrow = &q.row(row0 + r)[cols.clone()];
-                        let srow = scores.row_mut(r);
-                        srow.fill(0.0);
-                        for (t, &qv) in qrow.iter().enumerate() {
-                            for (s, &kv) in srow.iter_mut().zip(kt.row(t)) {
-                                *s += qv * kv;
-                            }
-                        }
-                        for s in srow.iter_mut() {
-                            *s *= scale;
-                        }
-                    }
-                } else {
-                    for r in 0..seq {
-                        let qrow = &q.row(row0 + r)[cols.clone()];
-                        let srow = scores.row_mut(r);
-                        for (c, s) in srow.iter_mut().enumerate() {
-                            *s = crate::tensor::dot(qrow, &k.row(row0 + c)[cols.clone()]) * scale;
-                        }
-                    }
-                }
-                scores.softmax_rows_in_place();
-                // concat_h[row0+r] = Σ_c a[r][c] · v_h[row0+c].
-                for r in 0..seq {
-                    let arow = scores.row(r);
-                    let orow = &mut concat.row_mut(row0 + r)[cols.clone()];
-                    orow.fill(0.0);
-                    for (c, &a) in arow.iter().enumerate() {
-                        let vrow = &v.row(row0 + c)[cols.clone()];
-                        for (o, &vv) in orow.iter_mut().zip(vrow) {
-                            *o += a * vv;
-                        }
-                    }
-                }
-            }
-        }
+        self.attend(&q, &k, &v, batch, &mut concat, None, scratch);
         self.wo.forward_into(ps, &concat, out);
-        scratch.give(kt);
-        scratch.give(scores);
         scratch.give(concat);
         scratch.give(v);
         scratch.give(k);
         scratch.give(q);
+    }
+
+    /// Runs the attention core over every `(block, head)` of the
+    /// row-stacked projections `q`/`k`/`v`, writing the head outputs into
+    /// their columns of `concat` and, when `attn` is given (training),
+    /// each softmaxed `seq × seq` matrix into `attn[block · heads + head]`.
+    #[allow(clippy::too_many_arguments)]
+    fn attend(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        batch: usize,
+        concat: &mut Matrix,
+        mut attn: Option<&mut [Matrix]>,
+        scratch: &mut Scratch,
+    ) {
+        let head = self.head_shape(q.rows(), batch);
+        let HeadShape { seq, dh, .. } = head;
+        let seq_pad = seq.next_multiple_of(LANES);
+        let mut kt = scratch.take(dh, seq_pad);
+        let mut stage = scratch.take(ROWS, seq_pad);
+        for b in 0..batch {
+            for h in 0..self.heads {
+                let a = attn.as_deref_mut().map(|a| &mut a[b * self.heads + h]);
+                attend_head(
+                    head,
+                    [q, k, v],
+                    b * seq,
+                    h * dh,
+                    &mut kt,
+                    &mut stage,
+                    concat,
+                    a,
+                );
+            }
+        }
+        scratch.give(stage);
+        scratch.give(kt);
     }
 
     /// Backward pass; accumulates all projection gradients and returns `dx`.
@@ -288,11 +348,11 @@ impl MultiHeadAttention {
     /// `seq × d_model` sequences: writes the attention output into `out`
     /// and fills `cache` for [`MultiHeadAttention::backward_batch`].
     ///
-    /// Projections run as one matmul each over the whole stack (row-local,
-    /// so row-stacking cannot change them); the score/softmax/mix stage is
-    /// block-confined, using the exact per-sample kernels of
-    /// [`MultiHeadAttention::forward`] on materialized head slices — per
-    /// block the result is bit-identical to the cached per-sample forward.
+    /// Same projections and same core as
+    /// [`MultiHeadAttention::forward_batch_into`], additionally keeping
+    /// the softmaxed attention of every `(block, head)` — per block the
+    /// output and the cached attention are bit-identical to
+    /// [`MultiHeadAttention::forward`] on that block alone.
     pub fn forward_batch_cache(
         &self,
         ps: &ParamSet,
@@ -302,47 +362,22 @@ impl MultiHeadAttention {
         cache: &mut AttentionBatchCache,
         scratch: &mut Scratch,
     ) {
-        let rows = x.rows();
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "batch {batch} must evenly divide {rows} stacked rows"
-        );
-        let seq = rows / batch;
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-
         cache.x.copy_from(x);
         self.wq.forward_into(ps, x, &mut cache.q);
         self.wk.forward_into(ps, x, &mut cache.k);
         self.wv.forward_into(ps, x, &mut cache.v);
-        cache.concat.reset(rows, self.d_model);
+        cache.concat.reset(x.rows(), self.d_model);
         cache.attn.resize_with(batch * self.heads, Matrix::default);
-
-        let mut qh = scratch.take(seq, dh);
-        let mut kh = scratch.take(seq, dh);
-        let mut vh = scratch.take(seq, dh);
-        let mut oh = scratch.take(seq, dh);
-        let mut tbuf = scratch.take(dh, seq);
-        for b in 0..batch {
-            let row0 = b * seq;
-            for h in 0..self.heads {
-                col_slice_range_into(&cache.q, row0, seq, h * dh, dh, &mut qh);
-                col_slice_range_into(&cache.k, row0, seq, h * dh, dh, &mut kh);
-                col_slice_range_into(&cache.v, row0, seq, h * dh, dh, &mut vh);
-                let a = &mut cache.attn[b * self.heads + h];
-                qh.matmul_t_buf_into(&kh, a, &mut tbuf);
-                a.scale_in_place(scale);
-                a.softmax_rows_in_place();
-                a.matmul_into(&vh, &mut oh);
-                col_slice_write_range(&mut cache.concat, row0, &oh, h * dh);
-            }
-        }
+        self.attend(
+            &cache.q,
+            &cache.k,
+            &cache.v,
+            batch,
+            &mut cache.concat,
+            Some(&mut cache.attn),
+            scratch,
+        );
         self.wo.forward_into(ps, &cache.concat, out);
-        scratch.give(tbuf);
-        scratch.give(oh);
-        scratch.give(vh);
-        scratch.give(kh);
-        scratch.give(qh);
     }
 
     /// Batched backward for [`MultiHeadAttention::forward_batch_cache`].
@@ -363,60 +398,38 @@ impl MultiHeadAttention {
         scratch: &mut Scratch,
     ) {
         let rows = dy.rows();
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "batch {batch} must evenly divide {rows} stacked rows"
-        );
-        let seq = rows / batch;
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
+        let head = self.head_shape(rows, batch);
+        let HeadShape { seq, dh, .. } = head;
 
         let mut d_concat = scratch.take(rows, self.d_model);
         self.wo
             .backward_batch(ps, &cache.concat, dy, batch, sink, &mut d_concat, scratch);
 
+        // `dk` and `dv` accumulate over query rows in place, so they
+        // start from the arena's zero fill.
         let mut dq = scratch.take(rows, self.d_model);
         let mut dk = scratch.take(rows, self.d_model);
         let mut dv = scratch.take(rows, self.d_model);
-        let mut doh = scratch.take(seq, dh);
-        let mut qh = scratch.take(seq, dh);
-        let mut kh = scratch.take(seq, dh);
-        let mut vh = scratch.take(seq, dh);
-        let mut da = scratch.take(seq, seq);
-        let mut ds = scratch.take(seq, seq);
-        let mut dqh = scratch.take(seq, dh);
-        let mut dkh = scratch.take(seq, dh);
-        let mut dvh = scratch.take(seq, dh);
-        let mut tbuf = scratch.take(dh, seq);
+        let seq_pad = seq.next_multiple_of(LANES);
+        let mut vt = scratch.take(dh, seq_pad);
+        let mut stage = scratch.take(ROWS, seq_pad);
         for b in 0..batch {
-            let row0 = b * seq;
             for h in 0..self.heads {
-                col_slice_range_into(&d_concat, row0, seq, h * dh, dh, &mut doh);
-                col_slice_range_into(&cache.q, row0, seq, h * dh, dh, &mut qh);
-                col_slice_range_into(&cache.k, row0, seq, h * dh, dh, &mut kh);
-                col_slice_range_into(&cache.v, row0, seq, h * dh, dh, &mut vh);
-                let a = &cache.attn[b * self.heads + h];
-                doh.matmul_t_buf_into(&vh, &mut da, &mut tbuf);
-                a.t_matmul_into(&doh, &mut dvh);
-                softmax_rows_backward_into(a, &da, &mut ds);
-                ds.scale_in_place(scale);
-                ds.matmul_into(&kh, &mut dqh);
-                ds.t_matmul_into(&qh, &mut dkh);
-                col_slice_write_range(&mut dq, row0, &dqh, h * dh);
-                col_slice_write_range(&mut dk, row0, &dkh, h * dh);
-                col_slice_write_range(&mut dv, row0, &dvh, h * dh);
+                backward_head(
+                    head,
+                    [&cache.q, &cache.k, &cache.v],
+                    &cache.attn[b * self.heads + h],
+                    &d_concat,
+                    b * seq,
+                    h * dh,
+                    &mut vt,
+                    &mut stage,
+                    [&mut dq, &mut dk, &mut dv],
+                );
             }
         }
-        scratch.give(tbuf);
-        scratch.give(dvh);
-        scratch.give(dkh);
-        scratch.give(dqh);
-        scratch.give(ds);
-        scratch.give(da);
-        scratch.give(vh);
-        scratch.give(kh);
-        scratch.give(qh);
-        scratch.give(doh);
+        scratch.give(stage);
+        scratch.give(vt);
 
         self.wq
             .backward_batch(ps, &cache.x, &dq, batch, sink, dx, scratch);
@@ -439,6 +452,357 @@ impl MultiHeadAttention {
     }
 }
 
+/// Shape of one `(block, head)` problem.
+#[derive(Clone, Copy)]
+struct HeadShape {
+    /// Sequence length of a block.
+    seq: usize,
+    /// Head width.
+    dh: usize,
+    /// `1/√d_head`.
+    scale: f32,
+}
+
+/// The forward core for one `(block, head)`: the block starts at row
+/// `row0` of the row-stacked `[q, k, v]` and the head at column `col0`.
+/// Writes the head's `seq × d_head` output into its place in `concat`
+/// and, when `attn` is given, the softmaxed `seq × seq` attention.
+/// `kt` (`d_head × seq_pad`) and `stage` ([`ROWS`]` × seq_pad`) are work
+/// buffers whose pad columns must be zero on entry (and stay zero in
+/// `kt`). The module docs state the arithmetic this reproduces.
+#[allow(clippy::too_many_arguments)]
+fn attend_head(
+    head: HeadShape,
+    qkv: [&Matrix; 3],
+    row0: usize,
+    col0: usize,
+    kt: &mut Matrix,
+    stage: &mut Matrix,
+    concat: &mut Matrix,
+    mut attn: Option<&mut Matrix>,
+) {
+    let [q, k, v] = qkv;
+    transpose_head(k, row0, col0, head, kt);
+    if let Some(a) = attn.as_deref_mut() {
+        a.reset_unfilled(head.seq, head.seq);
+    }
+    let mut rows = |r: usize, group: usize| {
+        let at = (row0, col0, r);
+        let a = attn.as_deref_mut();
+        match group {
+            ROWS => attend_rows::<ROWS>(head, q, kt, v, at, stage, concat, a),
+            3 => attend_rows::<3>(head, q, kt, v, at, stage, concat, a),
+            2 => attend_rows::<2>(head, q, kt, v, at, stage, concat, a),
+            _ => attend_rows::<1>(head, q, kt, v, at, stage, concat, a),
+        }
+    };
+    for_row_groups(head.seq, &mut rows);
+}
+
+/// Calls `f(first_row, rows)` for each group of [`ROWS`] query rows of a
+/// `seq`-row block, then once for the narrower remainder.
+fn for_row_groups(seq: usize, f: &mut impl FnMut(usize, usize)) {
+    let mut r = 0;
+    while r + ROWS <= seq {
+        f(r, ROWS);
+        r += ROWS;
+    }
+    if r < seq {
+        f(r, seq - r);
+    }
+}
+
+/// Query rows `r .. r + R` of one `(block, head)`: scores into `stage`,
+/// staged softmax, optional copy into `attn`, mix into `concat`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn attend_rows<const R: usize>(
+    head: HeadShape,
+    q: &Matrix,
+    kt: &Matrix,
+    v: &Matrix,
+    (row0, col0, r): (usize, usize, usize),
+    stage: &mut Matrix,
+    concat: &mut Matrix,
+    attn: Option<&mut Matrix>,
+) {
+    score_rows::<R>((q, row0 + r, col0), kt, stage);
+    softmax_stage::<R>(stage, head.seq, head.scale);
+    if let Some(a) = attn {
+        for i in 0..R {
+            a.row_mut(r + i).copy_from_slice(&stage.row(i)[..head.seq]);
+        }
+    }
+    mix_rows::<R>(stage, head, (v, row0, col0), concat, row0 + r);
+}
+
+/// The backward core for one `(block, head)`, given the cached softmaxed
+/// attention `a` and the head-output gradient in `d_concat`: writes the
+/// head's columns of `dq` and accumulates (over query rows, ascending)
+/// into the head's columns of `dk` and `dv`, which must be zero on entry.
+/// `vt` and `stage` are work buffers as in [`attend_head`].
+#[allow(clippy::too_many_arguments)]
+fn backward_head(
+    head: HeadShape,
+    qkv: [&Matrix; 3],
+    a: &Matrix,
+    d_concat: &Matrix,
+    row0: usize,
+    col0: usize,
+    vt: &mut Matrix,
+    stage: &mut Matrix,
+    grads: [&mut Matrix; 3],
+) {
+    let [q, k, v] = qkv;
+    let [dq, dk, dv] = grads;
+    transpose_head(v, row0, col0, head, vt);
+    let mut rows = |r: usize, group: usize| {
+        let at = (row0, col0, r);
+        match group {
+            ROWS => backward_rows::<ROWS>(head, q, k, a, d_concat, at, vt, stage, dq, dk, dv),
+            3 => backward_rows::<3>(head, q, k, a, d_concat, at, vt, stage, dq, dk, dv),
+            2 => backward_rows::<2>(head, q, k, a, d_concat, at, vt, stage, dq, dk, dv),
+            _ => backward_rows::<1>(head, q, k, a, d_concat, at, vt, stage, dq, dk, dv),
+        }
+    };
+    for_row_groups(head.seq, &mut rows);
+}
+
+/// Query rows `r .. r + R` of one `(block, head)` of the backward pass:
+/// `da = dO·Vᵀ` into `stage`, softmax Jacobian and scale in place
+/// (`stage` now holds `ds`), `dq = ds·K`, then `dv += aᵀ·dO` and
+/// `dk += dsᵀ·Q` restricted to these rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn backward_rows<const R: usize>(
+    head: HeadShape,
+    q: &Matrix,
+    k: &Matrix,
+    a: &Matrix,
+    d_concat: &Matrix,
+    (row0, col0, r): (usize, usize, usize),
+    vt: &Matrix,
+    stage: &mut Matrix,
+    dq: &mut Matrix,
+    dk: &mut Matrix,
+    dv: &mut Matrix,
+) {
+    let seq = head.seq;
+    score_rows::<R>((d_concat, row0 + r, col0), vt, stage);
+    for i in 0..R {
+        let arow = a.row(r + i);
+        let srow = &mut stage.row_mut(i)[..seq];
+        // The expression of `softmax_rows_backward_into`, then the
+        // definition's separate scale pass.
+        let dot: f32 = arow.iter().zip(srow.iter()).map(|(x, y)| x * y).sum();
+        for (s, &av) in srow.iter_mut().zip(arow) {
+            *s = av * (*s - dot) * head.scale;
+        }
+    }
+    mix_rows::<R>(stage, head, (k, row0, col0), dq, row0 + r);
+    scatter_rows::<R>((a, r), head, (d_concat, row0 + r, col0), dv, row0);
+    scatter_rows::<R>((stage, 0), head, (q, row0 + r, col0), dk, row0);
+}
+
+/// Transposes the head slice of `src` — rows `row0 .. row0 + seq`,
+/// columns `col0 .. col0 + d_head` — into `out` (`d_head × seq_pad`).
+/// Only the first `seq` columns are written: the pad stays zero.
+fn transpose_head(src: &Matrix, row0: usize, col0: usize, head: HeadShape, out: &mut Matrix) {
+    let stride = out.cols();
+    let data = out.data_mut();
+    for c in 0..head.seq {
+        let srow = &src.row(row0 + c)[col0..col0 + head.dh];
+        for (t, &x) in srow.iter().enumerate() {
+            data[t * stride + c] = x;
+        }
+    }
+}
+
+/// `stage[i][c] = Σ_t a[row + i][col0 + t] · bt[t][c]` for `i < R` and
+/// every (padded) column `c`: lanes across columns, `R` rows in flight,
+/// each element one ascending-`t` chain from `0.0`.
+#[inline(always)]
+fn score_rows<const R: usize>(
+    (a, row, col0): (&Matrix, usize, usize),
+    bt: &Matrix,
+    stage: &mut Matrix,
+) {
+    let (dh, width) = bt.shape();
+    let arows: [&[f32]; R] = std::array::from_fn(|i| &a.row(row + i)[col0..col0 + dh]);
+    let bt = bt.data();
+    for c0 in (0..width).step_by(LANES) {
+        let mut acc = [[0.0f32; LANES]; R];
+        for t in 0..dh {
+            let b = &bt[t * width + c0..t * width + c0 + LANES];
+            for i in 0..R {
+                let av = arows[i][t];
+                for l in 0..LANES {
+                    acc[i][l] += av * b[l];
+                }
+            }
+        }
+        for (i, acc) in acc.iter().enumerate() {
+            stage.row_mut(i)[c0..c0 + LANES].copy_from_slice(acc);
+        }
+    }
+}
+
+/// Scales the first `R` staged score rows and softmaxes them in place,
+/// one stage at a time across the rows so the exponential runs as a
+/// single flat pass. Pad columns are carried along and never read.
+#[inline(always)]
+fn softmax_stage<const R: usize>(stage: &mut Matrix, seq: usize, scale: f32) {
+    let width = stage.cols();
+    let data = &mut stage.data_mut()[..R * width];
+    for x in data.iter_mut() {
+        *x *= scale;
+    }
+    // The `f32::max` fold from −∞ as a compare-and-keep, one instruction
+    // where `f32::max` compiles to three: both skip NaN, and they differ
+    // only in which zero survives a `0.0`/`-0.0` tie — which a score,
+    // summed from `0.0`, can never present.
+    let mut max = [f32::NEG_INFINITY; R];
+    for c in 0..seq {
+        for i in 0..R {
+            let x = data[i * width + c];
+            if x > max[i] {
+                max[i] = x;
+            }
+        }
+    }
+    for (row, m) in data.chunks_exact_mut(width).zip(max) {
+        for x in row {
+            *x -= m;
+        }
+    }
+    for x in data.iter_mut() {
+        *x = crate::activation::fast_exp(*x);
+    }
+    // `Iterator::sum`'s starting value, so each chain is the
+    // definition's `row.iter().sum()`.
+    let mut sum = [-0.0f32; R];
+    for c in 0..seq {
+        for i in 0..R {
+            sum[i] += data[i * width + c];
+        }
+    }
+    for (row, s) in data.chunks_exact_mut(width).zip(sum) {
+        if s > 0.0 {
+            for x in &mut row[..seq] {
+                *x /= s;
+            }
+        }
+    }
+}
+
+/// `out[out_row + i][col0 + j] = Σ_c stage[i][c] · src[row0 + c][col0 + j]`
+/// for `i < R`, `j < d_head`, `c < seq`: lanes across head columns, `R`
+/// rows in flight, each element one ascending-`c` chain from `0.0`.
+#[inline(always)]
+fn mix_rows<const R: usize>(
+    stage: &Matrix,
+    head: HeadShape,
+    (src, row0, col0): (&Matrix, usize, usize),
+    out: &mut Matrix,
+    out_row: usize,
+) {
+    let end = col0 + head.dh;
+    let mut col = col0;
+    while col + LANES <= end {
+        mix_tile::<R, LANES>(stage, head.seq, (src, row0, col), out, out_row);
+        col += LANES;
+    }
+    if col + HALF <= end {
+        mix_tile::<R, HALF>(stage, head.seq, (src, row0, col), out, out_row);
+        col += HALF;
+    }
+    while col < end {
+        mix_tile::<R, 1>(stage, head.seq, (src, row0, col), out, out_row);
+        col += 1;
+    }
+}
+
+/// The `W` columns from `col` of [`mix_rows`].
+#[inline(always)]
+fn mix_tile<const R: usize, const W: usize>(
+    stage: &Matrix,
+    seq: usize,
+    (src, row0, col): (&Matrix, usize, usize),
+    out: &mut Matrix,
+    out_row: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for c in 0..seq {
+        let b: [f32; W] = lanes(&src.row(row0 + c)[col..]);
+        for (i, acc) in acc.iter_mut().enumerate() {
+            let av = stage.row(i)[c];
+            for l in 0..W {
+                acc[l] += av * b[l];
+            }
+        }
+    }
+    for (i, acc) in acc.iter().enumerate() {
+        out.row_mut(out_row + i)[col..col + W].copy_from_slice(acc);
+    }
+}
+
+/// `out[row0 + c][col0 + j] += Σ_i coef[coef_row + i][c] · src[src_row + i][col0 + j]`
+/// for `c < seq`, `j < d_head`: the `R` rows' contributions join each
+/// output element's chain in ascending `i`, continuing from what earlier
+/// row groups left in `out`.
+#[inline(always)]
+fn scatter_rows<const R: usize>(
+    coef: (&Matrix, usize),
+    head: HeadShape,
+    (src, src_row, col0): (&Matrix, usize, usize),
+    out: &mut Matrix,
+    row0: usize,
+) {
+    let end = col0 + head.dh;
+    let mut col = col0;
+    while col + LANES <= end {
+        scatter_tile::<R, LANES>(coef, head.seq, (src, src_row, col), out, row0);
+        col += LANES;
+    }
+    if col + HALF <= end {
+        scatter_tile::<R, HALF>(coef, head.seq, (src, src_row, col), out, row0);
+        col += HALF;
+    }
+    while col < end {
+        scatter_tile::<R, 1>(coef, head.seq, (src, src_row, col), out, row0);
+        col += 1;
+    }
+}
+
+/// The `W` columns from `col` of [`scatter_rows`].
+#[inline(always)]
+fn scatter_tile<const R: usize, const W: usize>(
+    (coef, coef_row): (&Matrix, usize),
+    seq: usize,
+    (src, src_row, col): (&Matrix, usize, usize),
+    out: &mut Matrix,
+    row0: usize,
+) {
+    let s: [[f32; W]; R] = std::array::from_fn(|i| lanes(&src.row(src_row + i)[col..]));
+    for c in 0..seq {
+        let orow = &mut out.row_mut(row0 + c)[col..col + W];
+        let mut o: [f32; W] = lanes(orow);
+        for (i, s) in s.iter().enumerate() {
+            let x = coef.row(coef_row + i)[c];
+            for l in 0..W {
+                o[l] += x * s[l];
+            }
+        }
+        orow.copy_from_slice(&o);
+    }
+}
+
+/// The first `W` values of `xs` as a lane vector.
+#[inline(always)]
+fn lanes<const W: usize>(xs: &[f32]) -> [f32; W] {
+    xs[..W].try_into().expect("W-wide slice")
+}
+
 /// Copies columns `[start, start+width)` into a new matrix.
 fn col_slice(m: &Matrix, start: usize, width: usize) -> Matrix {
     Matrix::from_fn(m.rows(), width, |r, c| m.get(r, start + c))
@@ -449,33 +813,6 @@ fn col_slice_write(dst: &mut Matrix, src: &Matrix, start: usize) {
     let width = src.cols();
     for r in 0..src.rows() {
         dst.row_mut(r)[start..start + width].copy_from_slice(src.row(r));
-    }
-}
-
-/// Copies the `rows`-row band starting at `row0` of columns
-/// `[start, start+width)` into `out` — the band-local equivalent of
-/// `col_slice` on a standalone copy of the block (same element reads).
-fn col_slice_range_into(
-    m: &Matrix,
-    row0: usize,
-    rows: usize,
-    start: usize,
-    width: usize,
-    out: &mut Matrix,
-) {
-    out.reset(rows, width);
-    for r in 0..rows {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(row0 + r)[start..start + width]);
-    }
-}
-
-/// Writes `src` into columns `[start, ...)` of the row band of `dst`
-/// starting at `row0`.
-fn col_slice_write_range(dst: &mut Matrix, row0: usize, src: &Matrix, start: usize) {
-    let width = src.cols();
-    for r in 0..src.rows() {
-        dst.row_mut(row0 + r)[start..start + width].copy_from_slice(src.row(r));
     }
 }
 

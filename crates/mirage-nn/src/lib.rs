@@ -44,7 +44,9 @@ pub use param::{GradSink, Grads, ParamId, ParamSet};
 pub use scratch::Scratch;
 pub use serialize::{load_params, save_params, write_atomic, CheckpointError};
 pub use tensor::Matrix;
-pub use transformer::{EmbedRowCache, TransformerConfig, TransformerEncoder};
+pub use transformer::{
+    EmbedRowCache, TransformerConfig, TransformerConfigError, TransformerEncoder,
+};
 
 /// Convenience imports.
 pub mod prelude {

@@ -248,7 +248,7 @@ impl Matrix {
     /// overwrite every element before it can be read — skipping the
     /// redundant clear matters on hot paths where the output is written
     /// immediately after.
-    fn reset_unfilled(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reset_unfilled(&mut self, rows: usize, cols: usize) {
         let need = rows * cols;
         if self.data.len() < need {
             self.data.resize(need, 0.0);
@@ -607,9 +607,10 @@ impl Matrix {
     /// Same per-element arithmetic as [`softmax_in_place`] on every row —
     /// shift by the row max, [`crate::activation::fast_exp`], divide by
     /// the ascending-order row sum — but staged so the exponential pass
-    /// runs over the whole matrix as one flat loop: attention's `seq ×
-    /// seq` score rows are too short to amortize per-row vector ramp-up,
-    /// a single `rows·cols` pass is not.
+    /// runs over the whole matrix as one flat loop: short rows cannot
+    /// amortize per-row vector ramp-up, a single `rows·cols` pass can.
+    /// This is the arithmetic the attention core's row-group softmax
+    /// reproduces bit for bit (`crate::attention`).
     pub fn softmax_rows_in_place(&mut self) {
         for r in 0..self.rows {
             let row = self.row_mut(r);
@@ -661,32 +662,6 @@ impl Matrix {
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
-}
-
-/// Dot product of two equal-length slices.
-///
-/// Accumulates into eight independent partial sums so the reduction has
-/// no serial dependency chain and vectorizes to FMA lanes — an order of
-/// magnitude faster than the naive fold on modern cores. (Float addition
-/// is reassociated; callers tolerate the usual f32 rounding differences.)
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    const LANES: usize = 8;
-    let mut acc = [0.0f32; LANES];
-    let chunks = a.len() / LANES;
-    for i in 0..chunks {
-        let av = &a[i * LANES..(i + 1) * LANES];
-        let bv = &b[i * LANES..(i + 1) * LANES];
-        for t in 0..LANES {
-            acc[t] += av[t] * bv[t];
-        }
-    }
-    let mut sum = acc.iter().sum::<f32>();
-    for i in chunks * LANES..a.len() {
-        sum += a[i] * b[i];
-    }
-    sum
 }
 
 /// Numerically-stable in-place softmax of one slice.

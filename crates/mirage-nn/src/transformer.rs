@@ -34,7 +34,64 @@ pub struct TransformerConfig {
     pub ff_mult: usize,
 }
 
+/// Why a [`TransformerConfig`] cannot be built into an encoder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransformerConfigError {
+    /// A size that must be at least one is zero.
+    Zero {
+        /// The offending field.
+        field: &'static str,
+    },
+    /// `heads` does not divide `d_model`, so the model width cannot be
+    /// split into equal heads.
+    HeadsDoNotDivide {
+        /// The configured width.
+        d_model: usize,
+        /// The configured head count.
+        heads: usize,
+    },
+}
+
+impl std::fmt::Display for TransformerConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Zero { field } => write!(f, "invalid transformer config: {field} = 0"),
+            Self::HeadsDoNotDivide { d_model, heads } => write!(
+                f,
+                "invalid transformer config: heads = {heads} does not divide d_model = {d_model}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TransformerConfigError {}
+
 impl TransformerConfig {
+    /// Checks the shape constraints the layers otherwise `assert!`:
+    /// `heads`, `d_model`, `seq_len` and `ff_mult` at least one, and
+    /// `heads` dividing `d_model`. Call it where a width arrives from
+    /// outside (a training config, a tuning grid) so a bad one is an
+    /// `Err` there instead of a panic inside [`MultiHeadAttention::new`].
+    pub fn validate(&self) -> Result<(), TransformerConfigError> {
+        for (field, value) in [
+            ("heads", self.heads),
+            ("d_model", self.d_model),
+            ("seq_len", self.seq_len),
+            ("ff_mult", self.ff_mult),
+        ] {
+            if value == 0 {
+                return Err(TransformerConfigError::Zero { field });
+            }
+        }
+        if !self.d_model.is_multiple_of(self.heads) {
+            return Err(TransformerConfigError::HeadsDoNotDivide {
+                d_model: self.d_model,
+                heads: self.heads,
+            });
+        }
+        Ok(())
+    }
+
     /// Small defaults used by the experiment harness (DESIGN.md §3,
     /// substitution 3): k = 24 rows of m = 40 variables, d_model = 32.
     pub fn small(input_dim: usize, seq_len: usize) -> Self {
@@ -887,6 +944,50 @@ mod tests {
             layers: 2,
             ff_mult: 2,
         }
+    }
+
+    #[test]
+    fn validate_names_the_bad_field() {
+        assert_eq!(tiny().validate(), Ok(()));
+        for (field, cfg) in [
+            ("heads", TransformerConfig { heads: 0, ..tiny() }),
+            (
+                "d_model",
+                TransformerConfig {
+                    d_model: 0,
+                    ..tiny()
+                },
+            ),
+            (
+                "seq_len",
+                TransformerConfig {
+                    seq_len: 0,
+                    ..tiny()
+                },
+            ),
+            (
+                "ff_mult",
+                TransformerConfig {
+                    ff_mult: 0,
+                    ..tiny()
+                },
+            ),
+        ] {
+            assert_eq!(cfg.validate(), Err(TransformerConfigError::Zero { field }));
+        }
+        let err = TransformerConfig { heads: 3, ..tiny() }
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransformerConfigError::HeadsDoNotDivide {
+                d_model: 8,
+                heads: 3
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("heads = 3 does not divide d_model = 8"));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mirage_nn::linear::{Linear, LinearCache};
 use mirage_nn::param::{GradSink, Grads, ParamSet};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
-use mirage_nn::transformer::{EmbedRowCache, TransformerConfig};
+use mirage_nn::transformer::{EmbedRowCache, TransformerConfig, TransformerConfigError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -173,9 +173,68 @@ impl BatchInferCache {
     }
 }
 
+/// The ordinal action variable the reward path appends for `action`.
+fn action_ordinal(action: Option<usize>) -> f32 {
+    match action {
+        Some(1) => 1.0,
+        Some(_) => -1.0,
+        None => 0.0,
+    }
+}
+
+/// Writes the row-stacked `states` (`batch` equal blocks) into `out` with
+/// one more column holding `ordinal(b)` on every row of block `b`.
+fn augment_blocks_into(
+    states: &Matrix,
+    batch: usize,
+    ordinal: impl Fn(usize) -> f32,
+    out: &mut Matrix,
+) {
+    let (rows, cols) = states.shape();
+    let seq = rows / batch.max(1);
+    out.reset(rows, cols + 1);
+    for r in 0..rows {
+        let orow = out.row_mut(r);
+        orow[..cols].copy_from_slice(states.row(r));
+        orow[cols] = ordinal(r / seq);
+    }
+}
+
+/// Row-stacks equally shaped state matrices into `out`, one block per
+/// state in order — the input layout of the batched training paths.
+/// Returns the block count.
+pub fn stack_states_into<'a>(
+    states: impl ExactSizeIterator<Item = &'a Matrix>,
+    out: &mut Matrix,
+) -> usize {
+    let batch = states.len();
+    let mut states = states.peekable();
+    let (seq, m) = states.peek().map_or((0, 0), |s| s.shape());
+    out.reset(batch * seq, m);
+    for (b, state) in states.enumerate() {
+        assert_eq!(
+            state.shape(),
+            (seq, m),
+            "stacked states must share one shape"
+        );
+        out.data_mut()[b * seq * m..(b + 1) * seq * m].copy_from_slice(state.data());
+    }
+    batch
+}
+
 impl DualHeadNet {
-    /// Builds foundation and heads from the config.
+    /// Builds foundation and heads from the config. Panics with the
+    /// [`TransformerConfigError`] message on an invalid encoder shape —
+    /// use [`try_new`](Self::try_new) where the widths come from outside.
     pub fn new(cfg: DualHeadConfig) -> Self {
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("DualHeadNet::new: {e}"))
+    }
+
+    /// Builds foundation and heads after validating the encoder shape
+    /// ([`TransformerConfig::validate`]), so a zero or indivisible width
+    /// is a typed error here instead of an `assert!` inside a layer.
+    pub fn try_new(cfg: DualHeadConfig) -> Result<Self, TransformerConfigError> {
+        cfg.transformer.validate()?;
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut tcfg = cfg.transformer;
@@ -192,7 +251,7 @@ impl DualHeadNet {
         let q_head = Linear::new(&mut ps, "q_head", d, q_out, &mut rng);
         let p_head = Linear::new(&mut ps, "p_head", d, 2, &mut rng);
         let reward_head = Linear::new(&mut ps, "reward_head", d, 1, &mut rng);
-        Self {
+        Ok(Self {
             ps,
             foundation,
             q_head,
@@ -200,7 +259,7 @@ impl DualHeadNet {
             reward_head,
             cfg,
             foundation_param_limit,
-        }
+        })
     }
 
     /// Whether `id` belongs to the foundation (vs a head).
@@ -225,13 +284,7 @@ impl DualHeadNet {
     /// [`ActionEncoding::OrdinalInput`]; the two-head encoding feeds the
     /// state to the foundation unmodified.
     pub fn augment_into(&self, state: &Matrix, ordinal: f32, out: &mut Matrix) {
-        out.reset(state.rows(), state.cols() + 1);
-        for r in 0..state.rows() {
-            for c in 0..state.cols() {
-                out.set(r, c, state.get(r, c));
-            }
-            out.set(r, state.cols(), ordinal);
-        }
+        augment_blocks_into(state, 1, |_| ordinal, out);
     }
 
     /// Q-values for both actions: returns `[Q(s, no-submit), Q(s, submit)]`.
@@ -313,12 +366,7 @@ impl DualHeadNet {
     /// Scalar reward prediction for offline pretraining. `action` supplies
     /// the ordinal when the encoding requires it.
     pub fn reward_forward(&self, state: &Matrix, action: Option<usize>) -> (f32, HeadCache) {
-        let ordinal = match action {
-            Some(1) => 1.0,
-            Some(_) => -1.0,
-            None => 0.0,
-        };
-        let x = self.augment(state, ordinal);
+        let x = self.augment(state, action_ordinal(action));
         let (feat, f_cache) = self.foundation.forward(&self.ps, &x);
         let (r, l_cache) = self.reward_head.forward(&self.ps, &feat);
         (r.get(0, 0), HeadCache { f_cache, l_cache })
@@ -604,26 +652,10 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        assert!(
-            self.supports_batched_p_train(),
-            "batched P training requires a batch-capable foundation"
-        );
-        let xs: &Matrix = match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => states,
-            ActionEncoding::OrdinalInput => {
-                self.augment_into(states, 0.0, &mut cache.aug);
-                &cache.aug
-            }
-        };
-        self.foundation.forward_batch_train(
-            &self.ps,
-            xs,
-            batch,
-            &mut cache.feats,
-            &mut cache.f_cache,
-            scratch,
-        );
-        self.p_head.forward_into(&self.ps, &cache.feats, logits);
+        if self.cfg.action_encoding == ActionEncoding::OrdinalInput {
+            self.augment_into(states, 0.0, &mut cache.aug);
+        }
+        self.head_forward_batch_train(&self.p_head, states, batch, logits, cache, scratch);
     }
 
     /// Batched backward through the P path: `d_logits` holds one row per
@@ -639,16 +671,129 @@ impl DualHeadNet {
         sink: &mut GradSink<'_>,
         scratch: &mut Scratch,
     ) {
-        self.p_head.backward_batch(
+        self.head_backward_batch(
+            &self.p_head,
+            !self.cfg.freeze_foundation,
+            cache,
+            states,
+            d_logits,
+            batch,
+            sink,
+            scratch,
+        );
+    }
+
+    /// Whether the batched reward *training* path applies. Like the
+    /// policy head, the reward head feeds the foundation one pass per
+    /// state, so only the foundation's own support matters.
+    pub fn supports_batched_reward_train(&self) -> bool {
+        self.foundation.supports_batched_train()
+    }
+
+    /// Batched reward training forward for offline pretraining: `preds`
+    /// receives the `batch × 1` reward predictions, row `b` bit-identical
+    /// to [`DualHeadNet::reward_forward`] on block `b` with
+    /// `Some(actions[b])` (which supplies the block's ordinal when the
+    /// encoding requires one). Panics unless
+    /// [`DualHeadNet::supports_batched_reward_train`].
+    pub fn reward_forward_batch_train(
+        &self,
+        states: &Matrix,
+        actions: &[usize],
+        preds: &mut Matrix,
+        cache: &mut HeadBatchCache,
+        scratch: &mut Scratch,
+    ) {
+        let batch = actions.len();
+        if self.cfg.action_encoding == ActionEncoding::OrdinalInput {
+            let ordinal = |b: usize| action_ordinal(Some(actions[b]));
+            augment_blocks_into(states, batch, ordinal, &mut cache.aug);
+        }
+        self.head_forward_batch_train(&self.reward_head, states, batch, preds, cache, scratch);
+    }
+
+    /// Batched backward through the reward path: `d_preds` holds one
+    /// `1 × 1` row per block. Like [`DualHeadNet::reward_backward`] it
+    /// always reaches the foundation; with a fused sink it is
+    /// bit-identical to sequential `reward_backward` calls in block
+    /// order.
+    pub fn reward_backward_batch(
+        &self,
+        cache: &mut HeadBatchCache,
+        states: &Matrix,
+        d_preds: &Matrix,
+        batch: usize,
+        sink: &mut GradSink<'_>,
+        scratch: &mut Scratch,
+    ) {
+        self.head_backward_batch(
+            &self.reward_head,
+            true,
+            cache,
+            states,
+            d_preds,
+            batch,
+            sink,
+            scratch,
+        );
+    }
+
+    /// Shared body of the batched P and reward training forwards: the
+    /// foundation over `states` (under the ordinal encoding over
+    /// `cache.aug`, which the caller has filled), then `head`.
+    fn head_forward_batch_train(
+        &self,
+        head: &Linear,
+        states: &Matrix,
+        batch: usize,
+        out: &mut Matrix,
+        cache: &mut HeadBatchCache,
+        scratch: &mut Scratch,
+    ) {
+        assert!(
+            self.foundation.supports_batched_train(),
+            "batched head training requires a batch-capable foundation"
+        );
+        let xs: &Matrix = match self.cfg.action_encoding {
+            ActionEncoding::TwoHead => states,
+            ActionEncoding::OrdinalInput => &cache.aug,
+        };
+        self.foundation.forward_batch_train(
+            &self.ps,
+            xs,
+            batch,
+            &mut cache.feats,
+            &mut cache.f_cache,
+            scratch,
+        );
+        head.forward_into(&self.ps, &cache.feats, out);
+    }
+
+    /// Shared body of the batched P and reward backwards: `head`, then —
+    /// when `train_foundation` — the foundation over the same input the
+    /// forward saw.
+    #[allow(clippy::too_many_arguments)]
+    fn head_backward_batch(
+        &self,
+        head: &Linear,
+        train_foundation: bool,
+        cache: &mut HeadBatchCache,
+        states: &Matrix,
+        d_out: &Matrix,
+        batch: usize,
+        sink: &mut GradSink<'_>,
+        scratch: &mut Scratch,
+    ) {
+        head.backward_batch(
             &self.ps,
             &cache.feats,
-            d_logits,
+            d_out,
             batch,
             sink,
             &mut cache.d_feats,
             scratch,
         );
-        if !self.cfg.freeze_foundation {
+        if train_foundation {
             let xs: &Matrix = match self.cfg.action_encoding {
                 ActionEncoding::TwoHead => states,
                 ActionEncoding::OrdinalInput => &cache.aug,

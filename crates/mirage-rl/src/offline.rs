@@ -8,7 +8,8 @@
 
 use mirage_nn::loss::mse;
 use mirage_nn::optim::{Adam, Optimizer};
-use mirage_nn::param::Grads;
+use mirage_nn::param::{GradSink, Grads};
+use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -16,7 +17,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::dualhead::DualHeadNet;
+use crate::dualhead::{stack_states_into, DualHeadNet, HeadBatchCache};
 
 /// One supervised pretraining sample (state, action, observed reward).
 #[derive(Debug, Clone)]
@@ -58,45 +59,99 @@ impl Default for PretrainConfig {
 
 /// Pretrains the foundation by reward regression; returns the mean MSE per
 /// epoch (a decreasing curve if learning works).
+///
+/// Each mini-batch is one row-stacked forward/backward through the
+/// reward head into a retained [`Grads`] (fused sink), bit-identical to
+/// the per-sample loop it replaced; a foundation that cannot batch
+/// (top-1 MoE) keeps that loop.
 pub fn pretrain_foundation(
     net: &mut DualHeadNet,
     samples: &[RewardSample],
     cfg: &PretrainConfig,
 ) -> Vec<f32> {
+    let batched = net.supports_batched_reward_train();
+    pretrain_with(net, samples, cfg, batched)
+}
+
+/// [`pretrain_foundation`] with the mini-batch path chosen by the caller:
+/// `batched = false` is the per-sample loop, the fallback for foundations
+/// that cannot batch and the oracle the tests hold the batched path to.
+fn pretrain_with(
+    net: &mut DualHeadNet,
+    samples: &[RewardSample],
+    cfg: &PretrainConfig,
+    batched: bool,
+) -> Vec<f32> {
     assert!(!samples.is_empty(), "no pretraining samples");
+    let mut sample_grads = Grads::new(&net.ps);
+    let mut scratch = Scratch::new();
+    let mut cache = HeadBatchCache::default();
+    let mut actions = Vec::new();
+    fit_minibatches(net, samples.len(), cfg, |net, chunk, grads| {
+        let mut loss_sum = 0.0f32;
+        if batched {
+            let mut states = scratch.take(0, 0);
+            let n = stack_states_into(chunk.iter().map(|&i| &samples[i].state), &mut states);
+            actions.clear();
+            actions.extend(chunk.iter().map(|&i| samples[i].action));
+            let mut preds = scratch.take(n, 1);
+            net.reward_forward_batch_train(&states, &actions, &mut preds, &mut cache, &mut scratch);
+            // `mse` of a single prediction: loss d², gradient 2d.
+            let mut d_preds = scratch.take(n, 1);
+            for (b, &i) in chunk.iter().enumerate() {
+                let d = preds.get(b, 0) - samples[i].reward;
+                loss_sum += d * d;
+                d_preds.set(b, 0, d * 2.0);
+            }
+            let mut sink = GradSink::Fused(grads);
+            net.reward_backward_batch(&mut cache, &states, &d_preds, n, &mut sink, &mut scratch);
+            scratch.give(d_preds);
+            scratch.give(preds);
+            scratch.give(states);
+        } else {
+            // One isolated gradient per sample, merged in order.
+            for &i in chunk {
+                let s = &samples[i];
+                let (pred, cache) = net.reward_forward(&s.state, Some(s.action));
+                let (loss, dl) = mse(
+                    &Matrix::row_vector(vec![pred]),
+                    &Matrix::row_vector(vec![s.reward]),
+                );
+                sample_grads.reset();
+                net.reward_backward(&cache, dl.get(0, 0), &mut sample_grads);
+                grads.merge_ref(&sample_grads);
+                loss_sum += loss;
+            }
+        }
+        loss_sum
+    })
+}
+
+/// The shuffled mini-batch Adam loop of the supervised stages (reward
+/// pretraining here, behaviour cloning in `mirage-core`): `cfg.epochs`
+/// passes over a seeded shuffle of `0..n_samples` in chunks of
+/// `cfg.batch_size`. For each chunk `chunk_grads(net, chunk, grads)`
+/// accumulates the summed gradient of the chunk's samples into the
+/// (reset) `grads` and returns their summed loss; the loop mean-scales,
+/// clips, and steps. Returns the mean per-sample loss of each epoch.
+pub fn fit_minibatches(
+    net: &mut DualHeadNet,
+    n_samples: usize,
+    cfg: &PretrainConfig,
+    mut chunk_grads: impl FnMut(&DualHeadNet, &[usize], &mut Grads) -> f32,
+) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut opt = Adam::new(cfg.lr);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
+    let mut order: Vec<usize> = (0..n_samples).collect();
     let mut curve = Vec::with_capacity(cfg.epochs);
+    let mut grads = Grads::new(&net.ps);
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
-            let netref = &*net;
-            // Parallel per-sample passes, deterministic in-order merge.
-            let per_sample: Vec<(f32, Grads)> = chunk
-                .par_iter()
-                .map(|&i| {
-                    let s = &samples[i];
-                    let (pred, cache) = netref.reward_forward(&s.state, Some(s.action));
-                    let (loss, dl) = mse(
-                        &Matrix::row_vector(vec![pred]),
-                        &Matrix::row_vector(vec![s.reward]),
-                    );
-                    let mut grads = Grads::new(&netref.ps);
-                    netref.reward_backward(&cache, dl.get(0, 0), &mut grads);
-                    (loss, grads)
-                })
-                .collect();
-            let (loss_sum, merged) = per_sample.into_iter().fold(
-                (0.0f32, Grads::new(&netref.ps)),
-                |(l1, mut g1), (l2, g2)| {
-                    g1.merge(g2);
-                    (l1 + l2, g1)
-                },
-            );
-            let mut grads = merged;
+            grads.reset();
+            let loss_sum = chunk_grads(net, chunk, &mut grads);
             grads.scale(1.0 / chunk.len() as f32);
             if cfg.grad_clip > 0.0 {
                 grads.clip_global_norm(cfg.grad_clip);
@@ -134,8 +189,12 @@ mod tests {
     use rand::Rng;
 
     fn tiny_net(seed: u64, enc: ActionEncoding) -> DualHeadNet {
+        tiny_net_of(FoundationKind::Transformer, seed, enc)
+    }
+
+    fn tiny_net_of(kind: FoundationKind, seed: u64, enc: ActionEncoding) -> DualHeadNet {
         DualHeadNet::new(DualHeadConfig {
-            foundation: FoundationKind::Transformer,
+            foundation: kind,
             transformer: TransformerConfig {
                 input_dim: 3,
                 seq_len: 2,
@@ -218,6 +277,53 @@ mod tests {
             },
         );
         assert_eq!(curve.len(), 3);
+    }
+
+    #[test]
+    fn batched_pretraining_ends_on_the_per_sample_weights() {
+        // 70 samples: two full mini-batches and a remainder of 6 per epoch.
+        let train = make_samples(70, 92);
+        let cfg = PretrainConfig {
+            epochs: 3,
+            lr: 3e-3,
+            ..PretrainConfig::default()
+        };
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
+                let mut batched = tiny_net_of(kind, 93, enc);
+                let mut oracle = batched.clone();
+                assert!(batched.supports_batched_reward_train());
+                let curve = pretrain_foundation(&mut batched, &train, &cfg);
+                let curve_ref = pretrain_with(&mut oracle, &train, &cfg, false);
+                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&curve), bits(&curve_ref), "{kind:?}/{enc:?} curve");
+                for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
+                    assert_eq!(bits(a.data()), bits(b.data()), "{kind:?}/{enc:?} weights");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_one_moe_pretrains_through_the_per_sample_fallback() {
+        let mut net = tiny_net_of(
+            FoundationKind::MoETopOne { experts: 2 },
+            94,
+            ActionEncoding::TwoHead,
+        );
+        assert!(!net.supports_batched_reward_train());
+        let curve = pretrain_foundation(
+            &mut net,
+            &make_samples(40, 95),
+            &PretrainConfig {
+                epochs: 2,
+                ..PretrainConfig::default()
+            },
+        );
+        assert!(curve.iter().all(|l| l.is_finite()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::dualhead::{BatchInferCache, DualHeadNet, HeadBatchCache};
+use crate::dualhead::{stack_states_into, BatchInferCache, DualHeadNet, HeadBatchCache};
 use crate::greedy_pair;
 use crate::schedule::ExploreLane;
 
@@ -431,18 +431,8 @@ fn pg_episode_batched(
     if t_count == 0 {
         return 0.0;
     }
-    let (seq, m) = ep.steps[0].0.shape();
-    let mut states = scratch.take(t_count * seq, m);
-    for (t, (state, _)) in ep.steps.iter().enumerate() {
-        assert_eq!(
-            state.shape(),
-            (seq, m),
-            "episode states must share one shape"
-        );
-        for r in 0..seq {
-            states.row_mut(t * seq + r).copy_from_slice(state.row(r));
-        }
-    }
+    let mut states = scratch.take(0, 0);
+    stack_states_into(ep.steps.iter().map(|(state, _)| state), &mut states);
     let mut logits = scratch.take(t_count, 2);
     net.p_forward_batch_train(&states, t_count, &mut logits, cache, scratch);
 
