@@ -7,9 +7,12 @@
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! drives 1 000 decision steps (with live completions and job starts
 //! inside the window) and asserts the allocation counter did not move,
-//! then repeats the claim for the batched engine. The warm-up phases are
-//! what the `Scratch`/`*_into` reuse contract calls out: first passes
-//! size every buffer, steady state then recycles them.
+//! then repeats the claim for the batched engine, and finally for the
+//! product path itself: an `EpisodeDriver` (the N = 1 view of the
+//! hand-off engine) looping `advance → apply(Wait)` with decision
+//! recording off must not allocate once warm. The warm-up
+//! phases are what the `Scratch`/`*_into` reuse contract calls out: first
+//! passes size every buffer, steady state then recycles them.
 //!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
@@ -17,6 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mirage_core::episode::{Action, EpisodeConfig, EpisodeDriver};
 use mirage_core::state::{
     EncoderScratch, PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS,
 };
@@ -248,5 +252,43 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "steady-state batched loop allocated {delta} times across 1000 ticks (checksum {checksum})"
+    );
+
+    // Phase 3: the product decision loop. An `EpisodeDriver` on the same
+    // backlog, its predecessor submitted once every arrival is in,
+    // recording off. The first tick sizes the state matrix and the
+    // warm-up lets the snapshot reach its widest running set (as in
+    // phase 1); every later `advance → apply(Wait)` must leave the
+    // allocator alone.
+    let cfg = EpisodeConfig {
+        pair_nodes: 1,
+        pair_timelimit: 400 * HOUR,
+        pair_runtime: 400 * HOUR,
+        decision_interval: STEP,
+        history_k: K,
+        ..EpisodeConfig::default()
+    };
+    let mut sim = Simulator::new(SimConfig::new(NODES));
+    let mut driver = EpisodeDriver::new(&mut sim, &trace, &cfg, 30 * HOUR);
+    driver.set_record_decisions(false);
+    let tick = |driver: &mut EpisodeDriver<&mut Simulator>| {
+        let ctx = driver.advance().expect("predecessor outlives the window");
+        let seen = ctx.snapshot.queued.len() as u64 + ctx.state_matrix.rows() as u64;
+        assert!(!driver.apply(Action::Wait));
+        seen
+    };
+    for _ in 0..300 {
+        checksum += tick(&mut driver);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..1000 {
+        checksum += tick(&mut driver);
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let completed = driver.into_backend().metrics().completed_jobs;
+    assert!(completed > 50, "driver window was not live: {completed}");
+    assert_eq!(
+        delta, 0,
+        "EpisodeDriver advance/apply allocated {delta} times across 1000 ticks (checksum {checksum})"
     );
 }

@@ -1,40 +1,37 @@
-//! Batched episode engine: N provisioning episodes stepped in lockstep
-//! with **one batched NN forward per decision tick**.
+//! Lockstep single-service episodes: N provisioning episodes stepped
+//! tick by tick with **one batched NN forward per decision tick** — the
+//! N = 1-service view of [`MultiServiceBatch`].
 //!
 //! Training and evaluation throughput in the paper's regime is dominated
 //! by running many episodes, and each episode's per-decision forward pass
 //! is a chain of tiny matmuls that cannot saturate a core on its own. The
-//! [`BatchedEpisodeDriver`] amortizes them: it drives one
-//! [`EpisodeDriver`] per episode (each against its own backend — built,
-//! e.g., by `mirage_sim::BackendPool::build_all`), gathers the episodes'
-//! `k × m` state matrices into one row-stacked `(width·k) × m` batch, and
-//! hands the whole batch to a [`BatchPolicy`] — the RL agents answer it
-//! with a single `q_values_batch`/`p_probs_batch` forward instead of one
-//! forward per episode.
+//! lockstep driver amortizes them: every episode runs against its own
+//! backend (built, e.g., by `mirage_sim::BackendPool::build_all`), the
+//! pending episodes' `k × m` state matrices are stacked into one
+//! `(width·k) × m` batch, and the RL agents answer it with a single
+//! `q_values_batch`/`p_probs_batch` forward. Episodes finish at
+//! different ticks (a policy submits, or the reactive fallback fires);
+//! the batch narrows as they do, and the per-episode results are
+//! **bit-identical** to sequential execution.
 //!
-//! Episodes finish at different ticks (a policy submits, or the reactive
-//! fallback fires); the batch narrows as they do, and the per-episode
-//! results are **bit-identical** to sequential execution — the batched NN
-//! paths are pinned to their sequential counterparts by property tests,
-//! and each episode's simulator evolves exactly as it would alone.
-//!
-//! The engine serves **both evaluation and training collection**: greedy
-//! serving goes through [`BatchPolicy`]/[`BatchedEpisodeDriver::run`],
-//! while the §4.9 training loops (`mirage_core::train`) drive windows of
-//! ε-greedy/stochastic episodes through
-//! [`LanePolicy`]/[`BatchedEpisodeDriver::run_lanes`] — same lockstep
-//! ticks and batched forwards, plus per-lane RNG/ε streams and
-//! per-episode [`DecisionContext`] access
-//! ([`BatchedEpisodeDriver::pending_context`]) for heuristic collection
-//! and feature extraction.
+//! The engine owns all of that. [`BatchedEpisodeDriver`] adds the
+//! single-service surface over it: episodes configured by an
+//! [`EpisodeConfig`], rows addressed by episode index, contexts as
+//! borrowed [`DecisionContext`]s, results as [`EpisodeResult`]s, and the
+//! two policy shapes the single-service stack speaks — greedy serving
+//! through [`BatchPolicy`]/[`BatchedEpisodeDriver::run`], and the §4.9
+//! training loops (`mirage_core::train`) through
+//! [`LanePolicy`]/[`BatchedEpisodeDriver::run_lanes`], with per-lane
+//! RNG/ε streams that follow their episodes through the narrowing batch.
 
 use mirage_nn::Matrix;
 use mirage_rl::{DqnAgent, PgAgent};
 use mirage_sim::ClusterBackend;
 use mirage_trace::JobRecord;
 
-use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeDriver, EpisodeResult};
-use crate::state::STATE_VARS;
+use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeResult};
+use crate::multiservice::{Lockstep, MultiServiceBatch, MultiServiceConfig};
+use crate::reward::RewardShaper;
 
 /// A policy that answers one decision tick for a whole batch of episodes:
 /// `states` row-stacks `width` state matrices (`width · k` rows), and the
@@ -90,9 +87,11 @@ pub trait LanePolicy<B: ClusterBackend> {
     fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>);
 }
 
-/// N lockstep episodes behind one batched decision loop.
+/// N lockstep episodes behind one batched decision loop: a
+/// [`MultiServiceBatch`] of one-service episodes.
 ///
-/// Usage mirrors [`EpisodeDriver`], lifted to a batch:
+/// Usage mirrors [`EpisodeDriver`](crate::episode::EpisodeDriver), lifted
+/// to a batch:
 ///
 /// 1. [`BatchedEpisodeDriver::new`] starts one episode per
 ///    `(backend, t0)` pair (warm-up replay and predecessor submission
@@ -107,16 +106,10 @@ pub trait LanePolicy<B: ClusterBackend> {
 /// deciding. The assembled batch and the pending bookkeeping reuse their
 /// buffers, so a steady-state tick allocates nothing.
 pub struct BatchedEpisodeDriver<B: ClusterBackend> {
-    drivers: Vec<EpisodeDriver<B>>,
-    /// Per episode: still inside the decision loop.
-    deciding: Vec<bool>,
+    batch: MultiServiceBatch<B>,
     /// Episode indices awaiting an action for the current tick, in batch
-    /// row order.
+    /// row order (with one service per episode, a slot is an episode).
     pending: Vec<usize>,
-    /// Row-stacked state matrices of the pending episodes
-    /// (`pending.len() · k × m`).
-    batch: Matrix,
-    k: usize,
 }
 
 impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
@@ -133,67 +126,37 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     }
 
     /// [`new`](Self::new) with a **per-episode background trace**:
-    /// episode `i` replays `windows[i]`. Training windows mix episode
-    /// starts, and each start replays only its own
-    /// `mirage_core::train::episode_window` slice of the full trace —
-    /// sharing one slice across different `t0`s would change every
-    /// episode's warm-up state (and break bit-identity with sequential
-    /// training).
+    /// episode `i` replays `windows[i]` (see
+    /// [`MultiServiceBatch::with_windows`] for why training needs it).
     pub fn with_windows<'w>(
         backends: impl IntoIterator<Item = B>,
         windows: impl IntoIterator<Item = &'w [JobRecord]>,
         cfg: &EpisodeConfig,
         t0s: &[i64],
     ) -> Self {
-        let backends: Vec<B> = backends.into_iter().collect();
-        let windows: Vec<&[JobRecord]> = windows.into_iter().collect();
-        assert_eq!(
-            backends.len(),
-            t0s.len(),
-            "need exactly one backend per episode start (got {} backends for {} starts)",
-            backends.len(),
-            t0s.len()
-        );
-        assert_eq!(
-            windows.len(),
-            t0s.len(),
-            "need exactly one trace window per episode start (got {} windows for {} starts)",
-            windows.len(),
-            t0s.len()
-        );
-        let drivers: Vec<EpisodeDriver<B>> = backends
-            .into_iter()
-            .zip(windows)
-            .zip(t0s)
-            .map(|((backend, window), &t0)| EpisodeDriver::new(backend, window, cfg, t0))
-            .collect();
-        assert!(!drivers.is_empty(), "batch needs at least one episode");
-        let n = drivers.len();
+        let single = MultiServiceConfig::single(cfg, RewardShaper::default());
         Self {
-            drivers,
-            deciding: vec![true; n],
-            pending: Vec::with_capacity(n),
-            batch: Matrix::zeros(0, 0),
-            k: cfg.history_k.max(1),
+            batch: MultiServiceBatch::with_windows(backends, windows, &single, t0s),
+            pending: Vec::with_capacity(t0s.len()),
         }
     }
 
     /// Episode count (fixed; the *pending* width shrinks as episodes
     /// leave the decision loop).
     pub fn width(&self) -> usize {
-        self.drivers.len()
+        self.batch.width()
     }
 
     /// Whether any episode still awaits decisions.
     pub fn is_deciding(&self) -> bool {
-        self.deciding.iter().any(|&d| d)
+        self.batch.is_deciding()
     }
 
-    /// Forwards [`EpisodeDriver::set_record_decisions`] to every episode.
+    /// Forwards
+    /// [`EpisodeDriver::set_record_decisions`](crate::episode::EpisodeDriver::set_record_decisions)
+    /// to every episode.
     pub fn set_record_decisions(&mut self, record: bool) {
-        for d in &mut self.drivers {
-            d.set_record_decisions(record);
-        }
+        self.batch.set_record_decisions(record);
     }
 
     /// Advances every still-deciding episode one decision interval and
@@ -203,36 +166,17 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     /// [`is_deciding`](Self::is_deciding) to tell that apart from being
     /// done).
     pub fn advance_tick(&mut self) -> usize {
+        let width = self.batch.advance_tick();
         self.pending.clear();
-        for i in 0..self.drivers.len() {
-            if !self.deciding[i] {
-                continue;
-            }
-            match self.drivers[i].advance() {
-                Some(_) => self.pending.push(i),
-                None => self.deciding[i] = false,
-            }
-        }
-        let width = self.pending.len();
-        if width > 0 {
-            self.batch.reset(width * self.k, STATE_VARS);
-            for (slot, &i) in self.pending.iter().enumerate() {
-                let m = self.drivers[i].state_matrix();
-                debug_assert_eq!(m.shape(), (self.k, STATE_VARS));
-                for r in 0..self.k {
-                    self.batch
-                        .row_mut(slot * self.k + r)
-                        .copy_from_slice(m.row(r));
-                }
-            }
-        }
+        self.pending
+            .extend(self.batch.slots().iter().map(|s| s.instance));
         width
     }
 
     /// The row-stacked states of the episodes pending after the last
     /// [`advance_tick`](Self::advance_tick).
     pub fn batch_states(&self) -> &Matrix {
-        &self.batch
+        self.batch.batch_states()
     }
 
     /// Episode indices the current batch rows belong to, in row order.
@@ -241,64 +185,38 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     }
 
     /// The [`DecisionContext`] of pending batch row `row` (index into
-    /// [`pending`](Self::pending)), rebuilt from its episode driver's
-    /// buffers — valid between the last
-    /// [`advance_tick`](Self::advance_tick) and the matching
-    /// [`apply`](Self::apply). Heuristic collection policies and feature
-    /// extraction read it; the NN policies only need
+    /// [`pending`](Self::pending)), borrowing its episode's buffers —
+    /// valid between the last [`advance_tick`](Self::advance_tick) and
+    /// the matching [`apply`](Self::apply). Heuristic collection policies
+    /// and feature extraction read it; the NN policies only need
     /// [`batch_states`](Self::batch_states).
     pub fn pending_context(&self, row: usize) -> DecisionContext<'_> {
-        self.drivers[self.pending[row]].decision_context()
+        self.batch.decision_context(row)
     }
 
     /// Applies one action per pending episode (batch row order).
     pub fn apply(&mut self, actions: &[Action]) {
-        assert_eq!(
-            actions.len(),
-            self.pending.len(),
-            "one action per pending episode"
-        );
-        for (slot, &i) in self.pending.iter().enumerate() {
-            if self.drivers[i].apply(actions[slot]) {
-                self.deciding[i] = false;
-            }
-        }
+        self.batch.apply(actions);
         self.pending.clear();
     }
 
-    /// [`apply`](Self::apply) from action indices (the agents' output).
-    fn apply_indices(&mut self, actions: &[usize]) {
-        assert_eq!(
-            actions.len(),
-            self.pending.len(),
-            "one action per pending episode"
-        );
-        for (slot, &i) in self.pending.iter().enumerate() {
-            if self.drivers[i].apply(Action::from_index(actions[slot])) {
-                self.deciding[i] = false;
-            }
-        }
-        self.pending.clear();
+    /// The decision loop for policies that answer in action *indices*
+    /// (the agents' output).
+    fn run_indexed(&mut self, mut decide: impl FnMut(&Self, &mut Vec<usize>)) {
+        let mut indices = Vec::with_capacity(self.width());
+        self.drive(|driver, actions| {
+            indices.clear();
+            decide(driver, &mut indices);
+            actions.extend(indices.iter().map(|&i| Action::from_index(i)));
+        });
     }
 
     /// Drives the decision loops to completion: one `decide_batch` (= one
     /// batched NN forward for the RL agents) per lockstep tick.
     pub fn run<P: BatchPolicy + ?Sized>(&mut self, policy: &mut P) {
-        let mut actions = Vec::with_capacity(self.width());
-        while self.is_deciding() {
-            let width = self.advance_tick();
-            if width == 0 {
-                continue;
-            }
-            actions.clear();
-            policy.decide_batch(&self.batch, width, &mut actions);
-            assert_eq!(
-                actions.len(),
-                width,
-                "policy must answer every pending episode"
-            );
-            self.apply_indices(&actions);
-        }
+        self.run_indexed(|driver, actions| {
+            policy.decide_batch(driver.batch_states(), driver.pending.len(), actions);
+        });
     }
 
     /// [`run`](Self::run) for training/collection windows: one
@@ -307,39 +225,31 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     /// narrowing batch. (`begin_window` is the *collector's* call — it
     /// knows the window's episode ordinals; this loop only ticks.)
     pub fn run_lanes<P: LanePolicy<B> + ?Sized>(&mut self, policy: &mut P) {
-        let mut actions = Vec::with_capacity(self.width());
-        while self.is_deciding() {
-            let width = self.advance_tick();
-            if width == 0 {
-                continue;
-            }
-            actions.clear();
-            policy.decide_lanes(self, &mut actions);
-            assert_eq!(
-                actions.len(),
-                width,
-                "policy must answer every pending episode"
-            );
-            self.apply_indices(&actions);
-        }
+        self.run_indexed(|driver, actions| policy.decide_lanes(driver, actions));
     }
 
     /// Resolves every episode (running each backend until its pair
     /// completes) and returns the per-episode results alongside the
     /// backends, both in construction order.
     pub fn finish(self) -> (Vec<EpisodeResult>, Vec<B>) {
-        assert!(
-            !self.is_deciding(),
-            "finish() before every decision loop ended"
-        );
-        let mut results = Vec::with_capacity(self.drivers.len());
-        let mut backends = Vec::with_capacity(self.drivers.len());
-        for driver in self.drivers {
-            let (result, backend) = driver.finish();
-            results.push(result);
-            backends.push(backend);
-        }
+        let (results, backends) = self.batch.finish();
+        let results = results
+            .into_iter()
+            .map(|mut r| r.services.remove(0).into())
+            .collect();
         (results, backends)
+    }
+}
+
+impl<B: ClusterBackend> Lockstep for BatchedEpisodeDriver<B> {
+    fn is_deciding(&self) -> bool {
+        Self::is_deciding(self)
+    }
+    fn advance_tick(&mut self) -> usize {
+        Self::advance_tick(self)
+    }
+    fn apply(&mut self, actions: &[Action]) {
+        Self::apply(self, actions);
     }
 }
 
@@ -363,6 +273,7 @@ pub fn run_episodes_batched<B: ClusterBackend, P: BatchPolicy + ?Sized>(
 mod tests {
     use super::*;
     use crate::episode::run_episode;
+    use crate::state::STATE_VARS;
     use mirage_rl::{ActionEncoding, DqnConfig, DualHeadConfig, DualHeadNet};
     use mirage_sim::{BackendPool, SimConfig, Simulator};
     use mirage_trace::{DAY, HOUR, MINUTE};

@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::episode::{run_episode, EpisodeConfig, EpisodeResult};
 use crate::policy::ProvisionPolicy;
-use crate::reward::EpisodeOutcome;
 
 /// Result of provisioning one chain of sub-jobs.
 #[derive(Debug, Clone)]
@@ -106,7 +105,6 @@ pub fn chain_stretch(result: &ChainResult, cfg: &EpisodeConfig) -> f64 {
     };
     let actual = (last.pred_end - first.pred_submit) as f64;
     let ideal = (result.handoffs.len() as i64 * cfg.pair_runtime) as f64;
-    let _ = EpisodeOutcome::from_times(0, 0);
     if ideal > 0.0 {
         actual / ideal
     } else {

@@ -18,10 +18,11 @@ use mirage_sim::{ClusterBackend, FaultModel, FaultStats, RetryPolicy, SimBuilder
 use mirage_trace::JobRecord;
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{run_episode, EpisodeConfig};
+use crate::episode::EpisodeConfig;
+use crate::eval::sweep_lane;
 use crate::policy::ProvisionPolicy;
 use crate::reward::RewardShaper;
-use crate::train::{episode_window, sample_episode_starts};
+use crate::train::sample_episode_starts;
 
 /// Fault-injection severity of one chaos lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -156,36 +157,15 @@ impl ChaosReport {
     }
 }
 
-/// Accumulates one method's running sums across a lane's episodes.
-#[derive(Default)]
-struct MethodAccum {
-    reward: f64,
-    interruption_h: f64,
-    fault_h: f64,
-    zero: usize,
-    episodes: usize,
-    guard_fallbacks: u64,
-}
-
-fn add_stats(total: &mut FaultStats, run: &FaultStats) {
-    total.node_crashes += run.node_crashes;
-    total.node_recoveries += run.node_recoveries;
-    total.evictions += run.evictions;
-    total.job_failures += run.job_failures;
-    total.retries += run.retries;
-    total.retry_successes += run.retry_successes;
-    total.failed_jobs += run.failed_jobs;
-}
-
 /// Sweeps every method through the none → moderate → severe fault
 /// severities on identically seeded crash tapes.
 ///
 /// `builder` supplies the cluster shape; this function overrides only its
 /// fault model and retry policy per lane, builds one backend per severity,
 /// and runs every method over the same sampled episode starts. Because
-/// [`run_episode`] resets the backend up front and the fault tape lives in
-/// the config, every run at one severity sees the identical crash
-/// schedule — the comparison isolates the provisioning policy.
+/// [`run_episode`](crate::episode::run_episode) resets the backend up
+/// front and the fault tape lives in the config, every run at one severity
+/// sees the identical crash schedule, isolating the provisioning policy.
 pub fn evaluate_chaos(
     methods: &mut [Box<dyn ProvisionPolicy>],
     builder: &SimBuilder,
@@ -201,44 +181,25 @@ pub fn evaluate_chaos(
             .faults(severity.fault_model(cfg.fault_seed))
             .retry(cfg.retry)
             .build();
-        let mut accums: Vec<MethodAccum> = methods.iter().map(|_| MethodAccum::default()).collect();
-        let mut faults = FaultStats::default();
-        for &t0 in &starts {
-            let window = episode_window(trace, t0, &cfg.episode);
-            for (m, acc) in methods.iter_mut().zip(accums.iter_mut()) {
-                m.reset();
-                let fallbacks_before = m.guard_fallbacks();
-                let mut result =
-                    run_episode(&mut backend, window, &cfg.episode, t0, |ctx| m.decide(ctx));
-                // `run_episode` resets the backend on entry, so the
-                // counters reflect exactly this run.
-                add_stats(&mut faults, &backend.fault_stats());
-                result.outcome.guard_fallbacks = m.guard_fallbacks() - fallbacks_before;
-                acc.guard_fallbacks += result.outcome.guard_fallbacks;
-                let o = &result.outcome;
-                acc.reward += f64::from(cfg.shaper.reward(o));
-                acc.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
-                acc.fault_h += o.fault_interruption as f64 / 3600.0;
-                if o.zero_interruption() {
-                    acc.zero += 1;
-                }
-                acc.episodes += 1;
-            }
-        }
-        let summaries = methods
-            .iter()
-            .zip(accums.iter())
-            .map(|(m, acc)| {
-                let n = acc.episodes.max(1) as f64;
-                ChaosMethodSummary {
-                    method: m.name(),
-                    episodes: acc.episodes,
-                    mean_reward: acc.reward / n,
-                    avg_interruption_h: acc.interruption_h / n,
-                    avg_fault_interruption_h: acc.fault_h / n,
-                    zero_interruption_frac: acc.zero as f64 / n,
-                    guard_fallbacks: acc.guard_fallbacks,
-                }
+        let (accums, faults) = sweep_lane(
+            methods,
+            &mut backend,
+            trace,
+            &starts,
+            &cfg.episode,
+            &cfg.shaper,
+            |b| b.fault_stats(),
+        );
+        let summaries = accums
+            .into_iter()
+            .map(|acc| ChaosMethodSummary {
+                episodes: acc.episodes,
+                mean_reward: acc.mean(acc.reward),
+                avg_interruption_h: acc.mean(acc.interruption_h),
+                avg_fault_interruption_h: acc.mean(acc.fault_h),
+                zero_interruption_frac: acc.mean(acc.zero as f64),
+                guard_fallbacks: acc.guard_fallbacks,
+                method: acc.method,
             })
             .collect();
         lanes.push(ChaosLane {

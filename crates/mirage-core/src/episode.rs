@@ -1,31 +1,40 @@
-//! Provisioning-episode driver (§4.4, §5.1 of the paper), generic over
-//! any [`ClusterBackend`].
+//! The single-service provisioning episode (§4.4, §5.1 of the paper),
+//! generic over any [`ClusterBackend`]: the N = 1 view of the hand-off
+//! engine in [`crate::multiservice`].
 //!
 //! One episode covers one predecessor–successor pair of chained sub-jobs:
 //!
 //! 1. the backend replays background trace jobs to build realistic queue
-//!    state, while the driver records state vectors at the decision
-//!    cadence,
+//!    state, while state vectors are recorded at the decision cadence,
 //! 2. the predecessor sub-job is submitted at the episode start,
 //! 3. every `decision_interval` seconds the policy sees the `k × m` state
 //!    matrix and answers *submit* or *no-submit* for the successor,
-//! 4. once the predecessor completes, the driver submits the successor
-//!    if the policy has not (that is exactly the reactive user's behavior,
-//!    so no learned policy can do worse than `reactive` on interruption),
+//! 4. once the predecessor completes, the successor is submitted if the
+//!    policy has not (that is exactly the reactive user's behavior, so no
+//!    learned policy can do worse than `reactive` on interruption),
 //! 5. the backend runs until the successor dispatches, revealing the
 //!    episode outcome (interruption or overlap).
 //!
-//! Two entry points share the machinery: [`run_episode`] drives a policy
-//! closure to completion, and [`EpisodeDriver`] exposes the same loop one
-//! decision at a time (the Gym-style surface `crate::gym` builds on).
+//! All of that is [`MultiServiceEnv`]'s state machine, run with the one
+//! service [`MultiServiceConfig::single`] describes; the engine owns the
+//! backend, the encoder, the history and the pair jobs. This module owns
+//! the single-service *vocabulary* — [`Action`], [`EpisodeConfig`] (and
+//! its typed [`EpisodeConfigError`]), the borrowed [`DecisionContext`] a
+//! policy decides on, [`EpisodeResult`] — and two entry points over the
+//! engine: [`EpisodeDriver`] exposes the loop one decision at a time (the
+//! Gym-style surface `crate::gym` builds on) and [`run_episode`] drives a
+//! policy closure through it to completion.
+
+use std::fmt;
 
 use mirage_nn::Matrix;
-use mirage_sim::{ClusterBackend, ClusterSnapshot, JobStatus};
+use mirage_sim::{ClusterBackend, ClusterSnapshot};
 use mirage_trace::{JobRecord, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::reward::EpisodeOutcome;
-use crate::state::{EncoderScratch, PredecessorState, StateEncoder, StateHistory, SuccessorSpec};
+use crate::multiservice::{MultiServiceConfig, MultiServiceEnv, ServiceEpisode};
+use crate::reward::{EpisodeOutcome, RewardShaper};
+use crate::state::SuccessorSpec;
 
 /// The provisioner's two actions (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,6 +145,48 @@ impl Default for EpisodeConfig {
     }
 }
 
+impl EpisodeConfig {
+    /// Checks that an episode under this config can run on a partition
+    /// of `total_nodes`: positive `decision_interval` (the decision
+    /// clock would otherwise never advance), positive `pair_timelimit` /
+    /// `pair_runtime`, and a pair no wider than the partition (it could
+    /// never start). The episode runs as the one-service engine config
+    /// [`MultiServiceConfig::single`] builds, and the error names that
+    /// config's fields (`services[0].timelimit` is `pair_timelimit`).
+    pub fn validate(&self, total_nodes: u32) -> Result<(), EpisodeConfigError> {
+        MultiServiceConfig::single(self, RewardShaper::default()).validate(total_nodes)
+    }
+}
+
+/// A configuration value under which a provisioning episode cannot run
+/// — a decision clock that never advances, a pair job that never fits.
+/// Produced by [`EpisodeConfig::validate`],
+/// [`MultiServiceConfig::validate`] and [`MultiServiceEnv::try_new`], so
+/// a bad config surfaces as a typed error when the episode is built
+/// instead of a hang or an `unreachable!` mid-run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpisodeConfigError {
+    /// Path of the offending field (e.g. `decision_interval`,
+    /// `services[1].user`).
+    pub field: String,
+    /// The rejected value, rendered for the message.
+    pub value: String,
+    /// Why the value is rejected.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for EpisodeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid episode config: {} = {} ({})",
+            self.field, self.value, self.reason
+        )
+    }
+}
+
+impl std::error::Error for EpisodeConfigError {}
+
 /// Full record of one episode.
 #[derive(Debug, Clone)]
 pub struct EpisodeResult {
@@ -174,7 +225,27 @@ impl EpisodeResult {
     }
 }
 
-/// One episode as an explicit state machine over any backend.
+impl From<ServiceEpisode> for EpisodeResult {
+    /// The single-service record of one service's hand-off (drops the
+    /// shared-cluster fields: reward, stampede and usage accounting).
+    fn from(s: ServiceEpisode) -> Self {
+        Self {
+            outcome: s.outcome,
+            pred_submit: s.pred_submit,
+            pred_start: s.pred_start,
+            pred_end: s.pred_end,
+            succ_submit: s.succ_submit,
+            succ_start: s.succ_start,
+            decisions: s.decisions,
+            submitted_by_policy: s.submitted_by_policy,
+        }
+    }
+}
+
+/// One episode as an explicit state machine over any backend: the
+/// one-service [`MultiServiceEnv`], spoken to in single-service terms
+/// (one [`DecisionContext`] out, one [`Action`] in, one
+/// [`EpisodeResult`] at the end).
 ///
 /// The driver owns (or mutably borrows, via the `&mut B` blanket impl of
 /// [`ClusterBackend`]) the backend for the episode. Usage:
@@ -188,108 +259,20 @@ impl EpisodeResult {
 ///    the successor is in and the decision loop is over,
 /// 4. [`finish`](Self::finish) resolves the outcome.
 pub struct EpisodeDriver<B: ClusterBackend> {
-    backend: B,
-    cfg: EpisodeConfig,
-    t0: i64,
-    encoder: StateEncoder,
-    history: StateHistory,
-    succ_spec: SuccessorSpec,
-    pred_id: u64,
-    succ_id: Option<u64>,
-    succ_submit: i64,
-    submitted_by_policy: bool,
-    decisions: Vec<(Matrix, usize)>,
-    now: i64,
-    // Reusable per-decision buffers: the snapshot's vectors, the state
-    // matrix and the encoder's percentile scratch are written in place
-    // every `advance()`, so the steady-state loop allocates nothing.
-    snapshot: ClusterSnapshot,
-    matrix: Matrix,
-    enc_scratch: EncoderScratch,
-    pending_decision: bool,
-    record: bool,
-    // Scalar context of the last `advance()` that yielded a decision, so
-    // `decision_context()` can re-expose the full `DecisionContext` after
-    // the `advance` borrow ended (the lockstep batch drivers' hook).
-    last_pred_started: bool,
-    last_pred_remaining: i64,
-    last_avg_wait: Option<f64>,
+    env: MultiServiceEnv<B>,
 }
 
 impl<B: ClusterBackend> EpisodeDriver<B> {
     /// Resets `backend`, replays `trace` up to `t0` (recording the history
     /// window at the decision cadence) and submits the predecessor.
-    pub fn new(mut backend: B, trace: &[JobRecord], cfg: &EpisodeConfig, t0: i64) -> Self {
-        backend.reset_with(trace);
-        let total_nodes = backend.total_nodes();
-
-        let mut encoder = StateEncoder::new(total_nodes, cfg.pair_timelimit.max(48 * HOUR));
-        encoder.fault_features = cfg.fault_features;
-        encoder.hetero_features = cfg.hetero_features;
-        let mut history = StateHistory::new(cfg.history_k.max(1));
-        let succ_spec = SuccessorSpec {
-            nodes: cfg.pair_nodes,
-            timelimit: cfg.pair_timelimit,
-        };
-
-        // Replay up to the start of the recorded history window, then
-        // record state vectors at the decision cadence while approaching
-        // t0. The snapshot and encoder buffers allocated here are the ones
-        // the decision loop keeps reusing.
-        let mut snapshot = ClusterSnapshot::default();
-        let mut enc_scratch = EncoderScratch::default();
-        let record_start = t0 - (cfg.history_k as i64) * cfg.decision_interval;
-        backend.run_until(record_start.min(t0));
-        let mut t = record_start;
-        while t < t0 {
-            if t > record_start {
-                backend.run_until(t);
-            }
-            let pred = PredecessorState {
-                nodes: cfg.pair_nodes,
-                timelimit: cfg.pair_timelimit,
-                queue_time: 0,
-                elapsed: 0,
-            };
-            backend.sample_into(&mut snapshot);
-            history.push(encoder.encode_into(&snapshot, &pred, &succ_spec, &mut enc_scratch));
-            t += cfg.decision_interval;
-        }
-        backend.run_until(t0);
-
-        // Submit the predecessor.
-        let pred_job = JobRecord::new(
-            0,
-            "mirage_pred",
-            cfg.pair_user,
-            t0,
-            cfg.pair_nodes,
-            cfg.pair_timelimit,
-            cfg.pair_runtime,
-        );
-        let pred_id = backend.submit(pred_job);
-
+    ///
+    /// # Panics
+    /// If `cfg` fails [`EpisodeConfig::validate`] for the backend's
+    /// partition.
+    pub fn new(backend: B, trace: &[JobRecord], cfg: &EpisodeConfig, t0: i64) -> Self {
+        let single = MultiServiceConfig::single(cfg, RewardShaper::default());
         Self {
-            backend,
-            cfg: *cfg,
-            t0,
-            encoder,
-            history,
-            succ_spec,
-            pred_id,
-            succ_id: None,
-            succ_submit: 0,
-            submitted_by_policy: false,
-            decisions: Vec::new(),
-            now: t0,
-            snapshot,
-            matrix: Matrix::zeros(0, 0),
-            enc_scratch,
-            pending_decision: false,
-            record: true,
-            last_pred_started: false,
-            last_pred_remaining: 0,
-            last_avg_wait: None,
+            env: MultiServiceEnv::new(backend, trace, &single, t0),
         }
     }
 
@@ -298,19 +281,7 @@ impl<B: ClusterBackend> EpisodeDriver<B> {
     /// decision; pure serving/benchmark loops turn it off to keep the
     /// steady state allocation-free.
     pub fn set_record_decisions(&mut self, record: bool) {
-        self.record = record;
-    }
-
-    fn successor_job(&self) -> JobRecord {
-        JobRecord::new(
-            0,
-            "mirage_succ",
-            self.cfg.pair_user,
-            0, // overridden by submit()
-            self.cfg.pair_nodes,
-            self.cfg.pair_timelimit,
-            self.cfg.pair_runtime,
-        )
+        self.env.set_record_decisions(record);
     }
 
     /// Advances to the next decision instant. Returns the context the
@@ -318,197 +289,49 @@ impl<B: ClusterBackend> EpisodeDriver<B> {
     /// (the reactive fallback fired, or [`apply`](Self::apply) submitted)
     /// — the decision loop is over and further calls stay `None`.
     ///
-    /// The context borrows the driver's reusable snapshot/matrix buffers,
+    /// The context borrows the engine's reusable snapshot/matrix buffers,
     /// so the steady-state loop allocates nothing; read what you need,
     /// then call [`apply`](Self::apply).
     pub fn advance(&mut self) -> Option<DecisionContext<'_>> {
-        if self.succ_id.is_some() {
-            // Calling past the end must not submit a second successor.
-            return None;
-        }
-        self.now += self.cfg.decision_interval;
-        self.backend.run_until(self.now);
-        let now = self.now;
-        let cfg = &self.cfg;
-
-        let pred_status = self
-            .backend
-            .status(self.pred_id)
-            .expect("predecessor exists");
-        let (pred_state, pred_started, pred_remaining, pred_done) = match pred_status {
-            JobStatus::Pending | JobStatus::Future => (
-                PredecessorState {
-                    nodes: cfg.pair_nodes,
-                    timelimit: cfg.pair_timelimit,
-                    queue_time: now - self.t0,
-                    elapsed: 0,
-                },
-                false,
-                cfg.pair_timelimit,
-                false,
-            ),
-            JobStatus::Running { start } => (
-                PredecessorState {
-                    nodes: cfg.pair_nodes,
-                    timelimit: cfg.pair_timelimit,
-                    queue_time: start - self.t0,
-                    elapsed: now - start,
-                },
-                true,
-                (start + cfg.pair_timelimit - now).max(0),
-                false,
-            ),
-            // A terminally failed predecessor (fault injection, retries
-            // exhausted) ends the service instance exactly like a
-            // completion: the reactive user restarts via the successor.
-            JobStatus::Completed { start, end } | JobStatus::Failed { start, end } => (
-                PredecessorState {
-                    nodes: cfg.pair_nodes,
-                    timelimit: cfg.pair_timelimit,
-                    queue_time: start - self.t0,
-                    elapsed: end - start,
-                },
-                true,
-                0,
-                true,
-            ),
-            JobStatus::Rejected => unreachable!("pair jobs always fit"),
-        };
-
-        self.backend.sample_into(&mut self.snapshot);
-        self.history.push(self.encoder.encode_into(
-            &self.snapshot,
-            &pred_state,
-            &self.succ_spec,
-            &mut self.enc_scratch,
-        ));
-
-        // Reactive fallback: the predecessor is done — a real user submits
-        // the successor right now no matter what the policy thinks.
-        if pred_done {
-            self.succ_id = Some(self.backend.submit(self.successor_job()));
-            self.succ_submit = self.backend.now();
-            return None;
-        }
-
-        self.history.write_matrix(&mut self.matrix);
-        self.pending_decision = true;
-        self.last_pred_started = pred_started;
-        self.last_pred_remaining = pred_remaining;
-        self.last_avg_wait = self.backend.avg_recent_wait(24 * HOUR);
-        Some(self.decision_context())
+        (self.env.advance_tick() > 0).then(|| self.env.decision_context(0))
     }
 
     /// The [`DecisionContext`] of the last [`advance`](Self::advance)
-    /// that returned `Some`, rebuilt from the driver's reusable buffers.
-    /// Lockstep batch drivers use this to re-expose every pending
-    /// episode's context after their `advance` borrows ended (heuristic
-    /// collection policies and feature extraction read it). Only
-    /// meaningful between such an `advance` and the matching
-    /// [`apply`](Self::apply).
+    /// that returned `Some`, rebuilt from the engine's reusable buffers.
+    /// Only meaningful (and only callable without a panic) between such
+    /// an `advance` and the matching [`apply`](Self::apply).
     pub fn decision_context(&self) -> DecisionContext<'_> {
-        DecisionContext {
-            now: self.now,
-            state_matrix: &self.matrix,
-            snapshot: &self.snapshot,
-            pred_started: self.last_pred_started,
-            pred_remaining: self.last_pred_remaining,
-            recent_avg_wait: self.last_avg_wait,
-            successor: self.succ_spec,
-        }
+        self.env.decision_context(0)
     }
 
-    /// The driver's current `k × m` state matrix — the same buffer the
-    /// last [`advance`](Self::advance)'s [`DecisionContext`] borrowed,
-    /// re-exposed so lockstep batch drivers can gather many episodes'
-    /// matrices after their `advance` borrows have ended. Only
+    /// The current `k × m` state matrix — the same buffer the last
+    /// [`advance`](Self::advance)'s [`DecisionContext`] borrowed. Only
     /// meaningful between an `advance` that returned `Some` and the
     /// matching [`apply`](Self::apply).
     pub fn state_matrix(&self) -> &Matrix {
-        &self.matrix
+        self.decision_context().state_matrix
     }
 
     /// Records the policy's decision for the context returned by the last
     /// [`advance`](Self::advance). Returns `true` once the successor is
     /// submitted (the decision loop is over).
     pub fn apply(&mut self, action: Action) -> bool {
-        assert!(self.pending_decision, "apply() must follow advance()");
-        self.pending_decision = false;
-        if self.record {
-            self.decisions.push((self.matrix.clone(), action.index()));
-        }
-        if action == Action::Submit {
-            self.succ_id = Some(self.backend.submit(self.successor_job()));
-            self.succ_submit = self.backend.now();
-            self.submitted_by_policy = true;
-            return true;
-        }
-        false
+        self.env.apply(&[action]);
+        !self.env.is_deciding()
     }
 
     /// Runs the backend until both the predecessor completed and the
     /// successor started, and returns the episode record plus the backend
     /// (reusable for the next episode after a reset).
-    pub fn finish(mut self) -> (EpisodeResult, B) {
-        let succ_id = self.succ_id.expect("successor submitted before finish()");
-        let (pred_start, pred_end, succ_start) = loop {
-            let pred_done = matches!(
-                self.backend.status(self.pred_id),
-                Some(JobStatus::Completed { .. } | JobStatus::Failed { .. })
-            );
-            let succ_started = matches!(
-                self.backend.status(succ_id),
-                Some(
-                    JobStatus::Running { .. }
-                        | JobStatus::Completed { .. }
-                        | JobStatus::Failed { .. }
-                )
-            );
-            if pred_done && succ_started {
-                let (ps, pe) = match self.backend.status(self.pred_id) {
-                    Some(JobStatus::Completed { start, end })
-                    | Some(JobStatus::Failed { start, end }) => (start, end),
-                    _ => unreachable!(),
-                };
-                let ss = match self.backend.status(succ_id) {
-                    Some(JobStatus::Running { start }) => start,
-                    Some(JobStatus::Completed { start, .. }) => start,
-                    Some(JobStatus::Failed { start, .. }) => start,
-                    _ => unreachable!(),
-                };
-                break (ps, pe, ss);
-            }
-            assert!(
-                self.backend.is_active(),
-                "simulation drained before the pair resolved"
-            );
-            self.backend.step(HOUR);
-        };
-
-        // Downtime the pair suffered from fault evictions (eviction →
-        // restart gaps) is interruption the user experienced, charged by
-        // the reward identically to the submit-too-late kind.
-        let mut outcome = EpisodeOutcome::from_times(pred_end, succ_start);
-        outcome.fault_interruption = self.backend.job_faults(self.pred_id).downtime
-            + self.backend.job_faults(succ_id).downtime;
-
-        let result = EpisodeResult {
-            outcome,
-            pred_submit: self.t0,
-            pred_start,
-            pred_end,
-            succ_submit: self.succ_submit,
-            succ_start,
-            decisions: self.decisions,
-            submitted_by_policy: self.submitted_by_policy,
-        };
-        (result, self.backend)
+    pub fn finish(self) -> (EpisodeResult, B) {
+        let (mut result, backend) = self.env.finish();
+        (result.services.remove(0).into(), backend)
     }
 
     /// Abandons the episode, handing the backend back untouched-from-here
     /// (the next [`EpisodeDriver::new`] resets it anyway).
     pub fn into_backend(self) -> B {
-        self.backend
+        self.env.into_backend()
     }
 }
 

@@ -13,13 +13,15 @@
 //! overlap, and the zero-interruption episode fraction (the paper's
 //! "jobs safeguarded with zero interruption").
 
+use std::ops::AddAssign;
+
 use mirage_sim::ClusterBackend;
 use mirage_trace::{JobRecord, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{run_episode, EpisodeConfig};
+use crate::episode::{run_episode, EpisodeConfig, EpisodeResult};
 use crate::policy::ProvisionPolicy;
-use crate::reward::EpisodeOutcome;
+use crate::reward::{EpisodeOutcome, RewardShaper};
 use crate::train::{episode_window, sample_episode_starts};
 
 /// Cluster-load classification thresholds (§6: by reactive queue wait).
@@ -144,12 +146,7 @@ pub fn evaluate<B: ClusterBackend>(
         let window = episode_window(trace, t0, &cfg.episode);
         let mut outcomes: Vec<MethodOutcome> = Vec::with_capacity(methods.len());
         for m in methods.iter_mut() {
-            m.reset();
-            let fallbacks_before = m.guard_fallbacks();
-            let mut result = run_episode(backend, window, &cfg.episode, t0, |ctx| m.decide(ctx));
-            // Per-episode guard-fallback delta: non-zero only when a
-            // guarded policy's network emitted garbage this episode.
-            result.outcome.guard_fallbacks = m.guard_fallbacks() - fallbacks_before;
+            let result = run_method(m.as_mut(), backend, window, &cfg.episode, t0);
             outcomes.push(MethodOutcome {
                 method: m.name(),
                 outcome: result.outcome,
@@ -176,6 +173,83 @@ pub fn evaluate<B: ClusterBackend>(
         episodes,
         method_names,
     }
+}
+
+/// One method's episode at `t0`: resets the policy, runs it, and stamps
+/// the episode's guard-fallback delta into the outcome (non-zero only
+/// when a guarded policy's network emitted garbage this episode).
+fn run_method<B: ClusterBackend>(
+    method: &mut dyn ProvisionPolicy,
+    backend: &mut B,
+    window: &[JobRecord],
+    episode: &EpisodeConfig,
+    t0: i64,
+) -> EpisodeResult {
+    method.reset();
+    let fallbacks_before = method.guard_fallbacks();
+    let mut result = run_episode(backend, window, episode, t0, |ctx| method.decide(ctx));
+    result.outcome.guard_fallbacks = method.guard_fallbacks() - fallbacks_before;
+    result
+}
+
+/// One method's running sums across a scenario lane's episodes.
+#[derive(Default)]
+pub(crate) struct LaneAccum {
+    pub method: String,
+    pub reward: f64,
+    /// Hand-off gap plus fault downtime, hours.
+    pub interruption_h: f64,
+    /// Fault downtime alone, hours.
+    pub fault_h: f64,
+    pub zero: usize,
+    pub episodes: usize,
+    pub guard_fallbacks: u64,
+}
+
+impl LaneAccum {
+    /// `sum` averaged over the lane's episodes.
+    pub fn mean(&self, sum: f64) -> f64 {
+        sum / self.episodes.max(1) as f64
+    }
+}
+
+/// The sweep body the chaos and hetero lanes share: every method over
+/// the same `starts` on one backend (reset per run, so one value hosts
+/// the lane and every run sees the identical seeded tape), accumulating
+/// per-method sums and the backend counters `stats` reads after each run.
+pub(crate) fn sweep_lane<B: ClusterBackend, S: Default + AddAssign>(
+    methods: &mut [Box<dyn ProvisionPolicy>],
+    backend: &mut B,
+    trace: &[JobRecord],
+    starts: &[i64],
+    episode: &EpisodeConfig,
+    shaper: &RewardShaper,
+    stats: impl Fn(&B) -> S,
+) -> (Vec<LaneAccum>, S) {
+    let mut accums: Vec<LaneAccum> = methods
+        .iter()
+        .map(|m| LaneAccum {
+            method: m.name(),
+            ..LaneAccum::default()
+        })
+        .collect();
+    let mut totals = S::default();
+    for &t0 in starts {
+        let window = episode_window(trace, t0, episode);
+        for (m, acc) in methods.iter_mut().zip(&mut accums) {
+            let o = run_method(m.as_mut(), backend, window, episode, t0).outcome;
+            // `run_episode` resets the backend on entry, so the counters
+            // reflect exactly this run.
+            totals += stats(backend);
+            acc.guard_fallbacks += o.guard_fallbacks;
+            acc.reward += f64::from(shaper.reward(&o));
+            acc.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
+            acc.fault_h += o.fault_interruption as f64 / 3600.0;
+            acc.zero += usize::from(o.zero_interruption());
+            acc.episodes += 1;
+        }
+    }
+    (accums, totals)
 }
 
 impl EvalReport {

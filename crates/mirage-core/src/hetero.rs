@@ -20,10 +20,11 @@ use mirage_sim::{ClusterBackend, HeteroModel, HeteroStats, SimBuilder};
 use mirage_trace::JobRecord;
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{run_episode, EpisodeConfig};
+use crate::episode::EpisodeConfig;
+use crate::eval::sweep_lane;
 use crate::policy::ProvisionPolicy;
 use crate::reward::RewardShaper;
-use crate::train::{episode_window, sample_episode_starts};
+use crate::train::sample_episode_starts;
 
 /// One seeded pool scenario of the hetero lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -151,33 +152,15 @@ impl HeteroReport {
     }
 }
 
-/// Accumulates one method's running sums across a lane's episodes.
-#[derive(Default)]
-struct MethodAccum {
-    reward: f64,
-    interruption_h: f64,
-    zero: usize,
-    episodes: usize,
-    guard_fallbacks: u64,
-}
-
-fn add_stats(total: &mut HeteroStats, run: &HeteroStats) {
-    total.placements += run.placements;
-    total.span_placements += run.span_placements;
-    total.congested_placements += run.congested_placements;
-    total.off_type_placements += run.off_type_placements;
-    total.slowdowns += run.slowdowns;
-}
-
 /// Sweeps every method through the balanced and scarce pool scenarios on
 /// identically seeded placement tapes.
 ///
 /// `builder` supplies the cluster shape; this function overrides only its
 /// partition size and pool model per lane, builds one backend per
 /// scenario, and runs every method over the same sampled episode starts.
-/// Because [`run_episode`] resets the backend up front and the placement
-/// tape lives in the config, every run in one scenario sees identical
-/// hardware — the comparison isolates the provisioning policy.
+/// Because [`run_episode`](crate::episode::run_episode) resets the backend
+/// up front and the placement tape lives in the config, every run in one
+/// scenario sees identical hardware, isolating the provisioning policy.
 pub fn evaluate_hetero(
     methods: &mut [Box<dyn ProvisionPolicy>],
     builder: &SimBuilder,
@@ -193,42 +176,24 @@ pub fn evaluate_hetero(
             .nodes(cfg.nodes)
             .hetero(scenario.model(cfg.nodes, cfg.hetero_seed))
             .build();
-        let mut accums: Vec<MethodAccum> = methods.iter().map(|_| MethodAccum::default()).collect();
-        let mut hetero = HeteroStats::default();
-        for &t0 in &starts {
-            let window = episode_window(trace, t0, &cfg.episode);
-            for (m, acc) in methods.iter_mut().zip(accums.iter_mut()) {
-                m.reset();
-                let fallbacks_before = m.guard_fallbacks();
-                let mut result =
-                    run_episode(&mut backend, window, &cfg.episode, t0, |ctx| m.decide(ctx));
-                // `run_episode` resets the backend on entry, so the
-                // counters reflect exactly this run.
-                add_stats(&mut hetero, &backend.hetero_stats());
-                result.outcome.guard_fallbacks = m.guard_fallbacks() - fallbacks_before;
-                acc.guard_fallbacks += result.outcome.guard_fallbacks;
-                let o = &result.outcome;
-                acc.reward += f64::from(cfg.shaper.reward(o));
-                acc.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
-                if o.zero_interruption() {
-                    acc.zero += 1;
-                }
-                acc.episodes += 1;
-            }
-        }
-        let summaries = methods
-            .iter()
-            .zip(accums.iter())
-            .map(|(m, acc)| {
-                let n = acc.episodes.max(1) as f64;
-                HeteroMethodSummary {
-                    method: m.name(),
-                    episodes: acc.episodes,
-                    mean_reward: acc.reward / n,
-                    avg_interruption_h: acc.interruption_h / n,
-                    zero_interruption_frac: acc.zero as f64 / n,
-                    guard_fallbacks: acc.guard_fallbacks,
-                }
+        let (accums, hetero) = sweep_lane(
+            methods,
+            &mut backend,
+            trace,
+            &starts,
+            &cfg.episode,
+            &cfg.shaper,
+            |b| b.hetero_stats(),
+        );
+        let summaries = accums
+            .into_iter()
+            .map(|acc| HeteroMethodSummary {
+                episodes: acc.episodes,
+                mean_reward: acc.mean(acc.reward),
+                avg_interruption_h: acc.mean(acc.interruption_h),
+                zero_interruption_frac: acc.mean(acc.zero as f64),
+                guard_fallbacks: acc.guard_fallbacks,
+                method: acc.method,
             })
             .collect();
         lanes.push(HeteroLane {

@@ -42,17 +42,29 @@
 //!   state-matrix history,
 //! * [`reward`] — the §4.5 interruption/overlap reward with the
 //!   user-configurable `e_I`/`e_O` coefficients,
-//! * [`episode`] — the provisioning-episode driver over any backend
-//!   (submit / no-submit every decision interval), as a closure loop
-//!   ([`run_episode`]) or an explicit state machine
-//!   ([`episode::EpisodeDriver`]),
-//! * [`batch`] — the batched episode engine: N episodes stepped in
-//!   lockstep with one batched NN forward per decision tick
-//!   ([`batch::BatchedEpisodeDriver`]),
-//! * [`multiservice`] — N concurrent services with heterogeneous SLOs
-//!   sharing one cluster: traffic-driven demand, a shared-cluster
-//!   stampede-aware reward, lockstep services × episodes batching and
-//!   the multi-service baselines ([`multiservice::MultiServiceEnv`]),
+//! * [`multiservice`] — **the hand-off engine**. The predecessor →
+//!   successor hand-off (warm-up replay, status → encoded state every
+//!   decision interval, submit or wait, reactive fallback, outcome) is
+//!   implemented once, in [`multiservice::MultiServiceEnv`]: N services
+//!   sharing one backend, each with its own encoder, history and pair
+//!   jobs. [`multiservice::MultiServiceBatch`] is the one lockstep
+//!   driver: M such episodes, every pending state matrix in one batch
+//!   per tick. The module also carries the multi-service scenario layer
+//!   (traffic-driven demand, stampede-aware reward, baselines,
+//!   [`multiservice::evaluate_multiservice`]),
+//! * [`episode`] — the paper's single-service episode as the engine's
+//!   N = 1 view: the vocabulary every policy speaks
+//!   ([`episode::Action`], [`episode::EpisodeConfig`] with its typed
+//!   validation error, the borrowed [`episode::DecisionContext`],
+//!   [`episode::EpisodeResult`]) and two entry points over the engine, a
+//!   closure loop ([`run_episode`]) and an explicit state machine
+//!   ([`episode::EpisodeDriver`]). The views own no hand-off state: they
+//!   translate one context out, one action in,
+//! * [`batch`] — lockstep single-service episodes
+//!   ([`batch::BatchedEpisodeDriver`]): the N = 1-service view of the
+//!   lockstep driver, adding episode-indexed rows and the
+//!   [`batch::BatchPolicy`] / [`batch::LanePolicy`] shapes serving and
+//!   training speak,
 //! * [`gym`] — the same episodes behind `mirage-rl`'s Gym-style
 //!   `Environment` interface,
 //! * [`policy`] — the eight §6 methods behind one trait,
@@ -106,7 +118,8 @@ pub use checkpoint::{
     KIND_PG_TRAIN,
 };
 pub use episode::{
-    run_episode, Action, DecisionContext, EpisodeConfig, EpisodeDriver, EpisodeResult,
+    run_episode, Action, DecisionContext, EpisodeConfig, EpisodeConfigError, EpisodeDriver,
+    EpisodeResult,
 };
 pub use eval::{evaluate, EvalConfig, EvalReport, LoadLevel, MethodSummary};
 pub use gym::ProvisionEnv;

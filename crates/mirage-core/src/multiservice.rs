@@ -1,34 +1,35 @@
-//! Multi-service provisioning: N concurrent services with heterogeneous
-//! SLOs sharing one cluster.
+//! The hand-off engine: N concurrent services, each a chain of
+//! predecessor → successor sub-jobs, sharing one cluster — and, at N = 1,
+//! the paper's single-service provisioning episode.
 //!
-//! The paper provisions a single interactive service per episode; at
-//! production scale a batch cluster hosts *many* services whose
-//! provisioning decisions contend for the same queue. This module opens
-//! that workload on top of the existing machinery:
+//! * [`MultiServiceEnv`] is **the hand-off state machine**, the only one
+//!   in the crate. It owns the backend, the shared snapshot and encoder
+//!   scratch, and per service the encoder, state history, pair-job ids
+//!   and recorded decisions; it replays the warm-up, submits the
+//!   predecessors, maps each predecessor's status to the encoded state
+//!   every decision tick, fires the reactive fallback and resolves the
+//!   outcomes (hand-off gap, fault downtime, stampede accounting).
+//! * [`MultiServiceBatch`] is **the lockstep driver**: M episodes, each
+//!   with its own backend and trace window, every pending
+//!   `(episode, service)` state matrix of a tick stacked into one batch,
+//!   so the RL agents answer episodes × services with a single batched
+//!   forward, narrowing as services and episodes finish.
 //!
-//! * a **scenario layer** — [`ServiceSpec`] (latency target /
-//!   interruption budget mapped to per-service reward weights, demand
-//!   drawn from a [`TrafficModel`]'s requests/s → required-node curve)
-//!   and [`MultiServiceConfig`] (N services + shared episode cadence),
-//!   with canonical [`diurnal_scenario`] / [`bursty_scenario`] builders;
-//! * a **shared-cluster episode engine** — [`MultiServiceEnv`] steps all
-//!   services of one episode per decision tick against a single
-//!   [`ClusterBackend`], mirroring the backend-call sequence of
-//!   [`EpisodeDriver`](crate::episode::EpisodeDriver) *exactly*: with one
-//!   service the episode is bit-identical to the single-service driver
-//!   (pinned by property tests);
-//! * a **lockstep batch** — [`MultiServiceBatch`] stacks every pending
-//!   `(episode, service)` state matrix of a tick into one batch, so the
-//!   RL agents answer episodes × services with a single batched forward,
-//!   exactly as `crate::batch` does for episodes alone;
-//! * a **shared-cluster reward** — per-service Eq. 8 penalties from the
-//!   service's own SLO weights, minus a *stampede* penalty charged when
-//!   several services provision in the same tick (simultaneous successor
-//!   submissions pile onto the queue and interrupt each other);
-//! * **classic baselines** — [`UniformSharePolicy`],
-//!   [`GreedyPerServicePolicy`] and [`ShortestQueuePolicy`] beside the
-//!   RL agents, wired into [`evaluate_multiservice`] so RL-vs-heuristic
-//!   numbers come out of one harness.
+//! [`EpisodeDriver`](crate::episode::EpisodeDriver) and
+//! [`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver) are the
+//! N = 1 views over these two, built from [`MultiServiceConfig::single`]:
+//! what reaches the engine (fault and pool features, config validation)
+//! reaches one, two or N services through the same code.
+//!
+//! Around the engine sits the multi-service scenario layer: [`ServiceSpec`]
+//! (SLO → per-service reward weights, demand from a [`TrafficModel`]'s
+//! requests/s → required-node curve) with the canonical
+//! [`diurnal_scenario`] / [`bursty_scenario`] builders; a shared-cluster
+//! reward (per-service Eq. 8 penalties minus a *stampede* penalty when
+//! several services provision in the same tick and pile onto the queue);
+//! and the classic baselines ([`UniformSharePolicy`],
+//! [`GreedyPerServicePolicy`], [`ShortestQueuePolicy`]) beside the RL
+//! agents in [`evaluate_multiservice`].
 
 use mirage_nn::Matrix;
 use mirage_rl::{DqnAgent, ServiceLanes};
@@ -36,7 +37,7 @@ use mirage_sim::{ClusterBackend, ClusterSnapshot, JobStatus, ServiceUsage};
 use mirage_trace::{JobRecord, TrafficModel, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{Action, EpisodeConfig};
+use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeConfigError};
 use crate::reward::{EpisodeOutcome, RewardShaper};
 use crate::state::{
     EncoderScratch, PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS,
@@ -128,16 +129,26 @@ pub struct MultiServiceConfig {
     /// Stampede penalty: charged per *peer* service submitting its
     /// successor in the same decision tick (0 disables the coupling).
     pub stampede_coef: f32,
+    /// Expose the backend's fault surface to every service's encoder
+    /// (see [`EpisodeConfig::fault_features`]). Off by default, with the
+    /// flag-off encodings byte-identical to the pre-fault encoder.
+    #[serde(default)]
+    pub fault_features: bool,
+    /// Expose the backend's heterogeneity surface to every service's
+    /// encoder (see [`EpisodeConfig::hetero_features`]). Off by default,
+    /// with the same bit-identity guarantee.
+    #[serde(default)]
+    pub hetero_features: bool,
 }
 
 impl MultiServiceConfig {
     /// The degenerate one-service configuration equivalent to a
     /// single-service [`EpisodeConfig`] + [`RewardShaper`]: constant
-    /// traffic pinned to `pair_nodes`, the pair's user id, and no
-    /// stampede coupling. Under this config a [`MultiServiceEnv`]
-    /// episode is bit-identical to the
-    /// [`EpisodeDriver`](crate::episode::EpisodeDriver) episode — the
-    /// property test `tests/multiservice.rs` pins it.
+    /// traffic pinned to `pair_nodes`, the pair's user id, the episode's
+    /// encoder flags, and no stampede coupling. This is the config the
+    /// N = 1 views ([`EpisodeDriver`](crate::episode::EpisodeDriver),
+    /// [`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver))
+    /// hand the engine.
     pub fn single(cfg: &EpisodeConfig, shaper: RewardShaper) -> Self {
         Self {
             services: vec![ServiceSpec {
@@ -153,12 +164,58 @@ impl MultiServiceConfig {
             history_k: cfg.history_k,
             warmup: cfg.warmup,
             stampede_coef: 0.0,
+            fault_features: cfg.fault_features,
+            hetero_features: cfg.hetero_features,
         }
     }
 
     /// Service count.
     pub fn n_services(&self) -> usize {
         self.services.len()
+    }
+
+    /// Checks that an episode under this config can run on a partition
+    /// of `total_nodes`: a positive decision cadence (the decision clock
+    /// must advance), at least one service, and per service positive
+    /// `timelimit` / `runtime`, a user id no other service shares (the
+    /// per-user [`ServiceUsage`] ledgers would merge) and a baseline
+    /// demand ([`TrafficModel::base_nodes`]) that fits the partition (a
+    /// wider pair job can never start).
+    pub fn validate(&self, total_nodes: u32) -> Result<(), EpisodeConfigError> {
+        let reject = |field: String, value: &dyn std::fmt::Display, reason| {
+            let value = value.to_string();
+            Err(EpisodeConfigError {
+                field,
+                value,
+                reason,
+            })
+        };
+        if self.decision_interval <= 0 {
+            let field = "decision_interval".to_string();
+            return reject(field, &self.decision_interval, "must be positive");
+        }
+        if self.services.is_empty() {
+            return reject("services".to_string(), &"[]", "need at least one");
+        }
+        for (i, svc) in self.services.iter().enumerate() {
+            let field = |name: &str| format!("services[{i}].{name}");
+            if svc.timelimit <= 0 {
+                return reject(field("timelimit"), &svc.timelimit, "must be positive");
+            }
+            if svc.runtime <= 0 {
+                return reject(field("runtime"), &svc.runtime, "must be positive");
+            }
+            if self.services[..i].iter().any(|o| o.user == svc.user) {
+                let reason = "shared with an earlier service";
+                return reject(field("user"), &svc.user, reason);
+            }
+            let nodes = svc.traffic.base_nodes();
+            if nodes > total_nodes {
+                let reason = "baseline demand is wider than the partition";
+                return reject(field("traffic"), &format_args!("{nodes} nodes"), reason);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -215,6 +272,8 @@ fn scenario(services: usize, cluster_nodes: u32, seed: u64, bursty: bool) -> Mul
         history_k: 12,
         warmup: 12 * DAY,
         stampede_coef: 0.5,
+        fault_features: false,
+        hetero_features: false,
     }
 }
 
@@ -503,7 +562,7 @@ impl MultiServiceResult {
     }
 }
 
-/// Per-service decision state inside a [`MultiServiceEnv`].
+/// Per-service hand-off state inside a [`MultiServiceEnv`].
 struct ServiceState {
     encoder: StateEncoder,
     history: StateHistory,
@@ -523,17 +582,66 @@ struct ServiceState {
     last_pred_remaining: i64,
 }
 
-/// One multi-service episode as an explicit state machine: N services
-/// sharing one backend, stepped per decision tick.
-///
-/// The loop mirrors [`EpisodeDriver`](crate::episode::EpisodeDriver)
-/// lifted to N services — same warm-up replay, same per-tick
-/// `run_until`/`status`/`sample` sequence,
-/// same reactive fallback, same resolution loop — with one shared
-/// snapshot per tick (the cluster state is the same for every service at
-/// a given instant) and per-service encoders/histories/pair jobs. With
-/// one service the backend sees the *identical* call sequence, which is
-/// what makes the N=1 degeneration bit-exact.
+/// A service's pair job (`name` tells predecessor from successor in the
+/// queue; `submit` is overridden by the backend for live submissions).
+fn pair_job(svc: &ServiceSpec, name: &str, submit: i64, nodes: u32) -> JobRecord {
+    JobRecord::new(0, name, svc.user, submit, nodes, svc.timelimit, svc.runtime)
+}
+
+/// Row-stacks pending `k × m` state matrices into `batch` (`k` rows
+/// each, in iteration order), reusing its allocation.
+fn stack_states<'m>(
+    batch: &mut Matrix,
+    k: usize,
+    states: impl ExactSizeIterator<Item = &'m Matrix>,
+) {
+    batch.reset(states.len() * k, STATE_VARS);
+    for (slot, m) in states.enumerate() {
+        debug_assert_eq!(m.shape(), (k, STATE_VARS));
+        for r in 0..k {
+            batch.row_mut(slot * k + r).copy_from_slice(m.row(r));
+        }
+    }
+}
+
+/// The lockstep decision surface shared by one episode
+/// ([`MultiServiceEnv`]), a batch of them ([`MultiServiceBatch`]) and the
+/// single-service view
+/// ([`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver)), so
+/// the tick loop is written once.
+pub(crate) trait Lockstep: Sized {
+    /// Whether any hand-off still awaits decisions.
+    fn is_deciding(&self) -> bool;
+    /// Advances one decision tick; returns the pending width.
+    fn advance_tick(&mut self) -> usize;
+    /// Applies one action per pending row.
+    fn apply(&mut self, actions: &[Action]);
+
+    /// Drives the decision loop to completion: every tick with pending
+    /// rows, `decide` pushes exactly one action per row, in row order.
+    fn drive(&mut self, mut decide: impl FnMut(&Self, &mut Vec<Action>)) {
+        let mut actions = Vec::new();
+        while self.is_deciding() {
+            let width = self.advance_tick();
+            if width == 0 {
+                continue;
+            }
+            actions.clear();
+            decide(self, &mut actions);
+            assert_eq!(actions.len(), width, "policy must answer every slot");
+            self.apply(&actions);
+        }
+    }
+}
+
+/// One episode as an explicit state machine: N services sharing one
+/// backend, stepped per decision tick — [`new`](Self::new),
+/// then [`advance_tick`](Self::advance_tick) / [`apply`](Self::apply)
+/// until no service [`is_deciding`](Self::is_deciding), then
+/// [`finish`](Self::finish). One snapshot is shared per tick (the
+/// cluster state is the same for every service at a given instant); the
+/// snapshot, state matrices and encoder scratch are written in place, so
+/// the steady-state loop allocates nothing.
 pub struct MultiServiceEnv<B: ClusterBackend> {
     backend: B,
     cfg: MultiServiceConfig,
@@ -544,7 +652,6 @@ pub struct MultiServiceEnv<B: ClusterBackend> {
     snapshot: ClusterSnapshot,
     enc_scratch: EncoderScratch,
     pending: Vec<usize>,
-    batch: Matrix,
     last_avg_wait: Option<f64>,
     record: bool,
     /// Successor submissions per decision tick (stampede accounting).
@@ -555,38 +662,61 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     /// Resets `backend`, replays `trace` up to `t0` (recording each
     /// service's history window at the decision cadence) and submits
     /// every service's predecessor at `t0`, in service order.
-    pub fn new(mut backend: B, trace: &[JobRecord], cfg: &MultiServiceConfig, t0: i64) -> Self {
-        assert!(!cfg.services.is_empty(), "need at least one service");
-        backend.reset_with(trace);
+    ///
+    /// # Panics
+    /// If `cfg` fails [`MultiServiceConfig::validate`] for the backend's
+    /// partition; [`try_new`](Self::try_new) returns the error instead.
+    pub fn new(backend: B, trace: &[JobRecord], cfg: &MultiServiceConfig, t0: i64) -> Self {
+        Self::try_new(backend, trace, cfg, t0)
+            .unwrap_or_else(|e| panic!("MultiServiceEnv::new: {e}"))
+    }
+
+    /// [`new`](Self::new) returning a typed error for a config that
+    /// cannot run on `backend`'s partition, before the backend is touched.
+    pub fn try_new(
+        mut backend: B,
+        trace: &[JobRecord],
+        cfg: &MultiServiceConfig,
+        t0: i64,
+    ) -> Result<Self, EpisodeConfigError> {
         let total_nodes = backend.total_nodes();
+        cfg.validate(total_nodes)?;
+        backend.reset_with(trace);
         let k = cfg.history_k.max(1);
 
         let mut services: Vec<ServiceState> = cfg
             .services
             .iter()
-            .map(|svc| ServiceState {
-                encoder: StateEncoder::new(total_nodes, svc.timelimit.max(48 * HOUR)),
-                history: StateHistory::new(k),
-                succ_spec: SuccessorSpec {
-                    nodes: svc.nodes_at(t0),
-                    timelimit: svc.timelimit,
-                },
-                pred_nodes: svc.nodes_at(t0),
-                pred_id: 0,
-                succ_id: None,
-                succ_submit: 0,
-                submitted_by_policy: false,
-                submit_tick: 0,
-                matrix: Matrix::zeros(0, 0),
-                decisions: Vec::new(),
-                last_pred_started: false,
-                last_pred_remaining: 0,
+            .map(|svc| {
+                let mut encoder = StateEncoder::new(total_nodes, svc.timelimit.max(48 * HOUR));
+                encoder.fault_features = cfg.fault_features;
+                encoder.hetero_features = cfg.hetero_features;
+                ServiceState {
+                    encoder,
+                    history: StateHistory::new(k),
+                    succ_spec: SuccessorSpec {
+                        nodes: svc.nodes_at(t0),
+                        timelimit: svc.timelimit,
+                    },
+                    pred_nodes: svc.nodes_at(t0),
+                    pred_id: 0,
+                    succ_id: None,
+                    succ_submit: 0,
+                    submitted_by_policy: false,
+                    submit_tick: 0,
+                    matrix: Matrix::zeros(0, 0),
+                    decisions: Vec::new(),
+                    last_pred_started: false,
+                    last_pred_remaining: 0,
+                }
             })
             .collect();
 
-        // Warm-up replay with history recording, exactly as the
-        // single-service driver: one shared snapshot per recorded tick,
-        // one encoded row per service.
+        // Replay up to the start of the recorded history window, then
+        // record state vectors at the decision cadence while approaching
+        // t0: one shared snapshot per recorded tick, one encoded row per
+        // service. The snapshot and encoder buffers allocated here are
+        // the ones the decision loop keeps reusing.
         let mut snapshot = ClusterSnapshot::default();
         let mut enc_scratch = EncoderScratch::default();
         let record_start = t0 - (k as i64) * cfg.decision_interval;
@@ -618,19 +748,10 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         // Submit every predecessor at t0, in service order (they queue
         // behind each other exactly as N users hitting submit together).
         for (svc, st) in cfg.services.iter().zip(&mut services) {
-            let pred = JobRecord::new(
-                0,
-                "mirage_pred",
-                svc.user,
-                t0,
-                st.pred_nodes,
-                svc.timelimit,
-                svc.runtime,
-            );
-            st.pred_id = backend.submit(pred);
+            st.pred_id = backend.submit(pair_job(svc, "mirage_pred", t0, st.pred_nodes));
         }
 
-        Self {
+        Ok(Self {
             backend,
             cfg: cfg.clone(),
             t0,
@@ -640,11 +761,10 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
             snapshot,
             enc_scratch,
             pending: Vec::new(),
-            batch: Matrix::zeros(0, 0),
             last_avg_wait: None,
             record: true,
             submits_by_tick: Vec::new(),
-        }
+        })
     }
 
     /// Service count.
@@ -658,30 +778,29 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     }
 
     /// Controls whether `apply()` records `(state matrix, action)` pairs
-    /// per service (cloning the matrix per decision; benchmark loops
-    /// turn it off).
+    /// per service. Recording clones the `k × m` matrix per decision;
+    /// pure serving/benchmark loops turn it off to keep the steady state
+    /// allocation-free.
     pub fn set_record_decisions(&mut self, record: bool) {
         self.record = record;
     }
 
-    fn successor_job(svc: &ServiceSpec, spec: SuccessorSpec) -> JobRecord {
-        JobRecord::new(
-            0,
-            "mirage_succ",
-            svc.user,
-            0, // overridden by submit()
-            spec.nodes,
-            svc.timelimit,
-            svc.runtime,
-        )
-    }
-
-    fn note_submit(&mut self, tick: u64) {
-        let i = tick as usize;
-        if self.submits_by_tick.len() <= i {
-            self.submits_by_tick.resize(i + 1, 0);
+    /// Submits service `i`'s successor at the current instant, sized for
+    /// current demand.
+    fn submit_successor(&mut self, i: usize, by_policy: bool) {
+        let nodes = self.services[i].succ_spec.nodes;
+        let job = pair_job(&self.cfg.services[i], "mirage_succ", 0, nodes);
+        let id = self.backend.submit(job);
+        let st = &mut self.services[i];
+        st.succ_id = Some(id);
+        st.succ_submit = self.backend.now();
+        st.submitted_by_policy = by_policy;
+        st.submit_tick = self.tick;
+        let tick = self.tick as usize;
+        if self.submits_by_tick.len() <= tick {
+            self.submits_by_tick.resize(tick + 1, 0);
         }
-        self.submits_by_tick[i] += 1;
+        self.submits_by_tick[tick] += 1;
     }
 
     /// Advances one decision interval: runs the shared backend to the
@@ -694,6 +813,7 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     pub fn advance_tick(&mut self) -> usize {
         self.pending.clear();
         if !self.is_deciding() {
+            // Calling past the end must not submit a second successor.
             return 0;
         }
         self.now += self.cfg.decision_interval;
@@ -709,32 +829,18 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
             let svc = &self.cfg.services[i];
             let st = &mut self.services[i];
             let pred_status = self.backend.status(st.pred_id).expect("predecessor exists");
-            let pred_nodes = st.pred_nodes;
             // Demand follows the traffic curve: the successor the service
             // would submit *now* is sized for current load.
-            st.succ_spec = SuccessorSpec {
-                nodes: svc.nodes_at(now),
-                timelimit: svc.timelimit,
-            };
-            let (pred_state, pred_started, pred_remaining, pred_done) = match pred_status {
-                JobStatus::Pending | JobStatus::Future => (
-                    PredecessorState {
-                        nodes: pred_nodes,
-                        timelimit: svc.timelimit,
-                        queue_time: now - self.t0,
-                        elapsed: 0,
-                    },
-                    false,
-                    svc.timelimit,
-                    false,
-                ),
+            st.succ_spec.nodes = svc.nodes_at(now);
+            // `remaining` is limit-based: the user knows only the limit,
+            // not the true runtime.
+            let (queue_time, elapsed, started, remaining, done) = match pred_status {
+                JobStatus::Pending | JobStatus::Future => {
+                    (now - self.t0, 0, false, svc.timelimit, false)
+                }
                 JobStatus::Running { start } => (
-                    PredecessorState {
-                        nodes: pred_nodes,
-                        timelimit: svc.timelimit,
-                        queue_time: start - self.t0,
-                        elapsed: now - start,
-                    },
+                    start - self.t0,
+                    now - start,
                     true,
                     (start + svc.timelimit - now).max(0),
                     false,
@@ -742,20 +848,19 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
                 // A terminally failed predecessor (fault injection,
                 // retries exhausted) ends the instance like a completion:
                 // the operator restarts via the successor.
-                JobStatus::Completed { start, end } | JobStatus::Failed { start, end } => (
-                    PredecessorState {
-                        nodes: pred_nodes,
-                        timelimit: svc.timelimit,
-                        queue_time: start - self.t0,
-                        elapsed: end - start,
-                    },
-                    true,
-                    0,
-                    true,
-                ),
-                JobStatus::Rejected => unreachable!("pair jobs always fit"),
+                JobStatus::Completed { start, end } | JobStatus::Failed { start, end } => {
+                    (start - self.t0, end - start, true, 0, true)
+                }
+                JobStatus::Rejected => {
+                    panic!("{}: predecessor wider than the partition", svc.name)
+                }
             };
-
+            let pred_state = PredecessorState {
+                nodes: st.pred_nodes,
+                timelimit: svc.timelimit,
+                queue_time,
+                elapsed,
+            };
             st.history.push(st.encoder.encode_into(
                 &self.snapshot,
                 &pred_state,
@@ -763,49 +868,33 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
                 &mut self.enc_scratch,
             ));
 
-            if pred_done {
+            if done {
                 // Reactive fallback: a real operator submits the
-                // successor the moment the predecessor is done.
-                let job = Self::successor_job(svc, st.succ_spec);
-                let id = self.backend.submit(job);
-                let st = &mut self.services[i];
-                st.succ_id = Some(id);
-                st.succ_submit = self.backend.now();
-                st.submit_tick = self.tick;
-                self.note_submit(self.tick);
+                // successor the moment the predecessor is done, no matter
+                // what the policy thinks.
+                self.submit_successor(i, false);
                 continue;
             }
-
-            let st = &mut self.services[i];
             st.history.write_matrix(&mut st.matrix);
-            st.last_pred_started = pred_started;
-            st.last_pred_remaining = pred_remaining;
+            st.last_pred_started = started;
+            st.last_pred_remaining = remaining;
             self.pending.push(i);
         }
 
-        let width = self.pending.len();
-        if width > 0 {
+        if !self.pending.is_empty() {
             self.last_avg_wait = self.backend.avg_recent_wait(24 * HOUR);
-            let k = self.cfg.history_k.max(1);
-            self.batch.reset(width * k, STATE_VARS);
-            for (slot, &i) in self.pending.iter().enumerate() {
-                let m = &self.services[i].matrix;
-                debug_assert_eq!(m.shape(), (k, STATE_VARS));
-                for r in 0..k {
-                    self.batch.row_mut(slot * k + r).copy_from_slice(m.row(r));
-                }
-            }
         }
-        width
+        self.pending.len()
     }
 
-    /// The row-stacked states of the services pending after the last
-    /// [`advance_tick`](Self::advance_tick) (`pending · k` rows).
-    pub fn batch_states(&self) -> &Matrix {
-        &self.batch
+    /// Row-stacks the pending services' state matrices into `batch`
+    /// (`pending · k` rows), in [`pending`](Self::pending) order.
+    pub fn stack_pending(&self, batch: &mut Matrix) {
+        let states = self.pending.iter().map(|&i| &self.services[i].matrix);
+        stack_states(batch, self.cfg.history_k.max(1), states);
     }
 
-    /// Service indices the current batch rows belong to, in row order.
+    /// Service indices awaiting an action this tick, in row order.
     pub fn pending(&self) -> &[usize] {
         &self.pending
     }
@@ -831,6 +920,27 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         }
     }
 
+    /// The [`DecisionContext`] of pending batch row `row`, borrowing the
+    /// service's state matrix and the shared snapshot in place — valid
+    /// between the last [`advance_tick`](Self::advance_tick) and the
+    /// matching [`apply`](Self::apply).
+    pub fn decision_context(&self, row: usize) -> DecisionContext<'_> {
+        self.service_context(self.pending[row])
+    }
+
+    fn service_context(&self, service: usize) -> DecisionContext<'_> {
+        let st = &self.services[service];
+        DecisionContext {
+            now: self.now,
+            state_matrix: &st.matrix,
+            snapshot: &self.snapshot,
+            pred_started: st.last_pred_started,
+            pred_remaining: st.last_pred_remaining,
+            recent_avg_wait: self.last_avg_wait,
+            successor: st.succ_spec,
+        }
+    }
+
     /// Applies one action per pending service (batch row order).
     pub fn apply(&mut self, actions: &[Action]) {
         assert_eq!(
@@ -838,77 +948,56 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
             self.pending.len(),
             "one action per pending service"
         );
-        let mut pending = std::mem::take(&mut self.pending);
-        for (slot, &i) in pending.iter().enumerate() {
+        for (row, &action) in actions.iter().enumerate() {
+            let i = self.pending[row];
             if self.record {
                 let m = self.services[i].matrix.clone();
-                self.services[i].decisions.push((m, actions[slot].index()));
+                self.services[i].decisions.push((m, action.index()));
             }
-            if actions[slot] == Action::Submit {
-                let svc = &self.cfg.services[i];
-                let job = Self::successor_job(svc, self.services[i].succ_spec);
-                let id = self.backend.submit(job);
-                let st = &mut self.services[i];
-                st.succ_id = Some(id);
-                st.succ_submit = self.backend.now();
-                st.submitted_by_policy = true;
-                st.submit_tick = self.tick;
-                self.note_submit(self.tick);
+            if action == Action::Submit {
+                self.submit_successor(i, true);
             }
         }
-        // Hand the emptied buffer back so the next tick reuses it.
-        pending.clear();
-        self.pending = pending;
+        self.pending.clear();
     }
 
     /// Drives the decision loop to completion with `policy` (single
     /// episode; instance index 0).
     pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) {
+        let mut batch = Matrix::zeros(0, 0);
         let mut slots = Vec::with_capacity(self.n_services());
-        let mut actions = Vec::with_capacity(self.n_services());
-        while self.is_deciding() {
-            let width = self.advance_tick();
-            if width == 0 {
-                continue;
-            }
+        self.drive(|env, actions| {
+            env.stack_pending(&mut batch);
             slots.clear();
-            for row in 0..width {
-                slots.push(self.slot_context(row));
-            }
-            actions.clear();
-            policy.decide(&self.batch, &slots, &mut actions);
-            assert_eq!(actions.len(), width, "policy must answer every slot");
-            self.apply(&actions);
+            slots.extend((0..env.pending.len()).map(|row| env.slot_context(row)));
+            policy.decide(&batch, &slots, actions);
+        });
+    }
+
+    /// `(pred_start, pred_end, succ_start)` of a service whose
+    /// predecessor ended and whose successor started; `None` until then.
+    fn resolved(&self, st: &ServiceState) -> Option<(i64, i64, i64)> {
+        let (pred_start, pred_end) = match self.backend.status(st.pred_id)? {
+            JobStatus::Completed { start, end } | JobStatus::Failed { start, end } => (start, end),
+            _ => return None,
+        };
+        match self.backend.status(st.succ_id?)? {
+            JobStatus::Running { start }
+            | JobStatus::Completed { start, .. }
+            | JobStatus::Failed { start, .. } => Some((pred_start, pred_end, start)),
+            _ => None,
         }
     }
 
     /// Runs the backend until every pair resolves and returns the
-    /// episode record plus the backend.
+    /// episode record plus the backend (reusable for the next episode
+    /// after a reset).
     pub fn finish(mut self) -> (MultiServiceResult, B) {
         assert!(
             !self.is_deciding(),
             "finish() before the decision loop ended"
         );
-        loop {
-            let all_resolved = self.services.iter().all(|st| {
-                let pred_done = matches!(
-                    self.backend.status(st.pred_id),
-                    Some(JobStatus::Completed { .. } | JobStatus::Failed { .. })
-                );
-                let succ_started = matches!(
-                    self.backend
-                        .status(st.succ_id.expect("successor submitted")),
-                    Some(
-                        JobStatus::Running { .. }
-                            | JobStatus::Completed { .. }
-                            | JobStatus::Failed { .. }
-                    )
-                );
-                pred_done && succ_started
-            });
-            if all_resolved {
-                break;
-            }
+        while self.services.iter().any(|st| self.resolved(st).is_none()) {
             assert!(
                 self.backend.is_active(),
                 "simulation drained before every pair resolved"
@@ -916,50 +1005,38 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
             self.backend.step(HOUR);
         }
 
-        let services = self
-            .cfg
-            .services
-            .iter()
-            .zip(&mut self.services)
-            .map(|(svc, st)| {
-                let (pred_start, pred_end) = match self.backend.status(st.pred_id) {
-                    Some(JobStatus::Completed { start, end })
-                    | Some(JobStatus::Failed { start, end }) => (start, end),
-                    _ => unreachable!("predecessor resolved"),
-                };
-                let succ_id = st.succ_id.expect("submitted");
-                let succ_start = match self.backend.status(succ_id) {
-                    Some(JobStatus::Running { start }) => start,
-                    Some(JobStatus::Completed { start, .. }) => start,
-                    Some(JobStatus::Failed { start, .. }) => start,
-                    _ => unreachable!("successor started"),
-                };
-                let mut outcome = EpisodeOutcome::from_times(pred_end, succ_start);
-                // Eviction → restart gaps the pair suffered under fault
-                // injection are interruption the service's users saw.
-                outcome.fault_interruption = self.backend.job_faults(st.pred_id).downtime
-                    + self.backend.job_faults(succ_id).downtime;
-                let co_submitters = (self.submits_by_tick[st.submit_tick as usize] - 1) as usize;
-                let reward =
-                    svc.shaper.reward(&outcome) - self.cfg.stampede_coef * co_submitters as f32;
-                ServiceEpisode {
-                    name: svc.name.clone(),
-                    user: svc.user,
-                    outcome,
-                    pred_submit: self.t0,
-                    pred_start,
-                    pred_end,
-                    succ_submit: st.succ_submit,
-                    succ_start,
-                    submitted_by_policy: st.submitted_by_policy,
-                    co_submitters,
-                    slo_met: outcome.interruption <= svc.slo.interruption_budget,
-                    reward,
-                    decisions: std::mem::take(&mut st.decisions),
-                    usage: self.backend.user_usage(svc.user),
-                }
-            })
-            .collect();
+        let mut services = Vec::with_capacity(self.services.len());
+        for i in 0..self.services.len() {
+            let decisions = std::mem::take(&mut self.services[i].decisions);
+            let (svc, st) = (&self.cfg.services[i], &self.services[i]);
+            let (pred_start, pred_end, succ_start) = self.resolved(st).expect("pair resolved");
+            let succ_id = st.succ_id.expect("successor submitted");
+            let mut outcome = EpisodeOutcome::from_times(pred_end, succ_start);
+            // Eviction → restart gaps the pair suffered under fault
+            // injection are interruption the service's users saw, charged
+            // by the reward identically to the submit-too-late kind.
+            outcome.fault_interruption = self.backend.job_faults(st.pred_id).downtime
+                + self.backend.job_faults(succ_id).downtime;
+            let co_submitters = (self.submits_by_tick[st.submit_tick as usize] - 1) as usize;
+            let reward =
+                svc.shaper.reward(&outcome) - self.cfg.stampede_coef * co_submitters as f32;
+            services.push(ServiceEpisode {
+                name: svc.name.clone(),
+                user: svc.user,
+                outcome,
+                pred_submit: self.t0,
+                pred_start,
+                pred_end,
+                succ_submit: st.succ_submit,
+                succ_start,
+                submitted_by_policy: st.submitted_by_policy,
+                co_submitters,
+                slo_met: outcome.interruption <= svc.slo.interruption_budget,
+                reward,
+                decisions,
+                usage: self.backend.user_usage(svc.user),
+            });
+        }
 
         let stampede_ticks = self.submits_by_tick.iter().filter(|&&c| c >= 2).count();
         (
@@ -970,19 +1047,37 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
             self.backend,
         )
     }
+
+    /// Abandons the episode, handing the backend back untouched-from-here
+    /// (the next episode resets it anyway).
+    pub fn into_backend(self) -> B {
+        self.backend
+    }
 }
 
-/// M multi-service episodes in lockstep: one row-stacked batch across
-/// every pending `(episode, service)` slot per tick — services ×
-/// episodes behind a single policy call (one batched NN forward for the
-/// RL policies), narrowing as services and episodes finish.
+impl<B: ClusterBackend> Lockstep for MultiServiceEnv<B> {
+    fn is_deciding(&self) -> bool {
+        Self::is_deciding(self)
+    }
+    fn advance_tick(&mut self) -> usize {
+        Self::advance_tick(self)
+    }
+    fn apply(&mut self, actions: &[Action]) {
+        Self::apply(self, actions);
+    }
+}
+
+/// M episodes in lockstep: one row-stacked batch across every pending
+/// `(episode, service)` slot per tick — services × episodes behind a
+/// single policy call (one batched NN forward for the RL policies),
+/// narrowing as services and episodes finish. Each episode runs against
+/// its own backend and evolves exactly as it would alone, so per-episode
+/// results are bit-identical to sequential execution.
 pub struct MultiServiceBatch<B: ClusterBackend> {
     envs: Vec<MultiServiceEnv<B>>,
     k: usize,
     batch: Matrix,
     slots: Vec<SlotContext>,
-    /// Pending width per env for the current tick.
-    widths: Vec<usize>,
     /// Decisions answered so far (bench throughput accounting).
     decisions: u64,
 }
@@ -997,24 +1092,50 @@ impl<B: ClusterBackend> MultiServiceBatch<B> {
         cfg: &MultiServiceConfig,
         t0s: &[i64],
     ) -> Self {
-        let envs: Vec<MultiServiceEnv<B>> = backends
+        Self::with_windows(backends, t0s.iter().map(|_| trace), cfg, t0s)
+    }
+
+    /// [`new`](Self::new) with a **per-episode background trace**:
+    /// episode `i` replays `windows[i]`. Training windows mix episode
+    /// starts, and each start replays only its own
+    /// `mirage_core::train::episode_window` slice of the full trace —
+    /// sharing one slice across different `t0`s would change every
+    /// episode's warm-up state (and break bit-identity with sequential
+    /// training).
+    pub fn with_windows<'w>(
+        backends: impl IntoIterator<Item = B>,
+        windows: impl IntoIterator<Item = &'w [JobRecord]>,
+        cfg: &MultiServiceConfig,
+        t0s: &[i64],
+    ) -> Self {
+        let backends: Vec<B> = backends.into_iter().collect();
+        let windows: Vec<&[JobRecord]> = windows.into_iter().collect();
+        assert!(
+            backends.len() == t0s.len() && windows.len() == t0s.len(),
+            "need exactly one backend and one trace window per episode start \
+             (got {} backends and {} windows for {} starts)",
+            backends.len(),
+            windows.len(),
+            t0s.len()
+        );
+        assert!(!t0s.is_empty(), "batch needs at least one episode");
+        let envs = backends
             .into_iter()
+            .zip(windows)
             .zip(t0s)
-            .map(|(b, &t0)| MultiServiceEnv::new(b, trace, cfg, t0))
+            .map(|((backend, window), &t0)| MultiServiceEnv::new(backend, window, cfg, t0))
             .collect();
-        assert_eq!(envs.len(), t0s.len(), "one backend per episode start");
-        assert!(!envs.is_empty(), "batch needs at least one episode");
         Self {
             envs,
             k: cfg.history_k.max(1),
             batch: Matrix::zeros(0, 0),
             slots: Vec::new(),
-            widths: vec![0; t0s.len()],
             decisions: 0,
         }
     }
 
-    /// Episode count.
+    /// Episode count (fixed; the *pending* width shrinks as services
+    /// and episodes leave the decision loop).
     pub fn width(&self) -> usize {
         self.envs.len()
     }
@@ -1038,37 +1159,26 @@ impl<B: ClusterBackend> MultiServiceBatch<B> {
     }
 
     /// Advances every still-deciding episode one tick and assembles the
-    /// combined slot batch. Returns the pending slot count.
+    /// combined slot batch. Returns the pending slot count (0 when the
+    /// remaining services all hit their reactive fallback — check
+    /// [`is_deciding`](Self::is_deciding) to tell that apart from being
+    /// done).
     pub fn advance_tick(&mut self) -> usize {
         self.slots.clear();
         for (i, env) in self.envs.iter_mut().enumerate() {
-            self.widths[i] = if env.is_deciding() {
-                env.advance_tick()
-            } else {
-                0
-            };
-        }
-        let total: usize = self.widths.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        self.batch.reset(total * self.k, STATE_VARS);
-        let mut slot = 0;
-        for (i, env) in self.envs.iter().enumerate() {
-            for row in 0..self.widths[i] {
-                let mut ctx = env.slot_context(row);
-                ctx.instance = i;
-                self.slots.push(ctx);
-                let m = env.batch_states();
-                for r in 0..self.k {
-                    self.batch
-                        .row_mut(slot * self.k + r)
-                        .copy_from_slice(m.row(row * self.k + r));
-                }
-                slot += 1;
+            for row in 0..env.advance_tick() {
+                self.slots.push(SlotContext {
+                    instance: i,
+                    ..env.slot_context(row)
+                });
             }
         }
-        total
+        if !self.slots.is_empty() {
+            let envs = &self.envs;
+            let matrix = |s: &SlotContext| &envs[s.instance].services[s.service].matrix;
+            stack_states(&mut self.batch, self.k, self.slots.iter().map(matrix));
+        }
+        self.slots.len()
     }
 
     /// The combined row-stacked states of the pending slots.
@@ -1081,13 +1191,20 @@ impl<B: ClusterBackend> MultiServiceBatch<B> {
         &self.slots
     }
 
+    /// The [`DecisionContext`] of pending batch row `row` (see
+    /// [`MultiServiceEnv::decision_context`]).
+    pub fn decision_context(&self, row: usize) -> DecisionContext<'_> {
+        let slot = &self.slots[row];
+        self.envs[slot.instance].service_context(slot.service)
+    }
+
     /// Applies one action per pending slot (batch row order).
     pub fn apply(&mut self, actions: &[Action]) {
         assert_eq!(actions.len(), self.slots.len(), "one action per slot");
         self.decisions += actions.len() as u64;
         let mut offset = 0;
-        for (i, env) in self.envs.iter_mut().enumerate() {
-            let w = self.widths[i];
+        for env in &mut self.envs {
+            let w = env.pending.len();
             if w > 0 {
                 env.apply(&actions[offset..offset + w]);
                 offset += w;
@@ -1099,31 +1216,26 @@ impl<B: ClusterBackend> MultiServiceBatch<B> {
     /// Drives every episode to the end of its decision loop: one
     /// [`MultiServicePolicy::decide`] per lockstep tick.
     pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) {
-        let mut actions = Vec::new();
-        while self.is_deciding() {
-            let width = self.advance_tick();
-            if width == 0 {
-                continue;
-            }
-            actions.clear();
-            policy.decide(&self.batch, &self.slots, &mut actions);
-            assert_eq!(actions.len(), width, "policy must answer every slot");
-            self.apply(&actions);
-        }
+        self.drive(|batch, actions| policy.decide(&batch.batch, &batch.slots, actions));
     }
 
     /// Resolves every episode and returns the results in construction
     /// order, alongside the backends.
     pub fn finish(self) -> (Vec<MultiServiceResult>, Vec<B>) {
         assert!(!self.is_deciding(), "finish() before decisions ended");
-        let mut results = Vec::with_capacity(self.envs.len());
-        let mut backends = Vec::with_capacity(self.envs.len());
-        for env in self.envs {
-            let (r, b) = env.finish();
-            results.push(r);
-            backends.push(b);
-        }
-        (results, backends)
+        self.envs.into_iter().map(MultiServiceEnv::finish).unzip()
+    }
+}
+
+impl<B: ClusterBackend> Lockstep for MultiServiceBatch<B> {
+    fn is_deciding(&self) -> bool {
+        Self::is_deciding(self)
+    }
+    fn advance_tick(&mut self) -> usize {
+        Self::advance_tick(self)
+    }
+    fn apply(&mut self, actions: &[Action]) {
+        Self::apply(self, actions);
     }
 }
 
@@ -1544,5 +1656,97 @@ mod tests {
         }
         assert!(report.method("dqn").is_some());
         assert!(report.method("uniform-share").is_some());
+    }
+
+    /// What `try_new` reports for `cfg` on a 4-node partition (checked
+    /// against `validate`, which must agree).
+    fn rejection(cfg: &MultiServiceConfig) -> EpisodeConfigError {
+        let err = cfg.validate(4).expect_err("config must be rejected");
+        let built = MultiServiceEnv::try_new(sim(4), &[], cfg, DAY);
+        assert_eq!(built.err().as_ref(), Some(&err));
+        err
+    }
+
+    #[test]
+    fn a_decision_clock_that_cannot_advance_is_a_typed_error() {
+        for interval in [0, -600] {
+            let cfg = EpisodeConfig {
+                decision_interval: interval,
+                ..episode_cfg()
+            };
+            let err = cfg.validate(4).unwrap_err();
+            assert_eq!(err.field, "decision_interval");
+            assert_eq!(
+                rejection(&MultiServiceConfig::single(&cfg, RewardShaper::default())),
+                err
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid episode config: decision_interval = 0 (must be positive)")]
+    fn run_episode_panics_on_a_zero_interval_instead_of_never_returning() {
+        let cfg = EpisodeConfig {
+            decision_interval: 0,
+            ..episode_cfg()
+        };
+        run_episode(&mut sim(4), &[], &cfg, DAY, |_| Action::Wait);
+    }
+
+    #[test]
+    fn a_pair_wider_than_the_partition_is_a_typed_error() {
+        let cfg = EpisodeConfig {
+            pair_nodes: 5,
+            ..episode_cfg()
+        };
+        assert!(cfg.validate(5).is_ok());
+        let err = cfg.validate(4).unwrap_err();
+        assert_eq!(err.field, "services[0].traffic");
+        assert_eq!(err.value, "5 nodes");
+        assert_eq!(
+            rejection(&MultiServiceConfig::single(&cfg, RewardShaper::default())),
+            err
+        );
+    }
+
+    #[test]
+    fn non_positive_durations_are_typed_errors() {
+        let zero_limit = EpisodeConfig {
+            pair_timelimit: 0,
+            ..episode_cfg()
+        };
+        assert_eq!(
+            zero_limit.validate(4).unwrap_err().field,
+            "services[0].timelimit"
+        );
+        let mut cfg = two_service_cfg();
+        cfg.services[1].runtime = -HOUR;
+        assert_eq!(rejection(&cfg).field, "services[1].runtime");
+    }
+
+    #[test]
+    fn an_empty_service_list_is_a_typed_error() {
+        let mut cfg = two_service_cfg();
+        cfg.services.clear();
+        assert_eq!(rejection(&cfg).field, "services");
+    }
+
+    #[test]
+    fn services_sharing_a_user_are_a_typed_error() {
+        // Their `ServiceUsage` ledgers are keyed by user and would merge.
+        let mut cfg = two_service_cfg();
+        cfg.services[1].user = cfg.services[0].user;
+        let err = rejection(&cfg);
+        assert_eq!(err.field, "services[1].user");
+        assert_eq!(err.value, "999");
+        assert!(err.to_string().contains("shared with an earlier service"));
+    }
+
+    #[test]
+    fn scenario_builders_and_defaults_validate() {
+        assert!(EpisodeConfig::default().validate(1).is_ok());
+        assert!(two_service_cfg().validate(4).is_ok());
+        assert!(diurnal_scenario(4, 64, 7).validate(64).is_ok());
+        assert!(bursty_scenario(3, 8, 7).validate(8).is_ok());
     }
 }

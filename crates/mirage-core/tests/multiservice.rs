@@ -7,7 +7,13 @@
 //!   episode is bit-identical: same decision count, same state matrices,
 //!   same actions, same outcome and timestamps, same reward — against
 //!   both the Gym-style `ProvisionEnv` and the `run_episode` closure
-//!   loop, for arbitrary background load and policies.
+//!   loop, for arbitrary background load and policies — and, with
+//!   `fault_features` / `hetero_features` on, over a severe-fault and a
+//!   scarce-pool backend (the flags reach the engine through
+//!   `MultiServiceConfig::single`).
+//! * **feature flags at N = 3** — the fault/pool columns of every
+//!   service's state matrix are live with the flags on and zero with them
+//!   off, the other columns untouched.
 //! * **two-service smoke** — the short shared-cluster episode CI runs
 //!   explicitly: services resolve, ledgers tag per-service usage, and
 //!   the stampede accounting stays consistent.
@@ -18,7 +24,7 @@ use mirage_core::reward::RewardShaper;
 use mirage_core::train::episode_window;
 use mirage_core::ProvisionEnv;
 use mirage_rl::rollout;
-use mirage_sim::{SimConfig, Simulator};
+use mirage_sim::{ClusterBackend, FaultModel, HeteroModel, SimConfig, Simulator};
 use mirage_trace::{JobRecord, DAY, HOUR};
 use proptest::prelude::*;
 
@@ -67,9 +73,20 @@ fn run_single_service(
     window: &[JobRecord],
     ms: &MultiServiceConfig,
     t0: i64,
+    decide: impl FnMut(usize, bool, i64) -> Action,
+) -> mirage_core::multiservice::ServiceEpisode {
+    run_single_service_on(sim4(), window, ms, t0, decide)
+}
+
+/// [`run_single_service`] on a caller-built backend.
+fn run_single_service_on(
+    backend: impl ClusterBackend,
+    window: &[JobRecord],
+    ms: &MultiServiceConfig,
+    t0: i64,
     mut decide: impl FnMut(usize, bool, i64) -> Action,
 ) -> mirage_core::multiservice::ServiceEpisode {
-    let mut env = MultiServiceEnv::new(sim4(), window, ms, t0);
+    let mut env = MultiServiceEnv::new(backend, window, ms, t0);
     let mut n = 0usize;
     while env.is_deciding() {
         let width = env.advance_tick();
@@ -190,6 +207,59 @@ proptest! {
             prop_assert_eq!(gm, em);
         }
     }
+
+    /// The N = 1 identity with each encoder flag on, over the backend
+    /// whose surface the flag exposes: the flag must reach the engine's
+    /// encoder exactly as it reaches the single-service driver's.
+    #[test]
+    fn one_service_matches_run_episode_with_fault_and_pool_features(
+        jobs in prop::collection::vec((0i64..5 * DAY, 1u32..=4, 1800i64..20_000), 5..25),
+        threshold_h in 0i64..6,
+        fault_seed in 0u64..1000,
+        which_flag in 0u8..2,
+    ) {
+        let hetero_on = which_flag == 1;
+        let trace = build_trace(&jobs);
+        let mut cfg = episode_cfg(HOUR / 2, 4, 4);
+        cfg.fault_features = !hetero_on;
+        cfg.hetero_features = hetero_on;
+        let backend = || {
+            let builder = SimConfig::builder().nodes(4);
+            if hetero_on {
+                builder.hetero(HeteroModel::scarce(4, fault_seed)).build()
+            } else {
+                builder.faults(FaultModel::severe(fault_seed)).build()
+            }
+        };
+        let t0 = DAY;
+        let threshold = threshold_h * HOUR;
+        let policy = |started: bool, remaining: i64| {
+            if started && remaining <= threshold {
+                Action::Submit
+            } else {
+                Action::Wait
+            }
+        };
+
+        let expect = run_episode(&mut backend(), &trace, &cfg, t0, |ctx| {
+            policy(ctx.pred_started, ctx.pred_remaining)
+        });
+        let ms = MultiServiceConfig::single(&cfg, RewardShaper::default());
+        prop_assert_eq!((ms.fault_features, ms.hetero_features), (!hetero_on, hetero_on));
+        let got = run_single_service_on(backend(), &trace, &ms, t0, |_, s, r| policy(s, r));
+
+        prop_assert_eq!(got.outcome, expect.outcome);
+        prop_assert_eq!(got.succ_submit, expect.succ_submit);
+        prop_assert_eq!(got.succ_start, expect.succ_start);
+        prop_assert_eq!(got.submitted_by_policy, expect.submitted_by_policy);
+        prop_assert_eq!(&got.decisions, &expect.decisions);
+        // The flag's columns are live in at least one recorded state.
+        let cols = if hetero_on { 42..46 } else { 40..42 };
+        let live = got.decisions.iter().any(|(m, _)| {
+            (0..m.rows()).any(|r| m.row(r)[cols.clone()].iter().any(|&v| v != 0.0))
+        });
+        prop_assert!(got.decisions.is_empty() || live, "flagged columns stayed zero");
+    }
 }
 
 /// The short two-service shared-cluster episode CI runs by name: both
@@ -251,4 +321,77 @@ fn two_service_smoke_episode() {
     // Distinct services, distinct users, shared cluster.
     assert_ne!(result.services[0].user, result.services[1].user);
     assert_eq!(backend.total_nodes(), 4);
+}
+
+/// Fault and pool features at N = 3: with the flags on, every service's
+/// recorded state matrices carry live fault (40–41) and pool (42–45)
+/// columns; with them off those columns are zero and everything else —
+/// the other 40 columns, the actions, the outcomes — is unchanged, since
+/// the features are observed, not acted on, by a context-only policy.
+#[test]
+fn three_services_observe_faults_and_pools_only_with_the_flags_on() {
+    let cfg = episode_cfg(HOUR / 2, 4, 4);
+    let mut ms = MultiServiceConfig::single(&cfg, RewardShaper::default());
+    for (i, user) in [1001, 1002].into_iter().enumerate() {
+        let mut svc = ms.services[0].clone();
+        svc.name = format!("svc{}", i + 1);
+        svc.user = user;
+        ms.services.push(svc);
+    }
+    let trace = build_trace(
+        &(0..60)
+            .map(|i| (i * 1800, 1 + (i % 3) as u32, 7200 + i * 300))
+            .collect::<Vec<_>>(),
+    );
+    let run = |flags: bool| {
+        let mut ms = ms.clone();
+        ms.fault_features = flags;
+        ms.hetero_features = flags;
+        let backend = SimConfig::builder()
+            .nodes(8)
+            .faults(FaultModel::severe(3))
+            .hetero(HeteroModel::scarce(8, 5))
+            .build();
+        let mut env = MultiServiceEnv::new(backend, &trace, &ms, DAY);
+        while env.is_deciding() {
+            let width = env.advance_tick();
+            let actions: Vec<Action> = (0..width)
+                .map(|row| {
+                    let ctx = env.slot_context(row);
+                    if ctx.pred_started && ctx.pred_remaining <= HOUR {
+                        Action::Submit
+                    } else {
+                        Action::Wait
+                    }
+                })
+                .collect();
+            env.apply(&actions);
+        }
+        env.finish().0
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.services.len(), 3);
+    for (a, b) in on.services.iter().zip(&off.services) {
+        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.decisions.len(), b.decisions.len());
+        assert!(!a.decisions.is_empty());
+        let mut live = [false; 6];
+        for ((ma, aa), (mb, ab)) in a.decisions.iter().zip(&b.decisions) {
+            assert_eq!(aa, ab);
+            for r in 0..ma.rows() {
+                assert_eq!(ma.row(r)[..40], mb.row(r)[..40], "shared columns moved");
+                assert!(
+                    mb.row(r)[40..].iter().all(|&v| v == 0.0),
+                    "flag-off column set"
+                );
+                for (c, seen) in live.iter_mut().enumerate() {
+                    *seen |= ma.row(r)[40 + c] != 0.0;
+                }
+            }
+        }
+        // Which pools have headroom depends on the tape; that some fault
+        // column and some pool column carry signal does not.
+        assert!(live[..2].contains(&true), "{}: dead fault columns", a.name);
+        assert!(live[2..].contains(&true), "{}: dead pool columns", a.name);
+    }
 }

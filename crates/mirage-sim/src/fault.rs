@@ -297,6 +297,19 @@ pub struct FaultStats {
     pub failed_jobs: u64,
 }
 
+impl std::ops::AddAssign for FaultStats {
+    /// Counter-wise sum: folds one run's counters into a lane total.
+    fn add_assign(&mut self, run: Self) {
+        self.node_crashes += run.node_crashes;
+        self.node_recoveries += run.node_recoveries;
+        self.evictions += run.evictions;
+        self.job_failures += run.job_failures;
+        self.retries += run.retries;
+        self.retry_successes += run.retry_successes;
+        self.failed_jobs += run.failed_jobs;
+    }
+}
+
 /// Per-job fault ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct JobFaults {

@@ -132,6 +132,17 @@ impl HeteroStats {
     }
 }
 
+impl std::ops::AddAssign for HeteroStats {
+    /// Counter-wise sum: folds one run's counters into a lane total.
+    fn add_assign(&mut self, run: Self) {
+        self.placements += run.placements;
+        self.span_placements += run.span_placements;
+        self.congested_placements += run.congested_placements;
+        self.off_type_placements += run.off_type_placements;
+        self.slowdowns += run.slowdowns;
+    }
+}
+
 impl HeteroModel {
     /// Homogeneous partition: no pools, no contention, a strict no-op.
     pub fn none() -> Self {

@@ -136,7 +136,17 @@ impl TrafficModel {
     /// serves `rps(t)` at the service's per-node capacity (at least 1 —
     /// a live service never scales to zero).
     pub fn required_nodes(&self, t: i64) -> u32 {
-        (self.rps(t) / self.rps_per_node).ceil().max(1.0) as u32
+        self.nodes_for(self.rps(t))
+    }
+
+    /// The node count serving the baseline rate `base_rps` — the demand
+    /// with the diurnal and burst factors at 1, so independent of time.
+    pub fn base_nodes(&self) -> u32 {
+        self.nodes_for(self.base_rps)
+    }
+
+    fn nodes_for(&self, rps: f64) -> u32 {
+        (rps / self.rps_per_node).ceil().max(1.0) as u32
     }
 
     /// The largest required-node count over `[t0, t1]` sampled at `step`
