@@ -1,4 +1,4 @@
-//! Quality ablations for the design choices DESIGN.md §4 calls out.
+//! Quality ablations for the reproduction's design choices.
 //!
 //! * backfill vs plain priority scheduling (queue-wait impact),
 //! * history length k for the foundation model (reward-prediction MSE),

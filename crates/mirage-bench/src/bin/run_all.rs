@@ -1,4 +1,4 @@
-//! Regenerates every table and figure in one run (DESIGN.md §2).
+//! Regenerates every table and figure in one run.
 //!
 //! Trains each (cluster × pair-size) experiment once and prints Figures
 //! 8, 9 and 10 from the shared reports, so the full suite costs three

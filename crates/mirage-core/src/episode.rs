@@ -93,7 +93,7 @@ pub struct DecisionContext<'a> {
 
 /// Episode parameters. The paper's evaluation uses pairs of 48-hour jobs
 /// (1-node in §6.1, 8-node in §6.2) with a 10-minute decision cadence; the
-/// defaults here use a 30-minute cadence and k = 24 (DESIGN.md §3).
+/// defaults here use a 30-minute cadence and k = 24.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpisodeConfig {
     /// Nodes requested by both sub-jobs.

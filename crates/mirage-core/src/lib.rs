@@ -128,10 +128,10 @@ pub use hetero::{
     HeteroReport, HeteroScenario,
 };
 pub use multiservice::{
-    bursty_scenario, diurnal_scenario, evaluate_multiservice, ExploringRlPolicy,
-    GreedyPerServicePolicy, MultiMethodSummary, MultiServiceBatch, MultiServiceConfig,
-    MultiServiceEnv, MultiServicePolicy, MultiServiceReport, MultiServiceResult, RlServicePolicy,
-    ServiceEpisode, ServiceSlo, ServiceSpec, ShortestQueuePolicy, SlotContext, UniformSharePolicy,
+    bursty_scenario, diurnal_scenario, evaluate_multiservice, GreedyPerServicePolicy,
+    MultiMethodSummary, MultiServiceBatch, MultiServiceConfig, MultiServiceEnv, MultiServicePolicy,
+    MultiServiceReport, MultiServiceResult, RlServicePolicy, ServiceEpisode, ServiceSlo,
+    ServiceSpec, ShortestQueuePolicy, SlotContext, UniformSharePolicy,
 };
 // `policy::ShortestQueuePolicy` (the submit-timing baseline) stays
 // path-qualified: the crate root already exports the multi-service node

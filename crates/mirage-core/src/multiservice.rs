@@ -32,7 +32,7 @@
 //! agents in [`evaluate_multiservice`].
 
 use mirage_nn::Matrix;
-use mirage_rl::{DqnAgent, ServiceLanes};
+use mirage_rl::DqnAgent;
 use mirage_sim::{ClusterBackend, ClusterSnapshot, JobStatus, ServiceUsage};
 use mirage_trace::{JobRecord, TrafficModel, DAY, HOUR};
 use serde::{Deserialize, Serialize};
@@ -354,54 +354,6 @@ impl MultiServicePolicy for RlServicePolicy {
     fn decide(&mut self, batch: &Matrix, slots: &[SlotContext], actions: &mut Vec<Action>) {
         self.agent
             .act_greedy_batch(batch, slots.len(), &mut self.indices);
-        actions.extend(self.indices.iter().map(|&i| Action::from_index(i)));
-    }
-}
-
-/// ε-greedy RL agent with per-`(episode, service)` exploration lanes —
-/// the collection path. Each slot draws from its own
-/// [`mirage_rl::ExploreLane`] stream in the [`ServiceLanes`] grid, so a
-/// service's exploration is independent of how many services and
-/// episodes share the lockstep batch.
-pub struct ExploringRlPolicy {
-    /// The learning agent.
-    pub agent: DqnAgent,
-    /// Per-`(episode, service)` exploration streams.
-    pub lanes: ServiceLanes,
-    /// Display label.
-    pub label: String,
-    rows: Vec<usize>,
-    indices: Vec<usize>,
-}
-
-impl ExploringRlPolicy {
-    /// Wraps an agent with a lane grid sized `instances × services`.
-    pub fn new(agent: DqnAgent, lanes: ServiceLanes, label: impl Into<String>) -> Self {
-        Self {
-            agent,
-            lanes,
-            label: label.into(),
-            rows: Vec::new(),
-            indices: Vec::new(),
-        }
-    }
-}
-
-impl MultiServicePolicy for ExploringRlPolicy {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn decide(&mut self, batch: &Matrix, slots: &[SlotContext], actions: &mut Vec<Action>) {
-        self.rows.clear();
-        self.rows
-            .extend(slots.iter().map(|s| self.lanes.flat(s.instance, s.service)));
-        self.agent.act_batch(
-            batch,
-            self.lanes.as_mut_slice(),
-            &self.rows,
-            &mut self.indices,
-        );
         actions.extend(self.indices.iter().map(|&i| Action::from_index(i)));
     }
 }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::{
     check_match, CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError,
 };
-use crate::episode::{EpisodeConfig, EpisodeResult};
+use crate::episode::{EpisodeConfig, EpisodeConfigError, EpisodeResult};
 use crate::policy::{
     AvgWaitPolicy, DqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy, WaitModel,
     WaitPredictorPolicy,
@@ -240,6 +240,34 @@ impl TrainConfig {
             (self.episode.history_k * STATE_VARS + self.d_model) * std::mem::size_of::<f32>();
         (L1_BYTES / per_lane.max(1)).clamp(2, 16)
     }
+
+    /// Rejects the values that only fail deep inside `mirage-rl`: a zero
+    /// [`batch_size`](Self::batch_size) (an empty replay mini-batch) or
+    /// `pretrain.batch_size` (zero-sized chunks). The `episode` part is
+    /// validated where episodes are built. Every training entry point —
+    /// [`train_method`], [`build_pretrained_net`] and the online loops —
+    /// checks this first and panics with the error's message.
+    pub fn validate(&self) -> Result<(), EpisodeConfigError> {
+        let sizes = [
+            ("batch_size", self.batch_size),
+            ("pretrain.batch_size", self.pretrain.batch_size),
+        ];
+        for (field, size) in sizes {
+            if size == 0 {
+                return Err(EpisodeConfigError {
+                    field: field.into(),
+                    value: "0".into(),
+                    reason: "a mini-batch needs at least one sample",
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for the infallible entry points.
+    fn expect_valid(&self, entry: &str) {
+        self.validate().unwrap_or_else(|e| panic!("{entry}: {e}"));
+    }
 }
 
 /// Offline data pools produced by §4.9.1 collection.
@@ -251,7 +279,7 @@ pub struct OfflineData {
     pub wait_samples: Vec<(Vec<f32>, f32)>,
     /// Decisions of the best-reward run per episode start — the
     /// behavior-cloning warm start for the P-head (REINFORCE alone is too
-    /// sample-hungry at this scale; see DESIGN.md §3).
+    /// sample-hungry at this scale).
     pub best_run_decisions: Vec<(mirage_nn::Matrix, usize)>,
 }
 
@@ -479,19 +507,22 @@ fn transformer_config(cfg: &TrainConfig) -> TransformerConfig {
 
 /// Builds and pretrains a dual-head network of the given foundation kind.
 /// Panics with the [`TransformerConfigError`] message when `cfg`'s widths
-/// cannot form an encoder — use [`try_build_pretrained_net`] to handle it.
+/// cannot form an encoder — use [`try_build_pretrained_net`] to handle it
+/// — and with [`TrainConfig::validate`]'s on a zero mini-batch size.
 pub fn build_pretrained_net(
     kind: FoundationKind,
     cfg: &TrainConfig,
     data: &OfflineData,
 ) -> DualHeadNet {
+    cfg.expect_valid("build_pretrained_net");
     try_build_pretrained_net(kind, cfg, data)
         .unwrap_or_else(|e| panic!("build_pretrained_net: {e}"))
 }
 
 /// [`build_pretrained_net`] with the config checked first: a zero or
 /// indivisible `d_model` / `heads` / `history_k` in `cfg` is a typed
-/// error here, before anything is built or trained.
+/// error here, before anything is built or trained. The mini-batch sizes
+/// are the caller's to check ([`TrainConfig::validate`]).
 pub fn try_build_pretrained_net(
     kind: FoundationKind,
     cfg: &TrainConfig,
@@ -624,6 +655,7 @@ fn dqn_online_loop<F: BackendFactory>(
     ckpt: Option<&CheckpointConfig>,
     resume_from: Option<&std::path::Path>,
 ) -> Result<DqnTrainRun, ResumeError> {
+    cfg.expect_valid("online DQN training");
     let mut agent = DqnAgent::new(net, cfg.dqn);
     let mut replay = BalancedReplay::new(8192, 4096);
     for s in &warm_start.reward_samples {
@@ -947,6 +979,7 @@ fn pg_online_loop<F: BackendFactory>(
     ckpt: Option<&CheckpointConfig>,
     resume_from: Option<&std::path::Path>,
 ) -> Result<PgTrainRun, ResumeError> {
+    cfg.expect_valid("online PG training");
     let mut agent = PgAgent::new(net, cfg.pg);
     let update_batch = 4usize;
     let mut pending: Vec<EpisodeSample> = Vec::with_capacity(update_batch);
@@ -1067,6 +1100,7 @@ pub fn train_method<F: BackendFactory>(
     data: &OfflineData,
     train_range: (i64, i64),
 ) -> Box<dyn ProvisionPolicy> {
+    cfg.expect_valid("train_method");
     // Partition size for congestion-biased start sampling; only the RL
     // methods need it, and probing it costs one throwaway backend.
     let nodes = || pool.build_one().total_nodes();
@@ -1300,6 +1334,32 @@ mod tests {
             Some(TransformerConfigError::Zero { field: "heads" })
         );
         assert!(try_build_pretrained_net(FoundationKind::Transformer, &tiny_cfg(), &data).is_ok());
+    }
+
+    #[test]
+    fn a_zero_mini_batch_size_is_a_typed_error_naming_the_field() {
+        assert_eq!(TrainConfig::default().validate(), Ok(()));
+        assert_eq!(tiny_cfg().validate(), Ok(()));
+        let mut cfg = tiny_cfg();
+        cfg.batch_size = 0;
+        assert_eq!(cfg.validate().unwrap_err().field, "batch_size");
+        let mut cfg = tiny_cfg();
+        cfg.pretrain.batch_size = 0;
+        assert_eq!(cfg.validate().unwrap_err().field, "pretrain.batch_size");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid episode config: batch_size = 0")]
+    fn online_dqn_rejects_a_zero_batch_size_before_collecting() {
+        let cfg = TrainConfig {
+            batch_size: 0,
+            ..tiny_cfg()
+        };
+        let data = OfflineData::default();
+        let net = try_build_pretrained_net(FoundationKind::Transformer, &cfg, &data).unwrap();
+        let trace = bg_trace(14);
+        let starts = sample_episode_starts(0, 14 * DAY, &cfg.episode, 2, 4);
+        train_dqn_online_traced(net, &pool4(), &trace, &cfg, &starts, &data);
     }
 
     #[test]

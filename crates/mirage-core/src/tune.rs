@@ -1,7 +1,7 @@
 //! Deterministic hyperparameter grid search.
 //!
 //! The paper tunes its network hyperparameters with RayTune; this is the
-//! native substitution (DESIGN.md §3): an exhaustive grid over candidate
+//! native substitution: an exhaustive grid over candidate
 //! foundation configurations, scored by held-out reward-prediction MSE
 //! after a short pretraining run. Deterministic, parallel over candidates.
 

@@ -1,7 +1,7 @@
 //! From-scratch neural-network substrate for the Mirage reproduction.
 //!
 //! The paper builds its provisioner on PyTorch; this crate provides the
-//! equivalent pieces natively in Rust (DESIGN.md §3, substitution 2):
+//! equivalent pieces natively in Rust:
 //!
 //! * [`tensor::Matrix`] — the dense f32 matrix everything runs on,
 //! * [`param`] — parameter store + gradient accumulators (stateless,

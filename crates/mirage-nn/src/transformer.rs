@@ -92,8 +92,8 @@ impl TransformerConfig {
         Ok(())
     }
 
-    /// Small defaults used by the experiment harness (DESIGN.md §3,
-    /// substitution 3): k = 24 rows of m = 40 variables, d_model = 32.
+    /// Small defaults used by the experiment harness: k = 24 rows of
+    /// m = 40 variables, d_model = 32.
     pub fn small(input_dim: usize, seq_len: usize) -> Self {
         Self {
             input_dim,

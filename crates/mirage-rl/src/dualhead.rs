@@ -12,7 +12,7 @@
 //! (§4.9.1: the foundation learns to predict the observed episode reward
 //! from the flattened state).
 //!
-//! Two action encodings are supported (DESIGN.md §3, substitution 4):
+//! Two action encodings are supported:
 //! [`ActionEncoding::TwoHead`] evaluates both actions in one pass;
 //! [`ActionEncoding::OrdinalInput`] reproduces the paper's layout, where an
 //! ordinal action variable (−1 / +1, 0 for the P-head) is appended to every

@@ -1,6 +1,6 @@
 //! Seeded synthetic workload generator.
 //!
-//! Substitutes for the production TACC traces (see DESIGN.md §3). The
+//! Substitutes for the production TACC traces the paper uses. The
 //! generator is calibrated against everything the paper publishes about the
 //! three clusters:
 //!
