@@ -24,18 +24,20 @@
 //!
 //! # Format
 //!
-//! The payload is a little-endian binary encoding (this module), sealed
-//! in the versioned, CRC-checked `MIRAGECKPT` envelope of
-//! [`mirage_nn::serialize`] and written atomically (temp file + fsync +
-//! rename), so a crash mid-write leaves the previous checkpoint intact
-//! and a torn or corrupted file is a typed [`CheckpointError`], never a
+//! Envelope, field encoding, corruption contract and atomic write are
+//! [`mirage_nn::serialize`]'s (one format section, there). This module
+//! adds only the two layouts it alone knows, under the kind tags
+//! [`KIND_DQN_TRAIN`] and [`KIND_PG_TRAIN`]; a torn, corrupted or
+//! wrong-kind file is a typed [`CheckpointError`], never a
 //! silently-wrong resume.
 
 use std::path::{Path, PathBuf};
 
-use mirage_nn::serialize::{seal, unseal, write_atomic};
+use mirage_nn::serialize::{seal, unseal, write_atomic, ByteReader, ByteWriter};
 use mirage_nn::{CheckpointError, Matrix};
-use mirage_rl::{DqnAgentState, EpisodeSample, Experience, PgAgentState, ReplayBuffer};
+use mirage_rl::{
+    DqnAgentState, EpisodeSample, Experience, PgAgentState, ReplayBuffer, StateMismatch,
+};
 
 use crate::episode::EpisodeResult;
 use crate::reward::EpisodeOutcome;
@@ -123,8 +125,19 @@ impl From<CheckpointError> for ResumeError {
     }
 }
 
-/// Full state of an interrupted [`train_dqn_online`]
-/// (`crate::train::train_dqn_online`) run at a chunk boundary.
+impl From<StateMismatch> for ResumeError {
+    fn from(e: StateMismatch) -> Self {
+        ResumeError::ConfigMismatch {
+            field: "network architecture",
+            saved: e.saved,
+            current: e.current,
+        }
+    }
+}
+
+/// Full state of an interrupted
+/// [`train_dqn_online`](crate::train::train_dqn_online) run at a chunk
+/// boundary.
 #[derive(Debug, Clone)]
 pub struct DqnTrainCheckpoint {
     /// `TrainConfig::seed` of the run (validated on resume).
@@ -149,7 +162,8 @@ pub struct DqnTrainCheckpoint {
     pub episodes: Vec<EpisodeResult>,
 }
 
-/// Full state of an interrupted `train_pg_online` run at a chunk
+/// Full state of an interrupted
+/// [`train_pg_online`](crate::train::train_pg_online) run at a chunk
 /// boundary.
 #[derive(Debug, Clone)]
 pub struct PgTrainCheckpoint {
@@ -171,278 +185,105 @@ pub struct PgTrainCheckpoint {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian binary codec.
+// Field layouts only this crate knows, over the shared codec.
 
-struct ByteWriter {
-    buf: Vec<u8>,
+fn write_experience(w: &mut ByteWriter, e: &Experience) {
+    w.matrix(&e.state);
+    w.u64(e.action as u64);
+    w.f32(e.reward);
+    w.opt_matrix(e.next_state.as_ref());
+    w.bool(e.done);
 }
 
-impl ByteWriter {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
+fn read_experience(r: &mut ByteReader) -> Result<Experience, CheckpointError> {
+    Ok(Experience {
+        state: r.matrix()?,
+        action: r.u64()? as usize,
+        reward: r.f32()?,
+        next_state: r.opt_matrix()?,
+        done: r.bool()?,
+    })
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn matrix(&mut self, m: &Matrix) {
-        self.u64(m.rows() as u64);
-        self.u64(m.cols() as u64);
-        for &v in m.data() {
-            self.f32(v);
-        }
-    }
-
-    fn opt_matrix(&mut self, m: Option<&Matrix>) {
-        match m {
-            Some(m) => {
-                self.bool(true);
-                self.matrix(m);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    fn matrices(&mut self, ms: &[Matrix]) {
-        self.u64(ms.len() as u64);
-        for m in ms {
-            self.matrix(m);
-        }
-    }
-
-    fn opt_matrices(&mut self, ms: &[Option<Matrix>]) {
-        self.u64(ms.len() as u64);
-        for m in ms {
-            self.opt_matrix(m.as_ref());
-        }
-    }
-
-    fn experience(&mut self, e: &Experience) {
-        self.matrix(&e.state);
-        self.u64(e.action as u64);
-        self.f32(e.reward);
-        self.opt_matrix(e.next_state.as_ref());
-        self.bool(e.done);
-    }
-
-    fn ring(&mut self, ring: &(u64, u64, Vec<Experience>)) {
-        self.u64(ring.0);
-        self.u64(ring.1);
-        self.u64(ring.2.len() as u64);
-        for e in &ring.2 {
-            self.experience(e);
-        }
-    }
-
-    fn decisions(&mut self, ds: &[(Matrix, usize)]) {
-        self.u64(ds.len() as u64);
-        for (m, a) in ds {
-            self.matrix(m);
-            self.u64(*a as u64);
-        }
-    }
-
-    fn episode_result(&mut self, r: &EpisodeResult) {
-        self.i64(r.outcome.interruption);
-        self.i64(r.outcome.overlap);
-        self.i64(r.outcome.fault_interruption);
-        self.u64(r.outcome.guard_fallbacks);
-        self.i64(r.pred_submit);
-        self.i64(r.pred_start);
-        self.i64(r.pred_end);
-        self.i64(r.succ_submit);
-        self.i64(r.succ_start);
-        self.decisions(&r.decisions);
-        self.bool(r.submitted_by_policy);
-    }
-
-    fn episode_results(&mut self, rs: &[EpisodeResult]) {
-        self.u64(rs.len() as u64);
-        for r in rs {
-            self.episode_result(r);
-        }
+fn write_ring(w: &mut ByteWriter, ring: &(u64, u64, Vec<Experience>)) {
+    w.u64(ring.0);
+    w.u64(ring.1);
+    w.u64(ring.2.len() as u64);
+    for e in &ring.2 {
+        write_experience(w, e);
     }
 }
 
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn read_ring(r: &mut ByteReader) -> Result<(u64, u64, Vec<Experience>), CheckpointError> {
+    let capacity = r.u64()?;
+    let write = r.u64()?;
+    let n = r.len(22)?;
+    let buf: Vec<Experience> = (0..n)
+        .map(|_| read_experience(r))
+        .collect::<Result<_, _>>()?;
+    if capacity == 0 || buf.len() as u64 > capacity || write >= capacity {
+        return Err(r.err(format!(
+            "inconsistent replay ring: capacity {capacity}, write {write}, len {}",
+            buf.len()
+        )));
+    }
+    Ok((capacity, write, buf))
 }
 
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+fn write_decisions(w: &mut ByteWriter, ds: &[(Matrix, usize)]) {
+    w.u64(ds.len() as u64);
+    for (m, a) in ds {
+        w.matrix(m);
+        w.u64(*a as u64);
     }
+}
 
-    fn err(&self, msg: impl Into<String>) -> CheckpointError {
-        CheckpointError::Parse {
-            pos: self.pos,
-            msg: msg.into(),
-        }
+fn read_decisions(r: &mut ByteReader) -> Result<Vec<(Matrix, usize)>, CheckpointError> {
+    let n = r.len(24)?;
+    (0..n)
+        .map(|_| Ok((r.matrix()?, r.u64()? as usize)))
+        .collect()
+}
+
+fn write_episode_results(w: &mut ByteWriter, rs: &[EpisodeResult]) {
+    w.u64(rs.len() as u64);
+    for r in rs {
+        w.i64(r.outcome.interruption);
+        w.i64(r.outcome.overlap);
+        w.i64(r.outcome.fault_interruption);
+        w.u64(r.outcome.guard_fallbacks);
+        w.i64(r.pred_submit);
+        w.i64(r.pred_start);
+        w.i64(r.pred_end);
+        w.i64(r.succ_submit);
+        w.i64(r.succ_start);
+        write_decisions(w, &r.decisions);
+        w.bool(r.submitted_by_policy);
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(self.err("unexpected end of payload"));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(self.err(format!("invalid bool byte {b}"))),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// An element count, sanity-bounded so a crafted length field errors
-    /// out instead of attempting a huge allocation: `n` elements of at
-    /// least `min_size` bytes each must fit in the remaining payload.
-    fn len(&mut self, min_size: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if n.saturating_mul(min_size.max(1) as u64) > remaining {
-            return Err(self.err(format!("length {n} exceeds remaining payload")));
-        }
-        Ok(n as usize)
-    }
-
-    fn matrix(&mut self) -> Result<Matrix, CheckpointError> {
-        let rows = self.u64()? as usize;
-        let cols = self.u64()? as usize;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| self.err("matrix shape overflows"))?;
-        if n.saturating_mul(4) > self.bytes.len() - self.pos {
-            return Err(self.err(format!("matrix of {n} elements exceeds remaining payload")));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f32()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    fn opt_matrix(&mut self) -> Result<Option<Matrix>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.matrix()?)
-        } else {
-            None
+fn read_episode_results(r: &mut ByteReader) -> Result<Vec<EpisodeResult>, CheckpointError> {
+    let n = r.len(65)?;
+    (0..n)
+        .map(|_| {
+            let outcome = EpisodeOutcome {
+                interruption: r.i64()?,
+                overlap: r.i64()?,
+                fault_interruption: r.i64()?,
+                guard_fallbacks: r.u64()?,
+            };
+            Ok(EpisodeResult {
+                outcome,
+                pred_submit: r.i64()?,
+                pred_start: r.i64()?,
+                pred_end: r.i64()?,
+                succ_submit: r.i64()?,
+                succ_start: r.i64()?,
+                decisions: read_decisions(r)?,
+                submitted_by_policy: r.bool()?,
+            })
         })
-    }
-
-    fn matrices(&mut self) -> Result<Vec<Matrix>, CheckpointError> {
-        let n = self.len(17)?; // rows + cols + ≥1 element
-        (0..n).map(|_| self.matrix()).collect()
-    }
-
-    fn opt_matrices(&mut self) -> Result<Vec<Option<Matrix>>, CheckpointError> {
-        let n = self.len(1)?;
-        (0..n).map(|_| self.opt_matrix()).collect()
-    }
-
-    fn experience(&mut self) -> Result<Experience, CheckpointError> {
-        Ok(Experience {
-            state: self.matrix()?,
-            action: self.u64()? as usize,
-            reward: self.f32()?,
-            next_state: self.opt_matrix()?,
-            done: self.bool()?,
-        })
-    }
-
-    fn ring(&mut self) -> Result<(u64, u64, Vec<Experience>), CheckpointError> {
-        let capacity = self.u64()?;
-        let write = self.u64()?;
-        let n = self.len(22)?;
-        let buf: Vec<Experience> = (0..n)
-            .map(|_| self.experience())
-            .collect::<Result<_, _>>()?;
-        if capacity == 0 || buf.len() as u64 > capacity || write >= capacity {
-            return Err(self.err(format!(
-                "inconsistent replay ring: capacity {capacity}, write {write}, len {}",
-                buf.len()
-            )));
-        }
-        Ok((capacity, write, buf))
-    }
-
-    fn decisions(&mut self) -> Result<Vec<(Matrix, usize)>, CheckpointError> {
-        let n = self.len(24)?;
-        (0..n)
-            .map(|_| Ok((self.matrix()?, self.u64()? as usize)))
-            .collect()
-    }
-
-    fn episode_result(&mut self) -> Result<EpisodeResult, CheckpointError> {
-        let outcome = EpisodeOutcome {
-            interruption: self.i64()?,
-            overlap: self.i64()?,
-            fault_interruption: self.i64()?,
-            guard_fallbacks: self.u64()?,
-        };
-        Ok(EpisodeResult {
-            outcome,
-            pred_submit: self.i64()?,
-            pred_start: self.i64()?,
-            pred_end: self.i64()?,
-            succ_submit: self.i64()?,
-            succ_start: self.i64()?,
-            decisions: self.decisions()?,
-            submitted_by_policy: self.bool()?,
-        })
-    }
-
-    fn episode_results(&mut self) -> Result<Vec<EpisodeResult>, CheckpointError> {
-        let n = self.len(65)?;
-        (0..n).map(|_| self.episode_result()).collect()
-    }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.pos != self.bytes.len() {
-            return Err(self.err(format!(
-                "{} trailing bytes after checkpoint payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -469,13 +310,13 @@ impl DqnTrainCheckpoint {
         }
         w.opt_matrices(&self.agent.opt_m);
         w.opt_matrices(&self.agent.opt_v);
-        w.ring(&self.replay_wait);
-        w.ring(&self.replay_submit);
+        write_ring(&mut w, &self.replay_wait);
+        write_ring(&mut w, &self.replay_submit);
         for s in self.rng {
             w.u64(s);
         }
-        w.episode_results(&self.episodes);
-        seal(KIND_DQN_TRAIN, &w.buf)
+        write_episode_results(&mut w, &self.episodes);
+        seal(KIND_DQN_TRAIN, w.bytes())
     }
 
     /// Parses a sealed [`KIND_DQN_TRAIN`] envelope. Corruption anywhere
@@ -500,10 +341,10 @@ impl DqnTrainCheckpoint {
             steps,
             train_steps,
         };
-        let replay_wait = r.ring()?;
-        let replay_submit = r.ring()?;
+        let replay_wait = read_ring(&mut r)?;
+        let replay_submit = read_ring(&mut r)?;
         let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        let episodes = r.episode_results()?;
+        let episodes = read_episode_results(&mut r)?;
         r.finish()?;
         Ok(Self {
             cfg_seed,
@@ -563,11 +404,11 @@ impl PgTrainCheckpoint {
         w.bool(self.agent.baseline_initialized);
         w.u64(self.pending.len() as u64);
         for s in &self.pending {
-            w.decisions(&s.steps);
+            write_decisions(&mut w, &s.steps);
             w.f32(s.episode_return);
         }
-        w.episode_results(&self.episodes);
-        seal(KIND_PG_TRAIN, &w.buf)
+        write_episode_results(&mut w, &self.episodes);
+        seal(KIND_PG_TRAIN, w.bytes())
     }
 
     /// Parses a sealed [`KIND_PG_TRAIN`] envelope.
@@ -588,12 +429,12 @@ impl PgTrainCheckpoint {
         let pending: Vec<EpisodeSample> = (0..n_pending)
             .map(|_| {
                 Ok(EpisodeSample {
-                    steps: r.decisions()?,
+                    steps: read_decisions(&mut r)?,
                     episode_return: r.f32()?,
                 })
             })
             .collect::<Result<_, CheckpointError>>()?;
-        let episodes = r.episode_results()?;
+        let episodes = read_episode_results(&mut r)?;
         r.finish()?;
         Ok(Self {
             cfg_seed,
@@ -644,8 +485,12 @@ pub(crate) fn check_match<T: PartialEq + std::fmt::Display>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_nn::serialize::{crc32, params_from_bytes, params_to_bytes, KIND_PARAMS};
+    use mirage_nn::ParamSet;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
 
     fn mat(seed: u64, rows: usize, cols: usize) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -737,9 +582,8 @@ mod tests {
         assert!(back.episodes[0].submitted_by_policy);
     }
 
-    #[test]
-    fn pg_checkpoint_roundtrips_bitwise() {
-        let ck = PgTrainCheckpoint {
+    fn sample_pg() -> PgTrainCheckpoint {
+        PgTrainCheckpoint {
             cfg_seed: 5,
             lanes: 4,
             workers: 2,
@@ -757,7 +601,12 @@ mod tests {
                 episode_return: -3.5,
             }],
             episodes: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn pg_checkpoint_roundtrips_bitwise() {
+        let ck = sample_pg();
         let back = PgTrainCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert_eq!(back.cfg_seed, 5);
         assert_eq!(back.workers, 2);
@@ -813,6 +662,80 @@ mod tests {
             matches!(err, CheckpointError::Parse { .. }),
             "expected Parse, got {err}"
         );
+    }
+
+    /// The `DQNS` / `PGST` bytes are a compatibility surface: runs resume
+    /// from files written by earlier builds. Length and CRC-32 of the two
+    /// fixtures' sealed bytes, captured on the commit before the codec
+    /// moved into `mirage_nn::serialize` (same discipline as
+    /// `mirage-sim/tests/golden.rs`: never regenerate them in a change
+    /// that touches the code under them).
+    #[test]
+    fn training_state_bytes_are_frozen() {
+        let dqn = sample_dqn().to_bytes();
+        assert_eq!((dqn.len(), crc32(&dqn)), (1080, 0x00b2_c0c2), "DQNS");
+        let pg = sample_pg().to_bytes();
+        assert_eq!((pg.len(), crc32(&pg)), (382, 0x59fa_a11c), "PGST");
+    }
+
+    /// Decodes `sealed` as `kind` and, when it decodes, encodes the value
+    /// again: `Ok(same bytes?)`, or the decode error.
+    fn reencodes(kind: &str, sealed: &[u8]) -> Result<bool, CheckpointError> {
+        Ok(match kind {
+            KIND_PARAMS => params_to_bytes(&params_from_bytes(sealed)?)? == sealed,
+            KIND_DQN_TRAIN => DqnTrainCheckpoint::from_bytes(sealed)?.to_bytes() == sealed,
+            _ => PgTrainCheckpoint::from_bytes(sealed)?.to_bytes() == sealed,
+        })
+    }
+
+    /// One sealed fixture per payload kind, built once.
+    fn sealed_fixtures() -> &'static [(&'static str, Vec<u8>)] {
+        static SEALED: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
+        SEALED.get_or_init(|| {
+            let mut params = ParamSet::new();
+            params.alloc("embed.w", mat(20, 3, 4));
+            params.alloc("head.b", mat(21, 1, 2));
+            vec![
+                (KIND_PARAMS, params_to_bytes(&params).unwrap()),
+                (KIND_DQN_TRAIN, sample_dqn().to_bytes()),
+                (KIND_PG_TRAIN, sample_pg().to_bytes()),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Damage *under* a valid CRC reaches the reader: a payload that
+        /// is cut, has a byte replaced, or has a count / shape / length
+        /// field inflated, then re-sealed, is a `Parse` error or decodes
+        /// to a value that encodes to exactly those bytes — for all three
+        /// payload kinds, never a panic, never an allocation sized by the
+        /// damaged field (that would abort this test).
+        #[test]
+        fn damaged_payloads_are_parse_errors_or_reencode(
+            at in 0.0f64..1.0,
+            byte in 0u8..=255,
+            inflate_by in 0u32..64,
+        ) {
+            for (kind, sealed) in sealed_fixtures() {
+                let payload = unseal(kind, sealed).unwrap();
+                let pos = (payload.len() as f64 * at) as usize;
+                let cut = payload[..pos].to_vec();
+                let mut replaced = payload.to_vec();
+                replaced[pos] = byte;
+                let mut inflated = payload.to_vec();
+                let field = pos.min(payload.len() - 8);
+                inflated[field..field + 8].copy_from_slice(&(u64::MAX >> inflate_by).to_le_bytes());
+                for (what, damaged) in [("cut", cut), ("replaced", replaced), ("inflated", inflated)] {
+                    match reencodes(kind, &seal(kind, &damaged)) {
+                        Err(CheckpointError::Parse { .. }) => {}
+                        Err(e) => prop_assert!(false, "{kind} {what} at {pos}: {e}"),
+                        Ok(same) => prop_assert!(same, "{kind} {what} at {pos} decoded to other bytes"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -152,8 +152,7 @@ pub struct TrainConfig {
     /// bit-identical to one worker × `W·L` lanes (pinned by
     /// `tests/lockstep_training.rs`). Joins the checkpoint fingerprint:
     /// resumes refuse a different worker count. Clamped to at least one
-    /// worker everywhere it is read, so a zero (e.g. from an absent
-    /// config field) behaves as one.
+    /// worker everywhere it is read, so a zero behaves as one.
     #[serde(default)]
     pub train_workers: usize,
     /// Cap on reward samples used for foundation pretraining (subsampled
@@ -697,7 +696,7 @@ fn dqn_online_loop<F: BackendFactory>(
         let (wait, submit) = saved.take_replay();
         replay = BalancedReplay::from_buffers(wait, submit);
         rng = StdRng::from_state(saved.rng);
-        agent.import_state(saved.agent);
+        agent.import_state(saved.agent)?;
         episodes = saved.episodes;
     }
 
@@ -1013,7 +1012,7 @@ fn pg_online_loop<F: BackendFactory>(
                 current: format!("multiple of {width}"),
             });
         }
-        agent.import_state(saved.agent);
+        agent.import_state(saved.agent)?;
         pending = saved.pending;
         episodes = saved.episodes;
     }

@@ -368,6 +368,45 @@ fn resume_rejects_mismatched_runs_and_wrong_kinds() {
         other => panic!("expected ConfigMismatch, got {other}"),
     }
 
+    // A different network is a different run too. Both used to panic:
+    // more layers at `import_state`'s parameter-count assert, a wider
+    // model at the first forward over the mis-shaped matrices it had
+    // silently installed.
+    let mut deeper = cfg.clone();
+    deeper.layers = 2;
+    let mut wider = cfg.clone();
+    wider.d_model = 16;
+    // (What the two sides of the message share: a parameter count, or
+    // the name of the first parameter whose shape differs.)
+    for (other, differs) in [(&deeper, "parameters"), (&wider, "`foundation.embed.w`")] {
+        let err = train_dqn_online_checkpointed(
+            net(other),
+            &pool,
+            &trace,
+            other,
+            &starts,
+            &warm,
+            &CheckpointConfig::every(&ckpt_path.0, 2),
+            Some(&ckpt_path.0),
+        )
+        .expect_err("architecture mismatch must refuse to resume");
+        match err {
+            ResumeError::ConfigMismatch {
+                field,
+                saved,
+                current,
+            } => {
+                assert_eq!(field, "network architecture");
+                assert_ne!(saved, current);
+                assert!(
+                    saved.contains(differs) && current.contains(differs),
+                    "names what differs: saved {saved}, current {current}"
+                );
+            }
+            other => panic!("expected ConfigMismatch, got {other}"),
+        }
+    }
+
     // A DQN checkpoint handed to the PG loop is a kind error from the
     // envelope layer, not a garbage agent.
     let err = train_pg_online_checkpointed(
@@ -402,4 +441,31 @@ fn resume_rejects_mismatched_runs_and_wrong_kinds() {
         err,
         ResumeError::Checkpoint(CheckpointError::Io(_))
     ));
+
+    // The PG loop refuses a different network the same way.
+    let pg_path = TempCkpt::new("mismatch_pg");
+    let mut pg_ckpt = CheckpointConfig::every(&pg_path.0, 2);
+    pg_ckpt.halt_after = Some(2);
+    train_pg_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &pg_ckpt, None)
+        .expect("checkpointed PG run");
+    let err = train_pg_online_checkpointed(
+        net(&wider),
+        &pool,
+        &trace,
+        &wider,
+        &starts,
+        &CheckpointConfig::every(&pg_path.0, 2),
+        Some(&pg_path.0),
+    )
+    .expect_err("architecture mismatch must refuse to resume");
+    match err {
+        ResumeError::ConfigMismatch { field, saved, .. } => {
+            assert_eq!(field, "network architecture");
+            assert!(
+                saved.contains("parameter `"),
+                "names the parameter: {saved}"
+            );
+        }
+        other => panic!("expected ConfigMismatch, got {other}"),
+    }
 }

@@ -14,9 +14,10 @@
 //! * [`optim`] — SGD and Adam,
 //! * [`loss`] — MSE/Huber/cross-entropy/REINFORCE surrogates,
 //! * [`gradcheck`] — the finite-difference checker used across the tests,
-//! * [`serialize`] — crash-safe checkpoints: atomic replace-on-rename
-//!   writes, a versioned/checksummed envelope validated on load with
-//!   typed errors, and human-inspectable JSON weight payloads.
+//! * [`serialize`] — the workspace's one codec: little-endian binary
+//!   payloads ([`serialize::ByteWriter`] / [`serialize::ByteReader`]) in
+//!   a versioned/checksummed envelope validated on load with typed
+//!   errors, written by atomic replace-on-rename.
 
 pub mod activation;
 pub mod attention;

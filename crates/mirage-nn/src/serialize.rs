@@ -1,4 +1,5 @@
-//! Checkpointing: crash-safe, checksummed parameter-set files.
+//! The workspace's one codec: little-endian binary payloads in a
+//! checksummed envelope, written crash-safely.
 //!
 //! # Checkpoint format
 //!
@@ -12,24 +13,31 @@
 //!
 //! * `version` — format version, currently `1`. Loaders reject newer
 //!   versions with a typed error instead of misparsing them.
-//! * `kind` — a four-character tag naming the payload type (`NNPS` for a
-//!   parameter-set JSON body; `mirage-core` seals its training-state
-//!   snapshots with its own tags). Loading a checkpoint under the wrong
-//!   kind is a typed error, so a training-state file can never be
-//!   silently misread as bare network weights.
+//! * `kind` — a four-character tag naming the payload layout (`NNPS` for
+//!   a parameter set; `mirage-core` seals its training-state snapshots
+//!   under `DQNS` / `PGST`). Loading a checkpoint under the wrong kind is
+//!   a typed error, so a training-state file can never be silently
+//!   misread as bare network weights.
 //! * `payload-len` / `crc32-hex` — the payload's byte length and IEEE
 //!   CRC-32, both validated on load. Truncation and bit corruption each
 //!   map to their own [`CheckpointError`] variant; a corrupted checkpoint
 //!   can never yield a silently-wrong [`ParamSet`].
 //!
-//! Parameter-set payloads stay human-inspectable JSON (the build
-//! environment has no serde_json, so the body is written and parsed by
-//! hand):
+//! A payload is a sequence of fields written by [`ByteWriter`] and read
+//! back in the same order by [`ByteReader`]; it carries no field names or
+//! tags, the `kind` names the layout. Scalars are fixed-width
+//! little-endian (`u64`, `i64`, the `f32` bit pattern; a `bool` is one
+//! `0`/`1` byte). A string is its byte length (`u64`) and UTF-8 bytes, a
+//! matrix is `rows`, `cols` (`u64` each) and `rows × cols` `f32`s, an
+//! optional value is a `bool` and then the value if present, a sequence
+//! is a `u64` count and then the elements. The reader checks every count
+//! and shape against the bytes that remain *before* allocating for it,
+//! and [`ByteReader::finish`] rejects a payload it did not consume
+//! exactly — a damaged payload that got past the CRC is a
+//! [`CheckpointError::Parse`], never a panic.
 //!
-//! ```json
-//! {"params": [{"name": "layer.w", "rows": 2, "cols": 2,
-//!              "data": [1.5, -2.0, 0.0, 3.25]}, ...]}
-//! ```
+//! An `NNPS` payload is a parameter count, then each parameter's name
+//! and matrix in allocation order.
 //!
 //! # Recovery semantics
 //!
@@ -39,10 +47,7 @@
 //! renamed over the target. A crash mid-write leaves either the previous
 //! checkpoint or the new one — never a torn file. Non-finite parameters
 //! are rejected *before* anything touches the filesystem, so a diverged
-//! run cannot clobber its last good checkpoint with an unloadable one.
-//! Headerless files that start with `{` are accepted by [`load_params`]
-//! as legacy bare-JSON checkpoints (no integrity check is possible for
-//! those).
+//! run cannot clobber its last good checkpoint.
 
 use std::fmt;
 use std::fs::File;
@@ -93,15 +98,16 @@ pub enum CheckpointError {
         /// CRC-32 of the bytes actually present.
         found: u32,
     },
-    /// The payload passed integrity checks but is not valid checkpoint
-    /// JSON (or violates a structural invariant like `data.len != r×c`).
+    /// The payload passed integrity checks but does not decode as its
+    /// kind's layout (a field runs past the end, a count or shape exceeds
+    /// the bytes that remain, bytes are left over).
     Parse {
-        /// Byte offset inside the payload where parsing failed.
+        /// Byte offset inside the payload where decoding failed.
         pos: usize,
-        /// What the parser expected.
+        /// What the reader expected.
         msg: String,
     },
-    /// A parameter holds NaN/∞ and cannot be written losslessly.
+    /// A parameter holds NaN/∞: the run diverged and is not saved.
     NonFinite(String),
 }
 
@@ -290,296 +296,279 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), Checkpoi
     write.map_err(CheckpointError::Io)
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Builds a payload field by field (layout: module docs).
+#[derive(Debug, Default)]
+pub struct ByteWriter {
+    buf: Vec<u8>,
 }
 
-/// Renders a parameter set in the checkpoint JSON format.
-///
-/// Fails if any parameter is non-finite: JSON has no `NaN`/`inf`
-/// tokens, so writing them would produce a checkpoint that can never be
-/// loaded back — better to refuse at save time, when the diverged
-/// training run is still debuggable.
-pub fn params_to_json(ps: &ParamSet) -> Result<String, CheckpointError> {
-    use std::fmt::Write as _;
-
-    let mut out = String::from("{\"params\": [");
-    for (i, (id, m)) in ps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"name\": ");
-        write_json_string(&mut out, ps.name(id));
-        let _ = write!(
-            out,
-            ", \"rows\": {}, \"cols\": {}, \"data\": [",
-            m.rows(),
-            m.cols()
-        );
-        for (j, v) in m.data().iter().enumerate() {
-            if !v.is_finite() {
-                return Err(CheckpointError::NonFinite(format!(
-                    "parameter {:?} contains non-finite value {v} at index {j}; \
-                     refusing to write an unloadable checkpoint",
-                    ps.name(id)
-                )));
-            }
-            if j > 0 {
-                out.push(',');
-            }
-            // `{:?}` prints the shortest f32 representation that parses
-            // back to the same bits (for finite values).
-            let _ = write!(out, "{v:?}");
-        }
-        out.push_str("]}");
+impl ByteWriter {
+    /// An empty payload.
+    pub fn new() -> Self {
+        Self::default()
     }
-    out.push_str("]}");
-    Ok(out)
+
+    /// The payload written so far (what [`seal`] wraps).
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// One `0`/`1` byte.
+    #[inline]
+    pub fn bool(&mut self, v: bool) {
+        self.buf.push(u8::from(v));
+    }
+
+    /// Eight little-endian bytes.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Eight little-endian bytes, two's complement.
+    #[inline]
+    pub fn i64(&mut self, v: i64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// The four little-endian bytes of the bit pattern (NaN payloads and
+    /// `-0.0` survive).
+    #[inline]
+    pub fn f32(&mut self, v: f32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Byte length, then the UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Rows, columns, then the elements row-major.
+    pub fn matrix(&mut self, m: &Matrix) {
+        self.u64(m.rows() as u64);
+        self.u64(m.cols() as u64);
+        for &v in m.data() {
+            self.f32(v);
+        }
+    }
+
+    /// Presence flag, then the matrix if there is one.
+    pub fn opt_matrix(&mut self, m: Option<&Matrix>) {
+        self.bool(m.is_some());
+        if let Some(m) = m {
+            self.matrix(m);
+        }
+    }
+
+    /// Count, then each matrix.
+    pub fn matrices(&mut self, ms: &[Matrix]) {
+        self.u64(ms.len() as u64);
+        for m in ms {
+            self.matrix(m);
+        }
+    }
+
+    /// Count, then each optional matrix.
+    pub fn opt_matrices(&mut self, ms: &[Option<Matrix>]) {
+        self.u64(ms.len() as u64);
+        for m in ms {
+            self.opt_matrix(m.as_ref());
+        }
+    }
 }
 
-/// Minimal pull parser for the checkpoint subset of JSON.
-struct Parser<'a> {
+/// Reads a payload back field by field. Every failure is a
+/// [`CheckpointError::Parse`] carrying the byte offset; nothing is
+/// allocated for a count or shape the remaining bytes cannot hold.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `bytes` (an [`unseal`]ed payload).
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
     }
 
-    fn err(&self, msg: &str) -> CheckpointError {
+    /// A parse error at the current offset, for layout-level checks the
+    /// caller makes on values it has read.
+    pub fn err(&self, msg: impl Into<String>) -> CheckpointError {
         CheckpointError::Parse {
             pos: self.pos,
-            msg: msg.to_string(),
+            msg: msg.into(),
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        if self.bytes.len() - self.pos < n {
+            return Err(self.err("unexpected end of payload"));
+        }
+        let out = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// One byte that must be `0` or `1`.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, CheckpointError> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(self.err(format!("invalid bool byte {b}"))),
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
+    /// Eight little-endian bytes.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), CheckpointError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
+    /// Eight little-endian bytes, two's complement.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, CheckpointError> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// Four little-endian bytes as an `f32` bit pattern.
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, CheckpointError> {
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// An element count, sanity-bounded so a crafted length field errors
+    /// out instead of attempting a huge allocation: `n` elements of at
+    /// least `min_size` bytes each must fit in the remaining payload.
+    pub fn len(&mut self, min_size: usize) -> Result<usize, CheckpointError> {
+        let n = self.u64()?;
+        let remaining = (self.bytes.len() - self.pos) as u64;
+        if n.saturating_mul(min_size.max(1) as u64) > remaining {
+            return Err(self.err(format!("length {n} exceeds remaining payload")));
+        }
+        Ok(n as usize)
+    }
+
+    /// A [`ByteWriter::str`] field.
+    pub fn str(&mut self) -> Result<&'a str, CheckpointError> {
+        let n = self.len(1)?;
+        std::str::from_utf8(self.take(n)?).map_err(|_| self.err("string is not UTF-8"))
+    }
+
+    /// A [`ByteWriter::matrix`] field.
+    pub fn matrix(&mut self) -> Result<Matrix, CheckpointError> {
+        let rows = self.u64()? as usize;
+        let cols = self.u64()? as usize;
+        let len = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(|| self.err("matrix shape overflows"))?;
+        // `take` refuses a shape the remaining bytes cannot hold before
+        // the elements are collected.
+        let data = self.take(len)?.chunks_exact(4);
+        let data = data.map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4")));
+        Ok(Matrix::from_vec(rows, cols, data.collect()))
+    }
+
+    /// A [`ByteWriter::opt_matrix`] field.
+    pub fn opt_matrix(&mut self) -> Result<Option<Matrix>, CheckpointError> {
+        Ok(if self.bool()? {
+            Some(self.matrix()?)
         } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
+            None
+        })
     }
 
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    /// A [`ByteWriter::matrices`] field.
+    pub fn matrices(&mut self) -> Result<Vec<Matrix>, CheckpointError> {
+        let n = self.len(17)?; // rows + cols + ≥1 element
+        (0..n).map(|_| self.matrix()).collect()
     }
 
-    fn string(&mut self) -> Result<String, CheckpointError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full code point.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
+    /// A [`ByteWriter::opt_matrices`] field.
+    pub fn opt_matrices(&mut self) -> Result<Vec<Option<Matrix>>, CheckpointError> {
+        let n = self.len(1)?;
+        (0..n).map(|_| self.opt_matrix()).collect()
     }
 
-    fn number(&mut self) -> Result<f64, CheckpointError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    /// Ends the read: bytes left over mean the payload is not the layout
+    /// the caller decoded.
+    pub fn finish(self) -> Result<(), CheckpointError> {
+        if self.pos != self.bytes.len() {
+            return Err(self.err(format!(
+                "{} trailing bytes after checkpoint payload",
+                self.bytes.len() - self.pos
+            )));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| self.err("invalid number"))
+        Ok(())
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b & 0xE0 == 0xC0 => 2,
-        b if b & 0xF0 == 0xE0 => 3,
-        _ => 4,
-    }
+/// Where `m` stops being finite, if it does: the message both directions
+/// refuse such a parameter with.
+fn non_finite(name: &str, m: &Matrix) -> Option<String> {
+    let (j, v) = m.data().iter().enumerate().find(|(_, v)| !v.is_finite())?;
+    Some(format!(
+        "parameter {name:?} contains non-finite value {v} at index {j}"
+    ))
 }
 
-/// Parses the checkpoint JSON format back into a parameter set.
-pub fn params_from_json(text: &str) -> Result<ParamSet, CheckpointError> {
-    let mut p = Parser::new(text);
-    let mut ps = ParamSet::new();
-    p.expect(b'{')?;
-    let key = p.string()?;
-    if key != "params" {
-        return Err(p.err("expected \"params\" key"));
-    }
-    p.expect(b':')?;
-    p.expect(b'[')?;
-    if !p.eat(b']') {
-        loop {
-            p.expect(b'{')?;
-            let mut name: Option<String> = None;
-            let mut rows = 0usize;
-            let mut cols = 0usize;
-            let mut data: Vec<f32> = Vec::new();
-            loop {
-                let field = p.string()?;
-                p.expect(b':')?;
-                match field.as_str() {
-                    "name" => name = Some(p.string()?),
-                    "rows" => rows = p.number()? as usize,
-                    "cols" => cols = p.number()? as usize,
-                    "data" => {
-                        p.expect(b'[')?;
-                        if !p.eat(b']') {
-                            loop {
-                                data.push(p.number()? as f32);
-                                if !p.eat(b',') {
-                                    break;
-                                }
-                            }
-                            p.expect(b']')?;
-                        }
-                    }
-                    _ => return Err(p.err("unknown field")),
-                }
-                if !p.eat(b',') {
-                    break;
-                }
-            }
-            p.expect(b'}')?;
-            let name = name.ok_or_else(|| p.err("missing name"))?;
-            let expected = rows
-                .checked_mul(cols)
-                .ok_or_else(|| p.err("rows x cols overflows"))?;
-            if data.len() != expected {
-                return Err(p.err("data length does not match rows x cols"));
-            }
-            ps.alloc(name, Matrix::from_vec(rows, cols, data));
-            if !p.eat(b',') {
-                break;
-            }
+/// Encodes a parameter set as sealed [`KIND_PARAMS`] bytes.
+///
+/// Fails if any parameter is non-finite: a diverged run is refused at
+/// save time, while it is still debuggable, instead of replacing its last
+/// good checkpoint with weights no resumed run could use.
+pub fn params_to_bytes(ps: &ParamSet) -> Result<Vec<u8>, CheckpointError> {
+    let mut w = ByteWriter::new();
+    w.u64(ps.len() as u64);
+    for (id, m) in ps.iter() {
+        if let Some(msg) = non_finite(ps.name(id), m) {
+            return Err(CheckpointError::NonFinite(format!(
+                "{msg}; refusing to checkpoint a diverged run"
+            )));
         }
-        p.expect(b']')?;
+        w.str(ps.name(id));
+        w.matrix(m);
     }
-    p.expect(b'}')?;
-    Ok(ps)
+    Ok(seal(KIND_PARAMS, w.bytes()))
 }
 
-/// Decodes a parameter set from sealed checkpoint bytes, accepting
-/// headerless bare JSON (a `{` first byte) as the legacy format.
+/// Decodes [`params_to_bytes`] output. Corruption anywhere — header,
+/// CRC or payload structure — is a typed error, and so is a non-finite
+/// parameter, which the writer can not have produced.
 pub fn params_from_bytes(bytes: &[u8]) -> Result<ParamSet, CheckpointError> {
-    if bytes.first() == Some(&b'{') {
-        let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::Parse {
-            pos: 0,
-            msg: "legacy checkpoint is not UTF-8".into(),
-        })?;
-        return params_from_json(text);
+    let mut r = ByteReader::new(unseal(KIND_PARAMS, bytes)?);
+    let mut ps = ParamSet::new();
+    for _ in 0..r.len(24)? {
+        let name = r.str()?;
+        let m = r.matrix()?;
+        if let Some(msg) = non_finite(name, &m) {
+            return Err(r.err(msg));
+        }
+        ps.alloc(name, m);
     }
-    let payload = unseal(KIND_PARAMS, bytes)?;
-    let text = std::str::from_utf8(payload).map_err(|_| CheckpointError::Parse {
-        pos: 0,
-        msg: "payload is not UTF-8".into(),
-    })?;
-    params_from_json(text)
+    r.finish()?;
+    Ok(ps)
 }
 
 /// Saves a parameter set to `path` as a sealed, atomically-replaced
 /// checkpoint. Fails (without touching the file) if any parameter is
 /// non-finite.
 pub fn save_params(ps: &ParamSet, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let text = params_to_json(ps)?;
-    write_atomic(path, &seal(KIND_PARAMS, text.as_bytes()))
+    write_atomic(path, &params_to_bytes(ps)?)
 }
 
-/// Loads a parameter set from a checkpoint written by [`save_params`]
-/// (or a legacy headerless JSON checkpoint).
+/// Loads a parameter set from a checkpoint written by [`save_params`].
 pub fn load_params(path: impl AsRef<Path>) -> Result<ParamSet, CheckpointError> {
-    let bytes = std::fs::read(path)?;
-    params_from_bytes(&bytes)
+    params_from_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -597,7 +586,7 @@ mod tests {
         let b = ps.alloc("layer.b", Matrix::row_vector(vec![0.5]));
         let dir = std::env::temp_dir().join("mirage_nn_ser_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
+        let path = dir.join("params.ckpt");
         save_params(&ps, &path).unwrap();
         let loaded = load_params(&path).unwrap();
         assert_eq!(loaded.len(), 2);
@@ -610,7 +599,7 @@ mod tests {
     #[test]
     fn missing_file_is_an_error() {
         assert!(matches!(
-            load_params("/nonexistent/mirage/ckpt.json"),
+            load_params("/nonexistent/mirage/params.ckpt"),
             Err(CheckpointError::Io(_))
         ));
     }
@@ -618,20 +607,23 @@ mod tests {
     #[test]
     fn in_memory_roundtrip_is_exact_for_awkward_values() {
         let mut ps = ParamSet::new();
-        let id = ps.alloc(
-            "odd \"name\" with\\slashes",
-            Matrix::from_vec(1, 4, vec![f32::MIN_POSITIVE, 1e-30, -1.2345678e10, 0.1]),
-        );
-        let text = params_to_json(&ps).unwrap();
-        let loaded = params_from_json(&text).unwrap();
-        assert_eq!(loaded.name(id), "odd \"name\" with\\slashes");
-        assert_eq!(loaded.get(id), ps.get(id));
+        let name = "odd \"name\" with\\slashes,\nnewlines and ünïcode";
+        let values = vec![f32::MIN_POSITIVE, 1e-45, -1.2345678e10, 0.1, -0.0, f32::MAX];
+        let id = ps.alloc(name, Matrix::from_vec(2, 3, values));
+        let empty = ps.alloc("", Matrix::zeros(0, 7));
+        let loaded = params_from_bytes(&params_to_bytes(&ps).unwrap()).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.name(id), name);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(loaded.get(id)), bits(ps.get(id)));
+        assert_eq!(loaded.name(empty), "");
+        assert_eq!((loaded.get(empty).rows(), loaded.get(empty).cols()), (0, 7));
     }
 
     #[test]
     fn empty_param_set_roundtrips() {
         let ps = ParamSet::new();
-        let loaded = params_from_json(&params_to_json(&ps).unwrap()).unwrap();
+        let loaded = params_from_bytes(&params_to_bytes(&ps).unwrap()).unwrap();
         assert!(loaded.is_empty());
     }
 
@@ -639,27 +631,95 @@ mod tests {
     fn non_finite_parameters_are_rejected_at_save_time() {
         let mut ps = ParamSet::new();
         ps.alloc("w", Matrix::from_vec(1, 2, vec![1.0, f32::NAN]));
-        let err = params_to_json(&ps).unwrap_err();
+        let err = params_to_bytes(&ps).unwrap_err();
+        assert!(matches!(err, CheckpointError::NonFinite(_)), "{err}");
         assert!(err.to_string().contains("non-finite"), "{err}");
         let dir = std::env::temp_dir().join("mirage_nn_ser_nan_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
+        let path = dir.join("bad.ckpt");
         std::fs::remove_file(&path).ok();
         assert!(save_params(&ps, &path).is_err());
         assert!(!path.exists(), "failed save must not leave a file behind");
         let mut inf = ParamSet::new();
         inf.alloc("w", Matrix::from_vec(1, 1, vec![f32::INFINITY]));
-        assert!(params_to_json(&inf).is_err());
+        assert!(params_to_bytes(&inf).is_err());
+    }
+
+    /// A well-formed payload built by hand, for the damage cases below:
+    /// one parameter `"x"`, 2 × 2.
+    fn one_param_payload() -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.u64(1);
+        w.str("x");
+        w.matrix(&Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        w
     }
 
     #[test]
+    fn malformed_payloads_are_parse_errors() {
+        let good = one_param_payload();
+        assert_eq!(
+            params_from_bytes(&seal(KIND_PARAMS, good.bytes()))
+                .unwrap()
+                .len(),
+            1
+        );
+        let parse_err = |payload: &[u8], what: &str| {
+            let err = params_from_bytes(&seal(KIND_PARAMS, payload)).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Parse { .. }),
+                "{what}: {err}"
+            );
+        };
+        // The binary analogues of what the JSON parser was tested on: a
+        // body that stops early, one that is not this layout at all, and
+        // a matrix with fewer elements than its shape declares.
+        parse_err(&good.bytes()[..good.bytes().len() - 1], "cut short");
+        parse_err(b"", "empty");
+        let mut short = ByteWriter::new();
+        short.u64(1);
+        short.str("x");
+        short.u64(2);
+        short.u64(2);
+        short.f32(1.0);
+        parse_err(short.bytes(), "2 x 2 with one element");
+        // Counts and shapes the remaining bytes cannot hold are refused
+        // before anything is allocated for them.
+        for at in [0, 8, 17, 25] {
+            let mut inflated = good.bytes().to_vec();
+            inflated[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            parse_err(&inflated, "inflated count, length or shape");
+        }
+        let mut trailing = good.bytes().to_vec();
+        trailing.push(0);
+        parse_err(&trailing, "trailing byte");
+        let mut bad_name = good.bytes().to_vec();
+        bad_name[16] = 0xFF;
+        parse_err(&bad_name, "name is not UTF-8");
+        // A parameter the writer would have refused is refused here too.
+        let mut nan = good.bytes().to_vec();
+        let last = nan.len() - 4;
+        nan[last..].copy_from_slice(&f32::NAN.to_le_bytes());
+        parse_err(&nan, "non-finite element");
+    }
+
+    /// Both forms this loader used to accept — a JSON body inside the
+    /// envelope, and a bare headerless `{…}` file — are malformed input
+    /// now: typed errors, not a second decode path.
+    #[test]
     fn malformed_json_is_rejected() {
-        assert!(params_from_json("{\"params\": [").is_err());
-        assert!(params_from_json("{\"other\": []}").is_err());
-        assert!(params_from_json(
-            "{\"params\": [{\"name\": \"x\", \"rows\": 2, \"cols\": 2, \"data\": [1.0]}]}"
-        )
-        .is_err());
+        let json = b"{\"params\": [{\"name\": \"w\", \"rows\": 1, \"cols\": 2, \
+                     \"data\": [0.25,-4.0]}]}";
+        let err = params_from_bytes(&seal(KIND_PARAMS, json)).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse { .. }), "{err}");
+        let err = params_from_bytes(json).unwrap_err();
+        assert!(matches!(err, CheckpointError::BadMagic), "{err}");
+        let dir = std::env::temp_dir().join("mirage_nn_ser_retired_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("legacy.json");
+        std::fs::write(&path, json).unwrap();
+        assert!(matches!(load_params(&path), Err(CheckpointError::BadMagic)));
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -681,7 +741,7 @@ mod tests {
 
     #[test]
     fn envelope_corruption_yields_typed_errors() {
-        let sealed = seal(KIND_PARAMS, b"{\"params\": []}");
+        let sealed = seal(KIND_PARAMS, one_param_payload().bytes());
         // Truncated payload.
         assert!(matches!(
             unseal(KIND_PARAMS, &sealed[..sealed.len() - 3]),
@@ -719,20 +779,6 @@ mod tests {
             self[pos] = b'9';
             self
         }
-    }
-
-    #[test]
-    fn legacy_headerless_json_still_loads() {
-        let mut ps = ParamSet::new();
-        let id = ps.alloc("w", Matrix::from_vec(1, 2, vec![0.25, -4.0]));
-        let text = params_to_json(&ps).unwrap();
-        let dir = std::env::temp_dir().join("mirage_nn_ser_legacy_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        std::fs::write(&path, text.as_bytes()).unwrap();
-        let loaded = load_params(&path).unwrap();
-        assert_eq!(loaded.get(id), ps.get(id));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -278,9 +278,9 @@ impl Matrix {
     /// Matrix product `self × rhs` written into `out` (reshaped in place;
     /// no allocation once `out`'s buffer is large enough).
     ///
-    /// The kernel is explicitly SIMD-width-blocked (see [`mm_row_block`]):
-    /// [`MM_TILE_I`]-row blocks over a column tile of [`MM_LANE_VECS`]
-    /// [`MM_LANES`]-wide accumulator vectors, so every streamed `rhs` row
+    /// The kernel is explicitly SIMD-width-blocked (see `mm_row_block`):
+    /// `MM_TILE_I`-row blocks over a column tile of `MM_LANE_VECS`
+    /// `MM_LANES`-wide accumulator vectors, so every streamed `rhs` row
     /// feeds `MM_TILE_I × MM_LANE_VECS` FMAs and each output element is
     /// stored once. Per output element the accumulation runs in
     /// ascending-`k` order, so results are bit-identical to the naive
@@ -408,7 +408,7 @@ impl Matrix {
 
     /// `self × rhsᵀ` written into `out`, materializing `rhsᵀ` in
     /// `rhs_t_buf` (reshaped in place; no allocation once warm) and
-    /// running the tiled [`mm_row_block`] kernel over it. `rhs` is the
+    /// running the tiled `mm_row_block` kernel over it. `rhs` is the
     /// small operand at every call site — a weight matrix or a per-head
     /// block — so the transpose is cheap next to the product, and the
     /// contiguous streaming it buys replaces one horizontal reduction per

@@ -1,11 +1,15 @@
 //! Property-based tests for the tensor and layer algebra, plus the
 //! checkpoint envelope's corruption contract: damaged bytes are typed
-//! errors, never panics or silently-wrong parameters.
+//! errors, never panics or silently-wrong parameters. (The CRC stops
+//! everything here before the payload reader runs; damage *under* a
+//! valid CRC is `serialize`'s `malformed_payloads_are_parse_errors` and
+//! `mirage-core`'s `damaged_payloads_are_parse_errors_or_reencode`,
+//! which covers all three payload kinds.)
 
 use std::sync::OnceLock;
 
 use mirage_nn::foundation::{FoundationKind, FoundationNet};
-use mirage_nn::serialize::{params_from_bytes, params_to_json, seal, KIND_PARAMS};
+use mirage_nn::serialize::{params_from_bytes, params_to_bytes};
 use mirage_nn::tensor::Matrix;
 use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::transformer::TransformerEncoder;
@@ -30,8 +34,7 @@ fn sealed_reference() -> &'static (ParamSet, Vec<u8>) {
         ps.alloc("w1", Matrix::xavier(4, 6, &mut rng));
         ps.alloc("b1", Matrix::xavier(1, 6, &mut rng));
         ps.alloc("w2", Matrix::xavier(6, 2, &mut rng));
-        let json = params_to_json(&ps).expect("reference params serialize");
-        let bytes = seal(KIND_PARAMS, json.as_bytes());
+        let bytes = params_to_bytes(&ps).expect("reference params serialize");
         (ps, bytes)
     })
 }
@@ -314,18 +317,10 @@ proptest! {
         }
     }
 
-    /// Arbitrary garbage bytes never panic the loader; anything that is
-    /// not a legacy headerless-JSON candidate (leading `{{`) must be a
-    /// typed error.
+    /// Arbitrary garbage bytes never panic the loader and never load.
     #[test]
     fn garbage_bytes_never_panic_the_loader(garbage in prop::collection::vec(0u8..255, 0..512)) {
-        let result = params_from_bytes(&garbage);
-        if garbage.first() != Some(&b'{') {
-            prop_assert!(result.is_err(), "garbage without the legacy JSON marker must not load");
-        }
-        // Leading '{' goes down the legacy JSON path, where random bytes
-        // still only ever produce a typed parse error (reaching here at
-        // all proves no panic).
+        prop_assert!(params_from_bytes(&garbage).is_err(), "garbage must not load");
     }
 
     /// Gradient accumulation is commutative: merge(a, b) == merge(b, a).

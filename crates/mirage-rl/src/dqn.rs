@@ -18,7 +18,10 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::dualhead::{ActionEncoding, BatchInferCache, DualHeadNet, HeadBatchCache};
+use crate::dualhead::{
+    check_fits, check_snapshot_fits, install_params, ActionEncoding, BatchInferCache, DualHeadNet,
+    HeadBatchCache, StateMismatch,
+};
 use crate::greedy_pair;
 use crate::replay::{Experience, MiniBatch};
 use crate::schedule::{EpsilonSchedule, ExploreLane};
@@ -329,36 +332,28 @@ impl DqnAgent {
     /// Restores an [`export_state`](Self::export_state) snapshot into an
     /// agent freshly built over the same network architecture. After
     /// this, every act/train call is bit-identical to what the
-    /// snapshotted agent would have produced. Panics if the parameter
-    /// count does not match the agent's network (wrong architecture).
-    pub fn import_state(&mut self, state: DqnAgentState) {
-        assert_eq!(
-            state.net_params.len(),
-            self.net.ps.len(),
-            "checkpoint parameter count does not match the network"
-        );
-        let ids: Vec<_> = self.net.ps.iter().map(|(id, _)| id).collect();
-        for (id, m) in ids.iter().zip(state.net_params) {
-            *self.net.ps.get_mut(*id) = m;
+    /// snapshotted agent would have produced. A snapshot of a different
+    /// architecture (parameter count, or any parameter, target or Adam
+    /// moment shape) is refused before anything is installed.
+    pub fn import_state(&mut self, state: DqnAgentState) -> Result<(), StateMismatch> {
+        let ps = &mut self.net.ps;
+        check_snapshot_fits(ps, &state.net_params, &state.opt_m, &state.opt_v)?;
+        if let Some(params) = &state.target_params {
+            check_fits(ps, "target parameter", params.iter().map(Some))?;
         }
-        match state.target_params {
-            Some(params) => {
-                let mut target = self.net.clone();
-                let tids: Vec<_> = target.ps.iter().map(|(id, _)| id).collect();
-                assert_eq!(params.len(), tids.len(), "target parameter count mismatch");
-                for (id, m) in tids.iter().zip(params) {
-                    *target.ps.get_mut(*id) = m;
-                }
-                self.target = Some(target);
-            }
-            None => self.target = None,
-        }
+        install_params(ps, state.net_params);
+        self.target = state.target_params.map(|params| {
+            let mut target = self.net.clone();
+            install_params(&mut target.ps, params);
+            target
+        });
         self.opt
             .restore_state(state.opt_t, state.opt_m, state.opt_v);
         self.steps = state.steps;
         self.train_steps = state.train_steps;
         // Cached embed rows belong to the pre-restore weights.
         self.batch_cache.clear();
+        Ok(())
     }
 
     /// ε-greedy action; advances the agent's global exploration clock.
@@ -781,6 +776,41 @@ mod tests {
             after > 0.85,
             "DQN should solve the bandit: before {before:.2}, after {after:.2}"
         );
+    }
+
+    #[test]
+    fn import_state_refuses_a_misfitting_snapshot_before_installing_anything() {
+        // A trained agent's snapshot: weights, target, both Adam moments.
+        let mut src = DqnAgent::new(tiny_net(ActionEncoding::TwoHead, 3), DqnConfig::default());
+        let rb = bandit_buffer(1, 64);
+        src.train_batch(&rb.sample(&mut StdRng::seed_from_u64(2), 16));
+        let good = src.export_state();
+        assert!(good.target_params.is_some() && good.opt_m.iter().any(Option::is_some));
+        let fresh = || DqnAgent::new(tiny_net(ActionEncoding::TwoHead, 4), DqnConfig::default());
+        let untouched = fresh().export_state();
+
+        let mut bad_param = good.clone();
+        bad_param.net_params[1] = Matrix::zeros(1, 1);
+        let mut bad_target = good.clone();
+        bad_target.target_params.as_mut().unwrap().pop();
+        let mut bad_moment = good.clone();
+        *bad_moment.opt_v.last_mut().unwrap() = Some(Matrix::zeros(9, 9));
+        for (bad, names) in [
+            (bad_param, "parameter `"),
+            (bad_target, "target parameters"),
+            (bad_moment, "Adam moment `"),
+        ] {
+            let mut dst = fresh();
+            let err = dst.import_state(bad).unwrap_err();
+            assert!(err.saved.contains(names), "{err}");
+            let after = dst.export_state();
+            assert_eq!(after.net_params, untouched.net_params, "{names}");
+            assert_eq!(after.target_params, untouched.target_params, "{names}");
+            assert_eq!((after.opt_t, after.train_steps), (0, 0), "{names}");
+        }
+        let mut dst = fresh();
+        dst.import_state(good.clone()).unwrap();
+        assert_eq!(dst.export_state().net_params, good.net_params);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use mirage_nn::foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
 use mirage_nn::linear::{Linear, LinearCache};
-use mirage_nn::param::{GradSink, Grads, ParamSet};
+use mirage_nn::param::{GradSink, Grads, ParamId, ParamSet};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
 use mirage_nn::transformer::{EmbedRowCache, TransformerConfig, TransformerConfigError};
@@ -85,6 +85,80 @@ pub struct DualHeadNet {
     pub cfg: DualHeadConfig,
     /// Param ids belonging to the foundation (for freezing).
     foundation_param_limit: usize,
+}
+
+/// Why an agent snapshot was refused by `import_state`: the first
+/// position at which it does not fit the network it is being restored
+/// into (built over a different architecture).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StateMismatch {
+    /// What the snapshot holds there.
+    pub saved: String,
+    /// What the network has there.
+    pub current: String,
+}
+
+impl std::fmt::Display for StateMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "snapshot does not fit the network: snapshot has {}, network has {}",
+            self.saved, self.current
+        )
+    }
+}
+
+impl std::error::Error for StateMismatch {}
+
+/// Checks one series of snapshot matrices, by parameter position,
+/// against `ps`: same count, and every present matrix the shape of the
+/// parameter at its position (`None` is an Adam moment not allocated yet).
+pub(crate) fn check_fits<'a>(
+    ps: &ParamSet,
+    what: &str,
+    saved: impl ExactSizeIterator<Item = Option<&'a Matrix>>,
+) -> Result<(), StateMismatch> {
+    if saved.len() != ps.len() {
+        return Err(StateMismatch {
+            saved: format!("{} {what}s", saved.len()),
+            current: format!("{} parameters", ps.len()),
+        });
+    }
+    for ((id, have), saved) in ps.iter().zip(saved) {
+        if let Some(m) = saved.filter(|m| m.shape() != have.shape()) {
+            return Err(StateMismatch {
+                saved: format!("{what} `{}` {}×{}", ps.name(id), m.rows(), m.cols()),
+                current: format!("`{}` {}×{}", ps.name(id), have.rows(), have.cols()),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// [`check_fits`] for what every agent snapshot holds: the parameters
+/// and both Adam moment series.
+pub(crate) fn check_snapshot_fits(
+    ps: &ParamSet,
+    params: &[Matrix],
+    opt_m: &[Option<Matrix>],
+    opt_v: &[Option<Matrix>],
+) -> Result<(), StateMismatch> {
+    check_fits(ps, "parameter", params.iter().map(Some))?;
+    for moments in [opt_m, opt_v] {
+        // An optimizer that never stepped has no moment slots yet.
+        if !moments.is_empty() {
+            check_fits(ps, "Adam moment", moments.iter().map(Option::as_ref))?;
+        }
+    }
+    Ok(())
+}
+
+/// Overwrites every parameter of `ps`, in allocation order, with a
+/// snapshot that [`check_fits`].
+pub(crate) fn install_params(ps: &mut ParamSet, params: Vec<Matrix>) {
+    for (i, m) in params.into_iter().enumerate() {
+        *ps.get_mut(ParamId(i)) = m;
+    }
 }
 
 /// Cache of one Q forward pass.

@@ -26,13 +26,15 @@ pub mod replay;
 pub mod schedule;
 
 pub use dqn::{DqnAgent, DqnAgentState, DqnConfig};
-pub use dualhead::{ActionEncoding, BatchInferCache, DualHeadConfig, DualHeadNet, HeadBatchCache};
+pub use dualhead::{
+    ActionEncoding, BatchInferCache, DualHeadConfig, DualHeadNet, HeadBatchCache, StateMismatch,
+};
 pub use env::{rollout, Environment, StepResult};
 pub use guard::{prob_pair_is_valid, q_pair_is_valid, GuardStats, GuardedPolicy, FALLBACK_ACTION};
 pub use offline::{pretrain_foundation, reward_mse, PretrainConfig, RewardSample};
 pub use pg::{EpisodeSample, PgAgent, PgAgentState, PgConfig};
 pub use replay::{BalancedReplay, Experience, MiniBatch, ReplayBuffer};
-pub use schedule::{EpsilonSchedule, ExploreLane, ServiceLanes};
+pub use schedule::{EpsilonSchedule, ExploreLane};
 
 /// Greedy action over a `[Q(no-submit), Q(submit)]` (or probability)
 /// pair: act (1) only on a strict improvement, so ties keep the
@@ -53,5 +55,5 @@ pub mod prelude {
     pub use crate::offline::{pretrain_foundation, PretrainConfig, RewardSample};
     pub use crate::pg::{EpisodeSample, PgAgent, PgConfig};
     pub use crate::replay::{BalancedReplay, Experience, ReplayBuffer};
-    pub use crate::schedule::{EpsilonSchedule, ExploreLane, ServiceLanes};
+    pub use crate::schedule::{EpsilonSchedule, ExploreLane};
 }

@@ -19,7 +19,10 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::dualhead::{stack_states_into, BatchInferCache, DualHeadNet, HeadBatchCache};
+use crate::dualhead::{
+    check_snapshot_fits, install_params, stack_states_into, BatchInferCache, DualHeadNet,
+    HeadBatchCache, StateMismatch,
+};
 use crate::greedy_pair;
 use crate::schedule::ExploreLane;
 
@@ -163,18 +166,14 @@ impl PgAgent {
     }
 
     /// Restores an [`export_state`](Self::export_state) snapshot into an
-    /// agent freshly built over the same network architecture. Panics if
-    /// the parameter count does not match (wrong architecture).
-    pub fn import_state(&mut self, state: PgAgentState) {
-        assert_eq!(
-            state.net_params.len(),
-            self.net.ps.len(),
-            "checkpoint parameter count does not match the network"
-        );
-        let ids: Vec<_> = self.net.ps.iter().map(|(id, _)| id).collect();
-        for (id, m) in ids.iter().zip(state.net_params) {
-            *self.net.ps.get_mut(*id) = m;
-        }
+    /// agent freshly built over the same network architecture. A
+    /// snapshot of a different architecture (parameter count, or any
+    /// parameter or Adam moment shape) is refused before anything is
+    /// installed.
+    pub fn import_state(&mut self, state: PgAgentState) -> Result<(), StateMismatch> {
+        let ps = &mut self.net.ps;
+        check_snapshot_fits(ps, &state.net_params, &state.opt_m, &state.opt_v)?;
+        install_params(ps, state.net_params);
         self.opt
             .restore_state(state.opt_t, state.opt_m, state.opt_v);
         self.baseline = state.baseline;
@@ -182,6 +181,7 @@ impl PgAgent {
         self.episodes = state.episodes;
         // Cached embed rows belong to the pre-restore weights.
         self.batch_cache.clear();
+        Ok(())
     }
 
     /// Samples an action from the policy distribution (allocation-free

@@ -84,80 +84,6 @@ impl ExploreLane {
     }
 }
 
-/// A grid of [`ExploreLane`]s for multi-service lockstep collection:
-/// one independent `(rng, ε-clock)` stream per `(instance, service)`
-/// pair, flattened row-major so the grid plugs straight into the agents'
-/// `act_batch(states, lanes, rows, …)` — batch row `(i, s)` maps to flat
-/// lane `i · services + s`.
-///
-/// Exactly as [`ExploreLane`] decouples a lane's draws from the batch
-/// width, the grid decouples a *service's* draws from how many services
-/// (and episodes) share the lockstep batch: service `s` of instance `i`
-/// explores bit-identically whether it is stepped alone or inside an
-/// N-service window. Seeds are derived per pair with a SplitMix64
-/// avalanche, so neighboring instances/services never share correlated
-/// streams.
-#[derive(Debug, Clone)]
-pub struct ServiceLanes {
-    lanes: Vec<ExploreLane>,
-    services: usize,
-}
-
-impl ServiceLanes {
-    /// Grid of `instances × services` lanes derived from `base_seed`,
-    /// every lane's ε clock starting at `steps`.
-    pub fn new(base_seed: u64, instances: usize, services: usize, steps: u64) -> Self {
-        let services = services.max(1);
-        let lanes = (0..instances * services)
-            .map(|flat| ExploreLane::seeded(mix_lane_seed(base_seed, flat as u64), steps))
-            .collect();
-        Self { lanes, services }
-    }
-
-    /// Services per instance (the grid's row width).
-    pub fn services(&self) -> usize {
-        self.services
-    }
-
-    /// Total lane count (`instances × services`).
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Flat lane index of `(instance, service)`.
-    pub fn flat(&self, instance: usize, service: usize) -> usize {
-        debug_assert!(service < self.services);
-        instance * self.services + service
-    }
-
-    /// The lane of `(instance, service)`.
-    pub fn lane_mut(&mut self, instance: usize, service: usize) -> &mut ExploreLane {
-        let i = self.flat(instance, service);
-        &mut self.lanes[i]
-    }
-
-    /// The whole grid as the flat slice `act_batch` consumes.
-    pub fn as_mut_slice(&mut self) -> &mut [ExploreLane] {
-        &mut self.lanes
-    }
-}
-
-/// SplitMix64-style avalanche of `(base, lane)` into a lane seed: the
-/// same finalizer `mirage-trace` uses for trace streams, duplicated here
-/// because `mirage-rl` sits below it in the crate graph.
-fn mix_lane_seed(base: u64, lane: u64) -> u64 {
-    let mut x = base ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,28 +117,6 @@ mod tests {
         }
         assert_eq!(s.value(a.steps), s.value(3));
         assert_eq!(s.value(b.steps), s.value(7));
-    }
-
-    #[test]
-    fn service_lanes_are_independent_of_grid_shape() {
-        use rand::Rng;
-        // Lane (1, 2) in a 4×3 grid draws exactly as the standalone lane
-        // seeded with the same (base, flat) pair — grid shape only maps
-        // indices, it never changes a lane's stream.
-        let mut grid = ServiceLanes::new(99, 4, 3, 5);
-        assert_eq!(grid.len(), 12);
-        assert_eq!(grid.services(), 3);
-        assert_eq!(grid.flat(1, 2), 5);
-        let mut solo = ExploreLane::seeded(super::mix_lane_seed(99, 5), 5);
-        let lane = grid.lane_mut(1, 2);
-        assert_eq!(lane.steps, solo.steps);
-        for _ in 0..8 {
-            assert_eq!(lane.rng.gen::<f32>(), solo.rng.gen::<f32>());
-        }
-        // Distinct pairs get distinct streams.
-        let a = grid.lane_mut(0, 0).rng.gen::<u64>();
-        let b = grid.lane_mut(0, 1).rng.gen::<u64>();
-        assert_ne!(a, b);
     }
 
     #[test]

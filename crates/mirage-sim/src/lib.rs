@@ -47,7 +47,6 @@ mod admission;
 
 pub mod backend;
 pub mod backfill;
-pub mod config_io;
 pub mod event;
 pub mod fault;
 pub mod fidelity;
@@ -63,7 +62,6 @@ pub use backend::{
     SimBuilder, MAX_TASK_ATTEMPTS,
 };
 pub use backfill::{plan_schedule, plan_schedule_into, BackfillPolicy, PendingView, PlanScratch};
-pub use config_io::ConfigJsonError;
 pub use fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 pub use fidelity::{compare, run_both, run_both_backends, run_timed, FidelityReport};
 pub use hetero::{scale_runtime, HeteroModel, HeteroStats, NodePool, Placement};

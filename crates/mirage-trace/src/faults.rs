@@ -5,8 +5,8 @@
 //! and Mirage's low-interruption claim only means something if the learned
 //! policies survive that. Each node draws an alternating sequence of
 //! up-intervals (mean `mtbf`) and down-intervals (mean `mttr`) from its own
-//! [`SeedSplitter`](crate::seed::SeedSplitter) stream, so the schedule is a
-//! pure function of `(seed, nodes, mtbf, mttr, horizon)`: both simulators,
+//! [`SeedSplitter`] stream, so the schedule is a pure function of
+//! `(seed, nodes, mtbf, mttr, horizon)`: both simulators,
 //! every evaluation method and every retry of a bench lane replay exactly
 //! the same crash tape.
 
