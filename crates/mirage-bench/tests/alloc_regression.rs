@@ -14,6 +14,16 @@
 //! phases are what the `Scratch`/`*_into` reuse contract calls out: first
 //! passes size every buffer, steady state then recycles them.
 //!
+//! "Warm" means every buffer has seen its deepest backlog. In the first
+//! three phases the whole trace is queued before the window opens, so the
+//! backlog only shrinks. Phase 4 is the other case — a queue deeper than
+//! 128 jobs that keeps growing through the window — and there the claim
+//! is narrower: the first such episode pays a bounded number of capacity
+//! doublings (the simulator's pending table and pass scratch, the
+//! snapshot's `queued`, the encoder's sort keys), and a repeat of it on
+//! the same simulator after `reset()`, with the same snapshot and encoder
+//! scratch, pays none.
+//!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
 
@@ -290,5 +300,79 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "EpisodeDriver advance/apply allocated {delta} times across 1000 ticks (checksum {checksum})"
+    );
+
+    // Phase 4: a backlog deeper than 128 that is still growing. 260 jobs
+    // land in the first hour, then one every 20 minutes against a drain
+    // of about one and a half an hour, so arrivals, starts and
+    // completions all happen inside the window while the queue climbs
+    // from 328 to 569 — across the 512-entry capacity doubling of every
+    // backlog-sized buffer. The first episode may pay those doublings
+    // (six when this phase was written) and nothing else; the same
+    // episode again after `reset()` must not allocate at all.
+    let growing: Vec<JobRecord> = (0..1200i64)
+        .map(|i| {
+            let submit = if i < 260 {
+                i * 13
+            } else {
+                HOUR + (i - 260) * 1200
+            };
+            JobRecord::new(
+                i as u64 + 1,
+                format!("g{i}"),
+                (i % 3) as u32,
+                submit,
+                1 + (i % 3) as u32,
+                8 * HOUR,
+                4 * HOUR + (i % 7) * 1800,
+            )
+        })
+        .collect();
+    let mut sim = Simulator::new(SimConfig::new(NODES));
+    let mut snap = ClusterSnapshot::default();
+    let mut enc_scratch = EncoderScratch::default();
+    let mut window_allocs = [0u64; 2];
+    for allocs in &mut window_allocs {
+        sim.reset();
+        sim.load_trace(&growing);
+        for _ in 0..300 {
+            checksum += decision_step(
+                &mut sim,
+                &mut history,
+                &mut snap,
+                &mut enc_scratch,
+                &mut matrix,
+                &mut scratch,
+            );
+        }
+        let depth_at_open = snap.queued.len();
+        assert!(depth_at_open > 128, "queue only {depth_at_open} deep");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..1000 {
+            checksum += decision_step(
+                &mut sim,
+                &mut history,
+                &mut snap,
+                &mut enc_scratch,
+                &mut matrix,
+                &mut scratch,
+            );
+        }
+        *allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(
+            snap.queued.len() > depth_at_open + 100,
+            "queue did not grow: {depth_at_open} -> {}",
+            snap.queued.len()
+        );
+        assert!(sim.is_active() && sim.metrics().completed_jobs > 200);
+    }
+    let [first, repeat] = window_allocs;
+    assert!(
+        first <= 8,
+        "growing backlog allocated {first} times: more than its buffers' doublings"
+    );
+    assert_eq!(
+        repeat, 0,
+        "repeat of the growing episode after reset() allocated {repeat} times (checksum {checksum})"
     );
 }

@@ -33,9 +33,28 @@
 //! All features are normalized: node counts by the partition size, times
 //! by the site's 48 h limit, counts by `log1p` against a nominal queue
 //! scale — trees ignore this, the transformer needs it.
+//!
+//! # Percentiles
+//!
+//! A percentile is the order statistic at rank `round((n − 1) · p)` of the
+//! ascending value set — exactly what a full sort would put there, at
+//! every depth. The six sets are integers (`u32` node counts, `i64`
+//! seconds) and `as f32` is monotone, so the ranks are taken **on the
+//! integers** and only the five picks are converted and normalized. How
+//! each set is ranked depends on what is known about it, never on its
+//! size:
+//!
+//! * node counts are counted into a histogram over `0..=total_nodes`
+//!   (a queue holds a handful of distinct sizes), sorted instead only if
+//!   a value does not fit;
+//! * queued ages are read by index when the queue is in arrival order
+//!   (ages non-increasing — checked on every call; a fault-evicted job
+//!   re-enters with its original submit time and breaks it), sorted
+//!   otherwise;
+//! * limits and elapsed times are sorted (`sort_unstable` on `i64`).
 
 use mirage_nn::Matrix;
-use mirage_sim::ClusterSnapshot;
+use mirage_sim::{ClusterSnapshot, QueuedJobView};
 use serde::{Deserialize, Serialize};
 
 /// Width of the per-instant state vector: the paper's 40 variables plus
@@ -87,12 +106,105 @@ pub struct StateEncoder {
     pub hetero_features: bool,
 }
 
-/// Reusable working memory for [`StateEncoder::encode_into`]: one value
-/// buffer shared by the six percentile statistics, so per-decision
-/// encoding allocates nothing once its capacity covers the backlog.
+/// Reusable working memory for [`StateEncoder::encode_into`]: the
+/// node-count histogram and the integer sort buffer behind the six
+/// five-number summaries, so per-decision encoding allocates nothing once
+/// their capacity covers the partition and the deepest queue/running set
+/// seen.
 #[derive(Debug, Clone, Default)]
 pub struct EncoderScratch {
-    vals: Vec<f32>,
+    /// Occurrences per node count; all zero between summaries.
+    hist: Vec<u32>,
+    /// The value set being sorted; overwritten by every use.
+    keys: Vec<i64>,
+}
+
+/// Ranks of `[min, p25, p50, p75, max]` in an ascending set of `n ≥ 1`
+/// values.
+fn five_ranks(n: usize) -> [usize; 5] {
+    let idx = |p: f32| ((n - 1) as f32 * p).round() as usize;
+    [0, idx(0.25), idx(0.5), idx(0.75), n - 1]
+}
+
+impl EncoderScratch {
+    /// `[min, p25, p50, p75, max]` of `values` by sorting them; `None`
+    /// for an empty set.
+    fn summary_by_sort(&mut self, values: impl Iterator<Item = i64>) -> Option<[i64; 5]> {
+        self.keys.clear();
+        self.keys.extend(values);
+        if self.keys.is_empty() {
+            return None;
+        }
+        self.keys.sort_unstable();
+        Some(five_ranks(self.keys.len()).map(|r| self.keys[r]))
+    }
+
+    /// The same summary of node counts by counting over `0..=max_nodes`,
+    /// falling back to the sort if a count does not fit the histogram.
+    fn summary_by_count(
+        &mut self,
+        max_nodes: u32,
+        values: impl Iterator<Item = u32> + Clone,
+    ) -> Option<[i64; 5]> {
+        let bins = max_nodes as usize + 1;
+        if self.hist.len() < bins {
+            self.hist.resize(bins, 0);
+        }
+        let (mut n, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+        for x in values.clone() {
+            let Some(count) = self.hist.get_mut(x as usize) else {
+                // Does not fit: take back the partial count and sort.
+                if n > 0 {
+                    self.hist[lo as usize..=hi as usize].fill(0);
+                }
+                return self.summary_by_sort(values.map(i64::from));
+            };
+            *count += 1;
+            n += 1;
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        if n == 0 {
+            return None;
+        }
+        let counted = &mut self.hist[lo as usize..=hi as usize];
+        let ranks = five_ranks(n);
+        let mut picks = [0i64; 5];
+        let (mut next, mut seen) = (0, 0usize);
+        for (x, count) in (i64::from(lo)..).zip(counted) {
+            seen += *count as usize;
+            *count = 0;
+            while next < 5 && ranks[next] < seen {
+                picks[next] = x;
+                next += 1;
+            }
+        }
+        Some(picks)
+    }
+
+    /// The same summary of queued ages: index look-ups while the queue is
+    /// in arrival order (oldest first), the sort otherwise.
+    fn summary_of_ages(&mut self, queued: &[QueuedJobView]) -> Option<[i64; 5]> {
+        if queued.windows(2).all(|w| w[0].age >= w[1].age) {
+            let n = queued.len();
+            (n > 0).then(|| five_ranks(n).map(|r| queued[n - 1 - r].age))
+        } else {
+            self.summary_by_sort(queued.iter().map(|q| q.age))
+        }
+    }
+}
+
+/// Writes a five-number summary through `norm`; an empty set encodes
+/// zeros.
+fn write_summary(out: &mut [f32], picks: Option<[i64; 5]>, norm: impl Fn(f32) -> f32) {
+    match picks {
+        Some(picks) => {
+            for (o, x) in out.iter_mut().zip(picks) {
+                *o = norm(x as f32);
+            }
+        }
+        None => out.fill(0.0),
+    }
 }
 
 impl StateEncoder {
@@ -133,10 +245,12 @@ impl StateEncoder {
         self.encode_into(snap, pred, succ, &mut EncoderScratch::default())
     }
 
-    /// Encodes one instant into the 46-variable vector, computing every
-    /// percentile through the reusable `scratch` buffer: no allocation
-    /// once its capacity covers the deepest queue/running set seen. The
-    /// output is identical to [`StateEncoder::encode`].
+    /// Encodes one instant into the 46-variable vector, ranking every
+    /// percentile through the reusable `scratch` buffers (see the module
+    /// docs): no allocation once their capacity covers the partition and
+    /// the deepest queue/running set seen. The output is identical to
+    /// [`StateEncoder::encode`], and stale `scratch` contents never reach
+    /// it.
     pub fn encode_into(
         &self,
         snap: &ClusterSnapshot,
@@ -145,28 +259,30 @@ impl StateEncoder {
         scratch: &mut EncoderScratch,
     ) -> [f32; STATE_VARS] {
         let mut v = [0.0f32; STATE_VARS];
-        let vals = &mut scratch.vals;
+        let nodes = |x: f32| self.norm_nodes(x);
+        let time = |x: f32| self.norm_time(x);
+        let (queued, running) = (&snap.queued, &snap.running);
 
         // (a) queue state.
-        v[0] = self.norm_count(snap.queued.len() as f32);
-        fill(vals, snap.queued.iter().map(|q| q.nodes as f32));
-        percentiles_in_place(&mut v[1..6], vals, |x| self.norm_nodes(x));
-        fill(vals, snap.queued.iter().map(|q| q.age as f32));
-        percentiles_in_place(&mut v[6..11], vals, |x| self.norm_time(x));
-        fill(vals, snap.queued.iter().map(|q| q.timelimit as f32));
-        percentiles_in_place(&mut v[11..16], vals, |x| self.norm_time(x));
+        v[0] = self.norm_count(queued.len() as f32);
+        let sizes = scratch.summary_by_count(self.total_nodes, queued.iter().map(|q| q.nodes));
+        write_summary(&mut v[1..6], sizes, nodes);
+        write_summary(&mut v[6..11], scratch.summary_of_ages(queued), time);
+        let limits = scratch.summary_by_sort(queued.iter().map(|q| q.timelimit));
+        write_summary(&mut v[11..16], limits, time);
 
-        // (b) server state. Mean/std are computed *before* the percentile
-        // sort, in snapshot order, matching the historical arithmetic.
-        v[16] = self.norm_count(snap.running.len() as f32);
-        fill(vals, snap.running.iter().map(|r| r.nodes as f32));
-        v[22] = self.norm_nodes(mean(vals));
-        v[23] = self.norm_nodes(std_dev(vals));
-        percentiles_in_place(&mut v[17..22], vals, |x| self.norm_nodes(x));
-        fill(vals, snap.running.iter().map(|r| r.elapsed as f32));
-        percentiles_in_place(&mut v[24..29], vals, |x| self.norm_time(x));
-        fill(vals, snap.running.iter().map(|r| r.timelimit as f32));
-        percentiles_in_place(&mut v[29..34], vals, |x| self.norm_time(x));
+        // (b) server state. Mean/std stay f32 sums in snapshot order,
+        // matching the historical arithmetic.
+        v[16] = self.norm_count(running.len() as f32);
+        let sizes = scratch.summary_by_count(self.total_nodes, running.iter().map(|r| r.nodes));
+        write_summary(&mut v[17..22], sizes, nodes);
+        let (mean, std_dev) = mean_std(running.iter().map(|r| r.nodes as f32));
+        v[22] = self.norm_nodes(mean);
+        v[23] = self.norm_nodes(std_dev);
+        let elapsed = scratch.summary_by_sort(running.iter().map(|r| r.elapsed));
+        write_summary(&mut v[24..29], elapsed, time);
+        let limits = scratch.summary_by_sort(running.iter().map(|r| r.timelimit));
+        write_summary(&mut v[29..34], limits, time);
 
         // (c) predecessor job state.
         v[34] = self.norm_nodes(pred.nodes as f32);
@@ -197,12 +313,6 @@ impl StateEncoder {
         }
         v
     }
-}
-
-/// Refills `buf` from an iterator without shrinking its capacity.
-fn fill(buf: &mut Vec<f32>, it: impl Iterator<Item = f32>) {
-    buf.clear();
-    buf.extend(it);
 }
 
 /// Fixed-length history of state vectors forming the `k × m` state matrix.
@@ -278,73 +388,28 @@ impl StateHistory {
     }
 }
 
-/// Writes `[p0, p25, p50, p75, p100]` of `xs` (after `f`) into `out`,
-/// using in-place selection (no copy, no allocation, O(n) instead of a
-/// full sort — this runs six times per decision). The selected values are
-/// exactly the order statistics a full sort would produce.
-fn percentiles_in_place(out: &mut [f32], xs: &mut [f32], f: impl Fn(f32) -> f32) {
-    debug_assert_eq!(out.len(), 5);
-    if xs.is_empty() {
-        out.fill(0.0);
-        return;
-    }
+/// Mean and population standard deviation of `xs`, as sequential f32
+/// sums in iteration order (`(0, 0)` when empty, deviation `0` below two
+/// values).
+fn mean_std(xs: impl ExactSizeIterator<Item = f32> + Clone) -> (f32, f32) {
     let n = xs.len();
-    let idx = |p: f32| ((n - 1) as f32 * p).round() as usize;
-    let (i25, i50, i75) = (idx(0.25), idx(0.5), idx(0.75));
-    // total_cmp: branchless, and these features never produce NaN.
-    let cmp = |a: &f32, b: &f32| a.total_cmp(b);
-    if n <= 128 {
-        // Small inputs: one unstable sort beats repeated selection.
-        xs.sort_unstable_by(cmp);
-    } else {
-        // Deep backlogs: O(n) selection instead of an O(n log n) sort.
-        // After the three nested selects (each within the suffix the
-        // previous one partitioned), min/max are confined to the outer
-        // partitions.
-        xs.select_nth_unstable_by(i25, cmp);
-        if i50 > i25 {
-            xs[i25..].select_nth_unstable_by(i50 - i25, cmp);
-        }
-        if i75 > i50 {
-            xs[i50..].select_nth_unstable_by(i75 - i50, cmp);
-        }
-        let min = xs[..=i25].iter().copied().fold(f32::INFINITY, f32::min);
-        let max = xs[i75..].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        out[0] = f(min);
-        out[1] = f(xs[i25]);
-        out[2] = f(xs[i50]);
-        out[3] = f(xs[i75]);
-        out[4] = f(max);
-        return;
+    if n == 0 {
+        return (0.0, 0.0);
     }
-    out[0] = f(xs[0]);
-    out[1] = f(xs[i25]);
-    out[2] = f(xs[i50]);
-    out[3] = f(xs[i75]);
-    out[4] = f(xs[n - 1]);
-}
-
-fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
+    let mean = xs.clone().sum::<f32>() / n as f32;
+    if n < 2 {
+        return (mean, 0.0);
     }
-}
-
-fn std_dev(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32).sqrt()
+    let var = xs.map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
+    (mean, var.sqrt())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirage_sim::{QueuedJobView, RunningJobView};
-    use mirage_trace::HOUR;
+    use mirage_sim::RunningJobView;
+    use mirage_trace::{HOUR, MINUTE};
+    use proptest::prelude::*;
 
     fn snap(queued: usize, running: usize) -> ClusterSnapshot {
         ClusterSnapshot {
@@ -488,6 +553,177 @@ mod tests {
         assert!(v[1..6].iter().all(|&x| (0.0..=2.0).contains(&x)));
         // Times clamped at 4× the max limit.
         assert!(v.iter().all(|&x| x <= 4.0));
+    }
+
+    /// Test-only reference for the bits of the 32 summary variables:
+    /// every value set converted to f32 and fully sorted, mean/std as
+    /// plain slice sums.
+    fn full_sort_oracle(enc: &StateEncoder, snap: &ClusterSnapshot) -> Vec<u32> {
+        fn five(mut xs: Vec<f32>, norm: impl Fn(f32) -> f32) -> [f32; 5] {
+            if xs.is_empty() {
+                return [0.0; 5];
+            }
+            xs.sort_by(f32::total_cmp);
+            let idx = |p: f32| ((xs.len() - 1) as f32 * p).round() as usize;
+            [0, idx(0.25), idx(0.5), idx(0.75), xs.len() - 1].map(|r| norm(xs[r]))
+        }
+        let nodes = |x| enc.norm_nodes(x);
+        let time = |x| enc.norm_time(x);
+        let (q, r) = (&snap.queued, &snap.running);
+        let sizes: Vec<f32> = r.iter().map(|r| r.nodes as f32).collect();
+        let n = sizes.len() as f32;
+        let mean = if sizes.is_empty() {
+            0.0
+        } else {
+            sizes.iter().sum::<f32>() / n
+        };
+        let std = if sizes.len() < 2 {
+            0.0
+        } else {
+            (sizes.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n).sqrt()
+        };
+        let mut v = Vec::new();
+        v.extend(five(q.iter().map(|q| q.nodes as f32).collect(), nodes));
+        v.extend(five(q.iter().map(|q| q.age as f32).collect(), time));
+        v.extend(five(q.iter().map(|q| q.timelimit as f32).collect(), time));
+        v.extend(five(sizes, nodes));
+        v.extend([nodes(mean), nodes(std)]);
+        v.extend(five(r.iter().map(|r| r.elapsed as f32).collect(), time));
+        v.extend(five(r.iter().map(|r| r.timelimit as f32).collect(), time));
+        v.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// The summary variables of an encoding, in the oracle's order.
+    fn summary_vars(v: &[f32; STATE_VARS]) -> Vec<u32> {
+        v[1..16]
+            .iter()
+            .chain(&v[17..34])
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// A snapshot of the given depths with heavily duplicated values.
+    /// `arrival_order` keeps queued ages non-increasing (the look-up
+    /// path); otherwise they are shuffled, as a fault retry leaves them.
+    /// `oversized` plants one node count above the encoder's partition.
+    fn random_snap(
+        rng: &mut impl rand::Rng,
+        queued: usize,
+        running: usize,
+        arrival_order: bool,
+        oversized: bool,
+    ) -> ClusterSnapshot {
+        let limits = [HOUR, 2 * HOUR, 12 * HOUR, 24 * HOUR, 48 * HOUR, 300 * HOUR];
+        let now = 40 * 24 * HOUR;
+        let mut submits: Vec<i64> = (0..queued)
+            .map(|_| now - rng.gen_range(0..30i64) * HOUR)
+            .collect();
+        if arrival_order {
+            submits.sort_unstable();
+        }
+        let mut snap = ClusterSnapshot {
+            now,
+            total_nodes: 16,
+            queued: submits
+                .iter()
+                .enumerate()
+                .map(|(i, &submit)| QueuedJobView {
+                    id: i as u64,
+                    nodes: rng.gen_range(0..=6u32).min(4) * 4,
+                    submit,
+                    age: now - submit,
+                    timelimit: limits[rng.gen_range(0..limits.len())],
+                    user: 1,
+                })
+                .collect(),
+            running: (0..running)
+                .map(|i| RunningJobView {
+                    id: 5000 + i as u64,
+                    nodes: rng.gen_range(1..=3u32),
+                    start: 0,
+                    elapsed: rng.gen_range(0..20i64) * HOUR / 2,
+                    timelimit: limits[rng.gen_range(0..limits.len())],
+                    user: 2,
+                })
+                .collect(),
+            ..ClusterSnapshot::default()
+        };
+        if oversized {
+            if let Some(q) = snap.queued.last_mut() {
+                q.nodes = 17 + rng.gen_range(0..1000u32);
+            }
+            if let Some(r) = snap.running.first_mut() {
+                r.nodes = 40;
+            }
+        }
+        snap
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `encode_into` against the full-sort oracle, bit for bit, with
+        /// one scratch carried across snapshots of growing and shrinking
+        /// depth — so a histogram bin or sort key left over from an
+        /// earlier, deeper snapshot would surface — over every ranking
+        /// path: counted and oversized node counts, arrival-order and
+        /// shuffled ages, depths on both sides of the old 128 threshold.
+        #[test]
+        fn encode_into_matches_full_sort_oracle(
+            seed in 0u64..u64::MAX,
+            steps in prop::collection::vec(
+                (0usize..=1000, 0usize..=1000, 0u32..8, 0u32..6),
+                2..6,
+            ),
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let enc = StateEncoder::new(16, 48 * HOUR);
+            let mut scratch = EncoderScratch::default();
+            for (queued, running, shallow, mode) in steps {
+                // A quarter of the snapshots stay at or under depth 130.
+                let queued = if shallow < 2 { queued % 131 } else { queued };
+                let running = if shallow == 0 { running % 3 } else { running };
+                let snap = random_snap(&mut rng, queued, running, mode % 2 == 0, mode == 5);
+                let v = enc.encode_into(&snap, &pred(), &succ(), &mut scratch);
+                prop_assert_eq!(
+                    summary_vars(&v), full_sort_oracle(&enc, &snap),
+                    "queued {} running {} mode {}", queued, running, mode
+                );
+                prop_assert_eq!(v, enc.encode(&snap, &pred(), &succ()));
+            }
+        }
+    }
+
+    /// The first depth past the old `n <= 128` sort threshold, where the
+    /// nested bottom-up selection displaced the 25th and 50th percentiles:
+    /// every value set is a permutation of `1..=129` (scaled), so the
+    /// expected ranks are known without sorting anything.
+    #[test]
+    fn quartiles_are_exact_at_depth_129() {
+        let enc = StateEncoder::new(256, 48 * HOUR);
+        let perm = |i: usize, stride: usize| (1 + i * stride % 129) as i64;
+        let mut s = snap(129, 129);
+        for (i, q) in s.queued.iter_mut().enumerate() {
+            q.nodes = perm(i, 37) as u32;
+            q.age = perm(i, 50) * MINUTE;
+            q.timelimit = perm(i, 101) * MINUTE;
+        }
+        for (i, r) in s.running.iter_mut().enumerate() {
+            r.nodes = perm(i, 11) as u32;
+            r.elapsed = perm(i, 64) * MINUTE;
+            r.timelimit = perm(i, 7) * MINUTE;
+        }
+        let v = enc.encode(&s, &pred(), &succ());
+        let ranks = [1.0f32, 33.0, 65.0, 97.0, 129.0];
+        let as_nodes = ranks.map(|x| enc.norm_nodes(x));
+        let as_time = ranks.map(|x| enc.norm_time(x * MINUTE as f32));
+        assert_eq!(v[1..6], as_nodes, "queued sizes");
+        assert_eq!(v[6..11], as_time, "queued ages");
+        assert_eq!(v[11..16], as_time, "queued limits");
+        assert_eq!(v[17..22], as_nodes, "running sizes");
+        assert_eq!(v[24..29], as_time, "running elapsed");
+        assert_eq!(v[29..34], as_time, "running limits");
     }
 
     #[test]

@@ -210,27 +210,32 @@ pub fn priority(
     total_nodes: u32,
     usage_norm: f64,
 ) -> f64 {
-    priority_from_factor(
+    priority_from_terms(
         weights,
         age,
-        nodes,
-        total_nodes,
+        size_term(weights, nodes, total_nodes),
         fairshare_factor(usage_norm),
     )
 }
 
-/// [`priority`] given the fair-share factor itself (see
-/// [`FairshareTracker::factor`]) rather than the usage it derives from.
-pub(crate) fn priority_from_factor(
+/// The job-size term of [`priority`]: `weights.size · nodes / total_nodes`.
+/// Constant for as long as a job is pending, so the simulator computes it
+/// once, at arrival.
+pub(crate) fn size_term(weights: &PriorityWeights, nodes: u32, total_nodes: u32) -> f64 {
+    weights.size * (f64::from(nodes) / f64::from(total_nodes.max(1)))
+}
+
+/// [`priority`] given its [`size_term`] and the fair-share factor itself
+/// (see [`FairshareTracker::factor`]) rather than what they derive from:
+/// the same three terms, summed in the same order.
+pub(crate) fn priority_from_terms(
     weights: &PriorityWeights,
     age: i64,
-    nodes: u32,
-    total_nodes: u32,
+    size_term: f64,
     fs_factor: f64,
 ) -> f64 {
     let age_factor = (age as f64 / weights.age_max as f64).clamp(0.0, 1.0);
-    let size_factor = f64::from(nodes) / f64::from(total_nodes.max(1));
-    weights.age * age_factor + weights.size * size_factor + weights.fairshare * fs_factor
+    weights.age * age_factor + size_term + weights.fairshare * fs_factor
 }
 
 #[cfg(test)]
@@ -396,7 +401,8 @@ mod tests {
                     let slot = dense.slot(probe);
                     let expected = priority(
                         &W, now, 1 + probe, 8, map.normalized_usage(probe, capacity));
-                    let got = priority_from_factor(&W, now, 1 + probe, 8, dense.factor(slot));
+                    let got = priority_from_terms(
+                        &W, now, size_term(&W, 1 + probe, 8), dense.factor(slot));
                     prop_assert_eq!(got.to_bits(), expected.to_bits(), "user {}", probe);
                     prop_assert_eq!(
                         dense.normalized_usage(slot).to_bits(),

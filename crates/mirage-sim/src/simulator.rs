@@ -18,7 +18,7 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::priority::{priority_from_factor, FairshareTracker, PriorityWeights};
+use crate::priority::{priority_from_terms, size_term, FairshareTracker, PriorityWeights};
 use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
 
 /// Simulator configuration.
@@ -148,6 +148,30 @@ struct SimJob {
     slowed: bool,
 }
 
+/// One pending job as the scheduling pass, [`Simulator::sample_into`] and
+/// [`Simulator::user_usage`] read it: everything they need, copied out of
+/// the job arena at arrival, so they stream one dense table instead of
+/// chasing a [`SimJob`] per pending job. Nothing here changes while the
+/// job pends (`submit` survives an eviction, so a retry's row is older
+/// than its neighbours).
+#[derive(Debug, Clone, Copy)]
+struct PendingRow {
+    /// Arena index of the job, or [`STARTED`] between a pass's starts and
+    /// the sweep that drops them.
+    idx: usize,
+    id: u64,
+    submit: i64,
+    timelimit: i64,
+    nodes: u32,
+    user: u32,
+    user_slot: u32,
+    /// The job's constant [`size_term`] of the priority.
+    size_term: f64,
+}
+
+/// [`PendingRow::idx`] of a row whose job the current pass started.
+const STARTED: usize = usize::MAX;
+
 /// Event-driven Slurm simulator.
 #[derive(Debug)]
 pub struct Simulator {
@@ -166,7 +190,9 @@ pub struct Simulator {
     evictions_log: EvictionLog,
     jobs: Vec<SimJob>,
     id_map: HashMap<u64, usize>,
-    pending: Vec<usize>,
+    /// The queue, in arrival order. Grows by doubling to the deepest
+    /// backlog seen and keeps that capacity across [`Simulator::reset`].
+    pending: Vec<PendingRow>,
     running: Vec<usize>, // arena indices of running jobs (≤ nodes entries)
     events: EventQueue,
     fairshare: FairshareTracker,
@@ -361,14 +387,14 @@ impl Simulator {
         });
         self.id_map.insert(id, idx);
         // Steady-state allocation hygiene: every job contributes at most
-        // one live event, one pending slot and one completion slot, so
-        // paying that capacity here (amortized, at admission time) keeps
-        // arrivals/starts/completions in the hot loop off the allocator.
+        // one live event and one completion slot, so paying that capacity
+        // here (amortized, at admission time) keeps starts/completions in
+        // the hot loop off the allocator. The pending table is not sized
+        // this way — one 56-byte row per *loaded* job is a quarter more
+        // peak memory on a bulk replay, for a queue that never holds more
+        // than a fraction of the trace — it grows with the backlog.
         let cap = self.jobs.len() + 1;
         self.events.reserve_total(cap);
-        if self.pending.capacity() < cap {
-            self.pending.reserve(cap - self.pending.len());
-        }
         if self.completed_order.capacity() < cap {
             self.completed_order
                 .reserve(cap - self.completed_order.len());
@@ -406,17 +432,15 @@ impl Simulator {
             out.contended_running = self.contended_running;
         }
         out.queued.clear();
-        out.queued.extend(self.pending.iter().map(|&i| {
-            let r = &self.jobs[i].record;
-            QueuedJobView {
-                id: r.id,
-                nodes: r.nodes,
-                submit: r.submit,
-                age: self.now - r.submit,
-                timelimit: r.timelimit,
-                user: r.user,
-            }
-        }));
+        out.queued
+            .extend(self.pending.iter().map(|row| QueuedJobView {
+                id: row.id,
+                nodes: row.nodes,
+                submit: row.submit,
+                age: self.now - row.submit,
+                timelimit: row.timelimit,
+                user: row.user,
+            }));
         out.running.clear();
         out.running.extend(self.running.iter().map(|&i| {
             let j = &self.jobs[i];
@@ -609,16 +633,13 @@ impl Simulator {
 
     /// Per-user accounting ledger: `user`'s current queued/running
     /// footprint plus completed consumption. One allocation-free pass
-    /// over the pending/running lists and the completed set (all three
-    /// are index lists into the job arena).
+    /// over the pending table, the running list and the completed set
+    /// (the latter two are index lists into the job arena).
     pub fn user_usage(&self, user: u32) -> ServiceUsage {
         let mut usage = ServiceUsage::empty(user);
-        for &i in &self.pending {
-            let r = &self.jobs[i].record;
-            if r.user == user {
-                usage.queued += 1;
-                usage.queued_nodes += u64::from(r.nodes);
-            }
+        for row in self.pending.iter().filter(|row| row.user == user) {
+            usage.queued += 1;
+            usage.queued_nodes += u64::from(row.nodes);
         }
         for &i in &self.running {
             let r = &self.jobs[i].record;
@@ -675,8 +696,18 @@ impl Simulator {
             return;
         }
         job.status = JobStatus::Pending;
-        self.min_pending_nodes = self.min_pending_nodes.min(job.record.nodes);
-        self.pending.push(idx);
+        let r = &job.record;
+        self.min_pending_nodes = self.min_pending_nodes.min(r.nodes);
+        self.pending.push(PendingRow {
+            idx,
+            id: r.id,
+            submit: r.submit,
+            timelimit: r.timelimit,
+            nodes: r.nodes,
+            user: r.user,
+            user_slot: job.user_slot,
+            size_term: size_term(&self.cfg.weights, r.nodes, self.cfg.nodes),
+        });
     }
 
     fn complete_job(&mut self, idx: usize, epoch: u32) {
@@ -957,16 +988,14 @@ impl Simulator {
         let order = &mut self.scratch_order;
         order.clear();
         order.reserve(self.pending.len());
-        for &i in &self.pending {
-            let job = &self.jobs[i];
-            let r = &job.record;
-            let fs_factor = self.fairshare.factor(job.user_slot);
-            let p = priority_from_factor(&w, now - r.submit, r.nodes, total, fs_factor);
+        for (at, row) in self.pending.iter().enumerate() {
+            let fs_factor = self.fairshare.factor(row.user_slot);
+            let p = priority_from_terms(&w, now - row.submit, row.size_term, fs_factor);
             let view = PendingView {
-                nodes: r.nodes,
-                timelimit: r.timelimit,
+                nodes: row.nodes,
+                timelimit: row.timelimit,
             };
-            order.push(Queued::new(p, r.submit, r.id, i, view));
+            order.push(Queued::new(p, row.submit, row.id, at, view));
         }
         let mut queue = LazyOrder::new(order, self.cfg.sched_depth);
         let mut starts = std::mem::take(&mut self.scratch_starts);
@@ -980,17 +1009,19 @@ impl Simulator {
             &mut self.scratch_plan,
             &mut starts,
         );
-        for &idx in &starts {
+        // The planner hands back positions in the pending table.
+        for &at in &starts {
+            let idx = std::mem::replace(&mut self.pending[at].idx, STARTED);
             self.start_job(idx);
         }
         if !starts.is_empty() {
             // One sweep drops the started jobs and recomputes the exact
             // bound over what is left.
             let mut min_nodes = u32::MAX;
-            self.pending.retain(|&i| {
-                let pending = matches!(self.jobs[i].status, JobStatus::Pending);
+            self.pending.retain(|row| {
+                let pending = row.idx != STARTED;
                 if pending {
-                    min_nodes = min_nodes.min(self.jobs[i].record.nodes);
+                    min_nodes = min_nodes.min(row.nodes);
                 }
                 pending
             });
@@ -1277,6 +1308,71 @@ mod tests {
         assert_eq!(jf.evictions, 1);
         assert_eq!(jf.downtime, 100, "evicted at 100, restarted at 200");
         assert_eq!(s.recent_evictions(DAY), 1);
+    }
+
+    /// The pending table is a copy of arena fields taken at arrival; a
+    /// fault retry is the one arrival whose row is not the newest (its
+    /// `submit` predates its neighbours'). What `sample_into` and
+    /// `user_usage` stream from the table must be what the arena says.
+    #[test]
+    fn retry_row_matches_the_arena() {
+        let mut s = sim(2);
+        let mut other = job(4, 20, 1, HOUR, 3 * HOUR);
+        other.user = 2;
+        s.load_trace(&[
+            job(1, 0, 1, 4 * HOUR, 5 * HOUR),
+            job(2, 5, 1, 4 * HOUR, 6 * HOUR),
+            job(3, 10, 2, HOUR, 2 * HOUR),
+            other,
+        ]);
+        // Jobs 1 and 2 fill the cluster; the crash evicts job 2 (the later
+        // starter), which re-queues at 160 behind jobs 3 and 4.
+        s.events.push(Event::new(100, EventKind::NodeDown, 0));
+        s.events.push(Event::new(3 * HOUR, EventKind::NodeUp, 0));
+        s.run_until(200);
+        assert_eq!(s.job_faults(2).evictions, 1);
+
+        let snap = s.sample();
+        let ids: Vec<u64> = snap.queued.iter().map(|q| q.id).collect();
+        assert_eq!(ids, [3, 4, 2], "the retry re-enters at the back");
+        assert!(snap.queued[2].submit < snap.queued[0].submit);
+        assert_eq!(snap.queued[2].age, 195, "age runs from the first submit");
+
+        let from_arena: Vec<QueuedJobView> = s
+            .pending
+            .iter()
+            .map(|row| {
+                let j = &s.jobs[row.idx];
+                assert_eq!(j.status, JobStatus::Pending);
+                assert_eq!(row.user_slot, j.user_slot);
+                QueuedJobView {
+                    id: j.record.id,
+                    nodes: j.record.nodes,
+                    submit: j.record.submit,
+                    age: s.now - j.record.submit,
+                    timelimit: j.record.timelimit,
+                    user: j.record.user,
+                }
+            })
+            .collect();
+        assert_eq!(snap.queued, from_arena);
+        for user in [1, 2, 3] {
+            let queued: Vec<&SimJob> = s
+                .jobs
+                .iter()
+                .filter(|j| j.status == JobStatus::Pending && j.record.user == user)
+                .collect();
+            let usage = s.user_usage(user);
+            assert_eq!(usage.queued, queued.len(), "user {user}");
+            let nodes: u64 = queued.iter().map(|j| u64::from(j.record.nodes)).sum();
+            assert_eq!(usage.queued_nodes, nodes, "user {user}");
+        }
+        assert_eq!(s.user_usage(1).queued, 2, "job 3 and the retry");
+
+        // The retry then starts from its row like any other job.
+        s.run_to_completion();
+        assert_eq!(s.completed().len(), 4);
+        assert_eq!(s.fault_stats().retry_successes, 1);
     }
 
     #[test]
