@@ -1,12 +1,10 @@
-//! Shared simulator internals that must stay in lockstep between the
-//! event-driven and tick-driven backends.
+//! Admission bookkeeping of the cluster state machine
+//! ([`crate::Simulator`], which both clocks drive).
 //!
-//! Both simulators admit jobs identically (clear any recorded outcome,
-//! keep the requested id when unique, otherwise assign the next free
-//! one, clamp the submit instant to the present) and expose the same
-//! recent-wait observable behind the paper's `avg` heuristic. The
-//! backend-equivalence property test depends on these behaviors not
-//! drifting apart, so they live here with one implementation each.
+//! A job is admitted by clearing any recorded outcome, keeping the
+//! requested id when unique (otherwise assigning the next free one) and
+//! clamping the submit instant to the present; dispatches feed the
+//! recent-wait observable behind the paper's `avg` heuristic.
 
 use std::collections::{HashMap, VecDeque};
 

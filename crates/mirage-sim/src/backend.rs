@@ -8,8 +8,9 @@
 //! official:
 //!
 //! * [`ClusterBackend`] — the trait, implemented by the event-driven
-//!   [`Simulator`], the tick-driven [`ReferenceSimulator`] and the
-//!   enum-dispatched [`AnyBackend`],
+//!   [`Simulator`], the tick-driven [`ReferenceSimulator`] (a tick clock
+//!   over a `Simulator` of its own: its reads are that cluster's, only
+//!   what moves time differs) and the enum-dispatched [`AnyBackend`],
 //! * [`SimBuilder`] (via [`SimConfig::builder`]) — value-level backend
 //!   selection: `SimConfig::builder().nodes(64).seed(7)
 //!   .backend(BackendKind::Tick).build()`,
@@ -362,39 +363,42 @@ impl ClusterBackend for Simulator {
     }
 }
 
+// Reads are the cluster's own (`Deref<Target = Simulator>`), named
+// explicitly because `self.now()` here would resolve to this trait's
+// method and recurse; what moves time is the tick clock's.
 impl ClusterBackend for ReferenceSimulator {
     fn now(&self) -> i64 {
-        ReferenceSimulator::now(self)
+        Simulator::now(self)
     }
     fn total_nodes(&self) -> u32 {
-        ReferenceSimulator::total_nodes(self)
+        Simulator::total_nodes(self)
     }
     fn free_nodes(&self) -> u32 {
-        ReferenceSimulator::free_nodes(self)
+        Simulator::free_nodes(self)
     }
     fn available_nodes(&self) -> u32 {
-        ReferenceSimulator::available_nodes(self)
+        Simulator::available_nodes(self)
     }
     fn recent_evictions(&self, window: i64) -> u32 {
-        ReferenceSimulator::recent_evictions(self, window)
+        Simulator::recent_evictions(self, window)
     }
     fn fault_stats(&self) -> FaultStats {
-        ReferenceSimulator::fault_stats(self)
+        Simulator::fault_stats(self)
     }
     fn job_faults(&self, id: u64) -> JobFaults {
-        ReferenceSimulator::job_faults(self, id)
+        Simulator::job_faults(self, id)
     }
     fn pool_free(&self) -> Vec<u32> {
-        ReferenceSimulator::pool_free(self)
+        Simulator::pool_free(self)
     }
     fn pool_total(&self) -> Vec<u32> {
-        ReferenceSimulator::pool_total(self)
+        Simulator::pool_total(self)
     }
     fn hetero_stats(&self) -> HeteroStats {
-        ReferenceSimulator::hetero_stats(self)
+        Simulator::hetero_stats(self)
     }
     fn contended_running(&self) -> u32 {
-        ReferenceSimulator::contended_running(self)
+        Simulator::contended_running(self)
     }
     fn load_trace(&mut self, jobs: &[JobRecord]) {
         ReferenceSimulator::load_trace(self, jobs);
@@ -403,10 +407,10 @@ impl ClusterBackend for ReferenceSimulator {
         ReferenceSimulator::submit(self, job)
     }
     fn sample(&self) -> ClusterSnapshot {
-        ReferenceSimulator::sample(self)
+        Simulator::sample(self)
     }
     fn sample_into(&self, out: &mut ClusterSnapshot) {
-        ReferenceSimulator::sample_into(self, out);
+        Simulator::sample_into(self, out);
     }
     fn status(&self, id: u64) -> Option<JobStatus> {
         self.job_status(id)
@@ -424,16 +428,16 @@ impl ClusterBackend for ReferenceSimulator {
         ReferenceSimulator::is_active(self)
     }
     fn completed(&self) -> Vec<JobRecord> {
-        ReferenceSimulator::completed(self)
+        Simulator::completed(self)
     }
     fn metrics(&self) -> SimMetrics {
-        ReferenceSimulator::metrics(self)
+        Simulator::metrics(self)
     }
     fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-        ReferenceSimulator::avg_recent_wait(self, window)
+        Simulator::avg_recent_wait(self, window)
     }
     fn user_usage(&self, user: u32) -> ServiceUsage {
-        ReferenceSimulator::user_usage(self, user)
+        Simulator::user_usage(self, user)
     }
     fn reset(&mut self) {
         ReferenceSimulator::reset(self);

@@ -1,12 +1,12 @@
 //! Scheduling-plan core: priority order + EASY backfill.
 //!
-//! One planner (`plan_queue`) serves both simulators. Given the pending
-//! queue in priority order, the free-node count and the *estimated*
-//! release times of running jobs, it decides which pending jobs start
-//! right now. [`plan_schedule`] / [`plan_schedule_into`] feed it a slice
-//! that is already sorted (the reference simulator, the benchmarks); the
-//! event-driven simulator feeds it a `LazyOrder`, which puts an
-//! unordered queue in priority order only as far as the planner reads.
+//! One planner (`plan_queue`). Given the pending queue in priority
+//! order, the free-node count and the *estimated* release times of
+//! running jobs, it decides which pending jobs start right now.
+//! [`plan_schedule`] / [`plan_schedule_into`] feed it a slice that is
+//! already sorted (outside callers, the benchmarks); the simulator's
+//! scheduling pass — on either clock — feeds it a `LazyOrder`, which puts
+//! an unordered queue in priority order only as far as the planner reads.
 //!
 //! The planner follows Slurm semantics:
 //!

@@ -1,5 +1,5 @@
 //! Fault injection: node crash/recovery models, job retry policy, and
-//! the per-run fault ledgers both simulators maintain.
+//! the per-run fault ledgers the simulator maintains.
 //!
 //! A [`FaultModel`] turns a seed into a deterministic crash tape
 //! ([`mirage_trace::fault_schedule`]) plus an order-independent transient

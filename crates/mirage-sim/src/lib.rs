@@ -11,20 +11,21 @@
 //!   completion) changes the system, so simulated time leaps between
 //!   events. One month of trace replays in well under a minute.
 //! * [`ReferenceSimulator`] — a tick-driven stand-in for the "standard
-//!   Slurm simulator" the paper validates against: the main priority pass
-//!   and the backfill pass run on their own fixed cadences (as in
-//!   production `slurmctld`), so jobs start only on scheduler ticks. It is
-//!   deliberately slower and anchors the §5.2 fidelity study
-//!   ([`fidelity`]).
+//!   Slurm simulator" the paper validates against: the same cluster, with
+//!   the main priority pass and the backfill pass on their own fixed
+//!   cadences (as in production `slurmctld`), so jobs start only on
+//!   scheduler ticks. It anchors the §5.2 fidelity study ([`fidelity`]).
 //! * [`BackendPool`] — N independently seeded backends fanned out over
 //!   std threads, for parallel episode collection. Workers are
 //!   supervised: a panicking task is caught, its backend rebuilt, and
 //!   the task retried under a bounded budget ([`PoolHealth`] counts the
 //!   incidents).
 //!
-//! Both simulators share one scheduling-plan core
-//! ([`backfill::plan_schedule`]: multifactor priority + EASY backfill) and
-//! are selected *by value* through the builder:
+//! The two simulators are one cluster state machine under two clocks: the job arena,
+//! the queue, the scheduling pass (multifactor priority + EASY backfill,
+//! [`backfill`]) and the fault/retry/pool ledgers are [`Simulator`]'s, and
+//! [`ReferenceSimulator`] only decides *when* a pass runs. They are
+//! selected *by value* through the builder:
 //!
 //! ```
 //! use mirage_sim::{BackendKind, ClusterBackend, SimConfig};

@@ -209,8 +209,8 @@ pub struct Simulator {
     /// The planner can only ever start a job whose request fits in
     /// `free_nodes` (both the priority and the backfill phase check it),
     /// so a pass with `free_nodes < min_pending_nodes` is provably a
-    /// no-op and is skipped wholesale — on a congested cluster that is
-    /// most passes. Skipping also skips the pass's fair-share decay, so
+    /// no-op and the event clock skips it wholesale — on a congested
+    /// cluster that is most passes. Skipping also skips the pass's fair-share decay, so
     /// *which* passes are skipped is part of the replayed arithmetic: the
     /// bound is tightened by arrivals and recomputed exactly (in the same
     /// sweep that drops started jobs from `pending`) after every pass that
@@ -563,7 +563,7 @@ impl Simulator {
             }
             self.advance_clock(t);
             self.process_events_at(t);
-            self.schedule_pass();
+            self.event_pass();
         }
         self.advance_clock(t_end);
     }
@@ -573,8 +573,42 @@ impl Simulator {
         while let Some(t) = self.events.peek_time() {
             self.advance_clock(t);
             self.process_events_at(t);
-            self.schedule_pass();
+            self.event_pass();
         }
+    }
+
+    /// The event clock's pass after an instant's events — unless it is
+    /// provably futile (no pending job fits in the free nodes; see
+    /// `min_pending_nodes`). Skipping a pass also skips its fair-share
+    /// decay, so the skip is this clock's pinned arithmetic, not the
+    /// pass's: a clock that runs passes on a cadence runs them all.
+    fn event_pass(&mut self) {
+        if self.free_nodes >= self.min_pending_nodes {
+            self.schedule_pass(self.cfg.backfill);
+        }
+    }
+
+    /// [`Simulator::run_until`] without the passes: fires every event up
+    /// to and including `t_end` and leaves *when* to schedule to the
+    /// caller's clock ([`crate::ReferenceSimulator`]'s cadences).
+    pub(crate) fn fire_events_until(&mut self, t_end: i64) {
+        while let Some(t) = self.events.peek_time() {
+            if t > t_end {
+                break;
+            }
+            self.advance_clock(t);
+            self.process_events_at(t);
+        }
+        self.advance_clock(t_end);
+    }
+
+    /// Whether a loaded job is still future, queued or running: every job
+    /// ends completed, rejected or terminally failed. Unlike
+    /// [`Simulator::is_active`] this ignores what is left of the fault
+    /// tape and stranded completion events.
+    pub(crate) fn has_unresolved_jobs(&self) -> bool {
+        self.completed_order.len() + self.rejected + (self.fault_stats.failed_jobs as usize)
+            < self.jobs.len()
     }
 
     /// Whether any work remains (queued, running or future).
@@ -974,10 +1008,8 @@ impl Simulator {
     ///   nodes cannot host a reservation until they recover. Priority and
     ///   fair-share keep the nominal partition size, matching how Slurm's
     ///   multifactor weights stay fixed across drained nodes.
-    fn schedule_pass(&mut self) {
-        // Provably-futile passes (nothing pending, or no pending job fits
-        // in the free nodes) are skipped outright; see `min_pending_nodes`.
-        if self.pending.is_empty() || self.free_nodes < self.min_pending_nodes {
+    pub(crate) fn schedule_pass(&mut self, policy: BackfillPolicy) {
+        if self.pending.is_empty() {
             return;
         }
         let w = self.cfg.weights;
@@ -1005,7 +1037,7 @@ impl Simulator {
             total - self.down_nodes,
             now,
             &self.releases,
-            self.cfg.backfill,
+            policy,
             &mut self.scratch_plan,
             &mut starts,
         );

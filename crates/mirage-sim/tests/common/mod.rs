@@ -1,0 +1,148 @@
+//! The conservation property `tests/faults.rs` and `tests/hetero.rs`
+//! share: one body, generic over [`ClusterBackend`], that both run on the
+//! event clock and on the tick clock with faults and pools combined.
+
+use mirage_sim::{
+    BackendKind, ClusterBackend, ClusterSnapshot, FaultStats, HeteroStats, SimBuilder, SimMetrics,
+};
+use mirage_trace::{JobRecord, HOUR};
+use proptest::prelude::*;
+
+/// Everything a finished run exposes.
+type Observed = (Vec<JobRecord>, SimMetrics, FaultStats, HeteroStats);
+
+/// Hourly snapshots while the trace arrives and drains, then the tail.
+const SNAPSHOT_HOURS: i64 = 72;
+
+/// Runs the loaded trace to completion, checking on hourly snapshots that
+/// the clock lands where it was sent (and never runs backwards after) and
+/// every node is in exactly one place: free, down, or under a running job
+/// — and, on a heterogeneous partition, that the pools' free counts add
+/// up to the cluster's.
+fn drive<B: ClusterBackend>(backend: &mut B) -> Result<Observed, String> {
+    let mut snap = ClusterSnapshot::default();
+    for hour in 1..=SNAPSHOT_HOURS {
+        backend.run_until(hour * HOUR);
+        backend.sample_into(&mut snap);
+        prop_assert_eq!(snap.now, hour * HOUR);
+        let allocated: u32 = snap.running.iter().map(|r| r.nodes).sum();
+        prop_assert_eq!(
+            snap.free_nodes + snap.down_nodes + allocated,
+            snap.total_nodes,
+            "free + down + allocated at t={}",
+            snap.now
+        );
+        if !snap.pool_total.is_empty() {
+            prop_assert_eq!(snap.pool_free.iter().sum::<u32>(), snap.free_nodes);
+            prop_assert!(snap
+                .pool_free
+                .iter()
+                .zip(&snap.pool_total)
+                .all(|(f, t)| f <= t));
+        }
+    }
+    backend.run_to_completion();
+    prop_assert!(backend.now() >= snap.now, "clock ran backwards");
+    Ok((
+        backend.completed(),
+        backend.metrics(),
+        backend.fault_stats(),
+        backend.hetero_stats(),
+    ))
+}
+
+/// Jobs, nodes and retry accounting are conserved on `backend` over
+/// `trace`, and `reset()` replays the run exactly.
+fn check_backend<B: ClusterBackend>(backend: &mut B, trace: &[JobRecord]) -> Result<(), String> {
+    backend.load_trace(trace);
+    let run = drive(backend)?;
+    let (completed, m, faults, hetero) = &run;
+
+    prop_assert_eq!(
+        completed.len() + m.failed_jobs + m.rejected_jobs,
+        trace.len(),
+        "complete + terminal-fail + rejected must cover the trace"
+    );
+    prop_assert_eq!(m.failed_jobs as u64, faults.failed_jobs);
+    prop_assert!(
+        faults.retries <= faults.evictions,
+        "every retry is an eviction"
+    );
+    prop_assert!(faults.job_failures <= faults.evictions);
+    prop_assert!(
+        faults.retry_successes as usize <= completed.len(),
+        "retry successes are completions"
+    );
+
+    // Nothing runs any more: every node is free or still crashed (the
+    // tick clock stops with the last job, not with the fault tape).
+    let down = backend.total_nodes() - backend.available_nodes();
+    prop_assert_eq!(backend.free_nodes() + down, backend.total_nodes());
+    prop_assert_eq!(backend.contended_running(), 0);
+    if !backend.pool_total().is_empty() {
+        prop_assert_eq!(
+            backend.pool_free().iter().sum::<u32>(),
+            backend.free_nodes()
+        );
+        if down == 0 {
+            prop_assert_eq!(
+                backend.pool_free(),
+                backend.pool_total(),
+                "pools drain to full"
+            );
+        }
+        // Every attempt was placed once and ended as a completion or an
+        // eviction.
+        prop_assert_eq!(hetero.placements, completed.len() as u64 + faults.evictions);
+    }
+    prop_assert!(hetero.span_placements <= hetero.placements);
+
+    // Completed jobs respect causality; slowdowns stay within the worst
+    // case (`(1 + contention) / slowest throughput`, capped by the time
+    // limit).
+    for j in completed {
+        let (start, end) = (j.start.unwrap(), j.end.unwrap());
+        prop_assert!(start >= j.submit);
+        let max_scaled = ((j.runtime as f64) * 2.0 / 0.6).ceil() as i64 + 1;
+        prop_assert!(end - start > 0 && end - start <= max_scaled.min(j.timelimit));
+    }
+
+    backend.reset_with(trace);
+    prop_assert_eq!(&drive(backend)?, &run, "reset replays the run");
+    Ok(())
+}
+
+/// The tick clock's `(tick, sched_interval, backfill_interval)`, seconds.
+pub type Cadence = (i64, i64, i64);
+
+/// A tick of 1, 30 or 97 s (the last divides neither an hour nor an
+/// interval) and a main and a backfill pass every tick, 60, 120 or 300 s.
+pub fn cadence_strategy() -> impl Strategy<Value = Cadence> {
+    (0usize..3, 0usize..4, 0usize..4).prop_map(|(tick, sched, backfill)| {
+        let tick = [1, 30, 97][tick];
+        let interval = |i: usize| [tick, 60, 120, 300][i];
+        (tick, interval(sched), interval(backfill))
+    })
+}
+
+/// [`check_backend`] on both clocks of the cluster `builder` describes,
+/// the tick clock on the drawn `cadence`.
+pub fn check_conservation(
+    builder: SimBuilder,
+    (tick, sched_interval, backfill_interval): Cadence,
+    trace: &[JobRecord],
+) -> Result<(), String> {
+    let builder = builder
+        .tick(tick)
+        .sched_interval(sched_interval)
+        .backfill_interval(backfill_interval);
+    for kind in [BackendKind::EventDriven, BackendKind::Tick] {
+        let mut backend = builder
+            .clone()
+            .backend(kind)
+            .try_build()
+            .map_err(|e| e.to_string())?;
+        check_backend(&mut backend, trace).map_err(|e| format!("{kind:?}: {e}"))?;
+    }
+    Ok(())
+}

@@ -10,9 +10,11 @@
 //!    observable output byte-for-byte equal to a config that predates the
 //!    fault subsystem, so all existing identity pins hold unchanged.
 
+mod common;
+
 use mirage_sim::{
-    ClusterBackend, FaultModel, FaultStats, ReferenceConfig, ReferenceSimulator, RetryPolicy,
-    SimConfig, SimMetrics, Simulator,
+    ClusterBackend, FaultModel, FaultStats, HeteroModel, ReferenceConfig, ReferenceSimulator,
+    RetryPolicy, SimConfig, SimMetrics, Simulator,
 };
 use mirage_trace::JobRecord;
 use proptest::prelude::*;
@@ -122,41 +124,31 @@ proptest! {
         prop_assert_eq!(observe(&mut rplain), observe(&mut rnone), "tick-driven");
     }
 
-    /// Jobs are conserved under severe chaos: every trace job either
-    /// completes, fails terminally, or was rejected — nothing vanishes,
-    /// and retry bookkeeping stays consistent.
+    /// Jobs and nodes are conserved under severe chaos, on both clocks,
+    /// on a homogeneous partition or with pools underneath: every trace
+    /// job completes, fails terminally or was rejected, every node is
+    /// free, down or allocated on every hourly snapshot, retry
+    /// bookkeeping stays consistent and `reset()` replays the run (the
+    /// body, shared with `tests/hetero.rs`, is `common::check_backend`).
     #[test]
     fn chaos_conserves_jobs_and_retry_accounting(
         fault_seed in 0u64..1_000_000,
         seed_jobs in prop::collection::vec(
             (0i64..100_000, 1u32..=4, 1800i64..20_000), 1..25),
+        nodes in 4u32..=12,
+        pools in (0u8..3, 0u64..1_000_000),
+        cadence in common::cadence_strategy(),
     ) {
-        let trace = trace_from(&seed_jobs);
-        let mut cfg = SimConfig::new(6);
-        cfg.faults = FaultModel::severe(fault_seed);
-        cfg.retry = RetryPolicy::default();
-        let mut sim = Simulator::new(cfg);
-        sim.load_trace(&trace);
-        sim.run_to_completion();
-        let m = sim.metrics();
-        let stats = sim.fault_stats();
-        prop_assert_eq!(
-            sim.completed().len() + m.failed_jobs + m.rejected_jobs,
-            trace.len(),
-            "complete + terminal-fail + rejected must cover the trace"
-        );
-        prop_assert_eq!(m.failed_jobs as u64, stats.failed_jobs);
-        prop_assert!(stats.retries <= stats.evictions, "every retry is an eviction");
-        prop_assert!(stats.job_failures <= stats.evictions);
-        prop_assert!(
-            stats.retry_successes as usize <= sim.completed().len(),
-            "retry successes are completions"
-        );
-        // Completed jobs still respect causality and their limits.
-        for j in &sim.completed() {
-            let (start, end) = (j.start.unwrap(), j.end.unwrap());
-            prop_assert!(start >= j.submit);
-            prop_assert!(end - start > 0 && end - start <= j.timelimit);
-        }
+        let hetero = match pools {
+            (0, _) => HeteroModel::none(),
+            (1, seed) => HeteroModel::balanced(nodes, seed),
+            (_, seed) => HeteroModel::scarce(nodes, seed),
+        };
+        let builder = SimConfig::builder()
+            .nodes(nodes)
+            .faults(FaultModel::severe(fault_seed))
+            .retry(RetryPolicy::default())
+            .hetero(hetero);
+        common::check_conservation(builder, cadence, &trace_from(&seed_jobs))?;
     }
 }

@@ -1,6 +1,22 @@
-//! Golden digests of whole congested replays, captured on the commit
-//! before the scheduling pass stopped sorting the whole queue (PR 13) and
-//! unchanged since.
+//! Golden digests of whole congested replays, none produced by the code
+//! it certifies.
+//!
+//! * The three **event-clock** digests were captured on the commit before
+//!   the scheduling pass stopped sorting the whole queue (PR 13) and are
+//!   unchanged since.
+//! * The three **tick-clock** digests (`golden_digest_tick_*`) were
+//!   captured from the hand-written tick simulator PR 19 deleted — a
+//!   second job arena, queue, fault/retry/pool ledger and scheduling pass
+//!   beside `Simulator`'s — in a tree holding the PR 18 commit plus two
+//!   fixes to that twin and nothing else: its tick fired all completions,
+//!   then all node events, then all arrivals, so a crash was absorbed by
+//!   a node freed *later* in the same tick (now merged in the event
+//!   queue's `(time, kind, push order)`), and its `run_to_completion` ran
+//!   on to the stranded completion entry of an evicted attempt (now stops
+//!   with the last job). Neither fix touches a fault-free run: the plain
+//!   digest is also the unfixed PR 18 twin's, whose other two read
+//!   `0xdf3e_2836_06b4_bfb4` (2 741 completed) and `0x75d9_7f32_a0a8_c641`
+//!   (2 667). The tick clock over `Simulator` landed against all three.
 //!
 //! The scheduling pass decides *which job starts when*; any change to the
 //! priority order, its tie-breaks, the `sched_depth` truncation or the
@@ -10,7 +26,10 @@
 //! `hetero_stats()`, so "bit-identical starts, start order and statistics"
 //! is one `assert_eq!` per scenario.
 
-use mirage_sim::{FaultModel, HeteroModel, SimConfig, Simulator};
+use mirage_sim::{
+    ClusterBackend, FaultModel, HeteroModel, ReferenceConfig, ReferenceSimulator, SimConfig,
+    Simulator,
+};
 use mirage_trace::{
     clean_trace, ClusterProfile, JobRecord, SynthConfig, TraceGenerator, HOUR, WEEK,
 };
@@ -43,15 +62,24 @@ impl Digest {
     }
 }
 
-/// Replays `trace` under `cfg` an hour at a time (so the deepest queue is
-/// observed) and digests everything the run exposes. Returns
-/// `(digest, completed jobs, deepest queue)`.
-fn replay(cfg: SimConfig, trace: &[JobRecord]) -> (u64, usize, usize) {
+fn event_clock(cfg: SimConfig) -> Simulator {
     cfg.validate().expect("golden configs are valid");
-    let mut sim = Simulator::new(cfg);
+    Simulator::new(cfg)
+}
+
+fn tick_clock(cfg: ReferenceConfig) -> ReferenceSimulator {
+    cfg.validate().expect("golden configs are valid");
+    ReferenceSimulator::new(cfg)
+}
+
+/// Replays `trace` on `sim` an hour at a time over its `weeks` of
+/// arrivals (so the deepest queue is observed), then to completion, and
+/// digests everything the run exposes. Returns
+/// `(digest, completed jobs, deepest queue)`.
+fn replay<B: ClusterBackend>(mut sim: B, trace: &[JobRecord], weeks: i64) -> (u64, usize, usize) {
     sim.load_trace(trace);
     let mut deepest = 0;
-    for hour in 1..=(3 * WEEK / HOUR) {
+    for hour in 1..=(weeks * WEEK / HOUR) {
         sim.run_until(hour * HOUR);
         deepest = deepest.max(sim.sample().queued.len());
     }
@@ -100,7 +128,7 @@ fn replay(cfg: SimConfig, trace: &[JobRecord]) -> (u64, usize, usize) {
 #[test]
 fn golden_digest_congested_replay() {
     let trace = congested_trace();
-    let (digest, completed, deepest) = replay(SimConfig::new(84), &trace);
+    let (digest, completed, deepest) = replay(event_clock(SimConfig::new(84)), &trace, 3);
     assert!(deepest > 100, "queue only reached {deepest}");
     assert_eq!((digest, completed), (0xb3c7_4fb5_0ea2_b0d6, 6678));
 }
@@ -111,7 +139,7 @@ fn golden_digest_faults_and_pools() {
     let mut cfg = SimConfig::new(84);
     cfg.faults = FaultModel::severe(11);
     cfg.hetero = HeteroModel::scarce(84, 5);
-    let (digest, completed, deepest) = replay(cfg, &trace);
+    let (digest, completed, deepest) = replay(event_clock(cfg), &trace, 3);
     assert!(deepest > 100, "queue only reached {deepest}");
     assert_eq!((digest, completed), (0x26a8_95ae_5163_3ad6, 6376));
 }
@@ -121,7 +149,44 @@ fn golden_digest_truncated_depth() {
     let trace = congested_trace();
     let mut cfg = SimConfig::new(84);
     cfg.sched_depth = 32;
-    let (digest, completed, deepest) = replay(cfg, &trace);
+    let (digest, completed, deepest) = replay(event_clock(cfg), &trace, 3);
     assert!(deepest > 32, "backlog {deepest} never exceeded sched_depth");
     assert_eq!((digest, completed), (0x44b6_3313_622b_9c26, 6678));
+}
+
+/// The first week of [`congested_trace`]: the hand-written tick simulator
+/// the tick digests were captured from needed ~4 s for it in release.
+fn congested_week() -> Vec<JobRecord> {
+    let mut jobs = congested_trace();
+    jobs.retain(|j| j.submit < WEEK);
+    jobs
+}
+
+#[test]
+fn golden_digest_tick_congested_replay() {
+    let trace = congested_week();
+    let (digest, completed, deepest) = replay(tick_clock(ReferenceConfig::new(84)), &trace, 1);
+    assert!(deepest > 100, "queue only reached {deepest}");
+    assert_eq!((digest, completed), (0x0ada_71d5_58f8_102b, 2784));
+}
+
+#[test]
+fn golden_digest_tick_faults() {
+    let trace = congested_week();
+    let mut cfg = ReferenceConfig::new(84);
+    cfg.faults = FaultModel::severe(11);
+    let (digest, completed, deepest) = replay(tick_clock(cfg), &trace, 1);
+    assert!(deepest > 100, "queue only reached {deepest}");
+    assert_eq!((digest, completed), (0xf905_7b38_8dd7_0f8e, 2737));
+}
+
+#[test]
+fn golden_digest_tick_faults_and_pools() {
+    let trace = congested_week();
+    let mut cfg = ReferenceConfig::new(84);
+    cfg.faults = FaultModel::severe(11);
+    cfg.hetero = HeteroModel::scarce(84, 5);
+    let (digest, completed, deepest) = replay(tick_clock(cfg), &trace, 1);
+    assert!(deepest > 100, "queue only reached {deepest}");
+    assert_eq!((digest, completed), (0xd400_61b8_c8d3_0c61, 2656));
 }

@@ -12,6 +12,8 @@
 //!    run (including across `reset()`), with and without faults layered on
 //!    top, so RL-vs-baseline comparisons are controlled experiments.
 
+mod common;
+
 use mirage_sim::{
     ClusterBackend, FaultModel, HeteroModel, HeteroStats, NodePool, ReferenceConfig,
     ReferenceSimulator, SimConfig, SimMetrics, Simulator,
@@ -157,41 +159,31 @@ proptest! {
         prop_assert_eq!(&run_ra, &observe(&mut ra), "tick-driven reset replay");
     }
 
-    /// Pool accounting is conserved under contended multi-pool scenarios:
-    /// every job completes or terminates, pools drain back to their
-    /// totals, and runtimes respect the slowdown bounds.
+    /// Pool accounting is conserved under contended multi-pool scenarios,
+    /// on both clocks, with reliable nodes or with faults on top: every
+    /// job completes or terminates, the pools' free counts add up to the
+    /// cluster's on every hourly snapshot and drain back to their totals,
+    /// runtimes respect the slowdown bounds and `reset()` replays the run
+    /// (the body, shared with `tests/faults.rs`, is
+    /// `common::check_backend`).
     #[test]
     fn pools_conserve_nodes_and_jobs(
         hetero_seed in 0u64..1_000_000,
         seed_jobs in prop::collection::vec(
             (0i64..100_000, 1u32..=4, 1800i64..20_000, 0u8..4), 1..25),
+        nodes in 4u32..=12,
+        faults in (0u8..3, 0u64..1_000_000),
+        cadence in common::cadence_strategy(),
     ) {
-        let trace = trace_from(&seed_jobs);
-        let mut cfg = SimConfig::new(8);
-        cfg.hetero = HeteroModel::scarce(8, hetero_seed);
-        cfg.validate().unwrap();
-        let mut sim = Simulator::new(cfg);
-        sim.load_trace(&trace);
-        sim.run_to_completion();
-        let m = sim.metrics();
-        prop_assert_eq!(
-            sim.completed().len() + m.failed_jobs + m.rejected_jobs,
-            trace.len(),
-            "complete + terminal-fail + rejected must cover the trace"
-        );
-        prop_assert_eq!(sim.pool_free(), sim.pool_total(), "pools drain to full");
-        prop_assert_eq!(sim.contended_running(), 0);
-        let stats = sim.hetero_stats();
-        prop_assert_eq!(stats.placements as usize, sim.completed().len());
-        prop_assert!(stats.span_placements <= stats.placements);
-        // Completed jobs respect causality; slowdowns stay within the
-        // worst case (`(1 + contention) / slowest throughput`, capped by
-        // the time limit).
-        for j in &sim.completed() {
-            let (start, end) = (j.start.unwrap(), j.end.unwrap());
-            prop_assert!(start >= j.submit);
-            let max_scaled = ((j.runtime as f64) * 2.0 / 0.6).ceil() as i64 + 1;
-            prop_assert!(end - start > 0 && end - start <= max_scaled.min(j.timelimit));
-        }
+        let faults = match faults {
+            (0, _) => FaultModel::none(),
+            (1, seed) => FaultModel::moderate(seed),
+            (_, seed) => FaultModel::severe(seed),
+        };
+        let builder = SimConfig::builder()
+            .nodes(nodes)
+            .hetero(HeteroModel::scarce(nodes, hetero_seed))
+            .faults(faults);
+        common::check_conservation(builder, cadence, &trace_from(&seed_jobs))?;
     }
 }

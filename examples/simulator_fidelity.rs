@@ -1,6 +1,11 @@
 //! Comparing the fast event-driven simulator against the tick-driven
 //! reference simulator on one sampled week (§5.2 in miniature).
 //!
+//! Both are the same cluster state machine; only the clock differs
+//! (scheduling passes at events vs on `slurmctld`'s cadences), so the
+//! printed differences and the speedup are the price of that cadence and
+//! nothing else.
+//!
 //! ```sh
 //! cargo run --release --example simulator_fidelity
 //! ```
