@@ -6,7 +6,7 @@
 //! by running many episodes, and each episode's per-decision forward pass
 //! is a chain of tiny matmuls that cannot saturate a core on its own. The
 //! lockstep driver amortizes them: every episode runs against its own
-//! backend (built, e.g., by `mirage_sim::BackendPool::build_all`), the
+//! backend (built, e.g., by `mirage_sim::BackendPool::build_range`), the
 //! pending episodes' `k × m` state matrices are stacked into one
 //! `(width·k) × m` batch, and the RL agents answer it with a single
 //! `q_values_batch`/`p_probs_batch` forward. Episodes finish at
@@ -373,11 +373,12 @@ mod tests {
         // constructed backends; every episode must resolve.
         let cfg = small_cfg();
         let t0s = [DAY, DAY + HOUR];
-        let pool = BackendPool::new(|_seed: u64| Simulator::new(SimConfig::new(4)), t0s.len());
+        let pool = BackendPool::with_seed(|_seed: u64| Simulator::new(SimConfig::new(4)), 2, 0);
         let mut submit_after = |_: &Matrix, width: usize, actions: &mut Vec<usize>| {
             actions.extend(std::iter::repeat_n(1usize, width));
         };
-        let results = run_episodes_batched(pool.build_all(), &[], &cfg, &t0s, &mut submit_after);
+        let backends = pool.build_range(0, t0s.len());
+        let results = run_episodes_batched(backends, &[], &cfg, &t0s, &mut submit_after);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.submitted_by_policy);

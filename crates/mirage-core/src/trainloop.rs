@@ -73,9 +73,9 @@ impl<'a, F: BackendFactory> BatchedCollector<'a, F> {
     }
 
     /// Builds the lockstep driver for one window of episode starts: one
-    /// fresh pool backend (seeded as [`BackendPool::build_n`]) and one
-    /// per-`t0` trace window per lane. Decision recording is on — the
-    /// trajectories are the training data.
+    /// fresh pool backend (slots `0..`, from [`BackendPool::build_range`])
+    /// and one per-`t0` trace window per lane. Decision recording is on —
+    /// the trajectories are the training data.
     pub fn window(&self, t0s: &[i64]) -> BatchedEpisodeDriver<F::Backend> {
         self.window_at(0, t0s)
     }

@@ -4,10 +4,11 @@
 //! (sequences are handled as `seq_len × d_model` matrices, mini-batches by
 //! data-parallel per-sample passes). Matmul runs a register-tiled
 //! single-thread microkernel — at Mirage's layer sizes that beats
-//! fan-out, and cross-episode parallelism lives in `mirage-sim`'s
-//! `BackendPool` instead. Every producing operation has an `*_into`
-//! variant writing into a caller-provided buffer for the
-//! allocation-free inference path (see `crate::scratch`).
+//! fan-out, and cross-episode parallelism lives in `mirage-core`'s
+//! `BatchedCollector::run_threaded` / `collect_sharded` instead. Every
+//! producing operation has an `*_into` variant writing into a
+//! caller-provided buffer for the allocation-free inference path (see
+//! `crate::scratch`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

@@ -1,35 +1,26 @@
-//! The [`ClusterBackend`] abstraction: one trait in front of every
-//! simulator implementation.
+//! The [`ClusterBackend`] abstraction: one cluster, the clock that moves
+//! it, and the reads every implementation shares.
 //!
 //! The Mirage agent's contract with the cluster is tiny — inject a job
-//! ([`ClusterBackend::submit`]), observe the queue ([`ClusterBackend::sample`]),
-//! advance time ([`ClusterBackend::step`]) — and nothing in the provisioning
-//! stack should care *which* simulator honors it. This module makes that
-//! official:
+//! ([`ClusterBackend::submit`]), observe the queue
+//! ([`ClusterBackend::sample_into`]), advance time
+//! ([`ClusterBackend::step`]) — and nothing in the provisioning stack
+//! should care *which* clock moves the cluster. Every backend is a clock
+//! over one [`Simulator`]: it names that cluster
+//! ([`ClusterBackend::cluster`]) and says how time moves on it, and every
+//! read is provided once, as a read of the cluster.
 //!
 //! * [`ClusterBackend`] — the trait, implemented by the event-driven
 //!   [`Simulator`], the tick-driven [`ReferenceSimulator`] (a tick clock
-//!   over a `Simulator` of its own: its reads are that cluster's, only
-//!   what moves time differs) and the enum-dispatched [`AnyBackend`],
+//!   over a `Simulator` of its own), the enum-dispatched [`AnyBackend`]
+//!   and `&mut` any of them,
 //! * [`SimBuilder`] (via [`SimConfig::builder`]) — value-level backend
 //!   selection: `SimConfig::builder().nodes(64).seed(7)
 //!   .backend(BackendKind::Tick).build()`,
-//! * [`BackendFactory`] — seeded construction of fresh backends, for
-//!   parallel collection,
-//! * [`BackendPool`] — N independently seeded backends fanned out over
-//!   std threads (the vendored `rayon` is sequential, so this is the
-//!   workspace's real parallelism for episode collection). The pool is
-//!   **supervised**: a task that panics does not kill the run — the
-//!   worker catches the unwind, rebuilds its backend from the factory,
-//!   and the task is retried (on whichever worker claims it next) under
-//!   a bounded-backoff budget, with every incident counted in
-//!   [`PoolHealth`]. [`PanicPlan`] injects deterministic panics so the
-//!   supervision path itself is testable.
-
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! * [`BackendFactory`] and [`BackendPool`] — seeded construction of
+//!   fresh backends: lane slot `i` of a pool is built from
+//!   `base_seed ^ i`, so a lockstep window gets the same backends
+//!   whichever worker builds which of its lanes.
 
 use mirage_trace::{split_seed, JobRecord};
 
@@ -41,7 +32,18 @@ use crate::simulator::{JobStatus, SimConfig, Simulator};
 use crate::snapshot::ClusterSnapshot;
 use crate::{BackfillPolicy, PriorityWeights};
 
-/// A simulated cluster that the provisioning stack can drive.
+/// A simulated cluster that the provisioning stack can drive: a clock
+/// over one [`Simulator`].
+///
+/// An implementation defines the seven required methods — which cluster
+/// it reads ([`cluster`](Self::cluster)), how jobs enter it and how time
+/// moves on it — and nothing else: every read is provided as a read of
+/// [`cluster`](Self::cluster), so no backend can answer one differently
+/// (the provided methods are not meant to be overridden; an `&mut`
+/// reborrow does not forward overrides). Reads nothing upstream needs —
+/// `available_nodes`, `recent_evictions`, `pool_free`, `pool_total`,
+/// `contended_running` — are [`Simulator`]'s own:
+/// `backend.cluster().pool_free()`.
 ///
 /// Semantics shared by every implementation:
 ///
@@ -52,66 +54,9 @@ use crate::{BackfillPolicy, PriorityWeights};
 /// * [`reset`](Self::reset) returns to an idle cluster at time 0 with the
 ///   same configuration, so one backend value can host many episodes.
 pub trait ClusterBackend {
-    /// Current simulated time, seconds.
-    fn now(&self) -> i64;
-
-    /// Partition size.
-    fn total_nodes(&self) -> u32;
-
-    /// Idle node count.
-    fn free_nodes(&self) -> u32;
-
-    /// Nodes physically available right now (total minus crashed). The
-    /// default assumes perfectly reliable hardware; fault-injecting
-    /// backends override it.
-    fn available_nodes(&self) -> u32 {
-        self.total_nodes()
-    }
-
-    /// Fault evictions within the trailing `window` seconds (0 without
-    /// fault injection).
-    fn recent_evictions(&self, window: i64) -> u32 {
-        let _ = window;
-        0
-    }
-
-    /// Aggregate fault counters of the run so far (all zero without fault
-    /// injection).
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
-    }
-
-    /// Per-job fault ledger by id (zero for unknown ids, untouched jobs,
-    /// and backends without fault injection).
-    fn job_faults(&self, id: u64) -> JobFaults {
-        let _ = id;
-        JobFaults::default()
-    }
-
-    /// Per-pool free-node counts on a heterogeneous partition, in pool
-    /// declaration order. The default assumes a homogeneous cluster
-    /// (empty); pool-aware backends override it.
-    fn pool_free(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    /// Per-pool node totals, aligned with [`pool_free`](Self::pool_free)
-    /// (empty on a homogeneous cluster).
-    fn pool_total(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    /// Aggregate placement/contention counters of the run so far (all
-    /// zero without heterogeneity).
-    fn hetero_stats(&self) -> HeteroStats {
-        HeteroStats::default()
-    }
-
-    /// Running jobs currently suffering a contention slowdown (0 without
-    /// heterogeneity).
-    fn contended_running(&self) -> u32 {
-        0
-    }
+    /// The cluster this backend is a clock over; every provided read is
+    /// a read of it.
+    fn cluster(&self) -> &Simulator;
 
     /// Loads a trace of future arrivals (ids preserved when unique).
     fn load_trace(&mut self, jobs: &[JobRecord]);
@@ -119,83 +64,102 @@ pub trait ClusterBackend {
     /// Submits a job *now*; returns its tracking id.
     fn submit(&mut self, job: JobRecord) -> u64;
 
-    /// Observable cluster state at the current instant.
-    fn sample(&self) -> ClusterSnapshot;
-
-    /// Observable cluster state written into a caller-provided snapshot,
-    /// reusing its `queued`/`running` vectors so the steady-state decision
-    /// loop samples without allocating. The result must equal a fresh
-    /// [`sample`](Self::sample) — stale contents of `out` are overwritten.
-    /// The default just delegates; concrete backends override with a
-    /// buffer-reusing implementation.
-    fn sample_into(&self, out: &mut ClusterSnapshot) {
-        *out = self.sample();
-    }
-
-    /// Lifecycle status of a job by id.
-    fn status(&self, id: u64) -> Option<JobStatus>;
-
-    /// Advances simulated time by `dt` seconds (non-positive `dt` is a
-    /// no-op rather than an event-order hazard).
-    fn step(&mut self, dt: i64);
-
     /// Advances simulated time to `t_end`.
     fn run_until(&mut self, t_end: i64);
 
     /// Runs until no work remains.
     fn run_to_completion(&mut self);
 
-    /// Whether queued, running or future work remains.
+    /// Whether work remains — what [`run_to_completion`](Self::run_to_completion)
+    /// runs down, so each clock answers it.
     fn is_active(&self) -> bool;
 
+    /// Returns to an idle cluster at time 0, keeping the configuration.
+    fn reset(&mut self);
+
+    /// Current simulated time, seconds.
+    fn now(&self) -> i64 {
+        self.cluster().now()
+    }
+
+    /// Partition size.
+    fn total_nodes(&self) -> u32 {
+        self.cluster().total_nodes()
+    }
+
+    /// Idle node count.
+    fn free_nodes(&self) -> u32 {
+        self.cluster().free_nodes()
+    }
+
+    /// Aggregate fault counters of the run so far (all zero without fault
+    /// injection).
+    fn fault_stats(&self) -> FaultStats {
+        self.cluster().fault_stats()
+    }
+
+    /// Aggregate placement/contention counters of the run so far (all
+    /// zero without heterogeneity).
+    fn hetero_stats(&self) -> HeteroStats {
+        self.cluster().hetero_stats()
+    }
+
+    /// Per-job fault ledger by id (zero for unknown ids and untouched
+    /// jobs).
+    fn job_faults(&self, id: u64) -> JobFaults {
+        self.cluster().job_faults(id)
+    }
+
+    /// Observable cluster state at the current instant, freshly
+    /// allocated; the decision loop uses [`sample_into`](Self::sample_into).
+    fn sample(&self) -> ClusterSnapshot {
+        self.cluster().sample()
+    }
+
+    /// Observable cluster state written into a caller-provided snapshot,
+    /// reusing its `queued`/`running` vectors so the steady-state decision
+    /// loop samples without allocating; equal to a fresh
+    /// [`sample`](Self::sample).
+    fn sample_into(&self, out: &mut ClusterSnapshot) {
+        self.cluster().sample_into(out);
+    }
+
+    /// Lifecycle status of a job by id.
+    fn status(&self, id: u64) -> Option<JobStatus> {
+        self.cluster().job_status(id)
+    }
+
     /// Completed job records, in completion order.
-    fn completed(&self) -> Vec<JobRecord>;
+    fn completed(&self) -> Vec<JobRecord> {
+        self.cluster().completed()
+    }
 
     /// Aggregate metrics of the run so far.
-    fn metrics(&self) -> SimMetrics;
+    fn metrics(&self) -> SimMetrics {
+        self.cluster().metrics()
+    }
 
     /// Mean queue wait of jobs started within the trailing `window`
     /// seconds (`None` if nothing started).
-    fn avg_recent_wait(&self, window: i64) -> Option<f64>;
+    fn avg_recent_wait(&self, window: i64) -> Option<f64> {
+        self.cluster().avg_recent_wait(window)
+    }
 
     /// Per-user accounting: `user`'s queued/running footprint and
     /// completed consumption on this cluster. Multi-service provisioning
     /// tags each service's jobs with a distinct user id and reads its
-    /// share of the shared queue through this ledger. The default derives
-    /// it from [`sample`](Self::sample)/[`completed`](Self::completed)
-    /// (allocating); the bundled backends override it with a single
-    /// allocation-free pass over their job arenas.
+    /// share of the shared queue through this ledger.
     fn user_usage(&self, user: u32) -> ServiceUsage {
-        let mut usage = ServiceUsage::empty(user);
-        let snap = self.sample();
-        for q in &snap.queued {
-            if q.user == user {
-                usage.queued += 1;
-                usage.queued_nodes += u64::from(q.nodes);
-            }
-        }
-        for r in &snap.running {
-            if r.user == user {
-                usage.running += 1;
-                usage.running_nodes += u64::from(r.nodes);
-            }
-        }
-        for job in self.completed() {
-            if job.user != user {
-                continue;
-            }
-            let (Some(start), Some(end)) = (job.start, job.end) else {
-                continue;
-            };
-            usage.completed += 1;
-            usage.node_seconds += f64::from(job.nodes) * (end - start) as f64;
-            usage.wait_sum += start - job.submit;
-        }
-        usage
+        self.cluster().user_usage(user)
     }
 
-    /// Returns to an idle cluster at time 0, keeping the configuration.
-    fn reset(&mut self);
+    /// Advances simulated time by `dt` seconds (non-positive `dt` is a
+    /// no-op rather than an event-order hazard).
+    fn step(&mut self, dt: i64) {
+        if dt > 0 {
+            self.run_until(self.now() + dt);
+        }
+    }
 
     /// Resets and immediately loads `trace` — the "fresh episode from a
     /// trace" constructor path.
@@ -206,58 +170,15 @@ pub trait ClusterBackend {
 }
 
 impl<T: ClusterBackend + ?Sized> ClusterBackend for &mut T {
-    fn now(&self) -> i64 {
-        (**self).now()
-    }
-    fn total_nodes(&self) -> u32 {
-        (**self).total_nodes()
-    }
-    fn free_nodes(&self) -> u32 {
-        (**self).free_nodes()
-    }
-    // Defaults do not forward: a reborrow must reach the underlying
-    // backend's fault surface, not the reliable-hardware fallback.
-    fn available_nodes(&self) -> u32 {
-        (**self).available_nodes()
-    }
-    fn recent_evictions(&self, window: i64) -> u32 {
-        (**self).recent_evictions(window)
-    }
-    fn fault_stats(&self) -> FaultStats {
-        (**self).fault_stats()
-    }
-    fn job_faults(&self, id: u64) -> JobFaults {
-        (**self).job_faults(id)
-    }
-    fn pool_free(&self) -> Vec<u32> {
-        (**self).pool_free()
-    }
-    fn pool_total(&self) -> Vec<u32> {
-        (**self).pool_total()
-    }
-    fn hetero_stats(&self) -> HeteroStats {
-        (**self).hetero_stats()
-    }
-    fn contended_running(&self) -> u32 {
-        (**self).contended_running()
+    #[inline]
+    fn cluster(&self) -> &Simulator {
+        (**self).cluster()
     }
     fn load_trace(&mut self, jobs: &[JobRecord]) {
         (**self).load_trace(jobs);
     }
     fn submit(&mut self, job: JobRecord) -> u64 {
         (**self).submit(job)
-    }
-    fn sample(&self) -> ClusterSnapshot {
-        (**self).sample()
-    }
-    fn sample_into(&self, out: &mut ClusterSnapshot) {
-        (**self).sample_into(out);
-    }
-    fn status(&self, id: u64) -> Option<JobStatus> {
-        (**self).status(id)
-    }
-    fn step(&mut self, dt: i64) {
-        (**self).step(dt);
     }
     fn run_until(&mut self, t_end: i64) {
         (**self).run_until(t_end);
@@ -268,74 +189,21 @@ impl<T: ClusterBackend + ?Sized> ClusterBackend for &mut T {
     fn is_active(&self) -> bool {
         (**self).is_active()
     }
-    fn completed(&self) -> Vec<JobRecord> {
-        (**self).completed()
-    }
-    fn metrics(&self) -> SimMetrics {
-        (**self).metrics()
-    }
-    fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-        (**self).avg_recent_wait(window)
-    }
-    fn user_usage(&self, user: u32) -> ServiceUsage {
-        (**self).user_usage(user)
-    }
     fn reset(&mut self) {
         (**self).reset();
     }
 }
 
 impl ClusterBackend for Simulator {
-    fn now(&self) -> i64 {
-        Simulator::now(self)
-    }
-    fn total_nodes(&self) -> u32 {
-        Simulator::total_nodes(self)
-    }
-    fn free_nodes(&self) -> u32 {
-        Simulator::free_nodes(self)
-    }
-    fn available_nodes(&self) -> u32 {
-        Simulator::available_nodes(self)
-    }
-    fn recent_evictions(&self, window: i64) -> u32 {
-        Simulator::recent_evictions(self, window)
-    }
-    fn fault_stats(&self) -> FaultStats {
-        Simulator::fault_stats(self)
-    }
-    fn job_faults(&self, id: u64) -> JobFaults {
-        Simulator::job_faults(self, id)
-    }
-    fn pool_free(&self) -> Vec<u32> {
-        Simulator::pool_free(self)
-    }
-    fn pool_total(&self) -> Vec<u32> {
-        Simulator::pool_total(self)
-    }
-    fn hetero_stats(&self) -> HeteroStats {
-        Simulator::hetero_stats(self)
-    }
-    fn contended_running(&self) -> u32 {
-        Simulator::contended_running(self)
+    #[inline]
+    fn cluster(&self) -> &Simulator {
+        self
     }
     fn load_trace(&mut self, jobs: &[JobRecord]) {
         Simulator::load_trace(self, jobs);
     }
     fn submit(&mut self, job: JobRecord) -> u64 {
         Simulator::submit(self, job)
-    }
-    fn sample(&self) -> ClusterSnapshot {
-        Simulator::sample(self)
-    }
-    fn sample_into(&self, out: &mut ClusterSnapshot) {
-        Simulator::sample_into(self, out);
-    }
-    fn status(&self, id: u64) -> Option<JobStatus> {
-        self.job_status(id)
-    }
-    fn step(&mut self, dt: i64) {
-        Simulator::step(self, dt);
     }
     fn run_until(&mut self, t_end: i64) {
         Simulator::run_until(self, t_end);
@@ -346,77 +214,21 @@ impl ClusterBackend for Simulator {
     fn is_active(&self) -> bool {
         Simulator::is_active(self)
     }
-    fn completed(&self) -> Vec<JobRecord> {
-        Simulator::completed(self)
-    }
-    fn metrics(&self) -> SimMetrics {
-        Simulator::metrics(self)
-    }
-    fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-        Simulator::avg_recent_wait(self, window)
-    }
-    fn user_usage(&self, user: u32) -> ServiceUsage {
-        Simulator::user_usage(self, user)
-    }
     fn reset(&mut self) {
         Simulator::reset(self);
     }
 }
 
-// Reads are the cluster's own (`Deref<Target = Simulator>`), named
-// explicitly because `self.now()` here would resolve to this trait's
-// method and recurse; what moves time is the tick clock's.
 impl ClusterBackend for ReferenceSimulator {
-    fn now(&self) -> i64 {
-        Simulator::now(self)
-    }
-    fn total_nodes(&self) -> u32 {
-        Simulator::total_nodes(self)
-    }
-    fn free_nodes(&self) -> u32 {
-        Simulator::free_nodes(self)
-    }
-    fn available_nodes(&self) -> u32 {
-        Simulator::available_nodes(self)
-    }
-    fn recent_evictions(&self, window: i64) -> u32 {
-        Simulator::recent_evictions(self, window)
-    }
-    fn fault_stats(&self) -> FaultStats {
-        Simulator::fault_stats(self)
-    }
-    fn job_faults(&self, id: u64) -> JobFaults {
-        Simulator::job_faults(self, id)
-    }
-    fn pool_free(&self) -> Vec<u32> {
-        Simulator::pool_free(self)
-    }
-    fn pool_total(&self) -> Vec<u32> {
-        Simulator::pool_total(self)
-    }
-    fn hetero_stats(&self) -> HeteroStats {
-        Simulator::hetero_stats(self)
-    }
-    fn contended_running(&self) -> u32 {
-        Simulator::contended_running(self)
+    #[inline]
+    fn cluster(&self) -> &Simulator {
+        self
     }
     fn load_trace(&mut self, jobs: &[JobRecord]) {
         ReferenceSimulator::load_trace(self, jobs);
     }
     fn submit(&mut self, job: JobRecord) -> u64 {
         ReferenceSimulator::submit(self, job)
-    }
-    fn sample(&self) -> ClusterSnapshot {
-        Simulator::sample(self)
-    }
-    fn sample_into(&self, out: &mut ClusterSnapshot) {
-        Simulator::sample_into(self, out);
-    }
-    fn status(&self, id: u64) -> Option<JobStatus> {
-        self.job_status(id)
-    }
-    fn step(&mut self, dt: i64) {
-        ReferenceSimulator::step(self, dt);
     }
     fn run_until(&mut self, t_end: i64) {
         ReferenceSimulator::run_until(self, t_end);
@@ -426,18 +238,6 @@ impl ClusterBackend for ReferenceSimulator {
     }
     fn is_active(&self) -> bool {
         ReferenceSimulator::is_active(self)
-    }
-    fn completed(&self) -> Vec<JobRecord> {
-        Simulator::completed(self)
-    }
-    fn metrics(&self) -> SimMetrics {
-        Simulator::metrics(self)
-    }
-    fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-        Simulator::avg_recent_wait(self, window)
-    }
-    fn user_usage(&self, user: u32) -> ServiceUsage {
-        Simulator::user_usage(self, user)
     }
     fn reset(&mut self) {
         ReferenceSimulator::reset(self);
@@ -455,7 +255,8 @@ pub enum BackendKind {
     /// backends for parallel collection; [`SimBuilder::build`] yields one
     /// event-driven backend, [`SimBuilder::build_pool`] yields the pool.
     Pooled {
-        /// Worker-thread (and backend-instance) count.
+        /// Worker count: how many threads collection and training fan
+        /// lockstep windows over.
         workers: usize,
     },
 }
@@ -470,95 +271,54 @@ pub enum AnyBackend {
     Tick(ReferenceSimulator),
 }
 
-macro_rules! any_dispatch {
-    ($self:ident, $b:ident => $e:expr) => {
-        match $self {
-            AnyBackend::Event($b) => $e,
-            AnyBackend::Tick($b) => $e,
-        }
-    };
-}
-
 impl ClusterBackend for AnyBackend {
-    fn now(&self) -> i64 {
-        any_dispatch!(self, b => b.now())
-    }
-    fn total_nodes(&self) -> u32 {
-        any_dispatch!(self, b => b.total_nodes())
-    }
-    fn free_nodes(&self) -> u32 {
-        any_dispatch!(self, b => b.free_nodes())
-    }
-    fn available_nodes(&self) -> u32 {
-        any_dispatch!(self, b => b.available_nodes())
-    }
-    fn recent_evictions(&self, window: i64) -> u32 {
-        any_dispatch!(self, b => b.recent_evictions(window))
-    }
-    fn fault_stats(&self) -> FaultStats {
-        any_dispatch!(self, b => b.fault_stats())
-    }
-    fn job_faults(&self, id: u64) -> JobFaults {
-        any_dispatch!(self, b => b.job_faults(id))
-    }
-    fn pool_free(&self) -> Vec<u32> {
-        any_dispatch!(self, b => b.pool_free())
-    }
-    fn pool_total(&self) -> Vec<u32> {
-        any_dispatch!(self, b => b.pool_total())
-    }
-    fn hetero_stats(&self) -> HeteroStats {
-        any_dispatch!(self, b => b.hetero_stats())
-    }
-    fn contended_running(&self) -> u32 {
-        any_dispatch!(self, b => b.contended_running())
+    #[inline]
+    fn cluster(&self) -> &Simulator {
+        match self {
+            AnyBackend::Event(sim) => sim,
+            AnyBackend::Tick(tick) => tick,
+        }
     }
     fn load_trace(&mut self, jobs: &[JobRecord]) {
-        any_dispatch!(self, b => b.load_trace(jobs));
+        match self {
+            AnyBackend::Event(sim) => sim.load_trace(jobs),
+            AnyBackend::Tick(tick) => tick.load_trace(jobs),
+        }
     }
     fn submit(&mut self, job: JobRecord) -> u64 {
-        any_dispatch!(self, b => b.submit(job))
-    }
-    fn sample(&self) -> ClusterSnapshot {
-        any_dispatch!(self, b => b.sample())
-    }
-    fn sample_into(&self, out: &mut ClusterSnapshot) {
-        any_dispatch!(self, b => b.sample_into(out))
-    }
-    fn status(&self, id: u64) -> Option<JobStatus> {
-        any_dispatch!(self, b => b.job_status(id))
-    }
-    fn step(&mut self, dt: i64) {
-        any_dispatch!(self, b => b.step(dt));
+        match self {
+            AnyBackend::Event(sim) => sim.submit(job),
+            AnyBackend::Tick(tick) => tick.submit(job),
+        }
     }
     fn run_until(&mut self, t_end: i64) {
-        any_dispatch!(self, b => b.run_until(t_end));
+        match self {
+            AnyBackend::Event(sim) => sim.run_until(t_end),
+            AnyBackend::Tick(tick) => tick.run_until(t_end),
+        }
     }
     fn run_to_completion(&mut self) {
-        any_dispatch!(self, b => b.run_to_completion());
+        match self {
+            AnyBackend::Event(sim) => sim.run_to_completion(),
+            AnyBackend::Tick(tick) => tick.run_to_completion(),
+        }
     }
     fn is_active(&self) -> bool {
-        any_dispatch!(self, b => b.is_active())
-    }
-    fn completed(&self) -> Vec<JobRecord> {
-        any_dispatch!(self, b => b.completed())
-    }
-    fn metrics(&self) -> SimMetrics {
-        any_dispatch!(self, b => b.metrics())
-    }
-    fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-        any_dispatch!(self, b => b.avg_recent_wait(window))
-    }
-    fn user_usage(&self, user: u32) -> ServiceUsage {
-        any_dispatch!(self, b => b.user_usage(user))
+        match self {
+            AnyBackend::Event(sim) => sim.is_active(),
+            AnyBackend::Tick(tick) => tick.is_active(),
+        }
     }
     fn reset(&mut self) {
-        any_dispatch!(self, b => b.reset());
+        match self {
+            AnyBackend::Event(sim) => sim.reset(),
+            AnyBackend::Tick(tick) => tick.reset(),
+        }
     }
 }
 
 /// Seeded construction of fresh backends, used by [`BackendPool`] to give
-/// every worker its own independent instance.
+/// every lane its own independent instance.
 pub trait BackendFactory: Sync {
     /// The backend type this factory builds.
     type Backend: ClusterBackend + Send;
@@ -627,10 +387,10 @@ impl SimBuilder {
         self
     }
 
-    /// Base seed for [`build_pool`](Self::build_pool) workers. Replay is
+    /// Base seed for [`build_pool`](Self::build_pool) lanes. Replay is
     /// deterministic for any fixed seed; with fault injection enabled
-    /// ([`SimBuilder::faults`]) each pool worker derives its own fault
-    /// stream from this seed, so workers see independent (but replayable)
+    /// ([`SimBuilder::faults`]) each pool lane derives its own fault
+    /// stream from this seed, so lanes see independent (but replayable)
     /// crash tapes.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -653,7 +413,7 @@ impl SimBuilder {
     /// Heterogeneous node-pool model shared by whichever backend is
     /// built. [`HeteroModel::none`] (the default) keeps the partition
     /// homogeneous. Unlike the fault seed, the hetero seed is *not* split
-    /// per pool worker: placement draws are keyed per job id, and the
+    /// per pool lane: placement draws are keyed per job id, and the
     /// evaluation lanes want every method to face the identical hardware.
     pub fn hetero(mut self, hetero: HeteroModel) -> Self {
         self.hetero = hetero;
@@ -672,13 +432,16 @@ impl SimBuilder {
         self
     }
 
-    /// Whether oversized jobs are rejected on arrival.
+    /// Whether oversized jobs are rejected on arrival. Event clock only:
+    /// the tick clock always rejects them (`reference.rs` forces `true`).
     pub fn reject_oversized(mut self, reject: bool) -> Self {
         self.reject_oversized = reject;
         self
     }
 
-    /// Scheduling-pass depth (`bf_max_job_test`).
+    /// Scheduling-pass depth (`bf_max_job_test`). Event clock only: the
+    /// tick clock's passes consider the whole queue (`reference.rs`
+    /// forces `usize::MAX`).
     pub fn sched_depth(mut self, depth: usize) -> Self {
         self.sched_depth = depth;
         self
@@ -739,7 +502,7 @@ impl SimBuilder {
 
     /// Builds the selected backend ([`BackendKind::Pooled`] yields one
     /// event-driven instance; use [`build_pool`](Self::build_pool) for the
-    /// fan-out). Panics with the [`SimConfigError`] message on an invalid
+    /// pool). Panics with the [`SimConfigError`] message on an invalid
     /// configuration — use [`try_build`](Self::try_build) to handle it.
     pub fn build(&self) -> AnyBackend {
         self.try_build()
@@ -765,14 +528,7 @@ impl SimBuilder {
         }
     }
 
-    /// Builds the selected backend with `trace` pre-loaded.
-    pub fn from_trace(&self, trace: &[JobRecord]) -> AnyBackend {
-        let mut backend = self.build();
-        backend.load_trace(trace);
-        backend
-    }
-
-    /// Builds a pool of independently seeded backends; worker count comes
+    /// A pool of independently seeded backends; the worker count comes
     /// from [`BackendKind::Pooled`] or defaults to the available
     /// parallelism.
     pub fn build_pool(&self) -> BackendPool<SimBuilder> {
@@ -789,16 +545,16 @@ impl BackendFactory for SimBuilder {
 
     fn build(&self, seed: u64) -> AnyBackend {
         // Replay is deterministic for any fixed seed. With fault injection
-        // enabled, each pool worker derives its own crash/failure stream
-        // from the builder's fault seed and the worker's seed, so workers
-        // explore independent fault schedules while any single worker
-        // stays exactly replayable.
+        // enabled, each pool lane derives its own crash/failure stream
+        // from the builder's fault seed and the lane's seed, so lanes
+        // explore independent fault schedules while any single lane stays
+        // exactly replayable.
         if self.faults.is_none() {
             return SimBuilder::build(self);
         }
-        let mut with_worker_faults = self.clone();
-        with_worker_faults.faults.seed = split_seed(self.faults.seed, seed);
-        SimBuilder::build(&with_worker_faults)
+        let mut with_lane_faults = self.clone();
+        with_lane_faults.faults.seed = split_seed(self.faults.seed, seed);
+        SimBuilder::build(&with_lane_faults)
     }
 }
 
@@ -815,308 +571,45 @@ fn default_workers() -> usize {
         .clamp(1, 16)
 }
 
-/// Maximum times one task is attempted before the pool gives up and
-/// propagates the panic (1 initial try + 2 retries).
-pub const MAX_TASK_ATTEMPTS: u32 = 3;
-
-/// Cumulative supervision counters of one [`BackendPool`] (monotone
-/// across [`BackendPool::map`] calls; snapshot via
-/// [`BackendPool::health`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolHealth {
-    /// Task executions that panicked (caught by the supervisor).
-    pub panics: u64,
-    /// Tasks re-queued for another attempt after a panic.
-    pub retries: u64,
-    /// Worker backends rebuilt from the factory after a panic poisoned
-    /// their state.
-    pub rebuilds: u64,
-    /// Tasks that produced a result (retried tasks count once).
-    pub completed: u64,
-}
-
-#[derive(Debug, Default)]
-struct PoolHealthCounters {
-    panics: AtomicU64,
-    retries: AtomicU64,
-    rebuilds: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl PoolHealthCounters {
-    fn snapshot(&self) -> PoolHealth {
-        PoolHealth {
-            panics: self.panics.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Deterministic panic injection for supervision tests: the listed task
-/// indices panic on their *first* attempt (each index fires once, then
-/// is spent), so a seeded plan exercises the catch-unwind / rebuild /
-/// retry path reproducibly — and, because retried tasks run on freshly
-/// rebuilt backends, a planned run's results are identical to a
-/// panic-free run's.
-#[derive(Debug, Clone, Default)]
-pub struct PanicPlan {
-    tasks: Vec<usize>,
-}
-
-impl PanicPlan {
-    /// Panic on the first attempt of exactly these task indices.
-    pub fn tasks(tasks: impl IntoIterator<Item = usize>) -> Self {
-        Self {
-            tasks: tasks.into_iter().collect(),
-        }
-    }
-
-    /// `count` distinct task indices drawn deterministically from
-    /// `seed` over `0..n_tasks`.
-    pub fn seeded(seed: u64, n_tasks: usize, count: usize) -> Self {
-        let mut tasks: Vec<usize> = Vec::new();
-        if n_tasks == 0 {
-            return Self { tasks };
-        }
-        let mut stream = 0u64;
-        while tasks.len() < count.min(n_tasks) {
-            let i = (split_seed(seed, stream) % n_tasks as u64) as usize;
-            if !tasks.contains(&i) {
-                tasks.push(i);
-            }
-            stream += 1;
-        }
-        Self { tasks }
-    }
-
-    /// The task indices this plan will panic on.
-    pub fn indices(&self) -> &[usize] {
-        &self.tasks
-    }
-}
-
-/// Recovers the inner value of a possibly poisoned mutex: the pool's
-/// slot writes are all-or-nothing (`*guard = Some(r)`), so a poisoned
-/// result slot still holds a coherent value — recover it instead of
-/// cascading the panic into the collector.
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// N independently seeded backends fanned out over std threads.
+/// A seeded backend factory with a worker count: what collection and
+/// training build their lanes from.
 ///
-/// Tasks are claimed from a shared cursor, every worker drives its own
-/// backend built by the factory (seeded `base_seed ^ worker_index`), and
-/// results land at their task's index — so the output is identical to a
-/// sequential run over the same tasks, whatever the thread interleaving.
-///
-/// Workers are supervised: a panicking task is caught, the worker's
-/// backend is rebuilt from the factory (panic-poisoned simulator state
-/// must not leak into later tasks), and the task is re-queued with a
-/// small backoff for up to [`MAX_TASK_ATTEMPTS`] attempts before the
-/// panic is propagated. [`BackendPool::health`] exposes the counters.
+/// Lane slot `i` is built from `factory.build(base_seed ^ i)`, whoever
+/// builds it, so `W` workers each building a contiguous slot range
+/// ([`build_range`](Self::build_range)) get, collectively, the backends
+/// one worker building the whole window would. The worker count says how
+/// many threads callers fan windows over; it does not bound the slots.
 pub struct BackendPool<F: BackendFactory> {
     factory: F,
     workers: usize,
     base_seed: u64,
-    health: PoolHealthCounters,
-    panic_plan: Mutex<HashSet<usize>>,
 }
 
 impl<F: BackendFactory> BackendPool<F> {
-    /// Pool of `workers` backends with seed 0.
-    pub fn new(factory: F, workers: usize) -> Self {
-        Self::with_seed(factory, workers, 0)
-    }
-
-    /// Pool of `workers` backends derived from `base_seed`.
+    /// Pool of `workers` (at least 1) whose lanes derive from `base_seed`.
     pub fn with_seed(factory: F, workers: usize, base_seed: u64) -> Self {
         Self {
             factory,
             workers: workers.max(1),
             base_seed,
-            health: PoolHealthCounters::default(),
-            panic_plan: Mutex::new(HashSet::new()),
         }
     }
 
-    /// Worker (= backend instance) count.
+    /// Worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Snapshot of the supervision counters (cumulative over this
-    /// pool's lifetime).
-    pub fn health(&self) -> PoolHealth {
-        self.health.snapshot()
-    }
-
-    /// Arms deterministic panic injection for the next
-    /// [`BackendPool::map`] call(s): each planned index fires once, on
-    /// that task's first attempt. Supervision-test hook.
-    pub fn inject_panics(&mut self, plan: PanicPlan) {
-        *lock_recovering(&self.panic_plan) = plan.tasks.into_iter().collect();
-    }
-
-    /// Builds one backend outside the pool (worker index 0's seed).
+    /// Builds slot 0's backend (seeded `base_seed`).
     pub fn build_one(&self) -> F::Backend {
         self.factory.build(self.base_seed)
     }
 
-    /// Builds every worker's backend (seeded `base_seed ^ index`, exactly
-    /// as [`BackendPool::map`] seeds its threads) as one vector — the
-    /// construction path for lockstep drivers that step all instances in
-    /// a single thread instead of fanning tasks out.
-    pub fn build_all(&self) -> Vec<F::Backend> {
-        self.build_n(self.workers)
-    }
-
-    /// Builds the first `n` workers' backends (seeded exactly as
-    /// [`BackendPool::build_all`]) — the construction path for lockstep
-    /// training windows, whose final window is usually narrower than the
-    /// pool. `n` may exceed the worker count; lockstep instances are
-    /// stepped by one thread, so the pool's width only namespaces seeds.
-    pub fn build_n(&self, n: usize) -> Vec<F::Backend> {
-        self.build_range(0, n)
-    }
-
-    /// Builds the backends of lane slots `first .. first + n` (seeded
-    /// `base_seed ^ slot`, exactly as [`BackendPool::build_n`] seeds the
-    /// same slots) — the construction path for a *sub*-window of a wider
-    /// lockstep window: `W` training workers each building their
-    /// contiguous lane range get, collectively, the identical backend
-    /// sequence one worker building the whole window would.
+    /// Builds the backends of lane slots `first .. first + n`, slot `i`
+    /// seeded `base_seed ^ i`.
     pub fn build_range(&self, first: usize, n: usize) -> Vec<F::Backend> {
         (first..first + n)
-            .map(|w| self.factory.build(self.base_seed ^ (w as u64)))
-            .collect()
-    }
-
-    /// Runs `f` once per task across the pool's backends and returns the
-    /// results in task order. `f` must leave the backend reusable (the
-    /// episode driver resets it), which is what makes results independent
-    /// of the task-to-worker assignment.
-    ///
-    /// Tasks are supervised: a panic inside `f` is caught, the worker's
-    /// backend is rebuilt from the factory, and the task is re-queued
-    /// (with a small backoff) until it succeeds or exhausts
-    /// [`MAX_TASK_ATTEMPTS`], at which point the panic is propagated to
-    /// the caller with the task index and attempt count.
-    pub fn map<T, R, G>(&self, tasks: &[T], f: G) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        G: Fn(&mut F::Backend, &T) -> R + Sync,
-    {
-        let workers = self.workers.min(tasks.len()).max(1);
-        let cursor = AtomicUsize::new(0);
-        let retry_queue: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let attempts: Vec<AtomicU32> = (0..tasks.len()).map(|_| AtomicU32::new(0)).collect();
-        let slots: Vec<Mutex<Option<R>>> = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
-        type PanicPayload = Box<dyn std::any::Any + Send>;
-        let fatal: Mutex<Option<(usize, u32, PanicPayload)>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let cursor = &cursor;
-                let retry_queue = &retry_queue;
-                let attempts = &attempts;
-                let slots = &slots;
-                let fatal = &fatal;
-                let f = &f;
-                let factory = &self.factory;
-                let health = &self.health;
-                let panic_plan = &self.panic_plan;
-                let seed = self.base_seed ^ (w as u64);
-                scope.spawn(move || {
-                    let mut backend = factory.build(seed);
-                    loop {
-                        if lock_recovering(fatal).is_some() {
-                            break;
-                        }
-                        // Retried tasks take priority over fresh ones, so
-                        // a crashed task finishes close to where it would
-                        // have. If a panic pushes a retry *after* another
-                        // worker saw an empty queue and exited, the
-                        // pushing worker is still alive (it caught its own
-                        // unwind) and claims the retry on its next pass —
-                        // retries are never orphaned.
-                        let (i, is_retry) = match lock_recovering(retry_queue).pop() {
-                            Some(i) => (i, true),
-                            None => {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= tasks.len() {
-                                    break;
-                                }
-                                (i, false)
-                            }
-                        };
-                        if is_retry {
-                            let prior = attempts[i].load(Ordering::Relaxed);
-                            let backoff_ms = 1u64 << prior.min(3);
-                            std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        }
-                        let inject = lock_recovering(panic_plan).remove(&i);
-                        let outcome = if inject {
-                            catch_unwind(|| -> R { panic!("injected panic (task {i})") })
-                        } else {
-                            catch_unwind(AssertUnwindSafe(|| f(&mut backend, &tasks[i])))
-                        };
-                        match outcome {
-                            Ok(r) => {
-                                *lock_recovering(&slots[i]) = Some(r);
-                                health.completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(payload) => {
-                                health.panics.fetch_add(1, Ordering::Relaxed);
-                                // The unwind may have left the simulator
-                                // mid-step; rebuild from the factory with
-                                // the same seed so later tasks on this
-                                // worker see pristine state.
-                                backend = factory.build(seed);
-                                health.rebuilds.fetch_add(1, Ordering::Relaxed);
-                                let made = attempts[i].fetch_add(1, Ordering::Relaxed) + 1;
-                                if made < MAX_TASK_ATTEMPTS {
-                                    health.retries.fetch_add(1, Ordering::Relaxed);
-                                    lock_recovering(retry_queue).push(i);
-                                } else {
-                                    let mut g = lock_recovering(fatal);
-                                    if g.is_none() {
-                                        *g = Some((i, made, payload));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some((i, made, payload)) = fatal
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-        {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            panic!("pool task {i} panicked on all {made} attempts; giving up (last panic: {msg})");
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                // Recover the value from a poisoned slot: the write is
-                // all-or-nothing, so a poisoned mutex still holds a
-                // coherent result (satellite of the supervision work —
-                // the collector must not cascade a worker's panic).
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .expect("every task index was claimed exactly once")
-            })
+            .map(|slot| self.factory.build(self.base_seed ^ (slot as u64)))
             .collect()
     }
 }
@@ -1124,7 +617,7 @@ impl<F: BackendFactory> BackendPool<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirage_trace::HOUR;
+    use mirage_trace::{DAY, HOUR};
 
     fn job(id: u64, submit: i64, nodes: u32, runtime: i64, limit: i64) -> JobRecord {
         JobRecord::new(id, format!("j{id}"), 1, submit, nodes, limit, runtime)
@@ -1164,7 +657,8 @@ mod tests {
             .backend(BackendKind::Tick)
             .tick(60)
             .sched_interval(60)
-            .from_trace(&small_trace());
+            .build();
+        any.load_trace(&small_trace());
         assert_eq!(any.total_nodes(), 4);
         any.run_to_completion();
         assert_eq!(any.completed().len(), 12);
@@ -1194,47 +688,170 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_preserves_task_order_and_matches_sequential() {
-        let builder = SimConfig::builder().nodes(4).seed(9);
-        let tasks: Vec<i64> = (0..23).map(|i| i * HOUR).collect();
-        let run = |backend: &mut AnyBackend, &t: &i64| -> (i64, usize) {
-            backend.reset_with(&small_trace());
-            backend.run_until(t);
-            (
-                t,
-                backend.sample().running.len() + backend.completed().len(),
-            )
-        };
-        let sequential = BackendPool::with_seed(builder.clone(), 1, 9).map(&tasks, run);
-        let pooled = BackendPool::with_seed(builder, 6, 9).map(&tasks, run);
-        assert_eq!(sequential, pooled);
-        // Results are in task order.
-        for (i, (t, _)) in pooled.iter().enumerate() {
-            assert_eq!(*t, tasks[i]);
+    fn pool_handles_more_workers_than_tasks() {
+        // The worker count only says how many threads callers fan windows
+        // over: fewer lanes than workers, none, or slots past the last
+        // worker all build, and slot `i` is seeded `base_seed ^ i`
+        // whichever range builds it.
+        let builder = SimConfig::builder()
+            .nodes(2)
+            .seed(5)
+            .faults(FaultModel::severe(42))
+            .backend(BackendKind::Pooled { workers: 8 });
+        let pool = builder.build_pool();
+        assert_eq!(pool.workers(), 8);
+        let one = pool.build_range(0, 1);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].total_nodes(), 2);
+        assert!(pool.build_range(3, 0).is_empty());
+        let fault_seed = |b: &AnyBackend| b.cluster().config().faults.seed;
+        let wide = pool.build_range(6, 4);
+        assert_eq!(wide.len(), 4);
+        for (slot, backend) in (6u64..).zip(&wide) {
+            let expected = BackendFactory::build(&builder, 5 ^ slot);
+            assert_eq!(fault_seed(backend), fault_seed(&expected), "slot {slot}");
+        }
+        assert_eq!(fault_seed(&pool.build_range(0, 8)[7]), fault_seed(&wide[1]));
+        assert_eq!(fault_seed(&pool.build_one()), fault_seed(&one[0]));
+    }
+
+    /// `user`'s ledger derived from an allocating `sample()` and
+    /// `completed()` — what the trait's `user_usage` used to default to.
+    fn derived_usage(cluster: &Simulator, user: u32) -> ServiceUsage {
+        let mut usage = ServiceUsage::empty(user);
+        let snap = cluster.sample();
+        for q in snap.queued.iter().filter(|q| q.user == user) {
+            usage.queued += 1;
+            usage.queued_nodes += u64::from(q.nodes);
+        }
+        for r in snap.running.iter().filter(|r| r.user == user) {
+            usage.running += 1;
+            usage.running_nodes += u64::from(r.nodes);
+        }
+        for j in cluster.completed().iter().filter(|j| j.user == user) {
+            let (start, end) = (j.start.unwrap(), j.end.unwrap());
+            usage.completed += 1;
+            usage.node_seconds += f64::from(j.nodes) * (end - start) as f64;
+            usage.wait_sum += start - j.submit;
+        }
+        usage
+    }
+
+    /// Every provided read, at one instant.
+    #[derive(Debug, PartialEq)]
+    struct Reads {
+        now: i64,
+        nodes: (u32, u32),
+        stats: (FaultStats, HeteroStats),
+        snapshot: (ClusterSnapshot, ClusterSnapshot),
+        jobs: Vec<(Option<JobStatus>, JobFaults)>,
+        completed: Vec<JobRecord>,
+        metrics: SimMetrics,
+        recent_wait: [Option<f64>; 2],
+        usage: [ServiceUsage; 3],
+    }
+
+    const IDS: std::ops::RangeInclusive<u64> = 0..=12;
+    const USERS: [u32; 3] = [7, 8, 99];
+
+    /// The reads through `backend`'s trait surface.
+    fn trait_reads<B: ClusterBackend>(backend: &B) -> Reads {
+        let mut reused = ClusterSnapshot::default();
+        backend.sample_into(&mut reused);
+        Reads {
+            now: backend.now(),
+            nodes: (backend.total_nodes(), backend.free_nodes()),
+            stats: (backend.fault_stats(), backend.hetero_stats()),
+            snapshot: (backend.sample(), reused),
+            jobs: IDS
+                .map(|id| (backend.status(id), backend.job_faults(id)))
+                .collect(),
+            completed: backend.completed(),
+            metrics: backend.metrics(),
+            recent_wait: [HOUR, DAY].map(|w| backend.avg_recent_wait(w)),
+            usage: USERS.map(|u| backend.user_usage(u)),
         }
     }
 
-    #[test]
-    fn pool_handles_more_workers_than_tasks() {
-        let pool = SimConfig::builder()
-            .nodes(2)
-            .backend(BackendKind::Pooled { workers: 8 })
-            .build_pool();
-        assert_eq!(pool.workers(), 8);
-        let out = pool.map(&[1u32], |backend, &x| {
-            backend.reset();
-            x + backend.total_nodes()
-        });
-        assert_eq!(out, vec![3]);
-        let empty: Vec<u32> = pool.map(&[], |_, &x: &u32| x);
-        assert!(empty.is_empty());
+    /// The same reads, from the cluster's inherent methods.
+    fn inherent_reads(cluster: &Simulator) -> Reads {
+        let mut reused = ClusterSnapshot::default();
+        Simulator::sample_into(cluster, &mut reused);
+        Reads {
+            now: Simulator::now(cluster),
+            nodes: (
+                Simulator::total_nodes(cluster),
+                Simulator::free_nodes(cluster),
+            ),
+            stats: (
+                Simulator::fault_stats(cluster),
+                Simulator::hetero_stats(cluster),
+            ),
+            snapshot: (Simulator::sample(cluster), reused),
+            jobs: IDS
+                .map(|id| (cluster.job_status(id), Simulator::job_faults(cluster, id)))
+                .collect(),
+            completed: Simulator::completed(cluster),
+            metrics: Simulator::metrics(cluster),
+            recent_wait: [HOUR, DAY].map(|w| Simulator::avg_recent_wait(cluster, w)),
+            usage: USERS.map(|u| Simulator::user_usage(cluster, u)),
+        }
+    }
+
+    /// Drives `owned` (half the time through an `&mut` reborrow) and
+    /// `any` in step, checking at every hour and at the end that each
+    /// provided read through `owned`, a reborrow of it and `any` equals
+    /// the inherent read of the cluster `inner` reaches without
+    /// `cluster()`, and that the user ledgers equal [`derived_usage`].
+    /// Returns the final reads.
+    fn check_views<B: ClusterBackend>(
+        mut owned: B,
+        inner: fn(&B) -> &Simulator,
+        mut any: AnyBackend,
+        trace: &[JobRecord],
+    ) -> Reads {
+        owned.reset_with(trace);
+        any.reset_with(trace);
+        for hour in 1.. {
+            let expected = inherent_reads(inner(&owned));
+            assert_eq!(trait_reads(&owned), expected, "owned at hour {hour}");
+            assert_eq!(
+                trait_reads(&&mut owned),
+                expected,
+                "reborrow at hour {hour}"
+            );
+            assert_eq!(trait_reads(&any), expected, "AnyBackend at hour {hour}");
+            for (usage, user) in expected.usage.iter().zip(USERS) {
+                let derived = derived_usage(inner(&owned), user);
+                assert_eq!(*usage, derived, "user {user} at hour {hour}");
+            }
+            if !owned.is_active() {
+                assert!(!any.is_active());
+                return expected;
+            }
+            if hour > 48 {
+                owned.run_to_completion();
+                any.run_to_completion();
+            } else if hour % 2 == 0 {
+                // Method syntax would pick `B`'s own impl; name the reborrow's.
+                ClusterBackend::step(&mut &mut owned, HOUR);
+                any.step(HOUR);
+            } else {
+                owned.run_until(hour * HOUR);
+                any.run_until(hour * HOUR);
+            }
+        }
+        unreachable!()
     }
 
     #[test]
     fn user_usage_ledgers_agree_with_the_default_derivation() {
-        // Tag two users' jobs into one cluster; both backends' fast
-        // ledgers must match the trait's sample()+completed() derivation
-        // mid-run (mixed queued/running/completed state) and at the end.
+        // Two users' jobs on a severe-fault, scarce-pool cluster, on both
+        // clocks: every provided read through every view equals the
+        // cluster's inherent read, and the user ledgers equal the
+        // sample()+completed() derivation, at every hour (mixed queued /
+        // running / evicted / completed state) and at the end.
+        const NODES: u32 = 4;
         let trace: Vec<JobRecord> = (0..10)
             .map(|i| {
                 let mut j = job(
@@ -1244,71 +861,31 @@ mod tests {
                     2 * HOUR,
                     4 * HOUR,
                 );
-                j.user = if i % 3 == 0 { 7 } else { 8 };
+                j.user = USERS[usize::from(i % 3 != 0)];
                 j
             })
             .collect();
-        let default_of = |b: &AnyBackend, user: u32| -> ServiceUsage {
-            // Re-derive through the trait default by viewing the backend
-            // as a bare ClusterBackend without the override.
-            struct Plain<'a>(&'a AnyBackend);
-            impl ClusterBackend for Plain<'_> {
-                fn now(&self) -> i64 {
-                    self.0.now()
-                }
-                fn total_nodes(&self) -> u32 {
-                    self.0.total_nodes()
-                }
-                fn free_nodes(&self) -> u32 {
-                    self.0.free_nodes()
-                }
-                fn load_trace(&mut self, _jobs: &[JobRecord]) {}
-                fn submit(&mut self, _job: JobRecord) -> u64 {
-                    0
-                }
-                fn sample(&self) -> ClusterSnapshot {
-                    self.0.sample()
-                }
-                fn status(&self, id: u64) -> Option<JobStatus> {
-                    self.0.status(id)
-                }
-                fn step(&mut self, _dt: i64) {}
-                fn run_until(&mut self, _t_end: i64) {}
-                fn run_to_completion(&mut self) {}
-                fn is_active(&self) -> bool {
-                    self.0.is_active()
-                }
-                fn completed(&self) -> Vec<JobRecord> {
-                    self.0.completed()
-                }
-                fn metrics(&self) -> SimMetrics {
-                    self.0.metrics()
-                }
-                fn avg_recent_wait(&self, window: i64) -> Option<f64> {
-                    self.0.avg_recent_wait(window)
-                }
-                fn reset(&mut self) {}
-            }
-            Plain(b).user_usage(user)
-        };
         for kind in [BackendKind::EventDriven, BackendKind::Tick] {
-            let mut b = SimConfig::builder().nodes(2).backend(kind).build();
-            b.reset_with(&trace);
-            b.run_until(3 * HOUR);
-            for user in [7u32, 8, 99] {
-                assert_eq!(b.user_usage(user), default_of(&b, user), "{kind:?} mid-run");
-            }
-            b.run_to_completion();
-            let u7 = b.user_usage(7);
-            let u8 = b.user_usage(8);
-            assert_eq!(u7.completed + u8.completed, 10, "{kind:?}");
-            assert_eq!(u7.queued + u7.running, 0, "{kind:?}");
+            let builder = SimConfig::builder()
+                .nodes(NODES)
+                .faults(FaultModel::severe(3))
+                .hetero(HeteroModel::scarce(NODES, 5))
+                .backend(kind);
+            let end = match builder.build() {
+                AnyBackend::Event(sim) => check_views(sim, |s| s, builder.build(), &trace),
+                AnyBackend::Tick(tick) => check_views(tick, |t| t, builder.build(), &trace),
+            };
+            let [u7, u8, u99] = end.usage;
+            assert_eq!(
+                u7.completed + u8.completed + end.metrics.failed_jobs,
+                10,
+                "{kind:?}"
+            );
+            assert!(end.stats.0.evictions > 0, "{kind:?}: severe faults evict");
+            assert_eq!(u7.queued + u7.running + u8.queued + u8.running, 0);
             assert!(u7.node_seconds > 0.0 && u8.node_seconds > 0.0, "{kind:?}");
-            assert!(u7.avg_wait().is_some());
-            assert!(b.user_usage(99).is_idle());
-            for user in [7u32, 8] {
-                assert_eq!(b.user_usage(user), default_of(&b, user), "{kind:?} final");
-            }
+            assert!(u7.avg_wait().is_some(), "{kind:?}");
+            assert!(u99.is_idle(), "{kind:?}");
         }
     }
 
@@ -1359,74 +936,15 @@ mod tests {
 
     #[test]
     fn closure_factories_build_custom_backends() {
-        let factory = |_seed: u64| Simulator::new(SimConfig::new(3));
-        let pool = BackendPool::new(factory, 2);
-        let totals = pool.map(&[0u8, 1, 2], |b, _| b.total_nodes());
-        assert_eq!(totals, vec![3, 3, 3]);
-    }
-
-    #[test]
-    fn seeded_panics_are_recovered_and_results_match_panic_free() {
-        // Fault-free builder: worker backends differ only by seed, and a
-        // rebuilt worker replays the exact same stream — so a run with
-        // injected panics must produce bit-identical results to a clean
-        // run, with the incidents visible only in the health counters.
-        let builder = SimConfig::builder().nodes(4).seed(9);
-        let tasks: Vec<i64> = (0..17).map(|i| i * HOUR).collect();
-        let run = |backend: &mut AnyBackend, &t: &i64| -> (i64, usize) {
-            backend.reset_with(&small_trace());
-            backend.run_until(t);
-            (
-                t,
-                backend.sample().running.len() + backend.completed().len(),
-            )
-        };
-        let clean = BackendPool::with_seed(builder.clone(), 4, 9).map(&tasks, run);
-
-        let plan = PanicPlan::seeded(77, tasks.len(), 5);
-        let injected = plan.indices().len() as u64;
-        assert_eq!(injected, 5, "seeded plan draws the requested count");
-        let mut pool = BackendPool::with_seed(builder, 4, 9);
-        pool.inject_panics(plan);
-        let supervised = pool.map(&tasks, run);
-
-        assert_eq!(clean, supervised, "recovery does not perturb results");
-        let health = pool.health();
-        assert_eq!(health.panics, injected);
-        assert_eq!(health.retries, injected, "first-attempt panics all retry");
-        assert_eq!(health.rebuilds, injected);
-        assert_eq!(health.completed, tasks.len() as u64);
-    }
-
-    #[test]
-    fn seeded_panic_plans_are_deterministic_and_distinct() {
-        let a = PanicPlan::seeded(3, 10, 4);
-        let b = PanicPlan::seeded(3, 10, 4);
-        assert_eq!(a.indices(), b.indices());
-        assert_eq!(a.indices().len(), 4);
-        for (n, &i) in a.indices().iter().enumerate() {
-            assert!(i < 10);
-            assert!(!a.indices()[..n].contains(&i), "indices are distinct");
-        }
-        // Requesting more panics than tasks saturates instead of spinning.
-        assert_eq!(PanicPlan::seeded(3, 2, 9).indices().len(), 2);
-        assert!(PanicPlan::seeded(3, 0, 9).indices().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "panicked on all 3 attempts")]
-    fn exhausted_retries_propagate_with_context() {
-        // A task that fails deterministically (every attempt, any worker)
-        // must surface as a panic naming the task, not hang or silently
-        // drop the result.
-        let factory = |_seed: u64| Simulator::new(SimConfig::new(2));
-        let pool = BackendPool::new(factory, 3);
-        pool.map(&[0usize, 1, 2, 3], |_, &i| {
-            if i == 2 {
-                panic!("task {i} is cursed");
-            }
-            i
-        });
+        let factory = |seed: u64| Simulator::new(SimConfig::new(3 + seed as u32));
+        let pool = BackendPool::with_seed(factory, 2, 0);
+        let totals: Vec<u32> = pool
+            .build_range(0, 3)
+            .iter()
+            .map(|b| b.total_nodes())
+            .collect();
+        assert_eq!(totals, vec![3, 4, 5]);
+        assert_eq!(pool.build_one().total_nodes(), 3);
     }
 
     #[test]
@@ -1564,20 +1082,5 @@ mod tests {
             ..FaultModel::moderate(1)
         };
         let _ = SimConfig::builder().nodes(2).faults(bad).build();
-    }
-
-    #[test]
-    fn poisoned_mutexes_yield_their_value() {
-        // Satellite: the collector recovers the inner value from a
-        // poisoned slot instead of cascading the worker's panic.
-        let slot: std::sync::Arc<Mutex<Option<u32>>> = std::sync::Arc::new(Mutex::new(Some(41)));
-        let poisoner = std::sync::Arc::clone(&slot);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().expect("first lock");
-            panic!("poison the slot");
-        })
-        .join();
-        assert!(slot.is_poisoned());
-        assert_eq!(*lock_recovering(&slot), Some(41));
     }
 }

@@ -2,9 +2,11 @@
 //! unified behind the [`ClusterBackend`] trait.
 //!
 //! The Mirage agent drives a cluster through three calls — `submit` a job,
-//! `sample` the observable state, `step` simulated time — and the
+//! `sample_into` the observable state, `step` simulated time — and the
 //! provisioning stack upstream (`mirage-core`) is generic over *any*
-//! backend honoring that contract:
+//! backend honoring that contract. A backend is a clock over one
+//! [`Simulator`] ([`ClusterBackend::cluster`]); every read is that
+//! cluster's:
 //!
 //! * [`Simulator`] — the fast event-driven simulator Mirage trains
 //!   against. It runs a scheduling pass exactly when an event (arrival or
@@ -15,11 +17,9 @@
 //!   the main priority pass and the backfill pass on their own fixed
 //!   cadences (as in production `slurmctld`), so jobs start only on
 //!   scheduler ticks. It anchors the §5.2 fidelity study ([`fidelity`]).
-//! * [`BackendPool`] — N independently seeded backends fanned out over
-//!   std threads, for parallel episode collection. Workers are
-//!   supervised: a panicking task is caught, its backend rebuilt, and
-//!   the task retried under a bounded budget ([`PoolHealth`] counts the
-//!   incidents).
+//! * [`BackendPool`] — the seeded factory collection and training build
+//!   their lanes from: lane slot `i` is built from `base_seed ^ i`,
+//!   whichever worker builds it.
 //!
 //! The two simulators are one cluster state machine under two clocks: the job arena,
 //! the queue, the scheduling pass (multifactor priority + EASY backfill,
@@ -59,8 +59,7 @@ pub mod simulator;
 pub mod snapshot;
 
 pub use backend::{
-    AnyBackend, BackendFactory, BackendKind, BackendPool, ClusterBackend, PanicPlan, PoolHealth,
-    SimBuilder, MAX_TASK_ATTEMPTS,
+    AnyBackend, BackendFactory, BackendKind, BackendPool, ClusterBackend, SimBuilder,
 };
 pub use backfill::{plan_schedule, plan_schedule_into, BackfillPolicy, PendingView, PlanScratch};
 pub use fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};

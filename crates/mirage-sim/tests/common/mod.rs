@@ -1,9 +1,11 @@
 //! The conservation property `tests/faults.rs` and `tests/hetero.rs`
 //! share: one body, generic over [`ClusterBackend`], that both run on the
-//! event clock and on the tick clock with faults and pools combined.
+//! event clock and on the tick clock with faults and pools combined,
+//! under drawn retry, backfill-reservation and `sched_depth` knobs.
 
 use mirage_sim::{
-    BackendKind, ClusterBackend, ClusterSnapshot, FaultStats, HeteroStats, SimBuilder, SimMetrics,
+    BackendKind, BackfillPolicy, ClusterBackend, ClusterSnapshot, FaultStats, HeteroStats,
+    RetryPolicy, SimBuilder, SimMetrics,
 };
 use mirage_trace::{JobRecord, HOUR};
 use proptest::prelude::*;
@@ -76,18 +78,19 @@ fn check_backend<B: ClusterBackend>(backend: &mut B, trace: &[JobRecord]) -> Res
 
     // Nothing runs any more: every node is free or still crashed (the
     // tick clock stops with the last job, not with the fault tape).
-    let down = backend.total_nodes() - backend.available_nodes();
-    prop_assert_eq!(backend.free_nodes() + down, backend.total_nodes());
-    prop_assert_eq!(backend.contended_running(), 0);
-    if !backend.pool_total().is_empty() {
+    let cluster = backend.cluster();
+    let down = cluster.total_nodes() - cluster.available_nodes();
+    prop_assert_eq!(cluster.free_nodes() + down, cluster.total_nodes());
+    prop_assert_eq!(cluster.contended_running(), 0);
+    if !cluster.pool_total().is_empty() {
         prop_assert_eq!(
-            backend.pool_free().iter().sum::<u32>(),
-            backend.free_nodes()
+            cluster.pool_free().iter().sum::<u32>(),
+            cluster.free_nodes()
         );
         if down == 0 {
             prop_assert_eq!(
-                backend.pool_free(),
-                backend.pool_total(),
+                cluster.pool_free(),
+                cluster.pool_total(),
                 "pools drain to full"
             );
         }
@@ -125,14 +128,43 @@ pub fn cadence_strategy() -> impl Strategy<Value = Cadence> {
     })
 }
 
+/// The scheduling and retry knobs: a retry policy, an EASY backfill
+/// reservation depth and the event clock's `sched_depth` (the tick clock
+/// ignores it).
+pub type Knobs = (RetryPolicy, BackfillPolicy, usize);
+
+/// 1 to 5 attempts with 0–600 s base and 0–3 600 s cap backoff (a cap
+/// below the base included), `reserve_depth` 1 to 3, and a `sched_depth`
+/// of 1, 8 or 512.
+pub fn knobs_strategy() -> impl Strategy<Value = Knobs> {
+    (1u32..=5, 0i64..=600, 0i64..=3_600, 1usize..=3, 0usize..3).prop_map(
+        |(max_attempts, backoff_base, backoff_cap, reserve_depth, depth)| {
+            let retry = RetryPolicy {
+                max_attempts,
+                backoff_base,
+                backoff_cap,
+            };
+            (
+                retry,
+                BackfillPolicy::Easy { reserve_depth },
+                [1, 8, 512][depth],
+            )
+        },
+    )
+}
+
 /// [`check_backend`] on both clocks of the cluster `builder` describes,
-/// the tick clock on the drawn `cadence`.
+/// with the drawn `knobs`, the tick clock on the drawn `cadence`.
 pub fn check_conservation(
     builder: SimBuilder,
     (tick, sched_interval, backfill_interval): Cadence,
+    (retry, backfill, sched_depth): Knobs,
     trace: &[JobRecord],
 ) -> Result<(), String> {
     let builder = builder
+        .retry(retry)
+        .backfill(backfill)
+        .sched_depth(sched_depth)
         .tick(tick)
         .sched_interval(sched_interval)
         .backfill_interval(backfill_interval);

@@ -125,7 +125,8 @@ proptest! {
     }
 
     /// Jobs and nodes are conserved under severe chaos, on both clocks,
-    /// on a homogeneous partition or with pools underneath: every trace
+    /// on a homogeneous partition or with pools underneath, under drawn
+    /// retry policies, reservation depths and `sched_depth`s: every trace
     /// job completes, fails terminally or was rejected, every node is
     /// free, down or allocated on every hourly snapshot, retry
     /// bookkeeping stays consistent and `reset()` replays the run (the
@@ -138,6 +139,7 @@ proptest! {
         nodes in 4u32..=12,
         pools in (0u8..3, 0u64..1_000_000),
         cadence in common::cadence_strategy(),
+        knobs in common::knobs_strategy(),
     ) {
         let hetero = match pools {
             (0, _) => HeteroModel::none(),
@@ -147,8 +149,7 @@ proptest! {
         let builder = SimConfig::builder()
             .nodes(nodes)
             .faults(FaultModel::severe(fault_seed))
-            .retry(RetryPolicy::default())
             .hetero(hetero);
-        common::check_conservation(builder, cadence, &trace_from(&seed_jobs))?;
+        common::check_conservation(builder, cadence, knobs, &trace_from(&seed_jobs))?;
     }
 }

@@ -160,7 +160,8 @@ proptest! {
     }
 
     /// Pool accounting is conserved under contended multi-pool scenarios,
-    /// on both clocks, with reliable nodes or with faults on top: every
+    /// on both clocks, with reliable nodes or with faults on top, under
+    /// drawn retry policies, reservation depths and `sched_depth`s: every
     /// job completes or terminates, the pools' free counts add up to the
     /// cluster's on every hourly snapshot and drain back to their totals,
     /// runtimes respect the slowdown bounds and `reset()` replays the run
@@ -174,6 +175,7 @@ proptest! {
         nodes in 4u32..=12,
         faults in (0u8..3, 0u64..1_000_000),
         cadence in common::cadence_strategy(),
+        knobs in common::knobs_strategy(),
     ) {
         let faults = match faults {
             (0, _) => FaultModel::none(),
@@ -184,6 +186,6 @@ proptest! {
             .nodes(nodes)
             .hetero(HeteroModel::scarce(nodes, hetero_seed))
             .faults(faults);
-        common::check_conservation(builder, cadence, &trace_from(&seed_jobs))?;
+        common::check_conservation(builder, cadence, knobs, &trace_from(&seed_jobs))?;
     }
 }

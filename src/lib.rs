@@ -13,10 +13,10 @@
 //! This crate is a facade that re-exports the workspace:
 //!
 //! * [`trace`] — job model, synthetic cluster workloads, cleaning, stats
-//! * [`sim`] — Slurm simulation behind the `ClusterBackend` trait: the
-//!   fast event-driven simulator, the tick-driven reference simulator,
-//!   and a threaded backend pool, all selected by value via
-//!   `SimConfig::builder()`
+//! * [`sim`] — Slurm simulation behind the `ClusterBackend` trait: one
+//!   cluster under the fast event clock or the tick-driven reference
+//!   clock, selected by value via `SimConfig::builder()`, and a seeded
+//!   backend factory (`BackendPool`) for lockstep collection
 //! * [`nn`] — from-scratch transformer / mixture-of-experts substrate
 //! * [`ensemble`] — random forest and gradient boosting baselines
 //! * [`rl`] — DQN and policy-gradient agents with experience replay
