@@ -24,6 +24,12 @@
 //! the same simulator after `reset()`, with the same snapshot and encoder
 //! scratch, pays none.
 //!
+//! Phase 5 is the restore `evaluate` performs before every method's run:
+//! an `EpisodeDriver` warmed once is restored (`restore_from`) into a
+//! working driver that has just run an episode, and that restore — job
+//! arena, event heap, queue, id map, history, snapshot — allocates
+//! nothing.
+//!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
 
@@ -374,5 +380,40 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         repeat, 0,
         "repeat of the growing episode after reset() allocated {repeat} times (checksum {checksum})"
+    );
+
+    // Phase 5: warm once, restore per method — what `evaluate` does at
+    // every episode start. A driver warmed on `sim` (the phase 1 backlog,
+    // predecessor in) is forked into a working driver that owns a clone
+    // of the backend; each round the working driver runs (decisions,
+    // completions, starts, a successor submitted half-way) and is then
+    // restored from the warm driver. Every restore into the used working
+    // driver must leave the allocator alone.
+    let mut sim = Simulator::new(SimConfig::new(NODES));
+    let mut warm = EpisodeDriver::new(&mut sim, &trace, &cfg, 30 * HOUR);
+    warm.set_record_decisions(false);
+    let mut work: EpisodeDriver<Simulator> = warm.fork();
+    let mut restore_allocs = [0u64; 3];
+    for allocs in &mut restore_allocs {
+        for step in 0..24 {
+            let ctx = work.advance().expect("the successor is not in yet");
+            checksum += ctx.snapshot.queued.len() as u64;
+            let action = if step == 12 {
+                Action::Submit
+            } else {
+                Action::Wait
+            };
+            if work.apply(action) {
+                break;
+            }
+        }
+        assert!(work.advance().is_none(), "the successor went in");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        work.restore_from(&warm);
+        *allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    assert_eq!(
+        restore_allocs, [0; 3],
+        "restoring a warm driver into a used one allocated (checksum {checksum})"
     );
 }

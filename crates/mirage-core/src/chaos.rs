@@ -5,8 +5,9 @@
 //! lane answers "how gracefully does each method degrade when nodes crash
 //! and jobs die mid-run?" rather than "who got lucky with the crashes?".
 //! The fault tape is a pure function of `(fault_seed, severity)` carried
-//! inside the simulator config, so the per-episode `reset()` replays the
-//! exact same crashes for every method and every episode start.
+//! inside the simulator config, so the `reset()` that warms each episode
+//! start replays the exact same crashes at every start, and every method
+//! runs on a restore of that warm state.
 //!
 //! Reported per severity × method: mean shaped reward, mean total
 //! interruption (hand-off gap + fault downtime), mean fault-caused
@@ -162,10 +163,12 @@ impl ChaosReport {
 ///
 /// `builder` supplies the cluster shape; this function overrides only its
 /// fault model and retry policy per lane, builds one backend per severity,
-/// and runs every method over the same sampled episode starts. Because
-/// [`run_episode`](crate::episode::run_episode) resets the backend up
-/// front and the fault tape lives in the config, every run at one severity
-/// sees the identical crash schedule, isolating the provisioning policy.
+/// and runs every method over the same sampled episode starts. Each start
+/// is warmed once on that backend (reset, warm-up replay, predecessor)
+/// and every method runs on a restore of the warm state; with the fault
+/// tape in the config, every run at one severity sees the identical crash
+/// schedule, isolating the provisioning policy. The report equals
+/// re-warming the backend for every method, bit for bit.
 pub fn evaluate_chaos(
     methods: &mut [Box<dyn ProvisionPolicy>],
     builder: &SimBuilder,

@@ -25,6 +25,7 @@
 //! Gym-style surface `crate::gym` builds on) and [`run_episode`] drives a
 //! policy closure through it to completion.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use mirage_nn::Matrix;
@@ -333,6 +334,58 @@ impl<B: ClusterBackend> EpisodeDriver<B> {
     pub fn into_backend(self) -> B {
         self.env.into_backend()
     }
+
+    /// A fork: a driver in exactly this one's state that owns a clone of
+    /// its backend — of `B` itself, or of `C` when this driver runs on an
+    /// `&mut C`. Run on, it produces the episode this driver would.
+    pub fn fork<C>(&self) -> EpisodeDriver<C>
+    where
+        B: Borrow<C>,
+        C: ClusterBackend + Clone,
+    {
+        EpisodeDriver {
+            env: self.env.fork(),
+        }
+    }
+
+    /// Restores `source`'s state in place, on this driver's own backend:
+    /// afterwards this driver runs on exactly as a [`fork`](Self::fork)
+    /// of `source` would. Every buffer is reused — the backend's job arena, event heap and
+    /// queue, the history and state matrix, the snapshot — so restoring
+    /// a freshly warmed driver into one that ran an episode of the same
+    /// window allocates nothing. This is how one warm-up serves many
+    /// policies: warm once with [`new`](Self::new), then restore a
+    /// working driver from it before each run.
+    pub fn restore_from<W>(&mut self, source: &EpisodeDriver<W>)
+    where
+        W: ClusterBackend + Borrow<B>,
+        B: Clone,
+    {
+        self.env.restore_from(&source.env);
+    }
+
+    /// The backend the driver runs on.
+    pub(crate) fn backend(&self) -> &B {
+        self.env.backend()
+    }
+
+    /// Drives the decision loop with `decide` and resolves the outcome,
+    /// leaving the driver resolved (to be dropped or restored):
+    /// [`run_episode`] on a driver that is already warm.
+    pub(crate) fn play(
+        &mut self,
+        mut decide: impl FnMut(&DecisionContext) -> Action,
+    ) -> EpisodeResult {
+        // The context borrows the driver's buffers, so the decision is
+        // taken before `apply` re-borrows the driver mutably.
+        while let Some(ctx) = self.advance() {
+            let action = decide(&ctx);
+            if self.apply(action) {
+                break;
+            }
+        }
+        self.env.resolve().services.remove(0).into()
+    }
 }
 
 /// Runs one episode on any backend. `trace` is the background workload
@@ -345,18 +398,9 @@ pub fn run_episode<B: ClusterBackend>(
     trace: &[JobRecord],
     cfg: &EpisodeConfig,
     t0: i64,
-    mut decide: impl FnMut(&DecisionContext) -> Action,
+    decide: impl FnMut(&DecisionContext) -> Action,
 ) -> EpisodeResult {
-    let mut driver = EpisodeDriver::new(backend, trace, cfg, t0);
-    // The context borrows the driver's buffers, so the decision is taken
-    // before `apply` re-borrows the driver mutably.
-    while let Some(ctx) = driver.advance() {
-        let action = decide(&ctx);
-        if driver.apply(action) {
-            break;
-        }
-    }
-    driver.finish().0
+    EpisodeDriver::new(backend, trace, cfg, t0).play(decide)
 }
 
 #[cfg(test)]

@@ -12,6 +12,17 @@
 //! Reported per method × load level: average interruption, average
 //! overlap, and the zero-interruption episode fraction (the paper's
 //! "jobs safeguarded with zero interruption").
+//!
+//! Until a policy acts, every method's episode at one start is the same
+//! bytes: the backend reset, the trace window loaded, the warm-up replay,
+//! the history window and the predecessor submission. So [`evaluate`] —
+//! and the chaos and hetero lanes, through the sweep they share — warm
+//! each start **once**, on the caller's backend, and run every method
+//! (the implicit reactive run included) on a working
+//! [`EpisodeDriver`] restored from that warm one
+//! ([`EpisodeDriver::restore_from`]): one warm-up per start instead of
+//! one per method, and every report bit-identical to re-warming per
+//! method.
 
 use std::ops::AddAssign;
 
@@ -19,7 +30,7 @@ use mirage_sim::ClusterBackend;
 use mirage_trace::{JobRecord, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{run_episode, EpisodeConfig, EpisodeResult};
+use crate::episode::{Action, EpisodeConfig, EpisodeDriver, EpisodeResult};
 use crate::policy::ProvisionPolicy;
 use crate::reward::{EpisodeOutcome, RewardShaper};
 use crate::train::{episode_window, sample_episode_starts};
@@ -124,13 +135,20 @@ pub struct EvalConfig {
 }
 
 /// Runs every method over the same sampled validation episodes, on any
-/// [`ClusterBackend`] (the backend is reset between runs, so one value
-/// hosts the whole evaluation).
+/// [`ClusterBackend`] that can be forked.
+///
+/// Each start is warmed once, on `backend` ([`EpisodeDriver::new`]:
+/// reset, trace window, warm-up replay, history, predecessor), and every
+/// method runs on a working driver restored from that warm one. The
+/// working driver owns a clone of the backend, made at the first restore
+/// and reused by every later one, so one value hosts the whole
+/// evaluation and forking costs one more backend's memory. The report is
+/// bit-identical to re-warming the backend for every method.
 ///
 /// The first method should be the reactive baseline; its successor wait
 /// classifies each episode's load level. (If it is not, the reactive wait
-/// is computed with an implicit extra run.)
-pub fn evaluate<B: ClusterBackend>(
+/// is computed with an implicit extra run, on a restore like the rest.)
+pub fn evaluate<B: ClusterBackend + Clone>(
     methods: &mut [Box<dyn ProvisionPolicy>],
     backend: &mut B,
     trace: &[JobRecord],
@@ -141,12 +159,13 @@ pub fn evaluate<B: ClusterBackend>(
     let method_names: Vec<String> = methods.iter().map(|m| m.name()).collect();
     let reactive_idx = method_names.iter().position(|n| n == "reactive");
 
+    let mut working = None;
     let mut episodes = Vec::with_capacity(starts.len());
     for &t0 in &starts {
-        let window = episode_window(trace, t0, &cfg.episode);
+        let warm = warm_start(backend, trace, &cfg.episode, t0);
         let mut outcomes: Vec<MethodOutcome> = Vec::with_capacity(methods.len());
         for m in methods.iter_mut() {
-            let result = run_method(m.as_mut(), backend, window, &cfg.episode, t0);
+            let result = play_method(m.as_mut(), restored(&mut working, &warm));
             outcomes.push(MethodOutcome {
                 method: m.name(),
                 outcome: result.outcome,
@@ -156,10 +175,8 @@ pub fn evaluate<B: ClusterBackend>(
         let reactive_wait = match reactive_idx {
             Some(i) => outcomes[i].outcome.interruption,
             None => {
-                let r = run_episode(backend, window, &cfg.episode, t0, |_| {
-                    crate::episode::Action::Wait
-                });
-                r.outcome.interruption
+                let work = restored(&mut working, &warm);
+                work.play(|_| Action::Wait).outcome.interruption
             }
         };
         episodes.push(EpisodeRecord {
@@ -175,19 +192,45 @@ pub fn evaluate<B: ClusterBackend>(
     }
 }
 
-/// One method's episode at `t0`: resets the policy, runs it, and stamps
-/// the episode's guard-fallback delta into the outcome (non-zero only
-/// when a guarded policy's network emitted garbage this episode).
-fn run_method<B: ClusterBackend>(
-    method: &mut dyn ProvisionPolicy,
-    backend: &mut B,
-    window: &[JobRecord],
+/// The driver every method's episode at `t0` starts from: `backend`
+/// reset, `t0`'s trace window replayed through the warm-up, the
+/// predecessor submitted. Decision recording is off: the reports keep
+/// outcomes, not trajectories.
+fn warm_start<'b, B: ClusterBackend>(
+    backend: &'b mut B,
+    trace: &[JobRecord],
     episode: &EpisodeConfig,
     t0: i64,
+) -> EpisodeDriver<&'b mut B> {
+    let window = episode_window(trace, t0, episode);
+    let mut warm = EpisodeDriver::new(backend, window, episode, t0);
+    warm.set_record_decisions(false);
+    warm
+}
+
+/// The working driver, restored from `warm` (forked from it on first
+/// use).
+fn restored<'w, B: ClusterBackend + Clone>(
+    working: &'w mut Option<EpisodeDriver<B>>,
+    warm: &EpisodeDriver<&mut B>,
+) -> &'w mut EpisodeDriver<B> {
+    if let Some(work) = working {
+        work.restore_from(warm);
+    }
+    working.get_or_insert_with(|| warm.fork())
+}
+
+/// One method's episode on `work`, a restore of the start's warm driver:
+/// resets the policy, runs it, and stamps the episode's guard-fallback
+/// delta into the outcome (non-zero only when a guarded policy's network
+/// emitted garbage this episode).
+fn play_method<B: ClusterBackend>(
+    method: &mut dyn ProvisionPolicy,
+    work: &mut EpisodeDriver<B>,
 ) -> EpisodeResult {
     method.reset();
     let fallbacks_before = method.guard_fallbacks();
-    let mut result = run_episode(backend, window, episode, t0, |ctx| method.decide(ctx));
+    let mut result = work.play(|ctx| method.decide(ctx));
     result.outcome.guard_fallbacks = method.guard_fallbacks() - fallbacks_before;
     result
 }
@@ -214,10 +257,11 @@ impl LaneAccum {
 }
 
 /// The sweep body the chaos and hetero lanes share: every method over
-/// the same `starts` on one backend (reset per run, so one value hosts
-/// the lane and every run sees the identical seeded tape), accumulating
-/// per-method sums and the backend counters `stats` reads after each run.
-pub(crate) fn sweep_lane<B: ClusterBackend, S: Default + AddAssign>(
+/// the same `starts`, each start warmed once on `backend` and every
+/// method run on a restore of that warm driver (as in [`evaluate`]), so
+/// every run sees the identical seeded tape; accumulates per-method sums
+/// and the backend counters `stats` reads after each run.
+pub(crate) fn sweep_lane<B: ClusterBackend + Clone, S: Default + AddAssign>(
     methods: &mut [Box<dyn ProvisionPolicy>],
     backend: &mut B,
     trace: &[JobRecord],
@@ -234,13 +278,15 @@ pub(crate) fn sweep_lane<B: ClusterBackend, S: Default + AddAssign>(
         })
         .collect();
     let mut totals = S::default();
+    let mut working = None;
     for &t0 in starts {
-        let window = episode_window(trace, t0, episode);
+        let warm = warm_start(backend, trace, episode, t0);
         for (m, acc) in methods.iter_mut().zip(&mut accums) {
-            let o = run_method(m.as_mut(), backend, window, episode, t0).outcome;
-            // `run_episode` resets the backend on entry, so the counters
-            // reflect exactly this run.
-            totals += stats(backend);
+            let work = restored(&mut working, &warm);
+            let o = play_method(m.as_mut(), work).outcome;
+            // The run started from the warm-up's state, reset included,
+            // so the counters reflect exactly this run.
+            totals += stats(work.backend());
             acc.guard_fallbacks += o.guard_fallbacks;
             acc.reward += f64::from(shaper.reward(&o));
             acc.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;

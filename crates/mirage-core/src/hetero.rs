@@ -6,10 +6,10 @@
 //! tiering — so the lane answers "who times the hand-off best when the
 //! hardware is heterogeneous and contended?" rather than "who got the
 //! fast pool?". The placement tape is a pure function of the hetero seed
-//! carried inside the simulator config, so the per-episode `reset()`
-//! replays the exact same slowdown draws for every method and every
-//! episode start — the same controlled-experiment discipline as the
-//! chaos lane's crash tapes.
+//! carried inside the simulator config, so the `reset()` that warms each
+//! episode start replays the exact same slowdown draws at every start,
+//! and every method runs on a restore of that warm state — the same
+//! controlled-experiment discipline as the chaos lane's crash tapes.
 //!
 //! Reported per scenario × method: mean shaped reward, mean interruption,
 //! and the zero-interruption fraction; plus per-scenario placement totals
@@ -158,9 +158,11 @@ impl HeteroReport {
 /// `builder` supplies the cluster shape; this function overrides only its
 /// partition size and pool model per lane, builds one backend per
 /// scenario, and runs every method over the same sampled episode starts.
-/// Because [`run_episode`](crate::episode::run_episode) resets the backend
-/// up front and the placement tape lives in the config, every run in one
-/// scenario sees identical hardware, isolating the provisioning policy.
+/// Each start is warmed once on that backend (reset, warm-up replay,
+/// predecessor) and every method runs on a restore of the warm state;
+/// with the placement tape in the config, every run in one scenario sees
+/// identical hardware, isolating the provisioning policy. The report
+/// equals re-warming the backend for every method, bit for bit.
 pub fn evaluate_hetero(
     methods: &mut [Box<dyn ProvisionPolicy>],
     builder: &SimBuilder,

@@ -31,6 +31,8 @@
 //! [`GreedyPerServicePolicy`], [`ShortestQueuePolicy`]) beside the RL
 //! agents in [`evaluate_multiservice`].
 
+use std::borrow::Borrow;
+
 use mirage_nn::Matrix;
 use mirage_rl::DqnAgent;
 use mirage_sim::{ClusterBackend, ClusterSnapshot, JobStatus, ServiceUsage};
@@ -534,6 +536,49 @@ struct ServiceState {
     last_pred_remaining: i64,
 }
 
+impl Clone for ServiceState {
+    fn clone(&self) -> Self {
+        Self {
+            history: self.history.clone(),
+            matrix: self.matrix.clone(),
+            decisions: self.decisions.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, reusing the history, matrix and decision buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            encoder,
+            history,
+            succ_spec,
+            pred_nodes,
+            pred_id,
+            succ_id,
+            succ_submit,
+            submitted_by_policy,
+            submit_tick,
+            matrix,
+            decisions,
+            last_pred_started,
+            last_pred_remaining,
+        } = self;
+        *encoder = source.encoder;
+        history.clone_from(&source.history);
+        *succ_spec = source.succ_spec;
+        *pred_nodes = source.pred_nodes;
+        *pred_id = source.pred_id;
+        *succ_id = source.succ_id;
+        *succ_submit = source.succ_submit;
+        *submitted_by_policy = source.submitted_by_policy;
+        *submit_tick = source.submit_tick;
+        matrix.clone_from(&source.matrix);
+        decisions.clone_from(&source.decisions);
+        *last_pred_started = source.last_pred_started;
+        *last_pred_remaining = source.last_pred_remaining;
+    }
+}
+
 /// A service's pair job (`name` tells predecessor from successor in the
 /// queue; `submit` is overridden by the backend for live submissions).
 fn pair_job(svc: &ServiceSpec, name: &str, submit: i64, nodes: u32) -> JobRecord {
@@ -945,6 +990,13 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     /// episode record plus the backend (reusable for the next episode
     /// after a reset).
     pub fn finish(mut self) -> (MultiServiceResult, B) {
+        let result = self.resolve();
+        (result, self.backend)
+    }
+
+    /// [`finish`](Self::finish) in place: the engine is left resolved,
+    /// to be dropped or restored from a warm one.
+    pub(crate) fn resolve(&mut self) -> MultiServiceResult {
         assert!(
             !self.is_deciding(),
             "finish() before the decision loop ended"
@@ -991,19 +1043,86 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         }
 
         let stampede_ticks = self.submits_by_tick.iter().filter(|&&c| c >= 2).count();
-        (
-            MultiServiceResult {
-                services,
-                stampede_ticks,
-            },
-            self.backend,
-        )
+        MultiServiceResult {
+            services,
+            stampede_ticks,
+        }
     }
 
     /// Abandons the episode, handing the backend back untouched-from-here
     /// (the next episode resets it anyway).
     pub fn into_backend(self) -> B {
         self.backend
+    }
+
+    /// The backend the engine runs on.
+    pub(crate) fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// A fork: an engine in exactly this one's state that owns a clone of
+    /// its backend — of `B` itself, or of what `B` borrows when the
+    /// engine runs on an `&mut` backend.
+    pub(crate) fn fork<C>(&self) -> MultiServiceEnv<C>
+    where
+        B: Borrow<C>,
+        C: ClusterBackend + Clone,
+    {
+        MultiServiceEnv {
+            backend: self.backend.borrow().clone(),
+            cfg: self.cfg.clone(),
+            t0: self.t0,
+            services: self.services.clone(),
+            now: self.now,
+            tick: self.tick,
+            snapshot: self.snapshot.clone(),
+            enc_scratch: EncoderScratch::default(),
+            pending: self.pending.clone(),
+            last_avg_wait: self.last_avg_wait,
+            record: self.record,
+            submits_by_tick: self.submits_by_tick.clone(),
+        }
+    }
+
+    /// Restores `source`'s state in place — this engine becomes the fork
+    /// [`fork`](Self::fork) would make of `source` — reusing every buffer
+    /// it has: the backend's (see `Simulator`'s `clone_from`), the
+    /// histories, state matrices and snapshot. Restoring the engine a
+    /// warm-up left into one that ran the same episode allocates nothing.
+    pub(crate) fn restore_from<W>(&mut self, source: &MultiServiceEnv<W>)
+    where
+        W: ClusterBackend + Borrow<B>,
+        B: Clone,
+    {
+        // Exhaustive on purpose: a new field must decide what a restore
+        // means.
+        let Self {
+            backend,
+            cfg,
+            t0,
+            services,
+            now,
+            tick,
+            snapshot,
+            enc_scratch: _, // overwritten by every encode
+            pending,
+            last_avg_wait,
+            record,
+            submits_by_tick,
+        } = self;
+        backend.clone_from(source.backend.borrow());
+        if *cfg != source.cfg {
+            cfg.clone_from(&source.cfg);
+        }
+        *t0 = source.t0;
+        services.clone_from(&source.services);
+        *now = source.now;
+        *tick = source.tick;
+        snapshot.clone_from(&source.snapshot);
+        pending.clone_from(&source.pending);
+        *last_avg_wait = source.last_avg_wait;
+        *record = source.record;
+        submits_by_tick.clone_from(&source.submits_by_tick);
     }
 }
 

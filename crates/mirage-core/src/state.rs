@@ -316,10 +316,25 @@ impl StateEncoder {
 }
 
 /// Fixed-length history of state vectors forming the `k × m` state matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StateHistory {
     k: usize,
     rows: Vec<[f32; STATE_VARS]>,
+}
+
+impl Clone for StateHistory {
+    fn clone(&self) -> Self {
+        Self {
+            k: self.k,
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// In place, reusing the row buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.k = source.k;
+        self.rows.clone_from(&source.rows);
+    }
 }
 
 impl StateHistory {

@@ -1,0 +1,432 @@
+//! Warm once, fork per method: `evaluate`, `evaluate_chaos` and
+//! `evaluate_hetero` warm each episode start once and run every method on
+//! a restore of that warm driver. Their reports must equal, field for
+//! field, those of re-warming the backend for every method (`run_method`
+//! below, the test-local oracle). CI runs the three
+//! `*_matches_rewarm_oracle` tests by name.
+//!
+//! The method lists cover what a restore could leak between methods:
+//! early submitters (FCFS, a sampling PG policy whose RNG stream runs on
+//! across episodes), a threshold heuristic, and a guarded DQN on a
+//! poisoned network whose fallback counter moves every decision. The
+//! first `evaluate` list has no `reactive`, so the load level comes from
+//! the implicit reactive run.
+
+use std::ops::AddAssign;
+
+use mirage_core::chaos::{
+    evaluate_chaos, ChaosConfig, ChaosLane, ChaosMethodSummary, ChaosReport, ChaosSeverity,
+};
+use mirage_core::episode::{run_episode, EpisodeConfig, EpisodeResult};
+use mirage_core::eval::{
+    evaluate, EpisodeRecord, EvalConfig, EvalReport, LoadLevel, MethodOutcome,
+};
+use mirage_core::hetero::{
+    evaluate_hetero, HeteroConfig, HeteroLane, HeteroMethodSummary, HeteroReport, HeteroScenario,
+};
+use mirage_core::policy::{
+    AvgWaitPolicy, FcfsPolicy, GuardedDqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy,
+};
+use mirage_core::reward::RewardShaper;
+use mirage_core::state::STATE_VARS;
+use mirage_core::train::{episode_window, sample_episode_starts};
+use mirage_nn::foundation::FoundationKind;
+use mirage_nn::transformer::TransformerConfig;
+use mirage_rl::{
+    ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet, PgAgent, PgConfig,
+};
+use mirage_sim::{BackendKind, ClusterBackend, SimBuilder, SimConfig, Simulator};
+use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
+
+const K: usize = 4;
+
+fn net(seed: u64) -> DualHeadNet {
+    DualHeadNet::new(DualHeadConfig {
+        foundation: FoundationKind::Transformer,
+        transformer: TransformerConfig {
+            input_dim: STATE_VARS,
+            seq_len: K,
+            d_model: 8,
+            heads: 2,
+            layers: 1,
+            ff_mult: 2,
+        },
+        action_encoding: ActionEncoding::TwoHead,
+        freeze_foundation: false,
+        seed,
+    })
+}
+
+/// A guarded DQN whose every weight is NaN: each decision falls back to
+/// `Wait` and is counted.
+fn poisoned_guarded() -> GuardedDqnPolicy {
+    let mut net = net(3);
+    let ids: Vec<_> = net.ps.iter().map(|(id, _)| id).collect();
+    for id in ids {
+        net.ps.get_mut(id).data_mut().fill(f32::NAN);
+    }
+    GuardedDqnPolicy::new(DqnAgent::new(net, DqnConfig::default()), "guarded")
+}
+
+fn methods(with_reactive: bool) -> Vec<Box<dyn ProvisionPolicy>> {
+    let mut methods: Vec<Box<dyn ProvisionPolicy>> = Vec::new();
+    if with_reactive {
+        methods.push(Box::new(ReactivePolicy));
+    }
+    methods.push(Box::new(AvgWaitPolicy::default()));
+    methods.push(Box::new(FcfsPolicy));
+    methods.push(Box::new(poisoned_guarded()));
+    methods.push(Box::new(PgPolicy::new(
+        PgAgent::new(net(5), PgConfig::default()),
+        "pg",
+        11,
+    )));
+    methods
+}
+
+fn busy_trace(days: i64, nodes: u32) -> Vec<JobRecord> {
+    (0..days * 24 * 2)
+        .map(|i| {
+            JobRecord::new(
+                i as u64 + 1,
+                format!("bg{i}"),
+                (i % 5) as u32,
+                i * HOUR / 2,
+                nodes,
+                8 * HOUR,
+                4 * HOUR,
+            )
+        })
+        .collect()
+}
+
+fn episode(pair_nodes: u32) -> EpisodeConfig {
+    EpisodeConfig {
+        pair_nodes,
+        pair_timelimit: 6 * HOUR,
+        pair_runtime: 6 * HOUR,
+        decision_interval: 30 * MINUTE,
+        history_k: K,
+        warmup: DAY,
+        pair_user: 999,
+        fault_features: true,
+        hetero_features: true,
+    }
+}
+
+/// One method's episode, re-warmed: reset the policy, re-warm the backend
+/// from scratch (`run_episode` resets it and replays the warm-up) and
+/// run, stamping the episode's guard-fallback delta.
+fn run_method<B: ClusterBackend>(
+    method: &mut dyn ProvisionPolicy,
+    backend: &mut B,
+    window: &[JobRecord],
+    episode: &EpisodeConfig,
+    t0: i64,
+) -> EpisodeResult {
+    method.reset();
+    let fallbacks_before = method.guard_fallbacks();
+    let mut result = run_episode(backend, window, episode, t0, |ctx| method.decide(ctx));
+    result.outcome.guard_fallbacks = method.guard_fallbacks() - fallbacks_before;
+    result
+}
+
+/// `evaluate`, re-warming per method.
+fn oracle_evaluate<B: ClusterBackend>(
+    methods: &mut [Box<dyn ProvisionPolicy>],
+    backend: &mut B,
+    trace: &[JobRecord],
+    range: (i64, i64),
+    cfg: &EvalConfig,
+) -> EvalReport {
+    let starts = sample_episode_starts(range.0, range.1, &cfg.episode, cfg.n_episodes, cfg.seed);
+    let method_names: Vec<String> = methods.iter().map(|m| m.name()).collect();
+    let reactive_idx = method_names.iter().position(|n| n == "reactive");
+    let mut episodes = Vec::new();
+    for &t0 in &starts {
+        let window = episode_window(trace, t0, &cfg.episode);
+        let mut outcomes = Vec::new();
+        for m in methods.iter_mut() {
+            let result = run_method(m.as_mut(), backend, window, &cfg.episode, t0);
+            outcomes.push(MethodOutcome {
+                method: m.name(),
+                outcome: result.outcome,
+                proactive: result.submitted_by_policy,
+            });
+        }
+        let reactive_wait = match reactive_idx {
+            Some(i) => outcomes[i].outcome.interruption,
+            None => {
+                let mut reactive = ReactivePolicy;
+                run_method(&mut reactive, backend, window, &cfg.episode, t0)
+                    .outcome
+                    .interruption
+            }
+        };
+        episodes.push(EpisodeRecord {
+            t0,
+            load: LoadLevel::classify(reactive_wait),
+            reactive_wait,
+            methods: outcomes,
+        });
+    }
+    EvalReport {
+        episodes,
+        method_names,
+    }
+}
+
+/// One method's sums over a lane, as the lanes report them.
+#[derive(Default)]
+struct Sums {
+    reward: f64,
+    interruption_h: f64,
+    fault_h: f64,
+    zero: usize,
+    episodes: usize,
+    guard_fallbacks: u64,
+}
+
+impl Sums {
+    fn mean(&self, sum: f64) -> f64 {
+        sum / self.episodes.max(1) as f64
+    }
+}
+
+/// The chaos / hetero sweep body, re-warming per method.
+fn oracle_sweep<B: ClusterBackend, S: Default + AddAssign>(
+    methods: &mut [Box<dyn ProvisionPolicy>],
+    backend: &mut B,
+    trace: &[JobRecord],
+    starts: &[i64],
+    episode: &EpisodeConfig,
+    shaper: &RewardShaper,
+    stats: impl Fn(&B) -> S,
+) -> (Vec<Sums>, S) {
+    let mut sums: Vec<Sums> = methods.iter().map(|_| Sums::default()).collect();
+    let mut totals = S::default();
+    for &t0 in starts {
+        let window = episode_window(trace, t0, episode);
+        for (m, s) in methods.iter_mut().zip(&mut sums) {
+            let o = run_method(m.as_mut(), backend, window, episode, t0).outcome;
+            totals += stats(backend);
+            s.guard_fallbacks += o.guard_fallbacks;
+            s.reward += f64::from(shaper.reward(&o));
+            s.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
+            s.fault_h += o.fault_interruption as f64 / 3600.0;
+            s.zero += usize::from(o.zero_interruption());
+            s.episodes += 1;
+        }
+    }
+    (sums, totals)
+}
+
+/// `evaluate_chaos`, re-warming per method.
+fn oracle_chaos(
+    methods: &mut [Box<dyn ProvisionPolicy>],
+    builder: &SimBuilder,
+    trace: &[JobRecord],
+    range: (i64, i64),
+    cfg: &ChaosConfig,
+) -> ChaosReport {
+    let starts = sample_episode_starts(range.0, range.1, &cfg.episode, cfg.n_episodes, cfg.seed);
+    let mut lanes = Vec::new();
+    for severity in ChaosSeverity::ALL {
+        let mut backend = builder
+            .clone()
+            .faults(severity.fault_model(cfg.fault_seed))
+            .retry(cfg.retry)
+            .build();
+        let (sums, faults) = oracle_sweep(
+            methods,
+            &mut backend,
+            trace,
+            &starts,
+            &cfg.episode,
+            &cfg.shaper,
+            |b| b.fault_stats(),
+        );
+        let methods = sums
+            .iter()
+            .zip(methods.iter())
+            .map(|(s, m)| ChaosMethodSummary {
+                method: m.name(),
+                episodes: s.episodes,
+                mean_reward: s.mean(s.reward),
+                avg_interruption_h: s.mean(s.interruption_h),
+                avg_fault_interruption_h: s.mean(s.fault_h),
+                zero_interruption_frac: s.mean(s.zero as f64),
+                guard_fallbacks: s.guard_fallbacks,
+            })
+            .collect();
+        lanes.push(ChaosLane {
+            severity,
+            methods,
+            faults,
+        });
+    }
+    ChaosReport { lanes }
+}
+
+/// `evaluate_hetero`, re-warming per method.
+fn oracle_hetero(
+    methods: &mut [Box<dyn ProvisionPolicy>],
+    builder: &SimBuilder,
+    trace: &[JobRecord],
+    range: (i64, i64),
+    cfg: &HeteroConfig,
+) -> HeteroReport {
+    let starts = sample_episode_starts(range.0, range.1, &cfg.episode, cfg.n_episodes, cfg.seed);
+    let mut lanes = Vec::new();
+    for scenario in HeteroScenario::ALL {
+        let mut backend = builder
+            .clone()
+            .nodes(cfg.nodes)
+            .hetero(scenario.model(cfg.nodes, cfg.hetero_seed))
+            .build();
+        let (sums, hetero) = oracle_sweep(
+            methods,
+            &mut backend,
+            trace,
+            &starts,
+            &cfg.episode,
+            &cfg.shaper,
+            |b| b.hetero_stats(),
+        );
+        let methods = sums
+            .iter()
+            .zip(methods.iter())
+            .map(|(s, m)| HeteroMethodSummary {
+                method: m.name(),
+                episodes: s.episodes,
+                mean_reward: s.mean(s.reward),
+                avg_interruption_h: s.mean(s.interruption_h),
+                zero_interruption_frac: s.mean(s.zero as f64),
+                guard_fallbacks: s.guard_fallbacks,
+            })
+            .collect();
+        lanes.push(HeteroLane {
+            scenario,
+            methods,
+            hetero,
+        });
+    }
+    HeteroReport { lanes }
+}
+
+/// Field for field: `Debug` prints every field, every float to the bit.
+fn assert_same<T: std::fmt::Debug>(forked: &T, oracle: &T, what: &str) {
+    assert_eq!(format!("{forked:#?}"), format!("{oracle:#?}"), "{what}");
+}
+
+#[test]
+fn evaluate_matches_rewarm_oracle() {
+    let trace = busy_trace(14, 2);
+    let cfg = EvalConfig {
+        episode: episode(1),
+        n_episodes: 4,
+        seed: 7,
+    };
+    let range = (0, 14 * DAY);
+    // Without `reactive` (the implicit run classifies) on the event
+    // clock, with it on a coarse tick clock.
+    for (with_reactive, kind) in [(false, BackendKind::EventDriven), (true, BackendKind::Tick)] {
+        let builder = SimConfig::builder()
+            .nodes(4)
+            .backend(kind)
+            .tick(300)
+            .sched_interval(300)
+            .backfill_interval(300);
+        let forked = evaluate(
+            &mut methods(with_reactive),
+            &mut builder.build(),
+            &trace,
+            range,
+            &cfg,
+        );
+        let oracle = oracle_evaluate(
+            &mut methods(with_reactive),
+            &mut builder.build(),
+            &trace,
+            range,
+            &cfg,
+        );
+        assert_same(&forked, &oracle, &format!("{kind:?}"));
+        let guard = forked.episodes[0]
+            .methods
+            .iter()
+            .find(|m| m.method == "guarded")
+            .expect("guarded method evaluated");
+        assert!(guard.outcome.guard_fallbacks > 0, "the guard fell back");
+        assert!(
+            forked
+                .episodes
+                .iter()
+                .any(|e| e.methods.iter().any(|m| m.proactive)),
+            "some method submitted early"
+        );
+    }
+    // The plain simulator as the caller's backend.
+    let forked = evaluate(
+        &mut methods(false),
+        &mut Simulator::new(SimConfig::new(4)),
+        &trace,
+        range,
+        &cfg,
+    );
+    let oracle = oracle_evaluate(
+        &mut methods(false),
+        &mut Simulator::new(SimConfig::new(4)),
+        &trace,
+        range,
+        &cfg,
+    );
+    assert_same(&forked, &oracle, "Simulator");
+}
+
+#[test]
+fn evaluate_chaos_matches_rewarm_oracle() {
+    let trace = busy_trace(10, 2);
+    let cfg = ChaosConfig {
+        episode: episode(1),
+        n_episodes: 3,
+        ..ChaosConfig::default()
+    };
+    let builder = SimConfig::builder().nodes(4);
+    let range = (0, 10 * DAY);
+    let forked = evaluate_chaos(&mut methods(true), &builder, &trace, range, &cfg);
+    let oracle = oracle_chaos(&mut methods(true), &builder, &trace, range, &cfg);
+    assert_same(&forked, &oracle, "chaos");
+    let severe = forked.lane(ChaosSeverity::Severe);
+    assert!(severe.faults.evictions > 0, "the crash tape evicted");
+    assert!(
+        forked
+            .summary(ChaosSeverity::Severe, "guarded")
+            .guard_fallbacks
+            > 0
+    );
+}
+
+#[test]
+fn evaluate_hetero_matches_rewarm_oracle() {
+    let trace = busy_trace(8, 3);
+    let cfg = HeteroConfig {
+        episode: episode(2),
+        n_episodes: 3,
+        nodes: 8,
+        ..HeteroConfig::default()
+    };
+    let builder = SimConfig::builder();
+    let range = (0, 8 * DAY);
+    let forked = evaluate_hetero(&mut methods(false), &builder, &trace, range, &cfg);
+    let oracle = oracle_hetero(&mut methods(false), &builder, &trace, range, &cfg);
+    assert_same(&forked, &oracle, "hetero");
+    let scarce = forked.lane(HeteroScenario::Scarce);
+    assert!(scarce.hetero.slowdowns > 0, "the pools contended");
+    assert!(
+        forked
+            .summary(HeteroScenario::Scarce, "guarded")
+            .guard_fallbacks
+            > 0
+    );
+}

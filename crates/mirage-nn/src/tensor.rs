@@ -14,11 +14,27 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Row-major matrix of `f32`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, reusing the allocation whenever its capacity suffices.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 /// SIMD lane width the matmul microkernel is blocked around: 8 × f32 is

@@ -39,9 +39,22 @@ pub(crate) fn prepare_admission(
 /// Rolling `(start_time, wait)` log of dispatches — the observable
 /// statistic behind the `avg` heuristic baseline (§6: submit `T_avg`
 /// before the predecessor's end).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct RecentStarts {
     log: VecDeque<(i64, i64)>,
+}
+
+impl Clone for RecentStarts {
+    fn clone(&self) -> Self {
+        Self {
+            log: self.log.clone(),
+        }
+    }
+
+    /// In place, keeping the ring's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.log.clone_from(&source.log);
+    }
 }
 
 impl RecentStarts {

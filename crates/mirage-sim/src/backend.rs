@@ -271,6 +271,25 @@ pub enum AnyBackend {
     Tick(ReferenceSimulator),
 }
 
+impl Clone for AnyBackend {
+    fn clone(&self) -> Self {
+        match self {
+            AnyBackend::Event(sim) => AnyBackend::Event(sim.clone()),
+            AnyBackend::Tick(tick) => AnyBackend::Tick(tick.clone()),
+        }
+    }
+
+    /// In place when both are the same clock, so the clock's restore
+    /// keeps its buffers.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (AnyBackend::Event(sim), AnyBackend::Event(src)) => sim.clone_from(src),
+            (AnyBackend::Tick(tick), AnyBackend::Tick(src)) => tick.clone_from(src),
+            (this, _) => *this = source.clone(),
+        }
+    }
+}
+
 impl ClusterBackend for AnyBackend {
     #[inline]
     fn cluster(&self) -> &Simulator {

@@ -77,6 +77,21 @@ pub struct EventQueue {
     seq: u64,
 }
 
+impl Clone for EventQueue {
+    fn clone(&self) -> Self {
+        Self {
+            heap: self.heap.clone(),
+            seq: self.seq,
+        }
+    }
+
+    /// In place, keeping the heap's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.heap.clone_from(&source.heap);
+        self.seq = source.seq;
+    }
+}
+
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {

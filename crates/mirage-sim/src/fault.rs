@@ -323,9 +323,22 @@ pub struct JobFaults {
 /// Sliding log of eviction instants, bounded like the admission module's
 /// `RecentStarts` so a month-long run cannot grow it without bound. Backs
 /// the recent-eviction-rate accessor agents observe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct EvictionLog {
     times: VecDeque<i64>,
+}
+
+impl Clone for EvictionLog {
+    fn clone(&self) -> Self {
+        Self {
+            times: self.times.clone(),
+        }
+    }
+
+    /// In place, keeping the ring's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.times.clone_from(&source.times);
+    }
 }
 
 /// Retention cap: evictions are rare events (per-node MTBF ≫ the 24 h

@@ -24,8 +24,10 @@
 //! The two simulators are one cluster state machine under two clocks: the job arena,
 //! the queue, the scheduling pass (multifactor priority + EASY backfill,
 //! [`backfill`]) and the fault/retry/pool ledgers are [`Simulator`]'s, and
-//! [`ReferenceSimulator`] only decides *when* a pass runs. They are
-//! selected *by value* through the builder:
+//! [`ReferenceSimulator`] only decides *when* a pass runs. Every backend
+//! is `Clone`: a fork is `clone()`, a restore is `clone_from()`, which
+//! reuses the target's job arena, event heap and queue, so one warm state
+//! can seed many runs. They are selected *by value* through the builder:
 //!
 //! ```
 //! use mirage_sim::{BackendKind, ClusterBackend, SimConfig};

@@ -100,7 +100,7 @@ const NEGLIGIBLE_USAGE: f64 = 1e-6;
 ///   pending job,
 /// * usage that decays to `NEGLIGIBLE_USAGE` (1e-6) or below becomes exactly
 ///   `0.0`, which reads and accumulates like an absent entry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FairshareTracker {
     slots: HashMap<u32, u32>,
     usage: Vec<f64>,
@@ -109,6 +109,27 @@ pub struct FairshareTracker {
     /// normalized by it. Non-positive disables the factor (usage reads 0).
     capacity: f64,
     last_decay: i64,
+}
+
+impl Clone for FairshareTracker {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            usage: self.usage.clone(),
+            factor: self.factor.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, keeping every table's capacity (the user set is interned
+    /// when a trace loads, so a restore sees an equally sized `slots`).
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.usage.clone_from(&source.usage);
+        self.factor.clone_from(&source.factor);
+        self.capacity = source.capacity;
+        self.last_decay = source.last_decay;
+    }
 }
 
 impl FairshareTracker {

@@ -129,6 +129,33 @@ pub struct ReferenceSimulator {
 /// "Long ago" without risking i64 overflow in cadence checks.
 const NEVER: i64 = i64::MIN / 4;
 
+impl Clone for ReferenceSimulator {
+    fn clone(&self) -> Self {
+        Self {
+            cfg: self.cfg.clone(),
+            cluster: self.cluster.clone(),
+            ..*self
+        }
+    }
+
+    /// Restores `source`'s cluster and cadence stamps in place (the
+    /// cluster's restore keeps its buffers; see [`Simulator`]'s).
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            cfg,
+            cluster,
+            last_sched,
+            last_backfill,
+        } = self;
+        if *cfg != source.cfg {
+            cfg.clone_from(&source.cfg);
+        }
+        cluster.clone_from(&source.cluster);
+        *last_sched = source.last_sched;
+        *last_backfill = source.last_backfill;
+    }
+}
+
 impl Deref for ReferenceSimulator {
     type Target = Simulator;
 

@@ -124,7 +124,7 @@ pub enum JobStatus {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SimJob {
     record: JobRecord,
     status: JobStatus,
@@ -146,6 +146,40 @@ struct SimJob {
     /// Whether the current attempt's placement drew a slowdown (> 1.0
     /// runtime scale), for the contention metric.
     slowed: bool,
+}
+
+impl Clone for SimJob {
+    fn clone(&self) -> Self {
+        Self {
+            record: self.record.clone(),
+            pool_alloc: self.pool_alloc.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, reusing the record's name buffer and the pool slots.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            record,
+            status,
+            user_slot,
+            run_slot,
+            attempt,
+            evicted_at,
+            faults,
+            pool_alloc,
+            slowed,
+        } = self;
+        record.clone_from(&source.record);
+        *status = source.status;
+        *user_slot = source.user_slot;
+        *run_slot = source.run_slot;
+        *attempt = source.attempt;
+        *evicted_at = source.evicted_at;
+        *faults = source.faults;
+        pool_alloc.clone_from(&source.pool_alloc);
+        *slowed = source.slowed;
+    }
 }
 
 /// One pending job as the scheduling pass, [`Simulator::sample_into`] and
@@ -173,6 +207,10 @@ struct PendingRow {
 const STARTED: usize = usize::MAX;
 
 /// Event-driven Slurm simulator.
+///
+/// A fork is `clone()`, a restore is `clone_from()`: the restored
+/// simulator runs on exactly as the source would, and a restore into a
+/// used simulator reuses its buffers (see the `Clone` impl).
 #[derive(Debug)]
 pub struct Simulator {
     cfg: SimConfig,
@@ -1060,6 +1098,96 @@ impl Simulator {
             self.min_pending_nodes = min_nodes;
         }
         self.scratch_starts = starts;
+    }
+}
+
+impl Clone for Simulator {
+    fn clone(&self) -> Self {
+        let mut sim = Simulator::new(self.cfg.clone());
+        sim.clone_from(self);
+        sim
+    }
+
+    /// Restores `source`'s state in place: the job arena, event heap,
+    /// queue, running list, id map, release ledger and every log keep
+    /// their capacity, so restoring a warm simulator into one that ran
+    /// the same window allocates nothing. The pass scratch is not state
+    /// (every pass clears it) and is left alone.
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive on purpose, like `reset`: a new field must decide
+        // what a restore means.
+        let Self {
+            cfg,
+            now,
+            free_nodes,
+            down_nodes,
+            pool_free,
+            hetero_stats,
+            contended_running,
+            fault_stats,
+            evictions_log,
+            jobs,
+            id_map,
+            pending,
+            running,
+            events,
+            fairshare,
+            busy_node_seconds,
+            first_submit,
+            rejected,
+            next_id,
+            recent_starts,
+            releases,
+            min_pending_nodes,
+            completed_order,
+            wait_sum,
+            jct_sum,
+            last_end,
+            first_completed_submit,
+            scratch_order: _,
+            scratch_starts: _,
+            scratch_plan: _,
+        } = self;
+        // A restore normally targets a fork of the same simulator: an
+        // equal config keeps its pool names where they are.
+        if *cfg != source.cfg {
+            cfg.clone_from(&source.cfg);
+        }
+        *now = source.now;
+        *free_nodes = source.free_nodes;
+        *down_nodes = source.down_nodes;
+        pool_free.clone_from(&source.pool_free);
+        *hetero_stats = source.hetero_stats;
+        *contended_running = source.contended_running;
+        *fault_stats = source.fault_stats;
+        evictions_log.clone_from(&source.evictions_log);
+        jobs.clone_from(&source.jobs);
+        // `HashMap::clone_from` keeps the table only at an equal bucket
+        // count; a roomier table keeps it by re-inserting (nothing reads
+        // the map's iteration order).
+        if id_map.capacity() != source.id_map.capacity() && id_map.capacity() >= source.id_map.len()
+        {
+            id_map.clear();
+            id_map.extend(source.id_map.iter().map(|(&id, &idx)| (id, idx)));
+        } else {
+            id_map.clone_from(&source.id_map);
+        }
+        pending.clone_from(&source.pending);
+        running.clone_from(&source.running);
+        events.clone_from(&source.events);
+        fairshare.clone_from(&source.fairshare);
+        *busy_node_seconds = source.busy_node_seconds;
+        *first_submit = source.first_submit;
+        *rejected = source.rejected;
+        *next_id = source.next_id;
+        recent_starts.clone_from(&source.recent_starts);
+        releases.clone_from(&source.releases);
+        *min_pending_nodes = source.min_pending_nodes;
+        completed_order.clone_from(&source.completed_order);
+        *wait_sum = source.wait_sum;
+        *jct_sum = source.jct_sum;
+        *last_end = source.last_end;
+        *first_completed_submit = source.first_completed_submit;
     }
 }
 

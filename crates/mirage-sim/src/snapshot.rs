@@ -45,7 +45,7 @@ pub struct RunningJobView {
 ///
 /// `Default` gives an empty snapshot suitable as the reusable buffer for
 /// [`crate::ClusterBackend::sample_into`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSnapshot {
     /// Snapshot instant.
     pub now: i64,
@@ -78,6 +78,45 @@ pub struct ClusterSnapshot {
     pub queued: Vec<QueuedJobView>,
     /// Running jobs (unordered).
     pub running: Vec<RunningJobView>,
+}
+
+impl Clone for ClusterSnapshot {
+    fn clone(&self) -> Self {
+        Self {
+            pool_free: self.pool_free.clone(),
+            pool_total: self.pool_total.clone(),
+            queued: self.queued.clone(),
+            running: self.running.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, reusing every vector (what restoring a decision engine's
+    /// snapshot buffer needs).
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            now,
+            free_nodes,
+            total_nodes,
+            down_nodes,
+            recent_evictions,
+            pool_free,
+            pool_total,
+            contended_running,
+            queued,
+            running,
+        } = self;
+        *now = source.now;
+        *free_nodes = source.free_nodes;
+        *total_nodes = source.total_nodes;
+        *down_nodes = source.down_nodes;
+        *recent_evictions = source.recent_evictions;
+        pool_free.clone_from(&source.pool_free);
+        pool_total.clone_from(&source.pool_total);
+        *contended_running = source.contended_running;
+        queued.clone_from(&source.queued);
+        running.clone_from(&source.running);
+    }
 }
 
 impl ClusterSnapshot {

@@ -1,31 +1,41 @@
 //! The conservation property `tests/faults.rs` and `tests/hetero.rs`
 //! share: one body, generic over [`ClusterBackend`], that both run on the
 //! event clock and on the tick clock with faults and pools combined,
-//! under drawn retry, backfill-reservation and `sched_depth` knobs.
+//! under drawn retry, backfill-reservation and `sched_depth` knobs — and
+//! the fork pin: a backend restored mid-run (`clone_from`) into a dirty
+//! one runs on exactly like the original.
 
 use mirage_sim::{
     BackendKind, BackfillPolicy, ClusterBackend, ClusterSnapshot, FaultStats, HeteroStats,
     RetryPolicy, SimBuilder, SimMetrics,
 };
-use mirage_trace::{JobRecord, HOUR};
+use mirage_trace::{JobRecord, DAY, HOUR};
 use proptest::prelude::*;
 
-/// Everything a finished run exposes.
-type Observed = (Vec<JobRecord>, SimMetrics, FaultStats, HeteroStats);
+/// Everything a run exposes: its hourly snapshots and trailing-day mean
+/// waits, then the finished run's completed jobs, metrics and fault and
+/// pool counters.
+type Observed = (
+    Vec<(ClusterSnapshot, Option<f64>)>,
+    Vec<JobRecord>,
+    SimMetrics,
+    FaultStats,
+    HeteroStats,
+);
 
 /// Hourly snapshots while the trace arrives and drains, then the tail.
-const SNAPSHOT_HOURS: i64 = 72;
+pub const SNAPSHOT_HOURS: i64 = 72;
 
-/// Runs the loaded trace to completion, checking on hourly snapshots that
-/// the clock lands where it was sent (and never runs backwards after) and
-/// every node is in exactly one place: free, down, or under a running job
-/// — and, on a heterogeneous partition, that the pools' free counts add
-/// up to the cluster's.
-fn drive<B: ClusterBackend>(backend: &mut B) -> Result<Observed, String> {
-    let mut snap = ClusterSnapshot::default();
-    for hour in 1..=SNAPSHOT_HOURS {
+/// Runs the loaded trace on from hour `from` to completion, checking on
+/// hourly snapshots that the clock lands where it was sent (and never
+/// runs backwards after) and every node is in exactly one place: free,
+/// down, or under a running job — and, on a heterogeneous partition,
+/// that the pools' free counts add up to the cluster's.
+fn drive<B: ClusterBackend>(backend: &mut B, from: i64) -> Result<Observed, String> {
+    let mut samples = Vec::new();
+    for hour in from + 1..=SNAPSHOT_HOURS {
         backend.run_until(hour * HOUR);
-        backend.sample_into(&mut snap);
+        let snap = backend.sample();
         prop_assert_eq!(snap.now, hour * HOUR);
         let allocated: u32 = snap.running.iter().map(|r| r.nodes).sum();
         prop_assert_eq!(
@@ -42,10 +52,13 @@ fn drive<B: ClusterBackend>(backend: &mut B) -> Result<Observed, String> {
                 .zip(&snap.pool_total)
                 .all(|(f, t)| f <= t));
         }
+        samples.push((snap, backend.avg_recent_wait(DAY)));
     }
+    let last = samples.last().map_or(from * HOUR, |(snap, _)| snap.now);
     backend.run_to_completion();
-    prop_assert!(backend.now() >= snap.now, "clock ran backwards");
+    prop_assert!(backend.now() >= last, "clock ran backwards");
     Ok((
+        samples,
         backend.completed(),
         backend.metrics(),
         backend.fault_stats(),
@@ -54,11 +67,16 @@ fn drive<B: ClusterBackend>(backend: &mut B) -> Result<Observed, String> {
 }
 
 /// Jobs, nodes and retry accounting are conserved on `backend` over
-/// `trace`, and `reset()` replays the run exactly.
-fn check_backend<B: ClusterBackend>(backend: &mut B, trace: &[JobRecord]) -> Result<(), String> {
+/// `trace`, `reset()` replays the run exactly, and a restore at
+/// `fork_hour` runs on exactly like the run it was taken from.
+fn check_backend<B: ClusterBackend + Clone>(
+    backend: &mut B,
+    trace: &[JobRecord],
+    fork_hour: i64,
+) -> Result<(), String> {
     backend.load_trace(trace);
-    let run = drive(backend)?;
-    let (completed, m, faults, hetero) = &run;
+    let run = drive(backend, 0)?;
+    let (_, completed, m, faults, hetero) = &run;
 
     prop_assert_eq!(
         completed.len() + m.failed_jobs + m.rejected_jobs,
@@ -111,7 +129,21 @@ fn check_backend<B: ClusterBackend>(backend: &mut B, trace: &[JobRecord]) -> Res
     }
 
     backend.reset_with(trace);
-    prop_assert_eq!(&drive(backend)?, &run, "reset replays the run");
+    prop_assert_eq!(&drive(backend, 0)?, &run, "reset replays the run");
+
+    // A restore is `clone_from`, here into a dirty backend (a copy of the
+    // finished run, with every buffer at its deepest) at the drawn hour.
+    let mut restored = backend.clone();
+    backend.reset_with(trace);
+    backend.run_until(fork_hour * HOUR);
+    restored.clone_from(backend);
+    let original = drive(backend, fork_hour)?;
+    prop_assert_eq!(
+        &drive(&mut restored, fork_hour)?,
+        &original,
+        "restored at hour {}",
+        fork_hour
+    );
     Ok(())
 }
 
@@ -154,11 +186,13 @@ pub fn knobs_strategy() -> impl Strategy<Value = Knobs> {
 }
 
 /// [`check_backend`] on both clocks of the cluster `builder` describes,
-/// with the drawn `knobs`, the tick clock on the drawn `cadence`.
+/// with the drawn `knobs`, the tick clock on the drawn `cadence`, forked
+/// at the drawn `fork_hour` (`0..=SNAPSHOT_HOURS`).
 pub fn check_conservation(
     builder: SimBuilder,
     (tick, sched_interval, backfill_interval): Cadence,
     (retry, backfill, sched_depth): Knobs,
+    fork_hour: i64,
     trace: &[JobRecord],
 ) -> Result<(), String> {
     let builder = builder
@@ -174,7 +208,7 @@ pub fn check_conservation(
             .backend(kind)
             .try_build()
             .map_err(|e| e.to_string())?;
-        check_backend(&mut backend, trace).map_err(|e| format!("{kind:?}: {e}"))?;
+        check_backend(&mut backend, trace, fork_hour).map_err(|e| format!("{kind:?}: {e}"))?;
     }
     Ok(())
 }

@@ -129,8 +129,9 @@ proptest! {
     /// retry policies, reservation depths and `sched_depth`s: every trace
     /// job completes, fails terminally or was rejected, every node is
     /// free, down or allocated on every hourly snapshot, retry
-    /// bookkeeping stays consistent and `reset()` replays the run (the
-    /// body, shared with `tests/hetero.rs`, is `common::check_backend`).
+    /// bookkeeping stays consistent, `reset()` replays the run and a
+    /// restore at a drawn hour runs on like the original (the body, shared
+    /// with `tests/hetero.rs`, is `common::check_backend`).
     #[test]
     fn chaos_conserves_jobs_and_retry_accounting(
         fault_seed in 0u64..1_000_000,
@@ -140,6 +141,7 @@ proptest! {
         pools in (0u8..3, 0u64..1_000_000),
         cadence in common::cadence_strategy(),
         knobs in common::knobs_strategy(),
+        fork_hour in 0..=common::SNAPSHOT_HOURS,
     ) {
         let hetero = match pools {
             (0, _) => HeteroModel::none(),
@@ -150,6 +152,6 @@ proptest! {
             .nodes(nodes)
             .faults(FaultModel::severe(fault_seed))
             .hetero(hetero);
-        common::check_conservation(builder, cadence, knobs, &trace_from(&seed_jobs))?;
+        common::check_conservation(builder, cadence, knobs, fork_hour, &trace_from(&seed_jobs))?;
     }
 }

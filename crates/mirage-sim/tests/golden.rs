@@ -154,6 +154,67 @@ fn golden_digest_truncated_depth() {
     assert_eq!((digest, completed), (0x44b6_3313_622b_9c26, 6678));
 }
 
+/// The event clock restored mid-replay: the first time it is sent to
+/// `at` or past it, its cluster is restored (`clone_from`) into a spare
+/// simulator that ran another replay, and the run carries on there —
+/// [`replay`] cannot tell.
+struct RestoredMidway {
+    live: Simulator,
+    spare: Simulator,
+    at: Option<i64>,
+}
+
+impl ClusterBackend for RestoredMidway {
+    fn cluster(&self) -> &Simulator {
+        &self.live
+    }
+    fn load_trace(&mut self, jobs: &[JobRecord]) {
+        self.live.load_trace(jobs);
+    }
+    fn submit(&mut self, job: JobRecord) -> u64 {
+        self.live.submit(job)
+    }
+    fn run_until(&mut self, t_end: i64) {
+        self.live.run_until(t_end);
+        if self.at.is_some_and(|at| t_end >= at) {
+            self.spare.clone_from(&self.live);
+            std::mem::swap(&mut self.live, &mut self.spare);
+            self.at = None;
+        }
+    }
+    fn run_to_completion(&mut self) {
+        self.live.run_to_completion();
+    }
+    fn is_active(&self) -> bool {
+        self.live.is_active()
+    }
+    fn reset(&mut self) {
+        self.live.reset();
+    }
+}
+
+/// A restore is exact: the faults-and-pools replay, restored into a dirty
+/// simulator ten days in (backlog established, crashes and retries in
+/// flight), reaches [`golden_digest_faults_and_pools`]'s committed digest.
+#[test]
+fn golden_digest_restored_mid_replay() {
+    let trace = congested_trace();
+    let mut cfg = SimConfig::new(84);
+    cfg.faults = FaultModel::severe(11);
+    cfg.hetero = HeteroModel::scarce(84, 5);
+    let mut spare = event_clock(cfg.clone());
+    spare.load_trace(&trace[..trace.len() / 3]);
+    spare.run_until(3 * WEEK);
+    let sim = RestoredMidway {
+        live: event_clock(cfg),
+        spare,
+        at: Some(10 * 24 * HOUR),
+    };
+    let (digest, completed, deepest) = replay(sim, &trace, 3);
+    assert!(deepest > 100, "queue only reached {deepest}");
+    assert_eq!((digest, completed), (0x26a8_95ae_5163_3ad6, 6376));
+}
+
 /// The first week of [`congested_trace`]: the hand-written tick simulator
 /// the tick digests were captured from needed ~4 s for it in release.
 fn congested_week() -> Vec<JobRecord> {

@@ -164,9 +164,9 @@ proptest! {
     /// drawn retry policies, reservation depths and `sched_depth`s: every
     /// job completes or terminates, the pools' free counts add up to the
     /// cluster's on every hourly snapshot and drain back to their totals,
-    /// runtimes respect the slowdown bounds and `reset()` replays the run
-    /// (the body, shared with `tests/faults.rs`, is
-    /// `common::check_backend`).
+    /// runtimes respect the slowdown bounds, `reset()` replays the run and
+    /// a restore at a drawn hour runs on like the original (the body,
+    /// shared with `tests/faults.rs`, is `common::check_backend`).
     #[test]
     fn pools_conserve_nodes_and_jobs(
         hetero_seed in 0u64..1_000_000,
@@ -176,6 +176,7 @@ proptest! {
         faults in (0u8..3, 0u64..1_000_000),
         cadence in common::cadence_strategy(),
         knobs in common::knobs_strategy(),
+        fork_hour in 0..=common::SNAPSHOT_HOURS,
     ) {
         let faults = match faults {
             (0, _) => FaultModel::none(),
@@ -186,6 +187,6 @@ proptest! {
             .nodes(nodes)
             .hetero(HeteroModel::scarce(nodes, hetero_seed))
             .faults(faults);
-        common::check_conservation(builder, cadence, knobs, &trace_from(&seed_jobs))?;
+        common::check_conservation(builder, cadence, knobs, fork_hour, &trace_from(&seed_jobs))?;
     }
 }

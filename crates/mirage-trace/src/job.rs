@@ -43,7 +43,7 @@ impl PoolRequest {
 
 /// A single batch job, either freshly generated (no `start`/`end`) or
 /// completed (replayed through a scheduler, or recorded by one).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Unique job id within the trace.
     pub id: u64,
@@ -70,6 +70,43 @@ pub struct JobRecord {
     /// [`PoolRequest::Anywhere`], which is the homogeneous behaviour.
     #[serde(default)]
     pub pool: PoolRequest,
+}
+
+impl Clone for JobRecord {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            pool: self.pool.clone(),
+            ..*self
+        }
+    }
+
+    /// In place, reusing `name`'s buffer: restoring a simulator's job
+    /// arena is one of these per job.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            id,
+            name,
+            user,
+            submit,
+            nodes,
+            timelimit,
+            runtime,
+            start,
+            end,
+            pool,
+        } = self;
+        *id = source.id;
+        name.clone_from(&source.name);
+        *user = source.user;
+        *submit = source.submit;
+        *nodes = source.nodes;
+        *timelimit = source.timelimit;
+        *runtime = source.runtime;
+        *start = source.start;
+        *end = source.end;
+        pool.clone_from(&source.pool);
+    }
 }
 
 impl JobRecord {
