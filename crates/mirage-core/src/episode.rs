@@ -21,9 +21,8 @@
 //! the single-service *vocabulary* — [`Action`], [`EpisodeConfig`] (and
 //! its typed [`EpisodeConfigError`]), the borrowed [`DecisionContext`] a
 //! policy decides on, [`EpisodeResult`] — and two entry points over the
-//! engine: [`EpisodeDriver`] exposes the loop one decision at a time (the
-//! Gym-style surface `crate::gym` builds on) and [`run_episode`] drives a
-//! policy closure through it to completion.
+//! engine: [`EpisodeDriver`] exposes the loop one decision at a time and
+//! [`run_episode`] drives a policy closure through it to completion.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -94,7 +93,7 @@ pub struct DecisionContext<'a> {
 
 /// Episode parameters. The paper's evaluation uses pairs of 48-hour jobs
 /// (1-node in §6.1, 8-node in §6.2) with a 10-minute decision cadence; the
-/// defaults here use a 30-minute cadence and k = 24.
+/// defaults here use 1-node 48-hour pairs, a 1-hour cadence and k = 12.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpisodeConfig {
     /// Nodes requested by both sub-jobs.

@@ -65,8 +65,6 @@
 //!   lockstep driver, adding episode-indexed rows and the
 //!   [`batch::BatchPolicy`] / [`batch::LanePolicy`] shapes serving and
 //!   training speak,
-//! * [`gym`] — the same episodes behind `mirage-rl`'s Gym-style
-//!   `Environment` interface,
 //! * [`policy`] — the eight §6 methods behind one trait,
 //! * [`features`] — compact features for the ensemble baselines,
 //! * [`train`] — §4.9 offline collection + foundation pretraining +
@@ -87,9 +85,7 @@
 //!   ε clock, episode counter) snapshotted atomically and resumable bit
 //!   for bit,
 //! * [`chain`] — whole-chain provisioning (§4.1's rolling
-//!   predecessor–successor pairs),
-//! * [`tune`] — deterministic hyperparameter grid search (the RayTune
-//!   substitution).
+//!   predecessor–successor pairs).
 
 pub mod batch;
 pub mod chain;
@@ -98,7 +94,6 @@ pub mod checkpoint;
 pub mod episode;
 pub mod eval;
 pub mod features;
-pub mod gym;
 pub mod hetero;
 pub mod multiservice;
 pub mod policy;
@@ -106,7 +101,6 @@ pub mod reward;
 pub mod state;
 pub mod train;
 pub mod trainloop;
-pub mod tune;
 
 pub use batch::{run_episodes_batched, BatchPolicy, BatchedEpisodeDriver, LanePolicy};
 pub use chain::{chain_stretch, provision_chain, ChainResult, ChainSummary};
@@ -122,7 +116,6 @@ pub use episode::{
     EpisodeResult,
 };
 pub use eval::{evaluate, EvalConfig, EvalReport, LoadLevel, MethodSummary};
-pub use gym::ProvisionEnv;
 pub use hetero::{
     classic_baselines, evaluate_hetero, HeteroConfig, HeteroLane, HeteroMethodSummary,
     HeteroReport, HeteroScenario,
@@ -148,7 +141,6 @@ pub use train::{
     TrainConfig,
 };
 pub use trainloop::{BatchedCollector, DqnActWindow, PgActWindow, SplitCollectPolicy};
-pub use tune::{grid_search, Candidate, TuneGrid, TuneResult};
 
 /// Convenience imports.
 pub mod prelude {
@@ -157,7 +149,6 @@ pub mod prelude {
         run_episode, Action, DecisionContext, EpisodeConfig, EpisodeDriver, EpisodeResult,
     };
     pub use crate::eval::{evaluate, EvalConfig, EvalReport, LoadLevel, MethodSummary};
-    pub use crate::gym::ProvisionEnv;
     pub use crate::hetero::{
         classic_baselines, evaluate_hetero, HeteroConfig, HeteroReport, HeteroScenario,
     };

@@ -808,9 +808,8 @@ fn snapshot_dqn(
 /// REINFORCE then fine-tunes from a sensible policy instead of noise.
 ///
 /// Each mini-batch is one row-stacked forward/backward through the P-head
-/// into a retained `Grads` (fused sink), bit-identical to the per-sample
-/// loop it replaced; a foundation that cannot batch (top-1 MoE) keeps
-/// that loop.
+/// into a retained `Grads` (fused sink), bit-identical to the test-only
+/// per-sample oracle.
 pub fn behavior_clone(
     net: &mut DualHeadNet,
     samples: &[(mirage_nn::Matrix, usize)],
@@ -818,26 +817,56 @@ pub fn behavior_clone(
     lr: f32,
     seed: u64,
 ) {
-    let batched = net.supports_batched_p_train();
-    behavior_clone_with(net, samples, epochs, lr, seed, batched);
+    use mirage_nn::loss::softmax_cross_entropy;
+    use mirage_nn::{GradSink, Scratch};
+    use mirage_rl::dualhead::stack_states_into;
+
+    let mut scratch = Scratch::new();
+    let mut cache = HeadBatchCache::default();
+    fit_behavior_clone(
+        net,
+        samples,
+        epochs,
+        lr,
+        seed,
+        |net, chunk, class_w, grads| {
+            let mut states = scratch.take(0, 0);
+            let n = stack_states_into(chunk.iter().map(|&i| &samples[i].0), &mut states);
+            let mut logits = scratch.take(n, 2);
+            net.p_forward_batch_train(&states, n, &mut logits, &mut cache, &mut scratch);
+            let mut d_logits = scratch.take(n, 2);
+            let mut row = scratch.take(1, 2);
+            let mut loss_sum = 0.0f32;
+            for (b, &i) in chunk.iter().enumerate() {
+                let action = samples[i].1;
+                row.row_mut(0).copy_from_slice(logits.row(b));
+                let (loss, d) = softmax_cross_entropy(&row, action);
+                let d = d.scale(class_w[action]);
+                d_logits.row_mut(b).copy_from_slice(d.row(0));
+                loss_sum += loss;
+            }
+            let mut sink = GradSink::Fused(grads);
+            net.p_backward_batch(&mut cache, &states, &d_logits, n, &mut sink, &mut scratch);
+            scratch.give(row);
+            scratch.give(d_logits);
+            scratch.give(logits);
+            scratch.give(states);
+            loss_sum
+        },
+    );
 }
 
-/// [`behavior_clone`] with the mini-batch path chosen by the caller:
-/// `batched = false` is the per-sample loop, the fallback for foundations
-/// that cannot batch and the oracle the tests hold the batched path to.
-fn behavior_clone_with(
+/// The behaviour-cloning fit around a chunk-gradient body: balances the
+/// two classes, then runs `fit_minibatches` in chunks of 32, handing
+/// `chunk_grads` each chunk and the per-class loss weights.
+fn fit_behavior_clone(
     net: &mut DualHeadNet,
     samples: &[(mirage_nn::Matrix, usize)],
     epochs: usize,
     lr: f32,
     seed: u64,
-    batched: bool,
+    mut chunk_grads: impl FnMut(&DualHeadNet, &[usize], &[f32; 2], &mut mirage_nn::Grads) -> f32,
 ) {
-    use mirage_nn::loss::softmax_cross_entropy;
-    use mirage_nn::{GradSink, Grads, Scratch};
-    use mirage_rl::dualhead::stack_states_into;
-    use mirage_rl::offline::fit_minibatches;
-
     if samples.is_empty() {
         return;
     }
@@ -865,46 +894,8 @@ fn behavior_clone_with(
         seed,
         grad_clip: 5.0,
     };
-    let mut sample_grads = Grads::new(&net.ps);
-    let mut scratch = Scratch::new();
-    let mut cache = HeadBatchCache::default();
-    fit_minibatches(net, samples.len(), &fit, |net, chunk, grads| {
-        let mut loss_sum = 0.0f32;
-        if batched {
-            let mut states = scratch.take(0, 0);
-            let n = stack_states_into(chunk.iter().map(|&i| &samples[i].0), &mut states);
-            let mut logits = scratch.take(n, 2);
-            net.p_forward_batch_train(&states, n, &mut logits, &mut cache, &mut scratch);
-            let mut d_logits = scratch.take(n, 2);
-            let mut row = scratch.take(1, 2);
-            for (b, &i) in chunk.iter().enumerate() {
-                let action = samples[i].1;
-                row.row_mut(0).copy_from_slice(logits.row(b));
-                let (loss, d) = softmax_cross_entropy(&row, action);
-                let d = d.scale(class_w[action]);
-                d_logits.row_mut(b).copy_from_slice(d.row(0));
-                loss_sum += loss;
-            }
-            let mut sink = GradSink::Fused(grads);
-            net.p_backward_batch(&mut cache, &states, &d_logits, n, &mut sink, &mut scratch);
-            scratch.give(row);
-            scratch.give(d_logits);
-            scratch.give(logits);
-            scratch.give(states);
-        } else {
-            // One isolated gradient per sample, merged in order.
-            for &i in chunk {
-                let (state, action) = &samples[i];
-                let (logits, cache) = net.p_forward(state);
-                let (loss, d_logits) = softmax_cross_entropy(&logits, *action);
-                let d_logits = d_logits.scale(class_w[*action]);
-                sample_grads.reset();
-                net.p_backward(&cache, &d_logits, &mut sample_grads);
-                grads.merge_ref(&sample_grads);
-                loss_sum += loss;
-            }
-        }
-        loss_sum
+    mirage_rl::offline::fit_minibatches(net, samples.len(), &fit, |net, chunk, grads| {
+        chunk_grads(net, chunk, &class_w, grads)
     });
 }
 
@@ -1173,6 +1164,40 @@ mod tests {
     use mirage_sim::{BackendKind, SimConfig};
     use mirage_trace::{HOUR, MINUTE};
 
+    /// The per-sample oracle [`behavior_clone`] is held to: one isolated
+    /// P-head gradient per demonstration, merged in chunk order.
+    fn behavior_clone_per_sample(
+        net: &mut DualHeadNet,
+        samples: &[(mirage_nn::Matrix, usize)],
+        epochs: usize,
+        lr: f32,
+        seed: u64,
+    ) {
+        use mirage_nn::loss::softmax_cross_entropy;
+        let mut sample_grads = mirage_nn::Grads::new(&net.ps);
+        fit_behavior_clone(
+            net,
+            samples,
+            epochs,
+            lr,
+            seed,
+            |net, chunk, class_w, grads| {
+                let mut loss_sum = 0.0f32;
+                for &i in chunk {
+                    let (state, action) = &samples[i];
+                    let (logits, cache) = net.p_forward(state);
+                    let (loss, d_logits) = softmax_cross_entropy(&logits, *action);
+                    let d_logits = d_logits.scale(class_w[*action]);
+                    sample_grads.reset();
+                    net.p_backward(&cache, &d_logits, &mut sample_grads);
+                    grads.merge_ref(&sample_grads);
+                    loss_sum += loss;
+                }
+                loss_sum
+            },
+        );
+    }
+
     fn pool4() -> BackendPool<mirage_sim::SimBuilder> {
         SimConfig::builder()
             .nodes(4)
@@ -1376,31 +1401,28 @@ mod tests {
             FoundationKind::Transformer,
             FoundationKind::MoE { experts: 2 },
         ] {
-            for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-                let mut batched = DualHeadNet::new(DualHeadConfig {
-                    foundation: kind,
-                    transformer: TransformerConfig {
-                        input_dim: 5,
-                        seq_len: 3,
-                        d_model: 8,
-                        heads: 2,
-                        layers: 1,
-                        ff_mult: 2,
-                    },
-                    action_encoding: enc,
-                    freeze_foundation: false,
-                    seed: 6,
-                });
-                let mut oracle = batched.clone();
-                assert!(batched.supports_batched_p_train());
-                behavior_clone(&mut batched, &samples, 3, 3e-3, 7);
-                behavior_clone_with(&mut oracle, &samples, 3, 3e-3, 7, false);
-                for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
-                    let bits = |m: &mirage_nn::Matrix| {
-                        m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(a), bits(b), "{kind:?}/{enc:?}");
-                }
+            let mut batched = DualHeadNet::new(DualHeadConfig {
+                foundation: kind,
+                transformer: TransformerConfig {
+                    input_dim: 5,
+                    seq_len: 3,
+                    d_model: 8,
+                    heads: 2,
+                    layers: 1,
+                    ff_mult: 2,
+                },
+                action_encoding: ActionEncoding::TwoHead,
+                freeze_foundation: false,
+                seed: 6,
+            });
+            let mut oracle = batched.clone();
+            behavior_clone(&mut batched, &samples, 3, 3e-3, 7);
+            behavior_clone_per_sample(&mut oracle, &samples, 3, 3e-3, 7);
+            for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
+                let bits = |m: &mirage_nn::Matrix| {
+                    m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(a), bits(b), "{kind:?}");
             }
         }
     }

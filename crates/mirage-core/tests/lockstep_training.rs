@@ -16,6 +16,11 @@
 //!   per-lane `(seed, ε-base)` and window-start weights, exercised both
 //!   update-free (pure collection) and with the full update cadence
 //!   (the CI training-smoke shape: online_episodes = 4, batch = 2).
+//! * **terminal-only replay** — every experience the production DQN
+//!   pipeline stores (offline warm start and online collection) is
+//!   terminal, so no update ever bootstraps: γ and the target network
+//!   are inert in production (pinned at agent level in the `dqn` unit
+//!   tests).
 
 use mirage_core::episode::{run_episode, Action, EpisodeConfig, EpisodeResult};
 use mirage_core::state::STATE_VARS;
@@ -127,6 +132,17 @@ fn assert_replay_bitwise_eq<'a>(
             "{what}: reward of transition {i}"
         );
         assert_eq!(x.state, y.state, "{what}: state of transition {i}");
+    }
+}
+
+/// Every stored experience is terminal: no successor state, `done` set.
+fn assert_terminal_only(replay: &BalancedReplay, what: &str) {
+    let stored = replay.wait().iter().chain(replay.submit().iter());
+    for (i, e) in stored.enumerate() {
+        assert!(
+            e.next_state.is_none() && e.done,
+            "{what}: stored experience {i} can bootstrap"
+        );
     }
 }
 
@@ -278,6 +294,7 @@ fn dqn_batch1_is_bitwise_identical_to_the_deleted_sequential_loop() {
     );
     assert_eq!(agent.steps, legacy_agent.steps, "global ε clock");
     assert_params_bitwise_eq(&agent.net.ps, &legacy_agent.net.ps, "dqn batch=1");
+    assert_terminal_only(&replay, "dqn batch=1");
 }
 
 #[test]
@@ -451,6 +468,7 @@ fn training_smoke_batch2_matches_windowed_sequential() {
     );
     assert_eq!(agent.steps, seq_agent.steps, "global ε clock");
     assert_params_bitwise_eq(&agent.net.ps, &seq_agent.net.ps, "smoke batch=2");
+    assert_terminal_only(&replay, "smoke batch=2");
 }
 
 #[test]
@@ -486,6 +504,7 @@ fn dqn_two_workers_match_one_worker_with_double_lanes_bitwise() {
     );
     assert_eq!(agent2.steps, agent1.steps, "global ε clock");
     assert_params_bitwise_eq(&agent2.net.ps, &agent1.net.ps, "dqn W=2");
+    assert_terminal_only(&replay2, "dqn W=2");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //!   backend-mutating calls as the single-service machinery, so the
 //!   episode is bit-identical: same decision count, same state matrices,
 //!   same actions, same outcome and timestamps, same reward — against
-//!   both the Gym-style `ProvisionEnv` and the `run_episode` closure
-//!   loop, for arbitrary background load and policies — and, with
+//!   the `run_episode` closure loop, for arbitrary background load,
+//!   scripted "submit at decision n" policies (every outcome a
+//!   single-service policy can reach) and threshold policies — and, with
 //!   `fault_features` / `hetero_features` on, over a severe-fault and a
 //!   scarce-pool backend (the flags reach the engine through
 //!   `MultiServiceConfig::single`).
@@ -22,8 +23,6 @@ use mirage_core::episode::{run_episode, Action, EpisodeConfig};
 use mirage_core::multiservice::{MultiServiceConfig, MultiServiceEnv, ServiceSlo};
 use mirage_core::reward::RewardShaper;
 use mirage_core::train::episode_window;
-use mirage_core::ProvisionEnv;
-use mirage_rl::rollout;
 use mirage_sim::{ClusterBackend, FaultModel, HeteroModel, SimConfig, Simulator};
 use mirage_trace::{JobRecord, DAY, HOUR};
 use proptest::prelude::*;
@@ -106,11 +105,14 @@ fn run_single_service_on(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// N = 1 degeneration against the Gym-style `ProvisionEnv`: the same
-    /// decision-indexed policy sees the same states, takes the same
-    /// actions, and earns the same terminal reward.
+    /// N = 1 degeneration against `run_episode` under a scripted policy
+    /// that submits at decision `submit_at` (or never, letting the
+    /// reactive fallback fire): every outcome a single-service policy can
+    /// reach is one of these. Both sides see the same states, take the
+    /// same actions, and resolve to the same outcome, timestamps and
+    /// shaped reward.
     #[test]
-    fn one_service_is_bit_identical_to_provision_env(
+    fn one_service_matches_run_episode_under_scripted_submits(
         jobs in prop::collection::vec((0i64..5 * DAY, 1u32..=3, 1800i64..18_000), 0..25),
         submit_at in 0usize..16,
         interval_half_hours in 1i64..=2,
@@ -120,44 +122,32 @@ proptest! {
         let trace = build_trace(&jobs);
         let cfg = episode_cfg(interval_half_hours * HOUR / 2, k, runtime_h);
         let t0 = DAY;
-
-        // Gym-style single-service episode.
-        let mut env = ProvisionEnv::new(
-            sim4(),
-            trace.clone(),
-            cfg,
-            RewardShaper::default(),
-            vec![t0],
-        );
-        let mut step = 0usize;
-        let (trajectory, total_reward) = rollout(
-            &mut env,
-            |_state| {
-                let a = usize::from(step == submit_at);
-                step += 1;
-                a
-            },
-            10_000,
-        );
-        let expect = env.last_result.clone().expect("episode finished");
-
-        // The same episode through the multi-service engine (the env
-        // windows the trace internally; mirror it).
-        let ms = MultiServiceConfig::single(&cfg, RewardShaper::default());
+        let shaper = RewardShaper::default();
         let window = episode_window(&trace, t0, &cfg);
+
+        let mut n = 0usize;
+        let expect = run_episode(&mut sim4(), window, &cfg, t0, |_| {
+            let a = Action::from_index(usize::from(n == submit_at));
+            n += 1;
+            a
+        });
+
+        let ms = MultiServiceConfig::single(&cfg, shaper);
         let got = run_single_service(window, &ms, t0, |n, _, _| {
             Action::from_index(usize::from(n == submit_at))
         });
 
         prop_assert_eq!(got.outcome, expect.outcome);
+        prop_assert_eq!(got.pred_submit, expect.pred_submit);
         prop_assert_eq!(got.pred_start, expect.pred_start);
         prop_assert_eq!(got.pred_end, expect.pred_end);
         prop_assert_eq!(got.succ_submit, expect.succ_submit);
         prop_assert_eq!(got.succ_start, expect.succ_start);
         prop_assert_eq!(got.submitted_by_policy, expect.submitted_by_policy);
-        prop_assert_eq!(got.reward, total_reward);
-        prop_assert_eq!(got.decisions.len(), trajectory.len());
-        for ((gm, ga), (em, ea)) in got.decisions.iter().zip(&trajectory) {
+        prop_assert_eq!(got.submitted_by_policy, submit_at < expect.decisions.len());
+        prop_assert_eq!(got.reward, shaper.reward(&expect.outcome));
+        prop_assert_eq!(got.decisions.len(), expect.decisions.len());
+        for ((gm, ga), (em, ea)) in got.decisions.iter().zip(&expect.decisions) {
             prop_assert_eq!(ga, ea, "same action at every decision");
             prop_assert_eq!(gm, em, "same state matrix at every decision");
         }

@@ -8,7 +8,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::moe::{GatingKind, MoEBatchCache, MoECache, MoEFoundation};
+use crate::moe::{MoEBatchCache, MoECache, MoEFoundation};
 use crate::param::{GradSink, Grads, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
@@ -24,12 +24,6 @@ pub enum FoundationKind {
     /// Dense (weighted-average) MoE of transformer experts.
     MoE {
         /// Expert count (10 by default in the paper).
-        experts: usize,
-    },
-    /// Top-1 sparse MoE (kept for the ablation; the paper found it
-    /// inferior and omits its results).
-    MoETopOne {
-        /// Expert count.
         experts: usize,
     },
 }
@@ -84,22 +78,9 @@ impl FoundationNet {
             FoundationKind::Transformer => {
                 FoundationNet::Transformer(TransformerEncoder::new(ps, name, cfg, rng))
             }
-            FoundationKind::MoE { experts } => FoundationNet::MoE(MoEFoundation::new(
-                ps,
-                name,
-                cfg,
-                experts,
-                GatingKind::Dense,
-                rng,
-            )),
-            FoundationKind::MoETopOne { experts } => FoundationNet::MoE(MoEFoundation::new(
-                ps,
-                name,
-                cfg,
-                experts,
-                GatingKind::TopOne,
-                rng,
-            )),
+            FoundationKind::MoE { experts } => {
+                FoundationNet::MoE(MoEFoundation::new(ps, name, cfg, experts, rng))
+            }
         }
     }
 
@@ -216,24 +197,11 @@ impl FoundationNet {
         }
     }
 
-    /// Whether this foundation has a batched training path. Top-1 MoE
-    /// picks a different expert per block, so it keeps the per-sample
-    /// training loop; callers should fall back to
-    /// [`FoundationNet::forward`]/[`FoundationNet::backward`] when this
-    /// returns false.
-    pub fn supports_batched_train(&self) -> bool {
-        match self {
-            FoundationNet::Transformer(_) => true,
-            FoundationNet::MoE(m) => m.kind == GatingKind::Dense,
-        }
-    }
-
     /// Training encode over a row-stacked batch: row `b` of the
     /// `batch × d_model` output receives block `b`'s pooled feature, and
     /// `cache` is filled for [`FoundationNet::backward_batch`] (its
     /// variant is re-established to match `self` if needed). Per block,
-    /// bit-identical to [`FoundationNet::forward`]. Panics when
-    /// [`FoundationNet::supports_batched_train`] is false.
+    /// bit-identical to [`FoundationNet::forward`].
     pub fn forward_batch_train(
         &self,
         ps: &ParamSet,
@@ -342,7 +310,6 @@ mod tests {
         for kind in [
             FoundationKind::Transformer,
             FoundationKind::MoE { experts: 2 },
-            FoundationKind::MoETopOne { experts: 2 },
         ] {
             let mut ps = ParamSet::new();
             let mut rng = StdRng::seed_from_u64(0);

@@ -9,7 +9,7 @@
 //! * [`linear`], [`activation`], [`layernorm`], [`attention`] — layers
 //!   with manual, finite-difference-checked backward passes,
 //! * [`transformer`] — the pre-LN encoder foundation model of §4.6,
-//! * [`moe`] — dense and top-1 mixture-of-experts foundations of §4.7,
+//! * [`moe`] — the dense mixture-of-experts foundation of §4.7,
 //! * [`foundation`] — the transformer/MoE abstraction agents build on,
 //! * [`optim`] — SGD and Adam,
 //! * [`loss`] — MSE/Huber/cross-entropy/REINFORCE surrogates,
@@ -39,7 +39,7 @@ pub use attention::MultiHeadAttention;
 pub use foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
-pub use moe::{GatingKind, MoEFoundation};
+pub use moe::MoEFoundation;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{GradSink, Grads, ParamId, ParamSet};
 pub use scratch::Scratch;

@@ -2,13 +2,10 @@
 //!
 //! `E` expert transformer encoders share an architecture; a softmax gating
 //! layer computes per-expert weights from the flattened input (Eq. 7):
-//! `G(x) = softmax(x · W)`. Two combination schemes are implemented, as in
-//! the paper:
-//!
-//! * **dense** — the weighted average of all expert outputs (the paper's
-//!   default; Top-1 was found inferior but is kept for the ablation),
-//! * **top-1 sparse** — only the argmax expert runs, scaled by its gate
-//!   weight (cheaper, sparsely activated).
+//! `G(x) = softmax(x · W)`, and the output is the gate-weighted average of
+//! every expert's output — the paper's dense MoE. (The paper also tried
+//! top-1 sparse gating, found it inferior and omits its results; it is not
+//! implemented here.)
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -22,24 +19,13 @@ use crate::transformer::{
     TransformerBatchCache, TransformerCache, TransformerConfig, TransformerEncoder,
 };
 
-/// Expert combination scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GatingKind {
-    /// Weighted average of all experts (dense MoE).
-    Dense,
-    /// Only the highest-gate expert is evaluated (sparse MoE).
-    TopOne,
-}
-
-/// MoE of transformer experts with a learned softmax gate.
+/// Dense MoE of transformer experts with a learned softmax gate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MoEFoundation {
     /// Expert encoders (identical architecture, independent parameters).
     pub experts: Vec<TransformerEncoder>,
     /// Gating layer over the flattened state (`seq·m → E`).
     pub gate: Linear,
-    /// Combination scheme.
-    pub kind: GatingKind,
     cfg: TransformerConfig,
 }
 
@@ -49,14 +35,13 @@ pub struct MoECache {
     c_gate: LinearCache,
     /// Gate probabilities (`1 × E`).
     gate_probs: Matrix,
-    /// Expert outputs and caches; `None` for experts skipped under Top-1.
-    expert_out: Vec<Option<(Matrix, TransformerCache)>>,
+    /// Every expert's output and cache, in expert order.
+    expert_out: Vec<(Matrix, TransformerCache)>,
     x_shape: (usize, usize),
 }
 
-/// Retained training cache for a row-stacked batch (dense gating only —
-/// Top-1 picks a different expert per block, so its training path stays
-/// per-sample). All buffers are reused across calls.
+/// Retained training cache for a row-stacked batch. All buffers are
+/// reused across calls.
 #[derive(Debug, Clone, Default)]
 pub struct MoEBatchCache {
     /// Per-block zero-padded flattened states (`batch × seq_len·m`).
@@ -78,7 +63,6 @@ impl MoEFoundation {
         name: &str,
         cfg: TransformerConfig,
         n_experts: usize,
-        kind: GatingKind,
         rng: &mut impl Rng,
     ) -> Self {
         assert!(n_experts >= 1, "need at least one expert");
@@ -92,12 +76,7 @@ impl MoEFoundation {
             n_experts,
             rng,
         );
-        Self {
-            experts,
-            gate,
-            kind,
-            cfg,
-        }
+        Self { experts, gate, cfg }
     }
 
     /// Expert count.
@@ -118,22 +97,11 @@ impl MoEFoundation {
         let gate_probs = logits.softmax_rows();
 
         let mut out = Matrix::zeros(1, self.out_dim());
-        let mut expert_out: Vec<Option<(Matrix, TransformerCache)>> =
-            (0..self.experts.len()).map(|_| None).collect();
-        match self.kind {
-            GatingKind::Dense => {
-                for (e, expert) in self.experts.iter().enumerate() {
-                    let (feat, cache) = expert.forward(ps, x);
-                    out.add_scaled(&feat, gate_probs.get(0, e));
-                    expert_out[e] = Some((feat, cache));
-                }
-            }
-            GatingKind::TopOne => {
-                let best = gate_probs.argmax();
-                let (feat, cache) = self.experts[best].forward(ps, x);
-                out.add_scaled(&feat, gate_probs.get(0, best));
-                expert_out[best] = Some((feat, cache));
-            }
+        let mut expert_out = Vec::with_capacity(self.experts.len());
+        for (e, expert) in self.experts.iter().enumerate() {
+            let (feat, cache) = expert.forward(ps, x);
+            out.add_scaled(&feat, gate_probs.get(0, e));
+            expert_out.push((feat, cache));
         }
         (
             out,
@@ -158,18 +126,9 @@ impl MoEFoundation {
 
         out.reset(1, self.out_dim());
         let mut feat = scratch.take(1, self.out_dim());
-        match self.kind {
-            GatingKind::Dense => {
-                for (e, expert) in self.experts.iter().enumerate() {
-                    expert.forward_into(ps, x, &mut feat, scratch);
-                    out.add_scaled(&feat, gate_probs.get(0, e));
-                }
-            }
-            GatingKind::TopOne => {
-                let best = gate_probs.argmax();
-                self.experts[best].forward_into(ps, x, &mut feat, scratch);
-                out.add_scaled(&feat, gate_probs.get(0, best));
-            }
+        for (e, expert) in self.experts.iter().enumerate() {
+            expert.forward_into(ps, x, &mut feat, scratch);
+            out.add_scaled(&feat, gate_probs.get(0, e));
         }
         scratch.give(feat);
         scratch.give(gate_probs);
@@ -179,15 +138,11 @@ impl MoEFoundation {
     /// Batched inference forward: `xs` row-stacks `batch` independent
     /// `seq × input_dim` state matrices; row `b` of the `batch × d_model`
     /// output receives episode `b`'s mixture. The gate runs as one matmul
-    /// over the per-block flattened states, and under dense gating every
-    /// expert encoder runs one batched pass over the whole stack. Each
-    /// output row is bit-identical to a sequential
-    /// [`MoEFoundation::forward_into`] of that block: flattening, gate
-    /// logits and softmax are row-local, and the dense mixture
-    /// accumulates experts in the same ascending order. Top-1 gating
-    /// picks a (possibly different) expert per episode, so its expert
-    /// passes degenerate to per-block `forward_into` calls — only the
-    /// gate amortizes.
+    /// over the per-block flattened states, and every expert encoder runs
+    /// one batched pass over the whole stack. Each output row is
+    /// bit-identical to a sequential [`MoEFoundation::forward_into`] of
+    /// that block: flattening, gate logits and softmax are row-local, and
+    /// the mixture accumulates experts in the same ascending order.
     pub fn forward_batch_into(
         &self,
         ps: &ParamSet,
@@ -215,52 +170,23 @@ impl MoEFoundation {
         gate_probs.softmax_rows_in_place();
 
         out.reset(batch, self.out_dim());
-        match self.kind {
-            GatingKind::Dense => {
-                let mut feat = scratch.take(batch, self.out_dim());
-                for (e, expert) in self.experts.iter().enumerate() {
-                    expert.forward_batch_into(ps, xs, batch, &mut feat, scratch);
-                    for blk in 0..batch {
-                        let g = gate_probs.get(blk, e);
-                        for (o, &f) in out.row_mut(blk).iter_mut().zip(feat.row(blk)) {
-                            *o += g * f;
-                        }
-                    }
+        let mut feat = scratch.take(batch, self.out_dim());
+        for (e, expert) in self.experts.iter().enumerate() {
+            expert.forward_batch_into(ps, xs, batch, &mut feat, scratch);
+            for blk in 0..batch {
+                let g = gate_probs.get(blk, e);
+                for (o, &f) in out.row_mut(blk).iter_mut().zip(feat.row(blk)) {
+                    *o += g * f;
                 }
-                scratch.give(feat);
-            }
-            GatingKind::TopOne => {
-                let mut xblk = scratch.take(seq, width);
-                let mut feat = scratch.take(1, self.out_dim());
-                for blk in 0..batch {
-                    // Same argmax semantics as `Matrix::argmax` (last of
-                    // equal maxima) over this episode's gate row.
-                    let best = gate_probs
-                        .row(blk)
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    for r in 0..seq {
-                        xblk.row_mut(r).copy_from_slice(xs.row(blk * seq + r));
-                    }
-                    self.experts[best].forward_into(ps, &xblk, &mut feat, scratch);
-                    let g = gate_probs.get(blk, best);
-                    for (o, &f) in out.row_mut(blk).iter_mut().zip(feat.row(0)) {
-                        *o += g * f;
-                    }
-                }
-                scratch.give(feat);
-                scratch.give(xblk);
             }
         }
+        scratch.give(feat);
         scratch.give(gate_probs);
         scratch.give(flat);
     }
 
-    /// Backward pass; accumulates gate and (active) expert gradients and
-    /// returns `dx`.
+    /// Backward pass; accumulates gate and expert gradients and returns
+    /// `dx`.
     pub fn backward(
         &self,
         ps: &ParamSet,
@@ -269,12 +195,11 @@ impl MoEFoundation {
         grads: &mut Grads,
     ) -> Matrix {
         let e_count = self.experts.len();
-        // d gate_probs_e = ⟨d_out, feat_e⟩ for active experts.
+        // d gate_probs_e = ⟨d_out, feat_e⟩.
         let mut d_gate_probs = Matrix::zeros(1, e_count);
         let (rows, cols) = cache.x_shape;
         let mut dx = Matrix::zeros(rows, cols);
-        for (e, slot) in cache.expert_out.iter().enumerate() {
-            let Some((feat, ecache)) = slot else { continue };
+        for (e, (feat, ecache)) in cache.expert_out.iter().enumerate() {
             let g = cache.gate_probs.get(0, e);
             d_gate_probs.set(0, e, d_out.hadamard(feat).sum());
             let d_feat = d_out.scale(g);
@@ -294,9 +219,9 @@ impl MoEFoundation {
         dx
     }
 
-    /// Training forward over a row-stacked batch (dense gating only):
-    /// fills `cache` for [`MoEFoundation::backward_batch`] and writes the
-    /// per-block mixtures into `out` (`batch × d_model`). Gate and every
+    /// Training forward over a row-stacked batch: fills `cache` for
+    /// [`MoEFoundation::backward_batch`] and writes the per-block
+    /// mixtures into `out` (`batch × d_model`). Gate and every
     /// expert run batched; per block the arithmetic is bit-identical to
     /// [`MoEFoundation::forward`].
     pub fn forward_batch_train(
@@ -308,11 +233,6 @@ impl MoEFoundation {
         cache: &mut MoEBatchCache,
         scratch: &mut Scratch,
     ) {
-        assert_eq!(
-            self.kind,
-            GatingKind::Dense,
-            "batched MoE training requires dense gating"
-        );
         assert!(
             batch >= 1 && xs.rows().is_multiple_of(batch),
             "batch {batch} must evenly divide {} stacked rows",
@@ -482,30 +402,20 @@ mod tests {
     fn dense_moe_mixes_all_experts() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 3, GatingKind::Dense, &mut rng);
+        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 3, &mut rng);
         let x = Matrix::xavier(3, 3, &mut rng);
         let (y, cache) = moe.forward(&ps, &x);
         assert_eq!(y.shape(), (1, 4));
-        assert_eq!(cache.expert_out.iter().filter(|e| e.is_some()).count(), 3);
+        assert_eq!(cache.expert_out.len(), 3);
         let gsum: f32 = cache.gate_probs.data().iter().sum();
         assert!((gsum - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn top_one_runs_exactly_one_expert() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 4, GatingKind::TopOne, &mut rng);
-        let x = Matrix::xavier(3, 3, &mut rng);
-        let (_, cache) = moe.forward(&ps, &x);
-        assert_eq!(cache.expert_out.iter().filter(|e| e.is_some()).count(), 1);
     }
 
     #[test]
     fn dense_gradients_match_finite_differences() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(2);
-        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 2, GatingKind::Dense, &mut rng);
+        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 2, &mut rng);
         let x = Matrix::xavier(3, 3, &mut rng);
         let weights = Matrix::row_vector(vec![0.3, -0.7, 1.1, 0.5]);
         let loss = |ps: &ParamSet| moe.forward(ps, &x).0.hadamard(&weights).sum();
@@ -530,29 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn top_one_gradients_flow_to_active_expert_only() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 2, GatingKind::TopOne, &mut rng);
-        let x = Matrix::xavier(3, 3, &mut rng);
-        let (_, cache) = moe.forward(&ps, &x);
-        let active = cache.expert_out.iter().position(|e| e.is_some()).unwrap();
-        let inactive = 1 - active;
-        let mut grads = Grads::new(&ps);
-        let d = Matrix::full(1, 4, 1.0);
-        moe.backward(&ps, &cache, &d, &mut grads);
-        // Gate always receives gradient.
-        assert!(grads.get(moe.gate.w).is_some());
-        // The active expert's embed weight has gradient, the other's none.
-        assert!(grads.get(moe.experts[active].embed_w()).is_some());
-        assert!(grads.get(moe.experts[inactive].embed_w()).is_none());
-    }
-
-    #[test]
     fn padding_keeps_short_sequences_working() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 2, GatingKind::Dense, &mut rng);
+        let moe = MoEFoundation::new(&mut ps, "m", tiny(), 2, &mut rng);
         let x = Matrix::xavier(2, 3, &mut rng); // shorter than seq_len = 3
         let (y, cache) = moe.forward(&ps, &x);
         assert!(y.data().iter().all(|v| v.is_finite()));

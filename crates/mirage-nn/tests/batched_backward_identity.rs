@@ -9,7 +9,7 @@
 use mirage_nn::attention::MultiHeadAttention;
 use mirage_nn::foundation::{FoundationBatchCache, FoundationKind, FoundationNet};
 use mirage_nn::layernorm::{LayerNorm, LayerNormBatchCache};
-use mirage_nn::moe::{GatingKind, MoEFoundation};
+use mirage_nn::moe::MoEFoundation;
 use mirage_nn::tensor::Matrix;
 use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::{Activation, GradSink, Grads, Linear, ParamSet, Scratch};
@@ -310,7 +310,7 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
     for (seed, batch) in [(0u64, 3), (1, 2)] {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        let moe = MoEFoundation::new(&mut ps, "m", cfg, 2, GatingKind::Dense, &mut rng);
+        let moe = MoEFoundation::new(&mut ps, "m", cfg, 2, &mut rng);
         let seq = cfg.seq_len;
         let xs = Matrix::xavier(batch * seq, cfg.input_dim, &mut rng);
         let d_out = Matrix::xavier(batch, cfg.d_model, &mut rng);
@@ -348,7 +348,7 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
         assert!(matrix_bit_eq(&dx_ref, &dx), "moe dx diverges");
     }
 
-    // Foundation dispatch, both batched-capable kinds.
+    // Foundation dispatch, both kinds.
     for kind in [
         FoundationKind::Transformer,
         FoundationKind::MoE { experts: 2 },
@@ -356,7 +356,6 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(9);
         let net = FoundationNet::new(&mut ps, "f", kind, cfg, &mut rng);
-        assert!(net.supports_batched_train());
         let (batch, seq) = (2, cfg.seq_len);
         let xs = Matrix::xavier(batch * seq, cfg.input_dim, &mut rng);
         let d_out = Matrix::xavier(batch, cfg.d_model, &mut rng);
@@ -385,18 +384,6 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
         );
         assert!(grads_bit_eq(&g_ref, &g_fused), "{kind:?} grads diverge");
     }
-
-    // Top-1 MoE declares no batched path (falls back to per-sample).
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(10);
-    let top1 = FoundationNet::new(
-        &mut ps,
-        "f",
-        FoundationKind::MoETopOne { experts: 2 },
-        cfg,
-        &mut rng,
-    );
-    assert!(!top1.supports_batched_train());
 }
 
 /// Warm `Grads` reuse: reset + re-accumulate must be bit-identical to a

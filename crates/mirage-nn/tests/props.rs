@@ -151,7 +151,6 @@ proptest! {
         for kind in [
             FoundationKind::Transformer,
             FoundationKind::MoE { experts },
-            FoundationKind::MoETopOne { experts },
         ] {
             let mut ps = ParamSet::new();
             let net = FoundationNet::new(&mut ps, "f", kind, cfg, &mut rng);
@@ -214,7 +213,6 @@ proptest! {
         for kind in [
             FoundationKind::Transformer,
             FoundationKind::MoE { experts },
-            FoundationKind::MoETopOne { experts },
         ] {
             let mut ps = ParamSet::new();
             let net = FoundationNet::new(&mut ps, "f", kind, cfg, &mut rng);

@@ -4,23 +4,32 @@
 //! experience-replay mini-batches, Huber TD loss, an optional target
 //! network, gradient clipping and Adam. The update path runs **one
 //! batched forward/backward per mini-batch** over a row-stacked
-//! [`MiniBatch`] (bit-identical to the per-experience loop, which is kept
-//! as [`DqnAgent::train_batch_scalar`], the pinned reference), and
+//! [`MiniBatch`] — the only update path; the unit tests hold it bit for
+//! bit to a test-only per-experience oracle — and
 //! [`DqnAgent::train_minibatch_sharded`] splits the batch across OS
 //! threads with a deterministic per-sample gradient all-reduce.
+//!
+//! **Production DQN never bootstraps.** The training pipeline in
+//! `mirage-core` pushes every replay sample as [`Experience::terminal`]
+//! with its episode's final reward (offline warm start and online
+//! collection alike), so every mini-batch's `next_idx` is empty and each
+//! target is the sample's own reward. γ, [`Experience::step`] and the
+//! target network therefore only act in tests; production still clones
+//! the target network every `target_sync` updates and checkpoints it.
+//! The unit test `gamma_and_target_network_are_inert_on_terminal_batches`
+//! pins that an agent with γ = 0.9 and a target network trains
+//! bit-identically to one with γ = 0 and none.
 
-use mirage_nn::loss::huber;
 use mirage_nn::optim::{Adam, Optimizer};
 use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dualhead::{
-    check_fits, check_snapshot_fits, install_params, ActionEncoding, BatchInferCache, DualHeadNet,
-    HeadBatchCache, StateMismatch,
+    check_fits, check_snapshot_fits, install_params, BatchInferCache, DualHeadNet, HeadBatchCache,
+    StateMismatch,
 };
 use crate::greedy_pair;
 use crate::replay::{Experience, MiniBatch};
@@ -29,7 +38,9 @@ use crate::schedule::{EpsilonSchedule, ExploreLane};
 /// DQN hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DqnConfig {
-    /// Discount factor γ.
+    /// Discount factor γ. Inert in production: the training pipeline
+    /// stores only terminal samples, so no target bootstraps (see the
+    /// module doc).
     pub gamma: f32,
     /// Exploration schedule.
     pub epsilon: EpsilonSchedule,
@@ -39,7 +50,9 @@ pub struct DqnConfig {
     pub huber_delta: f32,
     /// Global gradient-norm clip (0 disables).
     pub grad_clip: f32,
-    /// Steps between target-network syncs (0 = no target network).
+    /// Steps between target-network syncs (0 = no target network). The
+    /// target network only supplies bootstrap values, which production's
+    /// terminal-only samples never request (see the module doc).
     pub target_sync: u64,
 }
 
@@ -71,7 +84,7 @@ fn epsilon_draw(rng: &mut impl Rng, eps: f32, greedy: impl FnOnce() -> usize) ->
 }
 
 /// Scalar Huber loss/derivative for one `1 × 1` prediction: exactly the
-/// [`huber`] arithmetic at `n = 1` (where the `/ n` normalizations are
+/// [`huber`](mirage_nn::loss::huber) arithmetic at `n = 1` (where the `/ n` normalizations are
 /// exact identities), inlined so the batched TD pass computes per-sample
 /// losses without building row-vector matrices.
 #[inline]
@@ -88,8 +101,9 @@ fn huber_scalar(pred: f32, target: f32, delta: f32) -> (f32, f32) {
 /// sample `i`'s reward and bootstrap-eligible samples add
 /// `γ · max(Q'(s'))` from the `bootstrap` network. The successor features
 /// run through the batched inference encode (bit-identical per block to
-/// the sequential `forward_into` loop the reference path uses) and the
-/// Q-head as one matmul over the stacked feature rows.
+/// the sequential `forward_into` loop of the test oracle) and the Q-head
+/// as one matmul over the stacked feature rows. Production batches hold
+/// terminal samples only and return at the first check.
 fn minibatch_targets(
     bootstrap: &DualHeadNet,
     gamma: f32,
@@ -102,55 +116,21 @@ fn minibatch_targets(
     if mb.next_idx.is_empty() {
         return;
     }
-    let d = bootstrap.foundation.out_dim();
     let count = mb.next_idx.len();
-    let rows_per = match bootstrap.cfg.action_encoding {
-        ActionEncoding::TwoHead => 1,
-        ActionEncoding::OrdinalInput => 2,
-    };
-    let mut feats = scratch.take(count * rows_per, d);
-    match bootstrap.cfg.action_encoding {
-        ActionEncoding::TwoHead => {
-            bootstrap.foundation.forward_batch_into(
-                &bootstrap.ps,
-                &mb.next_states,
-                count,
-                &mut feats,
-                scratch,
-            );
-        }
-        ActionEncoding::OrdinalInput => {
-            // One augmented batch pass per ordinal, interleaved into the
-            // same `j·2 + a` feature layout as the per-sample reference.
-            let mut aug = scratch.take(0, 0);
-            let mut pass = scratch.take(count, d);
-            for (a, ordinal) in [-1.0f32, 1.0].iter().enumerate() {
-                bootstrap.augment_into(&mb.next_states, *ordinal, &mut aug);
-                bootstrap.foundation.forward_batch_into(
-                    &bootstrap.ps,
-                    &aug,
-                    count,
-                    &mut pass,
-                    scratch,
-                );
-                for j in 0..count {
-                    feats.row_mut(j * 2 + a).copy_from_slice(pass.row(j));
-                }
-            }
-            scratch.give(pass);
-            scratch.give(aug);
-        }
-    }
-    let mut qs = scratch.take(feats.rows(), bootstrap.q_head.out_dim);
+    let mut feats = scratch.take(count, bootstrap.foundation.out_dim());
+    bootstrap.foundation.forward_batch_into(
+        &bootstrap.ps,
+        &mb.next_states,
+        count,
+        &mut feats,
+        scratch,
+    );
+    let mut qs = scratch.take(count, 2);
     bootstrap
         .q_head
         .forward_into(&bootstrap.ps, &feats, &mut qs);
     for (j, &i) in mb.next_idx.iter().enumerate() {
-        let (q0, q1) = match bootstrap.cfg.action_encoding {
-            ActionEncoding::TwoHead => (qs.get(j, 0), qs.get(j, 1)),
-            ActionEncoding::OrdinalInput => (qs.get(j * 2, 0), qs.get(j * 2 + 1, 0)),
-        };
-        targets[i] += gamma * q0.max(q1);
+        targets[i] += gamma * qs.get(j, 0).max(qs.get(j, 1));
     }
     scratch.give(qs);
     scratch.give(feats);
@@ -158,10 +138,10 @@ fn minibatch_targets(
 
 /// One shard of [`DqnAgent::train_minibatch_sharded`]: computes the
 /// per-sample gradients and losses for samples `[start, start + k)` of
-/// `mb` into `grads`/`losses` (both length `k`). Batched when the network
-/// supports it, per-sample scalar otherwise; either way `grads[j]` holds
-/// exactly sample `start + j`'s contribution, so the coordinator's
-/// ascending flat fold is bit-identical to the single-threaded update.
+/// `mb` into `grads`/`losses` (both length `k`) in one batched pass with a
+/// per-block sink: `grads[j]` holds exactly sample `start + j`'s
+/// contribution, so the coordinator's ascending flat fold is
+/// bit-identical to the single-threaded update.
 fn dqn_shard(
     net: &DualHeadNet,
     mb: &MiniBatch,
@@ -173,49 +153,27 @@ fn dqn_shard(
 ) {
     let k = grads.len();
     let mut scratch = Scratch::new();
-    if net.supports_batched_q_train() {
-        let mut cache = HeadBatchCache::default();
-        let mut states = scratch.take(k * mb.seq, mb.states.cols());
-        for r in 0..states.rows() {
-            states
-                .row_mut(r)
-                .copy_from_slice(mb.states.row(start * mb.seq + r));
-        }
-        let mut q = scratch.take(k, 2);
-        net.q_forward_batch_train(&states, k, &mut q, &mut cache, &mut scratch);
-        let mut dq = scratch.take(k, 2);
-        for j in 0..k {
-            let a = mb.actions[start + j];
-            let (loss, dl) = huber_scalar(q.get(j, a), targets[start + j], delta);
-            dq.set(j, a, dl);
-            losses[j] = loss;
-        }
-        let mut sink = GradSink::PerBlock(grads);
-        net.q_backward_batch(&mut cache, &states, &dq, k, &mut sink, &mut scratch);
-        scratch.give(dq);
-        scratch.give(q);
-        scratch.give(states);
-    } else {
-        let mut state = scratch.take(mb.seq, mb.states.cols());
-        for (j, (g, l)) in grads.iter_mut().zip(losses.iter_mut()).enumerate() {
-            let i = start + j;
-            for r in 0..mb.seq {
-                state
-                    .row_mut(r)
-                    .copy_from_slice(mb.states.row(i * mb.seq + r));
-            }
-            let (qv, cache) = net.q_forward(&state);
-            let a = mb.actions[i];
-            let pred = Matrix::row_vector(vec![qv[a]]);
-            let tgt = Matrix::row_vector(vec![targets[i]]);
-            let (loss, dl) = huber(&pred, &tgt, delta);
-            let mut dqv = [0.0f32; 2];
-            dqv[a] = dl.get(0, 0);
-            net.q_backward(&cache, dqv, g);
-            *l = loss;
-        }
-        scratch.give(state);
+    let mut cache = HeadBatchCache::default();
+    let mut states = scratch.take(k * mb.seq, mb.states.cols());
+    for r in 0..states.rows() {
+        states
+            .row_mut(r)
+            .copy_from_slice(mb.states.row(start * mb.seq + r));
     }
+    let mut q = scratch.take(k, 2);
+    net.q_forward_batch_train(&states, k, &mut q, &mut cache, &mut scratch);
+    let mut dq = scratch.take(k, 2);
+    for j in 0..k {
+        let a = mb.actions[start + j];
+        let (loss, dl) = huber_scalar(q.get(j, a), targets[start + j], delta);
+        dq.set(j, a, dl);
+        losses[j] = loss;
+    }
+    let mut sink = GradSink::PerBlock(grads);
+    net.q_backward_batch(&mut cache, &states, &dq, k, &mut sink, &mut scratch);
+    scratch.give(dq);
+    scratch.give(q);
+    scratch.give(states);
 }
 
 /// Everything a [`DqnAgent`] needs to resume bit-identically after a
@@ -267,8 +225,6 @@ pub struct DqnAgent {
     train_cache: HeadBatchCache,
     /// Mini-batch gradient accumulator (reset per update).
     grads: Grads,
-    /// Per-sample accumulator for the scalar fallback update path.
-    sample_grads: Grads,
     /// Bootstrap-target buffer (refilled per update).
     targets_buf: Vec<f32>,
     /// Retained mini-batch for the reference-batch compatibility wrapper.
@@ -281,7 +237,6 @@ impl DqnAgent {
         let target = (cfg.target_sync > 0).then(|| net.clone());
         let opt = Adam::new(cfg.lr);
         let grads = Grads::new(&net.ps);
-        let sample_grads = Grads::new(&net.ps);
         Self {
             net,
             target,
@@ -294,7 +249,6 @@ impl DqnAgent {
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
-            sample_grads,
             targets_buf: Vec::new(),
             minibatch: MiniBatch::new(),
         }
@@ -435,75 +389,9 @@ impl DqnAgent {
         actions.extend(self.batch_vals.iter().map(|&q| greedy_pair(q)));
     }
 
-    /// Bootstrap targets for a mini-batch: foundation features of every
-    /// non-terminal next-state are stacked into one matrix so the Q-head
-    /// runs as a **single matmul** over the whole batch instead of
-    /// row-at-a-time calls. Numerically identical to per-sample
-    /// `q_forward` (each stacked row accumulates in the same order).
-    fn batch_targets(&mut self, batch: &[&Experience]) -> Vec<f32> {
-        let bootstrap = self.target.as_ref().unwrap_or(&self.net);
-        let scratch = &mut self.scratch;
-        let gamma = self.cfg.gamma;
-        let d = bootstrap.foundation.out_dim();
-        let rows_per = match bootstrap.cfg.action_encoding {
-            ActionEncoding::TwoHead => 1,
-            ActionEncoding::OrdinalInput => 2,
-        };
-
-        let mut targets: Vec<f32> = batch.iter().map(|e| e.reward).collect();
-        let with_next: Vec<usize> = (0..batch.len())
-            .filter(|&i| batch[i].next_state.is_some() && !batch[i].done)
-            .collect();
-        if with_next.is_empty() {
-            return targets;
-        }
-
-        let mut feats = scratch.take(with_next.len() * rows_per, d);
-        let mut feat = scratch.take(1, d);
-        let mut aug = scratch.take(0, 0);
-        for (j, &i) in with_next.iter().enumerate() {
-            let next = batch[i].next_state.as_ref().expect("filtered above");
-            match bootstrap.cfg.action_encoding {
-                ActionEncoding::TwoHead => {
-                    bootstrap
-                        .foundation
-                        .forward_into(&bootstrap.ps, next, &mut feat, scratch);
-                    feats.row_mut(j).copy_from_slice(feat.row(0));
-                }
-                ActionEncoding::OrdinalInput => {
-                    for (a, ordinal) in [-1.0f32, 1.0].iter().enumerate() {
-                        bootstrap.augment_into(next, *ordinal, &mut aug);
-                        bootstrap
-                            .foundation
-                            .forward_into(&bootstrap.ps, &aug, &mut feat, scratch);
-                        feats.row_mut(j * 2 + a).copy_from_slice(feat.row(0));
-                    }
-                }
-            }
-        }
-        let mut qs = scratch.take(feats.rows(), bootstrap.q_head.out_dim);
-        bootstrap
-            .q_head
-            .forward_into(&bootstrap.ps, &feats, &mut qs);
-        for (j, &i) in with_next.iter().enumerate() {
-            let (q0, q1) = match bootstrap.cfg.action_encoding {
-                ActionEncoding::TwoHead => (qs.get(j, 0), qs.get(j, 1)),
-                ActionEncoding::OrdinalInput => (qs.get(j * 2, 0), qs.get(j * 2 + 1, 0)),
-            };
-            targets[i] += gamma * q0.max(q1);
-        }
-        scratch.give(qs);
-        scratch.give(aug);
-        scratch.give(feat);
-        scratch.give(feats);
-        targets
-    }
-
     /// One mini-batch update from a reference batch; returns the mean TD
     /// loss. Compatibility wrapper: assembles a retained row-stacked
-    /// [`MiniBatch`] and runs [`DqnAgent::train_minibatch`], bit-identical
-    /// to the per-experience reference
-    /// [`DqnAgent::train_batch_scalar`].
+    /// [`MiniBatch`] and runs [`DqnAgent::train_minibatch`].
     pub fn train_batch(&mut self, batch: &[&Experience]) -> f32 {
         assert!(!batch.is_empty(), "empty training batch");
         let mut mb = std::mem::take(&mut self.minibatch);
@@ -513,54 +401,11 @@ impl DqnAgent {
         loss
     }
 
-    /// The pinned per-experience reference update: one `q_forward` /
-    /// `q_backward` per sample, gradients folded sequentially in batch
-    /// order. [`DqnAgent::train_minibatch`] must match this bit for bit —
-    /// the property tests compare the two directly.
-    pub fn train_batch_scalar(&mut self, batch: &[&Experience]) -> f32 {
-        assert!(!batch.is_empty(), "empty training batch");
-        // Bootstrap targets first (batched, inference-only), then the
-        // per-sample gradient passes against the online network.
-        let targets = self.batch_targets(batch);
-        let delta = self.cfg.huber_delta;
-        let net = &self.net;
-
-        // Per-sample forward/backward in parallel; gradients are collected
-        // in batch order and folded sequentially so the floating-point
-        // merge order — and therefore training — is deterministic.
-        let per_sample: Vec<(f32, Grads)> = batch
-            .par_iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let (q, cache) = net.q_forward(&e.state);
-                let pred = Matrix::row_vector(vec![q[e.action]]);
-                let tgt = Matrix::row_vector(vec![targets[i]]);
-                let (loss, dl) = huber(&pred, &tgt, delta);
-                let mut dq = [0.0f32; 2];
-                dq[e.action] = dl.get(0, 0);
-                let mut grads = Grads::new(&net.ps);
-                net.q_backward(&cache, dq, &mut grads);
-                (loss, grads)
-            })
-            .collect();
-        let (total_loss, merged) =
-            per_sample
-                .into_iter()
-                .fold((0.0f32, Grads::new(&net.ps)), |(l1, mut g1), (l2, g2)| {
-                    g1.merge(g2);
-                    (l1 + l2, g1)
-                });
-
-        self.grads.reset();
-        self.grads.merge(merged);
-        self.apply_update(total_loss, batch.len())
-    }
-
     /// One batched mini-batch update: a single forward/backward over the
     /// row-stacked states (one matmul per layer instead of one per
-    /// sample) when the network supports it, with the per-sample loop as
-    /// fallback. Bit-identical to [`DqnAgent::train_batch_scalar`] on the
-    /// same samples; allocation-free once the retained buffers are warm.
+    /// sample). Bit-identical to the test-only per-experience oracle on
+    /// the same samples; allocation-free once the retained buffers are
+    /// warm.
     pub fn train_minibatch(&mut self, mb: &MiniBatch) -> f32 {
         assert!(!mb.is_empty(), "empty training batch");
         minibatch_targets(
@@ -574,54 +419,28 @@ impl DqnAgent {
         let n = mb.len;
         self.grads.reset();
         let mut total_loss = 0.0f32;
-        if self.net.supports_batched_q_train() {
-            let net = &self.net;
-            let scratch = &mut self.scratch;
-            let mut q = scratch.take(n, 2);
-            net.q_forward_batch_train(&mb.states, n, &mut q, &mut self.train_cache, scratch);
-            let mut dq = scratch.take(n, 2);
-            for i in 0..n {
-                let a = mb.actions[i];
-                let (loss, dl) = huber_scalar(q.get(i, a), self.targets_buf[i], delta);
-                dq.set(i, a, dl);
-                total_loss += loss;
-            }
-            let mut sink = GradSink::Fused(&mut self.grads);
-            net.q_backward_batch(
-                &mut self.train_cache,
-                &mb.states,
-                &dq,
-                n,
-                &mut sink,
-                scratch,
-            );
-            scratch.give(dq);
-            scratch.give(q);
-        } else {
-            // Ordinal encoding / top-1 MoE: the per-sample reference
-            // loop, accumulated through the same deterministic fold.
-            let net = &self.net;
-            let mut state = self.scratch.take(mb.seq, mb.states.cols());
-            for i in 0..n {
-                for r in 0..mb.seq {
-                    state
-                        .row_mut(r)
-                        .copy_from_slice(mb.states.row(i * mb.seq + r));
-                }
-                let (qv, cache) = net.q_forward(&state);
-                let a = mb.actions[i];
-                let pred = Matrix::row_vector(vec![qv[a]]);
-                let tgt = Matrix::row_vector(vec![self.targets_buf[i]]);
-                let (loss, dl) = huber(&pred, &tgt, delta);
-                let mut dqv = [0.0f32; 2];
-                dqv[a] = dl.get(0, 0);
-                self.sample_grads.reset();
-                net.q_backward(&cache, dqv, &mut self.sample_grads);
-                self.grads.merge_ref(&self.sample_grads);
-                total_loss += loss;
-            }
-            self.scratch.give(state);
+        let net = &self.net;
+        let scratch = &mut self.scratch;
+        let mut q = scratch.take(n, 2);
+        net.q_forward_batch_train(&mb.states, n, &mut q, &mut self.train_cache, scratch);
+        let mut dq = scratch.take(n, 2);
+        for i in 0..n {
+            let a = mb.actions[i];
+            let (loss, dl) = huber_scalar(q.get(i, a), self.targets_buf[i], delta);
+            dq.set(i, a, dl);
+            total_loss += loss;
         }
+        let mut sink = GradSink::Fused(&mut self.grads);
+        net.q_backward_batch(
+            &mut self.train_cache,
+            &mb.states,
+            &dq,
+            n,
+            &mut sink,
+            scratch,
+        );
+        scratch.give(dq);
+        scratch.give(q);
         self.apply_update(total_loss, n)
     }
 
@@ -702,17 +521,94 @@ impl DqnAgent {
 mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
-    use crate::env::test_envs::{Chain, SignBandit};
-    use crate::env::Environment;
+    use crate::env::{Chain, SignBandit};
     use crate::replay::ReplayBuffer;
     use mirage_nn::foundation::FoundationKind;
+    use mirage_nn::loss::huber;
     use mirage_nn::transformer::TransformerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rayon::prelude::*;
 
-    fn tiny_net(enc: ActionEncoding, seed: u64) -> DualHeadNet {
+    /// The pinned per-experience oracle [`DqnAgent::train_minibatch`] is
+    /// held to: per-sample bootstrap encodes, one `q_forward` /
+    /// `q_backward` per sample, gradients folded sequentially in batch
+    /// order.
+    impl DqnAgent {
+        /// Bootstrap targets from per-sample `forward_into` encodes of
+        /// every non-terminal next-state, stacked so the Q-head runs as
+        /// one matmul — each stacked row accumulates as in `q_forward`.
+        fn batch_targets(&mut self, batch: &[&Experience]) -> Vec<f32> {
+            let bootstrap = self.target.as_ref().unwrap_or(&self.net);
+            let scratch = &mut self.scratch;
+            let mut targets: Vec<f32> = batch.iter().map(|e| e.reward).collect();
+            let with_next: Vec<usize> = (0..batch.len())
+                .filter(|&i| batch[i].next_state.is_some() && !batch[i].done)
+                .collect();
+            if with_next.is_empty() {
+                return targets;
+            }
+            let d = bootstrap.foundation.out_dim();
+            let mut feats = scratch.take(with_next.len(), d);
+            let mut feat = scratch.take(1, d);
+            for (j, &i) in with_next.iter().enumerate() {
+                let next = batch[i].next_state.as_ref().expect("filtered above");
+                bootstrap
+                    .foundation
+                    .forward_into(&bootstrap.ps, next, &mut feat, scratch);
+                feats.row_mut(j).copy_from_slice(feat.row(0));
+            }
+            let mut qs = scratch.take(with_next.len(), 2);
+            bootstrap
+                .q_head
+                .forward_into(&bootstrap.ps, &feats, &mut qs);
+            for (j, &i) in with_next.iter().enumerate() {
+                targets[i] += self.cfg.gamma * qs.get(j, 0).max(qs.get(j, 1));
+            }
+            scratch.give(qs);
+            scratch.give(feat);
+            scratch.give(feats);
+            targets
+        }
+
+        fn train_batch_scalar(&mut self, batch: &[&Experience]) -> f32 {
+            assert!(!batch.is_empty(), "empty training batch");
+            let targets = self.batch_targets(batch);
+            let delta = self.cfg.huber_delta;
+            let net = &self.net;
+            // Per-sample passes in parallel; gradients folded in batch
+            // order, so the floating-point merge order is deterministic.
+            let per_sample: Vec<(f32, Grads)> = batch
+                .par_iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    let (q, cache) = net.q_forward(&e.state);
+                    let pred = Matrix::row_vector(vec![q[e.action]]);
+                    let tgt = Matrix::row_vector(vec![targets[i]]);
+                    let (loss, dl) = huber(&pred, &tgt, delta);
+                    let mut dq = [0.0f32; 2];
+                    dq[e.action] = dl.get(0, 0);
+                    let mut grads = Grads::new(&net.ps);
+                    net.q_backward(&cache, dq, &mut grads);
+                    (loss, grads)
+                })
+                .collect();
+            let (total_loss, merged) = per_sample.into_iter().fold(
+                (0.0f32, Grads::new(&net.ps)),
+                |(l1, mut g1), (l2, g2)| {
+                    g1.merge(g2);
+                    (l1 + l2, g1)
+                },
+            );
+            self.grads.reset();
+            self.grads.merge(merged);
+            self.apply_update(total_loss, batch.len())
+        }
+    }
+
+    fn tiny_net_of(kind: FoundationKind, seed: u64) -> DualHeadNet {
         DualHeadNet::new(DualHeadConfig {
-            foundation: FoundationKind::Transformer,
+            foundation: kind,
             transformer: TransformerConfig {
                 input_dim: 3,
                 seq_len: 2,
@@ -721,10 +617,44 @@ mod tests {
                 layers: 1,
                 ff_mult: 2,
             },
-            action_encoding: enc,
+            action_encoding: ActionEncoding::TwoHead,
             freeze_foundation: false,
             seed,
         })
+    }
+
+    fn tiny_net(seed: u64) -> DualHeadNet {
+        tiny_net_of(FoundationKind::Transformer, seed)
+    }
+
+    fn assert_nets_bitwise_eq(a: &DualHeadNet, b: &DualHeadNet, ctx: &str) {
+        for ((id_a, m_a), (id_b, m_b)) in a.ps.iter().zip(b.ps.iter()) {
+            assert_eq!(id_a, id_b, "{ctx}: param order diverged");
+            for (i, (&x, &y)) in m_a.data().iter().zip(m_b.data()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{ctx}: param {id_a:?} element {i}: {x} vs {y}"
+                );
+            }
+        }
+    }
+
+    /// `n` experiences over `2 × 3` states: a mix of terminal and
+    /// bootstrapped transitions.
+    fn make_batch(rng: &mut StdRng, n: usize) -> Vec<Experience> {
+        (0..n)
+            .map(|i| {
+                let state = Matrix::xavier(2, 3, rng);
+                let action = i % 2;
+                let reward = rng.gen::<f32>() - 0.5;
+                if i % 3 == 0 {
+                    Experience::terminal(state, action, reward)
+                } else {
+                    Experience::step(state, action, reward, Matrix::xavier(2, 3, rng))
+                }
+            })
+            .collect()
     }
 
     /// Fills a replay buffer with random-action bandit transitions.
@@ -735,9 +665,9 @@ mod tests {
         let mut state = env.reset();
         for _ in 0..n {
             let action = rng.gen_range(0..2);
-            let r = env.step(action);
-            rb.push(Experience::terminal(state, action, r.reward));
-            state = r.state;
+            let (next, reward, _) = env.step(action);
+            rb.push(Experience::terminal(state, action, reward));
+            state = next;
         }
         rb
     }
@@ -758,7 +688,7 @@ mod tests {
     #[test]
     fn learns_the_sign_bandit() {
         let mut agent = DqnAgent::new(
-            tiny_net(ActionEncoding::TwoHead, 3),
+            tiny_net(3),
             DqnConfig {
                 lr: 3e-3,
                 ..DqnConfig::default()
@@ -781,12 +711,12 @@ mod tests {
     #[test]
     fn import_state_refuses_a_misfitting_snapshot_before_installing_anything() {
         // A trained agent's snapshot: weights, target, both Adam moments.
-        let mut src = DqnAgent::new(tiny_net(ActionEncoding::TwoHead, 3), DqnConfig::default());
+        let mut src = DqnAgent::new(tiny_net(3), DqnConfig::default());
         let rb = bandit_buffer(1, 64);
         src.train_batch(&rb.sample(&mut StdRng::seed_from_u64(2), 16));
         let good = src.export_state();
         assert!(good.target_params.is_some() && good.opt_m.iter().any(Option::is_some));
-        let fresh = || DqnAgent::new(tiny_net(ActionEncoding::TwoHead, 4), DqnConfig::default());
+        let fresh = || DqnAgent::new(tiny_net(4), DqnConfig::default());
         let untouched = fresh().export_state();
 
         let mut bad_param = good.clone();
@@ -811,25 +741,6 @@ mod tests {
         let mut dst = fresh();
         dst.import_state(good.clone()).unwrap();
         assert_eq!(dst.export_state().net_params, good.net_params);
-    }
-
-    #[test]
-    fn ordinal_encoding_also_learns() {
-        let mut agent = DqnAgent::new(
-            tiny_net(ActionEncoding::OrdinalInput, 5),
-            DqnConfig {
-                lr: 3e-3,
-                ..DqnConfig::default()
-            },
-        );
-        let rb = bandit_buffer(7, 512);
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..150 {
-            let batch = rb.sample(&mut rng, 16);
-            agent.train_batch(&batch);
-        }
-        let acc = bandit_accuracy(&mut agent, 11, 100);
-        assert!(acc > 0.8, "ordinal-input DQN accuracy {acc:.2}");
     }
 
     #[test]
@@ -865,13 +776,13 @@ mod tests {
         let mut state = env.reset();
         for _ in 0..2000 {
             let action = rng.gen_range(0..2);
-            let r = env.step(action);
-            if r.done {
-                rb.push(Experience::terminal(state, action, r.reward));
+            let (next, reward, done) = env.step(action);
+            if done {
+                rb.push(Experience::terminal(state, action, reward));
             } else {
-                rb.push(Experience::step(state, action, r.reward, r.state.clone()));
+                rb.push(Experience::step(state, action, reward, next.clone()));
             }
-            state = if r.done { env.reset() } else { r.state };
+            state = if done { env.reset() } else { next };
         }
         // 600 updates gives convergence headroom across RNG streams (the
         // vendored StdRng draws a different sequence than upstream rand).
@@ -884,14 +795,82 @@ mod tests {
         let mut s = env.reset();
         let mut total = 0.0;
         for _ in 0..10 {
-            let r = env.step(agent.act_greedy(&s));
-            total += r.reward;
-            s = r.state;
-            if r.done {
+            let (next, reward, done) = env.step(agent.act_greedy(&s));
+            total += reward;
+            s = next;
+            if done {
                 break;
             }
         }
         assert!(total > 0.9, "greedy policy should reach the chain end");
+    }
+
+    #[test]
+    fn dqn_batched_update_matches_scalar_reference_bitwise() {
+        // The batched row-stacked update must equal the per-sample oracle
+        // bit for bit — losses and every parameter, across foundation
+        // kinds, over sequential updates (retained caches must never go
+        // stale) with bootstrapped samples and a mid-sequence target sync.
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            let cfg = DqnConfig {
+                gamma: 0.9,
+                target_sync: 2,
+                ..DqnConfig::default()
+            };
+            let mut batched = DqnAgent::new(tiny_net_of(kind, 7), cfg);
+            let mut scalar = batched.clone();
+            let mut rng = StdRng::seed_from_u64(11);
+            for step in 0..3 {
+                let batch = make_batch(&mut rng, 5 + step);
+                let refs: Vec<&Experience> = batch.iter().collect();
+                let lb = batched.train_batch(&refs);
+                let ls = scalar.train_batch_scalar(&refs);
+                assert_eq!(
+                    lb.to_bits(),
+                    ls.to_bits(),
+                    "{kind:?} step {step}: loss {lb} vs {ls}"
+                );
+                assert_nets_bitwise_eq(&batched.net, &scalar.net, &format!("{kind:?} step {step}"));
+            }
+        }
+    }
+
+    #[test]
+    fn gamma_and_target_network_are_inert_on_terminal_batches() {
+        // Production replay holds terminal samples only, so neither γ nor
+        // the target network may reach an update: an agent with both
+        // trains bit-identically to one with neither, across three target
+        // syncs and beyond.
+        let bootstrapping = DqnConfig {
+            gamma: 0.9,
+            target_sync: 2,
+            ..DqnConfig::default()
+        };
+        let plain = DqnConfig {
+            gamma: 0.0,
+            target_sync: 0,
+            ..DqnConfig::default()
+        };
+        let mut with = DqnAgent::new(tiny_net(29), bootstrapping);
+        let mut without = DqnAgent::new(tiny_net(29), plain);
+        let rb = bandit_buffer(30, 64);
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut mb = MiniBatch::new();
+        let updates = 3 * bootstrapping.target_sync + 1;
+        for step in 0..updates {
+            rb.sample_minibatch(&mut rng, 8, &mut mb);
+            assert!(mb.next_idx.is_empty(), "terminal-only batch");
+            let lw = with.train_minibatch(&mb);
+            let lo = without.train_minibatch(&mb);
+            assert_eq!(lw.to_bits(), lo.to_bits(), "step {step}: loss");
+            assert_nets_bitwise_eq(&with.net, &without.net, &format!("step {step}"));
+        }
+        let (w, o) = (with.export_state(), without.export_state());
+        assert_eq!((w.train_steps, o.train_steps), (updates, updates));
+        assert!(w.target_params.is_some() && o.target_params.is_none());
     }
 
     #[test]
@@ -901,54 +880,49 @@ mod tests {
         // draws, same lane-local ε clocks — including across a train step
         // (stale-cache invalidation) and a narrowed batch with permuted
         // lane mapping.
-        for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-            let mut batch_agent = DqnAgent::new(
-                tiny_net(enc, 17),
-                DqnConfig {
-                    epsilon: EpsilonSchedule::linear(0.8, 0.0, 12),
-                    ..DqnConfig::default()
-                },
-            );
-            let mut seq_agent = batch_agent.clone();
-            let mut batch_lanes: Vec<ExploreLane> =
-                (0..3).map(|l| ExploreLane::seeded(100 + l, l)).collect();
-            let mut seq_lanes = batch_lanes.clone();
-            let mut rng = StdRng::seed_from_u64(55);
-            let states: Vec<Matrix> = (0..3).map(|_| Matrix::xavier(2, 3, &mut rng)).collect();
-            let rb = bandit_buffer(18, 64);
+        let mut batch_agent = DqnAgent::new(
+            tiny_net(17),
+            DqnConfig {
+                epsilon: EpsilonSchedule::linear(0.8, 0.0, 12),
+                ..DqnConfig::default()
+            },
+        );
+        let mut seq_agent = batch_agent.clone();
+        let mut batch_lanes: Vec<ExploreLane> =
+            (0..3).map(|l| ExploreLane::seeded(100 + l, l)).collect();
+        let mut seq_lanes = batch_lanes.clone();
+        let mut rng = StdRng::seed_from_u64(55);
+        let states: Vec<Matrix> = (0..3).map(|_| Matrix::xavier(2, 3, &mut rng)).collect();
+        let rb = bandit_buffer(18, 64);
 
-            let mut actions = Vec::new();
-            for tick in 0..6 {
-                // Narrow the batch over time and permute the lane map.
-                let rows: Vec<usize> = match tick {
-                    0 | 1 => vec![0, 1, 2],
-                    2 => vec![2, 0],
-                    _ => vec![1],
-                };
-                let mut stacked = Matrix::zeros(rows.len() * 2, 3);
-                for (r, &l) in rows.iter().enumerate() {
-                    for i in 0..2 {
-                        stacked.row_mut(r * 2 + i).copy_from_slice(states[l].row(i));
-                    }
+        let mut actions = Vec::new();
+        for tick in 0..6 {
+            // Narrow the batch over time and permute the lane map.
+            let rows: Vec<usize> = match tick {
+                0 | 1 => vec![0, 1, 2],
+                2 => vec![2, 0],
+                _ => vec![1],
+            };
+            let mut stacked = Matrix::zeros(rows.len() * 2, 3);
+            for (r, &l) in rows.iter().enumerate() {
+                for i in 0..2 {
+                    stacked.row_mut(r * 2 + i).copy_from_slice(states[l].row(i));
                 }
-                batch_agent.act_batch(&stacked, &mut batch_lanes, &rows, &mut actions);
-                assert_eq!(actions.len(), rows.len());
-                for (r, &l) in rows.iter().enumerate() {
-                    let expect = seq_agent.act_lane(&states[l], &mut seq_lanes[l]);
-                    assert_eq!(
-                        actions[r], expect,
-                        "{enc:?} tick {tick} row {r} lane {l} diverged"
-                    );
-                    assert_eq!(batch_lanes[l].steps, seq_lanes[l].steps);
-                }
-                if tick == 3 {
-                    // Move the weights mid-stream: both sides update
-                    // identically and the batch caches invalidate.
-                    let mut r1 = StdRng::seed_from_u64(9);
-                    let mut r2 = StdRng::seed_from_u64(9);
-                    batch_agent.train_batch(&rb.sample(&mut r1, 8));
-                    seq_agent.train_batch(&rb.sample(&mut r2, 8));
-                }
+            }
+            batch_agent.act_batch(&stacked, &mut batch_lanes, &rows, &mut actions);
+            assert_eq!(actions.len(), rows.len());
+            for (r, &l) in rows.iter().enumerate() {
+                let expect = seq_agent.act_lane(&states[l], &mut seq_lanes[l]);
+                assert_eq!(actions[r], expect, "tick {tick} row {r} lane {l} diverged");
+                assert_eq!(batch_lanes[l].steps, seq_lanes[l].steps);
+            }
+            if tick == 3 {
+                // Move the weights mid-stream: both sides update
+                // identically and the batch caches invalidate.
+                let mut r1 = StdRng::seed_from_u64(9);
+                let mut r2 = StdRng::seed_from_u64(9);
+                batch_agent.train_batch(&rb.sample(&mut r1, 8));
+                seq_agent.train_batch(&rb.sample(&mut r2, 8));
             }
         }
     }
@@ -962,7 +936,7 @@ mod tests {
         // decay_steps / width ticks per lane.
         let schedule = EpsilonSchedule::linear(1.0, 0.0, 8);
         let mut agent = DqnAgent::new(
-            tiny_net(ActionEncoding::TwoHead, 19),
+            tiny_net(19),
             DqnConfig {
                 epsilon: schedule,
                 ..DqnConfig::default()
@@ -997,7 +971,7 @@ mod tests {
     #[test]
     fn epsilon_decays_with_steps() {
         let mut agent = DqnAgent::new(
-            tiny_net(ActionEncoding::TwoHead, 1),
+            tiny_net(1),
             DqnConfig {
                 epsilon: EpsilonSchedule::linear(1.0, 0.0, 10),
                 ..DqnConfig::default()
@@ -1015,7 +989,7 @@ mod tests {
     #[test]
     fn training_reduces_td_loss() {
         let mut agent = DqnAgent::new(
-            tiny_net(ActionEncoding::TwoHead, 13),
+            tiny_net(13),
             DqnConfig {
                 lr: 3e-3,
                 ..DqnConfig::default()

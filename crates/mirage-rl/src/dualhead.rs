@@ -12,11 +12,15 @@
 //! (§4.9.1: the foundation learns to predict the observed episode reward
 //! from the flattened state).
 //!
-//! Two action encodings are supported:
-//! [`ActionEncoding::TwoHead`] evaluates both actions in one pass;
-//! [`ActionEncoding::OrdinalInput`] reproduces the paper's layout, where an
-//! ordinal action variable (−1 / +1, 0 for the P-head) is appended to every
-//! state row and the foundation runs once per queried action.
+//! Every head reads the same single foundation pass over the state: the
+//! Q-head emits both actions' values from it at once. (The paper instead
+//! appends an ordinal action variable to every state row and runs the
+//! foundation once per queried action; that layout is not implemented.)
+//!
+//! Each head has one training path, the batched one
+//! (`*_forward_batch_train` / `*_backward_batch` over row-stacked
+//! states); the per-sample `*_forward` / `*_backward` pairs are the
+//! definitions the batched paths are pinned bit-identical to.
 
 use mirage_nn::foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
 use mirage_nn::linear::{Linear, LinearCache};
@@ -28,14 +32,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// How actions are presented to the Q function.
+/// How actions are presented to the Q function. There is one layout;
+/// the type and [`DualHeadConfig::action_encoding`] remain only because
+/// the benchmark's serving workload names them. No code reads the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ActionEncoding {
     /// Q-head outputs one value per action from a single foundation pass.
     TwoHead,
-    /// The paper's layout: an ordinal action variable is appended to each
-    /// state row; the foundation runs once per action.
-    OrdinalInput,
 }
 
 /// Dual-head model configuration.
@@ -43,10 +46,10 @@ pub enum ActionEncoding {
 pub struct DualHeadConfig {
     /// Foundation architecture.
     pub foundation: FoundationKind,
-    /// Encoder hyperparameters; `input_dim` is the width of one state row
-    /// *without* the ordinal variable.
+    /// Encoder hyperparameters; `input_dim` is the width of one state row.
     pub transformer: TransformerConfig,
-    /// Action encoding for the Q path.
+    /// Always [`ActionEncoding::TwoHead`]; kept only because the
+    /// benchmark's serving workload names it (see [`ActionEncoding`]).
     pub action_encoding: ActionEncoding,
     /// When `true`, online head training does not update the foundation
     /// (the §4.9 two-phase recipe: offline foundation, online heads).
@@ -161,14 +164,7 @@ pub(crate) fn install_params(ps: &mut ParamSet, params: Vec<Matrix>) {
     }
 }
 
-/// Cache of one Q forward pass.
-#[derive(Debug, Clone)]
-pub struct QCache {
-    /// Per-action (foundation cache, head cache); `TwoHead` uses index 0.
-    passes: Vec<(FoundationCache, LinearCache)>,
-}
-
-/// Cache of one policy/reward forward pass.
+/// Cache of one per-sample forward pass through a head (Q, P or reward).
 #[derive(Debug, Clone)]
 pub struct HeadCache {
     f_cache: FoundationCache,
@@ -176,10 +172,7 @@ pub struct HeadCache {
 }
 
 /// Per-episode inference caches for the batched Q/P fast paths: one
-/// [`EmbedRowCache`] per (foundation pass, episode). [`TwoHead`]
-/// encodings run one foundation pass; [`OrdinalInput`] runs one per
-/// queried ordinal, and the augmented inputs differ per ordinal, so each
-/// pass caches its embed rows separately.
+/// [`EmbedRowCache`] per episode.
 ///
 /// These caches serve both greedy evaluation and lockstep *training
 /// collection* (`act_batch` / `act_sample_batch`): between train steps
@@ -188,29 +181,21 @@ pub struct HeadCache {
 ///
 /// The caches key on input content only — after **any** update to the
 /// network's parameters, call [`BatchInferCache::clear`] (the agents do
-/// this at the end of every training step). Use separate caches for the
-/// Q and P paths under [`OrdinalInput`]: their pass-0 inputs carry
-/// different ordinals, and sharing would defeat (not corrupt) the reuse.
-///
-/// [`TwoHead`]: ActionEncoding::TwoHead
-/// [`OrdinalInput`]: ActionEncoding::OrdinalInput
+/// this at the end of every training step).
 #[derive(Debug, Clone, Default)]
 pub struct BatchInferCache {
-    passes: Vec<Vec<EmbedRowCache>>,
+    episodes: Vec<EmbedRowCache>,
 }
 
 /// Retained buffers for one batched *training* pass through a head path
-/// (Q or P): the foundation batch cache, the stacked feature matrix the
-/// head reads, and the gradient buffers the backward pass writes. Keep
-/// one per head path and reuse it across updates — every buffer is reset
-/// in place, so a shape-stationary training loop stops allocating after
-/// its first mini-batch.
+/// (Q, P or reward): the foundation batch cache, the stacked feature
+/// matrix the head reads, and the gradient buffers the backward pass
+/// writes. Keep one per head path and reuse it across updates — every
+/// buffer is reset in place, so a shape-stationary training loop stops
+/// allocating after its first mini-batch.
 #[derive(Debug, Clone, Default)]
 pub struct HeadBatchCache {
     f_cache: FoundationBatchCache,
-    /// Ordinal-augmented input stack (P path only; unused under
-    /// [`ActionEncoding::TwoHead`]).
-    aug: Matrix,
     /// `batch × d_model` pooled features out of the foundation.
     feats: Matrix,
     /// Head-input gradient (`batch × d_model`).
@@ -226,51 +211,17 @@ impl BatchInferCache {
     /// Invalidates every cached embed row. Must follow any parameter
     /// update on the network the cache serves.
     pub fn clear(&mut self) {
-        for pass in &mut self.passes {
-            for c in pass {
-                c.clear();
-            }
+        for c in &mut self.episodes {
+            c.clear();
         }
     }
 
-    /// The per-episode cache slice for foundation pass `idx`, grown to
-    /// `batch` slots.
-    fn pass(&mut self, idx: usize, batch: usize) -> &mut [EmbedRowCache] {
-        while self.passes.len() <= idx {
-            self.passes.push(Vec::new());
+    /// The per-episode cache slice, grown to `batch` slots.
+    fn slots(&mut self, batch: usize) -> &mut [EmbedRowCache] {
+        while self.episodes.len() < batch {
+            self.episodes.push(EmbedRowCache::new());
         }
-        let pass = &mut self.passes[idx];
-        while pass.len() < batch {
-            pass.push(EmbedRowCache::new());
-        }
-        &mut pass[..batch]
-    }
-}
-
-/// The ordinal action variable the reward path appends for `action`.
-fn action_ordinal(action: Option<usize>) -> f32 {
-    match action {
-        Some(1) => 1.0,
-        Some(_) => -1.0,
-        None => 0.0,
-    }
-}
-
-/// Writes the row-stacked `states` (`batch` equal blocks) into `out` with
-/// one more column holding `ordinal(b)` on every row of block `b`.
-fn augment_blocks_into(
-    states: &Matrix,
-    batch: usize,
-    ordinal: impl Fn(usize) -> f32,
-    out: &mut Matrix,
-) {
-    let (rows, cols) = states.shape();
-    let seq = rows / batch.max(1);
-    out.reset(rows, cols + 1);
-    for r in 0..rows {
-        let orow = out.row_mut(r);
-        orow[..cols].copy_from_slice(states.row(r));
-        orow[cols] = ordinal(r / seq);
+        &mut self.episodes[..batch]
     }
 }
 
@@ -311,18 +262,16 @@ impl DualHeadNet {
         cfg.transformer.validate()?;
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut tcfg = cfg.transformer;
-        if cfg.action_encoding == ActionEncoding::OrdinalInput {
-            tcfg.input_dim += 1; // room for the ordinal action variable
-        }
-        let foundation = FoundationNet::new(&mut ps, "foundation", cfg.foundation, tcfg, &mut rng);
+        let foundation = FoundationNet::new(
+            &mut ps,
+            "foundation",
+            cfg.foundation,
+            cfg.transformer,
+            &mut rng,
+        );
         let foundation_param_limit = ps.len();
         let d = foundation.out_dim();
-        let q_out = match cfg.action_encoding {
-            ActionEncoding::TwoHead => 2,
-            ActionEncoding::OrdinalInput => 1,
-        };
-        let q_head = Linear::new(&mut ps, "q_head", d, q_out, &mut rng);
+        let q_head = Linear::new(&mut ps, "q_head", d, 2, &mut rng);
         let p_head = Linear::new(&mut ps, "p_head", d, 2, &mut rng);
         let reward_head = Linear::new(&mut ps, "reward_head", d, 1, &mut rng);
         Ok(Self {
@@ -341,109 +290,63 @@ impl DualHeadNet {
         id.0 < self.foundation_param_limit
     }
 
-    /// Appends the ordinal action column when the encoding requires it.
-    fn augment(&self, state: &Matrix, ordinal: f32) -> Matrix {
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => state.clone(),
-            ActionEncoding::OrdinalInput => {
-                let mut out = Matrix::zeros(0, 0);
-                self.augment_into(state, ordinal, &mut out);
-                out
-            }
-        }
+    /// Per-sample forward through `head`: one foundation pass, then the
+    /// head.
+    fn head_forward(&self, head: &Linear, state: &Matrix) -> (Matrix, HeadCache) {
+        let (feat, f_cache) = self.foundation.forward(&self.ps, state);
+        let (y, l_cache) = head.forward(&self.ps, &feat);
+        (y, HeadCache { f_cache, l_cache })
     }
 
-    /// Writes `state` with the ordinal action column appended into `out`
-    /// (no allocation once warm). Only meaningful under
-    /// [`ActionEncoding::OrdinalInput`]; the two-head encoding feeds the
-    /// state to the foundation unmodified.
-    pub fn augment_into(&self, state: &Matrix, ordinal: f32, out: &mut Matrix) {
-        augment_blocks_into(state, 1, |_| ordinal, out);
-    }
-
-    /// Q-values for both actions: returns `[Q(s, no-submit), Q(s, submit)]`.
-    pub fn q_forward(&self, state: &Matrix) -> ([f32; 2], QCache) {
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                let (feat, f_cache) = self.foundation.forward(&self.ps, state);
-                let (q, l_cache) = self.q_head.forward(&self.ps, &feat);
-                (
-                    [q.get(0, 0), q.get(0, 1)],
-                    QCache {
-                        passes: vec![(f_cache, l_cache)],
-                    },
-                )
-            }
-            ActionEncoding::OrdinalInput => {
-                let mut vals = [0.0f32; 2];
-                let mut passes = Vec::with_capacity(2);
-                for (i, ordinal) in [(-1.0f32), 1.0].iter().enumerate() {
-                    let x = self.augment(state, *ordinal);
-                    let (feat, f_cache) = self.foundation.forward(&self.ps, &x);
-                    let (q, l_cache) = self.q_head.forward(&self.ps, &feat);
-                    vals[i] = q.get(0, 0);
-                    passes.push((f_cache, l_cache));
-                }
-                (vals, QCache { passes })
-            }
-        }
-    }
-
-    /// Backward through the Q path with per-action output gradients.
-    pub fn q_backward(&self, cache: &QCache, dq: [f32; 2], grads: &mut Grads) {
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                let (f_cache, l_cache) = &cache.passes[0];
-                let dy = Matrix::row_vector(vec![dq[0], dq[1]]);
-                let d_feat = self.q_head.backward(&self.ps, l_cache, &dy, grads);
-                if !self.cfg.freeze_foundation {
-                    self.foundation
-                        .backward_params_only(&self.ps, f_cache, &d_feat, grads);
-                }
-            }
-            ActionEncoding::OrdinalInput => {
-                for (i, (f_cache, l_cache)) in cache.passes.iter().enumerate() {
-                    if dq[i] == 0.0 {
-                        continue;
-                    }
-                    let dy = Matrix::row_vector(vec![dq[i]]);
-                    let d_feat = self.q_head.backward(&self.ps, l_cache, &dy, grads);
-                    if !self.cfg.freeze_foundation {
-                        self.foundation
-                            .backward_params_only(&self.ps, f_cache, &d_feat, grads);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Policy logits (`1 × 2`). With ordinal encoding the action variable
-    /// is 0, as the paper specifies for the PG network.
-    pub fn p_forward(&self, state: &Matrix) -> (Matrix, HeadCache) {
-        let x = self.augment(state, 0.0);
-        let (feat, f_cache) = self.foundation.forward(&self.ps, &x);
-        let (logits, l_cache) = self.p_head.forward(&self.ps, &feat);
-        (logits, HeadCache { f_cache, l_cache })
-    }
-
-    /// Backward through the policy path.
-    pub fn p_backward(&self, cache: &HeadCache, d_logits: &Matrix, grads: &mut Grads) {
-        let d_feat = self
-            .p_head
-            .backward(&self.ps, &cache.l_cache, d_logits, grads);
-        if !self.cfg.freeze_foundation {
+    /// Per-sample backward through `head`, then — when
+    /// `train_foundation` — the foundation.
+    fn head_backward(
+        &self,
+        head: &Linear,
+        train_foundation: bool,
+        cache: &HeadCache,
+        dy: &Matrix,
+        grads: &mut Grads,
+    ) {
+        let d_feat = head.backward(&self.ps, &cache.l_cache, dy, grads);
+        if train_foundation {
             self.foundation
                 .backward_params_only(&self.ps, &cache.f_cache, &d_feat, grads);
         }
     }
 
-    /// Scalar reward prediction for offline pretraining. `action` supplies
-    /// the ordinal when the encoding requires it.
-    pub fn reward_forward(&self, state: &Matrix, action: Option<usize>) -> (f32, HeadCache) {
-        let x = self.augment(state, action_ordinal(action));
-        let (feat, f_cache) = self.foundation.forward(&self.ps, &x);
-        let (r, l_cache) = self.reward_head.forward(&self.ps, &feat);
-        (r.get(0, 0), HeadCache { f_cache, l_cache })
+    /// Q-values for both actions: returns `[Q(s, no-submit), Q(s, submit)]`.
+    pub fn q_forward(&self, state: &Matrix) -> ([f32; 2], HeadCache) {
+        let (q, cache) = self.head_forward(&self.q_head, state);
+        ([q.get(0, 0), q.get(0, 1)], cache)
+    }
+
+    /// Backward through the Q path with per-action output gradients.
+    pub fn q_backward(&self, cache: &HeadCache, dq: [f32; 2], grads: &mut Grads) {
+        let dy = Matrix::row_vector(vec![dq[0], dq[1]]);
+        self.head_backward(&self.q_head, !self.cfg.freeze_foundation, cache, &dy, grads);
+    }
+
+    /// Policy logits (`1 × 2`).
+    pub fn p_forward(&self, state: &Matrix) -> (Matrix, HeadCache) {
+        self.head_forward(&self.p_head, state)
+    }
+
+    /// Backward through the policy path.
+    pub fn p_backward(&self, cache: &HeadCache, d_logits: &Matrix, grads: &mut Grads) {
+        self.head_backward(
+            &self.p_head,
+            !self.cfg.freeze_foundation,
+            cache,
+            d_logits,
+            grads,
+        );
+    }
+
+    /// Scalar reward prediction for offline pretraining.
+    pub fn reward_forward(&self, state: &Matrix) -> (f32, HeadCache) {
+        let (r, cache) = self.head_forward(&self.reward_head, state);
+        (r.get(0, 0), cache)
     }
 
     /// Backward through the reward path. Pretraining always updates the
@@ -451,69 +354,31 @@ impl DualHeadNet {
     /// freeze flag.
     pub fn reward_backward(&self, cache: &HeadCache, d_r: f32, grads: &mut Grads) {
         let dy = Matrix::row_vector(vec![d_r]);
-        let d_feat = self
-            .reward_head
-            .backward(&self.ps, &cache.l_cache, &dy, grads);
-        self.foundation
-            .backward_params_only(&self.ps, &cache.f_cache, &d_feat, grads);
+        self.head_backward(&self.reward_head, true, cache, &dy, grads);
     }
 
     /// Inference-only Q-values: no caches, every temporary drawn from
     /// `scratch`, zero allocations once the arena is warm. Bit-identical
     /// to [`DualHeadNet::q_forward`].
     pub fn q_values(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
-        let d = self.foundation.out_dim();
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                let mut feat = scratch.take(1, d);
-                self.foundation
-                    .forward_into(&self.ps, state, &mut feat, scratch);
-                let mut q = scratch.take(1, 2);
-                self.q_head.forward_into(&self.ps, &feat, &mut q);
-                let vals = [q.get(0, 0), q.get(0, 1)];
-                scratch.give(q);
-                scratch.give(feat);
-                vals
-            }
-            ActionEncoding::OrdinalInput => {
-                let mut vals = [0.0f32; 2];
-                let mut aug = scratch.take(state.rows(), state.cols() + 1);
-                let mut feat = scratch.take(1, d);
-                let mut q = scratch.take(1, 1);
-                for (i, ordinal) in [-1.0f32, 1.0].iter().enumerate() {
-                    self.augment_into(state, *ordinal, &mut aug);
-                    self.foundation
-                        .forward_into(&self.ps, &aug, &mut feat, scratch);
-                    self.q_head.forward_into(&self.ps, &feat, &mut q);
-                    vals[i] = q.get(0, 0);
-                }
-                scratch.give(q);
-                scratch.give(feat);
-                scratch.give(aug);
-                vals
-            }
-        }
+        let mut feat = scratch.take(1, self.foundation.out_dim());
+        self.foundation
+            .forward_into(&self.ps, state, &mut feat, scratch);
+        let mut q = scratch.take(1, 2);
+        self.q_head.forward_into(&self.ps, &feat, &mut q);
+        let vals = [q.get(0, 0), q.get(0, 1)];
+        scratch.give(q);
+        scratch.give(feat);
+        vals
     }
 
     /// Inference-only action probabilities (softmaxed P-head output):
     /// zero allocations once `scratch` is warm, bit-identical to
     /// [`DualHeadNet::action_probs`].
     pub fn p_probs(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
-        let d = self.foundation.out_dim();
-        let mut feat = scratch.take(1, d);
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                self.foundation
-                    .forward_into(&self.ps, state, &mut feat, scratch);
-            }
-            ActionEncoding::OrdinalInput => {
-                let mut aug = scratch.take(state.rows(), state.cols() + 1);
-                self.augment_into(state, 0.0, &mut aug);
-                self.foundation
-                    .forward_into(&self.ps, &aug, &mut feat, scratch);
-                scratch.give(aug);
-            }
-        }
+        let mut feat = scratch.take(1, self.foundation.out_dim());
+        self.foundation
+            .forward_into(&self.ps, state, &mut feat, scratch);
         let mut logits = scratch.take(1, 2);
         self.p_head.forward_into(&self.ps, &feat, &mut logits);
         logits.softmax_rows_in_place();
@@ -525,11 +390,11 @@ impl DualHeadNet {
 
     /// Batched inference Q-values: `states` row-stacks `batch` state
     /// matrices (uniform row count per episode), and `out[b]` receives
-    /// `[Q(s_b, no-submit), Q(s_b, submit)]`. One foundation pass (per
-    /// ordinal) and one Q-head matmul cover the whole batch; `cache`
-    /// holds the per-episode embed rows reused across decision ticks.
-    /// Each episode's pair is bit-identical to a sequential
-    /// [`DualHeadNet::q_values`] call on its state.
+    /// `[Q(s_b, no-submit), Q(s_b, submit)]`. One foundation pass and one
+    /// Q-head matmul cover the whole batch; `cache` holds the per-episode
+    /// embed rows reused across decision ticks. Each episode's pair is
+    /// bit-identical to a sequential [`DualHeadNet::q_values`] call on
+    /// its state.
     pub fn q_values_batch(
         &self,
         states: &Matrix,
@@ -538,50 +403,11 @@ impl DualHeadNet {
         scratch: &mut Scratch,
         cache: &mut BatchInferCache,
     ) {
-        let d = self.foundation.out_dim();
+        let mut q = scratch.take(batch, 2);
+        self.head_infer_batch(&self.q_head, states, batch, &mut q, scratch, cache);
         out.clear();
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                let mut feats = scratch.take(batch, d);
-                self.foundation.forward_batch_cached_into(
-                    &self.ps,
-                    states,
-                    batch,
-                    &mut feats,
-                    scratch,
-                    cache.pass(0, batch),
-                );
-                let mut q = scratch.take(batch, 2);
-                self.q_head.forward_into(&self.ps, &feats, &mut q);
-                out.extend((0..batch).map(|b| [q.get(b, 0), q.get(b, 1)]));
-                scratch.give(q);
-                scratch.give(feats);
-            }
-            ActionEncoding::OrdinalInput => {
-                out.resize(batch, [0.0; 2]);
-                let mut aug = scratch.take(states.rows(), states.cols() + 1);
-                let mut feats = scratch.take(batch, d);
-                let mut q = scratch.take(batch, 1);
-                for (i, ordinal) in [-1.0f32, 1.0].iter().enumerate() {
-                    self.augment_into(states, *ordinal, &mut aug);
-                    self.foundation.forward_batch_cached_into(
-                        &self.ps,
-                        &aug,
-                        batch,
-                        &mut feats,
-                        scratch,
-                        cache.pass(i, batch),
-                    );
-                    self.q_head.forward_into(&self.ps, &feats, &mut q);
-                    for (b, vals) in out.iter_mut().enumerate() {
-                        vals[i] = q.get(b, 0);
-                    }
-                }
-                scratch.give(q);
-                scratch.give(feats);
-                scratch.give(aug);
-            }
-        }
+        out.extend((0..batch).map(|b| [q.get(b, 0), q.get(b, 1)]));
+        scratch.give(q);
     }
 
     /// Batched inference action probabilities: the P-path analogue of
@@ -596,64 +422,42 @@ impl DualHeadNet {
         scratch: &mut Scratch,
         cache: &mut BatchInferCache,
     ) {
-        let d = self.foundation.out_dim();
-        let mut feats = scratch.take(batch, d);
-        match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => {
-                self.foundation.forward_batch_cached_into(
-                    &self.ps,
-                    states,
-                    batch,
-                    &mut feats,
-                    scratch,
-                    cache.pass(0, batch),
-                );
-            }
-            ActionEncoding::OrdinalInput => {
-                let mut aug = scratch.take(states.rows(), states.cols() + 1);
-                self.augment_into(states, 0.0, &mut aug);
-                self.foundation.forward_batch_cached_into(
-                    &self.ps,
-                    &aug,
-                    batch,
-                    &mut feats,
-                    scratch,
-                    cache.pass(0, batch),
-                );
-                scratch.give(aug);
-            }
-        }
         let mut logits = scratch.take(batch, 2);
-        self.p_head.forward_into(&self.ps, &feats, &mut logits);
+        self.head_infer_batch(&self.p_head, states, batch, &mut logits, scratch, cache);
         logits.softmax_rows_in_place();
         out.clear();
         out.extend((0..batch).map(|b| [logits.get(b, 0), logits.get(b, 1)]));
         scratch.give(logits);
+    }
+
+    /// Shared body of the batched inference paths: one cached foundation
+    /// pass over `states`, then `head` as one matmul into `out`.
+    fn head_infer_batch(
+        &self,
+        head: &Linear,
+        states: &Matrix,
+        batch: usize,
+        out: &mut Matrix,
+        scratch: &mut Scratch,
+        cache: &mut BatchInferCache,
+    ) {
+        let mut feats = scratch.take(batch, self.foundation.out_dim());
+        self.foundation.forward_batch_cached_into(
+            &self.ps,
+            states,
+            batch,
+            &mut feats,
+            scratch,
+            cache.slots(batch),
+        );
+        head.forward_into(&self.ps, &feats, out);
         scratch.give(feats);
-    }
-
-    /// Whether the batched Q *training* path applies: the two-head
-    /// encoding runs one foundation pass per state (the ordinal layout
-    /// runs one per queried action with data-dependent skips, so it keeps
-    /// the per-sample loop), and the foundation itself must support
-    /// batched training (top-1 MoE does not).
-    pub fn supports_batched_q_train(&self) -> bool {
-        self.cfg.action_encoding == ActionEncoding::TwoHead
-            && self.foundation.supports_batched_train()
-    }
-
-    /// Whether the batched P *training* path applies. The policy head
-    /// always feeds the foundation one pass per state (ordinal 0), so
-    /// only the foundation's own support matters.
-    pub fn supports_batched_p_train(&self) -> bool {
-        self.foundation.supports_batched_train()
     }
 
     /// Batched Q training forward: `states` row-stacks `batch` state
     /// matrices, `q` receives the `batch × 2` Q-pairs and `cache` is
     /// filled for [`DualHeadNet::q_backward_batch`]. Row `b` is
     /// bit-identical to [`DualHeadNet::q_forward`] on block `b` alone.
-    /// Panics unless [`DualHeadNet::supports_batched_q_train`].
     pub fn q_forward_batch_train(
         &self,
         states: &Matrix,
@@ -662,19 +466,7 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        assert!(
-            self.supports_batched_q_train(),
-            "batched Q training requires the two-head encoding and a batch-capable foundation"
-        );
-        self.foundation.forward_batch_train(
-            &self.ps,
-            states,
-            batch,
-            &mut cache.feats,
-            &mut cache.f_cache,
-            scratch,
-        );
-        self.q_head.forward_into(&self.ps, &cache.feats, q);
+        self.head_forward_batch_train(&self.q_head, states, batch, q, cache, scratch);
     }
 
     /// Batched backward through the Q path: `dq` holds one `[dQ0, dQ1]`
@@ -691,33 +483,22 @@ impl DualHeadNet {
         sink: &mut GradSink<'_>,
         scratch: &mut Scratch,
     ) {
-        self.q_head.backward_batch(
-            &self.ps,
-            &cache.feats,
+        self.head_backward_batch(
+            &self.q_head,
+            !self.cfg.freeze_foundation,
+            cache,
+            states,
             dq,
             batch,
             sink,
-            &mut cache.d_feats,
             scratch,
         );
-        if !self.cfg.freeze_foundation {
-            self.foundation.backward_batch_params(
-                &self.ps,
-                &cache.f_cache,
-                states,
-                &cache.d_feats,
-                sink,
-                scratch,
-            );
-        }
     }
 
     /// Batched P training forward: the policy analogue of
     /// [`DualHeadNet::q_forward_batch_train`]. `logits` receives the
-    /// `batch × 2` logit rows; under the ordinal encoding the stacked
-    /// input is augmented with the P-head's ordinal 0 exactly as
-    /// [`DualHeadNet::p_forward`] does per sample. Panics unless
-    /// [`DualHeadNet::supports_batched_p_train`].
+    /// `batch × 2` logit rows, row `b` bit-identical to
+    /// [`DualHeadNet::p_forward`] on block `b`.
     pub fn p_forward_batch_train(
         &self,
         states: &Matrix,
@@ -726,9 +507,6 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        if self.cfg.action_encoding == ActionEncoding::OrdinalInput {
-            self.augment_into(states, 0.0, &mut cache.aug);
-        }
         self.head_forward_batch_train(&self.p_head, states, batch, logits, cache, scratch);
     }
 
@@ -757,32 +535,17 @@ impl DualHeadNet {
         );
     }
 
-    /// Whether the batched reward *training* path applies. Like the
-    /// policy head, the reward head feeds the foundation one pass per
-    /// state, so only the foundation's own support matters.
-    pub fn supports_batched_reward_train(&self) -> bool {
-        self.foundation.supports_batched_train()
-    }
-
     /// Batched reward training forward for offline pretraining: `preds`
     /// receives the `batch × 1` reward predictions, row `b` bit-identical
-    /// to [`DualHeadNet::reward_forward`] on block `b` with
-    /// `Some(actions[b])` (which supplies the block's ordinal when the
-    /// encoding requires one). Panics unless
-    /// [`DualHeadNet::supports_batched_reward_train`].
+    /// to [`DualHeadNet::reward_forward`] on block `b`.
     pub fn reward_forward_batch_train(
         &self,
         states: &Matrix,
-        actions: &[usize],
+        batch: usize,
         preds: &mut Matrix,
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        let batch = actions.len();
-        if self.cfg.action_encoding == ActionEncoding::OrdinalInput {
-            let ordinal = |b: usize| action_ordinal(Some(actions[b]));
-            augment_blocks_into(states, batch, ordinal, &mut cache.aug);
-        }
         self.head_forward_batch_train(&self.reward_head, states, batch, preds, cache, scratch);
     }
 
@@ -812,9 +575,8 @@ impl DualHeadNet {
         );
     }
 
-    /// Shared body of the batched P and reward training forwards: the
-    /// foundation over `states` (under the ordinal encoding over
-    /// `cache.aug`, which the caller has filled), then `head`.
+    /// Shared body of the batched training forwards: the foundation over
+    /// `states`, then `head`.
     fn head_forward_batch_train(
         &self,
         head: &Linear,
@@ -824,17 +586,9 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        assert!(
-            self.foundation.supports_batched_train(),
-            "batched head training requires a batch-capable foundation"
-        );
-        let xs: &Matrix = match self.cfg.action_encoding {
-            ActionEncoding::TwoHead => states,
-            ActionEncoding::OrdinalInput => &cache.aug,
-        };
         self.foundation.forward_batch_train(
             &self.ps,
-            xs,
+            states,
             batch,
             &mut cache.feats,
             &mut cache.f_cache,
@@ -843,8 +597,8 @@ impl DualHeadNet {
         head.forward_into(&self.ps, &cache.feats, out);
     }
 
-    /// Shared body of the batched P and reward backwards: `head`, then —
-    /// when `train_foundation` — the foundation over the same input the
+    /// Shared body of the batched backwards: `head`, then — when
+    /// `train_foundation` — the foundation over the same input the
     /// forward saw.
     #[allow(clippy::too_many_arguments)]
     fn head_backward_batch(
@@ -868,14 +622,10 @@ impl DualHeadNet {
             scratch,
         );
         if train_foundation {
-            let xs: &Matrix = match self.cfg.action_encoding {
-                ActionEncoding::TwoHead => states,
-                ActionEncoding::OrdinalInput => &cache.aug,
-            };
             self.foundation.backward_batch_params(
                 &self.ps,
                 &cache.f_cache,
-                xs,
+                states,
                 &cache.d_feats,
                 sink,
                 scratch,
@@ -904,7 +654,7 @@ mod tests {
     use mirage_nn::gradcheck::check_gradients;
     use mirage_nn::loss::mse;
 
-    fn tiny_cfg(enc: ActionEncoding, kind: FoundationKind) -> DualHeadConfig {
+    fn tiny_cfg(kind: FoundationKind) -> DualHeadConfig {
         DualHeadConfig {
             foundation: kind,
             transformer: TransformerConfig {
@@ -915,7 +665,7 @@ mod tests {
                 layers: 1,
                 ff_mult: 2,
             },
-            action_encoding: enc,
+            action_encoding: ActionEncoding::TwoHead,
             freeze_foundation: false,
             seed: 1,
         }
@@ -927,30 +677,8 @@ mod tests {
     }
 
     #[test]
-    fn both_encodings_produce_two_q_values() {
-        for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-            let net = DualHeadNet::new(tiny_cfg(enc, FoundationKind::Transformer));
-            let (q, _) = net.q_forward(&state(0));
-            assert!(q[0].is_finite() && q[1].is_finite());
-        }
-    }
-
-    #[test]
-    fn ordinal_encoding_distinguishes_actions() {
-        let net = DualHeadNet::new(tiny_cfg(
-            ActionEncoding::OrdinalInput,
-            FoundationKind::Transformer,
-        ));
-        let (q, _) = net.q_forward(&state(3));
-        assert_ne!(q[0], q[1], "different ordinals must give different Q");
-    }
-
-    #[test]
     fn q_gradcheck_two_head() {
-        let net = DualHeadNet::new(tiny_cfg(
-            ActionEncoding::TwoHead,
-            FoundationKind::Transformer,
-        ));
+        let net = DualHeadNet::new(tiny_cfg(FoundationKind::Transformer));
         let s = state(1);
         let target = Matrix::row_vector(vec![0.5, -0.5]);
         let loss_fn = |ps: &ParamSet| {
@@ -969,46 +697,22 @@ mod tests {
     }
 
     #[test]
-    fn q_gradcheck_ordinal_input() {
-        let net = DualHeadNet::new(tiny_cfg(
-            ActionEncoding::OrdinalInput,
-            FoundationKind::Transformer,
-        ));
-        let s = state(2);
-        // Loss touches only action 1 (the common TD case).
-        let loss_fn = |ps: &ParamSet| {
-            let mut probe = net.clone();
-            probe.ps = ps.clone();
-            let (q, _) = probe.q_forward(&s);
-            (q[1] - 2.0) * (q[1] - 2.0)
-        };
-        let (q, cache) = net.q_forward(&s);
-        let mut grads = Grads::new(&net.ps);
-        net.q_backward(&cache, [0.0, 2.0 * (q[1] - 2.0)], &mut grads);
-        let ids: Vec<_> = grads.iter().map(|(id, _)| id).collect();
-        let mut ps = net.ps.clone();
-        check_gradients(&mut ps, &ids, loss_fn, &grads, 1e-2, 5e-2).unwrap();
-    }
-
-    #[test]
     fn scratch_inference_matches_cached_forward_bitwise() {
         // The serving-time fast path (q_values/p_probs + Scratch) must
-        // never drift from the training path, across encodings,
-        // foundations and warm-scratch reuse.
+        // never drift from the training path, across foundations and
+        // warm-scratch reuse.
         let mut scratch = mirage_nn::Scratch::new();
-        for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-            for kind in [
-                FoundationKind::Transformer,
-                FoundationKind::MoE { experts: 2 },
-            ] {
-                let net = DualHeadNet::new(tiny_cfg(enc, kind));
-                for seed in 0..4 {
-                    let s = state(seed);
-                    let (q_ref, _) = net.q_forward(&s);
-                    assert_eq!(net.q_values(&s, &mut scratch), q_ref, "{enc:?}/{kind:?}");
-                    let p_ref = net.action_probs(&s);
-                    assert_eq!(net.p_probs(&s, &mut scratch), p_ref, "{enc:?}/{kind:?}");
-                }
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            let net = DualHeadNet::new(tiny_cfg(kind));
+            for seed in 0..4 {
+                let s = state(seed);
+                let (q_ref, _) = net.q_forward(&s);
+                assert_eq!(net.q_values(&s, &mut scratch), q_ref, "{kind:?}");
+                let p_ref = net.action_probs(&s);
+                assert_eq!(net.p_probs(&s, &mut scratch), p_ref, "{kind:?}");
             }
         }
     }
@@ -1016,43 +720,41 @@ mod tests {
     #[test]
     fn batched_inference_matches_sequential_bitwise() {
         // One batched forward over row-stacked episode states must equal
-        // per-episode q_values / p_probs bit for bit, across encodings,
-        // foundations, cache warm-up and batch-width changes.
+        // per-episode q_values / p_probs bit for bit, across foundations,
+        // cache warm-up and batch-width changes.
         let mut scratch = mirage_nn::Scratch::new();
         let mut q_cache = BatchInferCache::new();
         let mut p_cache = BatchInferCache::new();
         let mut q_out = Vec::new();
         let mut p_out = Vec::new();
-        for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-            for kind in [
-                FoundationKind::Transformer,
-                FoundationKind::MoE { experts: 2 },
-            ] {
-                let net = DualHeadNet::new(tiny_cfg(enc, kind));
-                for batch in [1usize, 3, 2] {
-                    let states: Vec<Matrix> = (0..batch).map(|b| state(b as u64)).collect();
-                    let mut stacked = Matrix::zeros(batch * 3, 4);
-                    for (b, s) in states.iter().enumerate() {
-                        for r in 0..3 {
-                            stacked.row_mut(b * 3 + r).copy_from_slice(s.row(r));
-                        }
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            let net = DualHeadNet::new(tiny_cfg(kind));
+            for batch in [1usize, 3, 2] {
+                let states: Vec<Matrix> = (0..batch).map(|b| state(b as u64)).collect();
+                let mut stacked = Matrix::zeros(batch * 3, 4);
+                for (b, s) in states.iter().enumerate() {
+                    for r in 0..3 {
+                        stacked.row_mut(b * 3 + r).copy_from_slice(s.row(r));
                     }
-                    // Twice per width: cold caches, then full reuse.
-                    for _ in 0..2 {
-                        net.q_values_batch(&stacked, batch, &mut q_out, &mut scratch, &mut q_cache);
-                        net.p_probs_batch(&stacked, batch, &mut p_out, &mut scratch, &mut p_cache);
-                        for (b, s) in states.iter().enumerate() {
-                            assert_eq!(
-                                q_out[b],
-                                net.q_values(s, &mut scratch),
-                                "q {enc:?}/{kind:?} batch {batch} episode {b}"
-                            );
-                            assert_eq!(
-                                p_out[b],
-                                net.p_probs(s, &mut scratch),
-                                "p {enc:?}/{kind:?} batch {batch} episode {b}"
-                            );
-                        }
+                }
+                // Twice per width: cold caches, then full reuse.
+                for _ in 0..2 {
+                    net.q_values_batch(&stacked, batch, &mut q_out, &mut scratch, &mut q_cache);
+                    net.p_probs_batch(&stacked, batch, &mut p_out, &mut scratch, &mut p_cache);
+                    for (b, s) in states.iter().enumerate() {
+                        assert_eq!(
+                            q_out[b],
+                            net.q_values(s, &mut scratch),
+                            "q {kind:?} batch {batch} episode {b}"
+                        );
+                        assert_eq!(
+                            p_out[b],
+                            net.p_probs(s, &mut scratch),
+                            "p {kind:?} batch {batch} episode {b}"
+                        );
                     }
                 }
             }
@@ -1061,7 +763,7 @@ mod tests {
 
     #[test]
     fn freezing_blocks_foundation_gradients() {
-        let mut cfg = tiny_cfg(ActionEncoding::TwoHead, FoundationKind::Transformer);
+        let mut cfg = tiny_cfg(FoundationKind::Transformer);
         cfg.freeze_foundation = true;
         let net = DualHeadNet::new(cfg);
         let s = state(4);
@@ -1080,11 +782,11 @@ mod tests {
 
     #[test]
     fn reward_path_always_trains_foundation() {
-        let mut cfg = tiny_cfg(ActionEncoding::TwoHead, FoundationKind::Transformer);
+        let mut cfg = tiny_cfg(FoundationKind::Transformer);
         cfg.freeze_foundation = true; // must not affect pretraining
         let net = DualHeadNet::new(cfg);
         let s = state(5);
-        let (_, cache) = net.reward_forward(&s, Some(1));
+        let (_, cache) = net.reward_forward(&s);
         let mut grads = Grads::new(&net.ps);
         net.reward_backward(&cache, 1.0, &mut grads);
         assert!(
@@ -1095,10 +797,7 @@ mod tests {
 
     #[test]
     fn p_head_probs_are_a_distribution() {
-        let net = DualHeadNet::new(tiny_cfg(
-            ActionEncoding::TwoHead,
-            FoundationKind::MoE { experts: 2 },
-        ));
+        let net = DualHeadNet::new(tiny_cfg(FoundationKind::MoE { experts: 2 }));
         let p = net.action_probs(&state(6));
         assert!((p[0] + p[1] - 1.0).abs() < 1e-5);
         assert!(p[0] > 0.0 && p[1] > 0.0);
@@ -1108,10 +807,7 @@ mod tests {
     fn heads_share_the_foundation() {
         // A gradient step on the P path must change Q outputs too (shared
         // foundation), when not frozen.
-        let net = DualHeadNet::new(tiny_cfg(
-            ActionEncoding::TwoHead,
-            FoundationKind::Transformer,
-        ));
+        let net = DualHeadNet::new(tiny_cfg(FoundationKind::Transformer));
         let s = state(7);
         let (q_before, _) = net.q_forward(&s);
         let (logits, cache) = net.p_forward(&s);

@@ -1,213 +1,112 @@
-//! The agent–environment interface (§2.2 of the paper).
-//!
-//! States are matrices (the `k × m` state matrix of §4.2); actions are
-//! small discrete indices (Mirage has two: no-submit = 0, submit = 1).
-//!
-//! The trait is deliberately shape-agnostic: `m` is whatever the
-//! environment's encoder produces. Mirage's encoder is the paper's 40
-//! variables plus two fault-state variables (healthy-node fraction,
-//! recent eviction rate) that stay zero unless fault features are
-//! enabled — agents trained fault-blind keep working, agents evaluated
-//! under chaos can observe cluster health through the same interface.
+//! Toy environments for the agent unit tests (compiled only under
+//! `cfg(test)`). States are small matrices, actions are `0` / `1`, and
+//! `step` returns `(next state, reward, done)`.
 
 use mirage_nn::Matrix;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Result of one environment transition.
-#[derive(Debug, Clone)]
-pub struct StepResult {
-    /// State after the transition.
-    pub state: Matrix,
-    /// Immediate reward for the transition.
-    pub reward: f32,
-    /// Whether the episode terminated.
-    pub done: bool,
+/// One-step contextual bandit: the state is a `seq × m` matrix; the
+/// rewarded action is 1 if the matrix mean is positive, else 0.
+pub struct SignBandit {
+    rng: StdRng,
+    seq: usize,
+    m: usize,
+    state: Matrix,
 }
 
-/// A reinforcement-learning environment with discrete actions.
-pub trait Environment {
-    /// Resets to an initial state and returns it.
-    fn reset(&mut self) -> Matrix;
+impl SignBandit {
+    pub fn new(seed: u64, seq: usize, m: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let state = Self::draw(&mut rng, seq, m);
+        Self { rng, seq, m, state }
+    }
 
-    /// Current observable state.
-    fn state(&self) -> Matrix;
+    fn draw(rng: &mut StdRng, seq: usize, m: usize) -> Matrix {
+        // Mean offset ±0.5 with noise: clearly separable but not trivial.
+        let sign: f32 = if rng.gen::<bool>() { 0.5 } else { -0.5 };
+        Matrix::from_fn(seq, m, |_, _| sign + rng.gen_range(-0.4..0.4))
+    }
 
-    /// Applies `action` and advances the environment.
-    fn step(&mut self, action: usize) -> StepResult;
+    pub fn correct_action(&self) -> usize {
+        usize::from(self.state.sum() > 0.0)
+    }
 
-    /// Number of discrete actions (2 for Mirage).
-    fn action_count(&self) -> usize;
+    /// Draws a fresh state and returns it.
+    pub fn reset(&mut self) -> Matrix {
+        self.state = Self::draw(&mut self.rng, self.seq, self.m);
+        self.state.clone()
+    }
+
+    /// ±1 for the (in)correct action; every step ends the episode and
+    /// draws the next state.
+    pub fn step(&mut self, action: usize) -> (Matrix, f32, bool) {
+        let reward = if action == self.correct_action() {
+            1.0
+        } else {
+            -1.0
+        };
+        (self.reset(), reward, true)
+    }
 }
 
-/// Runs a full episode with the given action-selection closure; returns the
-/// visited `(state, action)` pairs and the summed reward. A step budget
-/// guards against policies that never terminate (the paper handles the
-/// analogous case with ε-exploration on an otherwise never-submitting DQN).
-pub fn rollout(
-    env: &mut dyn Environment,
-    mut select: impl FnMut(&Matrix) -> usize,
-    max_steps: usize,
-) -> (Vec<(Matrix, usize)>, f32) {
-    let mut state = env.reset();
-    let mut trajectory = Vec::new();
-    let mut total = 0.0;
-    for _ in 0..max_steps {
-        let action = select(&state);
-        let result = env.step(action);
-        trajectory.push((state, action));
-        total += result.reward;
-        state = result.state;
-        if result.done {
-            break;
-        }
-    }
-    (trajectory, total)
+/// Deterministic chain MDP of length `n`: action 1 moves right (reward
+/// 1 at the end), action 0 resets to the start. Tests bootstrapped
+/// credit assignment across steps.
+pub struct Chain {
+    n: usize,
+    pos: usize,
 }
 
-#[cfg(test)]
-pub(crate) mod test_envs {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// One-step contextual bandit: the state is a `seq × m` matrix; the
-    /// rewarded action is 1 if the matrix mean is positive, else 0.
-    pub struct SignBandit {
-        pub rng: StdRng,
-        pub seq: usize,
-        pub m: usize,
-        state: Matrix,
+impl Chain {
+    pub fn new(n: usize) -> Self {
+        Self { n, pos: 0 }
     }
 
-    impl SignBandit {
-        pub fn new(seed: u64, seq: usize, m: usize) -> Self {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let state = Self::draw(&mut rng, seq, m);
-            Self { rng, seq, m, state }
-        }
-
-        fn draw(rng: &mut StdRng, seq: usize, m: usize) -> Matrix {
-            // Mean offset ±0.5 with noise: clearly separable but not trivial.
-            let sign: f32 = if rng.gen::<bool>() { 0.5 } else { -0.5 };
-            Matrix::from_fn(seq, m, |_, _| sign + rng.gen_range(-0.4..0.4))
-        }
-
-        pub fn correct_action(&self) -> usize {
-            usize::from(self.state.sum() > 0.0)
-        }
+    fn encode(&self) -> Matrix {
+        Matrix::from_fn(1, self.n, |_, c| if c == self.pos { 1.0 } else { 0.0 })
     }
 
-    impl Environment for SignBandit {
-        fn reset(&mut self) -> Matrix {
-            self.state = Self::draw(&mut self.rng, self.seq, self.m);
-            self.state.clone()
-        }
-
-        fn state(&self) -> Matrix {
-            self.state.clone()
-        }
-
-        fn step(&mut self, action: usize) -> StepResult {
-            let reward = if action == self.correct_action() {
-                1.0
-            } else {
-                -1.0
-            };
-            let state = self.reset();
-            StepResult {
-                state,
-                reward,
-                done: true,
-            }
-        }
-
-        fn action_count(&self) -> usize {
-            2
-        }
+    /// Back to the start; returns the start state.
+    pub fn reset(&mut self) -> Matrix {
+        self.pos = 0;
+        self.encode()
     }
 
-    /// Deterministic chain MDP of length `n`: action 1 moves right (reward
-    /// 1 at the end), action 0 resets to the start. Tests bootstrapped
-    /// credit assignment across steps.
-    pub struct Chain {
-        pub n: usize,
-        pub pos: usize,
-    }
-
-    impl Chain {
-        pub fn new(n: usize) -> Self {
-            Self { n, pos: 0 }
-        }
-
-        fn encode(&self) -> Matrix {
-            Matrix::from_fn(1, self.n, |_, c| if c == self.pos { 1.0 } else { 0.0 })
-        }
-    }
-
-    impl Environment for Chain {
-        fn reset(&mut self) -> Matrix {
-            self.pos = 0;
-            self.encode()
-        }
-
-        fn state(&self) -> Matrix {
-            self.encode()
-        }
-
-        fn step(&mut self, action: usize) -> StepResult {
-            if action == 1 {
-                self.pos += 1;
-                if self.pos >= self.n - 1 {
-                    let s = self.encode();
-                    self.pos = 0;
-                    return StepResult {
-                        state: s,
-                        reward: 1.0,
-                        done: true,
-                    };
-                }
-            } else {
+    pub fn step(&mut self, action: usize) -> (Matrix, f32, bool) {
+        if action == 1 {
+            self.pos += 1;
+            if self.pos >= self.n - 1 {
+                let s = self.encode();
                 self.pos = 0;
+                return (s, 1.0, true);
             }
-            StepResult {
-                state: self.encode(),
-                reward: 0.0,
-                done: false,
-            }
+        } else {
+            self.pos = 0;
         }
-
-        fn action_count(&self) -> usize {
-            2
-        }
+        (self.encode(), 0.0, false)
     }
 }
 
-#[cfg(test)]
 mod tests {
-    use super::test_envs::*;
     use super::*;
-
-    #[test]
-    fn rollout_collects_trajectory_until_done() {
-        let mut env = SignBandit::new(0, 2, 3);
-        let (traj, _total) = rollout(&mut env, |_| 1, 100);
-        assert_eq!(traj.len(), 1, "bandit terminates after one step");
-    }
-
-    #[test]
-    fn rollout_respects_step_budget() {
-        let mut env = Chain::new(50);
-        // Never progresses: action 0 forever.
-        let (traj, total) = rollout(&mut env, |_| 0, 10);
-        assert_eq!(traj.len(), 10);
-        assert_eq!(total, 0.0);
-    }
 
     #[test]
     fn chain_rewards_persistent_rightward_policy() {
         let mut env = Chain::new(5);
-        let (traj, total) = rollout(&mut env, |_| 1, 100);
+        env.reset();
+        let (mut steps, mut total) = (0, 0.0);
+        loop {
+            let (_, reward, done) = env.step(1);
+            steps += 1;
+            total += reward;
+            if done {
+                break;
+            }
+            assert!(steps < 100, "episode must terminate");
+        }
         assert_eq!(total, 1.0);
-        assert_eq!(traj.len(), 4, "n−1 steps to the end");
+        assert_eq!(steps, 4, "n−1 steps to the end");
     }
 
     #[test]
@@ -215,11 +114,9 @@ mod tests {
         let mut env = SignBandit::new(1, 2, 3);
         for _ in 0..20 {
             let correct = env.correct_action();
-            let r = env.step(correct);
-            assert_eq!(r.reward, 1.0);
+            assert_eq!(env.step(correct).1, 1.0);
             let wrong = 1 - env.correct_action();
-            let r = env.step(wrong);
-            assert_eq!(r.reward, -1.0);
+            assert_eq!(env.step(wrong).1, -1.0);
         }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Implements the paper's RL machinery on top of `mirage-nn`:
 //!
-//! * [`env::Environment`] — the agent–environment interface of §2.2,
 //! * [`replay::ReplayBuffer`] — experience replay (§4.8),
 //! * [`dualhead::DualHeadNet`] — the shared-foundation V-head/P-head
-//!   architecture of Fig 5/6, with both action encodings,
+//!   architecture of Fig 5/6: one foundation pass feeds the Q-, policy
+//!   and reward heads,
 //! * [`dqn::DqnAgent`] — ε-greedy DQN with Huber TD loss and an optional
 //!   target network (§2.2, §4.9.2),
 //! * [`pg::PgAgent`] — REINFORCE with moving-average baseline and entropy
@@ -15,10 +15,15 @@
 //! * [`guard::GuardedPolicy`] — output validation with graceful
 //!   degradation to the reactive heuristic when a network emits
 //!   non-finite or degenerate values.
+//!
+//! Every head trains through one path, the batched one; the per-sample
+//! loops it is pinned bit-identical to are test-only oracles in the
+//! `dqn`, `pg` and `offline` unit tests.
 
 pub mod dqn;
 pub mod dualhead;
-pub mod env;
+#[cfg(test)]
+mod env;
 pub mod guard;
 pub mod offline;
 pub mod pg;
@@ -29,7 +34,6 @@ pub use dqn::{DqnAgent, DqnAgentState, DqnConfig};
 pub use dualhead::{
     ActionEncoding, BatchInferCache, DualHeadConfig, DualHeadNet, HeadBatchCache, StateMismatch,
 };
-pub use env::{rollout, Environment, StepResult};
 pub use guard::{prob_pair_is_valid, q_pair_is_valid, GuardStats, GuardedPolicy, FALLBACK_ACTION};
 pub use offline::{pretrain_foundation, reward_mse, PretrainConfig, RewardSample};
 pub use pg::{EpisodeSample, PgAgent, PgAgentState, PgConfig};
@@ -51,7 +55,6 @@ pub fn greedy_pair(v: [f32; 2]) -> usize {
 pub mod prelude {
     pub use crate::dqn::{DqnAgent, DqnConfig};
     pub use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
-    pub use crate::env::{Environment, StepResult};
     pub use crate::offline::{pretrain_foundation, PretrainConfig, RewardSample};
     pub use crate::pg::{EpisodeSample, PgAgent, PgConfig};
     pub use crate::replay::{BalancedReplay, Experience, ReplayBuffer};

@@ -6,7 +6,6 @@
 //! dedicated reward head. This shapes the shared representation the
 //! V-head and P-head later build on.
 
-use mirage_nn::loss::mse;
 use mirage_nn::optim::{Adam, Optimizer};
 use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
@@ -24,7 +23,8 @@ use crate::dualhead::{stack_states_into, DualHeadNet, HeadBatchCache};
 pub struct RewardSample {
     /// State matrix at decision time.
     pub state: Matrix,
-    /// Action that was taken (drives the ordinal input when enabled).
+    /// Action that was taken (the replay warm start stores it; reward
+    /// regression does not read it).
     pub action: usize,
     /// Observed delayed reward of the episode.
     pub reward: f32,
@@ -62,67 +62,33 @@ impl Default for PretrainConfig {
 ///
 /// Each mini-batch is one row-stacked forward/backward through the
 /// reward head into a retained [`Grads`] (fused sink), bit-identical to
-/// the per-sample loop it replaced; a foundation that cannot batch
-/// (top-1 MoE) keeps that loop.
+/// the test-only per-sample oracle.
 pub fn pretrain_foundation(
     net: &mut DualHeadNet,
     samples: &[RewardSample],
     cfg: &PretrainConfig,
 ) -> Vec<f32> {
-    let batched = net.supports_batched_reward_train();
-    pretrain_with(net, samples, cfg, batched)
-}
-
-/// [`pretrain_foundation`] with the mini-batch path chosen by the caller:
-/// `batched = false` is the per-sample loop, the fallback for foundations
-/// that cannot batch and the oracle the tests hold the batched path to.
-fn pretrain_with(
-    net: &mut DualHeadNet,
-    samples: &[RewardSample],
-    cfg: &PretrainConfig,
-    batched: bool,
-) -> Vec<f32> {
     assert!(!samples.is_empty(), "no pretraining samples");
-    let mut sample_grads = Grads::new(&net.ps);
     let mut scratch = Scratch::new();
     let mut cache = HeadBatchCache::default();
-    let mut actions = Vec::new();
     fit_minibatches(net, samples.len(), cfg, |net, chunk, grads| {
+        let mut states = scratch.take(0, 0);
+        let n = stack_states_into(chunk.iter().map(|&i| &samples[i].state), &mut states);
+        let mut preds = scratch.take(n, 1);
+        net.reward_forward_batch_train(&states, n, &mut preds, &mut cache, &mut scratch);
+        // `mse` of a single prediction: loss d², gradient 2d.
+        let mut d_preds = scratch.take(n, 1);
         let mut loss_sum = 0.0f32;
-        if batched {
-            let mut states = scratch.take(0, 0);
-            let n = stack_states_into(chunk.iter().map(|&i| &samples[i].state), &mut states);
-            actions.clear();
-            actions.extend(chunk.iter().map(|&i| samples[i].action));
-            let mut preds = scratch.take(n, 1);
-            net.reward_forward_batch_train(&states, &actions, &mut preds, &mut cache, &mut scratch);
-            // `mse` of a single prediction: loss d², gradient 2d.
-            let mut d_preds = scratch.take(n, 1);
-            for (b, &i) in chunk.iter().enumerate() {
-                let d = preds.get(b, 0) - samples[i].reward;
-                loss_sum += d * d;
-                d_preds.set(b, 0, d * 2.0);
-            }
-            let mut sink = GradSink::Fused(grads);
-            net.reward_backward_batch(&mut cache, &states, &d_preds, n, &mut sink, &mut scratch);
-            scratch.give(d_preds);
-            scratch.give(preds);
-            scratch.give(states);
-        } else {
-            // One isolated gradient per sample, merged in order.
-            for &i in chunk {
-                let s = &samples[i];
-                let (pred, cache) = net.reward_forward(&s.state, Some(s.action));
-                let (loss, dl) = mse(
-                    &Matrix::row_vector(vec![pred]),
-                    &Matrix::row_vector(vec![s.reward]),
-                );
-                sample_grads.reset();
-                net.reward_backward(&cache, dl.get(0, 0), &mut sample_grads);
-                grads.merge_ref(&sample_grads);
-                loss_sum += loss;
-            }
+        for (b, &i) in chunk.iter().enumerate() {
+            let d = preds.get(b, 0) - samples[i].reward;
+            loss_sum += d * d;
+            d_preds.set(b, 0, d * 2.0);
         }
+        let mut sink = GradSink::Fused(grads);
+        net.reward_backward_batch(&mut cache, &states, &d_preds, n, &mut sink, &mut scratch);
+        scratch.give(d_preds);
+        scratch.give(preds);
+        scratch.give(states);
         loss_sum
     })
 }
@@ -173,7 +139,7 @@ pub fn reward_mse(net: &DualHeadNet, samples: &[RewardSample]) -> f32 {
     samples
         .par_iter()
         .map(|s| {
-            let (pred, _) = net.reward_forward(&s.state, Some(s.action));
+            let (pred, _) = net.reward_forward(&s.state);
             (pred - s.reward) * (pred - s.reward)
         })
         .sum::<f32>()
@@ -185,14 +151,41 @@ mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig};
     use mirage_nn::foundation::FoundationKind;
+    use mirage_nn::loss::mse;
     use mirage_nn::transformer::TransformerConfig;
     use rand::Rng;
 
-    fn tiny_net(seed: u64, enc: ActionEncoding) -> DualHeadNet {
-        tiny_net_of(FoundationKind::Transformer, seed, enc)
+    /// The per-sample oracle [`pretrain_foundation`] is held to: one
+    /// isolated reward gradient per sample, merged in chunk order.
+    fn pretrain_per_sample(
+        net: &mut DualHeadNet,
+        samples: &[RewardSample],
+        cfg: &PretrainConfig,
+    ) -> Vec<f32> {
+        let mut sample_grads = Grads::new(&net.ps);
+        fit_minibatches(net, samples.len(), cfg, |net, chunk, grads| {
+            let mut loss_sum = 0.0f32;
+            for &i in chunk {
+                let s = &samples[i];
+                let (pred, cache) = net.reward_forward(&s.state);
+                let (loss, dl) = mse(
+                    &Matrix::row_vector(vec![pred]),
+                    &Matrix::row_vector(vec![s.reward]),
+                );
+                sample_grads.reset();
+                net.reward_backward(&cache, dl.get(0, 0), &mut sample_grads);
+                grads.merge_ref(&sample_grads);
+                loss_sum += loss;
+            }
+            loss_sum
+        })
     }
 
-    fn tiny_net_of(kind: FoundationKind, seed: u64, enc: ActionEncoding) -> DualHeadNet {
+    fn tiny_net(seed: u64) -> DualHeadNet {
+        tiny_net_of(FoundationKind::Transformer, seed)
+    }
+
+    fn tiny_net_of(kind: FoundationKind, seed: u64) -> DualHeadNet {
         DualHeadNet::new(DualHeadConfig {
             foundation: kind,
             transformer: TransformerConfig {
@@ -203,7 +196,7 @@ mod tests {
                 layers: 1,
                 ff_mult: 2,
             },
-            action_encoding: enc,
+            action_encoding: ActionEncoding::TwoHead,
             freeze_foundation: false,
             seed,
         })
@@ -227,7 +220,7 @@ mod tests {
 
     #[test]
     fn pretraining_reduces_mse() {
-        let mut net = tiny_net(61, ActionEncoding::TwoHead);
+        let mut net = tiny_net(61);
         let train = make_samples(256, 62);
         let valid = make_samples(64, 63);
         let before = reward_mse(&net, &valid);
@@ -249,24 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn ordinal_input_pretraining_works() {
-        let mut net = tiny_net(71, ActionEncoding::OrdinalInput);
-        let train = make_samples(128, 72);
-        let curve = pretrain_foundation(
-            &mut net,
-            &train,
-            &PretrainConfig {
-                epochs: 8,
-                lr: 3e-3,
-                ..PretrainConfig::default()
-            },
-        );
-        assert!(curve.last().unwrap() < curve.first().unwrap());
-    }
-
-    #[test]
     fn curve_has_one_entry_per_epoch() {
-        let mut net = tiny_net(81, ActionEncoding::TwoHead);
+        let mut net = tiny_net(81);
         let train = make_samples(32, 82);
         let curve = pretrain_foundation(
             &mut net,
@@ -292,43 +269,21 @@ mod tests {
             FoundationKind::Transformer,
             FoundationKind::MoE { experts: 2 },
         ] {
-            for enc in [ActionEncoding::TwoHead, ActionEncoding::OrdinalInput] {
-                let mut batched = tiny_net_of(kind, 93, enc);
-                let mut oracle = batched.clone();
-                assert!(batched.supports_batched_reward_train());
-                let curve = pretrain_foundation(&mut batched, &train, &cfg);
-                let curve_ref = pretrain_with(&mut oracle, &train, &cfg, false);
-                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&curve), bits(&curve_ref), "{kind:?}/{enc:?} curve");
-                for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
-                    assert_eq!(bits(a.data()), bits(b.data()), "{kind:?}/{enc:?} weights");
-                }
+            let mut batched = tiny_net_of(kind, 93);
+            let mut oracle = batched.clone();
+            let curve = pretrain_foundation(&mut batched, &train, &cfg);
+            let curve_ref = pretrain_per_sample(&mut oracle, &train, &cfg);
+            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&curve), bits(&curve_ref), "{kind:?} curve");
+            for ((_, a), (_, b)) in batched.ps.iter().zip(oracle.ps.iter()) {
+                assert_eq!(bits(a.data()), bits(b.data()), "{kind:?} weights");
             }
         }
     }
 
     #[test]
-    fn top_one_moe_pretrains_through_the_per_sample_fallback() {
-        let mut net = tiny_net_of(
-            FoundationKind::MoETopOne { experts: 2 },
-            94,
-            ActionEncoding::TwoHead,
-        );
-        assert!(!net.supports_batched_reward_train());
-        let curve = pretrain_foundation(
-            &mut net,
-            &make_samples(40, 95),
-            &PretrainConfig {
-                epochs: 2,
-                ..PretrainConfig::default()
-            },
-        );
-        assert!(curve.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
     fn empty_validation_is_zero() {
-        let net = tiny_net(91, ActionEncoding::TwoHead);
+        let net = tiny_net(91);
         assert_eq!(reward_mse(&net, &[]), 0.0);
     }
 }

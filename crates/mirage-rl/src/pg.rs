@@ -5,8 +5,8 @@
 //! Eq. 6: Monte-Carlo rollouts, return-weighted log-probability gradients,
 //! with a moving-average baseline and optional entropy regularization for
 //! variance control. Each episode's steps run as **one batched
-//! forward/backward** (bit-identical to the per-step loop, kept as
-//! [`PgAgent::train_episodes_scalar`], the pinned reference), and
+//! forward/backward** — the only update path; the unit tests hold it bit
+//! for bit to a test-only per-step oracle — and
 //! [`PgAgent::train_episodes_sharded`] distributes whole episodes across
 //! OS threads with a deterministic per-episode gradient all-reduce.
 
@@ -16,7 +16,6 @@ use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dualhead::{
@@ -109,11 +108,11 @@ pub struct PgAgent {
     batch_cache: BatchInferCache,
     /// Reusable probability-pair buffer for the batched greedy path.
     batch_vals: Vec<[f32; 2]>,
-    /// Retained activation caches for the batched training path.
+    /// Retained activation caches for the training path.
     train_cache: HeadBatchCache,
     /// Retained accumulated-gradient buffer (reset each update).
     grads: Grads,
-    /// Retained per-episode gradient buffer for the batched path.
+    /// Retained per-episode gradient buffer.
     ep_grads: Grads,
 }
 
@@ -241,24 +240,10 @@ impl PgAgent {
         actions.extend(self.batch_vals.iter().map(|&p| greedy_pair(p)));
     }
 
-    /// One REINFORCE update from a batch of complete episodes; returns the
-    /// mean surrogate loss.
-    ///
-    /// When the foundation supports batched training, each episode's
-    /// steps run as **one** row-stacked forward/backward; the result is
-    /// bit-identical to [`train_episodes_scalar`](Self::train_episodes_scalar),
-    /// the pinned per-step reference (property-tested).
-    pub fn train_episodes(&mut self, episodes: &[EpisodeSample]) -> f32 {
-        if self.net.supports_batched_p_train() {
-            self.train_episodes_batched(episodes)
-        } else {
-            self.train_episodes_scalar(episodes)
-        }
-    }
-
     /// Folds the batch's mean return into the EMA baseline and returns the
-    /// value every episode's advantage is measured against. Shared by all
-    /// three training paths so their advantages can never diverge.
+    /// value every episode's advantage is measured against. Shared by every
+    /// training path (the oracle included) so their advantages can never
+    /// diverge.
     fn advance_baseline(&mut self, episodes: &[EpisodeSample]) -> f32 {
         let batch_mean: f32 =
             episodes.iter().map(|e| e.episode_return).sum::<f32>() / episodes.len() as f32;
@@ -286,55 +271,13 @@ impl PgAgent {
         total_loss / step_count.max(1) as f32
     }
 
-    /// Pinned per-step reference implementation: one forward/backward per
-    /// visited state, per-episode gradients merged in ascending episode
-    /// order. The batched and sharded paths are property-tested
-    /// bit-identical against this.
-    pub fn train_episodes_scalar(&mut self, episodes: &[EpisodeSample]) -> f32 {
-        assert!(!episodes.is_empty(), "empty episode batch");
-        let baseline = self.advance_baseline(episodes);
-        let entropy_coef = self.cfg.entropy_coef;
-        let net = &self.net;
-
-        let step_count: usize = episodes.iter().map(|e| e.steps.len()).sum();
-        // Parallel per-episode passes, deterministic in-order merge.
-        let per_episode: Vec<(f32, Grads)> = episodes
-            .par_iter()
-            .map(|ep| {
-                let advantage = ep.episode_return - baseline;
-                let mut grads = Grads::new(&net.ps);
-                let mut loss_sum = 0.0f32;
-                for (state, action) in &ep.steps {
-                    let (logits, cache) = net.p_forward(state);
-                    let (loss, mut d_logits) = policy_gradient_loss(&logits, *action, advantage);
-                    if entropy_coef > 0.0 {
-                        d_logits.add_assign(&entropy_grad(&logits).scale(entropy_coef));
-                    }
-                    net.p_backward(&cache, &d_logits, &mut grads);
-                    loss_sum += loss;
-                }
-                (loss_sum, grads)
-            })
-            .collect();
-        let (total_loss, merged) = per_episode.into_iter().fold(
-            (0.0f32, Grads::new(&net.ps)),
-            |(l1, mut g1), (l2, g2)| {
-                g1.merge(g2);
-                (l1 + l2, g1)
-            },
-        );
-
-        self.grads.reset();
-        self.grads.merge(merged);
-        self.apply_update(total_loss, step_count, episodes.len())
-    }
-
-    /// Batched path: every episode's steps in one row-stacked
+    /// One REINFORCE update from a batch of complete episodes; returns the
+    /// mean surrogate loss. Every episode's steps run in one row-stacked
     /// forward/backward against retained buffers. Gradient accumulation
     /// stays per-episode (fused flat fold within an episode, ascending
     /// episode-order merge across episodes) so the f32 addition chains
-    /// match the scalar reference exactly.
-    fn train_episodes_batched(&mut self, episodes: &[EpisodeSample]) -> f32 {
+    /// match the test-only per-step oracle exactly.
+    pub fn train_episodes(&mut self, episodes: &[EpisodeSample]) -> f32 {
         assert!(!episodes.is_empty(), "empty episode batch");
         let baseline = self.advance_baseline(episodes);
         let entropy_coef = self.cfg.entropy_coef;
@@ -347,7 +290,7 @@ impl PgAgent {
         for ep in episodes {
             if ep.steps.is_empty() {
                 // An empty episode contributes exactly +0.0 loss and no
-                // gradient in the scalar fold; skipping it is bitwise
+                // gradient in the per-step fold; skipping it is bitwise
                 // equivalent (the running total is never -0.0).
                 continue;
             }
@@ -417,7 +360,7 @@ impl PgAgent {
 
 /// One episode's REINFORCE pass as a single row-stacked forward/backward.
 /// Accumulates into `grads` (caller resets) and returns the episode's loss
-/// sum. Bit-identical to the per-step loop in `train_episodes_scalar`.
+/// sum. Bit-identical to the per-step loop of the test-only oracle.
 fn pg_episode_batched(
     net: &DualHeadNet,
     ep: &EpisodeSample,
@@ -459,8 +402,8 @@ fn pg_episode_batched(
 }
 
 /// Worker body for [`PgAgent::train_episodes_sharded`]: one isolated
-/// gradient + loss per episode in the shard, batched per episode when the
-/// foundation supports it, otherwise the pinned per-step reference.
+/// gradient + loss per episode in the shard, each episode one batched
+/// pass.
 fn pg_shard(
     net: &DualHeadNet,
     episodes: &[EpisodeSample],
@@ -470,33 +413,18 @@ fn pg_shard(
     losses: &mut [f32],
 ) {
     let mut scratch = Scratch::new();
-    let batched = net.supports_batched_p_train();
     let mut cache = HeadBatchCache::default();
     for (ep, (g, l)) in episodes.iter().zip(grads.iter_mut().zip(losses.iter_mut())) {
         let advantage = ep.episode_return - baseline;
-        if batched {
-            *l = pg_episode_batched(
-                net,
-                ep,
-                advantage,
-                entropy_coef,
-                &mut cache,
-                g,
-                &mut scratch,
-            );
-        } else {
-            let mut loss_sum = 0.0f32;
-            for (state, action) in &ep.steps {
-                let (logits, step_cache) = net.p_forward(state);
-                let (loss, mut d_logits) = policy_gradient_loss(&logits, *action, advantage);
-                if entropy_coef > 0.0 {
-                    d_logits.add_assign(&entropy_grad(&logits).scale(entropy_coef));
-                }
-                net.p_backward(&step_cache, &d_logits, g);
-                loss_sum += loss;
-            }
-            *l = loss_sum;
-        }
+        *l = pg_episode_batched(
+            net,
+            ep,
+            advantage,
+            entropy_coef,
+            &mut cache,
+            g,
+            &mut scratch,
+        );
     }
 }
 
@@ -517,12 +445,55 @@ fn entropy_grad(logits: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
-    use crate::env::test_envs::SignBandit;
-    use crate::env::Environment;
+    use crate::env::SignBandit;
     use mirage_nn::foundation::FoundationKind;
     use mirage_nn::transformer::TransformerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rayon::prelude::*;
+
+    impl PgAgent {
+        /// The pinned per-step oracle [`PgAgent::train_episodes`] is held
+        /// to: one forward/backward per visited state, per-episode
+        /// gradients merged in ascending episode order.
+        fn train_episodes_scalar(&mut self, episodes: &[EpisodeSample]) -> f32 {
+            assert!(!episodes.is_empty(), "empty episode batch");
+            let baseline = self.advance_baseline(episodes);
+            let entropy_coef = self.cfg.entropy_coef;
+            let net = &self.net;
+            let step_count: usize = episodes.iter().map(|e| e.steps.len()).sum();
+            // Parallel per-episode passes, deterministic in-order merge.
+            let per_episode: Vec<(f32, Grads)> = episodes
+                .par_iter()
+                .map(|ep| {
+                    let advantage = ep.episode_return - baseline;
+                    let mut grads = Grads::new(&net.ps);
+                    let mut loss_sum = 0.0f32;
+                    for (state, action) in &ep.steps {
+                        let (logits, cache) = net.p_forward(state);
+                        let (loss, mut d_logits) =
+                            policy_gradient_loss(&logits, *action, advantage);
+                        if entropy_coef > 0.0 {
+                            d_logits.add_assign(&entropy_grad(&logits).scale(entropy_coef));
+                        }
+                        net.p_backward(&cache, &d_logits, &mut grads);
+                        loss_sum += loss;
+                    }
+                    (loss_sum, grads)
+                })
+                .collect();
+            let (total_loss, merged) = per_episode.into_iter().fold(
+                (0.0f32, Grads::new(&net.ps)),
+                |(l1, mut g1), (l2, g2)| {
+                    g1.merge(g2);
+                    (l1 + l2, g1)
+                },
+            );
+            self.grads.reset();
+            self.grads.merge(merged);
+            self.apply_update(total_loss, step_count, episodes.len())
+        }
+    }
 
     fn tiny_net(kind: FoundationKind, seed: u64) -> DualHeadNet {
         DualHeadNet::new(DualHeadConfig {
@@ -551,10 +522,10 @@ mod tests {
             .map(|_| {
                 let state = env.reset();
                 let action = agent.act(&state, rng);
-                let r = env.step(action);
+                let (_, reward, _) = env.step(action);
                 EpisodeSample {
                     steps: vec![(state, action)],
-                    episode_return: r.reward,
+                    episode_return: reward,
                 }
             })
             .collect()
@@ -700,6 +671,46 @@ mod tests {
             "sample frequency {freq:.3} vs probability {:.3}",
             p[1]
         );
+    }
+
+    #[test]
+    fn pg_batched_update_matches_scalar_reference_bitwise() {
+        // The batched update must equal the per-step oracle bit for bit —
+        // losses, parameters and baseline — across foundation kinds and
+        // sequential updates, with varying episode lengths including an
+        // empty episode (a crashed lane).
+        for kind in [
+            FoundationKind::Transformer,
+            FoundationKind::MoE { experts: 2 },
+        ] {
+            let mut batched = PgAgent::new(tiny_net(kind, 43), PgConfig::default());
+            let mut scalar = batched.clone();
+            let mut rng = StdRng::seed_from_u64(47);
+            for step in 0..3 {
+                let eps: Vec<EpisodeSample> = (0..5 + step)
+                    .map(|i| EpisodeSample {
+                        steps: (0..(i % 4))
+                            .map(|t| (Matrix::xavier(2, 3, &mut rng), t % 2))
+                            .collect(),
+                        episode_return: rng.gen::<f32>() * 2.0 - 1.0,
+                    })
+                    .collect();
+                let lb = batched.train_episodes(&eps);
+                let ls = scalar.train_episodes_scalar(&eps);
+                let ctx = format!("{kind:?} step {step}");
+                assert_eq!(lb.to_bits(), ls.to_bits(), "{ctx}: loss {lb} vs {ls}");
+                for ((_, a), (_, b)) in batched.net.ps.iter().zip(scalar.net.ps.iter()) {
+                    let bits =
+                        |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{ctx}: weights");
+                }
+                assert_eq!(
+                    batched.baseline().to_bits(),
+                    scalar.baseline().to_bits(),
+                    "{ctx}: baseline"
+                );
+            }
+        }
     }
 
     #[test]
