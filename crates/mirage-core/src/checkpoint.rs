@@ -42,8 +42,11 @@ use mirage_rl::{
 use crate::episode::EpisodeResult;
 use crate::reward::EpisodeOutcome;
 
-/// Envelope kind tag of a DQN training-state checkpoint.
-pub const KIND_DQN_TRAIN: &str = "DQNS";
+/// Envelope kind tag of a DQN training-state checkpoint. `DQN2` names
+/// the layout without target-network parameters or successor states; a
+/// file of the earlier `DQNS` layout is refused as
+/// [`CheckpointError::WrongKind`].
+pub const KIND_DQN_TRAIN: &str = "DQN2";
 /// Envelope kind tag of a PG training-state checkpoint.
 pub const KIND_PG_TRAIN: &str = "PGST";
 
@@ -149,7 +152,8 @@ pub struct DqnTrainCheckpoint {
     /// resume: the chunk width is `lanes × workers`, and per-lane seed
     /// streams are laid out per worker).
     pub workers: u64,
-    /// Agent snapshot: weights, target, Adam moments, ε/train clocks.
+    /// Agent snapshot: weights, Adam moments, ε/train clocks (its
+    /// `target_params` is neither written nor read).
     pub agent: DqnAgentState,
     /// Wait-class replay ring (capacity, write cursor, slots).
     pub replay_wait: (u64, u64, Vec<Experience>),
@@ -191,8 +195,6 @@ fn write_experience(w: &mut ByteWriter, e: &Experience) {
     w.matrix(&e.state);
     w.u64(e.action as u64);
     w.f32(e.reward);
-    w.opt_matrix(e.next_state.as_ref());
-    w.bool(e.done);
 }
 
 fn read_experience(r: &mut ByteReader) -> Result<Experience, CheckpointError> {
@@ -200,8 +202,6 @@ fn read_experience(r: &mut ByteReader) -> Result<Experience, CheckpointError> {
         state: r.matrix()?,
         action: r.u64()? as usize,
         reward: r.f32()?,
-        next_state: r.opt_matrix()?,
-        done: r.bool()?,
     })
 }
 
@@ -217,7 +217,7 @@ fn write_ring(w: &mut ByteWriter, ring: &(u64, u64, Vec<Experience>)) {
 fn read_ring(r: &mut ByteReader) -> Result<(u64, u64, Vec<Experience>), CheckpointError> {
     let capacity = r.u64()?;
     let write = r.u64()?;
-    let n = r.len(22)?;
+    let n = r.len(20)?;
     let buf: Vec<Experience> = (0..n)
         .map(|_| read_experience(r))
         .collect::<Result<_, _>>()?;
@@ -301,13 +301,6 @@ impl DqnTrainCheckpoint {
         w.u64(self.agent.train_steps);
         w.u64(self.agent.opt_t);
         w.matrices(&self.agent.net_params);
-        match &self.agent.target_params {
-            Some(t) => {
-                w.bool(true);
-                w.matrices(t);
-            }
-            None => w.bool(false),
-        }
         w.opt_matrices(&self.agent.opt_m);
         w.opt_matrices(&self.agent.opt_v);
         write_ring(&mut w, &self.replay_wait);
@@ -330,11 +323,9 @@ impl DqnTrainCheckpoint {
         let steps = r.u64()?;
         let train_steps = r.u64()?;
         let opt_t = r.u64()?;
-        let net_params = r.matrices()?;
-        let target_params = if r.bool()? { Some(r.matrices()?) } else { None };
         let agent = DqnAgentState {
-            net_params,
-            target_params,
+            net_params: r.matrices()?,
+            target_params: None,
             opt_t,
             opt_m: r.opt_matrices()?,
             opt_v: r.opt_matrices()?,
@@ -510,24 +501,14 @@ mod tests {
     }
 
     fn sample_dqn() -> DqnTrainCheckpoint {
-        let exp = |s| Experience {
-            state: mat(s, 2, 3),
-            action: (s % 2) as usize,
-            reward: -0.5 * s as f32,
-            next_state: if s % 3 == 0 {
-                Some(mat(s + 50, 2, 3))
-            } else {
-                None
-            },
-            done: s % 3 != 0,
-        };
+        let exp = |s| Experience::terminal(mat(s, 2, 3), (s % 2) as usize, -0.5 * s as f32);
         DqnTrainCheckpoint {
             cfg_seed: 11,
             lanes: 2,
             workers: 3,
             agent: DqnAgentState {
                 net_params: vec![mat(1, 4, 4), mat(2, 1, 4)],
-                target_params: Some(vec![mat(3, 4, 4), mat(4, 1, 4)]),
+                target_params: None,
                 opt_t: 7,
                 opt_m: vec![Some(mat(5, 4, 4)), None],
                 opt_v: vec![None, Some(mat(6, 1, 4))],
@@ -567,10 +548,7 @@ mod tests {
         assert_eq!(back.agent.train_steps, ck.agent.train_steps);
         assert_eq!(back.agent.opt_t, ck.agent.opt_t);
         assert!(mats_eq(&back.agent.net_params, &ck.agent.net_params));
-        assert!(mats_eq(
-            back.agent.target_params.as_ref().unwrap(),
-            ck.agent.target_params.as_ref().unwrap()
-        ));
+        assert!(back.agent.target_params.is_none());
         assert_eq!(back.rng, ck.rng);
         assert_eq!(back.replay_wait.0, 64);
         assert_eq!(back.replay_wait.1, 3);
@@ -664,16 +642,20 @@ mod tests {
         );
     }
 
-    /// The `DQNS` / `PGST` bytes are a compatibility surface: runs resume
+    /// The `DQN2` / `PGST` bytes are a compatibility surface: runs resume
     /// from files written by earlier builds. Length and CRC-32 of the two
-    /// fixtures' sealed bytes, captured on the commit before the codec
-    /// moved into `mirage_nn::serialize` (same discipline as
-    /// `mirage-sim/tests/golden.rs`: never regenerate them in a change
-    /// that touches the code under them).
+    /// fixtures' sealed bytes, never regenerated in a change that touches
+    /// the code under them (same discipline as
+    /// `mirage-sim/tests/golden.rs`). `PGST` was captured on the commit
+    /// before the codec moved into `mirage_nn::serialize`. `DQN2` was
+    /// derived from the `DQNS` writer before it lost the target network:
+    /// it sealed this fixture as 879 bytes; dropping the target flag byte
+    /// and each of the 7 experiences' two trailing bytes (the absent
+    /// successor's flag and `done`) gives this payload byte for byte.
     #[test]
     fn training_state_bytes_are_frozen() {
         let dqn = sample_dqn().to_bytes();
-        assert_eq!((dqn.len(), crc32(&dqn)), (1080, 0x00b2_c0c2), "DQNS");
+        assert_eq!((dqn.len(), crc32(&dqn)), (864, 0x353b_90b6), "DQN2");
         let pg = sample_pg().to_bytes();
         assert_eq!((pg.len(), crc32(&pg)), (382, 0x59fa_a11c), "PGST");
     }

@@ -613,10 +613,9 @@ pub struct DqnTrainRun {
 }
 
 /// [`train_dqn_online`] with crash-safe checkpointing: full training
-/// state — weights, target net, Adam moments, both replay rings, the
-/// replay-sampling RNG, the global ε clock and the episode counter — is
-/// snapshotted to `ckpt.path` at chunk boundaries on the
-/// `ckpt.every_episodes` cadence. Pass `resume_from` to continue an
+/// state — weights, Adam moments, both replay rings, the replay-sampling
+/// RNG, the global ε clock and the episode counter — is snapshotted to
+/// `ckpt.path` at chunk boundaries on the `ckpt.every_episodes` cadence. Pass `resume_from` to continue an
 /// interrupted run: the resumed run is **bit-identical** to the
 /// uninterrupted one (weights, replay contents, episode outcomes), as
 /// pinned by `tests/crash_resume.rs`.

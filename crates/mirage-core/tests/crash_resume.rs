@@ -5,8 +5,8 @@
 //! resumes from disk is **bit-identical** to the uninterrupted run — same
 //! final weights, same replay contents, same episode outcomes. That holds
 //! because the checkpoint captures the full training state (weights,
-//! target net, Adam moments, replay rings, the replay-sampling RNG, the
-//! global ε clock and the episode counter) and because lane exploration
+//! Adam moments, replay rings, the replay-sampling RNG, the global ε
+//! clock and the episode counter) and because lane exploration
 //! streams are a pure function of `(cfg.seed, episode ordinal, ε clock)`,
 //! all of which the checkpoint restores.
 //!
@@ -14,15 +14,15 @@
 
 use std::path::PathBuf;
 
-use mirage_core::checkpoint::{CheckpointConfig, ResumeError};
+use mirage_core::checkpoint::{CheckpointConfig, ResumeError, KIND_DQN_TRAIN};
 use mirage_core::episode::{EpisodeConfig, EpisodeResult};
 use mirage_core::state::STATE_VARS;
 use mirage_core::train::{
     collect_offline, sample_episode_starts, train_dqn_online_checkpointed, train_dqn_online_traced,
-    train_pg_online_checkpointed, train_pg_online_traced, TrainConfig,
+    train_pg_online_checkpointed, train_pg_online_traced, OfflineData, TrainConfig,
 };
 use mirage_nn::foundation::FoundationKind;
-use mirage_nn::serialize::CheckpointError;
+use mirage_nn::serialize::{seal, unseal, CheckpointError};
 use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::ParamSet;
 use mirage_rl::{ActionEncoding, DualHeadConfig, DualHeadNet, Experience};
@@ -467,5 +467,44 @@ fn resume_rejects_mismatched_runs_and_wrong_kinds() {
             );
         }
         other => panic!("expected ConfigMismatch, got {other}"),
+    }
+}
+
+#[test]
+fn resume_refuses_a_dqns_checkpoint() {
+    // Files written before the DQN lost its target network and successor
+    // states carry the `DQNS` kind tag, and the kind alone decides: a
+    // current payload re-sealed under that tag must be refused as the
+    // envelope's typed kind error, not misread and not a panic.
+    let cfg = tiny_cfg(2);
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 61);
+    let warm = OfflineData::default();
+    let ckpt_path = TempCkpt::new("dqns");
+    let mut ckpt = CheckpointConfig::every(&ckpt_path.0, 2);
+    ckpt.halt_after = Some(2);
+    train_dqn_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &warm, &ckpt, None)
+        .expect("checkpointed run");
+    let sealed = std::fs::read(&ckpt_path.0).expect("checkpoint written");
+    let payload = unseal(KIND_DQN_TRAIN, &sealed).expect("current layout");
+    std::fs::write(&ckpt_path.0, seal("DQNS", payload)).expect("re-sealed");
+
+    let err = train_dqn_online_checkpointed(
+        net(&cfg),
+        &pool,
+        &trace,
+        &cfg,
+        &starts,
+        &warm,
+        &CheckpointConfig::every(&ckpt_path.0, 2),
+        Some(&ckpt_path.0),
+    )
+    .expect_err("a DQNS checkpoint must refuse to resume");
+    match err {
+        ResumeError::Checkpoint(CheckpointError::WrongKind { found, .. }) => {
+            assert_eq!(found, "DQNS")
+        }
+        other => panic!("expected WrongKind, got {other}"),
     }
 }

@@ -16,11 +16,11 @@
 //!   per-lane `(seed, ε-base)` and window-start weights, exercised both
 //!   update-free (pure collection) and with the full update cadence
 //!   (the CI training-smoke shape: online_episodes = 4, batch = 2).
-//! * **terminal-only replay** — every experience the production DQN
-//!   pipeline stores (offline warm start and online collection) is
-//!   terminal, so no update ever bootstraps: γ and the target network
-//!   are inert in production (pinned at agent level in the `dqn` unit
-//!   tests).
+//! * **frozen DQN digest** — a warm-started run of 204 updates ends on
+//!   weights and clocks captured on the commit before γ, the target
+//!   network and successor states were deleted (that tree synced its
+//!   target network at update 200), so the deletion moved no bit. A
+//!   change to what the DQN learns moves this digest on purpose.
 
 use mirage_core::episode::{run_episode, Action, EpisodeConfig, EpisodeResult};
 use mirage_core::state::STATE_VARS;
@@ -29,11 +29,12 @@ use mirage_core::train::{
     train_dqn_online_traced, train_pg_online_traced, OfflineData, TrainConfig,
 };
 use mirage_nn::foundation::FoundationKind;
+use mirage_nn::serialize::{crc32, params_to_bytes};
 use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::ParamSet;
 use mirage_rl::{
-    ActionEncoding, BalancedReplay, DqnAgent, DualHeadConfig, DualHeadNet, EpisodeSample,
-    Experience, ExploreLane, PgAgent, ReplayBuffer,
+    ActionEncoding, BalancedReplay, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet,
+    EpisodeSample, Experience, ExploreLane, PgAgent, ReplayBuffer,
 };
 use mirage_sim::{BackendKind, BackendPool, ClusterBackend, SimBuilder, SimConfig};
 use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
@@ -132,17 +133,6 @@ fn assert_replay_bitwise_eq<'a>(
             "{what}: reward of transition {i}"
         );
         assert_eq!(x.state, y.state, "{what}: state of transition {i}");
-    }
-}
-
-/// Every stored experience is terminal: no successor state, `done` set.
-fn assert_terminal_only(replay: &BalancedReplay, what: &str) {
-    let stored = replay.wait().iter().chain(replay.submit().iter());
-    for (i, e) in stored.enumerate() {
-        assert!(
-            e.next_state.is_none() && e.done,
-            "{what}: stored experience {i} can bootstrap"
-        );
     }
 }
 
@@ -294,7 +284,6 @@ fn dqn_batch1_is_bitwise_identical_to_the_deleted_sequential_loop() {
     );
     assert_eq!(agent.steps, legacy_agent.steps, "global ε clock");
     assert_params_bitwise_eq(&agent.net.ps, &legacy_agent.net.ps, "dqn batch=1");
-    assert_terminal_only(&replay, "dqn batch=1");
 }
 
 #[test]
@@ -468,7 +457,6 @@ fn training_smoke_batch2_matches_windowed_sequential() {
     );
     assert_eq!(agent.steps, seq_agent.steps, "global ε clock");
     assert_params_bitwise_eq(&agent.net.ps, &seq_agent.net.ps, "smoke batch=2");
-    assert_terminal_only(&replay, "smoke batch=2");
 }
 
 #[test]
@@ -504,7 +492,6 @@ fn dqn_two_workers_match_one_worker_with_double_lanes_bitwise() {
     );
     assert_eq!(agent2.steps, agent1.steps, "global ε clock");
     assert_params_bitwise_eq(&agent2.net.ps, &agent1.net.ps, "dqn W=2");
-    assert_terminal_only(&replay2, "dqn W=2");
 }
 
 #[test]
@@ -560,4 +547,28 @@ fn pg_lanes_match_sequential_per_lane_sampling() {
         .collect();
 
     assert_outcomes_eq(&episodes, &seq_eps, "pg per-lane");
+}
+
+#[test]
+fn dqn_training_digest_is_frozen() {
+    // A warm start, then 6 episodes × 34 updates = 204 updates: past
+    // update 200, where the deleted target network would have synced.
+    // The literals were captured on the commit before that deletion.
+    let mut cfg = tiny_cfg(2);
+    cfg.dqn = DqnConfig::default();
+    cfg.updates_per_episode = 34;
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 91);
+    let offline_starts = sample_episode_starts(0, 12 * DAY, &cfg.episode, 2, 92);
+    let warm = collect_offline(&pool, &trace, &cfg, &offline_starts);
+
+    let (agent, _, _) = train_dqn_online_traced(net(&cfg), &pool, &trace, &cfg, &starts, &warm);
+
+    let state = agent.export_state();
+    let weights = params_to_bytes(&agent.net.ps).expect("finite weights");
+    assert_eq!(
+        (crc32(&weights), state.opt_t, state.steps, state.train_steps),
+        (0x372b_6be8, 204, 11, 204)
+    );
 }

@@ -15,9 +15,12 @@
 //!   versions with a typed error instead of misparsing them.
 //! * `kind` — a four-character tag naming the payload layout (`NNPS` for
 //!   a parameter set; `mirage-core` seals its training-state snapshots
-//!   under `DQNS` / `PGST`). Loading a checkpoint under the wrong kind is
-//!   a typed error, so a training-state file can never be silently
-//!   misread as bare network weights.
+//!   under `DQN2` / `PGST`). A changed layout takes a new tag, so a file
+//!   of the old layout (such as `DQNS`, the DQN layout that still held a
+//!   target network) is refused rather than misparsed. Loading a
+//!   checkpoint under the wrong kind is a typed error, so a
+//!   training-state file can never be silently misread as bare network
+//!   weights.
 //! * `payload-len` / `crc32-hex` — the payload's byte length and IEEE
 //!   CRC-32, both validated on load. Truncation and bit corruption each
 //!   map to their own [`CheckpointError`] variant; a corrupted checkpoint

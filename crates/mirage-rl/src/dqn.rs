@@ -1,24 +1,20 @@
 //! Deep Q-Network agent (§2.2, §4.9 of the paper).
 //!
-//! ε-greedy action selection over the dual-head network's Q-values, with
-//! experience-replay mini-batches, Huber TD loss, an optional target
-//! network, gradient clipping and Adam. The update path runs **one
-//! batched forward/backward per mini-batch** over a row-stacked
-//! [`MiniBatch`] — the only update path; the unit tests hold it bit for
-//! bit to a test-only per-experience oracle — and
+//! ε-greedy action selection over the dual-head network's Q-values,
+//! experience-replay mini-batches, a Huber loss, gradient clipping and
+//! Adam. What it learns is a regression of Q(s, a) onto the reward stored
+//! with each sample: `mirage-core` stores every decision with its
+//! episode's final reward (offline warm start and online collection
+//! alike), a terminal transition in DQN terms, so there is no discount,
+//! target network or successor state. The paper's labels (`DqnAgent`,
+//! `transformer+DQN`, `MoE+DQN`) stay: this is its Q-head, action
+//! selection and replay, on targets that need no bootstrapping.
+//!
+//! The update path runs **one batched forward/backward per mini-batch**
+//! over a row-stacked [`MiniBatch`] — the only update path; the unit
+//! tests hold it bit for bit to a test-only per-experience oracle — and
 //! [`DqnAgent::train_minibatch_sharded`] splits the batch across OS
 //! threads with a deterministic per-sample gradient all-reduce.
-//!
-//! **Production DQN never bootstraps.** The training pipeline in
-//! `mirage-core` pushes every replay sample as [`Experience::terminal`]
-//! with its episode's final reward (offline warm start and online
-//! collection alike), so every mini-batch's `next_idx` is empty and each
-//! target is the sample's own reward. γ, [`Experience::step`] and the
-//! target network therefore only act in tests; production still clones
-//! the target network every `target_sync` updates and checkpoints it.
-//! The unit test `gamma_and_target_network_are_inert_on_terminal_batches`
-//! pins that an agent with γ = 0.9 and a target network trains
-//! bit-identically to one with γ = 0 and none.
 
 use mirage_nn::optim::{Adam, Optimizer};
 use mirage_nn::param::{GradSink, Grads};
@@ -28,7 +24,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dualhead::{
-    check_fits, check_snapshot_fits, install_params, BatchInferCache, DualHeadNet, HeadBatchCache,
+    check_snapshot_fits, install_params, BatchInferCache, DualHeadNet, HeadBatchCache,
     StateMismatch,
 };
 use crate::greedy_pair;
@@ -38,33 +34,23 @@ use crate::schedule::{EpsilonSchedule, ExploreLane};
 /// DQN hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DqnConfig {
-    /// Discount factor γ. Inert in production: the training pipeline
-    /// stores only terminal samples, so no target bootstraps (see the
-    /// module doc).
-    pub gamma: f32,
     /// Exploration schedule.
     pub epsilon: EpsilonSchedule,
     /// Adam learning rate.
     pub lr: f32,
-    /// Huber threshold for the TD loss.
+    /// Huber threshold of the regression loss.
     pub huber_delta: f32,
     /// Global gradient-norm clip (0 disables).
     pub grad_clip: f32,
-    /// Steps between target-network syncs (0 = no target network). The
-    /// target network only supplies bootstrap values, which production's
-    /// terminal-only samples never request (see the module doc).
-    pub target_sync: u64,
 }
 
 impl Default for DqnConfig {
     fn default() -> Self {
         Self {
-            gamma: 0.99,
             epsilon: EpsilonSchedule::default(),
             lr: 1e-3,
             huber_delta: 1.0,
             grad_clip: 5.0,
-            target_sync: 200,
         }
     }
 }
@@ -85,7 +71,7 @@ fn epsilon_draw(rng: &mut impl Rng, eps: f32, greedy: impl FnOnce() -> usize) ->
 
 /// Scalar Huber loss/derivative for one `1 × 1` prediction: exactly the
 /// [`huber`](mirage_nn::loss::huber) arithmetic at `n = 1` (where the `/ n` normalizations are
-/// exact identities), inlined so the batched TD pass computes per-sample
+/// exact identities), inlined so the batched pass computes per-sample
 /// losses without building row-vector matrices.
 #[inline]
 fn huber_scalar(pred: f32, target: f32, delta: f32) -> (f32, f32) {
@@ -97,45 +83,6 @@ fn huber_scalar(pred: f32, target: f32, delta: f32) -> (f32, f32) {
     }
 }
 
-/// Bootstrap targets for a row-stacked mini-batch: `targets[i]` starts at
-/// sample `i`'s reward and bootstrap-eligible samples add
-/// `γ · max(Q'(s'))` from the `bootstrap` network. The successor features
-/// run through the batched inference encode (bit-identical per block to
-/// the sequential `forward_into` loop of the test oracle) and the Q-head
-/// as one matmul over the stacked feature rows. Production batches hold
-/// terminal samples only and return at the first check.
-fn minibatch_targets(
-    bootstrap: &DualHeadNet,
-    gamma: f32,
-    mb: &MiniBatch,
-    scratch: &mut Scratch,
-    targets: &mut Vec<f32>,
-) {
-    targets.clear();
-    targets.extend_from_slice(&mb.rewards);
-    if mb.next_idx.is_empty() {
-        return;
-    }
-    let count = mb.next_idx.len();
-    let mut feats = scratch.take(count, bootstrap.foundation.out_dim());
-    bootstrap.foundation.forward_batch_into(
-        &bootstrap.ps,
-        &mb.next_states,
-        count,
-        &mut feats,
-        scratch,
-    );
-    let mut qs = scratch.take(count, 2);
-    bootstrap
-        .q_head
-        .forward_into(&bootstrap.ps, &feats, &mut qs);
-    for (j, &i) in mb.next_idx.iter().enumerate() {
-        targets[i] += gamma * qs.get(j, 0).max(qs.get(j, 1));
-    }
-    scratch.give(qs);
-    scratch.give(feats);
-}
-
 /// One shard of [`DqnAgent::train_minibatch_sharded`]: computes the
 /// per-sample gradients and losses for samples `[start, start + k)` of
 /// `mb` into `grads`/`losses` (both length `k`) in one batched pass with a
@@ -145,7 +92,6 @@ fn minibatch_targets(
 fn dqn_shard(
     net: &DualHeadNet,
     mb: &MiniBatch,
-    targets: &[f32],
     delta: f32,
     start: usize,
     grads: &mut [Grads],
@@ -163,11 +109,11 @@ fn dqn_shard(
     let mut q = scratch.take(k, 2);
     net.q_forward_batch_train(&states, k, &mut q, &mut cache, &mut scratch);
     let mut dq = scratch.take(k, 2);
-    for j in 0..k {
+    for (j, loss) in losses.iter_mut().enumerate() {
         let a = mb.actions[start + j];
-        let (loss, dl) = huber_scalar(q.get(j, a), targets[start + j], delta);
+        let (l, dl) = huber_scalar(q.get(j, a), mb.rewards[start + j], delta);
         dq.set(j, a, dl);
-        losses[j] = loss;
+        *loss = l;
     }
     let mut sink = GradSink::PerBlock(grads);
     net.q_backward_batch(&mut cache, &states, &dq, k, &mut sink, &mut scratch);
@@ -177,16 +123,16 @@ fn dqn_shard(
 }
 
 /// Everything a [`DqnAgent`] needs to resume bit-identically after a
-/// crash: online/target weights, Adam moments and both step clocks.
-/// Derived state (scratch arenas, embed-row caches) is rebuilt empty on
-/// import — it never affects results, only allocation reuse.
+/// crash: weights, Adam moments and both step clocks. Derived state
+/// (scratch arenas, embed-row caches) is rebuilt empty on import — it
+/// never affects results, only allocation reuse.
 #[derive(Debug, Clone)]
 pub struct DqnAgentState {
-    /// Online-network parameters, in [`ParamSet`](mirage_nn::ParamSet)
+    /// Network parameters, in [`ParamSet`](mirage_nn::ParamSet)
     /// allocation order.
     pub net_params: Vec<Matrix>,
-    /// Target-network parameters (`None` when no target network is
-    /// configured).
+    /// Always `None`, never written or read: the agent has no target
+    /// network. Kept only because the repository's benchmark names it.
     pub target_params: Option<Vec<Matrix>>,
     /// Adam update steps taken.
     pub opt_t: u64,
@@ -196,18 +142,15 @@ pub struct DqnAgentState {
     pub opt_v: Vec<Option<Matrix>>,
     /// Environment steps (the global ε clock).
     pub steps: u64,
-    /// Mini-batch updates taken (drives target syncs).
+    /// Mini-batch updates taken.
     pub train_steps: u64,
 }
 
 /// DQN agent over a [`DualHeadNet`].
 #[derive(Debug, Clone)]
 pub struct DqnAgent {
-    /// Online network.
+    /// The Q-network being trained.
     pub net: DualHeadNet,
-    /// Frozen copy used for bootstrap targets (None = bootstrap from the
-    /// online network).
-    target: Option<DualHeadNet>,
     opt: Adam,
     cfg: DqnConfig,
     /// Environment steps taken (drives ε decay).
@@ -225,8 +168,6 @@ pub struct DqnAgent {
     train_cache: HeadBatchCache,
     /// Mini-batch gradient accumulator (reset per update).
     grads: Grads,
-    /// Bootstrap-target buffer (refilled per update).
-    targets_buf: Vec<f32>,
     /// Retained mini-batch for the reference-batch compatibility wrapper.
     minibatch: MiniBatch,
 }
@@ -234,12 +175,10 @@ pub struct DqnAgent {
 impl DqnAgent {
     /// Wraps a network with DQN training machinery.
     pub fn new(net: DualHeadNet, cfg: DqnConfig) -> Self {
-        let target = (cfg.target_sync > 0).then(|| net.clone());
         let opt = Adam::new(cfg.lr);
         let grads = Grads::new(&net.ps);
         Self {
             net,
-            target,
             opt,
             cfg,
             steps: 0,
@@ -249,7 +188,6 @@ impl DqnAgent {
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
-            targets_buf: Vec::new(),
             minibatch: MiniBatch::new(),
         }
     }
@@ -271,10 +209,7 @@ impl DqnAgent {
     pub fn export_state(&self) -> DqnAgentState {
         DqnAgentState {
             net_params: self.net.ps.iter().map(|(_, m)| m.clone()).collect(),
-            target_params: self
-                .target
-                .as_ref()
-                .map(|t| t.ps.iter().map(|(_, m)| m.clone()).collect()),
+            target_params: None,
             opt_t: self.opt.steps(),
             opt_m: self.opt.state().1.to_vec(),
             opt_v: self.opt.state().2.to_vec(),
@@ -287,20 +222,12 @@ impl DqnAgent {
     /// agent freshly built over the same network architecture. After
     /// this, every act/train call is bit-identical to what the
     /// snapshotted agent would have produced. A snapshot of a different
-    /// architecture (parameter count, or any parameter, target or Adam
-    /// moment shape) is refused before anything is installed.
+    /// architecture (parameter count, or any parameter or Adam moment
+    /// shape) is refused before anything is installed.
     pub fn import_state(&mut self, state: DqnAgentState) -> Result<(), StateMismatch> {
         let ps = &mut self.net.ps;
         check_snapshot_fits(ps, &state.net_params, &state.opt_m, &state.opt_v)?;
-        if let Some(params) = &state.target_params {
-            check_fits(ps, "target parameter", params.iter().map(Some))?;
-        }
         install_params(ps, state.net_params);
-        self.target = state.target_params.map(|params| {
-            let mut target = self.net.clone();
-            install_params(&mut target.ps, params);
-            target
-        });
         self.opt
             .restore_state(state.opt_t, state.opt_m, state.opt_v);
         self.steps = state.steps;
@@ -389,8 +316,8 @@ impl DqnAgent {
         actions.extend(self.batch_vals.iter().map(|&q| greedy_pair(q)));
     }
 
-    /// One mini-batch update from a reference batch; returns the mean TD
-    /// loss. Compatibility wrapper: assembles a retained row-stacked
+    /// One mini-batch update from a reference batch; returns the mean
+    /// Huber loss. Compatibility wrapper: assembles a retained row-stacked
     /// [`MiniBatch`] and runs [`DqnAgent::train_minibatch`].
     pub fn train_batch(&mut self, batch: &[&Experience]) -> f32 {
         assert!(!batch.is_empty(), "empty training batch");
@@ -408,13 +335,6 @@ impl DqnAgent {
     /// warm.
     pub fn train_minibatch(&mut self, mb: &MiniBatch) -> f32 {
         assert!(!mb.is_empty(), "empty training batch");
-        minibatch_targets(
-            self.target.as_ref().unwrap_or(&self.net),
-            self.cfg.gamma,
-            mb,
-            &mut self.scratch,
-            &mut self.targets_buf,
-        );
         let delta = self.cfg.huber_delta;
         let n = mb.len;
         self.grads.reset();
@@ -426,7 +346,7 @@ impl DqnAgent {
         let mut dq = scratch.take(n, 2);
         for i in 0..n {
             let a = mb.actions[i];
-            let (loss, dl) = huber_scalar(q.get(i, a), self.targets_buf[i], delta);
+            let (loss, dl) = huber_scalar(q.get(i, a), mb.rewards[i], delta);
             dq.set(i, a, dl);
             total_loss += loss;
         }
@@ -458,16 +378,8 @@ impl DqnAgent {
             return self.train_minibatch(mb);
         }
         assert!(!mb.is_empty(), "empty training batch");
-        minibatch_targets(
-            self.target.as_ref().unwrap_or(&self.net),
-            self.cfg.gamma,
-            mb,
-            &mut self.scratch,
-            &mut self.targets_buf,
-        );
         let n = mb.len;
         let net = &self.net;
-        let targets = &self.targets_buf;
         let delta = self.cfg.huber_delta;
         let mut per_sample: Vec<Grads> = (0..n).map(|_| Grads::new(&net.ps)).collect();
         let mut losses = vec![0.0f32; n];
@@ -484,7 +396,7 @@ impl DqnAgent {
                 losses_rest = lr;
                 let shard_start = start;
                 start += k;
-                scope.spawn(move || dqn_shard(net, mb, targets, delta, shard_start, g, l));
+                scope.spawn(move || dqn_shard(net, mb, delta, shard_start, g, l));
             }
         });
         // Deterministic all-reduce: ascending flat fold over every
@@ -500,7 +412,7 @@ impl DqnAgent {
 
     /// Shared update tail: mean-scales the accumulated gradients, clips,
     /// steps Adam, invalidates the inference caches and advances the
-    /// target-sync clock. Returns the mean loss.
+    /// update clock. Returns the mean loss.
     fn apply_update(&mut self, total_loss: f32, n: usize) -> f32 {
         self.grads.scale(1.0 / n as f32);
         if self.cfg.grad_clip > 0.0 {
@@ -510,9 +422,6 @@ impl DqnAgent {
         // The parameters moved: cached embed rows are stale.
         self.batch_cache.clear();
         self.train_steps += 1;
-        if self.cfg.target_sync > 0 && self.train_steps.is_multiple_of(self.cfg.target_sync) {
-            self.target = Some(self.net.clone());
-        }
         total_loss / n as f32
     }
 }
@@ -521,7 +430,7 @@ impl DqnAgent {
 mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
-    use crate::env::{Chain, SignBandit};
+    use crate::env::SignBandit;
     use crate::replay::ReplayBuffer;
     use mirage_nn::foundation::FoundationKind;
     use mirage_nn::loss::huber;
@@ -531,60 +440,21 @@ mod tests {
     use rayon::prelude::*;
 
     /// The pinned per-experience oracle [`DqnAgent::train_minibatch`] is
-    /// held to: per-sample bootstrap encodes, one `q_forward` /
-    /// `q_backward` per sample, gradients folded sequentially in batch
-    /// order.
+    /// held to: one `q_forward` / `q_backward` per sample, each regressed
+    /// onto its own reward, gradients folded sequentially in batch order.
     impl DqnAgent {
-        /// Bootstrap targets from per-sample `forward_into` encodes of
-        /// every non-terminal next-state, stacked so the Q-head runs as
-        /// one matmul — each stacked row accumulates as in `q_forward`.
-        fn batch_targets(&mut self, batch: &[&Experience]) -> Vec<f32> {
-            let bootstrap = self.target.as_ref().unwrap_or(&self.net);
-            let scratch = &mut self.scratch;
-            let mut targets: Vec<f32> = batch.iter().map(|e| e.reward).collect();
-            let with_next: Vec<usize> = (0..batch.len())
-                .filter(|&i| batch[i].next_state.is_some() && !batch[i].done)
-                .collect();
-            if with_next.is_empty() {
-                return targets;
-            }
-            let d = bootstrap.foundation.out_dim();
-            let mut feats = scratch.take(with_next.len(), d);
-            let mut feat = scratch.take(1, d);
-            for (j, &i) in with_next.iter().enumerate() {
-                let next = batch[i].next_state.as_ref().expect("filtered above");
-                bootstrap
-                    .foundation
-                    .forward_into(&bootstrap.ps, next, &mut feat, scratch);
-                feats.row_mut(j).copy_from_slice(feat.row(0));
-            }
-            let mut qs = scratch.take(with_next.len(), 2);
-            bootstrap
-                .q_head
-                .forward_into(&bootstrap.ps, &feats, &mut qs);
-            for (j, &i) in with_next.iter().enumerate() {
-                targets[i] += self.cfg.gamma * qs.get(j, 0).max(qs.get(j, 1));
-            }
-            scratch.give(qs);
-            scratch.give(feat);
-            scratch.give(feats);
-            targets
-        }
-
         fn train_batch_scalar(&mut self, batch: &[&Experience]) -> f32 {
             assert!(!batch.is_empty(), "empty training batch");
-            let targets = self.batch_targets(batch);
             let delta = self.cfg.huber_delta;
             let net = &self.net;
             // Per-sample passes in parallel; gradients folded in batch
             // order, so the floating-point merge order is deterministic.
             let per_sample: Vec<(f32, Grads)> = batch
                 .par_iter()
-                .enumerate()
-                .map(|(i, e)| {
+                .map(|e| {
                     let (q, cache) = net.q_forward(&e.state);
                     let pred = Matrix::row_vector(vec![q[e.action]]);
-                    let tgt = Matrix::row_vector(vec![targets[i]]);
+                    let tgt = Matrix::row_vector(vec![e.reward]);
                     let (loss, dl) = huber(&pred, &tgt, delta);
                     let mut dq = [0.0f32; 2];
                     dq[e.action] = dl.get(0, 0);
@@ -640,19 +510,13 @@ mod tests {
         }
     }
 
-    /// `n` experiences over `2 × 3` states: a mix of terminal and
-    /// bootstrapped transitions.
+    /// `n` experiences over `2 × 3` states, both actions, random rewards.
     fn make_batch(rng: &mut StdRng, n: usize) -> Vec<Experience> {
         (0..n)
             .map(|i| {
                 let state = Matrix::xavier(2, 3, rng);
-                let action = i % 2;
                 let reward = rng.gen::<f32>() - 0.5;
-                if i % 3 == 0 {
-                    Experience::terminal(state, action, reward)
-                } else {
-                    Experience::step(state, action, reward, Matrix::xavier(2, 3, rng))
-                }
+                Experience::terminal(state, i % 2, reward)
             })
             .collect()
     }
@@ -665,7 +529,7 @@ mod tests {
         let mut state = env.reset();
         for _ in 0..n {
             let action = rng.gen_range(0..2);
-            let (next, reward, _) = env.step(action);
+            let (next, reward) = env.step(action);
             rb.push(Experience::terminal(state, action, reward));
             state = next;
         }
@@ -710,32 +574,25 @@ mod tests {
 
     #[test]
     fn import_state_refuses_a_misfitting_snapshot_before_installing_anything() {
-        // A trained agent's snapshot: weights, target, both Adam moments.
+        // A trained agent's snapshot: weights and both Adam moments.
         let mut src = DqnAgent::new(tiny_net(3), DqnConfig::default());
         let rb = bandit_buffer(1, 64);
         src.train_batch(&rb.sample(&mut StdRng::seed_from_u64(2), 16));
         let good = src.export_state();
-        assert!(good.target_params.is_some() && good.opt_m.iter().any(Option::is_some));
+        assert!(good.opt_m.iter().any(Option::is_some));
         let fresh = || DqnAgent::new(tiny_net(4), DqnConfig::default());
         let untouched = fresh().export_state();
 
         let mut bad_param = good.clone();
         bad_param.net_params[1] = Matrix::zeros(1, 1);
-        let mut bad_target = good.clone();
-        bad_target.target_params.as_mut().unwrap().pop();
         let mut bad_moment = good.clone();
         *bad_moment.opt_v.last_mut().unwrap() = Some(Matrix::zeros(9, 9));
-        for (bad, names) in [
-            (bad_param, "parameter `"),
-            (bad_target, "target parameters"),
-            (bad_moment, "Adam moment `"),
-        ] {
+        for (bad, names) in [(bad_param, "parameter `"), (bad_moment, "Adam moment `")] {
             let mut dst = fresh();
             let err = dst.import_state(bad).unwrap_err();
             assert!(err.saved.contains(names), "{err}");
             let after = dst.export_state();
             assert_eq!(after.net_params, untouched.net_params, "{names}");
-            assert_eq!(after.target_params, untouched.target_params, "{names}");
             assert_eq!((after.opt_t, after.train_steps), (0, 0), "{names}");
         }
         let mut dst = fresh();
@@ -744,83 +601,16 @@ mod tests {
     }
 
     #[test]
-    fn bootstraps_through_the_chain() {
-        // Chain of 4: reward only at the end; Q must propagate backwards.
-        let net = DualHeadNet::new(DualHeadConfig {
-            foundation: FoundationKind::Transformer,
-            transformer: TransformerConfig {
-                input_dim: 4,
-                seq_len: 1,
-                d_model: 8,
-                heads: 2,
-                layers: 1,
-                ff_mult: 2,
-            },
-            action_encoding: ActionEncoding::TwoHead,
-            freeze_foundation: false,
-            seed: 9,
-        });
-        let mut agent = DqnAgent::new(
-            net,
-            DqnConfig {
-                gamma: 0.9,
-                lr: 3e-3,
-                target_sync: 50,
-                ..DqnConfig::default()
-            },
-        );
-        // Random-policy experience.
-        let mut env = Chain::new(4);
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut rb = ReplayBuffer::new(2048);
-        let mut state = env.reset();
-        for _ in 0..2000 {
-            let action = rng.gen_range(0..2);
-            let (next, reward, done) = env.step(action);
-            if done {
-                rb.push(Experience::terminal(state, action, reward));
-            } else {
-                rb.push(Experience::step(state, action, reward, next.clone()));
-            }
-            state = if done { env.reset() } else { next };
-        }
-        // 600 updates gives convergence headroom across RNG streams (the
-        // vendored StdRng draws a different sequence than upstream rand).
-        for _ in 0..600 {
-            let batch = rb.sample(&mut rng, 32);
-            agent.train_batch(&batch);
-        }
-        // Greedy policy must walk the chain to the reward.
-        let mut env = Chain::new(4);
-        let mut s = env.reset();
-        let mut total = 0.0;
-        for _ in 0..10 {
-            let (next, reward, done) = env.step(agent.act_greedy(&s));
-            total += reward;
-            s = next;
-            if done {
-                break;
-            }
-        }
-        assert!(total > 0.9, "greedy policy should reach the chain end");
-    }
-
-    #[test]
     fn dqn_batched_update_matches_scalar_reference_bitwise() {
         // The batched row-stacked update must equal the per-sample oracle
         // bit for bit — losses and every parameter, across foundation
         // kinds, over sequential updates (retained caches must never go
-        // stale) with bootstrapped samples and a mid-sequence target sync.
+        // stale).
         for kind in [
             FoundationKind::Transformer,
             FoundationKind::MoE { experts: 2 },
         ] {
-            let cfg = DqnConfig {
-                gamma: 0.9,
-                target_sync: 2,
-                ..DqnConfig::default()
-            };
-            let mut batched = DqnAgent::new(tiny_net_of(kind, 7), cfg);
+            let mut batched = DqnAgent::new(tiny_net_of(kind, 7), DqnConfig::default());
             let mut scalar = batched.clone();
             let mut rng = StdRng::seed_from_u64(11);
             for step in 0..3 {
@@ -836,41 +626,6 @@ mod tests {
                 assert_nets_bitwise_eq(&batched.net, &scalar.net, &format!("{kind:?} step {step}"));
             }
         }
-    }
-
-    #[test]
-    fn gamma_and_target_network_are_inert_on_terminal_batches() {
-        // Production replay holds terminal samples only, so neither γ nor
-        // the target network may reach an update: an agent with both
-        // trains bit-identically to one with neither, across three target
-        // syncs and beyond.
-        let bootstrapping = DqnConfig {
-            gamma: 0.9,
-            target_sync: 2,
-            ..DqnConfig::default()
-        };
-        let plain = DqnConfig {
-            gamma: 0.0,
-            target_sync: 0,
-            ..DqnConfig::default()
-        };
-        let mut with = DqnAgent::new(tiny_net(29), bootstrapping);
-        let mut without = DqnAgent::new(tiny_net(29), plain);
-        let rb = bandit_buffer(30, 64);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut mb = MiniBatch::new();
-        let updates = 3 * bootstrapping.target_sync + 1;
-        for step in 0..updates {
-            rb.sample_minibatch(&mut rng, 8, &mut mb);
-            assert!(mb.next_idx.is_empty(), "terminal-only batch");
-            let lw = with.train_minibatch(&mb);
-            let lo = without.train_minibatch(&mb);
-            assert_eq!(lw.to_bits(), lo.to_bits(), "step {step}: loss");
-            assert_nets_bitwise_eq(&with.net, &without.net, &format!("step {step}"));
-        }
-        let (w, o) = (with.export_state(), without.export_state());
-        assert_eq!((w.train_steps, o.train_steps), (updates, updates));
-        assert!(w.target_params.is_some() && o.target_params.is_none());
     }
 
     #[test]
@@ -1008,6 +763,6 @@ mod tests {
             .map(|_| agent.train_batch(&rb.sample(&mut rng, 16)))
             .sum::<f32>()
             / 5.0;
-        assert!(last < first, "TD loss should drop: {first:.4} → {last:.4}");
+        assert!(last < first, "loss should drop: {first:.4} → {last:.4}");
     }
 }

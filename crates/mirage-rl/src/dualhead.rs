@@ -116,7 +116,7 @@ impl std::error::Error for StateMismatch {}
 /// Checks one series of snapshot matrices, by parameter position,
 /// against `ps`: same count, and every present matrix the shape of the
 /// parameter at its position (`None` is an Adam moment not allocated yet).
-pub(crate) fn check_fits<'a>(
+fn check_fits<'a>(
     ps: &ParamSet,
     what: &str,
     saved: impl ExactSizeIterator<Item = Option<&'a Matrix>>,
@@ -631,13 +631,6 @@ impl DualHeadNet {
                 scratch,
             );
         }
-    }
-
-    /// Greedy action under the Q function (allocating compatibility
-    /// wrapper; the agents use [`DualHeadNet::q_values`] with a scratch).
-    pub fn greedy_action(&self, state: &Matrix) -> usize {
-        let (q, _) = self.q_forward(state);
-        crate::greedy_pair(q)
     }
 
     /// Action probabilities under the policy head.

@@ -1,6 +1,6 @@
-//! Toy environments for the agent unit tests (compiled only under
+//! A toy environment for the agent unit tests (compiled only under
 //! `cfg(test)`). States are small matrices, actions are `0` / `1`, and
-//! `step` returns `(next state, reward, done)`.
+//! `step` returns `(next state, reward)`.
 
 use mirage_nn::Matrix;
 use rand::rngs::StdRng;
@@ -40,74 +40,18 @@ impl SignBandit {
 
     /// ±1 for the (in)correct action; every step ends the episode and
     /// draws the next state.
-    pub fn step(&mut self, action: usize) -> (Matrix, f32, bool) {
+    pub fn step(&mut self, action: usize) -> (Matrix, f32) {
         let reward = if action == self.correct_action() {
             1.0
         } else {
             -1.0
         };
-        (self.reset(), reward, true)
-    }
-}
-
-/// Deterministic chain MDP of length `n`: action 1 moves right (reward
-/// 1 at the end), action 0 resets to the start. Tests bootstrapped
-/// credit assignment across steps.
-pub struct Chain {
-    n: usize,
-    pos: usize,
-}
-
-impl Chain {
-    pub fn new(n: usize) -> Self {
-        Self { n, pos: 0 }
-    }
-
-    fn encode(&self) -> Matrix {
-        Matrix::from_fn(1, self.n, |_, c| if c == self.pos { 1.0 } else { 0.0 })
-    }
-
-    /// Back to the start; returns the start state.
-    pub fn reset(&mut self) -> Matrix {
-        self.pos = 0;
-        self.encode()
-    }
-
-    pub fn step(&mut self, action: usize) -> (Matrix, f32, bool) {
-        if action == 1 {
-            self.pos += 1;
-            if self.pos >= self.n - 1 {
-                let s = self.encode();
-                self.pos = 0;
-                return (s, 1.0, true);
-            }
-        } else {
-            self.pos = 0;
-        }
-        (self.encode(), 0.0, false)
+        (self.reset(), reward)
     }
 }
 
 mod tests {
     use super::*;
-
-    #[test]
-    fn chain_rewards_persistent_rightward_policy() {
-        let mut env = Chain::new(5);
-        env.reset();
-        let (mut steps, mut total) = (0, 0.0);
-        loop {
-            let (_, reward, done) = env.step(1);
-            steps += 1;
-            total += reward;
-            if done {
-                break;
-            }
-            assert!(steps < 100, "episode must terminate");
-        }
-        assert_eq!(total, 1.0);
-        assert_eq!(steps, 4, "n−1 steps to the end");
-    }
 
     #[test]
     fn bandit_rewards_match_the_sign_rule() {

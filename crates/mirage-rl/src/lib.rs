@@ -6,8 +6,9 @@
 //! * [`dualhead::DualHeadNet`] — the shared-foundation V-head/P-head
 //!   architecture of Fig 5/6: one foundation pass feeds the Q-, policy
 //!   and reward heads,
-//! * [`dqn::DqnAgent`] — ε-greedy DQN with Huber TD loss and an optional
-//!   target network (§2.2, §4.9.2),
+//! * [`dqn::DqnAgent`] — ε-greedy DQN whose Q-head regresses, under a
+//!   Huber loss, onto each replayed sample's stored reward (§2.2,
+//!   §4.9.2),
 //! * [`pg::PgAgent`] — REINFORCE with moving-average baseline and entropy
 //!   regularization (§2.3, §4.9.2),
 //! * [`offline::pretrain_foundation`] — supervised reward-regression
@@ -43,9 +44,8 @@ pub use schedule::{EpsilonSchedule, ExploreLane};
 /// Greedy action over a `[Q(no-submit), Q(submit)]` (or probability)
 /// pair: act (1) only on a strict improvement, so ties keep the
 /// conservative no-submit action. This is the one shared tie-breaking
-/// rule behind `DqnAgent::act_greedy`, `PgAgent::act_greedy`,
-/// `DualHeadNet::greedy_action` and every batched variant — they can
-/// never diverge on the boundary case.
+/// rule behind `DqnAgent::act_greedy`, `PgAgent::act_greedy` and every
+/// batched variant — they can never diverge on the boundary case.
 #[inline]
 pub fn greedy_pair(v: [f32; 2]) -> usize {
     usize::from(v[1] > v[0])

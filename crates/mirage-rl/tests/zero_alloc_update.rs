@@ -85,27 +85,14 @@ fn steady_state_batched_update_does_not_allocate() {
         freeze_foundation: false,
         seed: 7,
     });
-    let mut agent = DqnAgent::new(
-        net,
-        DqnConfig {
-            gamma: 0.9,
-            // Far enough out that no target-net clone lands inside the
-            // measured window (syncing allocates a fresh network).
-            target_sync: 1000,
-            ..DqnConfig::default()
-        },
-    );
+    let mut agent = DqnAgent::new(net, DqnConfig::default());
 
     let mut rng = StdRng::seed_from_u64(11);
     let batch: Vec<Experience> = (0..8)
         .map(|i| {
             let state = Matrix::xavier(2, 3, &mut rng);
             let reward = rng.gen::<f32>() - 0.5;
-            if i % 3 == 0 {
-                Experience::terminal(state, i % 2, reward)
-            } else {
-                Experience::step(state, i % 2, reward, Matrix::xavier(2, 3, &mut rng))
-            }
+            Experience::terminal(state, i % 2, reward)
         })
         .collect();
     let refs: Vec<&Experience> = batch.iter().collect();

@@ -57,8 +57,9 @@ fn main() {
             shaper,
             offline_episodes: 16,
             online_episodes: 50,
-            // Rewards scale with e_I/e_O; keep the TD loss out of its
-            // saturated (linear) regime so the preference signal survives.
+            // Rewards scale with e_I/e_O; keep the Huber regression of Q
+            // onto them out of its saturated (linear) regime so the
+            // preference signal survives.
             dqn: DqnConfig {
                 huber_delta: 20.0,
                 ..DqnConfig::default()
