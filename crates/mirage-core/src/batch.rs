@@ -18,14 +18,11 @@
 //! single-service surface over it: episodes configured by an
 //! [`EpisodeConfig`], rows addressed by episode index, contexts as
 //! borrowed [`DecisionContext`]s, results as [`EpisodeResult`]s, and the
-//! two policy shapes the single-service stack speaks — greedy serving
-//! through [`BatchPolicy`]/[`BatchedEpisodeDriver::run`], and the §4.9
-//! training loops (`mirage_core::train`) through
+//! policy shape the §4.9 training loops (`mirage_core::train`) speak,
 //! [`LanePolicy`]/[`BatchedEpisodeDriver::run_lanes`], with per-lane
 //! RNG/ε streams that follow their episodes through the narrowing batch.
 
 use mirage_nn::Matrix;
-use mirage_rl::{DqnAgent, PgAgent};
 use mirage_sim::ClusterBackend;
 use mirage_trace::JobRecord;
 
@@ -33,40 +30,10 @@ use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeResult};
 use crate::multiservice::{Lockstep, MultiServiceBatch, MultiServiceConfig};
 use crate::reward::RewardShaper;
 
-/// A policy that answers one decision tick for a whole batch of episodes:
-/// `states` row-stacks `width` state matrices (`width · k` rows), and the
-/// implementation pushes exactly `width` action indices (0 = wait,
-/// 1 = submit) into `actions`, one per block in order.
-///
-/// Implemented by the greedy RL agents (one batched forward per call) and
-/// by plain closures for heuristics and tests.
-pub trait BatchPolicy {
-    /// Decides all `width` episodes of one lockstep tick.
-    fn decide_batch(&mut self, states: &Matrix, width: usize, actions: &mut Vec<usize>);
-}
-
-impl BatchPolicy for DqnAgent {
-    fn decide_batch(&mut self, states: &Matrix, width: usize, actions: &mut Vec<usize>) {
-        self.act_greedy_batch(states, width, actions);
-    }
-}
-
-impl BatchPolicy for PgAgent {
-    fn decide_batch(&mut self, states: &Matrix, width: usize, actions: &mut Vec<usize>) {
-        self.act_greedy_batch(states, width, actions);
-    }
-}
-
-impl<F: FnMut(&Matrix, usize, &mut Vec<usize>)> BatchPolicy for F {
-    fn decide_batch(&mut self, states: &Matrix, width: usize, actions: &mut Vec<usize>) {
-        self(states, width, actions)
-    }
-}
-
 /// A policy deciding one lockstep tick of a training/collection *window*.
 ///
-/// Unlike [`BatchPolicy`] — which sees only the row-stacked states — a
-/// lane policy is handed the whole driver, so it can map batch rows to
+/// The policy is handed the whole driver, so it can read the row-stacked
+/// states ([`BatchedEpisodeDriver::batch_states`]), map batch rows to
 /// window lanes ([`BatchedEpisodeDriver::pending`]) for per-lane RNG and
 /// ε streams that survive the batch narrowing, and inspect each pending
 /// episode's [`DecisionContext`]
@@ -102,9 +69,9 @@ pub trait LanePolicy<B: ClusterBackend> {
 /// 3. [`apply`](Self::apply) records one action per pending episode,
 /// 4. [`finish`](Self::finish) resolves every episode's outcome.
 ///
-/// [`run`](Self::run) wires 2–3 to a [`BatchPolicy`] until no episode is
-/// deciding. The assembled batch and the pending bookkeeping reuse their
-/// buffers, so a steady-state tick allocates nothing.
+/// [`run_lanes`](Self::run_lanes) wires 2–3 to a [`LanePolicy`] until no
+/// episode is deciding. The assembled batch and the pending bookkeeping
+/// reuse their buffers, so a steady-state tick allocates nothing.
 pub struct BatchedEpisodeDriver<B: ClusterBackend> {
     batch: MultiServiceBatch<B>,
     /// Episode indices awaiting an action for the current tick, in batch
@@ -200,32 +167,18 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
         self.pending.clear();
     }
 
-    /// The decision loop for policies that answer in action *indices*
-    /// (the agents' output).
-    fn run_indexed(&mut self, mut decide: impl FnMut(&Self, &mut Vec<usize>)) {
-        let mut indices = Vec::with_capacity(self.width());
-        self.drive(|driver, actions| {
-            indices.clear();
-            decide(driver, &mut indices);
-            actions.extend(indices.iter().map(|&i| Action::from_index(i)));
-        });
-    }
-
-    /// Drives the decision loops to completion: one `decide_batch` (= one
-    /// batched NN forward for the RL agents) per lockstep tick.
-    pub fn run<P: BatchPolicy + ?Sized>(&mut self, policy: &mut P) {
-        self.run_indexed(|driver, actions| {
-            policy.decide_batch(driver.batch_states(), driver.pending.len(), actions);
-        });
-    }
-
-    /// [`run`](Self::run) for training/collection windows: one
+    /// Drives the decision loops to completion: one
     /// [`LanePolicy::decide_lanes`] per lockstep tick, with the driver
     /// itself exposed so the policy can follow its lanes through the
     /// narrowing batch. (`begin_window` is the *collector's* call — it
     /// knows the window's episode ordinals; this loop only ticks.)
     pub fn run_lanes<P: LanePolicy<B> + ?Sized>(&mut self, policy: &mut P) {
-        self.run_indexed(|driver, actions| policy.decide_lanes(driver, actions));
+        let mut indices = Vec::with_capacity(self.width());
+        self.drive(|driver, actions| {
+            indices.clear();
+            policy.decide_lanes(driver, &mut indices);
+            actions.extend(indices.iter().map(|&i| Action::from_index(i)));
+        });
     }
 
     /// Resolves every episode (running each backend until its pair
@@ -253,28 +206,12 @@ impl<B: ClusterBackend> Lockstep for BatchedEpisodeDriver<B> {
     }
 }
 
-/// Convenience wrapper: batches `t0s.len()` episodes across `backends`,
-/// runs `policy` in lockstep and returns the per-episode results —
-/// bit-identical to calling [`crate::episode::run_episode`] once per
-/// `(backend, t0)` with the sequential form of the same policy.
-pub fn run_episodes_batched<B: ClusterBackend, P: BatchPolicy + ?Sized>(
-    backends: impl IntoIterator<Item = B>,
-    trace: &[JobRecord],
-    cfg: &EpisodeConfig,
-    t0s: &[i64],
-    policy: &mut P,
-) -> Vec<EpisodeResult> {
-    let mut driver = BatchedEpisodeDriver::new(backends, trace, cfg, t0s);
-    driver.run(policy);
-    driver.finish().0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::episode::run_episode;
     use crate::state::STATE_VARS;
-    use mirage_rl::{ActionEncoding, DqnConfig, DualHeadConfig, DualHeadNet};
+    use mirage_rl::{ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet};
     use mirage_sim::{BackendPool, SimConfig, Simulator};
     use mirage_trace::{DAY, HOUR, MINUTE};
 
@@ -328,6 +265,31 @@ mod tests {
         )
     }
 
+    /// A closure over the driver as a [`LanePolicy`].
+    struct Lanes<F>(F);
+
+    impl<B, F> LanePolicy<B> for Lanes<F>
+    where
+        B: ClusterBackend,
+        F: FnMut(&BatchedEpisodeDriver<B>, &mut Vec<usize>),
+    {
+        fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>) {
+            (self.0)(driver, actions);
+        }
+    }
+
+    /// Runs one lockstep episode per `(backend, t0)` under `policy`.
+    fn run_batched<B: ClusterBackend>(
+        backends: impl IntoIterator<Item = B>,
+        trace: &[JobRecord],
+        t0s: &[i64],
+        policy: impl FnMut(&BatchedEpisodeDriver<B>, &mut Vec<usize>),
+    ) -> Vec<EpisodeResult> {
+        let mut driver = BatchedEpisodeDriver::new(backends, trace, &small_cfg(), t0s);
+        driver.run_lanes(&mut Lanes(policy));
+        driver.finish().0
+    }
+
     #[test]
     fn lockstep_batch_matches_sequential_episodes() {
         // The headline bit-identity claim at the episode level: N
@@ -351,7 +313,10 @@ mod tests {
 
         let mut batch_agent = dqn_agent();
         let backends = (0..t0s.len()).map(|_| Simulator::new(SimConfig::new(4)));
-        let batched = run_episodes_batched(backends, &trace, &cfg, &t0s, &mut batch_agent);
+        let batched = run_batched(backends, &trace, &t0s, |driver, actions| {
+            let width = driver.pending().len();
+            batch_agent.act_greedy_batch(driver.batch_states(), width, actions);
+        });
 
         assert_eq!(batched.len(), sequential.len());
         for (b, s) in batched.iter().zip(&sequential) {
@@ -369,16 +334,14 @@ mod tests {
 
     #[test]
     fn closure_policies_and_pool_built_backends_compose() {
-        // A heuristic closure over the raw batch, against BackendPool-
+        // A heuristic closure over the pending rows, against BackendPool-
         // constructed backends; every episode must resolve.
-        let cfg = small_cfg();
         let t0s = [DAY, DAY + HOUR];
         let pool = BackendPool::with_seed(|_seed: u64| Simulator::new(SimConfig::new(4)), 2, 0);
-        let mut submit_after = |_: &Matrix, width: usize, actions: &mut Vec<usize>| {
-            actions.extend(std::iter::repeat_n(1usize, width));
-        };
         let backends = pool.build_range(0, t0s.len());
-        let results = run_episodes_batched(backends, &[], &cfg, &t0s, &mut submit_after);
+        let results = run_batched(backends, &[], &t0s, |driver, actions| {
+            actions.extend(std::iter::repeat_n(1usize, driver.pending().len()));
+        });
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.submitted_by_policy);

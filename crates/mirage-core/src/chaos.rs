@@ -20,7 +20,7 @@ use mirage_trace::JobRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::episode::EpisodeConfig;
-use crate::eval::sweep_lane;
+use crate::eval::{sweep_lane, LaneMethodSummary};
 use crate::policy::ProvisionPolicy;
 use crate::reward::RewardShaper;
 use crate::train::sample_episode_starts;
@@ -97,29 +97,6 @@ impl Default for ChaosConfig {
     }
 }
 
-/// One method's aggregate at one severity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosMethodSummary {
-    /// Method label.
-    pub method: String,
-    /// Episodes aggregated.
-    pub episodes: usize,
-    /// Mean shaped reward (0 is optimal; more negative = worse).
-    pub mean_reward: f64,
-    /// Mean total interruption — hand-off gap plus fault downtime, hours.
-    pub avg_interruption_h: f64,
-    /// Mean fault-caused downtime alone, hours.
-    pub avg_fault_interruption_h: f64,
-    /// Fraction of episodes with zero interruption of either kind.
-    pub zero_interruption_frac: f64,
-    /// Total guard fallbacks across the lane's episodes: decisions
-    /// where a guarded policy's network emitted a non-finite or
-    /// degenerate output and degraded to the heuristic. Non-zero means
-    /// the method survived this lane on its fallback, not its network.
-    #[serde(default)]
-    pub guard_fallbacks: u64,
-}
-
 /// One severity's lane: per-method summaries plus the fault totals the
 /// tape actually inflicted (summed over every episode run).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -127,7 +104,7 @@ pub struct ChaosLane {
     /// Severity of this lane.
     pub severity: ChaosSeverity,
     /// Per-method aggregates (evaluation order).
-    pub methods: Vec<ChaosMethodSummary>,
+    pub methods: Vec<LaneMethodSummary>,
     /// Fault counters summed across all methods × episodes.
     pub faults: FaultStats,
 }
@@ -149,7 +126,7 @@ impl ChaosReport {
     }
 
     /// One method's summary at one severity.
-    pub fn summary(&self, severity: ChaosSeverity, method: &str) -> &ChaosMethodSummary {
+    pub fn summary(&self, severity: ChaosSeverity, method: &str) -> &LaneMethodSummary {
         self.lane(severity)
             .methods
             .iter()
@@ -184,7 +161,7 @@ pub fn evaluate_chaos(
             .faults(severity.fault_model(cfg.fault_seed))
             .retry(cfg.retry)
             .build();
-        let (accums, faults) = sweep_lane(
+        let (summaries, faults) = sweep_lane(
             methods,
             &mut backend,
             trace,
@@ -193,18 +170,6 @@ pub fn evaluate_chaos(
             &cfg.shaper,
             |b| b.fault_stats(),
         );
-        let summaries = accums
-            .into_iter()
-            .map(|acc| ChaosMethodSummary {
-                episodes: acc.episodes,
-                mean_reward: acc.mean(acc.reward),
-                avg_interruption_h: acc.mean(acc.interruption_h),
-                avg_fault_interruption_h: acc.mean(acc.fault_h),
-                zero_interruption_frac: acc.mean(acc.zero as f64),
-                guard_fallbacks: acc.guard_fallbacks,
-                method: acc.method,
-            })
-            .collect();
         lanes.push(ChaosLane {
             severity,
             methods: summaries,

@@ -362,29 +362,6 @@ impl<B: ClusterBackend> EpisodeDriver<B> {
     {
         self.env.restore_from(&source.env);
     }
-
-    /// The backend the driver runs on.
-    pub(crate) fn backend(&self) -> &B {
-        self.env.backend()
-    }
-
-    /// Drives the decision loop with `decide` and resolves the outcome,
-    /// leaving the driver resolved (to be dropped or restored):
-    /// [`run_episode`] on a driver that is already warm.
-    pub(crate) fn play(
-        &mut self,
-        mut decide: impl FnMut(&DecisionContext) -> Action,
-    ) -> EpisodeResult {
-        // The context borrows the driver's buffers, so the decision is
-        // taken before `apply` re-borrows the driver mutably.
-        while let Some(ctx) = self.advance() {
-            let action = decide(&ctx);
-            if self.apply(action) {
-                break;
-            }
-        }
-        self.env.resolve().services.remove(0).into()
-    }
 }
 
 /// Runs one episode on any backend. `trace` is the background workload
@@ -399,7 +376,9 @@ pub fn run_episode<B: ClusterBackend>(
     t0: i64,
     decide: impl FnMut(&DecisionContext) -> Action,
 ) -> EpisodeResult {
-    EpisodeDriver::new(backend, trace, cfg, t0).play(decide)
+    EpisodeDriver::new(backend, trace, cfg, t0)
+        .env
+        .play_single(decide)
 }
 
 #[cfg(test)]

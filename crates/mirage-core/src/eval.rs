@@ -15,14 +15,17 @@
 //!
 //! Until a policy acts, every method's episode at one start is the same
 //! bytes: the backend reset, the trace window loaded, the warm-up replay,
-//! the history window and the predecessor submission. So [`evaluate`] —
-//! and the chaos and hetero lanes, through the sweep they share — warm
-//! each start **once**, on the caller's backend, and run every method
-//! (the implicit reactive run included) on a working
-//! [`EpisodeDriver`] restored from that warm one
-//! ([`EpisodeDriver::restore_from`]): one warm-up per start instead of
-//! one per method, and every report bit-identical to re-warming per
-//! method.
+//! the history window and the predecessor submission. So one loop here
+//! warms each start **once** and runs every method (the implicit reactive
+//! run included) on a working [`MultiServiceEnv`] restored from that warm
+//! one: one warm-up per start instead of one per method, and every report
+//! bit-identical to re-warming per method. It has four callers:
+//! [`evaluate`], the chaos and hetero lanes
+//! ([`crate::chaos::evaluate_chaos`], [`crate::hetero::evaluate_hetero`],
+//! through the sweep they share), and
+//! [`crate::multiservice::evaluate_multiservice`]. Single-service methods
+//! decide through the engine's N = 1 decision context, exactly as through
+//! [`EpisodeDriver`](crate::episode::EpisodeDriver).
 
 use std::ops::AddAssign;
 
@@ -30,8 +33,9 @@ use mirage_sim::ClusterBackend;
 use mirage_trace::{JobRecord, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{Action, EpisodeConfig, EpisodeDriver, EpisodeResult};
-use crate::policy::ProvisionPolicy;
+use crate::episode::{EpisodeConfig, EpisodeResult};
+use crate::multiservice::{MultiServiceConfig, MultiServiceEnv};
+use crate::policy::{ProvisionPolicy, ReactivePolicy};
 use crate::reward::{EpisodeOutcome, RewardShaper};
 use crate::train::{episode_window, sample_episode_starts};
 
@@ -137,13 +141,13 @@ pub struct EvalConfig {
 /// Runs every method over the same sampled validation episodes, on any
 /// [`ClusterBackend`] that can be forked.
 ///
-/// Each start is warmed once, on `backend` ([`EpisodeDriver::new`]:
-/// reset, trace window, warm-up replay, history, predecessor), and every
-/// method runs on a working driver restored from that warm one. The
-/// working driver owns a clone of the backend, made at the first restore
-/// and reused by every later one, so one value hosts the whole
-/// evaluation and forking costs one more backend's memory. The report is
-/// bit-identical to re-warming the backend for every method.
+/// Each start is warmed once, on `backend` (reset, trace window, warm-up
+/// replay, history, predecessor), and every method runs on a working
+/// engine restored from that warm one. The working engine owns a clone of
+/// the backend, made at the first restore and reused by every later one,
+/// so one value hosts the whole evaluation and forking costs one more
+/// backend's memory. The report is bit-identical to re-warming the
+/// backend for every method.
 ///
 /// The first method should be the reactive baseline; its successor wait
 /// classifies each episode's load level. (If it is not, the reactive wait
@@ -157,110 +161,125 @@ pub fn evaluate<B: ClusterBackend + Clone>(
 ) -> EvalReport {
     let starts = sample_episode_starts(range.0, range.1, &cfg.episode, cfg.n_episodes, cfg.seed);
     let method_names: Vec<String> = methods.iter().map(|m| m.name()).collect();
-    let reactive_idx = method_names.iter().position(|n| n == "reactive");
-
-    let mut working = None;
-    let mut episodes = Vec::with_capacity(starts.len());
-    for &t0 in &starts {
-        let warm = warm_start(backend, trace, &cfg.episode, t0);
-        let mut outcomes: Vec<MethodOutcome> = Vec::with_capacity(methods.len());
-        for m in methods.iter_mut() {
-            let result = play_method(m.as_mut(), restored(&mut working, &warm));
-            outcomes.push(MethodOutcome {
-                method: m.name(),
-                outcome: result.outcome,
-                proactive: result.submitted_by_policy,
-            });
-        }
-        let reactive_wait = match reactive_idx {
-            Some(i) => outcomes[i].outcome.interruption,
-            None => {
-                let work = restored(&mut working, &warm);
-                work.play(|_| Action::Wait).outcome.interruption
-            }
-        };
-        episodes.push(EpisodeRecord {
-            t0,
-            load: LoadLevel::classify(reactive_wait),
-            reactive_wait,
-            methods: outcomes,
-        });
+    let n = methods.len();
+    let reactive = method_names.iter().position(|m| m == "reactive");
+    let mut implicit = ReactivePolicy;
+    let mut runs: Vec<&mut dyn ProvisionPolicy> = methods.iter_mut().map(|m| m.as_mut()).collect();
+    if reactive.is_none() {
+        runs.push(&mut implicit);
     }
+
+    let mut results = Vec::with_capacity(starts.len() * runs.len());
+    let single = MultiServiceConfig::single(&cfg.episode, RewardShaper::default());
+    let window = |t0| episode_window(trace, t0, &cfg.episode);
+    warm_once(
+        std::slice::from_mut(backend),
+        &starts,
+        window,
+        &single,
+        &mut runs,
+        |_, m, work| results.push(play_method(&mut **m, work)),
+    );
+
+    let episodes = starts
+        .iter()
+        .zip(results.chunks(runs.len()))
+        .map(|(&t0, results)| {
+            let reactive_wait = results[reactive.unwrap_or(n)].outcome.interruption;
+            let methods = results[..n].iter().zip(&method_names);
+            EpisodeRecord {
+                t0,
+                load: LoadLevel::classify(reactive_wait),
+                reactive_wait,
+                methods: methods
+                    .map(|(r, name)| MethodOutcome {
+                        method: name.clone(),
+                        outcome: r.outcome,
+                        proactive: r.submitted_by_policy,
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
     EvalReport {
         episodes,
         method_names,
     }
 }
 
-/// The driver every method's episode at `t0` starts from: `backend`
-/// reset, `t0`'s trace window replayed through the warm-up, the
-/// predecessor submitted. Decision recording is off: the reports keep
-/// outcomes, not trajectories.
-fn warm_start<'b, B: ClusterBackend>(
-    backend: &'b mut B,
-    trace: &[JobRecord],
-    episode: &EpisodeConfig,
-    t0: i64,
-) -> EpisodeDriver<&'b mut B> {
-    let window = episode_window(trace, t0, episode);
-    let mut warm = EpisodeDriver::new(backend, window, episode, t0);
-    warm.set_record_decisions(false);
-    warm
-}
-
-/// The working driver, restored from `warm` (forked from it on first
-/// use).
-fn restored<'w, B: ClusterBackend + Clone>(
-    working: &'w mut Option<EpisodeDriver<B>>,
-    warm: &EpisodeDriver<&mut B>,
-) -> &'w mut EpisodeDriver<B> {
-    if let Some(work) = working {
-        work.restore_from(warm);
+/// The one evaluation loop. For each start `starts[i]`, warms the episode
+/// `cfg` describes once on `hosts[i % hosts.len()]`, replaying
+/// `window(t0)` (so one host serves every start, or `n` hosts serve `n`
+/// starts one each), then runs every method on a working engine restored
+/// from that warm one: `play(j, &mut methods[j], work)`. The working
+/// engine owns a clone of a host, made at the first restore and reused by
+/// every later one. Decision recording is off: the reports keep outcomes,
+/// not trajectories.
+pub(crate) fn warm_once<'t, B: ClusterBackend + Clone, M>(
+    hosts: &mut [B],
+    starts: &[i64],
+    window: impl Fn(i64) -> &'t [JobRecord],
+    cfg: &MultiServiceConfig,
+    methods: &mut [M],
+    mut play: impl FnMut(usize, &mut M, &mut MultiServiceEnv<B>),
+) {
+    let mut working: Option<MultiServiceEnv<B>> = None;
+    for (i, &t0) in starts.iter().enumerate() {
+        let host = &mut hosts[i % hosts.len()];
+        let mut warm = MultiServiceEnv::new(host, window(t0), cfg, t0);
+        warm.set_record_decisions(false);
+        for (j, m) in methods.iter_mut().enumerate() {
+            if let Some(work) = &mut working {
+                work.restore_from(&warm);
+            }
+            play(j, m, working.get_or_insert_with(|| warm.fork()));
+        }
     }
-    working.get_or_insert_with(|| warm.fork())
 }
 
-/// One method's episode on `work`, a restore of the start's warm driver:
-/// resets the policy, runs it, and stamps the episode's guard-fallback
-/// delta into the outcome (non-zero only when a guarded policy's network
-/// emitted garbage this episode).
+/// One single-service method's episode on `work`, a restore of the
+/// start's warm engine: resets the policy, runs it, and stamps the
+/// episode's guard-fallback delta into the outcome (non-zero only when a
+/// guarded policy's network emitted garbage this episode).
 fn play_method<B: ClusterBackend>(
     method: &mut dyn ProvisionPolicy,
-    work: &mut EpisodeDriver<B>,
+    work: &mut MultiServiceEnv<B>,
 ) -> EpisodeResult {
     method.reset();
     let fallbacks_before = method.guard_fallbacks();
-    let mut result = work.play(|ctx| method.decide(ctx));
+    let mut result = work.play_single(|ctx| method.decide(ctx));
     result.outcome.guard_fallbacks = method.guard_fallbacks() - fallbacks_before;
     result
 }
 
-/// One method's running sums across a scenario lane's episodes.
-#[derive(Default)]
-pub(crate) struct LaneAccum {
+/// One method's aggregate over one scenario lane (a chaos severity or a
+/// hetero pool scenario).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct LaneMethodSummary {
+    /// Method label.
     pub method: String,
-    pub reward: f64,
-    /// Hand-off gap plus fault downtime, hours.
-    pub interruption_h: f64,
-    /// Fault downtime alone, hours.
-    pub fault_h: f64,
-    pub zero: usize,
+    /// Episodes aggregated.
     pub episodes: usize,
+    /// Mean shaped reward (0 is optimal; more negative = worse).
+    pub mean_reward: f64,
+    /// Mean total interruption — hand-off gap plus fault downtime, hours.
+    pub avg_interruption_h: f64,
+    /// Mean fault-caused downtime alone, hours.
+    pub avg_fault_interruption_h: f64,
+    /// Fraction of episodes with zero interruption of either kind.
+    pub zero_interruption_frac: f64,
+    /// Total guard fallbacks across the lane's episodes: decisions
+    /// where a guarded policy's network emitted a non-finite or
+    /// degenerate output and degraded to the heuristic. Non-zero means
+    /// the method survived this lane on its fallback, not its network.
+    #[serde(default)]
     pub guard_fallbacks: u64,
 }
 
-impl LaneAccum {
-    /// `sum` averaged over the lane's episodes.
-    pub fn mean(&self, sum: f64) -> f64 {
-        sum / self.episodes.max(1) as f64
-    }
-}
-
-/// The sweep body the chaos and hetero lanes share: every method over
-/// the same `starts`, each start warmed once on `backend` and every
-/// method run on a restore of that warm driver (as in [`evaluate`]), so
-/// every run sees the identical seeded tape; accumulates per-method sums
-/// and the backend counters `stats` reads after each run.
+/// The sweep the chaos and hetero lanes share: every method over the same
+/// `starts` through [`warm_once`] on `backend`, so every run sees the
+/// identical seeded tape. Returns each method's summary and the sum of
+/// the backend counters `stats` reads after each run.
 pub(crate) fn sweep_lane<B: ClusterBackend + Clone, S: Default + AddAssign>(
     methods: &mut [Box<dyn ProvisionPolicy>],
     backend: &mut B,
@@ -269,33 +288,40 @@ pub(crate) fn sweep_lane<B: ClusterBackend + Clone, S: Default + AddAssign>(
     episode: &EpisodeConfig,
     shaper: &RewardShaper,
     stats: impl Fn(&B) -> S,
-) -> (Vec<LaneAccum>, S) {
-    let mut accums: Vec<LaneAccum> = methods
+) -> (Vec<LaneMethodSummary>, S) {
+    let mut summaries: Vec<LaneMethodSummary> = methods
         .iter()
-        .map(|m| LaneAccum {
+        .map(|m| LaneMethodSummary {
             method: m.name(),
-            ..LaneAccum::default()
+            ..LaneMethodSummary::default()
         })
         .collect();
     let mut totals = S::default();
-    let mut working = None;
-    for &t0 in starts {
-        let warm = warm_start(backend, trace, episode, t0);
-        for (m, acc) in methods.iter_mut().zip(&mut accums) {
-            let work = restored(&mut working, &warm);
-            let o = play_method(m.as_mut(), work).outcome;
-            // The run started from the warm-up's state, reset included,
-            // so the counters reflect exactly this run.
-            totals += stats(work.backend());
-            acc.guard_fallbacks += o.guard_fallbacks;
-            acc.reward += f64::from(shaper.reward(&o));
-            acc.interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
-            acc.fault_h += o.fault_interruption as f64 / 3600.0;
-            acc.zero += usize::from(o.zero_interruption());
-            acc.episodes += 1;
-        }
+    let single = MultiServiceConfig::single(episode, RewardShaper::default());
+    let window = |t0| episode_window(trace, t0, episode);
+    let hosts = std::slice::from_mut(backend);
+    warm_once(hosts, starts, window, &single, methods, |j, m, work| {
+        let o = play_method(m.as_mut(), work).outcome;
+        // The run started from the warm-up's state, reset included, so
+        // the counters reflect exactly this run.
+        totals += stats(work.backend());
+        let s = &mut summaries[j];
+        s.episodes += 1;
+        s.mean_reward += f64::from(shaper.reward(&o));
+        s.avg_interruption_h += (o.interruption + o.fault_interruption) as f64 / 3600.0;
+        s.avg_fault_interruption_h += o.fault_interruption as f64 / 3600.0;
+        s.zero_interruption_frac += f64::from(u8::from(o.zero_interruption()));
+        s.guard_fallbacks += o.guard_fallbacks;
+    });
+    // The sums become means.
+    for s in &mut summaries {
+        let n = s.episodes.max(1) as f64;
+        s.mean_reward /= n;
+        s.avg_interruption_h /= n;
+        s.avg_fault_interruption_h /= n;
+        s.zero_interruption_frac /= n;
     }
-    (accums, totals)
+    (summaries, totals)
 }
 
 impl EvalReport {

@@ -21,7 +21,7 @@ use mirage_trace::JobRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::episode::EpisodeConfig;
-use crate::eval::sweep_lane;
+use crate::eval::{sweep_lane, LaneMethodSummary};
 use crate::policy::ProvisionPolicy;
 use crate::reward::RewardShaper;
 use crate::train::sample_episode_starts;
@@ -95,25 +95,6 @@ impl Default for HeteroConfig {
     }
 }
 
-/// One method's aggregate in one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HeteroMethodSummary {
-    /// Method label.
-    pub method: String,
-    /// Episodes aggregated.
-    pub episodes: usize,
-    /// Mean shaped reward (0 is optimal; more negative = worse).
-    pub mean_reward: f64,
-    /// Mean interruption (hand-off gap plus any fault downtime), hours.
-    pub avg_interruption_h: f64,
-    /// Fraction of episodes with zero interruption.
-    pub zero_interruption_frac: f64,
-    /// Total guard fallbacks across the lane's episodes (see
-    /// [`crate::chaos::ChaosMethodSummary::guard_fallbacks`]).
-    #[serde(default)]
-    pub guard_fallbacks: u64,
-}
-
 /// One scenario's lane: per-method summaries plus the placement totals
 /// the pool model actually inflicted (summed over every episode run).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -121,7 +102,7 @@ pub struct HeteroLane {
     /// Scenario of this lane.
     pub scenario: HeteroScenario,
     /// Per-method aggregates (evaluation order).
-    pub methods: Vec<HeteroMethodSummary>,
+    pub methods: Vec<LaneMethodSummary>,
     /// Placement counters summed across all methods × episodes.
     pub hetero: HeteroStats,
 }
@@ -143,7 +124,7 @@ impl HeteroReport {
     }
 
     /// One method's summary in one scenario.
-    pub fn summary(&self, scenario: HeteroScenario, method: &str) -> &HeteroMethodSummary {
+    pub fn summary(&self, scenario: HeteroScenario, method: &str) -> &LaneMethodSummary {
         self.lane(scenario)
             .methods
             .iter()
@@ -178,7 +159,7 @@ pub fn evaluate_hetero(
             .nodes(cfg.nodes)
             .hetero(scenario.model(cfg.nodes, cfg.hetero_seed))
             .build();
-        let (accums, hetero) = sweep_lane(
+        let (summaries, hetero) = sweep_lane(
             methods,
             &mut backend,
             trace,
@@ -187,17 +168,6 @@ pub fn evaluate_hetero(
             &cfg.shaper,
             |b| b.hetero_stats(),
         );
-        let summaries = accums
-            .into_iter()
-            .map(|acc| HeteroMethodSummary {
-                episodes: acc.episodes,
-                mean_reward: acc.mean(acc.reward),
-                avg_interruption_h: acc.mean(acc.interruption_h),
-                zero_interruption_frac: acc.mean(acc.zero as f64),
-                guard_fallbacks: acc.guard_fallbacks,
-                method: acc.method,
-            })
-            .collect();
         lanes.push(HeteroLane {
             scenario,
             methods: summaries,

@@ -63,8 +63,7 @@
 //! * [`batch`] — lockstep single-service episodes
 //!   ([`batch::BatchedEpisodeDriver`]): the N = 1-service view of the
 //!   lockstep driver, adding episode-indexed rows and the
-//!   [`batch::BatchPolicy`] / [`batch::LanePolicy`] shapes serving and
-//!   training speak,
+//!   [`batch::LanePolicy`] shape the training loops speak,
 //! * [`policy`] — the eight §6 methods behind one trait,
 //! * [`features`] — compact features for the ensemble baselines,
 //! * [`train`] — §4.9 offline collection + foundation pretraining +
@@ -74,7 +73,9 @@
 //!   window through the batched engine
 //!   ([`trainloop::BatchedCollector`]),
 //! * [`eval`] — the §6 evaluation harness (load levels, zero-interruption
-//!   fractions, reduction vs reactive),
+//!   fractions, reduction vs reactive) and the one warm-once,
+//!   restore-per-method loop it, the chaos and hetero lanes and
+//!   [`multiservice::evaluate_multiservice`] all run on,
 //! * [`chaos`] — degradation under fault injection: RL vs heuristics on
 //!   identically seeded crash tapes across a none/moderate/severe sweep,
 //! * [`hetero`] — heterogeneous-cluster evaluation: RL vs the classic
@@ -102,11 +103,9 @@ pub mod state;
 pub mod train;
 pub mod trainloop;
 
-pub use batch::{run_episodes_batched, BatchPolicy, BatchedEpisodeDriver, LanePolicy};
+pub use batch::{BatchedEpisodeDriver, LanePolicy};
 pub use chain::{chain_stretch, provision_chain, ChainResult, ChainSummary};
-pub use chaos::{
-    evaluate_chaos, ChaosConfig, ChaosLane, ChaosMethodSummary, ChaosReport, ChaosSeverity,
-};
+pub use chaos::{evaluate_chaos, ChaosConfig, ChaosLane, ChaosReport, ChaosSeverity};
 pub use checkpoint::{
     CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError, KIND_DQN_TRAIN,
     KIND_PG_TRAIN,
@@ -115,10 +114,9 @@ pub use episode::{
     run_episode, Action, DecisionContext, EpisodeConfig, EpisodeConfigError, EpisodeDriver,
     EpisodeResult,
 };
-pub use eval::{evaluate, EvalConfig, EvalReport, LoadLevel, MethodSummary};
+pub use eval::{evaluate, EvalConfig, EvalReport, LaneMethodSummary, LoadLevel, MethodSummary};
 pub use hetero::{
-    classic_baselines, evaluate_hetero, HeteroConfig, HeteroLane, HeteroMethodSummary,
-    HeteroReport, HeteroScenario,
+    classic_baselines, evaluate_hetero, HeteroConfig, HeteroLane, HeteroReport, HeteroScenario,
 };
 pub use multiservice::{
     bursty_scenario, diurnal_scenario, evaluate_multiservice, GreedyPerServicePolicy,

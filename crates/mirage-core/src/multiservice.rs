@@ -29,7 +29,10 @@
 //! several services provision in the same tick and pile onto the queue);
 //! and the classic baselines ([`UniformSharePolicy`],
 //! [`GreedyPerServicePolicy`], [`ShortestQueuePolicy`]) beside the RL
-//! agents in [`evaluate_multiservice`].
+//! agents in [`evaluate_multiservice`]. That harness runs on the one
+//! evaluation loop in [`crate::eval`]: one `make_backends` call, start `i`
+//! warmed once on backend `i`, and every method run on a restored
+//! [`MultiServiceEnv`] (so the backend must be `Clone`).
 
 use std::borrow::Borrow;
 
@@ -39,7 +42,8 @@ use mirage_sim::{ClusterBackend, ClusterSnapshot, JobStatus, ServiceUsage};
 use mirage_trace::{JobRecord, TrafficModel, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeConfigError};
+use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeConfigError, EpisodeResult};
+use crate::eval::warm_once;
 use crate::reward::{EpisodeOutcome, RewardShaper};
 use crate::state::{
     EncoderScratch, PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS,
@@ -321,7 +325,7 @@ pub struct SlotContext {
 pub trait MultiServicePolicy: Send {
     /// Display name used in reports.
     fn name(&self) -> String;
-    /// Per-episode-batch reset.
+    /// Called before each episode the evaluation harness runs.
     fn reset(&mut self) {}
     /// Decides all slots of one tick.
     fn decide(&mut self, batch: &Matrix, slots: &[SlotContext], actions: &mut Vec<Action>);
@@ -959,16 +963,32 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     }
 
     /// Drives the decision loop to completion with `policy` (single
-    /// episode; instance index 0).
-    pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) {
+    /// episode; instance index 0). Returns the decisions answered.
+    pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) -> u64 {
         let mut batch = Matrix::zeros(0, 0);
         let mut slots = Vec::with_capacity(self.n_services());
+        let mut decisions = 0;
         self.drive(|env, actions| {
             env.stack_pending(&mut batch);
             slots.clear();
             slots.extend((0..env.pending.len()).map(|row| env.slot_context(row)));
             policy.decide(&batch, &slots, actions);
+            decisions += slots.len() as u64;
         });
+        decisions
+    }
+
+    /// The N = 1 decision loop: `decide` answers service 0's
+    /// [`decision_context`](Self::decision_context) every tick, then the
+    /// episode resolves, leaving the engine resolved (to be dropped or
+    /// restored). What `run_episode` and the single-service evaluation
+    /// harnesses run.
+    pub(crate) fn play_single(
+        &mut self,
+        mut decide: impl FnMut(&DecisionContext) -> Action,
+    ) -> EpisodeResult {
+        self.drive(|env, actions| actions.push(decide(&env.decision_context(0))));
+        self.resolve().services.remove(0).into()
     }
 
     /// `(pred_start, pred_end, succ_start)` of a service whose
@@ -996,7 +1016,7 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
 
     /// [`finish`](Self::finish) in place: the engine is left resolved,
     /// to be dropped or restored from a warm one.
-    pub(crate) fn resolve(&mut self) -> MultiServiceResult {
+    fn resolve(&mut self) -> MultiServiceResult {
         assert!(
             !self.is_deciding(),
             "finish() before the decision loop ended"
@@ -1311,7 +1331,7 @@ impl<B: ClusterBackend> Lockstep for MultiServiceBatch<B> {
 }
 
 /// Aggregate of one method over a batch of multi-service episodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MultiMethodSummary {
     /// Method display name.
     pub method: String,
@@ -1353,63 +1373,69 @@ impl MultiServiceReport {
     }
 }
 
-/// Evaluates every method over the same multi-service episodes: each
-/// method drives a lockstep [`MultiServiceBatch`] across `t0s` (fresh
-/// identically-seeded backends per method, so methods see identical
-/// clusters), aggregating per-service rewards, SLO hits and stampede
-/// counts into a [`MultiServiceReport`].
+/// Evaluates every method over the same multi-service episodes,
+/// aggregating per-service rewards, SLO hits and stampede counts into a
+/// [`MultiServiceReport`].
+///
+/// `make_backends` is called once, with `t0s.len()`, and must return one
+/// backend per start. Start `i` is warmed once on backend `i` (reset,
+/// warm-up replay, predecessors), and every method runs on a restore of
+/// that warm engine (`B: Clone`; see [`crate::eval`]), so methods see
+/// identical clusters. The report equals building fresh backends and
+/// re-warming every start for every method, bit for bit.
 pub fn evaluate_multiservice<B, F>(
     methods: &mut [Box<dyn MultiServicePolicy>],
-    mut make_backends: F,
+    make_backends: F,
     trace: &[JobRecord],
     t0s: &[i64],
     cfg: &MultiServiceConfig,
     scenario: &str,
 ) -> MultiServiceReport
 where
-    B: ClusterBackend,
-    F: FnMut(usize) -> Vec<B>,
+    B: ClusterBackend + Clone,
+    F: FnOnce(usize) -> Vec<B>,
 {
     assert!(!t0s.is_empty(), "evaluation needs at least one episode");
-    let mut summaries = Vec::with_capacity(methods.len());
-    let mut decisions = 0u64;
-    for m in methods.iter_mut() {
-        m.reset();
-        let backends = make_backends(t0s.len());
-        let mut batch = MultiServiceBatch::new(backends, trace, cfg, t0s);
-        batch.set_record_decisions(false);
-        batch.run(m.as_mut());
-        decisions += batch.decisions();
-        let (results, _) = batch.finish();
-
-        let n = results.len();
-        let per_service = (n * cfg.n_services()) as f64;
-        let mut reward = 0.0f64;
-        let mut interruption = 0.0f64;
-        let mut overlap = 0.0f64;
-        let mut slo_hits = 0usize;
-        let mut proactive = 0usize;
-        let mut stampede = 0usize;
-        for r in &results {
-            stampede += r.stampede_ticks;
-            for s in &r.services {
-                reward += f64::from(s.reward);
-                interruption += s.outcome.interruption as f64 / 3600.0;
-                overlap += s.outcome.overlap as f64 / 3600.0;
-                slo_hits += usize::from(s.slo_met);
-                proactive += usize::from(s.submitted_by_policy);
-            }
-        }
-        summaries.push(MultiMethodSummary {
+    let mut hosts = make_backends(t0s.len());
+    assert_eq!(hosts.len(), t0s.len(), "need one backend per episode start");
+    let mut summaries: Vec<MultiMethodSummary> = methods
+        .iter()
+        .map(|m| MultiMethodSummary {
             method: m.name(),
-            episodes: n,
-            mean_reward: reward / per_service,
-            mean_interruption_h: interruption / per_service,
-            mean_overlap_h: overlap / per_service,
-            slo_hit_rate: slo_hits as f64 / per_service,
-            stampede_ticks: stampede,
-            proactive_rate: proactive as f64 / per_service,
-        });
+            ..MultiMethodSummary::default()
+        })
+        .collect();
+    let mut decisions = 0u64;
+    warm_once(
+        &mut hosts,
+        t0s,
+        |_| trace,
+        cfg,
+        methods,
+        |j, m, work| {
+            m.reset();
+            decisions += work.run(m.as_mut());
+            let r = work.resolve();
+            let s = &mut summaries[j];
+            s.episodes += 1;
+            s.stampede_ticks += r.stampede_ticks;
+            for svc in &r.services {
+                s.mean_reward += f64::from(svc.reward);
+                s.mean_interruption_h += svc.outcome.interruption as f64 / 3600.0;
+                s.mean_overlap_h += svc.outcome.overlap as f64 / 3600.0;
+                s.slo_hit_rate += f64::from(u8::from(svc.slo_met));
+                s.proactive_rate += f64::from(u8::from(svc.submitted_by_policy));
+            }
+        },
+    );
+    // The sums become means per service-episode.
+    let per_service = (t0s.len() * cfg.n_services()) as f64;
+    for s in &mut summaries {
+        s.mean_reward /= per_service;
+        s.mean_interruption_h /= per_service;
+        s.mean_overlap_h /= per_service;
+        s.slo_hit_rate /= per_service;
+        s.proactive_rate /= per_service;
     }
     MultiServiceReport {
         scenario: scenario.into(),

@@ -173,8 +173,6 @@ pub struct PgPolicy {
     pub label: String,
     /// Sampling seed (per-policy stream keeps evaluation reproducible).
     pub rng: StdRng,
-    /// `true` = argmax instead of sampling (deterministic evaluation).
-    pub deterministic: bool,
 }
 
 impl PgPolicy {
@@ -184,7 +182,6 @@ impl PgPolicy {
             agent,
             label: label.into(),
             rng: StdRng::seed_from_u64(seed),
-            deterministic: false,
         }
     }
 }
@@ -195,12 +192,7 @@ impl ProvisionPolicy for PgPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext) -> Action {
-        let idx = if self.deterministic {
-            self.agent.act_greedy(ctx.state_matrix)
-        } else {
-            self.agent.act(ctx.state_matrix, &mut self.rng)
-        };
-        Action::from_index(idx)
+        Action::from_index(self.agent.act(ctx.state_matrix, &mut self.rng))
     }
 }
 
@@ -240,9 +232,9 @@ impl ProvisionPolicy for GuardedDqnPolicy {
 }
 
 /// [`PgPolicy`] behind the output guard: the probability pair must be
-/// finite, non-negative and normalized before it is sampled (or
-/// argmax-ed); anything else degrades to `Wait` and is counted. A
-/// healthy net draws the identical RNG stream as the unguarded policy.
+/// finite, non-negative and normalized before it is sampled; anything
+/// else degrades to `Wait` and is counted. A healthy net draws the
+/// identical RNG stream as the unguarded policy.
 pub struct GuardedPgPolicy {
     /// The guarded agent (exposes the wrapped agent and its counters).
     pub guard: GuardedPolicy<PgAgent>,
@@ -250,8 +242,6 @@ pub struct GuardedPgPolicy {
     pub label: String,
     /// Sampling seed (per-policy stream keeps evaluation reproducible).
     pub rng: StdRng,
-    /// `true` = argmax instead of sampling (deterministic evaluation).
-    pub deterministic: bool,
 }
 
 impl GuardedPgPolicy {
@@ -261,7 +251,6 @@ impl GuardedPgPolicy {
             guard: GuardedPolicy::new(agent),
             label: label.into(),
             rng: StdRng::seed_from_u64(seed),
-            deterministic: false,
         }
     }
 }
@@ -272,12 +261,7 @@ impl ProvisionPolicy for GuardedPgPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext) -> Action {
-        let idx = if self.deterministic {
-            self.guard.act_greedy(ctx.state_matrix)
-        } else {
-            self.guard.act(ctx.state_matrix, &mut self.rng)
-        };
-        Action::from_index(idx)
+        Action::from_index(self.guard.act(ctx.state_matrix, &mut self.rng))
     }
 
     fn guard_fallbacks(&self) -> u64 {

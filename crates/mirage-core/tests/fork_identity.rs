@@ -1,8 +1,9 @@
-//! Warm once, fork per method: `evaluate`, `evaluate_chaos` and
-//! `evaluate_hetero` warm each episode start once and run every method on
-//! a restore of that warm driver. Their reports must equal, field for
-//! field, those of re-warming the backend for every method (`run_method`
-//! below, the test-local oracle). CI runs the three
+//! Warm once, fork per method: `evaluate`, `evaluate_chaos`,
+//! `evaluate_hetero` and `evaluate_multiservice` run on one loop that
+//! warms each episode start once and runs every method on a restore of
+//! that warm engine. Their reports must equal, field for field, those of
+//! re-warming the backend for every method (`run_method` and
+//! `oracle_multiservice` below, the test-local oracles). CI runs the four
 //! `*_matches_rewarm_oracle` tests by name.
 //!
 //! The method lists cover what a restore could leak between methods:
@@ -14,15 +15,18 @@
 
 use std::ops::AddAssign;
 
-use mirage_core::chaos::{
-    evaluate_chaos, ChaosConfig, ChaosLane, ChaosMethodSummary, ChaosReport, ChaosSeverity,
-};
+use mirage_core::chaos::{evaluate_chaos, ChaosConfig, ChaosLane, ChaosReport, ChaosSeverity};
 use mirage_core::episode::{run_episode, EpisodeConfig, EpisodeResult};
 use mirage_core::eval::{
-    evaluate, EpisodeRecord, EvalConfig, EvalReport, LoadLevel, MethodOutcome,
+    evaluate, EpisodeRecord, EvalConfig, EvalReport, LaneMethodSummary, LoadLevel, MethodOutcome,
 };
 use mirage_core::hetero::{
-    evaluate_hetero, HeteroConfig, HeteroLane, HeteroMethodSummary, HeteroReport, HeteroScenario,
+    evaluate_hetero, HeteroConfig, HeteroLane, HeteroReport, HeteroScenario,
+};
+use mirage_core::multiservice::{
+    bursty_scenario, diurnal_scenario, evaluate_multiservice, GreedyPerServicePolicy,
+    MultiMethodSummary, MultiServiceBatch, MultiServiceConfig, MultiServicePolicy,
+    MultiServiceReport, RlServicePolicy, ShortestQueuePolicy, UniformSharePolicy,
 };
 use mirage_core::policy::{
     AvgWaitPolicy, FcfsPolicy, GuardedDqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy,
@@ -35,7 +39,7 @@ use mirage_nn::transformer::TransformerConfig;
 use mirage_rl::{
     ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet, PgAgent, PgConfig,
 };
-use mirage_sim::{BackendKind, ClusterBackend, SimBuilder, SimConfig, Simulator};
+use mirage_sim::{BackendKind, ClusterBackend, FaultModel, SimBuilder, SimConfig, Simulator};
 use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
 
 const K: usize = 4;
@@ -249,7 +253,7 @@ fn oracle_chaos(
         let methods = sums
             .iter()
             .zip(methods.iter())
-            .map(|(s, m)| ChaosMethodSummary {
+            .map(|(s, m)| LaneMethodSummary {
                 method: m.name(),
                 episodes: s.episodes,
                 mean_reward: s.mean(s.reward),
@@ -296,11 +300,12 @@ fn oracle_hetero(
         let methods = sums
             .iter()
             .zip(methods.iter())
-            .map(|(s, m)| HeteroMethodSummary {
+            .map(|(s, m)| LaneMethodSummary {
                 method: m.name(),
                 episodes: s.episodes,
                 mean_reward: s.mean(s.reward),
                 avg_interruption_h: s.mean(s.interruption_h),
+                avg_fault_interruption_h: s.mean(s.fault_h),
                 zero_interruption_frac: s.mean(s.zero as f64),
                 guard_fallbacks: s.guard_fallbacks,
             })
@@ -312,6 +317,58 @@ fn oracle_hetero(
         });
     }
     HeteroReport { lanes }
+}
+
+/// `evaluate_multiservice` re-warming per method: fresh backends for
+/// every method, and one lockstep batch over every start.
+fn oracle_multiservice<B: ClusterBackend>(
+    methods: &mut [Box<dyn MultiServicePolicy>],
+    mut make_backends: impl FnMut(usize) -> Vec<B>,
+    trace: &[JobRecord],
+    t0s: &[i64],
+    cfg: &MultiServiceConfig,
+    scenario: &str,
+) -> MultiServiceReport {
+    let mut summaries = Vec::new();
+    let mut decisions = 0u64;
+    for m in methods.iter_mut() {
+        m.reset();
+        let mut batch = MultiServiceBatch::new(make_backends(t0s.len()), trace, cfg, t0s);
+        batch.set_record_decisions(false);
+        batch.run(m.as_mut());
+        decisions += batch.decisions();
+        let (results, _) = batch.finish();
+
+        let per_service = (results.len() * cfg.n_services()) as f64;
+        let (mut reward, mut interruption, mut overlap) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut slo_hits, mut proactive, mut stampede) = (0usize, 0usize, 0usize);
+        for r in &results {
+            stampede += r.stampede_ticks;
+            for s in &r.services {
+                reward += f64::from(s.reward);
+                interruption += s.outcome.interruption as f64 / 3600.0;
+                overlap += s.outcome.overlap as f64 / 3600.0;
+                slo_hits += usize::from(s.slo_met);
+                proactive += usize::from(s.submitted_by_policy);
+            }
+        }
+        summaries.push(MultiMethodSummary {
+            method: m.name(),
+            episodes: results.len(),
+            mean_reward: reward / per_service,
+            mean_interruption_h: interruption / per_service,
+            mean_overlap_h: overlap / per_service,
+            slo_hit_rate: slo_hits as f64 / per_service,
+            stampede_ticks: stampede,
+            proactive_rate: proactive as f64 / per_service,
+        });
+    }
+    MultiServiceReport {
+        scenario: scenario.into(),
+        services: cfg.n_services(),
+        methods: summaries,
+        decisions,
+    }
 }
 
 /// Field for field: `Debug` prints every field, every float to the bit.
@@ -429,4 +486,91 @@ fn evaluate_hetero_matches_rewarm_oracle() {
             .guard_fallbacks
             > 0
     );
+}
+
+#[test]
+fn evaluate_multiservice_matches_rewarm_oracle() {
+    const NODES: u32 = 16;
+    // Hourly 1–3 node jobs over 16 days: past the last pair's hand-off.
+    let trace: Vec<JobRecord> = (0..16 * 24)
+        .map(|i| {
+            let nodes = 1 + (i % 3) as u32;
+            JobRecord::new(
+                i as u64 + 1,
+                format!("bg{i}"),
+                (i % 5) as u32,
+                i * HOUR,
+                nodes,
+                6 * HOUR,
+                3 * HOUR,
+            )
+        })
+        .collect();
+    let t0s = [3 * DAY, 5 * DAY + 7 * HOUR, 8 * DAY + 13 * HOUR];
+    let methods = |cfg: &MultiServiceConfig| -> Vec<Box<dyn MultiServicePolicy>> {
+        let agent = DqnAgent::new(
+            DualHeadNet::new(DualHeadConfig::small(
+                FoundationKind::Transformer,
+                STATE_VARS,
+                cfg.history_k,
+                5,
+            )),
+            DqnConfig::default(),
+        );
+        vec![
+            Box::new(RlServicePolicy::new(agent, "dqn")),
+            Box::new(UniformSharePolicy),
+            Box::new(GreedyPerServicePolicy::default()),
+            Box::new(ShortestQueuePolicy::default()),
+        ]
+    };
+    // Identical simulators, as the benchmark passes; and pool slots that
+    // each draw their own crash tape, so only "start `i` runs on backend
+    // `i`" reproduces the oracle.
+    let identical = |n: usize| -> Vec<Simulator> {
+        (0..n)
+            .map(|_| Simulator::new(SimConfig::new(NODES)))
+            .collect()
+    };
+    let pool = SimConfig::builder()
+        .nodes(NODES)
+        .faults(FaultModel::moderate(4242))
+        .build_pool();
+    for (cfg, scenario) in [
+        (diurnal_scenario(3, NODES, 11), "diurnal"),
+        (bursty_scenario(3, NODES, 11), "bursty"),
+    ] {
+        let mut calls = Vec::new();
+        let forked = evaluate_multiservice(
+            &mut methods(&cfg),
+            |n| {
+                calls.push(n);
+                identical(n)
+            },
+            &trace,
+            &t0s,
+            &cfg,
+            scenario,
+        );
+        assert_eq!(calls, [t0s.len()], "one make_backends call per evaluation");
+        let oracle =
+            oracle_multiservice(&mut methods(&cfg), identical, &trace, &t0s, &cfg, scenario);
+        assert_same(&forked, &oracle, scenario);
+        assert!(forked.decisions > 0);
+
+        let slots = |n: usize| pool.build_range(0, n);
+        let forked = evaluate_multiservice(&mut methods(&cfg), slots, &trace, &t0s, &cfg, scenario);
+        let oracle = oracle_multiservice(&mut methods(&cfg), slots, &trace, &t0s, &cfg, scenario);
+        assert_same(&forked, &oracle, &format!("{scenario}, pool slots"));
+        // The slots' tapes matter: running every start on slot 0's tape
+        // changes the report.
+        let slot0 = |n: usize| vec![pool.build_one(); n];
+        let one_tape =
+            evaluate_multiservice(&mut methods(&cfg), slot0, &trace, &t0s, &cfg, scenario);
+        assert_ne!(
+            format!("{forked:#?}"),
+            format!("{one_tape:#?}"),
+            "{scenario}"
+        );
+    }
 }

@@ -1,13 +1,24 @@
 //! Property-based tests for Mirage's reward, state and episode invariants.
 
-use mirage_core::batch::run_episodes_batched;
+use mirage_core::batch::{BatchedEpisodeDriver, LanePolicy};
 use mirage_core::episode::{run_episode, Action, EpisodeConfig};
 use mirage_core::reward::{EpisodeOutcome, RewardShaper};
 use mirage_core::state::{PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS};
 use mirage_rl::{ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet};
-use mirage_sim::{ClusterSnapshot, QueuedJobView, RunningJobView};
+use mirage_sim::{ClusterSnapshot, QueuedJobView, RunningJobView, Simulator};
 use mirage_trace::{JobRecord, DAY, HOUR};
 use proptest::prelude::*;
+
+/// The greedy DQN as a lane policy: one batched forward per tick.
+struct Greedy(DqnAgent);
+
+impl LanePolicy<Simulator> for Greedy {
+    fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<Simulator>, actions: &mut Vec<usize>) {
+        let width = driver.pending().len();
+        self.0
+            .act_greedy_batch(driver.batch_states(), width, actions);
+    }
+}
 
 proptest! {
     /// Outcomes are one-sided and reward is never positive.
@@ -199,10 +210,12 @@ proptest! {
             })
             .collect();
 
-        let mut batch_agent = DqnAgent::new(net(), DqnConfig::default());
+        let mut batch_agent = Greedy(DqnAgent::new(net(), DqnConfig::default()));
         let backends =
             (0..t0s.len()).map(|_| mirage_sim::Simulator::new(mirage_sim::SimConfig::new(4)));
-        let batched = run_episodes_batched(backends, &trace, &cfg, &t0s, &mut batch_agent);
+        let mut driver = BatchedEpisodeDriver::new(backends, &trace, &cfg, &t0s);
+        driver.run_lanes(&mut batch_agent);
+        let (batched, _) = driver.finish();
 
         for (b, s) in batched.iter().zip(&sequential) {
             prop_assert_eq!(&b.outcome, &s.outcome);

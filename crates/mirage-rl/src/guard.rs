@@ -104,18 +104,6 @@ impl GuardedPolicy<PgAgent> {
             FALLBACK_ACTION
         }
     }
-
-    /// Greedy (most-probable) action with output validation.
-    pub fn act_greedy(&mut self, state: &Matrix) -> usize {
-        let p = self.agent.p_pair(state);
-        self.stats.checks += 1;
-        if prob_pair_is_valid(p) {
-            greedy_pair(p)
-        } else {
-            self.stats.fallbacks += 1;
-            FALLBACK_ACTION
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,8 +199,9 @@ mod tests {
         poison(&mut pg_net);
         let mut pg = GuardedPolicy::new(PgAgent::new(pg_net, PgConfig::default()));
         let mut rng = StdRng::seed_from_u64(13);
-        assert_eq!(pg.act(&s, &mut rng), FALLBACK_ACTION);
-        assert_eq!(pg.act_greedy(&s), FALLBACK_ACTION);
+        for _ in 0..2 {
+            assert_eq!(pg.act(&s, &mut rng), FALLBACK_ACTION);
+        }
         assert_eq!(pg.stats().fallbacks, 2);
     }
 }

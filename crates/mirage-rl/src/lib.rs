@@ -41,11 +41,11 @@ pub use pg::{EpisodeSample, PgAgent, PgAgentState, PgConfig};
 pub use replay::{BalancedReplay, Experience, MiniBatch, ReplayBuffer};
 pub use schedule::{EpsilonSchedule, ExploreLane};
 
-/// Greedy action over a `[Q(no-submit), Q(submit)]` (or probability)
-/// pair: act (1) only on a strict improvement, so ties keep the
-/// conservative no-submit action. This is the one shared tie-breaking
-/// rule behind `DqnAgent::act_greedy`, `PgAgent::act_greedy` and every
-/// batched variant — they can never diverge on the boundary case.
+/// Greedy action over a `[Q(no-submit), Q(submit)]` pair: act (1) only
+/// on a strict improvement, so ties keep the conservative no-submit
+/// action. This is the one shared tie-breaking rule behind
+/// `DqnAgent::act_greedy`, its batched variant and the guarded DQN —
+/// they can never diverge on the boundary case.
 #[inline]
 pub fn greedy_pair(v: [f32; 2]) -> usize {
     usize::from(v[1] > v[0])

@@ -22,7 +22,6 @@ use crate::dualhead::{
     check_snapshot_fits, install_params, stack_states_into, BatchInferCache, DualHeadNet,
     HeadBatchCache, StateMismatch,
 };
-use crate::greedy_pair;
 use crate::schedule::ExploreLane;
 
 /// Categorical draw over a `[p(no-submit), p(submit)]` pair from one
@@ -216,28 +215,6 @@ impl PgAgent {
         for (r, &l) in rows.iter().enumerate() {
             actions.push(sample_pair(self.batch_vals[r], lanes[l].rng.gen::<f32>()));
         }
-    }
-
-    /// Most-probable action (used for deterministic evaluation).
-    pub fn act_greedy(&mut self, state: &Matrix) -> usize {
-        let p = self.net.p_probs(state, &mut self.scratch);
-        greedy_pair(p)
-    }
-
-    /// Most-probable actions for `batch` row-stacked states in **one**
-    /// batched forward (`p_probs_batch` + the agent's embed-row caches):
-    /// `actions[b]` is bit-identical to `act_greedy` on episode `b`'s
-    /// state alone.
-    pub fn act_greedy_batch(&mut self, states: &Matrix, batch: usize, actions: &mut Vec<usize>) {
-        self.net.p_probs_batch(
-            states,
-            batch,
-            &mut self.batch_vals,
-            &mut self.scratch,
-            &mut self.batch_cache,
-        );
-        actions.clear();
-        actions.extend(self.batch_vals.iter().map(|&p| greedy_pair(p)));
     }
 
     /// Folds the batch's mean return into the EMA baseline and returns the
@@ -446,6 +423,7 @@ mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
     use crate::env::SignBandit;
+    use crate::greedy_pair;
     use mirage_nn::foundation::FoundationKind;
     use mirage_nn::transformer::TransformerConfig;
     use rand::rngs::StdRng;
@@ -536,7 +514,7 @@ mod tests {
         let mut ok = 0;
         for _ in 0..trials {
             let s = env.reset();
-            if agent.act_greedy(&s) == env.correct_action() {
+            if greedy_pair(agent.p_pair(&s)) == env.correct_action() {
                 ok += 1;
             }
         }
