@@ -30,12 +30,18 @@
 //! arena, event heap, queue, id map, history, snapshot — allocates
 //! nothing.
 //!
+//! Phase 6 is the online-training lane driver: a 4-lane
+//! `BatchedEpisodeDriver` (one engine per lane, their state matrices
+//! stacked into one batch per tick) on the phase 1 backlog, recording
+//! off, whose steady-state tick must not allocate either.
+//!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mirage_core::batch::BatchedEpisodeDriver;
 use mirage_core::episode::{Action, EpisodeConfig, EpisodeDriver};
 use mirage_core::state::{
     EncoderScratch, PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS,
@@ -415,5 +421,45 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         restore_allocs, [0; 3],
         "restoring a warm driver into a used one allocated (checksum {checksum})"
+    );
+
+    // Phase 6: the lockstep training lanes. Four engines on the phase 1
+    // backlog, predecessors in at the phase 3 instant, recording off;
+    // each tick advances every lane, stacks the batch, reads every
+    // pending context and waits. After phase 3's warm-up length, 1 000
+    // such ticks must leave the allocator alone.
+    const LANES: usize = 4;
+    let backends = (0..LANES).map(|_| Simulator::new(SimConfig::new(NODES)));
+    let mut lanes = BatchedEpisodeDriver::new(backends, &trace, &cfg, &[30 * HOUR; LANES]);
+    lanes.set_record_decisions(false);
+    let waits = [Action::Wait; LANES];
+    let lane_tick = |driver: &mut BatchedEpisodeDriver<Simulator>| {
+        let width = driver.advance_tick();
+        assert_eq!(width, LANES, "every predecessor outlives the window");
+        let mut queued = driver.batch_states().rows() as u64;
+        for row in 0..width {
+            queued += driver.pending_context(row).snapshot.queued.len() as u64;
+        }
+        driver.apply(&waits[..width]);
+        queued
+    };
+    for _ in 0..300 {
+        checksum += lane_tick(&mut lanes);
+    }
+    let at_open = lane_tick(&mut lanes);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut at_close = at_open;
+    for _ in 0..1000 {
+        at_close = lane_tick(&mut lanes);
+        checksum += at_close;
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        at_close < at_open,
+        "lane window was not live: {at_open} -> {at_close}"
+    );
+    assert_eq!(
+        delta, 0,
+        "BatchedEpisodeDriver tick allocated {delta} times across 1000 ticks (checksum {checksum})"
     );
 }

@@ -1,24 +1,24 @@
 //! Lockstep single-service episodes: N provisioning episodes stepped
-//! tick by tick with **one batched NN forward per decision tick** — the
-//! N = 1-service view of [`MultiServiceBatch`].
+//! tick by tick with **one batched NN forward per decision tick** — what
+//! online training's collection windows run.
 //!
-//! Training and evaluation throughput in the paper's regime is dominated
-//! by running many episodes, and each episode's per-decision forward pass
-//! is a chain of tiny matmuls that cannot saturate a core on its own. The
-//! lockstep driver amortizes them: every episode runs against its own
-//! backend (built, e.g., by `mirage_sim::BackendPool::build_range`), the
-//! pending episodes' `k × m` state matrices are stacked into one
-//! `(width·k) × m` batch, and the RL agents answer it with a single
-//! `q_values_batch`/`p_probs_batch` forward. Episodes finish at
-//! different ticks (a policy submits, or the reactive fallback fires);
-//! the batch narrows as they do, and the per-episode results are
-//! **bit-identical** to sequential execution.
+//! Training throughput in the paper's regime is dominated by running many
+//! episodes, and each episode's per-decision forward pass is a chain of
+//! tiny matmuls that cannot saturate a core on its own. The lockstep
+//! driver amortizes them: every episode is its own one-service
+//! [`MultiServiceEnv`] on its own backend (built, e.g., by
+//! `mirage_sim::BackendPool::build_range`), the pending episodes' `k × m`
+//! state matrices are stacked into one `(width·k) × m` batch, and the RL
+//! agents answer it with a single `q_values_batch`/`p_probs_batch`
+//! forward. Episodes finish at different ticks (a policy submits, or the
+//! reactive fallback fires); the batch narrows as they do, and the
+//! per-episode results are **bit-identical** to sequential execution.
 //!
-//! The engine owns all of that. [`BatchedEpisodeDriver`] adds the
-//! single-service surface over it: episodes configured by an
-//! [`EpisodeConfig`], rows addressed by episode index, contexts as
-//! borrowed [`DecisionContext`]s, results as [`EpisodeResult`]s, and the
-//! policy shape the §4.9 training loops (`mirage_core::train`) speak,
+//! [`BatchedEpisodeDriver`] holds those engines and speaks single-service
+//! terms over them: episodes configured by an [`EpisodeConfig`], rows
+//! addressed by episode index, contexts as borrowed [`DecisionContext`]s,
+//! results as [`EpisodeResult`]s, and the policy shape the §4.9 training
+//! loops (`mirage_core::train`) speak,
 //! [`LanePolicy`]/[`BatchedEpisodeDriver::run_lanes`], with per-lane
 //! RNG/ε streams that follow their episodes through the narrowing batch.
 
@@ -27,35 +27,27 @@ use mirage_sim::ClusterBackend;
 use mirage_trace::JobRecord;
 
 use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeResult};
-use crate::multiservice::{Lockstep, MultiServiceBatch, MultiServiceConfig};
+use crate::multiservice::{stack_states, MultiServiceConfig, MultiServiceEnv};
 use crate::reward::RewardShaper;
 
-/// A policy deciding one lockstep tick of a training/collection *window*.
+/// A policy deciding one lockstep tick of a training window.
 ///
 /// The policy is handed the whole driver, so it can read the row-stacked
 /// states ([`BatchedEpisodeDriver::batch_states`]), map batch rows to
 /// window lanes ([`BatchedEpisodeDriver::pending`]) for per-lane RNG and
 /// ε streams that survive the batch narrowing, and inspect each pending
 /// episode's [`DecisionContext`]
-/// ([`BatchedEpisodeDriver::pending_context`]) for heuristic policies
-/// and feature extraction. Implemented by the training window adapters
-/// in `mirage_core::train`.
+/// ([`BatchedEpisodeDriver::pending_context`]). Implemented by the
+/// training window adapters in `mirage_core::trainloop`.
 pub trait LanePolicy<B: ClusterBackend> {
-    /// Called once before a window's first tick with the window's global
-    /// episode-ordinal range: episodes `first..first + width`, in lane
-    /// order. Stateless policies keep the no-op default.
-    fn begin_window(&mut self, first: usize, width: usize) {
-        let _ = (first, width);
-    }
-
     /// Decides one lockstep tick: pushes exactly one action index per
     /// pending batch row, in row order ([`BatchedEpisodeDriver::pending`]
     /// maps rows to lanes).
     fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>);
 }
 
-/// N lockstep episodes behind one batched decision loop: a
-/// [`MultiServiceBatch`] of one-service episodes.
+/// N lockstep episodes behind one batched decision loop: one one-service
+/// [`MultiServiceEnv`] per episode.
 ///
 /// Usage mirrors [`EpisodeDriver`](crate::episode::EpisodeDriver), lifted
 /// to a batch:
@@ -73,9 +65,13 @@ pub trait LanePolicy<B: ClusterBackend> {
 /// episode is deciding. The assembled batch and the pending bookkeeping
 /// reuse their buffers, so a steady-state tick allocates nothing.
 pub struct BatchedEpisodeDriver<B: ClusterBackend> {
-    batch: MultiServiceBatch<B>,
+    envs: Vec<MultiServiceEnv<B>>,
+    /// History rows per state matrix.
+    k: usize,
+    /// The pending episodes' state matrices, row-stacked.
+    batch: Matrix,
     /// Episode indices awaiting an action for the current tick, in batch
-    /// row order (with one service per episode, a slot is an episode).
+    /// row order.
     pending: Vec<usize>,
 }
 
@@ -93,8 +89,12 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     }
 
     /// [`new`](Self::new) with a **per-episode background trace**:
-    /// episode `i` replays `windows[i]` (see
-    /// [`MultiServiceBatch::with_windows`] for why training needs it).
+    /// episode `i` replays `windows[i]`. Training windows mix episode
+    /// starts, and each start replays only its own
+    /// [`episode_window`](crate::train::episode_window) slice of the full
+    /// trace — sharing one slice across different `t0`s would change
+    /// every episode's warm-up state (and break bit-identity with
+    /// sequential training).
     pub fn with_windows<'w>(
         backends: impl IntoIterator<Item = B>,
         windows: impl IntoIterator<Item = &'w [JobRecord]>,
@@ -102,8 +102,27 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
         t0s: &[i64],
     ) -> Self {
         let single = MultiServiceConfig::single(cfg, RewardShaper::default());
+        let backends: Vec<B> = backends.into_iter().collect();
+        let windows: Vec<&[JobRecord]> = windows.into_iter().collect();
+        assert!(
+            backends.len() == t0s.len() && windows.len() == t0s.len(),
+            "need exactly one backend and one trace window per episode start \
+             (got {} backends and {} windows for {} starts)",
+            backends.len(),
+            windows.len(),
+            t0s.len()
+        );
+        assert!(!t0s.is_empty(), "batch needs at least one episode");
+        let envs = backends
+            .into_iter()
+            .zip(windows)
+            .zip(t0s)
+            .map(|((backend, window), &t0)| MultiServiceEnv::new(backend, window, &single, t0))
+            .collect();
         Self {
-            batch: MultiServiceBatch::with_windows(backends, windows, &single, t0s),
+            envs,
+            k: cfg.history_k.max(1),
+            batch: Matrix::zeros(0, 0),
             pending: Vec::with_capacity(t0s.len()),
         }
     }
@@ -111,19 +130,21 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     /// Episode count (fixed; the *pending* width shrinks as episodes
     /// leave the decision loop).
     pub fn width(&self) -> usize {
-        self.batch.width()
+        self.envs.len()
     }
 
     /// Whether any episode still awaits decisions.
     pub fn is_deciding(&self) -> bool {
-        self.batch.is_deciding()
+        self.envs.iter().any(MultiServiceEnv::is_deciding)
     }
 
     /// Forwards
     /// [`EpisodeDriver::set_record_decisions`](crate::episode::EpisodeDriver::set_record_decisions)
     /// to every episode.
     pub fn set_record_decisions(&mut self, record: bool) {
-        self.batch.set_record_decisions(record);
+        for env in &mut self.envs {
+            env.set_record_decisions(record);
+        }
     }
 
     /// Advances every still-deciding episode one decision interval and
@@ -133,17 +154,27 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     /// [`is_deciding`](Self::is_deciding) to tell that apart from being
     /// done).
     pub fn advance_tick(&mut self) -> usize {
-        let width = self.batch.advance_tick();
         self.pending.clear();
-        self.pending
-            .extend(self.batch.slots().iter().map(|s| s.instance));
-        width
+        for (i, env) in self.envs.iter_mut().enumerate() {
+            if env.advance_tick() > 0 {
+                self.pending.push(i);
+            }
+        }
+        if !self.pending.is_empty() {
+            let envs = &self.envs;
+            let states = self
+                .pending
+                .iter()
+                .map(|&i| envs[i].decision_context(0).state_matrix);
+            stack_states(&mut self.batch, self.k, states);
+        }
+        self.pending.len()
     }
 
     /// The row-stacked states of the episodes pending after the last
     /// [`advance_tick`](Self::advance_tick).
     pub fn batch_states(&self) -> &Matrix {
-        self.batch.batch_states()
+        &self.batch
     }
 
     /// Episode indices the current batch rows belong to, in row order.
@@ -154,55 +185,56 @@ impl<B: ClusterBackend> BatchedEpisodeDriver<B> {
     /// The [`DecisionContext`] of pending batch row `row` (index into
     /// [`pending`](Self::pending)), borrowing its episode's buffers —
     /// valid between the last [`advance_tick`](Self::advance_tick) and
-    /// the matching [`apply`](Self::apply). Heuristic collection policies
-    /// and feature extraction read it; the NN policies only need
-    /// [`batch_states`](Self::batch_states).
+    /// the matching [`apply`](Self::apply). Heuristic policies read it;
+    /// the NN policies only need [`batch_states`](Self::batch_states).
     pub fn pending_context(&self, row: usize) -> DecisionContext<'_> {
-        self.batch.decision_context(row)
+        self.envs[self.pending[row]].decision_context(0)
     }
 
     /// Applies one action per pending episode (batch row order).
     pub fn apply(&mut self, actions: &[Action]) {
-        self.batch.apply(actions);
+        assert_eq!(actions.len(), self.pending.len(), "one action per lane");
+        for (&i, action) in self.pending.iter().zip(actions) {
+            self.envs[i].apply(std::slice::from_ref(action));
+        }
         self.pending.clear();
     }
 
     /// Drives the decision loops to completion: one
     /// [`LanePolicy::decide_lanes`] per lockstep tick, with the driver
     /// itself exposed so the policy can follow its lanes through the
-    /// narrowing batch. (`begin_window` is the *collector's* call — it
-    /// knows the window's episode ordinals; this loop only ticks.)
+    /// narrowing batch.
     pub fn run_lanes<P: LanePolicy<B> + ?Sized>(&mut self, policy: &mut P) {
         let mut indices = Vec::with_capacity(self.width());
-        self.drive(|driver, actions| {
+        let mut actions = Vec::with_capacity(self.width());
+        while self.is_deciding() {
+            if self.advance_tick() == 0 {
+                continue;
+            }
             indices.clear();
-            policy.decide_lanes(driver, &mut indices);
+            policy.decide_lanes(self, &mut indices);
+            assert_eq!(
+                indices.len(),
+                self.pending.len(),
+                "policy must answer every lane"
+            );
+            actions.clear();
             actions.extend(indices.iter().map(|&i| Action::from_index(i)));
-        });
+            self.apply(&actions);
+        }
     }
 
     /// Resolves every episode (running each backend until its pair
     /// completes) and returns the per-episode results alongside the
     /// backends, both in construction order.
     pub fn finish(self) -> (Vec<EpisodeResult>, Vec<B>) {
-        let (results, backends) = self.batch.finish();
-        let results = results
+        self.envs
             .into_iter()
-            .map(|mut r| r.services.remove(0).into())
-            .collect();
-        (results, backends)
-    }
-}
-
-impl<B: ClusterBackend> Lockstep for BatchedEpisodeDriver<B> {
-    fn is_deciding(&self) -> bool {
-        Self::is_deciding(self)
-    }
-    fn advance_tick(&mut self) -> usize {
-        Self::advance_tick(self)
-    }
-    fn apply(&mut self, actions: &[Action]) {
-        Self::apply(self, actions);
+            .map(|env| {
+                let (mut result, backend) = env.finish();
+                (result.services.remove(0).into(), backend)
+            })
+            .unzip()
     }
 }
 

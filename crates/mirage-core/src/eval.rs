@@ -19,13 +19,15 @@
 //! warms each start **once** and runs every method (the implicit reactive
 //! run included) on a working [`MultiServiceEnv`] restored from that warm
 //! one: one warm-up per start instead of one per method, and every report
-//! bit-identical to re-warming per method. It has four callers:
+//! bit-identical to re-warming per method. It has five callers:
 //! [`evaluate`], the chaos and hetero lanes
 //! ([`crate::chaos::evaluate_chaos`], [`crate::hetero::evaluate_hetero`],
-//! through the sweep they share), and
-//! [`crate::multiservice::evaluate_multiservice`]. Single-service methods
-//! decide through the engine's N = 1 decision context, exactly as through
-//! [`EpisodeDriver`](crate::episode::EpisodeDriver).
+//! through the sweep they share),
+//! [`crate::multiservice::evaluate_multiservice`], and §4.9.1 offline
+//! collection ([`crate::train::collect_offline`], whose "methods" are the
+//! reactive run and the split-point runs of each start). Single-service
+//! methods decide through the engine's N = 1 decision context, exactly as
+//! through [`EpisodeDriver`](crate::episode::EpisodeDriver).
 
 use std::ops::AddAssign;
 
@@ -213,8 +215,8 @@ pub fn evaluate<B: ClusterBackend + Clone>(
 /// starts one each), then runs every method on a working engine restored
 /// from that warm one: `play(j, &mut methods[j], work)`. The working
 /// engine owns a clone of a host, made at the first restore and reused by
-/// every later one. Decision recording is off: the reports keep outcomes,
-/// not trajectories.
+/// every later one. Decision recording is off (the reports keep outcomes,
+/// not trajectories); `play` turns it on for a run that wants them.
 pub(crate) fn warm_once<'t, B: ClusterBackend + Clone, M>(
     hosts: &mut [B],
     starts: &[i64],

@@ -47,9 +47,8 @@
 //!   decision interval, submit or wait, reactive fallback, outcome) is
 //!   implemented once, in [`multiservice::MultiServiceEnv`]: N services
 //!   sharing one backend, each with its own encoder, history and pair
-//!   jobs. [`multiservice::MultiServiceBatch`] is the one lockstep
-//!   driver: M such episodes, every pending state matrix in one batch
-//!   per tick. The module also carries the multi-service scenario layer
+//!   jobs; every episode in the crate runs on it. The module also
+//!   carries the multi-service scenario layer
 //!   (traffic-driven demand, stampede-aware reward, baselines,
 //!   [`multiservice::evaluate_multiservice`]),
 //! * [`episode`] — the paper's single-service episode as the engine's
@@ -61,21 +60,22 @@
 //!   ([`episode::EpisodeDriver`]). The views own no hand-off state: they
 //!   translate one context out, one action in,
 //! * [`batch`] — lockstep single-service episodes
-//!   ([`batch::BatchedEpisodeDriver`]): the N = 1-service view of the
-//!   lockstep driver, adding episode-indexed rows and the
-//!   [`batch::LanePolicy`] shape the training loops speak,
+//!   ([`batch::BatchedEpisodeDriver`]): one one-service engine per lane,
+//!   every pending state matrix stacked into one batch per tick, with
+//!   episode-indexed rows and the [`batch::LanePolicy`] shape the
+//!   training loops speak,
 //! * [`policy`] — the eight §6 methods behind one trait,
 //! * [`features`] — compact features for the ensemble baselines,
 //! * [`train`] — §4.9 offline collection + foundation pretraining +
 //!   online RL fine-tuning,
-//! * [`trainloop`] — the lockstep training data-path: offline collection
-//!   and both online loops step `TrainConfig::collect_lanes` episodes per
-//!   window through the batched engine
-//!   ([`trainloop::BatchedCollector`]),
+//! * [`trainloop`] — the lockstep online-training data-path: both online
+//!   loops step `TrainConfig::collect_lanes` episodes per window through
+//!   the batched driver ([`trainloop::BatchedCollector`]),
 //! * [`eval`] — the §6 evaluation harness (load levels, zero-interruption
 //!   fractions, reduction vs reactive) and the one warm-once,
-//!   restore-per-method loop it, the chaos and hetero lanes and
-//!   [`multiservice::evaluate_multiservice`] all run on,
+//!   restore-per-method loop it, the chaos and hetero lanes,
+//!   [`multiservice::evaluate_multiservice`] and
+//!   [`train::collect_offline`] all run on,
 //! * [`chaos`] — degradation under fault injection: RL vs heuristics on
 //!   identically seeded crash tapes across a none/moderate/severe sweep,
 //! * [`hetero`] — heterogeneous-cluster evaluation: RL vs the classic
@@ -120,7 +120,7 @@ pub use hetero::{
 };
 pub use multiservice::{
     bursty_scenario, diurnal_scenario, evaluate_multiservice, GreedyPerServicePolicy,
-    MultiMethodSummary, MultiServiceBatch, MultiServiceConfig, MultiServiceEnv, MultiServicePolicy,
+    MultiMethodSummary, MultiServiceConfig, MultiServiceEnv, MultiServicePolicy,
     MultiServiceReport, MultiServiceResult, RlServicePolicy, ServiceEpisode, ServiceSlo,
     ServiceSpec, ShortestQueuePolicy, SlotContext, UniformSharePolicy,
 };
@@ -138,7 +138,7 @@ pub use train::{
     train_method, train_pg_online_checkpointed, DqnTrainRun, MethodKind, OfflineData, PgTrainRun,
     TrainConfig,
 };
-pub use trainloop::{BatchedCollector, DqnActWindow, PgActWindow, SplitCollectPolicy};
+pub use trainloop::{BatchedCollector, DqnActWindow, PgActWindow};
 
 /// Convenience imports.
 pub mod prelude {
@@ -151,9 +151,8 @@ pub mod prelude {
         classic_baselines, evaluate_hetero, HeteroConfig, HeteroReport, HeteroScenario,
     };
     pub use crate::multiservice::{
-        bursty_scenario, diurnal_scenario, evaluate_multiservice, MultiServiceBatch,
-        MultiServiceConfig, MultiServiceEnv, MultiServicePolicy, MultiServiceReport, ServiceSlo,
-        ServiceSpec,
+        bursty_scenario, diurnal_scenario, evaluate_multiservice, MultiServiceConfig,
+        MultiServiceEnv, MultiServicePolicy, MultiServiceReport, ServiceSlo, ServiceSpec,
     };
     pub use crate::policy::{
         AvgWaitPolicy, DqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy, WaitPredictorPolicy,

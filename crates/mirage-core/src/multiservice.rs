@@ -2,24 +2,23 @@
 //! predecessor → successor sub-jobs, sharing one cluster — and, at N = 1,
 //! the paper's single-service provisioning episode.
 //!
-//! * [`MultiServiceEnv`] is **the hand-off state machine**, the only one
-//!   in the crate. It owns the backend, the shared snapshot and encoder
-//!   scratch, and per service the encoder, state history, pair-job ids
-//!   and recorded decisions; it replays the warm-up, submits the
-//!   predecessors, maps each predecessor's status to the encoded state
-//!   every decision tick, fires the reactive fallback and resolves the
-//!   outcomes (hand-off gap, fault downtime, stampede accounting).
-//! * [`MultiServiceBatch`] is **the lockstep driver**: M episodes, each
-//!   with its own backend and trace window, every pending
-//!   `(episode, service)` state matrix of a tick stacked into one batch,
-//!   so the RL agents answer episodes × services with a single batched
-//!   forward, narrowing as services and episodes finish.
+//! [`MultiServiceEnv`] is **the hand-off state machine**, the only one in
+//! the crate. It owns the backend, the shared snapshot and encoder
+//! scratch, and per service the encoder, state history, pair-job ids and
+//! recorded decisions; it replays the warm-up, submits the predecessors,
+//! maps each predecessor's status to the encoded state every decision
+//! tick, fires the reactive fallback and resolves the outcomes (hand-off
+//! gap, fault downtime, stampede accounting). Every episode in the crate
+//! runs on it: one at a time through [`crate::eval`]'s warm-once loop
+//! (evaluation and offline collection), or several in lockstep under
+//! [`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver), which
+//! holds one engine per training lane.
 //!
 //! [`EpisodeDriver`](crate::episode::EpisodeDriver) and
-//! [`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver) are the
-//! N = 1 views over these two, built from [`MultiServiceConfig::single`]:
-//! what reaches the engine (fault and pool features, config validation)
-//! reaches one, two or N services through the same code.
+//! [`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver) are N = 1
+//! views over it, built from [`MultiServiceConfig::single`]: what reaches
+//! the engine (fault and pool features, config validation) reaches one,
+//! two or N services through the same code.
 //!
 //! Around the engine sits the multi-service scenario layer: [`ServiceSpec`]
 //! (SLO → per-service reward weights, demand from a [`TrafficModel`]'s
@@ -186,7 +185,8 @@ impl MultiServiceConfig {
     /// `timelimit` / `runtime`, a user id no other service shares (the
     /// per-user [`ServiceUsage`] ledgers would merge) and a baseline
     /// demand ([`TrafficModel::base_nodes`]) that fits the partition (a
-    /// wider pair job can never start).
+    /// wider pair job can never start; traffic peaks above it are
+    /// submitted clamped to the partition).
     pub fn validate(&self, total_nodes: u32) -> Result<(), EpisodeConfigError> {
         let reject = |field: String, value: &dyn std::fmt::Display, reason| {
             let value = value.to_string();
@@ -283,14 +283,12 @@ fn scenario(services: usize, cluster_nodes: u32, seed: u64, bursty: bool) -> Mul
     }
 }
 
-/// Everything a heuristic needs to decide one pending `(episode,
-/// service)` slot — the multi-service analogue of
-/// [`crate::episode::DecisionContext`], as owned scalars so batched
-/// policies can look at every slot of a tick at once.
+/// Everything a heuristic needs to decide one pending service of an
+/// episode — the multi-service analogue of
+/// [`crate::episode::DecisionContext`], as owned scalars so a policy can
+/// look at every pending service of a tick at once.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotContext {
-    /// Episode (batch instance) index.
-    pub instance: usize,
     /// Service index within the episode.
     pub service: usize,
     /// Services sharing the episode's cluster.
@@ -317,11 +315,11 @@ pub struct SlotContext {
     pub peers_provisioned: usize,
 }
 
-/// A policy deciding every pending `(episode, service)` slot of one
-/// lockstep tick: `batch` row-stacks `slots.len()` state matrices
-/// (`slots.len() · k` rows), and the implementation pushes exactly one
-/// [`Action`] per slot, in order. RL policies answer with one batched
-/// forward; heuristics read the per-slot contexts.
+/// A policy deciding every pending service of one decision tick: `batch`
+/// row-stacks `slots.len()` state matrices (`slots.len() · k` rows), and
+/// the implementation pushes exactly one [`Action`] per slot, in order.
+/// RL policies answer with one batched forward; heuristics read the
+/// per-slot contexts.
 pub trait MultiServicePolicy: Send {
     /// Display name used in reports.
     fn name(&self) -> String;
@@ -332,7 +330,7 @@ pub trait MultiServicePolicy: Send {
 }
 
 /// Greedy RL agent over the slot batch: one `q_values_batch` forward per
-/// tick for all episodes × services (the serving path).
+/// tick for all pending services (the serving path).
 pub struct RlServicePolicy {
     /// The trained agent.
     pub agent: DqnAgent,
@@ -591,7 +589,7 @@ fn pair_job(svc: &ServiceSpec, name: &str, submit: i64, nodes: u32) -> JobRecord
 
 /// Row-stacks pending `k × m` state matrices into `batch` (`k` rows
 /// each, in iteration order), reusing its allocation.
-fn stack_states<'m>(
+pub(crate) fn stack_states<'m>(
     batch: &mut Matrix,
     k: usize,
     states: impl ExactSizeIterator<Item = &'m Matrix>,
@@ -601,36 +599,6 @@ fn stack_states<'m>(
         debug_assert_eq!(m.shape(), (k, STATE_VARS));
         for r in 0..k {
             batch.row_mut(slot * k + r).copy_from_slice(m.row(r));
-        }
-    }
-}
-
-/// The lockstep decision surface shared by one episode
-/// ([`MultiServiceEnv`]), a batch of them ([`MultiServiceBatch`]) and the
-/// single-service view
-/// ([`BatchedEpisodeDriver`](crate::batch::BatchedEpisodeDriver)), so
-/// the tick loop is written once.
-pub(crate) trait Lockstep: Sized {
-    /// Whether any hand-off still awaits decisions.
-    fn is_deciding(&self) -> bool;
-    /// Advances one decision tick; returns the pending width.
-    fn advance_tick(&mut self) -> usize;
-    /// Applies one action per pending row.
-    fn apply(&mut self, actions: &[Action]);
-
-    /// Drives the decision loop to completion: every tick with pending
-    /// rows, `decide` pushes exactly one action per row, in row order.
-    fn drive(&mut self, mut decide: impl FnMut(&Self, &mut Vec<Action>)) {
-        let mut actions = Vec::new();
-        while self.is_deciding() {
-            let width = self.advance_tick();
-            if width == 0 {
-                continue;
-            }
-            actions.clear();
-            decide(self, &mut actions);
-            assert_eq!(actions.len(), width, "policy must answer every slot");
-            self.apply(&actions);
         }
     }
 }
@@ -699,7 +667,10 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
                         nodes: svc.nodes_at(t0),
                         timelimit: svc.timelimit,
                     },
-                    pred_nodes: svc.nodes_at(t0),
+                    // A traffic peak may want more than the partition
+                    // (`validate` checks only the baseline); a wider job
+                    // would be rejected and never run.
+                    pred_nodes: svc.nodes_at(t0).min(total_nodes),
                     pred_id: 0,
                     succ_id: None,
                     succ_submit: 0,
@@ -787,9 +758,13 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     }
 
     /// Submits service `i`'s successor at the current instant, sized for
-    /// current demand.
+    /// current demand clamped to the partition (the encoded demand stays
+    /// unclamped).
     fn submit_successor(&mut self, i: usize, by_policy: bool) {
-        let nodes = self.services[i].succ_spec.nodes;
+        let nodes = self.services[i]
+            .succ_spec
+            .nodes
+            .min(self.backend.total_nodes());
         let job = pair_job(&self.cfg.services[i], "mirage_succ", 0, nodes);
         let id = self.backend.submit(job);
         let st = &mut self.services[i];
@@ -900,13 +875,11 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         &self.pending
     }
 
-    /// The [`SlotContext`] of pending batch row `row` (instance 0; the
-    /// lockstep batch driver overwrites the instance).
+    /// The [`SlotContext`] of pending batch row `row`.
     pub fn slot_context(&self, row: usize) -> SlotContext {
         let i = self.pending[row];
         let st = &self.services[i];
         SlotContext {
-            instance: 0,
             service: i,
             n_services: self.services.len(),
             now: self.now,
@@ -926,11 +899,7 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     /// between the last [`advance_tick`](Self::advance_tick) and the
     /// matching [`apply`](Self::apply).
     pub fn decision_context(&self, row: usize) -> DecisionContext<'_> {
-        self.service_context(self.pending[row])
-    }
-
-    fn service_context(&self, service: usize) -> DecisionContext<'_> {
-        let st = &self.services[service];
+        let st = &self.services[self.pending[row]];
         DecisionContext {
             now: self.now,
             state_matrix: &st.matrix,
@@ -962,8 +931,26 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         self.pending.clear();
     }
 
-    /// Drives the decision loop to completion with `policy` (single
-    /// episode; instance index 0). Returns the decisions answered.
+    /// Drives the decision loop to completion: every tick with pending
+    /// services, `decide` pushes exactly one action per pending row, in
+    /// row order.
+    fn drive(&mut self, mut decide: impl FnMut(&Self, &mut Vec<Action>)) {
+        let mut actions = Vec::new();
+        while self.is_deciding() {
+            let width = self.advance_tick();
+            if width == 0 {
+                continue;
+            }
+            actions.clear();
+            decide(self, &mut actions);
+            assert_eq!(actions.len(), width, "policy must answer every slot");
+            self.apply(&actions);
+        }
+    }
+
+    /// Drives the decision loop to completion with `policy`, one
+    /// [`MultiServicePolicy::decide`] per tick over every pending
+    /// service. Returns the decisions answered.
     pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) -> u64 {
         let mut batch = Matrix::zeros(0, 0);
         let mut slots = Vec::with_capacity(self.n_services());
@@ -981,8 +968,8 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
     /// The N = 1 decision loop: `decide` answers service 0's
     /// [`decision_context`](Self::decision_context) every tick, then the
     /// episode resolves, leaving the engine resolved (to be dropped or
-    /// restored). What `run_episode` and the single-service evaluation
-    /// harnesses run.
+    /// restored). What `run_episode`, the single-service evaluation
+    /// harnesses and offline collection run.
     pub(crate) fn play_single(
         &mut self,
         mut decide: impl FnMut(&DecisionContext) -> Action,
@@ -1143,190 +1130,6 @@ impl<B: ClusterBackend> MultiServiceEnv<B> {
         *last_avg_wait = source.last_avg_wait;
         *record = source.record;
         submits_by_tick.clone_from(&source.submits_by_tick);
-    }
-}
-
-impl<B: ClusterBackend> Lockstep for MultiServiceEnv<B> {
-    fn is_deciding(&self) -> bool {
-        Self::is_deciding(self)
-    }
-    fn advance_tick(&mut self) -> usize {
-        Self::advance_tick(self)
-    }
-    fn apply(&mut self, actions: &[Action]) {
-        Self::apply(self, actions);
-    }
-}
-
-/// M episodes in lockstep: one row-stacked batch across every pending
-/// `(episode, service)` slot per tick — services × episodes behind a
-/// single policy call (one batched NN forward for the RL policies),
-/// narrowing as services and episodes finish. Each episode runs against
-/// its own backend and evolves exactly as it would alone, so per-episode
-/// results are bit-identical to sequential execution.
-pub struct MultiServiceBatch<B: ClusterBackend> {
-    envs: Vec<MultiServiceEnv<B>>,
-    k: usize,
-    batch: Matrix,
-    slots: Vec<SlotContext>,
-    /// Decisions answered so far (bench throughput accounting).
-    decisions: u64,
-}
-
-impl<B: ClusterBackend> MultiServiceBatch<B> {
-    /// Starts one multi-service episode per backend: `backends[i]`
-    /// hosts the episode starting at `t0s[i]`, all sharing `trace` and
-    /// `cfg`.
-    pub fn new(
-        backends: impl IntoIterator<Item = B>,
-        trace: &[JobRecord],
-        cfg: &MultiServiceConfig,
-        t0s: &[i64],
-    ) -> Self {
-        Self::with_windows(backends, t0s.iter().map(|_| trace), cfg, t0s)
-    }
-
-    /// [`new`](Self::new) with a **per-episode background trace**:
-    /// episode `i` replays `windows[i]`. Training windows mix episode
-    /// starts, and each start replays only its own
-    /// `mirage_core::train::episode_window` slice of the full trace —
-    /// sharing one slice across different `t0`s would change every
-    /// episode's warm-up state (and break bit-identity with sequential
-    /// training).
-    pub fn with_windows<'w>(
-        backends: impl IntoIterator<Item = B>,
-        windows: impl IntoIterator<Item = &'w [JobRecord]>,
-        cfg: &MultiServiceConfig,
-        t0s: &[i64],
-    ) -> Self {
-        let backends: Vec<B> = backends.into_iter().collect();
-        let windows: Vec<&[JobRecord]> = windows.into_iter().collect();
-        assert!(
-            backends.len() == t0s.len() && windows.len() == t0s.len(),
-            "need exactly one backend and one trace window per episode start \
-             (got {} backends and {} windows for {} starts)",
-            backends.len(),
-            windows.len(),
-            t0s.len()
-        );
-        assert!(!t0s.is_empty(), "batch needs at least one episode");
-        let envs = backends
-            .into_iter()
-            .zip(windows)
-            .zip(t0s)
-            .map(|((backend, window), &t0)| MultiServiceEnv::new(backend, window, cfg, t0))
-            .collect();
-        Self {
-            envs,
-            k: cfg.history_k.max(1),
-            batch: Matrix::zeros(0, 0),
-            slots: Vec::new(),
-            decisions: 0,
-        }
-    }
-
-    /// Episode count (fixed; the *pending* width shrinks as services
-    /// and episodes leave the decision loop).
-    pub fn width(&self) -> usize {
-        self.envs.len()
-    }
-
-    /// Whether any episode still awaits decisions.
-    pub fn is_deciding(&self) -> bool {
-        self.envs.iter().any(|e| e.is_deciding())
-    }
-
-    /// Total `(episode, service)` decisions answered so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Forwards [`MultiServiceEnv::set_record_decisions`] to every
-    /// episode.
-    pub fn set_record_decisions(&mut self, record: bool) {
-        for e in &mut self.envs {
-            e.set_record_decisions(record);
-        }
-    }
-
-    /// Advances every still-deciding episode one tick and assembles the
-    /// combined slot batch. Returns the pending slot count (0 when the
-    /// remaining services all hit their reactive fallback — check
-    /// [`is_deciding`](Self::is_deciding) to tell that apart from being
-    /// done).
-    pub fn advance_tick(&mut self) -> usize {
-        self.slots.clear();
-        for (i, env) in self.envs.iter_mut().enumerate() {
-            for row in 0..env.advance_tick() {
-                self.slots.push(SlotContext {
-                    instance: i,
-                    ..env.slot_context(row)
-                });
-            }
-        }
-        if !self.slots.is_empty() {
-            let envs = &self.envs;
-            let matrix = |s: &SlotContext| &envs[s.instance].services[s.service].matrix;
-            stack_states(&mut self.batch, self.k, self.slots.iter().map(matrix));
-        }
-        self.slots.len()
-    }
-
-    /// The combined row-stacked states of the pending slots.
-    pub fn batch_states(&self) -> &Matrix {
-        &self.batch
-    }
-
-    /// The pending slots' contexts, in batch row order.
-    pub fn slots(&self) -> &[SlotContext] {
-        &self.slots
-    }
-
-    /// The [`DecisionContext`] of pending batch row `row` (see
-    /// [`MultiServiceEnv::decision_context`]).
-    pub fn decision_context(&self, row: usize) -> DecisionContext<'_> {
-        let slot = &self.slots[row];
-        self.envs[slot.instance].service_context(slot.service)
-    }
-
-    /// Applies one action per pending slot (batch row order).
-    pub fn apply(&mut self, actions: &[Action]) {
-        assert_eq!(actions.len(), self.slots.len(), "one action per slot");
-        self.decisions += actions.len() as u64;
-        let mut offset = 0;
-        for env in &mut self.envs {
-            let w = env.pending.len();
-            if w > 0 {
-                env.apply(&actions[offset..offset + w]);
-                offset += w;
-            }
-        }
-        self.slots.clear();
-    }
-
-    /// Drives every episode to the end of its decision loop: one
-    /// [`MultiServicePolicy::decide`] per lockstep tick.
-    pub fn run<P: MultiServicePolicy + ?Sized>(&mut self, policy: &mut P) {
-        self.drive(|batch, actions| policy.decide(&batch.batch, &batch.slots, actions));
-    }
-
-    /// Resolves every episode and returns the results in construction
-    /// order, alongside the backends.
-    pub fn finish(self) -> (Vec<MultiServiceResult>, Vec<B>) {
-        assert!(!self.is_deciding(), "finish() before decisions ended");
-        self.envs.into_iter().map(MultiServiceEnv::finish).unzip()
-    }
-}
-
-impl<B: ClusterBackend> Lockstep for MultiServiceBatch<B> {
-    fn is_deciding(&self) -> bool {
-        Self::is_deciding(self)
-    }
-    fn advance_tick(&mut self) -> usize {
-        Self::advance_tick(self)
-    }
-    fn apply(&mut self, actions: &[Action]) {
-        Self::apply(self, actions);
     }
 }
 
@@ -1579,73 +1382,6 @@ mod tests {
         // The shared backend accounted both users separately.
         assert_eq!(backend.user_usage(999).completed, 2);
         assert_eq!(backend.user_usage(1001).completed, 2);
-    }
-
-    #[test]
-    fn lockstep_batch_matches_sequential_envs() {
-        // Two episodes × two services through one batched closure must
-        // equal running each episode's env alone.
-        let cfg = two_service_cfg();
-        let trace = bg_trace();
-        let t0s = [DAY, DAY + 2 * HOUR];
-        let decide = |s: &SlotContext| {
-            if s.pred_started && s.pred_remaining <= s.service as i64 * HOUR + HOUR {
-                Action::Submit
-            } else {
-                Action::Wait
-            }
-        };
-
-        let sequential: Vec<MultiServiceResult> = t0s
-            .iter()
-            .map(|&t0| {
-                let mut env = MultiServiceEnv::new(sim(4), &trace, &cfg, t0);
-                while env.is_deciding() {
-                    let w = env.advance_tick();
-                    if w == 0 {
-                        continue;
-                    }
-                    let acts: Vec<Action> = (0..w).map(|r| decide(&env.slot_context(r))).collect();
-                    env.apply(&acts);
-                }
-                env.finish().0
-            })
-            .collect();
-
-        struct Closure<F>(F);
-        impl<F: FnMut(&SlotContext) -> Action + Send> MultiServicePolicy for Closure<F> {
-            fn name(&self) -> String {
-                "closure".into()
-            }
-            fn decide(
-                &mut self,
-                _batch: &Matrix,
-                slots: &[SlotContext],
-                actions: &mut Vec<Action>,
-            ) {
-                actions.extend(slots.iter().map(&mut self.0));
-            }
-        }
-        let backends = (0..t0s.len()).map(|_| sim(4));
-        let mut batch = MultiServiceBatch::new(backends, &trace, &cfg, &t0s);
-        batch.run(&mut Closure(decide));
-        let (batched, _) = batch.finish();
-
-        assert_eq!(batched.len(), sequential.len());
-        for (b, s) in batched.iter().zip(&sequential) {
-            assert_eq!(b.stampede_ticks, s.stampede_ticks);
-            for (bs, ss) in b.services.iter().zip(&s.services) {
-                assert_eq!(bs.outcome, ss.outcome);
-                assert_eq!(bs.succ_submit, ss.succ_submit);
-                assert_eq!(bs.submitted_by_policy, ss.submitted_by_policy);
-                assert_eq!(bs.reward, ss.reward);
-                assert_eq!(bs.decisions.len(), ss.decisions.len());
-                for ((bm, ba), (sm, sa)) in bs.decisions.iter().zip(&ss.decisions) {
-                    assert_eq!(ba, sa);
-                    assert_eq!(bm, sm);
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! * **Ensemble fitting**: the same episodes supply (features → observed
 //!   successor wait) pairs for the Random Forest / XGBoost baselines.
 //!
-//! All episode execution — offline collection and both online loops —
-//! runs through the lockstep [`BatchedCollector`]
-//! (`TrainConfig::collect_lanes` episodes per window, one batched NN
-//! forward per decision tick); see [`crate::trainloop`] for the engine
-//! and its bit-identity contract with the sequential loops it replaced.
+//! Offline collection plays fixed split-point policies, so it runs on the
+//! warm-once loop in [`crate::eval`]: one warm-up per start, every run on
+//! a restore. Both online loops run through the lockstep
+//! [`BatchedCollector`] (`TrainConfig::collect_lanes` episodes per
+//! window, one batched NN forward per decision tick); see
+//! [`crate::trainloop`] for it and its bit-identity contract with the
+//! sequential loops it replaced.
 
 use mirage_ensemble::{Dataset, ForestConfig, GbdtConfig, GradientBoosting, RandomForest};
 use mirage_nn::foundation::FoundationKind;
@@ -36,7 +38,10 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::{
     check_match, CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError,
 };
-use crate::episode::{EpisodeConfig, EpisodeConfigError, EpisodeResult};
+use crate::episode::{Action, EpisodeConfig, EpisodeConfigError, EpisodeResult};
+use crate::eval::warm_once;
+use crate::features::extract_features;
+use crate::multiservice::MultiServiceConfig;
 use crate::policy::{
     AvgWaitPolicy, DqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy, WaitModel,
     WaitPredictorPolicy,
@@ -45,7 +50,6 @@ use crate::reward::RewardShaper;
 use crate::state::STATE_VARS;
 use crate::trainloop::{
     dqn_collect_sharded, pg_collect_sharded, BatchedCollector, DqnActWindow, PgActWindow,
-    SplitCollectPolicy,
 };
 
 /// The eight §6 methods.
@@ -132,8 +136,8 @@ pub struct TrainConfig {
     /// Replay mini-batch updates after each online episode.
     pub updates_per_episode: usize,
     /// Lockstep episode lanes **per training worker** per
-    /// online-collection window (and per offline-collection window,
-    /// capped by the pool width). Each window's acting shares the
+    /// online-collection window (offline collection plays one episode at
+    /// a time and ignores it). Each window's acting shares the
     /// window-start weights; `Some(1)` recovers the fully sequential
     /// collect-update cadence bit for bit, and every lane is
     /// bit-identical to a sequential run under its own `(seed, ε-base)`
@@ -372,61 +376,68 @@ pub fn episode_window<'a>(
 /// §4.9.1 offline collection: for each start, one reactive run plus
 /// `split_points` runs that submit the successor at evenly split elapsed
 /// fractions of the predecessor's limit. Every decision of a run is
-/// credited with the delayed episode reward.
+/// credited with the delayed episode reward, and the features at a run's
+/// submit decision pair with its successor wait for the ensembles.
 ///
-/// Runs step through the batched episode engine in lockstep windows
-/// (each lane against its own pool-seeded backend), with whole windows
-/// fanned out across the [`BackendPool`]'s worker threads; results are
-/// in task order and identical to a sequential run, whatever the worker
-/// count. Decision matrices move straight into the reward pool — only
-/// each start's best run is copied (out of that pool) for the
-/// behavior-cloning warm start.
+/// The runs of one start are identical until the policy acts, so they
+/// run on the evaluation loop in [`crate::eval`]: each start is warmed
+/// once on one pool backend (slot 0, [`BackendPool::build_one`]) and
+/// every run plays on a restore of that warm engine, bit-identical to
+/// re-warming per run. On a fault-injecting pool every run of every
+/// start therefore replays slot 0's crash tape. No threads are spawned;
+/// the pool's worker count does not change the output. Decision matrices
+/// move straight into the reward pool — only each start's best run is
+/// copied (out of that pool) for the behavior-cloning warm start.
 pub fn collect_offline<F: BackendFactory>(
     pool: &BackendPool<F>,
     trace: &[JobRecord],
     cfg: &TrainConfig,
     starts: &[i64],
-) -> OfflineData {
-    let points = cfg.split_points.max(1);
-    let mut t0s: Vec<i64> = Vec::new();
-    let mut splits: Vec<Option<usize>> = Vec::new();
-    for &t0 in starts {
-        t0s.push(t0);
-        splits.push(None); // reactive run (never submit proactively)
-        for j in 0..points {
-            t0s.push(t0);
-            splits.push(Some(j));
-        }
-    }
-    // Heuristic collection has no NN to amortize, so lockstep width
-    // matters less than thread fan-out: small windows (capped by the
-    // pool width), one window per pool thread at a time.
-    let lanes = cfg
-        .collect_lanes_for(pool.workers())
-        .min(pool.workers())
-        .max(1);
-    let collector = BatchedCollector::new(pool, trace, &cfg.episode, lanes);
-    let (results, policies) = collector.run_threaded(&t0s, pool.workers(), || {
-        SplitCollectPolicy::new(&cfg.episode, points, &splits)
-    });
-    // Each task ran on exactly one thread; merge its features from
-    // whichever per-thread policy saw it.
-    let mut submit_features: Vec<Option<Vec<f32>>> = vec![None; t0s.len()];
-    for mut policy in policies {
-        for (i, f) in policy.submit_features.iter_mut().enumerate() {
-            if f.is_some() {
-                submit_features[i] = f.take();
-            }
-        }
-    }
+) -> OfflineData
+where
+    F::Backend: Clone,
+{
+    let episode = &cfg.episode;
+    let points = cfg.split_points.max(1) as i64;
+    // Run 0 is reactive (never submits proactively); run j + 1 submits
+    // once the predecessor's elapsed time passes (j+1)/(points+1) of its
+    // limit.
+    let mut thresholds: Vec<Option<i64>> = std::iter::once(None)
+        .chain((1..=points).map(|j| Some(j * episode.pair_timelimit / (points + 1))))
+        .collect();
+    let runs = thresholds.len();
+    let mut played = Vec::with_capacity(starts.len() * runs);
+    let single = MultiServiceConfig::single(episode, RewardShaper::default());
+    warm_once(
+        &mut [pool.build_one()],
+        starts,
+        |t0| episode_window(trace, t0, episode),
+        &single,
+        &mut thresholds,
+        |_, threshold, work| {
+            work.set_record_decisions(true);
+            let mut features = None;
+            let result = work.play_single(|ctx| {
+                let elapsed = episode.pair_timelimit - ctx.pred_remaining;
+                if threshold.is_some_and(|th| ctx.pred_started && elapsed >= th) {
+                    // A submit ends the decision loop: this is the first.
+                    features = Some(extract_features(ctx));
+                    Action::Submit
+                } else {
+                    Action::Wait
+                }
+            });
+            played.push((result, features));
+        },
+    );
 
     let mut data = OfflineData::default();
     let mut best_per_start: std::collections::HashMap<i64, (f32, usize)> =
         std::collections::HashMap::new();
     // Reward-pool span of each task's decisions, so best runs can be
     // copied back out without keeping a second full set of matrices.
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(results.len());
-    for (i, mut result) in results.into_iter().enumerate() {
+    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(played.len());
+    for (i, (mut result, features)) in played.into_iter().enumerate() {
         let reward = cfg.shaper.reward(&result.outcome);
         let offset = data.reward_samples.len();
         for (state, action) in result.take_decisions() {
@@ -437,12 +448,12 @@ pub fn collect_offline<F: BackendFactory>(
             });
         }
         spans.push((offset, data.reward_samples.len()));
-        if let Some(features) = submit_features[i].take() {
+        if let Some(features) = features {
             data.wait_samples
                 .push((features, result.succ_wait() as f32 / 3600.0));
         }
         best_per_start
-            .entry(t0s[i])
+            .entry(starts[i / runs])
             .and_modify(|(best, idx)| {
                 if reward > *best {
                     *best = reward;
@@ -1080,7 +1091,7 @@ fn pg_online_loop<F: BackendFactory>(
 /// heuristics this is free; for the ensembles it fits on the offline wait
 /// samples; for the RL methods it pretrains the foundation and fine-tunes
 /// online in lockstep windows against `pool`-built backends (any
-/// [`BackendFactory`] — the same pool offline collection fans over).
+/// [`BackendFactory`] — the same pool offline collection builds on).
 pub fn train_method<F: BackendFactory>(
     kind: MethodKind,
     pool: &BackendPool<F>,

@@ -1,5 +1,7 @@
-//! The lockstep training data-path (§4.9): one engine behind online
-//! DQN/PG fine-tuning and §4.9.1 offline collection.
+//! The lockstep online-training data-path (§4.9.2): the collection
+//! windows behind DQN and PG fine-tuning. (§4.9.1 offline collection
+//! plays fixed split-point policies, so it runs on the warm-once loop in
+//! [`crate::eval`] instead: see [`crate::train::collect_offline`].)
 //!
 //! Training throughput in the paper's regime is sample-collection
 //! throughput: every decision of every training episode used to pay a
@@ -10,6 +12,9 @@
 //! tick (reusing the per-lane embed-row caches, which the agents
 //! invalidate on every train step), and each window's results come back
 //! in episode order so replay pushes and update cadence are untouched.
+//! With several training workers, [`dqn_collect_sharded`] /
+//! [`pg_collect_sharded`] split one window into contiguous per-thread
+//! sub-windows — the only threads in the crate's episode loops.
 //!
 //! Correctness contract, pinned by the `lockstep_training` property
 //! tests:
@@ -27,16 +32,12 @@
 //! batched-collection trade, and `lanes == 1` recovers the fully
 //! sequential cadence exactly.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use mirage_rl::{DqnAgent, ExploreLane, PgAgent};
 use mirage_sim::{BackendFactory, BackendPool};
 use mirage_trace::JobRecord;
 
 use crate::batch::{BatchedEpisodeDriver, LanePolicy};
-use crate::episode::{Action, EpisodeConfig, EpisodeResult};
-use crate::features::extract_features;
+use crate::episode::{EpisodeConfig, EpisodeResult};
 use crate::train::episode_window;
 
 /// Lockstep episode collection over a [`BackendPool`]: chunks an episode
@@ -75,7 +76,8 @@ impl<'a, F: BackendFactory> BatchedCollector<'a, F> {
     /// Builds the lockstep driver for one window of episode starts: one
     /// fresh pool backend (slots `0..`, from [`BackendPool::build_range`])
     /// and one per-`t0` trace window per lane. Decision recording is on —
-    /// the trajectories are the training data.
+    /// the trajectories are the training data. Training loops step
+    /// windows themselves, updating weights between them.
     pub fn window(&self, t0s: &[i64]) -> BatchedEpisodeDriver<F::Backend> {
         self.window_at(0, t0s)
     }
@@ -96,105 +98,6 @@ impl<'a, F: BackendFactory> BatchedCollector<'a, F> {
             self.episode,
             t0s,
         )
-    }
-
-    /// Runs every episode of `t0s` through lockstep windows with one
-    /// policy and returns all results in episode order. The convenience
-    /// path for policies with no between-window training (offline
-    /// collection); training loops that update weights between windows
-    /// iterate [`window`](Self::window) themselves.
-    pub fn run<P: LanePolicy<F::Backend>>(
-        &self,
-        t0s: &[i64],
-        policy: &mut P,
-    ) -> Vec<EpisodeResult> {
-        let mut results = Vec::with_capacity(t0s.len());
-        for chunk in t0s.chunks(self.lanes) {
-            policy.begin_window(results.len(), chunk.len());
-            let mut driver = self.window(chunk);
-            driver.run_lanes(policy);
-            results.extend(driver.finish().0);
-        }
-        results
-    }
-
-    /// [`run`](Self::run) with whole windows fanned out across `threads`
-    /// std threads (each window still steps its lanes in lockstep):
-    /// threads claim window indices from a shared cursor and every
-    /// window's results land at its own offset, so the output — every
-    /// episode against its own fresh, identically seeded backend — is
-    /// byte-identical to the single-threaded [`run`](Self::run),
-    /// whatever the thread interleaving. One policy is built per thread
-    /// (`make_policy`) and all are returned for the caller to merge;
-    /// windows reach a thread's policy in claim order, so policies must
-    /// key any per-episode state on the absolute ordinals
-    /// `begin_window` hands them. NN-free offline collection uses this;
-    /// the online RL loops keep one thread (one shared set of weights).
-    pub fn run_threaded<P, MkP>(
-        &self,
-        t0s: &[i64],
-        threads: usize,
-        make_policy: MkP,
-    ) -> (Vec<EpisodeResult>, Vec<P>)
-    where
-        P: LanePolicy<F::Backend> + Send,
-        MkP: Fn() -> P + Sync,
-    {
-        let mut windows: Vec<(usize, &[i64])> = Vec::new();
-        let mut first = 0;
-        for chunk in t0s.chunks(self.lanes) {
-            windows.push((first, chunk));
-            first += chunk.len();
-        }
-        let threads = threads.clamp(1, windows.len().max(1));
-        if threads == 1 {
-            let mut policy = make_policy();
-            let results = self.run(t0s, &mut policy);
-            return (results, vec![policy]);
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<EpisodeResult>>>> =
-            (0..windows.len()).map(|_| Mutex::new(None)).collect();
-        let policies: Vec<P> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    let windows = &windows;
-                    let make_policy = &make_policy;
-                    scope.spawn(move || {
-                        let mut policy = make_policy();
-                        loop {
-                            let w = cursor.fetch_add(1, Ordering::Relaxed);
-                            if w >= windows.len() {
-                                break;
-                            }
-                            let (first, chunk) = windows[w];
-                            policy.begin_window(first, chunk.len());
-                            let mut driver = self.window(chunk);
-                            driver.run_lanes(&mut policy);
-                            *slots[w].lock().expect("unpoisoned window slot") =
-                                Some(driver.finish().0);
-                        }
-                        policy
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("collector thread panicked"))
-                .collect()
-        });
-        let results = slots
-            .into_iter()
-            .flat_map(|slot| {
-                slot.into_inner()
-                    .expect("unpoisoned window slot")
-                    .expect("every window index was claimed exactly once")
-            })
-            .collect();
-        (results, policies)
     }
 }
 
@@ -315,149 +218,4 @@ where
         .into_iter()
         .flat_map(|s| s.expect("every sub-window ran"))
         .collect()
-}
-
-/// The §4.9.1 split-point heuristic over collection windows: task `i`
-/// waits (`splits[i] == None`, the reactive run) or submits once the
-/// predecessor's elapsed fraction of its limit passes
-/// `(j + 1) / (points + 1)` (`splits[i] == Some(j)`), and the features
-/// at each task's first submit decision are recorded for the ensemble
-/// wait predictors.
-pub struct SplitCollectPolicy<'a> {
-    episode: &'a EpisodeConfig,
-    points: usize,
-    splits: &'a [Option<usize>],
-    first: usize,
-    /// Features at each task's first submit decision, task order
-    /// (pre-sized to the task count: windows may reach a policy out of
-    /// order under [`BatchedCollector::run_threaded`]).
-    pub submit_features: Vec<Option<Vec<f32>>>,
-}
-
-impl<'a> SplitCollectPolicy<'a> {
-    /// Policy over `splits.len()` tasks with `points` split points.
-    pub fn new(episode: &'a EpisodeConfig, points: usize, splits: &'a [Option<usize>]) -> Self {
-        Self {
-            episode,
-            points: points.max(1),
-            splits,
-            first: 0,
-            submit_features: vec![None; splits.len()],
-        }
-    }
-}
-
-impl<B: mirage_sim::ClusterBackend> LanePolicy<B> for SplitCollectPolicy<'_> {
-    fn begin_window(&mut self, first: usize, _width: usize) {
-        self.first = first;
-    }
-
-    fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>) {
-        for (row, &lane) in driver.pending().iter().enumerate() {
-            let task = self.first + lane;
-            let ctx = driver.pending_context(row);
-            let act = match self.splits[task] {
-                None => Action::Wait,
-                Some(j) => {
-                    // Submit once the predecessor's elapsed fraction
-                    // passes (j+1)/(points+1) of its limit.
-                    let threshold =
-                        (j as i64 + 1) * self.episode.pair_timelimit / (self.points as i64 + 1);
-                    let elapsed = self.episode.pair_timelimit - ctx.pred_remaining;
-                    if ctx.pred_started && elapsed >= threshold {
-                        Action::Submit
-                    } else {
-                        Action::Wait
-                    }
-                }
-            };
-            if act == Action::Submit && self.submit_features[task].is_none() {
-                self.submit_features[task] = Some(extract_features(&ctx));
-            }
-            actions.push(act.index());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mirage_sim::{BackendKind, SimConfig};
-    use mirage_trace::{DAY, HOUR, MINUTE};
-
-    fn small_cfg() -> EpisodeConfig {
-        EpisodeConfig {
-            pair_nodes: 1,
-            pair_timelimit: 4 * HOUR,
-            pair_runtime: 4 * HOUR,
-            decision_interval: 30 * MINUTE,
-            history_k: 4,
-            warmup: DAY,
-            pair_user: 999,
-            fault_features: false,
-            hetero_features: false,
-        }
-    }
-
-    fn bg_trace() -> Vec<JobRecord> {
-        (0..10 * 24)
-            .map(|i| {
-                JobRecord::new(
-                    i as u64 + 1,
-                    format!("bg{i}"),
-                    (i % 5) as u32,
-                    i * HOUR,
-                    1 + (i % 3) as u32,
-                    4 * HOUR,
-                    2 * HOUR,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn threaded_windows_match_single_threaded_run_bitwise() {
-        // Window fan-out across threads must not change anything: same
-        // per-episode outcomes and decisions, same recorded features,
-        // whatever the thread count.
-        let cfg = small_cfg();
-        let trace = bg_trace();
-        let pool = SimConfig::builder()
-            .nodes(4)
-            .backend(BackendKind::Pooled { workers: 4 })
-            .build_pool();
-        let t0s: Vec<i64> = (0..10).map(|i| 2 * DAY + i * 5 * HOUR).collect();
-        let splits: Vec<Option<usize>> = (0..10)
-            .map(|i| if i % 3 == 0 { None } else { Some(i % 3 - 1) })
-            .collect();
-        let collector = BatchedCollector::new(&pool, &trace, &cfg, 3);
-
-        let mut single = SplitCollectPolicy::new(&cfg, 2, &splits);
-        let sequential = collector.run(&t0s, &mut single);
-        for threads in [2usize, 4] {
-            let (threaded, policies) =
-                collector.run_threaded(&t0s, threads, || SplitCollectPolicy::new(&cfg, 2, &splits));
-            assert_eq!(threaded.len(), sequential.len());
-            for (a, b) in threaded.iter().zip(&sequential) {
-                assert_eq!(a.outcome, b.outcome);
-                assert_eq!(a.succ_submit, b.succ_submit);
-                assert_eq!(a.submitted_by_policy, b.submitted_by_policy);
-                assert_eq!(a.decisions, b.decisions);
-            }
-            // Every task's features appear in exactly one thread policy
-            // and match the single-threaded recording.
-            for i in 0..t0s.len() {
-                let merged: Vec<&Vec<f32>> = policies
-                    .iter()
-                    .filter_map(|p| p.submit_features[i].as_ref())
-                    .collect();
-                assert!(merged.len() <= 1, "task {i} ran on one thread");
-                assert_eq!(
-                    merged.first().copied(),
-                    single.submit_features[i].as_ref(),
-                    "task {i} features"
-                );
-            }
-        }
-    }
 }

@@ -1,9 +1,11 @@
 //! Warm once, fork per method: `evaluate`, `evaluate_chaos`,
-//! `evaluate_hetero` and `evaluate_multiservice` run on one loop that
-//! warms each episode start once and runs every method on a restore of
-//! that warm engine. Their reports must equal, field for field, those of
-//! re-warming the backend for every method (`run_method` and
-//! `oracle_multiservice` below, the test-local oracles). CI runs the four
+//! `evaluate_hetero`, `evaluate_multiservice` and `collect_offline` run
+//! on one loop that warms each episode start once and runs every method
+//! (for collection: the reactive run and every split-point run) on a
+//! restore of that warm engine. Their outputs must equal, field for field
+//! or bit for bit, those of re-warming the backend for every method
+//! (`run_method`, `oracle_multiservice` and `oracle_collect_offline`
+//! below, the test-local oracles). CI runs the five
 //! `*_matches_rewarm_oracle` tests by name.
 //!
 //! The method lists cover what a restore could leak between methods:
@@ -16,16 +18,17 @@
 use std::ops::AddAssign;
 
 use mirage_core::chaos::{evaluate_chaos, ChaosConfig, ChaosLane, ChaosReport, ChaosSeverity};
-use mirage_core::episode::{run_episode, EpisodeConfig, EpisodeResult};
+use mirage_core::episode::{run_episode, Action, EpisodeConfig, EpisodeResult};
 use mirage_core::eval::{
     evaluate, EpisodeRecord, EvalConfig, EvalReport, LaneMethodSummary, LoadLevel, MethodOutcome,
 };
+use mirage_core::features::extract_features;
 use mirage_core::hetero::{
     evaluate_hetero, HeteroConfig, HeteroLane, HeteroReport, HeteroScenario,
 };
 use mirage_core::multiservice::{
     bursty_scenario, diurnal_scenario, evaluate_multiservice, GreedyPerServicePolicy,
-    MultiMethodSummary, MultiServiceBatch, MultiServiceConfig, MultiServicePolicy,
+    MultiMethodSummary, MultiServiceConfig, MultiServiceEnv, MultiServicePolicy,
     MultiServiceReport, RlServicePolicy, ShortestQueuePolicy, UniformSharePolicy,
 };
 use mirage_core::policy::{
@@ -33,11 +36,14 @@ use mirage_core::policy::{
 };
 use mirage_core::reward::RewardShaper;
 use mirage_core::state::STATE_VARS;
-use mirage_core::train::{episode_window, sample_episode_starts};
+use mirage_core::train::{
+    collect_offline, episode_window, sample_episode_starts, OfflineData, TrainConfig,
+};
 use mirage_nn::foundation::FoundationKind;
 use mirage_nn::transformer::TransformerConfig;
 use mirage_rl::{
     ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet, PgAgent, PgConfig,
+    RewardSample,
 };
 use mirage_sim::{BackendKind, ClusterBackend, FaultModel, SimBuilder, SimConfig, Simulator};
 use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
@@ -320,7 +326,7 @@ fn oracle_hetero(
 }
 
 /// `evaluate_multiservice` re-warming per method: fresh backends for
-/// every method, and one lockstep batch over every start.
+/// every method, start `i` on backend `i`, one engine per episode.
 fn oracle_multiservice<B: ClusterBackend>(
     methods: &mut [Box<dyn MultiServicePolicy>],
     mut make_backends: impl FnMut(usize) -> Vec<B>,
@@ -332,12 +338,14 @@ fn oracle_multiservice<B: ClusterBackend>(
     let mut summaries = Vec::new();
     let mut decisions = 0u64;
     for m in methods.iter_mut() {
-        m.reset();
-        let mut batch = MultiServiceBatch::new(make_backends(t0s.len()), trace, cfg, t0s);
-        batch.set_record_decisions(false);
-        batch.run(m.as_mut());
-        decisions += batch.decisions();
-        let (results, _) = batch.finish();
+        let mut results = Vec::new();
+        for (backend, &t0) in make_backends(t0s.len()).into_iter().zip(t0s) {
+            m.reset();
+            let mut env = MultiServiceEnv::new(backend, trace, cfg, t0);
+            env.set_record_decisions(false);
+            decisions += env.run(m.as_mut());
+            results.push(env.finish().0);
+        }
 
         let per_service = (results.len() * cfg.n_services()) as f64;
         let (mut reward, mut interruption, mut overlap) = (0.0f64, 0.0f64, 0.0f64);
@@ -369,6 +377,89 @@ fn oracle_multiservice<B: ClusterBackend>(
         methods: summaries,
         decisions,
     }
+}
+
+/// `collect_offline`, re-warming per run: one fresh `run_episode` per
+/// (start, split) on `backend`, the features at the first submit, then
+/// the same post-processing — every decision into the reward pool with
+/// its run's reward, `(features, wait)` per submitting run, and per
+/// distinct `t0` the decisions of its best run (the first of equals), in
+/// `t0` order.
+fn oracle_collect_offline<B: ClusterBackend>(
+    backend: &mut B,
+    trace: &[JobRecord],
+    cfg: &TrainConfig,
+    starts: &[i64],
+) -> OfflineData {
+    let episode = &cfg.episode;
+    let points = cfg.split_points.max(1) as i64;
+    let mut data = OfflineData::default();
+    let mut best = std::collections::BTreeMap::new();
+    for &t0 in starts {
+        let window = episode_window(trace, t0, episode);
+        for split in std::iter::once(None).chain((0..points).map(Some)) {
+            let mut features = None;
+            let mut result = run_episode(backend, window, episode, t0, |ctx| {
+                let submit = split.is_some_and(|j| {
+                    let threshold = (j + 1) * episode.pair_timelimit / (points + 1);
+                    ctx.pred_started && episode.pair_timelimit - ctx.pred_remaining >= threshold
+                });
+                if !submit {
+                    return Action::Wait;
+                }
+                if features.is_none() {
+                    features = Some(extract_features(ctx));
+                }
+                Action::Submit
+            });
+            let reward = cfg.shaper.reward(&result.outcome);
+            if let Some(f) = features {
+                let wait_h = result.succ_wait() as f32 / 3600.0;
+                data.wait_samples.push((f, wait_h));
+            }
+            let decisions = result.take_decisions();
+            let best_of_t0 = best.entry(t0).or_insert((f32::NEG_INFINITY, Vec::new()));
+            if reward > best_of_t0.0 {
+                *best_of_t0 = (reward, decisions.clone());
+            }
+            let samples = decisions.into_iter().map(|(state, action)| RewardSample {
+                state,
+                action,
+                reward,
+            });
+            data.reward_samples.extend(samples);
+        }
+    }
+    for (_, decisions) in best.into_values() {
+        data.best_run_decisions.extend(decisions);
+    }
+    data
+}
+
+fn bits(xs: &[f32]) -> impl Iterator<Item = u32> + '_ {
+    xs.iter().map(|v| v.to_bits())
+}
+
+/// Every bit of an offline pool: reward samples, wait samples and
+/// best-run decisions, floats as their bit patterns.
+fn offline_bits(d: &OfflineData) -> Vec<Vec<u32>> {
+    let rewards = d.reward_samples.iter().map(|s| {
+        let tail = [s.action as u32, s.reward.to_bits()];
+        bits(s.state.data()).chain(tail).collect()
+    });
+    let waits = (d.wait_samples.iter()).map(|(f, w)| bits(f).chain([w.to_bits()]).collect());
+    let best =
+        (d.best_run_decisions.iter()).map(|(s, a)| bits(s.data()).chain([*a as u32]).collect());
+    let lens = vec![
+        d.reward_samples.len() as u32,
+        d.wait_samples.len() as u32,
+        d.best_run_decisions.len() as u32,
+    ];
+    std::iter::once(lens)
+        .chain(rewards)
+        .chain(waits)
+        .chain(best)
+        .collect()
 }
 
 /// Field for field: `Debug` prints every field, every float to the bit.
@@ -534,7 +625,7 @@ fn evaluate_multiservice_matches_rewarm_oracle() {
     };
     let pool = SimConfig::builder()
         .nodes(NODES)
-        .faults(FaultModel::moderate(4242))
+        .faults(FaultModel::severe(4242))
         .build_pool();
     for (cfg, scenario) in [
         (diurnal_scenario(3, NODES, 11), "diurnal"),
@@ -572,5 +663,33 @@ fn evaluate_multiservice_matches_rewarm_oracle() {
             format!("{one_tape:#?}"),
             "{scenario}"
         );
+    }
+}
+
+#[test]
+fn collect_offline_matches_rewarm_oracle() {
+    let trace = busy_trace(12, 2);
+    let cfg = TrainConfig {
+        episode: episode(1),
+        split_points: 3,
+        ..TrainConfig::default()
+    };
+    // The repeated start runs twice as often as the others, and its best
+    // run is chosen over both occurrences.
+    let starts = [2 * DAY + 5 * HOUR, 4 * DAY, 4 * DAY, 6 * DAY + 17 * HOUR];
+    for workers in [1, 4] {
+        let pool = SimConfig::builder()
+            .nodes(4)
+            .backend(BackendKind::Pooled { workers })
+            .build_pool();
+        let forked = collect_offline(&pool, &trace, &cfg, &starts);
+        let oracle = oracle_collect_offline(&mut pool.build_one(), &trace, &cfg, &starts);
+        assert!(
+            offline_bits(&forked) == offline_bits(&oracle),
+            "{workers} workers"
+        );
+        assert!(!forked.wait_samples.is_empty(), "some split run submitted");
+        assert!(forked.reward_samples.iter().any(|s| s.action == 0));
+        assert!(!forked.best_run_decisions.is_empty());
     }
 }

@@ -18,9 +18,14 @@
 //! * **two-service smoke** — the short shared-cluster episode CI runs
 //!   explicitly: services resolve, ledgers tag per-service usage, and
 //!   the stampede accounting stays consistent.
+//! * **traffic peaks wider than the partition** — a bursty service whose
+//!   demand outgrows the cluster still resolves: its pair jobs are
+//!   submitted clamped to the partition.
 
 use mirage_core::episode::{run_episode, Action, EpisodeConfig};
-use mirage_core::multiservice::{MultiServiceConfig, MultiServiceEnv, ServiceSlo};
+use mirage_core::multiservice::{
+    bursty_scenario, MultiServiceConfig, MultiServiceEnv, ServiceSlo, UniformSharePolicy,
+};
 use mirage_core::reward::RewardShaper;
 use mirage_core::train::episode_window;
 use mirage_sim::{ClusterBackend, FaultModel, HeteroModel, SimConfig, Simulator};
@@ -384,4 +389,63 @@ fn three_services_observe_faults_and_pools_only_with_the_flags_on() {
         assert!(live[..2].contains(&true), "{}: dead fault columns", a.name);
         assert!(live[2..].contains(&true), "{}: dead pool columns", a.name);
     }
+}
+
+/// Hourly 1–3 node background jobs over 16 days.
+fn hourly_trace() -> Vec<JobRecord> {
+    (0..16 * 24)
+        .map(|i| {
+            JobRecord::new(
+                i as u64 + 1,
+                format!("bg{i}"),
+                (i % 5) as u32,
+                i * HOUR,
+                1 + (i % 3) as u32,
+                6 * HOUR,
+                3 * HOUR,
+            )
+        })
+        .collect()
+}
+
+/// Runs a bursty three-service episode on a 16-node cluster under the
+/// uniform-share baseline to the end; every pair must resolve.
+fn bursty_episode_resolves(seed: u64, t0: i64) -> MultiServiceConfig {
+    let cfg = bursty_scenario(3, 16, seed);
+    let mut env = MultiServiceEnv::new(
+        Simulator::new(SimConfig::new(16)),
+        &hourly_trace(),
+        &cfg,
+        t0,
+    );
+    env.run(&mut UniformSharePolicy);
+    let (result, _) = env.finish();
+    assert_eq!(result.services.len(), 3);
+    for s in &result.services {
+        assert!(s.pred_end > s.pred_start && s.succ_start >= s.succ_submit);
+    }
+    cfg
+}
+
+/// A successor whose demand peaks past the partition when it is
+/// submitted used to be rejected by the backend and never resolve ("the
+/// simulation drained before every pair resolved").
+#[test]
+fn a_successor_demand_wider_than_the_partition_still_resolves() {
+    let t0 = 4 * DAY + 14 * HOUR;
+    let cfg = bursty_episode_resolves(12, t0);
+    let peak = (t0..t0 + 2 * DAY)
+        .step_by(HOUR as usize)
+        .flat_map(|t| cfg.services.iter().map(move |s| s.nodes_at(t)))
+        .max();
+    assert!(peak > Some(16), "demand stayed within the partition");
+}
+
+/// A predecessor whose demand at `t0` is wider than the partition used
+/// to be rejected ("predecessor wider than the partition").
+#[test]
+fn a_predecessor_demand_wider_than_the_partition_still_resolves() {
+    let t0 = 5 * DAY + 9 * HOUR;
+    let cfg = bursty_episode_resolves(11, t0);
+    assert!(cfg.services.iter().any(|s| s.nodes_at(t0) > 16));
 }

