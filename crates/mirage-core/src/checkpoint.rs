@@ -145,12 +145,12 @@ impl From<StateMismatch> for ResumeError {
 pub struct DqnTrainCheckpoint {
     /// `TrainConfig::seed` of the run (validated on resume).
     pub cfg_seed: u64,
-    /// Lockstep lane count **per training worker** of the run (validated
-    /// on resume: chunk boundaries move with it).
+    /// Lockstep lane count of the run's collection windows (validated on
+    /// resume: chunk boundaries move with it).
     pub lanes: u64,
-    /// Synchronized training worker count (W) of the run (validated on
-    /// resume: the chunk width is `lanes × workers`, and per-lane seed
-    /// streams are laid out per worker).
+    /// Training worker count. Training has one worker, so the loops
+    /// always write 1 and a resume refuses anything else; the field stays
+    /// so the `DQN2` layout does not move.
     pub workers: u64,
     /// Agent snapshot: weights, Adam moments, ε/train clocks (its
     /// `target_params` is neither written nor read).
@@ -173,11 +173,11 @@ pub struct DqnTrainCheckpoint {
 pub struct PgTrainCheckpoint {
     /// `TrainConfig::seed` of the run (validated on resume).
     pub cfg_seed: u64,
-    /// Lockstep lane count **per training worker** of the run (validated
-    /// on resume).
-    pub lanes: u64,
-    /// Synchronized training worker count (W) of the run (validated on
+    /// Lockstep lane count of the run's collection windows (validated on
     /// resume).
+    pub lanes: u64,
+    /// Training worker count: always written as 1 and refused on resume
+    /// otherwise; the field stays so the `PGST` layout does not move.
     pub workers: u64,
     /// Agent snapshot: weights, Adam moments, baseline, episode clock.
     pub agent: PgAgentState,

@@ -511,13 +511,6 @@ pub struct MultiServiceResult {
     pub stampede_ticks: usize,
 }
 
-impl MultiServiceResult {
-    /// Summed shared-cluster reward over the services.
-    pub fn total_reward(&self) -> f32 {
-        self.services.iter().map(|s| s.reward).sum()
-    }
-}
-
 /// Per-service hand-off state inside a [`MultiServiceEnv`].
 struct ServiceState {
     encoder: StateEncoder,

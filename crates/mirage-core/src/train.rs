@@ -48,9 +48,7 @@ use crate::policy::{
 };
 use crate::reward::RewardShaper;
 use crate::state::STATE_VARS;
-use crate::trainloop::{
-    dqn_collect_sharded, pg_collect_sharded, BatchedCollector, DqnActWindow, PgActWindow,
-};
+use crate::trainloop::{BatchedCollector, DqnActWindow, PgActWindow};
 
 /// The eight §6 methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,11 +99,6 @@ impl MethodKind {
             MethodKind::MoePg => "MoE+PG",
         }
     }
-
-    /// Whether this method needs any training at all.
-    pub fn is_learned(&self) -> bool {
-        !matches!(self, MethodKind::Reactive | MethodKind::AvgHeuristic)
-    }
 }
 
 /// End-to-end training configuration.
@@ -135,9 +128,9 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Replay mini-batch updates after each online episode.
     pub updates_per_episode: usize,
-    /// Lockstep episode lanes **per training worker** per
-    /// online-collection window (offline collection plays one episode at
-    /// a time and ignores it). Each window's acting shares the
+    /// Lockstep episode lanes per online-collection window (offline
+    /// collection plays one episode at a time and ignores it); the only
+    /// width online training has. Each window's acting shares the
     /// window-start weights; `Some(1)` recovers the fully sequential
     /// collect-update cadence bit for bit, and every lane is
     /// bit-identical to a sequential run under its own `(seed, ε-base)`
@@ -146,17 +139,11 @@ pub struct TrainConfig {
     /// [`TrainConfig::collect_lanes_for`]: `min(pool workers,`
     /// [`l1_lane_cap`](Self::l1_lane_cap)`)`.
     pub collect_lanes: Option<usize>,
-    /// Synchronized lockstep training workers (W). Each online window
-    /// spans `W × collect_lanes` episodes: every worker collects its own
-    /// `collect_lanes` contiguous lanes on its own pool-seeded backends,
-    /// and every weight update shards its batch across the same `W`
-    /// threads with a deterministic ascending-order gradient all-reduce
-    /// before one shared Adam step. `1` (the default) is bit-identical
-    /// to the single-worker trainer, and `W` workers × `L` lanes is
-    /// bit-identical to one worker × `W·L` lanes (pinned by
-    /// `tests/lockstep_training.rs`). Joins the checkpoint fingerprint:
-    /// resumes refuse a different worker count. Clamped to at least one
-    /// worker everywhere it is read, so a zero behaves as one.
+    /// Training workers. Training runs on one worker, the calling
+    /// thread: `0` and `1` both mean that, and
+    /// [`validate`](Self::validate) refuses anything larger (widen
+    /// [`collect_lanes`](Self::collect_lanes) instead). Kept only because
+    /// the repository's benchmark sets it.
     #[serde(default)]
     pub train_workers: usize,
     /// Cap on reward samples used for foundation pretraining (subsampled
@@ -198,8 +185,7 @@ impl Default for TrainConfig {
             online_episodes: 60,
             batch_size: 32,
             updates_per_episode: 6,
-            // Auto-size to the pool: lockstep windows only pay off up to
-            // the thread fan-out, and past ~8 lanes the per-window update
+            // Auto-size to the pool: past ~8 lanes the per-window update
             // staleness outweighs the batching gain. `Some(4)` recovers
             // the old fixed default (and makes PG *globally*
             // bit-identical to the pre-lockstep sequential loop, whose
@@ -218,10 +204,10 @@ impl TrainConfig {
     /// Resolves [`collect_lanes`](Self::collect_lanes) against the
     /// backend pool driving collection: an explicit override wins
     /// (clamped to at least one lane); `None` auto-sizes to
-    /// `min(pool_workers,` [`l1_lane_cap`](Self::l1_lane_cap)`)` — one
-    /// lane per collection thread, capped where the lockstep batch stops
-    /// fitting in cache (and where wider windows stop paying for their
-    /// update staleness).
+    /// `min(pool_workers,` [`l1_lane_cap`](Self::l1_lane_cap)`)` — the
+    /// pool's width, capped where the lockstep batch stops fitting in
+    /// cache (and where wider windows stop paying for their update
+    /// staleness).
     pub fn collect_lanes_for(&self, pool_workers: usize) -> usize {
         self.collect_lanes
             .unwrap_or_else(|| pool_workers.min(self.l1_lane_cap()))
@@ -246,7 +232,8 @@ impl TrainConfig {
 
     /// Rejects the values that only fail deep inside `mirage-rl`: a zero
     /// [`batch_size`](Self::batch_size) (an empty replay mini-batch) or
-    /// `pretrain.batch_size` (zero-sized chunks). The `episode` part is
+    /// `pretrain.batch_size` (zero-sized chunks), and more than one
+    /// [`train_workers`](Self::train_workers). The `episode` part is
     /// validated where episodes are built. Every training entry point —
     /// [`train_method`], [`build_pretrained_net`] and the online loops —
     /// checks this first and panics with the error's message.
@@ -263,6 +250,13 @@ impl TrainConfig {
                     reason: "a mini-batch needs at least one sample",
                 });
             }
+        }
+        if self.train_workers > 1 {
+            return Err(EpisodeConfigError {
+                field: "train_workers".into(),
+                value: self.train_workers.to_string(),
+                reason: "training runs on one worker; widen collect_lanes instead",
+            });
         }
         Ok(())
     }
@@ -683,18 +677,14 @@ fn dqn_online_loop<F: BackendFactory>(
         &cfg.episode,
         cfg.collect_lanes_for(pool.workers()),
     );
-    let workers = cfg.train_workers.max(1);
-    let per_worker = collector.lanes();
-    // A window spans every worker's lanes; workers collect their own
-    // contiguous sub-windows and updates all-reduce across the same W.
-    let width = per_worker * workers;
+    let width = collector.lanes();
     let mut episodes: Vec<EpisodeResult> = Vec::with_capacity(t0s.len());
 
     if let Some(path) = resume_from {
         let mut saved = DqnTrainCheckpoint::load(path)?;
         check_match("seed", saved.cfg_seed, cfg.seed)?;
-        check_match("collect lanes", saved.lanes, per_worker as u64)?;
-        check_match("train workers", saved.workers, workers as u64)?;
+        check_match("collect lanes", saved.lanes, width as u64)?;
+        check_match("train workers", saved.workers, 1)?;
         let done = saved.episodes.len();
         if done % width != 0 && done < t0s.len() {
             return Err(ResumeError::ConfigMismatch {
@@ -733,23 +723,14 @@ fn dqn_online_loop<F: BackendFactory>(
             (episodes.len()..episodes.len() + chunk.len())
                 .map(|i| ExploreLane::seeded(dqn_episode_seed(cfg.seed, i), agent.steps)),
         );
-        let results = if workers <= 1 {
-            let mut driver = collector.window(chunk);
-            driver.run_lanes(&mut DqnActWindow {
-                agent: &mut agent,
-                lanes: &mut lanes,
-            });
-            driver.finish().0
-        } else {
-            // Each worker drives its own contiguous `per_worker`-lane
-            // sub-window on its own pool-seeded backends; the collective
-            // lane sequence is identical to one worker driving `width`
-            // lanes (weights are frozen within a window).
-            dqn_collect_sharded(&collector, chunk, per_worker, &agent, &mut lanes)
-        };
+        let mut driver = collector.window(chunk);
+        driver.run_lanes(&mut DqnActWindow {
+            agent: &mut agent,
+            lanes: &mut lanes,
+        });
         // Replay pushes and updates keep the sequential per-episode
         // cadence: results arrive in episode order.
-        for mut result in results {
+        for mut result in driver.finish().0 {
             let reward = cfg.shaper.reward(&result.outcome);
             agent.steps += result.decisions.len() as u64;
             for (state, action) in result.take_decisions() {
@@ -758,7 +739,7 @@ fn dqn_online_loop<F: BackendFactory>(
             if replay.len() >= cfg.batch_size {
                 for _ in 0..cfg.updates_per_episode.max(1) {
                     replay.sample_minibatch(&mut rng, cfg.batch_size, &mut mb);
-                    agent.train_minibatch_sharded(&mb, workers);
+                    agent.train_minibatch(&mb);
                 }
             }
             episodes.push(result);
@@ -767,8 +748,7 @@ fn dqn_online_loop<F: BackendFactory>(
             let at = episodes.len();
             let halt = c.halt_after.is_some_and(|h| at >= h);
             if halt || (c.every_episodes > 0 && at - last_saved >= c.every_episodes) {
-                snapshot_dqn(cfg, per_worker, workers, &agent, &replay, &rng, &episodes)
-                    .save(&c.path)?;
+                snapshot_dqn(cfg, width, &agent, &replay, &rng, &episodes).save(&c.path)?;
                 last_saved = at;
             }
             if halt {
@@ -792,7 +772,6 @@ fn dqn_online_loop<F: BackendFactory>(
 fn snapshot_dqn(
     cfg: &TrainConfig,
     lanes: usize,
-    workers: usize,
     agent: &DqnAgent,
     replay: &BalancedReplay,
     rng: &StdRng,
@@ -803,7 +782,7 @@ fn snapshot_dqn(
     DqnTrainCheckpoint {
         cfg_seed: cfg.seed,
         lanes: lanes as u64,
-        workers: workers as u64,
+        workers: 1,
         agent: agent.export_state(),
         replay_wait: (wc as u64, ww as u64, wb.to_vec()),
         replay_submit: (sc as u64, sw as u64, sb.to_vec()),
@@ -995,16 +974,14 @@ fn pg_online_loop<F: BackendFactory>(
         &cfg.episode,
         cfg.collect_lanes_for(pool.workers()),
     );
-    let workers = cfg.train_workers.max(1);
-    let per_worker = collector.lanes();
-    let width = per_worker * workers;
+    let width = collector.lanes();
     let mut episodes: Vec<EpisodeResult> = Vec::with_capacity(t0s.len());
 
     if let Some(path) = resume_from {
         let saved = PgTrainCheckpoint::load(path)?;
         check_match("seed", saved.cfg_seed, cfg.seed)?;
-        check_match("collect lanes", saved.lanes, per_worker as u64)?;
-        check_match("train workers", saved.workers, workers as u64)?;
+        check_match("collect lanes", saved.lanes, width as u64)?;
+        check_match("train workers", saved.workers, 1)?;
         let done = saved.episodes.len();
         if done % width != 0 && done < t0s.len() {
             return Err(ResumeError::ConfigMismatch {
@@ -1031,24 +1008,19 @@ fn pg_online_loop<F: BackendFactory>(
             (episodes.len()..episodes.len() + chunk.len())
                 .map(|i| ExploreLane::seeded(pg_episode_seed(cfg.seed, i), 0)),
         );
-        let results = if workers <= 1 {
-            let mut driver = collector.window(chunk);
-            driver.run_lanes(&mut PgActWindow {
-                agent: &mut agent,
-                lanes: &mut lanes,
-            });
-            driver.finish().0
-        } else {
-            pg_collect_sharded(&collector, chunk, per_worker, &agent, &mut lanes)
-        };
-        for mut result in results {
+        let mut driver = collector.window(chunk);
+        driver.run_lanes(&mut PgActWindow {
+            agent: &mut agent,
+            lanes: &mut lanes,
+        });
+        for mut result in driver.finish().0 {
             let reward = cfg.shaper.reward(&result.outcome);
             pending.push(EpisodeSample {
                 steps: result.take_decisions(),
                 episode_return: reward,
             });
             if pending.len() >= update_batch {
-                agent.train_episodes_sharded(&pending, workers);
+                agent.train_episodes(&pending);
                 pending.clear();
             }
             episodes.push(result);
@@ -1059,8 +1031,8 @@ fn pg_online_loop<F: BackendFactory>(
             if halt || (c.every_episodes > 0 && at - last_saved >= c.every_episodes) {
                 PgTrainCheckpoint {
                     cfg_seed: cfg.seed,
-                    lanes: per_worker as u64,
-                    workers: workers as u64,
+                    lanes: width as u64,
+                    workers: 1,
                     agent: agent.export_state(),
                     pending: pending.clone(),
                     episodes: episodes.clone(),
@@ -1078,7 +1050,7 @@ fn pg_online_loop<F: BackendFactory>(
         }
     }
     if !pending.is_empty() {
-        agent.train_episodes_sharded(&pending, workers);
+        agent.train_episodes(&pending);
     }
     Ok(PgTrainRun {
         agent,
@@ -1380,6 +1352,26 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.pretrain.batch_size = 0;
         assert_eq!(cfg.validate().unwrap_err().field, "pretrain.batch_size");
+    }
+
+    #[test]
+    fn more_than_one_train_worker_is_a_typed_error_naming_the_field() {
+        for workers in [0, 1] {
+            let cfg = TrainConfig {
+                train_workers: workers,
+                ..tiny_cfg()
+            };
+            assert_eq!(cfg.validate(), Ok(()), "{workers} means one worker");
+        }
+        let cfg = TrainConfig {
+            train_workers: 2,
+            ..tiny_cfg()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            (err.field.as_str(), err.value.as_str()),
+            ("train_workers", "2")
+        );
     }
 
     #[test]

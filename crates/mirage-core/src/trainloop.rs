@@ -12,9 +12,8 @@
 //! tick (reusing the per-lane embed-row caches, which the agents
 //! invalidate on every train step), and each window's results come back
 //! in episode order so replay pushes and update cadence are untouched.
-//! With several training workers, [`dqn_collect_sharded`] /
-//! [`pg_collect_sharded`] split one window into contiguous per-thread
-//! sub-windows — the only threads in the crate's episode loops.
+//! Every window runs on the calling thread: a wider window is the only
+//! way online training gets wider.
 //!
 //! Correctness contract, pinned by the `lockstep_training` property
 //! tests:
@@ -37,7 +36,7 @@ use mirage_sim::{BackendFactory, BackendPool};
 use mirage_trace::JobRecord;
 
 use crate::batch::{BatchedEpisodeDriver, LanePolicy};
-use crate::episode::{EpisodeConfig, EpisodeResult};
+use crate::episode::EpisodeConfig;
 use crate::train::episode_window;
 
 /// Lockstep episode collection over a [`BackendPool`]: chunks an episode
@@ -74,26 +73,18 @@ impl<'a, F: BackendFactory> BatchedCollector<'a, F> {
     }
 
     /// Builds the lockstep driver for one window of episode starts: one
-    /// fresh pool backend (slots `0..`, from [`BackendPool::build_range`])
-    /// and one per-`t0` trace window per lane. Decision recording is on —
-    /// the trajectories are the training data. Training loops step
-    /// windows themselves, updating weights between them.
+    /// fresh pool backend per lane (slots `0..t0s.len()`, from
+    /// [`BackendPool::build_range`]) and one per-`t0` trace window per
+    /// lane. Decision recording is on — the trajectories are the training
+    /// data. Training loops step windows themselves, updating weights
+    /// between them.
     pub fn window(&self, t0s: &[i64]) -> BatchedEpisodeDriver<F::Backend> {
-        self.window_at(0, t0s)
-    }
-
-    /// [`window`](Self::window) for a *sub*-window whose lanes occupy
-    /// slots `first .. first + t0s.len()` of a wider lockstep window:
-    /// backends come from [`BackendPool::build_range`], so `W` workers
-    /// each driving their contiguous lane range use, collectively, the
-    /// exact backend sequence one worker driving the whole window would.
-    pub fn window_at(&self, first: usize, t0s: &[i64]) -> BatchedEpisodeDriver<F::Backend> {
         let windows: Vec<&[JobRecord]> = t0s
             .iter()
             .map(|&t0| episode_window(self.trace, t0, self.episode))
             .collect();
         BatchedEpisodeDriver::with_windows(
-            self.pool.build_range(first, t0s.len()),
+            self.pool.build_range(0, t0s.len()),
             windows,
             self.episode,
             t0s,
@@ -132,90 +123,4 @@ impl<B: mirage_sim::ClusterBackend> LanePolicy<B> for PgActWindow<'_> {
         self.agent
             .act_sample_batch(driver.batch_states(), self.lanes, driver.pending(), actions);
     }
-}
-
-/// One `chunk.len()`-lane lockstep window of ε-greedy DQN collection
-/// split across synchronized workers, `per_worker` contiguous lanes
-/// each: every worker acts with its own clone of the window-start agent
-/// (weights are frozen while a window runs, and the per-lane embed
-/// caches are bit-transparent), drives backends from
-/// [`BackendPool::build_range`] over its lane slots, and results land in
-/// lane order — bit-identical to one worker driving the whole window
-/// (pinned by `tests/lockstep_training.rs`). `lanes` must hold one
-/// [`ExploreLane`] per chunk episode, lane order.
-pub fn dqn_collect_sharded<F: BackendFactory>(
-    collector: &BatchedCollector<'_, F>,
-    chunk: &[i64],
-    per_worker: usize,
-    agent: &DqnAgent,
-    lanes: &mut [ExploreLane],
-) -> Vec<EpisodeResult> {
-    collect_sharded(collector, chunk, per_worker, lanes, |driver, sub_lanes| {
-        let mut local = agent.clone();
-        driver.run_lanes(&mut DqnActWindow {
-            agent: &mut local,
-            lanes: sub_lanes,
-        });
-    })
-}
-
-/// The stochastic-PG analogue of [`dqn_collect_sharded`]: per-lane RNG
-/// streams live in `lanes`, so worker fan-out never moves a draw between
-/// episodes.
-pub fn pg_collect_sharded<F: BackendFactory>(
-    collector: &BatchedCollector<'_, F>,
-    chunk: &[i64],
-    per_worker: usize,
-    agent: &PgAgent,
-    lanes: &mut [ExploreLane],
-) -> Vec<EpisodeResult> {
-    collect_sharded(collector, chunk, per_worker, lanes, |driver, sub_lanes| {
-        let mut local = agent.clone();
-        driver.run_lanes(&mut PgActWindow {
-            agent: &mut local,
-            lanes: sub_lanes,
-        });
-    })
-}
-
-/// Shared fan-out: contiguous `per_worker`-lane sub-windows, one thread
-/// each. `run` receives the sub-window's driver plus its lane slice
-/// (clones its agent inside the thread); results re-assemble in lane
-/// order.
-fn collect_sharded<F, Run>(
-    collector: &BatchedCollector<'_, F>,
-    chunk: &[i64],
-    per_worker: usize,
-    lanes: &mut [ExploreLane],
-    run: Run,
-) -> Vec<EpisodeResult>
-where
-    F: BackendFactory,
-    Run: Fn(&mut BatchedEpisodeDriver<F::Backend>, &mut [ExploreLane]) + Sync,
-{
-    assert_eq!(chunk.len(), lanes.len(), "one exploration lane per episode");
-    let per_worker = per_worker.max(1);
-    let n_shards = chunk.len().div_ceil(per_worker).max(1);
-    let mut slots: Vec<Option<Vec<EpisodeResult>>> = (0..n_shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut lanes_rest = lanes;
-        let mut first = 0usize;
-        for slot in &mut slots {
-            let n = per_worker.min(chunk.len() - first);
-            let (sub_lanes, rest) = lanes_rest.split_at_mut(n);
-            lanes_rest = rest;
-            let sub = &chunk[first..first + n];
-            let run = &run;
-            scope.spawn(move || {
-                let mut driver = collector.window_at(first, sub);
-                run(&mut driver, sub_lanes);
-                *slot = Some(driver.finish().0);
-            });
-            first += n;
-        }
-    });
-    slots
-        .into_iter()
-        .flat_map(|s| s.expect("every sub-window ran"))
-        .collect()
 }

@@ -14,7 +14,9 @@
 
 use std::path::PathBuf;
 
-use mirage_core::checkpoint::{CheckpointConfig, ResumeError, KIND_DQN_TRAIN};
+use mirage_core::checkpoint::{
+    CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError, KIND_DQN_TRAIN,
+};
 use mirage_core::episode::{EpisodeConfig, EpisodeResult};
 use mirage_core::state::STATE_VARS;
 use mirage_core::train::{
@@ -260,77 +262,65 @@ fn pg_resume_is_bit_identical_mid_update_batch() {
 }
 
 #[test]
-fn crash_resume_is_bit_identical_under_two_workers() {
-    // PR 9: the parallel trainer rides the same checkpointed path. A
-    // 2-worker × 2-lane run that crashes after its first 4-episode
-    // window and resumes from disk must equal the uninterrupted 2-worker
-    // run bit for bit — and a resume with a different worker count must
-    // be refused (the chunk width and seed layout move with it).
-    let mut cfg = tiny_cfg(2);
-    cfg.train_workers = 2;
+fn resume_refuses_a_multi_worker_checkpoint() {
+    // Training has one worker and writes `workers = 1`; a checkpoint that
+    // says otherwise (written by a build that trained on several threads)
+    // must be refused by field name, for both loops, not resumed on a
+    // different chunk layout.
+    let cfg = tiny_cfg(2);
     let trace = bg_trace(12);
-    let pool = pool_for(4);
+    let pool = pool_for(2);
     let starts = online_starts(&cfg, &trace, 51);
-    let offline_starts = sample_episode_starts(0, 12 * DAY, &cfg.episode, 2, 52);
-    let warm = collect_offline(&pool, &trace, &cfg, &offline_starts);
+    let warm = OfflineData::default();
+    let expect_workers_mismatch = |err: ResumeError| match err {
+        ResumeError::ConfigMismatch { field, saved, .. } => {
+            assert_eq!((field, saved.as_str()), ("train workers", "2"))
+        }
+        other => panic!("expected ConfigMismatch, got {other}"),
+    };
 
-    let (full_agent, full_replay, full_eps) =
-        train_dqn_online_traced(net(&cfg), &pool, &trace, &cfg, &starts, &warm);
-
-    let ckpt_path = TempCkpt::new("dqn_w2");
-    let mut ckpt = CheckpointConfig::every(&ckpt_path.0, 4);
-    ckpt.halt_after = Some(4);
-    let halted =
-        train_dqn_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &warm, &ckpt, None)
-            .expect("checkpointed run");
-    assert!(halted.halted);
-    assert_eq!(halted.episodes.len(), 4, "crashed after one 2×2 window");
-
-    let resumed = train_dqn_online_checkpointed(
+    let dqn_path = TempCkpt::new("dqn_w2");
+    let mut ckpt = CheckpointConfig::every(&dqn_path.0, 2);
+    ckpt.halt_after = Some(2);
+    train_dqn_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &warm, &ckpt, None)
+        .expect("checkpointed run");
+    let mut saved = DqnTrainCheckpoint::load(&dqn_path.0).expect("checkpoint written");
+    assert_eq!(saved.workers, 1);
+    saved.workers = 2;
+    saved.save(&dqn_path.0).expect("re-saved");
+    let err = train_dqn_online_checkpointed(
         net(&cfg),
         &pool,
         &trace,
         &cfg,
         &starts,
         &warm,
-        &CheckpointConfig::every(&ckpt_path.0, 4),
-        Some(&ckpt_path.0),
+        &CheckpointConfig::every(&dqn_path.0, 2),
+        Some(&dqn_path.0),
     )
-    .expect("resumed run");
-    assert!(!resumed.halted);
+    .expect_err("a two-worker DQN checkpoint must refuse to resume");
+    expect_workers_mismatch(err);
 
-    assert_outcomes_eq(&resumed.episodes, &full_eps, "dqn W=2 resume");
-    assert_replay_bitwise_eq(
-        resumed.replay.wait().iter(),
-        full_replay.wait().iter(),
-        "dqn W=2 resume wait replay",
-    );
-    assert_replay_bitwise_eq(
-        resumed.replay.submit().iter(),
-        full_replay.submit().iter(),
-        "dqn W=2 resume submit replay",
-    );
-    assert_eq!(resumed.agent.steps, full_agent.steps, "global ε clock");
-    assert_params_bitwise_eq(&resumed.agent.net.ps, &full_agent.net.ps, "dqn W=2 resume");
-
-    // Same checkpoint, different worker count: refused by field name.
-    let mut single = cfg.clone();
-    single.train_workers = 1;
-    let err = train_dqn_online_checkpointed(
-        net(&single),
+    let pg_path = TempCkpt::new("pg_w2");
+    let mut ckpt = CheckpointConfig::every(&pg_path.0, 2);
+    ckpt.halt_after = Some(2);
+    train_pg_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &ckpt, None)
+        .expect("checkpointed PG run");
+    let mut saved = PgTrainCheckpoint::load(&pg_path.0).expect("checkpoint written");
+    assert_eq!(saved.workers, 1);
+    saved.workers = 2;
+    saved.save(&pg_path.0).expect("re-saved");
+    let err = train_pg_online_checkpointed(
+        net(&cfg),
         &pool,
         &trace,
-        &single,
+        &cfg,
         &starts,
-        &warm,
-        &CheckpointConfig::every(&ckpt_path.0, 4),
-        Some(&ckpt_path.0),
+        &CheckpointConfig::every(&pg_path.0, 2),
+        Some(&pg_path.0),
     )
-    .expect_err("worker-count mismatch must refuse to resume");
-    match err {
-        ResumeError::ConfigMismatch { field, .. } => assert_eq!(field, "train workers"),
-        other => panic!("expected ConfigMismatch, got {other}"),
-    }
+    .expect_err("a two-worker PG checkpoint must refuse to resume");
+    expect_workers_mismatch(err);
 }
 
 #[test]

@@ -460,64 +460,6 @@ fn training_smoke_batch2_matches_windowed_sequential() {
 }
 
 #[test]
-fn dqn_two_workers_match_one_worker_with_double_lanes_bitwise() {
-    // The PR 9 parallel-training contract: W workers × L lanes per
-    // worker is bit-identical to 1 worker × W·L lanes — same episode
-    // outcomes, same replay contents, same ε clock, same final weights.
-    // Workers collect contiguous L-lane sub-windows on the same
-    // pool-seeded backend sequence, and every update all-reduces shard
-    // gradients in ascending worker order before one shared Adam step.
-    let trace = bg_trace(12);
-    let pool = pool_for(4);
-    let mut wide = tiny_cfg(4); // 1 worker × 4 lanes
-    wide.online_episodes = 6; // exercises a partial trailing window
-    let mut sharded = tiny_cfg(2); // 2 workers × 2 lanes
-    sharded.online_episodes = 6;
-    sharded.train_workers = 2;
-    let starts = online_starts(&wide, &trace, 71);
-    let offline_starts = sample_episode_starts(0, 12 * DAY, &wide.episode, 2, 72);
-    let warm = collect_offline(&pool, &trace, &wide, &offline_starts);
-
-    let (agent1, replay1, eps1) =
-        train_dqn_online_traced(net(&wide), &pool, &trace, &wide, &starts, &warm);
-    let (agent2, replay2, eps2) =
-        train_dqn_online_traced(net(&sharded), &pool, &trace, &sharded, &starts, &warm);
-
-    assert_outcomes_eq(&eps2, &eps1, "dqn W=2");
-    assert_replay_bitwise_eq(replay2.wait().iter(), replay1.wait().iter(), "W=2 wait");
-    assert_replay_bitwise_eq(
-        replay2.submit().iter(),
-        replay1.submit().iter(),
-        "W=2 submit",
-    );
-    assert_eq!(agent2.steps, agent1.steps, "global ε clock");
-    assert_params_bitwise_eq(&agent2.net.ps, &agent1.net.ps, "dqn W=2");
-}
-
-#[test]
-fn pg_two_workers_match_one_worker_with_double_lanes_bitwise() {
-    let trace = bg_trace(12);
-    let pool = pool_for(4);
-    let mut wide = tiny_cfg(4);
-    wide.online_episodes = 6;
-    let mut sharded = tiny_cfg(2);
-    sharded.online_episodes = 6;
-    sharded.train_workers = 2;
-    let starts = online_starts(&wide, &trace, 81);
-
-    let (agent1, eps1) = train_pg_online_traced(net(&wide), &pool, &trace, &wide, &starts);
-    let (agent2, eps2) = train_pg_online_traced(net(&sharded), &pool, &trace, &sharded, &starts);
-
-    assert_outcomes_eq(&eps2, &eps1, "pg W=2");
-    assert_eq!(
-        agent2.baseline().to_bits(),
-        agent1.baseline().to_bits(),
-        "pg W=2: baseline"
-    );
-    assert_params_bitwise_eq(&agent2.net.ps, &agent1.net.ps, "pg W=2");
-}
-
-#[test]
 fn pg_lanes_match_sequential_per_lane_sampling() {
     // One window of stochastic PG collection (3 episodes, no update
     // before the window ends): each lane's sampled trajectory equals a

@@ -381,11 +381,11 @@ impl MultiHeadAttention {
     }
 
     /// Batched backward for [`MultiHeadAttention::forward_batch_cache`].
-    /// Block `b`'s projection gradients go to `sink.grads_for(b)` in
-    /// ascending block order (wo, then wq/wk/wv — per-parameter chains
-    /// stay flat ascending sums, so a fused sink is bit-identical to the
-    /// sequential per-sample backward); `dx` receives the row-stacked
-    /// input gradient.
+    /// Block `b`'s projection gradients fold into `sink` in ascending
+    /// block order (wo, then wq/wk/wv — per-parameter chains stay flat
+    /// ascending sums, so this is bit-identical to the sequential
+    /// per-sample backward); `dx` receives the row-stacked input
+    /// gradient.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,

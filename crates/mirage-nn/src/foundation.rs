@@ -234,8 +234,8 @@ impl FoundationNet {
     }
 
     /// Batched backward for [`FoundationNet::forward_batch_train`]: block
-    /// `b`'s parameter gradients go to `sink.grads_for(b)` in ascending
-    /// block order per parameter; `dx` receives the stacked input
+    /// `b`'s parameter gradients fold into `sink` in ascending block
+    /// order per parameter; `dx` receives the stacked input
     /// gradient.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(

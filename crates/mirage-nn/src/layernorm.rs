@@ -174,10 +174,9 @@ impl LayerNorm {
 
     /// Batched backward over a row-stacked batch of `batch` equal-height
     /// blocks (the cache from [`LayerNorm::forward_batch_cache`]). Block
-    /// `b`'s `dgamma`/`dbeta` go to `sink.grads_for(b)` in ascending
-    /// order; per-row arithmetic is the exact body of
-    /// [`LayerNorm::backward`], so a fused sink reproduces the sequential
-    /// per-block backward bit for bit.
+    /// `b`'s `dgamma`/`dbeta` fold into `sink` in ascending order;
+    /// per-row arithmetic is the exact body of [`LayerNorm::backward`],
+    /// so this reproduces the sequential per-block backward bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -225,7 +224,7 @@ impl LayerNorm {
                     dx.set(r, c, v);
                 }
             }
-            let g = sink.grads_for(b);
+            let g = sink.grads();
             g.accumulate_ref(self.gamma, &dgamma);
             g.accumulate_ref(self.beta, &dbeta);
         }

@@ -85,11 +85,11 @@ impl Linear {
     }
 
     /// Batched backward over a row-stacked input: `x` and `dy` hold
-    /// `batch` equal-height blocks and block `b`'s parameter gradients go
-    /// to `sink.grads_for(b)` (ascending). The per-block `dW`/`db` use the
-    /// same row-band kernels as [`Linear::backward`] on a standalone
-    /// block, and `dx = dy Wᵀ` is row-local, so with a fused sink the
-    /// result is bit-identical to `batch` sequential backward calls.
+    /// `batch` equal-height blocks and block `b`'s parameter gradients
+    /// fold into `sink` in ascending block order. The per-block `dW`/`db`
+    /// use the same row-band kernels as [`Linear::backward`] on a
+    /// standalone block, and `dx = dy Wᵀ` is row-local, so the result is
+    /// bit-identical to `batch` sequential backward calls.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -113,7 +113,7 @@ impl Linear {
             let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
             x.t_matmul_range_into(dy, r0, r1, &mut dw);
             dy.sum_rows_range_into(r0, r1, &mut db);
-            let g = sink.grads_for(b);
+            let g = sink.grads();
             g.accumulate_ref(self.w, &dw);
             g.accumulate_ref(self.b, &db);
         }
@@ -148,7 +148,7 @@ impl Linear {
             let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
             x.t_matmul_range_into(dy, r0, r1, &mut dw);
             dy.sum_rows_range_into(r0, r1, &mut db);
-            let g = sink.grads_for(b);
+            let g = sink.grads();
             g.accumulate_ref(self.w, &dw);
             g.accumulate_ref(self.b, &db);
         }

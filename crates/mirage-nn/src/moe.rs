@@ -279,11 +279,10 @@ impl MoEFoundation {
     }
 
     /// Batched backward for [`MoEFoundation::forward_batch_train`]: block
-    /// `b`'s gradients (every expert, then the gate) go to
-    /// `sink.grads_for(b)` in ascending block order per parameter, and
-    /// `dx` receives the stacked input gradient. With a fused sink this
-    /// reproduces the sequential per-sample [`MoEFoundation::backward`]
-    /// bit for bit.
+    /// `b`'s gradients (every expert, then the gate) fold into `sink` in
+    /// ascending block order per parameter, and `dx` receives the stacked
+    /// input gradient. This reproduces the sequential per-sample
+    /// [`MoEFoundation::backward`] bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,

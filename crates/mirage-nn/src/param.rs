@@ -2,9 +2,9 @@
 //!
 //! Modules are *stateless*: they hold [`ParamId`] handles into a shared
 //! [`ParamSet`] and thread explicit caches between `forward` and
-//! `backward`. That makes data-parallel training trivial — many threads
-//! run forward/backward against `&ParamSet` and produce private [`Grads`]
-//! that are then merged — and it keeps optimizer state (Adam moments)
+//! `backward`. Any number of passes can run against one `&ParamSet`, each
+//! producing [`Grads`] that merge in a fixed order (the per-sample test
+//! oracles do exactly that), and optimizer state (Adam moments) stays
 //! aligned with parameters by index.
 
 use serde::{Deserialize, Serialize};
@@ -231,35 +231,28 @@ impl Grads {
     }
 }
 
-/// Destination for the per-block gradient contributions a `backward_batch`
-/// pass produces.
+/// Destination for the gradient contributions a `backward_batch` pass
+/// produces.
 ///
 /// Every batched backward walks its row-stacked blocks in ascending order
-/// and hands each block's parameter contributions to the sink:
-///
-/// * [`GradSink::Fused`] folds all blocks into one accumulator — because
-///   blocks arrive ascending, the per-parameter addition chains are
-///   *flat* sums in block order, bit-identical to running the sequential
-///   per-sample backward and accumulating into the same `Grads`.
-/// * [`GradSink::PerBlock`] keeps one accumulator per block (slice length
-///   must be ≥ the block count). A coordinator can then fold the blocks
-///   in any grouping it needs — e.g. a deterministic all-reduce across
-///   training workers that stays bit-identical to the single-worker fold.
+/// and folds each block's parameter contributions into the one
+/// accumulator: the per-parameter addition chains are *flat* sums in
+/// block order, bit-identical to running the sequential per-sample
+/// backward and accumulating into the same `Grads`. (A one-variant enum
+/// rather than a plain `&mut Grads` only because the repository's
+/// benchmark spells `GradSink::Fused`.)
 #[derive(Debug)]
 pub enum GradSink<'a> {
     /// All blocks fold into one shared accumulator (ascending order).
     Fused(&'a mut Grads),
-    /// Block `b` accumulates into the `b`-th `Grads`.
-    PerBlock(&'a mut [Grads]),
 }
 
 impl GradSink<'_> {
-    /// The accumulator block `b`'s contributions belong to.
+    /// The accumulator every block's contributions fold into.
     #[inline]
-    pub fn grads_for(&mut self, block: usize) -> &mut Grads {
+    pub fn grads(&mut self) -> &mut Grads {
         match self {
             GradSink::Fused(g) => g,
-            GradSink::PerBlock(gs) => &mut gs[block],
         }
     }
 }

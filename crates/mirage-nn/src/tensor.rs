@@ -1,11 +1,11 @@
 //! Dense row-major f32 matrix — the only tensor type the substrate needs.
 //!
 //! Kept deliberately small: the Mirage networks are 2-D at every point
-//! (sequences are handled as `seq_len × d_model` matrices, mini-batches by
-//! data-parallel per-sample passes). Matmul runs a register-tiled
+//! (sequences are handled as `seq_len × d_model` matrices, mini-batches
+//! as row-stacked blocks of them). Matmul runs a register-tiled
 //! single-thread microkernel — at Mirage's layer sizes that beats
-//! fan-out, and cross-episode parallelism lives in `mirage-core`'s
-//! multi-worker training collection (`collect_sharded`) instead. Every
+//! fan-out; work gets wider through wider row-stacked batches (more
+//! lockstep lanes), never through threads. Every
 //! producing operation has an `*_into` variant writing into a
 //! caller-provided buffer for the allocation-free inference path (see
 //! `crate::scratch`).

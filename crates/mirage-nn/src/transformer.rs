@@ -285,9 +285,9 @@ impl EncoderLayer {
     }
 
     /// Batched backward mirroring [`EncoderLayer::backward`] sublayer by
-    /// sublayer. Block `b`'s parameter gradients go to `sink.grads_for(b)`
-    /// in ascending block order per parameter, so a fused sink reproduces
-    /// the sequential per-sample backward bit for bit.
+    /// sublayer. Block `b`'s parameter gradients fold into `sink` in
+    /// ascending block order per parameter, so this reproduces the
+    /// sequential per-sample backward bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn backward_batch(
         &self,
@@ -369,8 +369,8 @@ pub struct TransformerBatchCache {
 /// Incremental embed-row cache for the inference path (one per episode):
 /// the last input window and its pre-positional embedding rows. The
 /// decision loop shifts its history window by one row per tick, so
-/// [`TransformerEncoder::forward_cached_into`] reuses `seq − 1` embed
-/// rows and recomputes exactly the new one.
+/// [`TransformerEncoder::forward_batch_cached_into`] reuses `seq − 1`
+/// embed rows per episode and recomputes exactly the new one.
 ///
 /// Reuse is keyed on **bitwise** input-row equality, and recomputation is
 /// bit-identical to the full embed matmul — cached results can never
@@ -444,12 +444,6 @@ impl TransformerEncoder {
         self.cfg.d_model
     }
 
-    /// Handle of the row-embedding weight (used by tests and diagnostics to
-    /// check which parts of a model received gradients).
-    pub fn embed_w(&self) -> crate::param::ParamId {
-        self.embed.w
-    }
-
     /// Encodes a `seq × input_dim` state matrix into a pooled `1 × d_model`
     /// feature row.
     pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, TransformerCache) {
@@ -489,40 +483,6 @@ impl TransformerEncoder {
         );
         let mut h = scratch.take(x.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, x, &mut h);
-        self.encode_embedded(ps, &mut h, x.rows(), 1, out, scratch);
-        scratch.give(h);
-    }
-
-    /// [`TransformerEncoder::forward_into`] with incremental embed-row
-    /// caching: in a decision loop only one history row changes per tick
-    /// (the window shifts by one and a new row arrives), so the embedding
-    /// rows of unchanged inputs are reused from `cache` and only dirty
-    /// rows are recomputed. Reuse requires *bitwise* row equality and the
-    /// single-row recompute accumulates in the same ascending-`k` order
-    /// as the matmul microkernel, so the result is bit-identical to
-    /// [`TransformerEncoder::forward_into`] whatever the cache state.
-    ///
-    /// The cache keys on input content only — it cannot see parameter
-    /// updates. Holding a `&self` borrow across the cache's lifetime (as
-    /// the batched episode driver does) rules mutation out statically;
-    /// anything that trains the encoder between calls must call
-    /// [`EmbedRowCache::clear`] first.
-    pub fn forward_cached_into(
-        &self,
-        ps: &ParamSet,
-        x: &Matrix,
-        out: &mut Matrix,
-        scratch: &mut Scratch,
-        cache: &mut EmbedRowCache,
-    ) {
-        assert_eq!(x.cols(), self.cfg.input_dim, "state row width mismatch");
-        assert!(
-            x.rows() <= self.cfg.seq_len,
-            "sequence longer than configured"
-        );
-        self.embed_cached_rows(ps, x, 0, x.rows(), cache);
-        let mut h = scratch.take(0, 0);
-        h.copy_from(&cache.e);
         self.encode_embedded(ps, &mut h, x.rows(), 1, out, scratch);
         scratch.give(h);
     }
@@ -836,8 +796,8 @@ impl TransformerEncoder {
     /// Batched backward for [`TransformerEncoder::forward_batch_train`]:
     /// `d_pooled` is `batch × d_model` (one pooled-feature gradient row
     /// per block), `xs` is the same stacked input the forward saw, and
-    /// block `b`'s parameter gradients go to `sink.grads_for(b)` in
-    /// ascending block order per parameter. `dx` receives the stacked
+    /// block `b`'s parameter gradients fold into `sink` in ascending
+    /// block order per parameter. `dx` receives the stacked
     /// input gradient.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(

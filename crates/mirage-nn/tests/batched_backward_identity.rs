@@ -1,10 +1,8 @@
-//! Bit-identity pins for the batched training backward (PR 9 tentpole):
-//! at every layer, running `backward_batch` over a row-stacked mini-batch
-//! with a fused [`GradSink`] must reproduce the sequential per-sample
-//! backward **bit for bit** — same parameter gradients, same input
-//! gradients — and the per-block sink folded in ascending block order
-//! must match the fused sink exactly. These are the contracts the
-//! batched DQN/PG update paths and the multi-worker all-reduce stand on.
+//! Bit-identity pins for the batched training backward: at every layer,
+//! running `backward_batch` over a row-stacked mini-batch into a
+//! [`GradSink`] must reproduce the sequential per-sample backward **bit
+//! for bit** — same parameter gradients, same input gradients. These are
+//! the contracts the batched DQN/PG update paths stand on.
 
 use mirage_nn::attention::MultiHeadAttention;
 use mirage_nn::foundation::{FoundationBatchCache, FoundationKind, FoundationNet};
@@ -51,19 +49,8 @@ fn block(m: &Matrix, b: usize, h: usize) -> Matrix {
     Matrix::from_fn(h, m.cols(), |r, c| m.get(b * h + r, c))
 }
 
-/// Folds per-block grads in ascending order — the deterministic
-/// all-reduce the multi-worker trainer performs.
-fn fold_ascending(ps: &ParamSet, per_block: &[Grads]) -> Grads {
-    let mut out = Grads::new(ps);
-    for g in per_block {
-        out.merge_ref(g);
-    }
-    out
-}
-
 proptest! {
-    /// Linear: fused batched backward ≡ sequential per-block backward,
-    /// and the per-block sink folded ascending ≡ the fused sink.
+    /// Linear: fused batched backward ≡ sequential per-block backward.
     #[test]
     fn linear_backward_batch_is_bit_identical(
         x in matrix_strategy(6, 4),
@@ -94,13 +81,6 @@ proptest! {
         lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_fused), &mut dx, &mut scratch);
         prop_assert!(grads_bit_eq(&g_ref, &g_fused), "fused grads diverge");
         prop_assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges");
-
-        let mut per_block = vec![Grads::new(&ps); batch];
-        let mut dx2 = Matrix::zeros(0, 0);
-        lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::PerBlock(&mut per_block), &mut dx2, &mut scratch);
-        let folded = fold_ascending(&ps, &per_block);
-        prop_assert!(grads_bit_eq(&g_fused, &folded), "per-block fold diverges");
-        prop_assert!(matrix_bit_eq(&dx, &dx2));
     }
 
     /// LayerNorm: batched forward + backward ≡ per-block, bitwise.
@@ -217,8 +197,7 @@ fn attention_batch_is_bit_identical() {
     }
 }
 
-/// Full encoder: batched training ≡ sequential per-block, bitwise, with a
-/// per-block sink folding to the fused result.
+/// Full encoder: batched training ≡ sequential per-block, bitwise.
 #[test]
 fn transformer_batch_train_is_bit_identical() {
     for (seed, seq, batch) in [(0u64, 3, 3), (1, 4, 2), (2, 2, 1), (3, 3, 5)] {
@@ -274,24 +253,6 @@ fn transformer_batch_train_is_bit_identical() {
             "grads diverge (seed {seed})"
         );
         assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges (seed {seed})");
-
-        let mut per_block = vec![Grads::new(&ps); batch];
-        let mut dx2 = Matrix::zeros(0, 0);
-        enc.backward_batch(
-            &ps,
-            &cache,
-            &xs,
-            &d_pooled,
-            &mut GradSink::PerBlock(&mut per_block),
-            &mut dx2,
-            &mut scratch,
-        );
-        let folded = fold_ascending(&ps, &per_block);
-        assert!(
-            grads_bit_eq(&g_fused, &folded),
-            "per-block fold diverges (seed {seed})"
-        );
-        assert!(matrix_bit_eq(&dx, &dx2));
     }
 }
 

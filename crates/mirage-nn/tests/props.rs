@@ -267,7 +267,9 @@ proptest! {
         let mut cached = Matrix::zeros(0, 0);
         for _ in 0..ticks {
             enc.forward_into(&ps, &window, &mut plain, &mut scratch);
-            enc.forward_cached_into(&ps, &window, &mut cached, &mut scratch, &mut cache);
+            enc.forward_batch_cached_into(
+                &ps, &window, 1, &mut cached, &mut scratch, std::slice::from_mut(&mut cache),
+            );
             prop_assert_eq!(&cached, &plain);
             // Shift: rows move up one, a fresh row arrives at the bottom.
             let fresh = Matrix::xavier(1, 4, &mut rng);

@@ -11,10 +11,9 @@
 //! selection and replay, on targets that need no bootstrapping.
 //!
 //! The update path runs **one batched forward/backward per mini-batch**
-//! over a row-stacked [`MiniBatch`] — the only update path; the unit
-//! tests hold it bit for bit to a test-only per-experience oracle — and
-//! [`DqnAgent::train_minibatch_sharded`] splits the batch across OS
-//! threads with a deterministic per-sample gradient all-reduce.
+//! over a row-stacked [`MiniBatch`], on the calling thread — the only
+//! update path; the unit tests hold it bit for bit to a test-only
+//! per-experience oracle.
 
 use mirage_nn::optim::{Adam, Optimizer};
 use mirage_nn::param::{GradSink, Grads};
@@ -81,45 +80,6 @@ fn huber_scalar(pred: f32, target: f32, delta: f32) -> (f32, f32) {
     } else {
         (delta * (d.abs() - 0.5 * delta), delta * d.signum())
     }
-}
-
-/// One shard of [`DqnAgent::train_minibatch_sharded`]: computes the
-/// per-sample gradients and losses for samples `[start, start + k)` of
-/// `mb` into `grads`/`losses` (both length `k`) in one batched pass with a
-/// per-block sink: `grads[j]` holds exactly sample `start + j`'s
-/// contribution, so the coordinator's ascending flat fold is
-/// bit-identical to the single-threaded update.
-fn dqn_shard(
-    net: &DualHeadNet,
-    mb: &MiniBatch,
-    delta: f32,
-    start: usize,
-    grads: &mut [Grads],
-    losses: &mut [f32],
-) {
-    let k = grads.len();
-    let mut scratch = Scratch::new();
-    let mut cache = HeadBatchCache::default();
-    let mut states = scratch.take(k * mb.seq, mb.states.cols());
-    for r in 0..states.rows() {
-        states
-            .row_mut(r)
-            .copy_from_slice(mb.states.row(start * mb.seq + r));
-    }
-    let mut q = scratch.take(k, 2);
-    net.q_forward_batch_train(&states, k, &mut q, &mut cache, &mut scratch);
-    let mut dq = scratch.take(k, 2);
-    for (j, loss) in losses.iter_mut().enumerate() {
-        let a = mb.actions[start + j];
-        let (l, dl) = huber_scalar(q.get(j, a), mb.rewards[start + j], delta);
-        dq.set(j, a, dl);
-        *loss = l;
-    }
-    let mut sink = GradSink::PerBlock(grads);
-    net.q_backward_batch(&mut cache, &states, &dq, k, &mut sink, &mut scratch);
-    scratch.give(dq);
-    scratch.give(q);
-    scratch.give(states);
 }
 
 /// Everything a [`DqnAgent`] needs to resume bit-identically after a
@@ -364,50 +324,12 @@ impl DqnAgent {
         self.apply_update(total_loss, n)
     }
 
-    /// Synchronized multi-worker mini-batch update: the batch is split
-    /// into `workers` contiguous shards, each shard computes **per-sample**
-    /// gradients on its own OS thread, and the coordinator all-reduces by
-    /// flat-folding every per-sample gradient in ascending sample order
-    /// before one shared Adam step. That global flat fold is the same
-    /// addition chain as the single-threaded update, so the result is
-    /// bit-identical to [`DqnAgent::train_minibatch`] for **any** worker
-    /// count.
+    /// [`train_minibatch`](Self::train_minibatch) under the name the
+    /// repository's benchmark calls. Training has one worker: `workers`
+    /// must be 0 or 1.
     pub fn train_minibatch_sharded(&mut self, mb: &MiniBatch, workers: usize) -> f32 {
-        let workers = workers.max(1).min(mb.len.max(1));
-        if workers <= 1 {
-            return self.train_minibatch(mb);
-        }
-        assert!(!mb.is_empty(), "empty training batch");
-        let n = mb.len;
-        let net = &self.net;
-        let delta = self.cfg.huber_delta;
-        let mut per_sample: Vec<Grads> = (0..n).map(|_| Grads::new(&net.ps)).collect();
-        let mut losses = vec![0.0f32; n];
-        std::thread::scope(|scope| {
-            let mut grads_rest = per_sample.as_mut_slice();
-            let mut losses_rest = losses.as_mut_slice();
-            let mut start = 0usize;
-            for w in 0..workers {
-                // Spread the remainder over the leading shards.
-                let k = n / workers + usize::from(w < n % workers);
-                let (g, gr) = grads_rest.split_at_mut(k);
-                let (l, lr) = losses_rest.split_at_mut(k);
-                grads_rest = gr;
-                losses_rest = lr;
-                let shard_start = start;
-                start += k;
-                scope.spawn(move || dqn_shard(net, mb, delta, shard_start, g, l));
-            }
-        });
-        // Deterministic all-reduce: ascending flat fold over every
-        // per-sample gradient, losses summed in the same order.
-        self.grads.reset();
-        let mut total_loss = 0.0f32;
-        for (l, g) in losses.iter().zip(&per_sample) {
-            total_loss += *l;
-            self.grads.merge_ref(g);
-        }
-        self.apply_update(total_loss, n)
+        assert!(workers <= 1, "one training worker, got {workers}");
+        self.train_minibatch(mb)
     }
 
     /// Shared update tail: mean-scales the accumulated gradients, clips,

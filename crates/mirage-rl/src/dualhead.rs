@@ -470,10 +470,10 @@ impl DualHeadNet {
     }
 
     /// Batched backward through the Q path: `dq` holds one `[dQ0, dQ1]`
-    /// row per block and block `b`'s parameter gradients go to
-    /// `sink.grads_for(b)` in ascending block order per parameter. With a
-    /// fused sink this is bit-identical to `batch` sequential
-    /// [`DualHeadNet::q_backward`] calls accumulating into one `Grads`.
+    /// row per block and block `b`'s parameter gradients fold into `sink`
+    /// in ascending block order per parameter: bit-identical to `batch`
+    /// sequential [`DualHeadNet::q_backward`] calls accumulating into one
+    /// `Grads`.
     pub fn q_backward_batch(
         &self,
         cache: &mut HeadBatchCache,
@@ -511,9 +511,9 @@ impl DualHeadNet {
     }
 
     /// Batched backward through the P path: `d_logits` holds one row per
-    /// block; gradients land in `sink.grads_for(b)` ascending, making a
-    /// fused sink bit-identical to sequential [`DualHeadNet::p_backward`]
-    /// calls in block order.
+    /// block; gradients fold into `sink` in ascending block order,
+    /// bit-identical to sequential [`DualHeadNet::p_backward`] calls in
+    /// block order.
     pub fn p_backward_batch(
         &self,
         cache: &mut HeadBatchCache,
@@ -551,9 +551,8 @@ impl DualHeadNet {
 
     /// Batched backward through the reward path: `d_preds` holds one
     /// `1 × 1` row per block. Like [`DualHeadNet::reward_backward`] it
-    /// always reaches the foundation; with a fused sink it is
-    /// bit-identical to sequential `reward_backward` calls in block
-    /// order.
+    /// always reaches the foundation, and it is bit-identical to
+    /// sequential `reward_backward` calls in block order.
     pub fn reward_backward_batch(
         &self,
         cache: &mut HeadBatchCache,

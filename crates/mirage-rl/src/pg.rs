@@ -5,10 +5,8 @@
 //! Eq. 6: Monte-Carlo rollouts, return-weighted log-probability gradients,
 //! with a moving-average baseline and optional entropy regularization for
 //! variance control. Each episode's steps run as **one batched
-//! forward/backward** — the only update path; the unit tests hold it bit
-//! for bit to a test-only per-step oracle — and
-//! [`PgAgent::train_episodes_sharded`] distributes whole episodes across
-//! OS threads with a deterministic per-episode gradient all-reduce.
+//! forward/backward** on the calling thread — the only update path; the
+//! unit tests hold it bit for bit to a test-only per-step oracle.
 
 use mirage_nn::loss::policy_gradient_loss;
 use mirage_nn::optim::{Adam, Optimizer};
@@ -287,57 +285,12 @@ impl PgAgent {
         }
         self.apply_update(total_loss, step_count, episodes.len())
     }
-
-    /// Distributes whole episodes across `workers` OS threads, each
-    /// producing isolated per-episode gradients, then all-reduces them in
-    /// ascending episode order on the coordinator — bit-identical to
-    /// [`train_episodes`](Self::train_episodes) for every worker count.
-    pub fn train_episodes_sharded(&mut self, episodes: &[EpisodeSample], workers: usize) -> f32 {
-        let workers = workers.max(1).min(episodes.len().max(1));
-        if workers <= 1 {
-            return self.train_episodes(episodes);
-        }
-        assert!(!episodes.is_empty(), "empty episode batch");
-        let baseline = self.advance_baseline(episodes);
-        let entropy_coef = self.cfg.entropy_coef;
-        let step_count: usize = episodes.iter().map(|e| e.steps.len()).sum();
-
-        let net = &self.net;
-        let n = episodes.len();
-        let mut per_episode: Vec<Grads> = (0..n).map(|_| Grads::new(&net.ps)).collect();
-        let mut losses = vec![0.0f32; n];
-        std::thread::scope(|scope| {
-            let mut eps_rest = episodes;
-            let mut grads_rest = per_episode.as_mut_slice();
-            let mut losses_rest = losses.as_mut_slice();
-            for w in 0..workers {
-                // Contiguous shards, remainder spread over leading workers.
-                let k = n / workers + usize::from(w < n % workers);
-                let (eps, er) = eps_rest.split_at(k);
-                let (g, gr) = grads_rest.split_at_mut(k);
-                let (l, lr) = losses_rest.split_at_mut(k);
-                eps_rest = er;
-                grads_rest = gr;
-                losses_rest = lr;
-                scope.spawn(move || pg_shard(net, eps, baseline, entropy_coef, g, l));
-            }
-        });
-
-        // Deterministic all-reduce: ascending episode order, regardless of
-        // which worker produced which gradient.
-        self.grads.reset();
-        let mut total_loss = 0.0f32;
-        for (l, g) in losses.iter().zip(&per_episode) {
-            total_loss += *l;
-            self.grads.merge_ref(g);
-        }
-        self.apply_update(total_loss, step_count, episodes.len())
-    }
 }
 
-/// One episode's REINFORCE pass as a single row-stacked forward/backward.
-/// Accumulates into `grads` (caller resets) and returns the episode's loss
-/// sum. Bit-identical to the per-step loop of the test-only oracle.
+/// One non-empty episode's REINFORCE pass as a single row-stacked
+/// forward/backward. Accumulates into `grads` (caller resets) and returns
+/// the episode's loss sum. Bit-identical to the per-step loop of the
+/// test-only oracle.
 fn pg_episode_batched(
     net: &DualHeadNet,
     ep: &EpisodeSample,
@@ -348,9 +301,6 @@ fn pg_episode_batched(
     scratch: &mut Scratch,
 ) -> f32 {
     let t_count = ep.steps.len();
-    if t_count == 0 {
-        return 0.0;
-    }
     let mut states = scratch.take(0, 0);
     stack_states_into(ep.steps.iter().map(|(state, _)| state), &mut states);
     let mut logits = scratch.take(t_count, 2);
@@ -376,33 +326,6 @@ fn pg_episode_batched(
     scratch.give(logits);
     scratch.give(states);
     loss_sum
-}
-
-/// Worker body for [`PgAgent::train_episodes_sharded`]: one isolated
-/// gradient + loss per episode in the shard, each episode one batched
-/// pass.
-fn pg_shard(
-    net: &DualHeadNet,
-    episodes: &[EpisodeSample],
-    baseline: f32,
-    entropy_coef: f32,
-    grads: &mut [Grads],
-    losses: &mut [f32],
-) {
-    let mut scratch = Scratch::new();
-    let mut cache = HeadBatchCache::default();
-    for (ep, (g, l)) in episodes.iter().zip(grads.iter_mut().zip(losses.iter_mut())) {
-        let advantage = ep.episode_return - baseline;
-        *l = pg_episode_batched(
-            net,
-            ep,
-            advantage,
-            entropy_coef,
-            &mut cache,
-            g,
-            &mut scratch,
-        );
-    }
 }
 
 /// Gradient of `−H(π)` w.r.t. the logits (added to push *toward* higher

@@ -252,11 +252,11 @@ pub enum BackendKind {
     /// The tick-driven [`ReferenceSimulator`] (§5.2 fidelity baseline).
     Tick,
     /// A [`BackendPool`] of `workers` independently seeded event-driven
-    /// backends for parallel collection; [`SimBuilder::build`] yields one
+    /// backends for lockstep collection; [`SimBuilder::build`] yields one
     /// event-driven backend, [`SimBuilder::build_pool`] yields the pool.
     Pooled {
-        /// Worker count: how many threads collection and training fan
-        /// lockstep windows over.
+        /// Worker count: a width hint that online training sizes its
+        /// lockstep windows from when no lane count is pinned.
         workers: usize,
     },
 }
@@ -593,11 +593,10 @@ fn default_workers() -> usize {
 /// A seeded backend factory with a worker count: what collection and
 /// training build their lanes from.
 ///
-/// Lane slot `i` is built from `factory.build(base_seed ^ i)`, whoever
-/// builds it, so `W` workers each building a contiguous slot range
-/// ([`build_range`](Self::build_range)) get, collectively, the backends
-/// one worker building the whole window would. The worker count says how
-/// many threads callers fan windows over; it does not bound the slots.
+/// Lane slot `i` is built from `factory.build(base_seed ^ i)`, whichever
+/// range ([`build_range`](Self::build_range)) builds it. The worker count
+/// is a width hint — online training sizes its lockstep windows from it
+/// when no lane count is pinned — and does not bound the slots.
 pub struct BackendPool<F: BackendFactory> {
     factory: F,
     workers: usize,
@@ -708,10 +707,9 @@ mod tests {
 
     #[test]
     fn pool_handles_more_workers_than_tasks() {
-        // The worker count only says how many threads callers fan windows
-        // over: fewer lanes than workers, none, or slots past the last
-        // worker all build, and slot `i` is seeded `base_seed ^ i`
-        // whichever range builds it.
+        // The worker count is only a width hint: fewer lanes than
+        // workers, none, or slots past the last worker all build, and
+        // slot `i` is seeded `base_seed ^ i` whichever range builds it.
         let builder = SimConfig::builder()
             .nodes(2)
             .seed(5)

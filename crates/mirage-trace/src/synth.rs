@@ -102,11 +102,6 @@ impl TraceGenerator {
         Self { cfg }
     }
 
-    /// Convenience constructor from a profile and seed.
-    pub fn for_cluster(profile: ClusterProfile, seed: u64) -> Self {
-        Self::new(SynthConfig::new(profile, seed))
-    }
-
     /// Generator configuration.
     pub fn config(&self) -> &SynthConfig {
         &self.cfg
