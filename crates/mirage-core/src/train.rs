@@ -6,7 +6,10 @@
 //!   is credited with the delayed episode reward (Eq. 8) and stored in
 //!   the experience memory pool.
 //! * **Foundation pretraining**: supervised reward regression over the
-//!   collected pool (`mirage-rl::offline`).
+//!   collected pool (`mirage-rl::offline`). There is one pretrained
+//!   foundation per kind, shared by the V-head and P-head methods
+//!   (§4.9.1): [`OfflineData`] keeps the net pretrained on it, and
+//!   [`train_method`]'s DQN and PG arms both start from a clone.
 //! * **Online training** (§4.9.2): DQN trains on-policy with ε-greedy
 //!   exploration and replay mini-batches; PG trains on Monte-Carlo
 //!   episode rollouts.
@@ -34,6 +37,7 @@ use mirage_trace::{JobRecord, DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 use crate::checkpoint::{
     check_match, CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError,
@@ -232,7 +236,8 @@ impl TrainConfig {
 
     /// Rejects the values that only fail deep inside `mirage-rl`: a zero
     /// [`batch_size`](Self::batch_size) (an empty replay mini-batch) or
-    /// `pretrain.batch_size` (zero-sized chunks), and more than one
+    /// `pretrain.batch_size` (zero-sized chunks), zero
+    /// [`moe_experts`](Self::moe_experts), and more than one
     /// [`train_workers`](Self::train_workers). The `episode` part is
     /// validated where episodes are built. Every training entry point —
     /// [`train_method`], [`build_pretrained_net`] and the online loops —
@@ -251,6 +256,13 @@ impl TrainConfig {
                 });
             }
         }
+        if self.moe_experts == 0 {
+            return Err(EpisodeConfigError {
+                field: "moe_experts".into(),
+                value: "0".into(),
+                reason: "a mixture of experts needs at least one expert",
+            });
+        }
         if self.train_workers > 1 {
             return Err(EpisodeConfigError {
                 field: "train_workers".into(),
@@ -268,6 +280,14 @@ impl TrainConfig {
 }
 
 /// Offline data pools produced by §4.9.1 collection.
+///
+/// The pools also carry the nets pretrained on them: one pretrained
+/// foundation per kind, shared by the V-head and P-head methods (§4.9.1).
+/// [`train_method`] pretrains a foundation the first time one of its two
+/// RL methods asks and hands the other a clone. An entry is keyed on
+/// everything pretraining reads, the samples included, so editing
+/// [`reward_samples`](Self::reward_samples) makes the next call pretrain
+/// afresh.
 #[derive(Debug, Default)]
 pub struct OfflineData {
     /// (state, action, reward) triples for foundation pretraining and DQN.
@@ -278,6 +298,60 @@ pub struct OfflineData {
     /// behavior-cloning warm start for the P-head (REINFORCE alone is too
     /// sample-hungry at this scale).
     pub best_run_decisions: Vec<(mirage_nn::Matrix, usize)>,
+    /// Pretrained nets by pretraining input (see [`shared_pretrained_net`]).
+    pretrained: Mutex<Vec<(PretrainKey, DualHeadNet)>>,
+}
+
+/// Everything [`try_build_pretrained_net`] reads, compared by value
+/// (floats by their bits). The samples enter as the length and a digest
+/// of the subsample pretraining reads.
+#[derive(Debug, PartialEq, Eq)]
+struct PretrainKey {
+    foundation: FoundationKind,
+    transformer: TransformerConfig,
+    seed: u64,
+    /// `cfg.pretrain`: epochs, batch size, lr bits, seed, clip bits.
+    pretrain: (usize, usize, u32, u64, u32),
+    max_pretrain_samples: usize,
+    /// Subsample length and [`sample_digest`].
+    samples: (usize, u64),
+}
+
+impl PretrainKey {
+    fn new(foundation: FoundationKind, cfg: &TrainConfig, data: &OfflineData) -> Self {
+        let p = &cfg.pretrain;
+        let stride = pretrain_stride(cfg, data.reward_samples.len());
+        let sub = data.reward_samples.iter().step_by(stride);
+        Self {
+            foundation,
+            transformer: transformer_config(cfg),
+            seed: cfg.seed,
+            pretrain: (
+                p.epochs,
+                p.batch_size,
+                p.lr.to_bits(),
+                p.seed,
+                p.grad_clip.to_bits(),
+            ),
+            max_pretrain_samples: cfg.max_pretrain_samples,
+            samples: (sub.len(), sample_digest(sub)),
+        }
+    }
+}
+
+/// Order-sensitive 64-bit digest of every state, action and reward bit
+/// of `samples`, mixed one word at a time.
+fn sample_digest<'a>(samples: impl Iterator<Item = &'a RewardSample>) -> u64 {
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    samples.fold(0, |mut h, s| {
+        h = mix(h, s.state.rows() as u64);
+        h = mix(h, s.state.cols() as u64);
+        for v in s.state.data() {
+            h = mix(h, u64::from(v.to_bits()));
+        }
+        h = mix(h, s.action as u64);
+        mix(h, u64::from(s.reward.to_bits()))
+    })
 }
 
 /// Samples episode start instants uniformly within `[range_start,
@@ -540,13 +614,12 @@ pub fn try_build_pretrained_net(
         seed: cfg.seed,
     })?;
     if !data.reward_samples.is_empty() {
-        if data.reward_samples.len() > cfg.max_pretrain_samples {
-            // Deterministic stride subsample keeps episode diversity.
-            let stride = data.reward_samples.len() / cfg.max_pretrain_samples + 1;
+        let stride = pretrain_stride(cfg, data.reward_samples.len());
+        if stride > 1 {
             let sub: Vec<RewardSample> = data
                 .reward_samples
                 .iter()
-                .step_by(stride.max(1))
+                .step_by(stride)
                 .cloned()
                 .collect();
             pretrain_foundation(&mut net, &sub, &cfg.pretrain);
@@ -555,6 +628,43 @@ pub fn try_build_pretrained_net(
         }
     }
     Ok(net)
+}
+
+/// The stride of the subsample pretraining reads out of `n` reward
+/// samples: 1 (all of them) up to `max_pretrain_samples`, above it a
+/// deterministic stride that keeps episode diversity.
+fn pretrain_stride(cfg: &TrainConfig, n: usize) -> usize {
+    if n > cfg.max_pretrain_samples {
+        n / cfg.max_pretrain_samples + 1
+    } else {
+        1
+    }
+}
+
+/// [`build_pretrained_net`] through `data`'s memo: the first call for a
+/// pretraining input pretrains, and every later one returns a clone,
+/// bit-identical to pretraining again. Entries whose samples no longer
+/// match `data` are dropped first, so the memo holds at most one net per
+/// foundation and config.
+fn shared_pretrained_net(
+    kind: FoundationKind,
+    cfg: &TrainConfig,
+    data: &OfflineData,
+) -> DualHeadNet {
+    let key = PretrainKey::new(kind, cfg, data);
+    // A panic while the lock is held (inside pretraining) leaves the memo
+    // as it was: every update below is one whole `retain` or `push`.
+    let mut memo = data
+        .pretrained
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    memo.retain(|(k, _)| k.samples == key.samples);
+    if let Some((_, net)) = memo.iter().find(|(k, _)| *k == key) {
+        return net.clone();
+    }
+    let net = build_pretrained_net(kind, cfg, data);
+    memo.push((key, net.clone()));
+    net
 }
 
 /// The per-lane RNG seed of online-DQN training episode `i` (the seed
@@ -1061,9 +1171,15 @@ fn pg_online_loop<F: BackendFactory>(
 
 /// Trains one §6 method end to end and returns it as a policy. For the
 /// heuristics this is free; for the ensembles it fits on the offline wait
-/// samples; for the RL methods it pretrains the foundation and fine-tunes
-/// online in lockstep windows against `pool`-built backends (any
-/// [`BackendFactory`] — the same pool offline collection builds on).
+/// samples; for the RL methods it takes the pretrained foundation and
+/// fine-tunes online in lockstep windows against `pool`-built backends
+/// (any [`BackendFactory`] — the same pool offline collection builds on).
+///
+/// There is one pretrained foundation per kind, shared by the V-head and
+/// P-head methods (§4.9.1): the first of `TransformerDqn` /
+/// `TransformerPg` (or `MoeDqn` / `MoePg`) to run on `data` pretrains it,
+/// and the other starts from a clone — the net an uncached
+/// [`build_pretrained_net`] would have built, bit for bit.
 pub fn train_method<F: BackendFactory>(
     kind: MethodKind,
     pool: &BackendPool<F>,
@@ -1076,6 +1192,13 @@ pub fn train_method<F: BackendFactory>(
     // Partition size for congestion-biased start sampling; only the RL
     // methods need it, and probing it costs one throwaway backend.
     let nodes = || pool.build_one().total_nodes();
+    let foundation = if matches!(kind, MethodKind::MoeDqn | MethodKind::MoePg) {
+        FoundationKind::MoE {
+            experts: cfg.moe_experts,
+        }
+    } else {
+        FoundationKind::Transformer
+    };
     match kind {
         MethodKind::Reactive => Box::new(ReactivePolicy),
         MethodKind::AvgHeuristic => Box::new(AvgWaitPolicy::default()),
@@ -1086,14 +1209,7 @@ pub fn train_method<F: BackendFactory>(
             data, cfg.seed,
         )))),
         MethodKind::TransformerDqn | MethodKind::MoeDqn => {
-            let foundation = if kind == MethodKind::MoeDqn {
-                FoundationKind::MoE {
-                    experts: cfg.moe_experts,
-                }
-            } else {
-                FoundationKind::Transformer
-            };
-            let net = build_pretrained_net(foundation, cfg, data);
+            let net = shared_pretrained_net(foundation, cfg, data);
             let starts = sample_training_starts(
                 trace,
                 nodes(),
@@ -1110,14 +1226,7 @@ pub fn train_method<F: BackendFactory>(
             })
         }
         MethodKind::TransformerPg | MethodKind::MoePg => {
-            let foundation = if kind == MethodKind::MoePg {
-                FoundationKind::MoE {
-                    experts: cfg.moe_experts,
-                }
-            } else {
-                FoundationKind::Transformer
-            };
-            let mut net = build_pretrained_net(foundation, cfg, data);
+            let mut net = shared_pretrained_net(foundation, cfg, data);
             behavior_clone(
                 &mut net,
                 &data.best_run_decisions,
@@ -1352,6 +1461,85 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.pretrain.batch_size = 0;
         assert_eq!(cfg.validate().unwrap_err().field, "pretrain.batch_size");
+    }
+
+    #[test]
+    fn zero_moe_experts_is_a_typed_error_naming_the_field() {
+        let cfg = TrainConfig {
+            moe_experts: 0,
+            ..tiny_cfg()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            (err.field.as_str(), err.value.as_str()),
+            ("moe_experts", "0")
+        );
+        let zero = FoundationKind::MoE { experts: 0 };
+        assert_eq!(
+            try_build_pretrained_net(zero, &tiny_cfg(), &OfflineData::default()).err(),
+            Some(TransformerConfigError::Zero { field: "experts" })
+        );
+    }
+
+    #[test]
+    fn the_dqn_and_pg_methods_of_one_foundation_pretrain_once() {
+        // A cap below the pool size, so pretraining reads a strided
+        // subsample.
+        let cfg = TrainConfig {
+            max_pretrain_samples: 16,
+            ..tiny_cfg()
+        };
+        let trace = bg_trace(14);
+        let starts = sample_episode_starts(0, 14 * DAY, &cfg.episode, 2, 4);
+        let pool = pool4();
+        let mut data = collect_offline(&pool, &trace, &cfg, &starts);
+        assert!(data.reward_samples.len() > cfg.max_pretrain_samples);
+        let moe = FoundationKind::MoE {
+            experts: cfg.moe_experts,
+        };
+        let bits = |net: &DualHeadNet| {
+            net.ps
+                .iter()
+                .flat_map(|(_, m)| m.data().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        let memo = |data: &OfflineData| {
+            let memo = data.pretrained.lock().unwrap();
+            memo.iter().map(|(_, net)| bits(net)).collect::<Vec<_>>()
+        };
+        let uncached = bits(&build_pretrained_net(moe, &cfg, &data));
+        // The transformer's entry must not answer for the MoE.
+        let transformer = bits(&shared_pretrained_net(
+            FoundationKind::Transformer,
+            &cfg,
+            &data,
+        ));
+
+        // Both MoE methods, one pretraining: the DQN arm adds the
+        // uncached net to the memo, and the PG arm adds nothing.
+        for kind in [MethodKind::MoeDqn, MethodKind::MoePg] {
+            train_method(kind, &pool, &trace, &cfg, &data, (0, 14 * DAY));
+            let want = vec![transformer.clone(), uncached.clone()];
+            assert_eq!(memo(&data), want, "after {kind:?}");
+        }
+        // A hit is the memo's copy, not a second pretraining.
+        data.pretrained.lock().unwrap()[1]
+            .1
+            .ps
+            .get_mut(mirage_nn::ParamId(0))
+            .data_mut()[0] = 123.0;
+        let hit = shared_pretrained_net(moe, &cfg, &data);
+        assert_eq!(hit.ps.get(mirage_nn::ParamId(0)).get(0, 0), 123.0);
+
+        // Sample 0 is in every strided subsample: editing its reward
+        // makes the next call pretrain afresh, on the edited data, and
+        // drops both stale entries.
+        data.reward_samples[0].reward -= 1.0;
+        let fresh = bits(&shared_pretrained_net(moe, &cfg, &data));
+        let edited = bits(&build_pretrained_net(moe, &cfg, &data));
+        assert_eq!(fresh, edited);
+        assert_ne!(fresh, uncached);
+        assert_eq!(memo(&data), vec![edited]);
     }
 
     #[test]

@@ -176,9 +176,12 @@ impl FoundationNet {
     }
 
     /// [`FoundationNet::backward`] for callers that discard `dx`: the
-    /// transformer skips its embedding input-gradient product entirely;
-    /// MoE (no params-only path) computes and drops it. Parameter
-    /// gradients are bit-identical to the full backward.
+    /// per-sample oracle of the training heads. The transformer skips its
+    /// embedding input-gradient product; the MoE runs its full per-sample
+    /// backward, whose `dx` is dropped. Parameter gradients are
+    /// bit-identical to the full backward. Training itself runs
+    /// [`FoundationNet::backward_batch_params`], where neither
+    /// architecture computes `dx`.
     pub fn backward_params_only(
         &self,
         ps: &ParamSet,
@@ -199,7 +202,7 @@ impl FoundationNet {
 
     /// Training encode over a row-stacked batch: row `b` of the
     /// `batch × d_model` output receives block `b`'s pooled feature, and
-    /// `cache` is filled for [`FoundationNet::backward_batch`] (its
+    /// `cache` is filled for [`FoundationNet::backward_batch_params`] (its
     /// variant is re-established to match `self` if needed). Per block,
     /// bit-identical to [`FoundationNet::forward`].
     pub fn forward_batch_train(
@@ -233,38 +236,13 @@ impl FoundationNet {
         }
     }
 
-    /// Batched backward for [`FoundationNet::forward_batch_train`]: block
-    /// `b`'s parameter gradients fold into `sink` in ascending block
-    /// order per parameter; `dx` receives the stacked input
-    /// gradient.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
-        &self,
-        ps: &ParamSet,
-        cache: &FoundationBatchCache,
-        xs: &Matrix,
-        d_pooled: &Matrix,
-        sink: &mut GradSink<'_>,
-        dx: &mut Matrix,
-        scratch: &mut Scratch,
-    ) {
-        match (self, cache) {
-            (FoundationNet::Transformer(t), FoundationBatchCache::Transformer(c)) => {
-                t.backward_batch(ps, c, xs, d_pooled, sink, dx, scratch)
-            }
-            (FoundationNet::MoE(m), FoundationBatchCache::MoE(c)) => {
-                m.backward_batch(ps, c, xs, d_pooled, sink, dx, scratch)
-            }
-            _ => panic!("foundation cache kind mismatch"),
-        }
-    }
-
-    /// [`FoundationNet::backward_batch`] for callers that discard the
-    /// stacked `dx` (see [`FoundationNet::backward_params_only`]). MoE
-    /// falls back to the full backward into a scratch buffer. Per-block
-    /// parameter gradients are bit-identical to the full batched
-    /// backward.
-    #[allow(clippy::too_many_arguments)]
+    /// Batched parameter-gradient backward for
+    /// [`FoundationNet::forward_batch_train`]: block `b`'s parameter
+    /// gradients fold into `sink` bit-identically to sequential
+    /// per-block [`FoundationNet::backward`] calls. Neither architecture
+    /// computes an input gradient: the foundation is a network's first
+    /// layer. The MoE requires that `sink` hold no gate gradient on entry
+    /// (see [`MoEFoundation::backward_batch_params`]).
     pub fn backward_batch_params(
         &self,
         ps: &ParamSet,
@@ -279,9 +257,7 @@ impl FoundationNet {
                 t.backward_batch_params(ps, c, xs, d_pooled, sink, scratch)
             }
             (FoundationNet::MoE(m), FoundationBatchCache::MoE(c)) => {
-                let mut dx = scratch.take(0, 0);
-                m.backward_batch(ps, c, xs, d_pooled, sink, &mut dx, scratch);
-                scratch.give(dx);
+                m.backward_batch_params(ps, c, xs, d_pooled, sink, scratch)
             }
             _ => panic!("foundation cache kind mismatch"),
         }

@@ -6,6 +6,12 @@
 //! every expert's output — the paper's dense MoE. (The paper also tried
 //! top-1 sparse gating, found it inferior and omits its results; it is not
 //! implemented here.)
+//!
+//! Training runs [`MoEFoundation::backward_batch_params`], which computes
+//! no input gradient and builds the gate's weight gradient as one product
+//! over the whole batch. It equals the per-sample
+//! [`MoEFoundation::backward`] bit for bit only when the gradient sink
+//! holds no gate gradient on entry; every caller resets its `Grads` first.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -52,7 +58,6 @@ pub struct MoEBatchCache {
     c_experts: Vec<TransformerBatchCache>,
     /// Per-expert pooled features (`batch × d_model` each).
     feats: Vec<Matrix>,
-    seq: usize,
     batch: usize,
 }
 
@@ -220,7 +225,7 @@ impl MoEFoundation {
     }
 
     /// Training forward over a row-stacked batch: fills `cache` for
-    /// [`MoEFoundation::backward_batch`] and writes the per-block
+    /// [`MoEFoundation::backward_batch_params`] and writes the per-block
     /// mixtures into `out` (`batch × d_model`). Gate and every
     /// expert run batched; per block the arithmetic is bit-identical to
     /// [`MoEFoundation::forward`].
@@ -240,7 +245,6 @@ impl MoEFoundation {
         );
         let seq = xs.rows() / batch;
         let width = self.cfg.input_dim;
-        cache.seq = seq;
         cache.batch = batch;
         cache.flat.reset(batch, self.cfg.seq_len * width);
         for blk in 0..batch {
@@ -278,32 +282,39 @@ impl MoEFoundation {
         }
     }
 
-    /// Batched backward for [`MoEFoundation::forward_batch_train`]: block
-    /// `b`'s gradients (every expert, then the gate) fold into `sink` in
-    /// ascending block order per parameter, and `dx` receives the stacked
-    /// input gradient. This reproduces the sequential per-sample
-    /// [`MoEFoundation::backward`] bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
+    /// Batched parameter-gradient backward for
+    /// [`MoEFoundation::forward_batch_train`]: every expert's and the
+    /// gate's gradients fold into `sink` bit-identically to sequential
+    /// per-block [`MoEFoundation::backward`] calls. The MoE is always a
+    /// network's first layer, so no input gradient is computed.
+    ///
+    /// The experts fold block by block. The gate's weight gradient is
+    /// one product over all blocks, `d_logitsᵀ · flat`, and its bias
+    /// gradient one row sum. Each block contributes exactly one gate row,
+    /// so the per-block fold `(0 + p₀) + (0 + p₁) + …` and the single
+    /// ascending chain `0 + p₀ + p₁ + …` round identically: the running
+    /// sum is never `−0.0`. That holds only when the chain starts at
+    /// zero, hence the precondition: **`sink` holds no gate gradient on
+    /// entry** (every caller resets its `Grads` before a backward).
+    pub fn backward_batch_params(
         &self,
         ps: &ParamSet,
         cache: &MoEBatchCache,
         xs: &Matrix,
         d_out: &Matrix,
         sink: &mut GradSink<'_>,
-        dx: &mut Matrix,
         scratch: &mut Scratch,
     ) {
-        let (seq, batch) = (cache.seq, cache.batch);
-        let rows = seq * batch;
-        let width = xs.cols();
+        let batch = cache.batch;
         let e_count = self.experts.len();
         assert_eq!(d_out.rows(), batch, "one output gradient row per block");
+        debug_assert!(
+            sink.grads().get(self.gate.w).is_none() && sink.grads().get(self.gate.b).is_none(),
+            "the gate gradient must start empty"
+        );
 
-        dx.reset(rows, width);
         let mut d_gate_probs = scratch.take(batch, e_count);
         let mut d_feat = scratch.take(batch, self.out_dim());
-        let mut dxe = scratch.take(rows, width);
         for (e, expert) in self.experts.iter().enumerate() {
             let feat = &cache.feats[e];
             for blk in 0..batch {
@@ -320,42 +331,25 @@ impl MoEFoundation {
                     *o = v * g;
                 }
             }
-            expert.backward_batch(
-                ps,
-                &cache.c_experts[e],
-                xs,
-                &d_feat,
-                sink,
-                &mut dxe,
-                scratch,
-            );
-            dx.add_assign(&dxe);
+            expert.backward_batch_params(ps, &cache.c_experts[e], xs, &d_feat, sink, scratch);
         }
-        // Through the softmax and the gate linear (one row per block).
+        // Through the softmax (one row per block), then the gate linear
+        // over all blocks at once: `dW = (d_logitsᵀ · flat)ᵀ`, `db = Σ rows`.
         let mut d_logits = scratch.take(batch, e_count);
         softmax_rows_backward_into(&cache.gate_probs, &d_gate_probs, &mut d_logits);
-        let mut d_flat = scratch.take(batch, self.cfg.seq_len * width);
-        self.gate.backward_batch(
-            ps,
-            &cache.flat,
-            &d_logits,
-            batch,
-            sink,
-            &mut d_flat,
-            scratch,
-        );
-        // Fold the flattened-gate gradient back onto the stacked input.
-        for blk in 0..batch {
-            for r in 0..seq {
-                for c in 0..width {
-                    let v = dx.get(blk * seq + r, c) + d_flat.get(blk, r * width + c);
-                    dx.set(blk * seq + r, c, v);
-                }
-            }
-        }
-        scratch.give(d_flat);
+        let mut dw_t = scratch.take(e_count, self.gate.in_dim);
+        d_logits.t_matmul_into(&cache.flat, &mut dw_t);
+        let mut dw = scratch.take(0, 0);
+        dw_t.transpose_into(&mut dw);
+        let mut db = scratch.take(1, e_count);
+        d_logits.sum_rows_range_into(0, batch, &mut db);
+        let g = sink.grads();
+        g.accumulate_ref(self.gate.w, &dw);
+        g.accumulate_ref(self.gate.b, &db);
+        scratch.give(db);
+        scratch.give(dw);
+        scratch.give(dw_t);
         scratch.give(d_logits);
-        scratch.give(dxe);
         scratch.give(d_feat);
         scratch.give(d_gate_probs);
     }

@@ -357,8 +357,8 @@ pub struct TransformerCache {
 
 /// Retained training cache for a row-stacked batch of sequences
 /// (`batch` blocks of `seq` rows each). The stacked input `xs` is *not*
-/// cached — [`TransformerEncoder::backward_batch`] takes it from the
-/// caller for the embedding backward.
+/// cached — [`TransformerEncoder::backward_batch_params`] takes it from
+/// the caller for the embedding backward.
 #[derive(Debug, Clone, Default)]
 pub struct TransformerBatchCache {
     c_layers: Vec<EncoderLayerBatchCache>,
@@ -741,7 +741,7 @@ impl TransformerEncoder {
     /// Training encode over a row-stacked batch: `xs` stacks `batch`
     /// independent `seq × input_dim` state matrices, row `b` of the
     /// `batch × d_model` output receives block `b`'s pooled feature, and
-    /// `cache` is filled for [`TransformerEncoder::backward_batch`]. The
+    /// `cache` is filled for [`TransformerEncoder::backward_batch_params`]. The
     /// embedding runs as one matmul over the whole stack; per block the
     /// arithmetic is bit-identical to [`TransformerEncoder::forward`].
     pub fn forward_batch_train(
@@ -793,30 +793,15 @@ impl TransformerEncoder {
         scratch.give(h);
     }
 
-    /// Batched backward for [`TransformerEncoder::forward_batch_train`]:
-    /// `d_pooled` is `batch × d_model` (one pooled-feature gradient row
-    /// per block), `xs` is the same stacked input the forward saw, and
-    /// block `b`'s parameter gradients fold into `sink` in ascending
-    /// block order per parameter. `dx` receives the stacked
-    /// input gradient.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
-        &self,
-        ps: &ParamSet,
-        cache: &TransformerBatchCache,
-        xs: &Matrix,
-        d_pooled: &Matrix,
-        sink: &mut GradSink<'_>,
-        dx: &mut Matrix,
-        scratch: &mut Scratch,
-    ) {
-        self.backward_batch_inner(ps, cache, xs, d_pooled, sink, Some(dx), scratch);
-    }
-
-    /// [`TransformerEncoder::backward_batch`] minus the stacked input
-    /// gradient (see [`TransformerEncoder::backward_params_only`]).
-    /// Per-block parameter gradients are bit-identical to the full
-    /// batched backward.
+    /// Batched parameter-gradient backward for
+    /// [`TransformerEncoder::forward_batch_train`]: `d_pooled` is
+    /// `batch × d_model` (one pooled-feature gradient row per block),
+    /// `xs` is the same stacked input the forward saw, and block `b`'s
+    /// parameter gradients fold into `sink` in ascending block order per
+    /// parameter — bit-identical to sequential per-block
+    /// [`TransformerEncoder::backward`] calls. The encoder is always a
+    /// network's first layer, so no input gradient is computed (see
+    /// [`TransformerEncoder::backward_params_only`]).
     pub fn backward_batch_params(
         &self,
         ps: &ParamSet,
@@ -824,20 +809,6 @@ impl TransformerEncoder {
         xs: &Matrix,
         d_pooled: &Matrix,
         sink: &mut GradSink<'_>,
-        scratch: &mut Scratch,
-    ) {
-        self.backward_batch_inner(ps, cache, xs, d_pooled, sink, None, scratch);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn backward_batch_inner(
-        &self,
-        ps: &ParamSet,
-        cache: &TransformerBatchCache,
-        xs: &Matrix,
-        d_pooled: &Matrix,
-        sink: &mut GradSink<'_>,
-        dx: Option<&mut Matrix>,
         scratch: &mut Scratch,
     ) {
         let (seq, batch) = (cache.seq, cache.batch);
@@ -861,14 +832,8 @@ impl TransformerEncoder {
             layer.backward_batch(ps, c, &dh, batch, sink, &mut next, scratch);
             std::mem::swap(&mut dh, &mut next);
         }
-        match dx {
-            Some(dx) => self
-                .embed
-                .backward_batch(ps, xs, &dh, batch, sink, dx, scratch),
-            None => self
-                .embed
-                .backward_batch_params(xs, &dh, batch, sink, scratch),
-        }
+        self.embed
+            .backward_batch_params(xs, &dh, batch, sink, scratch);
         scratch.give(next);
         scratch.give(dh);
     }

@@ -256,10 +256,14 @@ impl DualHeadNet {
     }
 
     /// Builds foundation and heads after validating the encoder shape
-    /// ([`TransformerConfig::validate`]), so a zero or indivisible width
-    /// is a typed error here instead of an `assert!` inside a layer.
+    /// ([`TransformerConfig::validate`]) and the expert count, so a zero
+    /// or indivisible width, or an MoE of zero experts, is a typed error
+    /// here instead of an `assert!` inside a layer.
     pub fn try_new(cfg: DualHeadConfig) -> Result<Self, TransformerConfigError> {
         cfg.transformer.validate()?;
+        if cfg.foundation == (FoundationKind::MoE { experts: 0 }) {
+            return Err(TransformerConfigError::Zero { field: "experts" });
+        }
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let foundation = FoundationNet::new(
@@ -751,6 +755,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_experts_is_a_typed_error() {
+        let err = DualHeadNet::try_new(tiny_cfg(FoundationKind::MoE { experts: 0 })).unwrap_err();
+        assert_eq!(err, TransformerConfigError::Zero { field: "experts" });
+        assert!(DualHeadNet::try_new(tiny_cfg(FoundationKind::MoE { experts: 1 })).is_ok());
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Steady-state allocation regression pin for the batched DQN update
-//! (PR 9 tentpole): once the agent's retained buffers — mini-batch
-//! row-stacks, forward/backward caches, gradient accumulators, Adam
-//! moments — are warmed by two identically-shaped updates, a third
-//! update must not touch the allocator at all.
+//! Steady-state allocation regression pins for the batched DQN update,
+//! on a transformer and on a 3-expert MoE foundation:
+//! once the agent's retained buffers — mini-batch row-stacks,
+//! forward/backward caches, gradient accumulators, Adam moments — are
+//! warmed by two identically-shaped updates, a third update must not
+//! touch the allocator at all.
 //!
-//! This test must stay in its own integration-test binary so no
-//! concurrently running test shares its address space, and the counting
-//! window is gated by a **thread-local** flag: the `#[global_allocator]`
-//! sees every thread in the process — including the libtest harness
-//! thread, which allocates at its own pace while the test body runs —
-//! so only the test thread's allocations may count.
+//! The tests stay in their own integration-test binary, and both the
+//! counting window and the count are **thread-local**: the
+//! `#[global_allocator]` sees every thread in the process — including
+//! the libtest harness thread, which allocates at its own pace while a
+//! test body runs, and the other test of this binary — so only the test
+//! thread's own allocations may count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mirage_nn::foundation::FoundationKind;
 use mirage_nn::tensor::Matrix;
@@ -27,37 +27,33 @@ use rand::{Rng, SeedableRng};
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialized so reading it from inside the allocator never
+    // Const-initialized so reading them from inside the allocator never
     // triggers a lazy TLS initialization (which could itself allocate).
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-/// True only on the thread that armed the counter — `try_with` so
-/// allocations during TLS teardown never panic inside the allocator.
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+/// Counts one allocation if this thread armed the counter — `try_with`
+/// so allocations during TLS teardown never panic inside the allocator.
+fn record() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -71,8 +67,19 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_batched_update_does_not_allocate() {
+    assert_steady_update_allocates_nothing(FoundationKind::Transformer);
+}
+
+/// The MoE's params-only backward (per-expert encoders, one gate
+/// product) must be as allocation-free as the transformer's.
+#[test]
+fn steady_state_moe_update_does_not_allocate() {
+    assert_steady_update_allocates_nothing(FoundationKind::MoE { experts: 3 });
+}
+
+fn assert_steady_update_allocates_nothing(foundation: FoundationKind) {
     let net = DualHeadNet::new(DualHeadConfig {
-        foundation: FoundationKind::Transformer,
+        foundation,
         transformer: TransformerConfig {
             input_dim: 3,
             seq_len: 2,
@@ -104,12 +111,15 @@ fn steady_state_batched_update_does_not_allocate() {
     agent.train_minibatch(&mb);
     agent.train_minibatch(&mb);
 
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     let loss = agent.train_minibatch(&mb);
     COUNTING.with(|c| c.set(false));
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = ALLOCS.with(Cell::get);
 
     assert!(loss.is_finite(), "update still trains: loss {loss}");
-    assert_eq!(n, 0, "steady-state batched update allocated {n} times");
+    assert_eq!(
+        n, 0,
+        "steady-state batched {foundation:?} update allocated {n} times"
+    );
 }
