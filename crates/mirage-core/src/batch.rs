@@ -37,8 +37,8 @@ use crate::reward::RewardShaper;
 /// window lanes ([`BatchedEpisodeDriver::pending`]) for per-lane RNG and
 /// ε streams that survive the batch narrowing, and inspect each pending
 /// episode's [`DecisionContext`]
-/// ([`BatchedEpisodeDriver::pending_context`]). Implemented by the
-/// training window adapters in `mirage_core::trainloop`.
+/// ([`BatchedEpisodeDriver::pending_context`]). Implemented by the DQN
+/// and PG learners of the online loop in [`crate::train`].
 pub trait LanePolicy<B: ClusterBackend> {
     /// Decides one lockstep tick: pushes exactly one action index per
     /// pending batch row, in row order ([`BatchedEpisodeDriver::pending`]

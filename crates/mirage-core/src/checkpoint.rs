@@ -1,7 +1,7 @@
 //! Crash-safe training checkpoints: full online-training state snapshots
 //! on a configurable cadence, resumable bit for bit.
 //!
-//! A checkpoint captures **everything** the online loops thread through
+//! A checkpoint captures **everything** the online loop threads through
 //! an episode chunk — network parameters, Adam moments, the replay rings
 //! (DQN) or pending REINFORCE batch (PG), the replay-sampling RNG
 //! stream, the global ε clock (`agent.steps`) and the episode counter —
@@ -13,7 +13,7 @@
 //! # What is *not* stored, and why that is sound
 //!
 //! Checkpoints are written only at **chunk boundaries** of the lockstep
-//! [`BatchedCollector`](crate::trainloop::BatchedCollector). At a
+//! [`BatchedCollector`](crate::train::BatchedCollector). At a
 //! boundary every per-lane exploration stream is dead: lanes are rebuilt
 //! fresh at the top of each chunk from
 //! `ExploreLane::seeded(dqn_episode_seed(cfg.seed, i), agent.steps)`
@@ -39,7 +39,7 @@ use mirage_rl::{
     DqnAgentState, EpisodeSample, Experience, PgAgentState, ReplayBuffer, StateMismatch,
 };
 
-use crate::episode::EpisodeResult;
+use crate::episode::{EpisodeConfigError, EpisodeResult};
 use crate::reward::EpisodeOutcome;
 
 /// Envelope kind tag of a DQN training-state checkpoint. `DQN2` names
@@ -50,7 +50,7 @@ pub const KIND_DQN_TRAIN: &str = "DQN2";
 /// Envelope kind tag of a PG training-state checkpoint.
 pub const KIND_PG_TRAIN: &str = "PGST";
 
-/// When and where the online loops snapshot their state.
+/// When and where the online loop snapshots its state.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint file (atomically replaced on every save).
@@ -78,9 +78,12 @@ impl CheckpointConfig {
     }
 }
 
-/// Why a resume was refused.
+/// Why a checkpointed run, or its resume, was refused.
 #[derive(Debug)]
 pub enum ResumeError {
+    /// [`TrainConfig::validate`](crate::train::TrainConfig::validate)
+    /// refused the run's config; nothing was collected.
+    InvalidConfig(EpisodeConfigError),
     /// The checkpoint file is unreadable, corrupt, truncated or of the
     /// wrong kind/version (the serializer layer's typed error).
     Checkpoint(CheckpointError),
@@ -99,6 +102,7 @@ pub enum ResumeError {
 impl std::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ResumeError::InvalidConfig(e) => write!(f, "{e}"),
             ResumeError::Checkpoint(e) => write!(f, "cannot resume: {e}"),
             ResumeError::ConfigMismatch {
                 field,
@@ -116,6 +120,7 @@ impl std::fmt::Display for ResumeError {
 impl std::error::Error for ResumeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            ResumeError::InvalidConfig(e) => Some(e),
             ResumeError::Checkpoint(e) => Some(e),
             ResumeError::ConfigMismatch { .. } => None,
         }
@@ -148,8 +153,8 @@ pub struct DqnTrainCheckpoint {
     /// Lockstep lane count of the run's collection windows (validated on
     /// resume: chunk boundaries move with it).
     pub lanes: u64,
-    /// Training worker count. Training has one worker, so the loops
-    /// always write 1 and a resume refuses anything else; the field stays
+    /// Training worker count. Training has one worker, so the loop
+    /// always writes 1 and a resume refuses anything else; the field stays
     /// so the `DQN2` layout does not move.
     pub workers: u64,
     /// Agent snapshot: weights, Adam moments, ε/train clocks (its

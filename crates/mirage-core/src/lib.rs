@@ -67,10 +67,9 @@
 //! * [`policy`] — the eight §6 methods behind one trait,
 //! * [`features`] — compact features for the ensemble baselines,
 //! * [`train`] — §4.9 offline collection + foundation pretraining +
-//!   online RL fine-tuning,
-//! * [`trainloop`] — the lockstep online-training data-path: both online
-//!   loops step `TrainConfig::collect_lanes` episodes per window through
-//!   the batched driver ([`trainloop::BatchedCollector`]),
+//!   online RL fine-tuning: one online loop for DQN and PG, stepping
+//!   `TrainConfig::collect_lanes` episodes per window through the batched
+//!   driver ([`train::BatchedCollector`]),
 //! * [`eval`] — the §6 evaluation harness (load levels, zero-interruption
 //!   fractions, reduction vs reactive) and the one warm-once,
 //!   restore-per-method loop it, the chaos and hetero lanes,
@@ -101,7 +100,6 @@ pub mod policy;
 pub mod reward;
 pub mod state;
 pub mod train;
-pub mod trainloop;
 
 pub use batch::{BatchedEpisodeDriver, LanePolicy};
 pub use chain::{chain_stretch, provision_chain, ChainResult, ChainSummary};
@@ -135,10 +133,9 @@ pub use reward::{EpisodeOutcome, RewardShaper};
 pub use state::{PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS};
 pub use train::{
     collect_offline, sample_episode_starts, sample_training_starts, train_dqn_online_checkpointed,
-    train_method, train_pg_online_checkpointed, DqnTrainRun, MethodKind, OfflineData, PgTrainRun,
-    TrainConfig,
+    train_method, train_pg_online_checkpointed, BatchedCollector, DqnTrainRun, MethodKind,
+    OfflineData, PgTrainRun, TrainConfig,
 };
-pub use trainloop::{BatchedCollector, DqnActWindow, PgActWindow};
 
 /// Convenience imports.
 pub mod prelude {

@@ -10,35 +10,52 @@
 //!   foundation per kind, shared by the V-head and P-head methods
 //!   (§4.9.1): [`OfflineData`] keeps the net pretrained on it, and
 //!   [`train_method`]'s DQN and PG arms both start from a clone.
-//! * **Online training** (§4.9.2): DQN trains on-policy with ε-greedy
-//!   exploration and replay mini-batches; PG trains on Monte-Carlo
-//!   episode rollouts.
+//! * **Online training** (§4.9.2): one loop, two learners. DQN trains
+//!   on-policy with ε-greedy exploration and replay mini-batches; PG
+//!   trains on Monte-Carlo episode rollouts.
 //! * **Ensemble fitting**: the same episodes supply (features → observed
 //!   successor wait) pairs for the Random Forest / XGBoost baselines.
 //!
 //! Offline collection plays fixed split-point policies, so it runs on the
 //! warm-once loop in [`crate::eval`]: one warm-up per start, every run on
-//! a restore. Both online loops run through the lockstep
-//! [`BatchedCollector`] (`TrainConfig::collect_lanes` episodes per
-//! window, one batched NN forward per decision tick); see
-//! [`crate::trainloop`] for it and its bit-identity contract with the
-//! sequential loops it replaced.
+//! a restore. The online loop steps `TrainConfig::collect_lanes` episodes
+//! per lockstep window through the [`BatchedCollector`] (one batched NN
+//! forward per decision tick) and hands the learner each window's results
+//! in episode order, so replay pushes and the update cadence are those of
+//! a sequential loop. Its contract, pinned by the `lockstep_training`
+//! property tests:
+//!
+//! * with `lanes == 1`, a training run is **bit-identical** to the
+//!   sequential loop it replaced — same replay contents, same final
+//!   weights, same episode outcomes;
+//! * with `lanes == N`, every lane is bit-identical to a sequential run
+//!   of its episode under the same per-lane `(seed, ε-step-base)` and
+//!   the same window-start weights ([`ExploreLane`] keeps lane streams
+//!   and clocks independent of the batch width).
+//!
+//! Acting inside a window always uses the window-start weights (updates
+//! happen between windows, per finished episode), and `lanes == 1`
+//! recovers the fully sequential cadence exactly.
 
 use mirage_ensemble::{Dataset, ForestConfig, GbdtConfig, GradientBoosting, RandomForest};
 use mirage_nn::foundation::FoundationKind;
+use mirage_nn::serialize::write_atomic;
 use mirage_nn::transformer::{TransformerConfig, TransformerConfigError};
+use mirage_nn::Matrix;
 use mirage_rl::{
     pretrain_foundation, ActionEncoding, BalancedReplay, DqnAgent, DqnConfig, DualHeadConfig,
-    DualHeadNet, EpisodeSample, Experience, ExploreLane, HeadBatchCache, PgAgent, PgConfig,
-    PretrainConfig, RewardSample,
+    DualHeadNet, EpisodeSample, Experience, ExploreLane, HeadBatchCache, MiniBatch, PgAgent,
+    PgConfig, PretrainConfig, RewardSample,
 };
 use mirage_sim::{BackendFactory, BackendPool, ClusterBackend};
 use mirage_trace::{JobRecord, DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
+use crate::batch::{BatchedEpisodeDriver, LanePolicy};
 use crate::checkpoint::{
     check_match, CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError,
 };
@@ -52,7 +69,6 @@ use crate::policy::{
 };
 use crate::reward::RewardShaper;
 use crate::state::STATE_VARS;
-use crate::trainloop::{BatchedCollector, DqnActWindow, PgActWindow};
 
 /// The eight §6 methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,7 +154,7 @@ pub struct TrainConfig {
     /// window-start weights; `Some(1)` recovers the fully sequential
     /// collect-update cadence bit for bit, and every lane is
     /// bit-identical to a sequential run under its own `(seed, ε-base)`
-    /// whatever the width (see `crate::trainloop`). `None` (the default)
+    /// whatever the width (see [`crate::train`]). `None` (the default)
     /// auto-sizes to the machine via
     /// [`TrainConfig::collect_lanes_for`]: `min(pool workers,`
     /// [`l1_lane_cap`](Self::l1_lane_cap)`)`.
@@ -239,9 +255,9 @@ impl TrainConfig {
     /// `pretrain.batch_size` (zero-sized chunks), zero
     /// [`moe_experts`](Self::moe_experts), and more than one
     /// [`train_workers`](Self::train_workers). The `episode` part is
-    /// validated where episodes are built. Every training entry point —
-    /// [`train_method`], [`build_pretrained_net`] and the online loops —
-    /// checks this first and panics with the error's message.
+    /// validated where episodes are built. Every training entry point
+    /// checks this first; the checkpointed online ones return the error
+    /// as [`ResumeError::InvalidConfig`], the others panic with it.
     pub fn validate(&self) -> Result<(), EpisodeConfigError> {
         let sizes = [
             ("batch_size", self.batch_size),
@@ -679,6 +695,261 @@ pub fn pg_episode_seed(cfg_seed: u64, i: usize) -> u64 {
     cfg_seed ^ 0xBEEF ^ ((i as u64) << 4)
 }
 
+/// Lockstep episode collection over a [`BackendPool`]: chunks an episode
+/// list into windows of at most `lanes`, builds one fresh pool backend
+/// and one [`episode_window`] trace slice per lane, and steps each
+/// window through a [`BatchedEpisodeDriver`].
+pub struct BatchedCollector<'a, F: BackendFactory> {
+    pool: &'a BackendPool<F>,
+    trace: &'a [JobRecord],
+    episode: &'a EpisodeConfig,
+    lanes: usize,
+}
+
+impl<'a, F: BackendFactory> BatchedCollector<'a, F> {
+    /// Collector stepping `lanes` episodes per lockstep window (clamped
+    /// to at least 1).
+    pub fn new(
+        pool: &'a BackendPool<F>,
+        trace: &'a [JobRecord],
+        episode: &'a EpisodeConfig,
+        lanes: usize,
+    ) -> Self {
+        Self {
+            pool,
+            trace,
+            episode,
+            lanes: lanes.max(1),
+        }
+    }
+
+    /// Window width (episodes per lockstep window).
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Builds the lockstep driver for one window of episode starts: one
+    /// fresh pool backend per lane (slots `0..t0s.len()`, from
+    /// [`BackendPool::build_range`]) and one per-`t0` trace window per
+    /// lane. Decision recording is on — the trajectories are the training
+    /// data. Training loops step windows themselves, updating weights
+    /// between them.
+    pub fn window(&self, t0s: &[i64]) -> BatchedEpisodeDriver<F::Backend> {
+        let windows: Vec<&[JobRecord]> = t0s
+            .iter()
+            .map(|&t0| episode_window(self.trace, t0, self.episode))
+            .collect();
+        BatchedEpisodeDriver::with_windows(
+            self.pool.build_range(0, t0s.len()),
+            windows,
+            self.episode,
+            t0s,
+        )
+    }
+}
+
+/// One algorithm of [`online_loop`]: acts for a window's lanes (as its
+/// [`LanePolicy`]), learns from each finished episode, checkpoints itself.
+trait OnlineLearner {
+    /// Seeds one exploration lane per episode `first..first + n` of the
+    /// next window.
+    fn open_window(&mut self, seed: u64, first: usize, n: usize);
+    /// Learns from one finished episode's decisions and reward.
+    fn learn(&mut self, cfg: &TrainConfig, decisions: Vec<(Matrix, usize)>, reward: f32);
+    /// Runs after the last window of a run that was not halted.
+    fn finish(&mut self) {}
+    /// This learner's sealed checkpoint of the run so far.
+    fn checkpoint(&self, run: &RunShape, episodes: &[EpisodeResult]) -> Vec<u8>;
+    /// Restores this learner from `path` once `run` accepts the
+    /// checkpoint, returning its episode records.
+    fn resume(&mut self, path: &Path, run: &RunShape) -> Result<Vec<EpisodeResult>, ResumeError>;
+}
+
+/// The run a checkpoint is written by and must match on resume.
+struct RunShape {
+    seed: u64,
+    lanes: usize,
+    episodes: usize,
+    history_k: usize,
+}
+
+impl RunShape {
+    /// Refuses a checkpoint of another run, in order: seed, collect lanes,
+    /// train workers, episode counter, the shape of every stored state.
+    /// The learner's agent import checks the network architecture last.
+    fn check<'m>(
+        &self,
+        (seed, lanes, workers): (u64, u64, u64),
+        done: usize,
+        states: impl IntoIterator<Item = &'m Matrix>,
+    ) -> Result<(), ResumeError> {
+        check_match("seed", seed, self.seed)?;
+        check_match("collect lanes", lanes, self.lanes as u64)?;
+        check_match("train workers", workers, 1)?;
+        if done > self.episodes {
+            check_match("online episodes", done, self.episodes)?;
+        }
+        if !done.is_multiple_of(self.lanes) && done < self.episodes {
+            return Err(ResumeError::ConfigMismatch {
+                field: "episode counter (must sit on a chunk boundary)",
+                saved: done.to_string(),
+                current: format!("multiple of {}", self.lanes),
+            });
+        }
+        let want = (self.history_k, STATE_VARS);
+        let shape = |(k, vars): (usize, usize)| format!("{k} ({k}x{vars} states)");
+        match states
+            .into_iter()
+            .map(|m| (m.rows(), m.cols()))
+            .find(|s| *s != want)
+        {
+            Some(saved) => check_match("history_k", shape(saved), shape(want)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The online-training loop (§4.9.2): cycles `starts` up to
+/// `cfg.online_episodes` in lockstep windows, hands `learner` each finished
+/// episode in order and checkpoints at chunk boundaries. Returns the
+/// learner, the episode records and whether `halt_after` stopped the run.
+fn online_loop<F: BackendFactory, L: OnlineLearner + LanePolicy<F::Backend>>(
+    mut learner: L,
+    pool: &BackendPool<F>,
+    trace: &[JobRecord],
+    cfg: &TrainConfig,
+    starts: &[i64],
+    ckpt: Option<&CheckpointConfig>,
+    resume_from: Option<&Path>,
+) -> Result<(L, Vec<EpisodeResult>, bool), ResumeError> {
+    cfg.validate().map_err(ResumeError::InvalidConfig)?;
+    let t0s = Vec::from_iter(starts.iter().copied().cycle().take(cfg.online_episodes));
+    let width = cfg.collect_lanes_for(pool.workers());
+    let collector = BatchedCollector::new(pool, trace, &cfg.episode, width);
+    let run = RunShape {
+        seed: cfg.seed,
+        lanes: width,
+        episodes: t0s.len(),
+        history_k: cfg.episode.history_k,
+    };
+    let mut episodes = match resume_from {
+        Some(path) => learner.resume(path, &run)?,
+        None => Vec::with_capacity(t0s.len()),
+    };
+    let done = episodes.len();
+    let mut last_saved = done;
+    for (c, chunk) in t0s.chunks(width).enumerate() {
+        if c * width + chunk.len() <= done {
+            // Replayed from the checkpoint: the restored learner and
+            // episode records already contain this chunk.
+            continue;
+        }
+        learner.open_window(cfg.seed, episodes.len(), chunk.len());
+        let mut driver = collector.window(chunk);
+        driver.run_lanes(&mut learner);
+        for mut result in driver.finish().0 {
+            let reward = cfg.shaper.reward(&result.outcome);
+            learner.learn(cfg, result.take_decisions(), reward);
+            episodes.push(result);
+        }
+        if let Some(c) = ckpt {
+            let at = episodes.len();
+            let halt = c.halt_after.is_some_and(|h| at >= h);
+            if halt || (c.every_episodes > 0 && at - last_saved >= c.every_episodes) {
+                write_atomic(&c.path, &learner.checkpoint(&run, &episodes))?;
+                last_saved = at;
+            }
+            if halt {
+                return Ok((learner, episodes, true));
+            }
+        }
+    }
+    learner.finish();
+    Ok((learner, episodes, false))
+}
+
+/// DQN fine-tuning (§4.9.2a): ε-greedy acting through one
+/// [`DqnAgent::act_batch`] forward per tick, every decision into the
+/// class-balanced replay with its episode's reward, then the episode's
+/// mini-batch updates.
+struct DqnLearner {
+    agent: DqnAgent,
+    replay: BalancedReplay,
+    /// Replay-sampling stream.
+    rng: StdRng,
+    /// Refilled in place per update: steady-state updates allocate nothing.
+    mb: MiniBatch,
+    lanes: Vec<ExploreLane>,
+}
+
+impl<B: ClusterBackend> LanePolicy<B> for DqnLearner {
+    fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>) {
+        let (states, pending) = (driver.batch_states(), driver.pending());
+        self.agent
+            .act_batch(states, &mut self.lanes, pending, actions);
+    }
+}
+
+impl OnlineLearner for DqnLearner {
+    fn open_window(&mut self, seed: u64, first: usize, n: usize) {
+        // Lane i resumes the agent's global ε clock and owns the RNG
+        // stream its episode ordinal has always had. (This also makes
+        // chunk-boundary checkpoints complete: lane streams are derived
+        // from the saved ε clock and episode counter, never stored.)
+        let steps = self.agent.steps;
+        self.lanes.clear();
+        self.lanes.extend(
+            (first..first + n).map(|i| ExploreLane::seeded(dqn_episode_seed(seed, i), steps)),
+        );
+    }
+
+    fn learn(&mut self, cfg: &TrainConfig, decisions: Vec<(Matrix, usize)>, reward: f32) {
+        self.agent.steps += decisions.len() as u64;
+        for (state, action) in decisions {
+            self.replay
+                .push(Experience::terminal(state, action, reward));
+        }
+        if self.replay.len() >= cfg.batch_size {
+            for _ in 0..cfg.updates_per_episode.max(1) {
+                self.replay
+                    .sample_minibatch(&mut self.rng, cfg.batch_size, &mut self.mb);
+                self.agent.train_minibatch(&self.mb);
+            }
+        }
+    }
+
+    fn checkpoint(&self, run: &RunShape, episodes: &[EpisodeResult]) -> Vec<u8> {
+        let (wc, ww, wb) = self.replay.wait().raw_parts();
+        let (sc, sw, sb) = self.replay.submit().raw_parts();
+        DqnTrainCheckpoint {
+            cfg_seed: run.seed,
+            lanes: run.lanes as u64,
+            workers: 1,
+            agent: self.agent.export_state(),
+            replay_wait: (wc as u64, ww as u64, wb.to_vec()),
+            replay_submit: (sc as u64, sw as u64, sb.to_vec()),
+            rng: self.rng.state(),
+            episodes: episodes.to_vec(),
+        }
+        .to_bytes()
+    }
+
+    fn resume(&mut self, path: &Path, run: &RunShape) -> Result<Vec<EpisodeResult>, ResumeError> {
+        let mut saved = DqnTrainCheckpoint::load(path)?;
+        let rings = saved.replay_wait.2.iter().chain(&saved.replay_submit.2);
+        run.check(
+            (saved.cfg_seed, saved.lanes, saved.workers),
+            saved.episodes.len(),
+            rings.map(|e| &e.state),
+        )?;
+        let (wait, submit) = saved.take_replay();
+        self.replay = BalancedReplay::from_buffers(wait, submit);
+        self.rng = StdRng::from_state(saved.rng);
+        self.agent.import_state(saved.agent)?;
+        Ok(saved.episodes)
+    }
+}
+
 /// Online DQN fine-tuning (§4.9.2a): ε-greedy episodes collected in
 /// lockstep windows of `cfg.collect_lanes` (one batched forward per
 /// decision tick); each episode's decisions enter the class-balanced
@@ -708,9 +979,10 @@ pub fn train_dqn_online_traced<F: BackendFactory>(
     starts: &[i64],
     warm_start: &OfflineData,
 ) -> (DqnAgent, BalancedReplay, Vec<EpisodeResult>) {
-    let run = dqn_online_loop(net, pool, trace, cfg, starts, warm_start, None, None)
-        .expect("un-checkpointed training cannot fail");
-    (run.agent, run.replay, run.episodes)
+    let learner = dqn_learner(net, cfg, warm_start);
+    let (l, episodes, _) = online_loop(learner, pool, trace, cfg, starts, None, None)
+        .unwrap_or_else(|e| panic!("online DQN training: {e}"));
+    (l.agent, l.replay, episodes)
 }
 
 /// A (possibly halted) checkpointed DQN training run.
@@ -733,7 +1005,8 @@ pub struct DqnTrainRun {
 /// `ckpt.path` at chunk boundaries on the `ckpt.every_episodes` cadence. Pass `resume_from` to continue an
 /// interrupted run: the resumed run is **bit-identical** to the
 /// uninterrupted one (weights, replay contents, episode outcomes), as
-/// pinned by `tests/crash_resume.rs`.
+/// pinned by `tests/crash_resume.rs`. An invalid `cfg` is
+/// [`ResumeError::InvalidConfig`], returned before anything runs.
 #[allow(clippy::too_many_arguments)]
 pub fn train_dqn_online_checkpointed<F: BackendFactory>(
     net: DualHeadNet,
@@ -743,161 +1016,31 @@ pub fn train_dqn_online_checkpointed<F: BackendFactory>(
     starts: &[i64],
     warm_start: &OfflineData,
     ckpt: &CheckpointConfig,
-    resume_from: Option<&std::path::Path>,
+    resume_from: Option<&Path>,
 ) -> Result<DqnTrainRun, ResumeError> {
-    dqn_online_loop(
-        net,
-        pool,
-        trace,
-        cfg,
-        starts,
-        warm_start,
-        Some(ckpt),
-        resume_from,
-    )
+    let learner = dqn_learner(net, cfg, warm_start);
+    let (l, episodes, halted) =
+        online_loop(learner, pool, trace, cfg, starts, Some(ckpt), resume_from)?;
+    Ok(DqnTrainRun {
+        agent: l.agent,
+        replay: l.replay,
+        episodes,
+        halted,
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dqn_online_loop<F: BackendFactory>(
-    net: DualHeadNet,
-    pool: &BackendPool<F>,
-    trace: &[JobRecord],
-    cfg: &TrainConfig,
-    starts: &[i64],
-    warm_start: &OfflineData,
-    ckpt: Option<&CheckpointConfig>,
-    resume_from: Option<&std::path::Path>,
-) -> Result<DqnTrainRun, ResumeError> {
-    cfg.expect_valid("online DQN training");
-    let mut agent = DqnAgent::new(net, cfg.dqn);
+/// A fresh DQN learner, its replay warm-started with `warm_start`.
+fn dqn_learner(net: DualHeadNet, cfg: &TrainConfig, warm_start: &OfflineData) -> DqnLearner {
     let mut replay = BalancedReplay::new(8192, 4096);
     for s in &warm_start.reward_samples {
         replay.push(Experience::terminal(s.state.clone(), s.action, s.reward));
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD9);
-    let t0s: Vec<i64> = starts
-        .iter()
-        .cycle()
-        .take(cfg.online_episodes)
-        .copied()
-        .collect();
-    let collector = BatchedCollector::new(
-        pool,
-        trace,
-        &cfg.episode,
-        cfg.collect_lanes_for(pool.workers()),
-    );
-    let width = collector.lanes();
-    let mut episodes: Vec<EpisodeResult> = Vec::with_capacity(t0s.len());
-
-    if let Some(path) = resume_from {
-        let mut saved = DqnTrainCheckpoint::load(path)?;
-        check_match("seed", saved.cfg_seed, cfg.seed)?;
-        check_match("collect lanes", saved.lanes, width as u64)?;
-        check_match("train workers", saved.workers, 1)?;
-        let done = saved.episodes.len();
-        if done % width != 0 && done < t0s.len() {
-            return Err(ResumeError::ConfigMismatch {
-                field: "episode counter (must sit on a chunk boundary)",
-                saved: done.to_string(),
-                current: format!("multiple of {width}"),
-            });
-        }
-        let (wait, submit) = saved.take_replay();
-        replay = BalancedReplay::from_buffers(wait, submit);
-        rng = StdRng::from_state(saved.rng);
-        agent.import_state(saved.agent)?;
-        episodes = saved.episodes;
-    }
-
-    let done = episodes.len();
-    let mut last_saved = done;
-    let mut lanes: Vec<ExploreLane> = Vec::with_capacity(width);
-    // One row-stacked mini-batch buffer for the whole run, refilled in
-    // place per update (`sample_minibatch` re-stacks from scratch), so
-    // steady-state updates allocate nothing.
-    let mut mb = mirage_rl::MiniBatch::new();
-    for chunk_start in (0..t0s.len()).step_by(width) {
-        let chunk = &t0s[chunk_start..(chunk_start + width).min(t0s.len())];
-        if chunk_start + chunk.len() <= done {
-            // Replayed from the checkpoint: the restored agent, replay,
-            // RNG and episode records already contain this chunk.
-            continue;
-        }
-        // Lane i resumes the agent's global ε clock and owns the RNG
-        // stream its episode ordinal has always had. (This also makes
-        // chunk-boundary checkpoints complete: lane streams are derived
-        // from the saved ε clock and episode counter, never stored.)
-        lanes.clear();
-        lanes.extend(
-            (episodes.len()..episodes.len() + chunk.len())
-                .map(|i| ExploreLane::seeded(dqn_episode_seed(cfg.seed, i), agent.steps)),
-        );
-        let mut driver = collector.window(chunk);
-        driver.run_lanes(&mut DqnActWindow {
-            agent: &mut agent,
-            lanes: &mut lanes,
-        });
-        // Replay pushes and updates keep the sequential per-episode
-        // cadence: results arrive in episode order.
-        for mut result in driver.finish().0 {
-            let reward = cfg.shaper.reward(&result.outcome);
-            agent.steps += result.decisions.len() as u64;
-            for (state, action) in result.take_decisions() {
-                replay.push(Experience::terminal(state, action, reward));
-            }
-            if replay.len() >= cfg.batch_size {
-                for _ in 0..cfg.updates_per_episode.max(1) {
-                    replay.sample_minibatch(&mut rng, cfg.batch_size, &mut mb);
-                    agent.train_minibatch(&mb);
-                }
-            }
-            episodes.push(result);
-        }
-        if let Some(c) = ckpt {
-            let at = episodes.len();
-            let halt = c.halt_after.is_some_and(|h| at >= h);
-            if halt || (c.every_episodes > 0 && at - last_saved >= c.every_episodes) {
-                snapshot_dqn(cfg, width, &agent, &replay, &rng, &episodes).save(&c.path)?;
-                last_saved = at;
-            }
-            if halt {
-                return Ok(DqnTrainRun {
-                    agent,
-                    replay,
-                    episodes,
-                    halted: true,
-                });
-            }
-        }
-    }
-    Ok(DqnTrainRun {
-        agent,
+    DqnLearner {
+        agent: DqnAgent::new(net, cfg.dqn),
         replay,
-        episodes,
-        halted: false,
-    })
-}
-
-fn snapshot_dqn(
-    cfg: &TrainConfig,
-    lanes: usize,
-    agent: &DqnAgent,
-    replay: &BalancedReplay,
-    rng: &StdRng,
-    episodes: &[EpisodeResult],
-) -> DqnTrainCheckpoint {
-    let (wc, ww, wb) = replay.wait().raw_parts();
-    let (sc, sw, sb) = replay.submit().raw_parts();
-    DqnTrainCheckpoint {
-        cfg_seed: cfg.seed,
-        lanes: lanes as u64,
-        workers: 1,
-        agent: agent.export_state(),
-        replay_wait: (wc as u64, ww as u64, wb.to_vec()),
-        replay_submit: (sc as u64, sw as u64, sb.to_vec()),
-        rng: rng.state(),
-        episodes: episodes.to_vec(),
+        rng: StdRng::seed_from_u64(cfg.seed ^ 0xD9),
+        mb: MiniBatch::new(),
+        lanes: Vec::new(),
     }
 }
 
@@ -998,6 +1141,76 @@ fn fit_behavior_clone(
     });
 }
 
+/// PG fine-tuning (§4.9.2b): stochastic acting through one
+/// [`PgAgent::act_sample_batch`] forward per tick, and a REINFORCE update
+/// per batch of [`PG_UPDATE_BATCH`] episodes.
+struct PgLearner {
+    agent: PgAgent,
+    /// Collected episodes not yet folded into an update.
+    pending: Vec<EpisodeSample>,
+    lanes: Vec<ExploreLane>,
+}
+
+const PG_UPDATE_BATCH: usize = 4;
+
+impl<B: ClusterBackend> LanePolicy<B> for PgLearner {
+    fn decide_lanes(&mut self, driver: &BatchedEpisodeDriver<B>, actions: &mut Vec<usize>) {
+        let (states, pending) = (driver.batch_states(), driver.pending());
+        self.agent
+            .act_sample_batch(states, &mut self.lanes, pending, actions);
+    }
+}
+
+impl OnlineLearner for PgLearner {
+    fn open_window(&mut self, seed: u64, first: usize, n: usize) {
+        self.lanes.clear();
+        self.lanes
+            .extend((first..first + n).map(|i| ExploreLane::seeded(pg_episode_seed(seed, i), 0)));
+    }
+
+    fn learn(&mut self, _: &TrainConfig, decisions: Vec<(Matrix, usize)>, reward: f32) {
+        self.pending.push(EpisodeSample {
+            steps: decisions,
+            episode_return: reward,
+        });
+        if self.pending.len() >= PG_UPDATE_BATCH {
+            self.agent.train_episodes(&self.pending);
+            self.pending.clear();
+        }
+    }
+
+    fn finish(&mut self) {
+        if !self.pending.is_empty() {
+            self.agent.train_episodes(&self.pending);
+        }
+    }
+
+    fn checkpoint(&self, run: &RunShape, episodes: &[EpisodeResult]) -> Vec<u8> {
+        PgTrainCheckpoint {
+            cfg_seed: run.seed,
+            lanes: run.lanes as u64,
+            workers: 1,
+            agent: self.agent.export_state(),
+            pending: self.pending.clone(),
+            episodes: episodes.to_vec(),
+        }
+        .to_bytes()
+    }
+
+    fn resume(&mut self, path: &Path, run: &RunShape) -> Result<Vec<EpisodeResult>, ResumeError> {
+        let saved = PgTrainCheckpoint::load(path)?;
+        let steps = saved.pending.iter().flat_map(|s| &s.steps);
+        run.check(
+            (saved.cfg_seed, saved.lanes, saved.workers),
+            saved.episodes.len(),
+            steps.map(|(state, _)| state),
+        )?;
+        self.agent.import_state(saved.agent)?;
+        self.pending = saved.pending;
+        Ok(saved.episodes)
+    }
+}
+
 /// Online PG fine-tuning (§4.9.2b): Monte-Carlo rollouts under the
 /// current stochastic policy, collected in lockstep windows of
 /// `cfg.collect_lanes` (one batched `p_probs_batch` forward per decision
@@ -1026,9 +1239,9 @@ pub fn train_pg_online_traced<F: BackendFactory>(
     cfg: &TrainConfig,
     starts: &[i64],
 ) -> (PgAgent, Vec<EpisodeResult>) {
-    let run = pg_online_loop(net, pool, trace, cfg, starts, None, None)
-        .expect("un-checkpointed training cannot fail");
-    (run.agent, run.episodes)
+    let (l, episodes, _) = online_loop(pg_learner(net, cfg), pool, trace, cfg, starts, None, None)
+        .unwrap_or_else(|e| panic!("online PG training: {e}"));
+    (l.agent, episodes)
 }
 
 /// A (possibly halted) checkpointed PG training run.
@@ -1046,7 +1259,8 @@ pub struct PgTrainRun {
 /// moments, the EMA baseline, the not-yet-trained pending REINFORCE
 /// batch and the episode counter are snapshotted to `ckpt.path` at
 /// chunk boundaries. Pass `resume_from` to continue an interrupted run
-/// bit-identically (see `tests/crash_resume.rs`).
+/// bit-identically (see `tests/crash_resume.rs`). An invalid `cfg` is
+/// [`ResumeError::InvalidConfig`], returned before anything runs.
 pub fn train_pg_online_checkpointed<F: BackendFactory>(
     net: DualHeadNet,
     pool: &BackendPool<F>,
@@ -1054,119 +1268,24 @@ pub fn train_pg_online_checkpointed<F: BackendFactory>(
     cfg: &TrainConfig,
     starts: &[i64],
     ckpt: &CheckpointConfig,
-    resume_from: Option<&std::path::Path>,
+    resume_from: Option<&Path>,
 ) -> Result<PgTrainRun, ResumeError> {
-    pg_online_loop(net, pool, trace, cfg, starts, Some(ckpt), resume_from)
+    let learner = pg_learner(net, cfg);
+    let (l, episodes, halted) =
+        online_loop(learner, pool, trace, cfg, starts, Some(ckpt), resume_from)?;
+    Ok(PgTrainRun {
+        agent: l.agent,
+        episodes,
+        halted,
+    })
 }
 
-fn pg_online_loop<F: BackendFactory>(
-    net: DualHeadNet,
-    pool: &BackendPool<F>,
-    trace: &[JobRecord],
-    cfg: &TrainConfig,
-    starts: &[i64],
-    ckpt: Option<&CheckpointConfig>,
-    resume_from: Option<&std::path::Path>,
-) -> Result<PgTrainRun, ResumeError> {
-    cfg.expect_valid("online PG training");
-    let mut agent = PgAgent::new(net, cfg.pg);
-    let update_batch = 4usize;
-    let mut pending: Vec<EpisodeSample> = Vec::with_capacity(update_batch);
-    let t0s: Vec<i64> = starts
-        .iter()
-        .cycle()
-        .take(cfg.online_episodes)
-        .copied()
-        .collect();
-    let collector = BatchedCollector::new(
-        pool,
-        trace,
-        &cfg.episode,
-        cfg.collect_lanes_for(pool.workers()),
-    );
-    let width = collector.lanes();
-    let mut episodes: Vec<EpisodeResult> = Vec::with_capacity(t0s.len());
-
-    if let Some(path) = resume_from {
-        let saved = PgTrainCheckpoint::load(path)?;
-        check_match("seed", saved.cfg_seed, cfg.seed)?;
-        check_match("collect lanes", saved.lanes, width as u64)?;
-        check_match("train workers", saved.workers, 1)?;
-        let done = saved.episodes.len();
-        if done % width != 0 && done < t0s.len() {
-            return Err(ResumeError::ConfigMismatch {
-                field: "episode counter (must sit on a chunk boundary)",
-                saved: done.to_string(),
-                current: format!("multiple of {width}"),
-            });
-        }
-        agent.import_state(saved.agent)?;
-        pending = saved.pending;
-        episodes = saved.episodes;
+fn pg_learner(net: DualHeadNet, cfg: &TrainConfig) -> PgLearner {
+    PgLearner {
+        agent: PgAgent::new(net, cfg.pg),
+        pending: Vec::with_capacity(PG_UPDATE_BATCH),
+        lanes: Vec::new(),
     }
-
-    let done = episodes.len();
-    let mut last_saved = done;
-    let mut lanes: Vec<ExploreLane> = Vec::with_capacity(width);
-    for chunk_start in (0..t0s.len()).step_by(width) {
-        let chunk = &t0s[chunk_start..(chunk_start + width).min(t0s.len())];
-        if chunk_start + chunk.len() <= done {
-            continue;
-        }
-        lanes.clear();
-        lanes.extend(
-            (episodes.len()..episodes.len() + chunk.len())
-                .map(|i| ExploreLane::seeded(pg_episode_seed(cfg.seed, i), 0)),
-        );
-        let mut driver = collector.window(chunk);
-        driver.run_lanes(&mut PgActWindow {
-            agent: &mut agent,
-            lanes: &mut lanes,
-        });
-        for mut result in driver.finish().0 {
-            let reward = cfg.shaper.reward(&result.outcome);
-            pending.push(EpisodeSample {
-                steps: result.take_decisions(),
-                episode_return: reward,
-            });
-            if pending.len() >= update_batch {
-                agent.train_episodes(&pending);
-                pending.clear();
-            }
-            episodes.push(result);
-        }
-        if let Some(c) = ckpt {
-            let at = episodes.len();
-            let halt = c.halt_after.is_some_and(|h| at >= h);
-            if halt || (c.every_episodes > 0 && at - last_saved >= c.every_episodes) {
-                PgTrainCheckpoint {
-                    cfg_seed: cfg.seed,
-                    lanes: width as u64,
-                    workers: 1,
-                    agent: agent.export_state(),
-                    pending: pending.clone(),
-                    episodes: episodes.clone(),
-                }
-                .save(&c.path)?;
-                last_saved = at;
-            }
-            if halt {
-                return Ok(PgTrainRun {
-                    agent,
-                    episodes,
-                    halted: true,
-                });
-            }
-        }
-    }
-    if !pending.is_empty() {
-        agent.train_episodes(&pending);
-    }
-    Ok(PgTrainRun {
-        agent,
-        episodes,
-        halted: false,
-    })
 }
 
 /// Trains one §6 method end to end and returns it as a policy. For the

@@ -10,7 +10,10 @@
 //! streams are a pure function of `(cfg.seed, episode ordinal, ε clock)`,
 //! all of which the checkpoint restores.
 //!
-//! CI runs `crash_resume_smoke` as a named step.
+//! A checkpoint of another run is refused by the field that differs,
+//! including one holding more episodes than this run or states of another
+//! `history_k`, and an invalid config is a typed error before anything
+//! runs. CI runs `crash_resume_smoke` and those refusals as named steps.
 
 use std::path::PathBuf;
 
@@ -265,7 +268,7 @@ fn pg_resume_is_bit_identical_mid_update_batch() {
 fn resume_refuses_a_multi_worker_checkpoint() {
     // Training has one worker and writes `workers = 1`; a checkpoint that
     // says otherwise (written by a build that trained on several threads)
-    // must be refused by field name, for both loops, not resumed on a
+    // must be refused by field name, for both learners, not resumed on a
     // different chunk layout.
     let cfg = tiny_cfg(2);
     let trace = bg_trace(12);
@@ -497,4 +500,258 @@ fn resume_refuses_a_dqns_checkpoint() {
         }
         other => panic!("expected WrongKind, got {other}"),
     }
+}
+
+/// Asserts `err` is a `ConfigMismatch` of `(field, saved, current)`.
+fn expect_mismatch(err: ResumeError, want: (&str, &str, &str)) {
+    match err {
+        ResumeError::ConfigMismatch {
+            field,
+            saved,
+            current,
+        } => assert_eq!((field, saved.as_str(), current.as_str()), want),
+        other => panic!("expected ConfigMismatch, got {other}"),
+    }
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_from_a_longer_dqn_run() {
+    // The end-of-run save of a six-episode run resumes into the same run
+    // (every chunk is replayed from it), but a four-episode run must
+    // refuse it rather than return six episodes and an agent trained on
+    // six.
+    let cfg = tiny_cfg(2);
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 71);
+    let warm = OfflineData::default();
+    let ckpt_path = TempCkpt::new("dqn_longer");
+    let ckpt = CheckpointConfig::every(&ckpt_path.0, 2);
+    let full =
+        train_dqn_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &warm, &ckpt, None)
+            .expect("checkpointed run");
+    assert_eq!(full.episodes.len(), 6);
+
+    let resumed = train_dqn_online_checkpointed(
+        net(&cfg),
+        &pool,
+        &trace,
+        &cfg,
+        &starts,
+        &warm,
+        &ckpt,
+        Some(&ckpt_path.0),
+    )
+    .expect("the end-of-run save resumes");
+    assert_outcomes_eq(&resumed.episodes, &full.episodes, "dqn finished resume");
+    assert_params_bitwise_eq(&resumed.agent.net.ps, &full.agent.net.ps, "dqn finished");
+
+    let shorter = TrainConfig {
+        online_episodes: 4,
+        ..cfg.clone()
+    };
+    let err = train_dqn_online_checkpointed(
+        net(&shorter),
+        &pool,
+        &trace,
+        &shorter,
+        &starts,
+        &warm,
+        &ckpt,
+        Some(&ckpt_path.0),
+    )
+    .expect_err("a six-episode checkpoint must not resume a four-episode run");
+    expect_mismatch(err, ("online episodes", "6", "4"));
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_from_a_longer_pg_run() {
+    // Six episodes leave two in the pending REINFORCE batch at the
+    // end-of-run save. Resuming the same run replays every chunk from the
+    // checkpoint and trains that leftover batch, ending where the
+    // uninterrupted run did; a four-episode run must refuse it.
+    let cfg = tiny_cfg(2);
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 72);
+    let ckpt_path = TempCkpt::new("pg_longer");
+    let ckpt = CheckpointConfig::every(&ckpt_path.0, 2);
+    let full = train_pg_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &ckpt, None)
+        .expect("checkpointed PG run");
+    let saved = PgTrainCheckpoint::load(&ckpt_path.0).expect("checkpoint written");
+    assert_eq!((saved.episodes.len(), saved.pending.len()), (6, 2));
+
+    let resumed = train_pg_online_checkpointed(
+        net(&cfg),
+        &pool,
+        &trace,
+        &cfg,
+        &starts,
+        &ckpt,
+        Some(&ckpt_path.0),
+    )
+    .expect("the end-of-run save resumes");
+    assert_outcomes_eq(&resumed.episodes, &full.episodes, "pg finished resume");
+    assert_params_bitwise_eq(&resumed.agent.net.ps, &full.agent.net.ps, "pg finished");
+
+    let shorter = TrainConfig {
+        online_episodes: 4,
+        ..cfg.clone()
+    };
+    let err = train_pg_online_checkpointed(
+        net(&shorter),
+        &pool,
+        &trace,
+        &shorter,
+        &starts,
+        &ckpt,
+        Some(&ckpt_path.0),
+    )
+    .expect_err("a six-episode checkpoint must not resume a four-episode run");
+    expect_mismatch(err, ("online episodes", "6", "4"));
+}
+
+/// `cfg` with `history_k` 6 instead of 4: the network's parameters do not
+/// depend on it, so only the stored states tell the two runs apart.
+fn with_history_6(cfg: &TrainConfig) -> TrainConfig {
+    TrainConfig {
+        episode: EpisodeConfig {
+            history_k: 6,
+            ..cfg.episode
+        },
+        ..cfg.clone()
+    }
+}
+
+#[test]
+fn resume_refuses_dqn_states_of_another_history_length() {
+    // A 6-row run used to accept the checkpoint's 4-row replay states,
+    // so a later mini-batch could mix the two shapes (which the
+    // mini-batch stacker refuses with a panic).
+    let cfg = tiny_cfg(2);
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 73);
+    let warm = OfflineData::default();
+    let ckpt_path = TempCkpt::new("dqn_history");
+    let mut ckpt = CheckpointConfig::every(&ckpt_path.0, 2);
+    ckpt.halt_after = Some(2);
+    train_dqn_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &warm, &ckpt, None)
+        .expect("checkpointed run");
+    let saved = DqnTrainCheckpoint::load(&ckpt_path.0).expect("checkpoint written");
+    assert!(!saved.replay_wait.2.is_empty(), "the replay holds states");
+
+    let longer = with_history_6(&cfg);
+    let err = train_dqn_online_checkpointed(
+        net(&longer),
+        &pool,
+        &trace,
+        &longer,
+        &starts,
+        &warm,
+        &CheckpointConfig::every(&ckpt_path.0, 2),
+        Some(&ckpt_path.0),
+    )
+    .expect_err("4-row states must not resume a history_k 6 run");
+    let (saved, current) = (
+        format!("4 (4x{STATE_VARS} states)"),
+        format!("6 (6x{STATE_VARS} states)"),
+    );
+    expect_mismatch(err, ("history_k", &saved, &current));
+}
+
+#[test]
+fn resume_refuses_pg_states_of_another_history_length() {
+    // Resuming used to succeed and train the REINFORCE batch on a mix of
+    // 4-row (pending) and 6-row (new) states.
+    let cfg = tiny_cfg(2);
+    let trace = bg_trace(12);
+    let pool = pool_for(2);
+    let starts = online_starts(&cfg, &trace, 74);
+    let ckpt_path = TempCkpt::new("pg_history");
+    let mut ckpt = CheckpointConfig::every(&ckpt_path.0, 2);
+    ckpt.halt_after = Some(2);
+    train_pg_online_checkpointed(net(&cfg), &pool, &trace, &cfg, &starts, &ckpt, None)
+        .expect("checkpointed PG run");
+    let saved = PgTrainCheckpoint::load(&ckpt_path.0).expect("checkpoint written");
+    assert!(
+        saved.pending.iter().any(|s| !s.steps.is_empty()),
+        "the pending batch holds states"
+    );
+
+    let longer = with_history_6(&cfg);
+    let err = train_pg_online_checkpointed(
+        net(&longer),
+        &pool,
+        &trace,
+        &longer,
+        &starts,
+        &CheckpointConfig::every(&ckpt_path.0, 2),
+        Some(&ckpt_path.0),
+    )
+    .expect_err("4-row states must not resume a history_k 6 run");
+    let (saved, current) = (
+        format!("4 (4x{STATE_VARS} states)"),
+        format!("6 (6x{STATE_VARS} states)"),
+    );
+    expect_mismatch(err, ("history_k", &saved, &current));
+}
+
+#[test]
+fn checkpointed_dqn_returns_an_invalid_config_as_a_typed_error() {
+    let cfg = TrainConfig {
+        batch_size: 0,
+        ..tiny_cfg(2)
+    };
+    let trace = bg_trace(12);
+    let starts = online_starts(&cfg, &trace, 75);
+    let ckpt_path = TempCkpt::new("dqn_invalid");
+    let err = train_dqn_online_checkpointed(
+        net(&cfg),
+        &pool_for(2),
+        &trace,
+        &cfg,
+        &starts,
+        &OfflineData::default(),
+        &CheckpointConfig::every(&ckpt_path.0, 1),
+        None,
+    )
+    .expect_err("a zero batch size must be refused");
+    match err {
+        ResumeError::InvalidConfig(e) => {
+            assert_eq!((e.field.as_str(), e.value.as_str()), ("batch_size", "0"))
+        }
+        other => panic!("expected InvalidConfig, got {other}"),
+    }
+    assert!(!ckpt_path.0.exists(), "refused before any episode ran");
+}
+
+#[test]
+fn checkpointed_pg_returns_an_invalid_config_as_a_typed_error() {
+    // The config is checked first: before the (missing) checkpoint is
+    // read and before any episode runs.
+    let cfg = TrainConfig {
+        train_workers: 2,
+        ..tiny_cfg(2)
+    };
+    let trace = bg_trace(12);
+    let starts = online_starts(&cfg, &trace, 76);
+    let ckpt_path = TempCkpt::new("pg_invalid");
+    let err = train_pg_online_checkpointed(
+        net(&cfg),
+        &pool_for(2),
+        &trace,
+        &cfg,
+        &starts,
+        &CheckpointConfig::every(&ckpt_path.0, 1),
+        Some(&ckpt_path.0),
+    )
+    .expect_err("two train workers must be refused");
+    match err {
+        ResumeError::InvalidConfig(e) => {
+            assert_eq!((e.field.as_str(), e.value.as_str()), ("train_workers", "2"))
+        }
+        other => panic!("expected InvalidConfig, got {other}"),
+    }
+    assert!(!ckpt_path.0.exists(), "refused before any episode ran");
 }

@@ -1,9 +1,9 @@
 //! Lockstep-training identity properties.
 //!
-//! The PR that introduced `mirage_core::trainloop` deleted the
-//! sequential per-method episode loops in `train.rs` and rebuilt the
-//! whole training data-path on the batched episode engine. These tests
-//! pin the refactor to the code it replaced:
+//! The lockstep refactor deleted the sequential per-method episode loops
+//! in `train.rs` and rebuilt the whole training data-path on the batched
+//! episode engine; today one online loop runs it, with a DQN and a PG
+//! learner. These tests pin it to the code it replaced:
 //!
 //! * **batch = 1** — `train_dqn_online` with `collect_lanes = 1` is
 //!   bit-identical to a verbatim replica of the deleted sequential loop:
