@@ -35,6 +35,12 @@
 //! stacked into one batch per tick) on the phase 1 backlog, recording
 //! off, whose steady-state tick must not allocate either.
 //!
+//! Phase 7 is a congested pass the single-user backlogs never reach: six
+//! users (so the fair-share tracker counts and refreshes several active
+//! slots) and a queue hundreds deep that drains across `sched_depth`, so
+//! the window runs both the cut to the best `sched_depth` keys and the
+//! uncut pass. Its steady-state decision steps must not allocate.
+//!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
 
@@ -461,5 +467,81 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         delta, 0,
         "BatchedEpisodeDriver tick allocated {delta} times across 1000 ticks (checksum {checksum})"
+    );
+
+    // Phase 7: six users and a deep queue that drains across
+    // `sched_depth`. 700 jobs land in the first hour; about two finish an
+    // hour, so the queue opens the window above the 400-job depth (every
+    // pass cuts to the best 400 keys) and closes it below (no cut). As in
+    // phase 4, the first episode may pay for a running set wider than any
+    // before (two allocations when this phase was written); the same
+    // episode again after `reset()` must not allocate at all.
+    const DEPTH: usize = 400;
+    let users: Vec<JobRecord> = (0..700i64)
+        .map(|i| {
+            JobRecord::new(
+                i as u64 + 1,
+                format!("u{i}"),
+                (i % 6) as u32,
+                i * 5,
+                1 + (i % 3) as u32,
+                8 * HOUR,
+                3 * HOUR + (i % 5) * 1800,
+            )
+        })
+        .collect();
+    let mut cfg = SimConfig::new(NODES);
+    cfg.sched_depth = DEPTH;
+    let mut sim = Simulator::new(cfg);
+    let mut window_allocs = [0u64; 2];
+    for allocs in &mut window_allocs {
+        sim.reset();
+        sim.load_trace(&users);
+        for _ in 0..300 {
+            checksum += decision_step(
+                &mut sim,
+                &mut history,
+                &mut snap,
+                &mut enc_scratch,
+                &mut matrix,
+                &mut scratch,
+            );
+        }
+        let depth_at_open = snap.queued.len();
+        let completed_at_open = sim.metrics().completed_jobs;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..1000 {
+            checksum += decision_step(
+                &mut sim,
+                &mut history,
+                &mut snap,
+                &mut enc_scratch,
+                &mut matrix,
+                &mut scratch,
+            );
+        }
+        *allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let depth_at_close = snap.queued.len();
+        assert!(
+            depth_at_open > DEPTH && (100..DEPTH).contains(&depth_at_close),
+            "queue did not drain across sched_depth: {depth_at_open} -> {depth_at_close}"
+        );
+        let queued_users: std::collections::BTreeSet<u32> =
+            snap.queued.iter().map(|q| q.user).collect();
+        assert!(
+            queued_users.len() >= 5,
+            "only {} users queued",
+            queued_users.len()
+        );
+        assert!(sim.metrics().completed_jobs > completed_at_open + 100);
+    }
+    let [first, repeat] = window_allocs;
+    assert!(
+        first <= 4,
+        "six-user congested passes allocated {first} times: more than a wider running set"
+    );
+    assert_eq!(
+        repeat, 0,
+        "repeat of the six-user congested episode after reset() allocated {repeat} times (checksum {checksum})"
     );
 }

@@ -5,8 +5,13 @@
 //! running jobs, it decides which pending jobs start right now.
 //! [`plan_schedule`] / [`plan_schedule_into`] feed it a slice that is
 //! already sorted (outside callers, the benchmarks); the simulator's
-//! scheduling pass — on either clock — feeds it a `LazyOrder`, which puts
-//! an unordered queue in priority order only as far as the planner reads.
+//! scheduling pass — on either clock — feeds it a `PassQueue` over the
+//! pending table itself: each row's rank is computed once, in the loop
+//! that also finds the head, and the queue is put in priority order only
+//! as far as the planner reads — the jobs phase 1 starts are scans of the
+//! rank column, and only the jobs that survive the planner's first
+//! backfill cut are copied out and ordered (by a `LazyOrder`). A queue
+//! deeper than `sched_depth` is first cut to its best keys by selection.
 //!
 //! The planner follows Slurm semantics:
 //!
@@ -104,8 +109,33 @@ impl PlanQueue for SortedSlice<'_> {
     fn retain_rest(&mut self, _keep: impl FnMut(&PendingView) -> bool) {}
 }
 
-/// One queued job as [`LazyOrder`] holds it: its sort key, the handle
-/// the plan reports for it, and what the planner sees of it.
+/// The rank of a job of the given `priority` (finite —
+/// `PriorityWeights::validate`): ascending rank is descending priority.
+/// `f64::total_cmp`'s own fold of the sign-magnitude bits, applied once per
+/// job so every later comparison is a plain integer one. No finite
+/// priority folds to [`GONE`].
+pub(crate) fn rank(priority: f64) -> i64 {
+    let bits = (-priority).to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The rank a [`PassQueue`] writes over a row it handed out: only a NaN
+/// folds to it.
+const GONE: i64 = i64::MAX;
+
+/// What a [`PassQueue`] reads of one pending row besides its rank.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PassRow {
+    /// Submit instant: the first tie-break of equal ranks.
+    pub(crate) submit: i64,
+    /// Job id: the last tie-break. Unique, which makes the order total.
+    pub(crate) id: u64,
+    /// What the planner sees of the job.
+    pub(crate) view: PendingView,
+}
+
+/// One job as [`LazyOrder`] holds it: its sort key, the handle the plan
+/// reports for it, and what the planner sees of it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
     /// `(rank, submit, id)`, ascending = descending priority with FIFO,
@@ -118,68 +148,216 @@ pub(crate) struct Queued {
 }
 
 impl Queued {
-    /// Keys a job of the given `priority` (finite —
-    /// `PriorityWeights::validate`), submitted at `submit` under `id`.
-    pub(crate) fn new(
-        priority: f64,
-        submit: i64,
-        id: u64,
-        handle: usize,
-        view: PendingView,
-    ) -> Self {
-        // `f64::total_cmp`'s own fold of the sign-magnitude bits, applied
-        // once per job so every later comparison is a plain integer one.
-        let bits = (-priority).to_bits() as i64;
-        let rank = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+    fn new(handle: usize, rank: i64, r: PassRow) -> Self {
         Self {
-            key: (rank, submit, id),
+            key: (rank, r.submit, r.id),
             handle,
-            view,
+            view: r.view,
         }
     }
 }
 
-/// An unordered queue put in priority order only as far as the planner
-/// reads it.
+/// Reusable working memory of a [`PassQueue`], so a warm scheduling pass
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    /// The rank of every pending row, [`GONE`] once handed out.
+    ranks: Vec<i64>,
+    /// The rows still in play once the queue leaves the rank column.
+    survivors: Vec<Queued>,
+}
+
+/// The pending table as one scheduling pass reads it, in priority order
+/// and only as far as the planner reads.
+///
+/// [`PassQueue::new`] ranks every row in one loop that also finds the
+/// minimum key, the *head*. Until the planner's first
+/// [`PlanQueue::retain_rest`], the queue is that rank column: the head is
+/// handed out for free and every later read is one minimum-scan of the
+/// column. A congested pass reads the head, maybe a few reserved jobs
+/// behind it, and then cuts the rest to the jobs that can backfill — so
+/// only those survivors are built as [`Queued`] and ordered, by a
+/// [`LazyOrder`]. A pass that starts hundreds of jobs before any cut stops
+/// scanning once the scans spent reach `log2` of what is left, and hands
+/// the whole rest to the [`LazyOrder`], which sorts it once.
+///
+/// A queue deeper than `depth` (Slurm's `bf_max_job_test`) is first cut
+/// to its `depth` best keys, by selection, not by sorting. Selecting reads
+/// every key anyway, so there each row is built as [`Queued`] in the loop
+/// that ranks it, the selection keeps the best `depth`, and the
+/// [`LazyOrder`] takes them directly. Keys are unique, so the cut is
+/// exact.
+pub(crate) struct PassQueue<'a, T, R> {
+    ranks: &'a mut [i64],
+    survivors: &'a mut Vec<Queued>,
+    rows: &'a [T],
+    row: R,
+    /// The minimum key, until handed out.
+    head: Option<usize>,
+    /// Rows not yet handed out, while in the rank column.
+    live: usize,
+    scans: u32,
+    /// `Some` once the queue has moved to `survivors`.
+    order: Option<LazyOrder>,
+}
+
+impl<'a, T, R: Fn(&T) -> PassRow> PassQueue<'a, T, R> {
+    /// Queues `rows`, cut to the `depth` best: a row ranks as `rank_of`
+    /// says and reads as `row` says; the plan's handles are positions in
+    /// `rows`.
+    pub(crate) fn new(
+        scratch: &'a mut PassScratch,
+        rows: &'a [T],
+        rank_of: impl Fn(&T) -> i64,
+        row: R,
+        depth: usize,
+    ) -> Self {
+        let PassScratch { ranks, survivors } = scratch;
+        let len = rows.len();
+        // Room for every row in both, so they grow together: the cut
+        // builds every row.
+        ranks.clear();
+        ranks.reserve(len);
+        survivors.clear();
+        survivors.reserve(len);
+        let depth = depth.max(1);
+        if len > depth {
+            // The cut reads every key anyway: build each row once, in the
+            // loop that ranks it, and keep the best `depth`.
+            survivors.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(at, r)| Queued::new(at, rank_of(r), row(r))),
+            );
+            survivors.select_nth_unstable_by_key(depth - 1, |q| q.key);
+            survivors.truncate(depth);
+            return Self {
+                ranks,
+                survivors,
+                rows,
+                row,
+                head: None,
+                live: 0,
+                scans: 0,
+                order: Some(LazyOrder::default()),
+            };
+        }
+        let (mut head, mut head_rank) = (0, GONE);
+        ranks.extend(rows.iter().enumerate().map(|(at, r)| {
+            let rank = rank_of(r);
+            debug_assert_ne!(rank, GONE, "a finite priority never ranks as GONE");
+            if rank < head_rank || (rank == head_rank && tie(&row(r)) < tie(&row(&rows[head]))) {
+                (head, head_rank) = (at, rank);
+            }
+            rank
+        }));
+        Self {
+            ranks,
+            survivors,
+            rows,
+            row,
+            head: (len > 0).then_some(head),
+            live: len,
+            scans: 0,
+            order: None,
+        }
+    }
+
+    /// The live row of minimum key.
+    fn scan(&self) -> usize {
+        let (mut min, mut best) = (0, self.ranks[0]);
+        for (at, (&rank, r)) in self.ranks.iter().zip(self.rows).enumerate().skip(1) {
+            if rank < best
+                || (rank == best
+                    && rank != GONE
+                    && tie(&(self.row)(r)) < tie(&(self.row)(&self.rows[min])))
+            {
+                (min, best) = (at, rank);
+            }
+        }
+        min
+    }
+
+    /// Moves the live rows that pass `keep` to `survivors`, leaving the
+    /// rank column for good.
+    fn build(&mut self, mut keep: impl FnMut(&PendingView) -> bool) {
+        self.survivors.clear();
+        for (at, (&rank, r)) in self.ranks.iter().zip(self.rows).enumerate() {
+            if rank == GONE {
+                continue;
+            }
+            let r = (self.row)(r);
+            if keep(&r.view) {
+                self.survivors.push(Queued::new(at, rank, r));
+            }
+        }
+        self.head = None;
+        self.order = Some(LazyOrder {
+            scans: self.scans,
+            ..LazyOrder::default()
+        });
+    }
+}
+
+/// The tie-breaks of equal ranks.
+fn tie(r: &PassRow) -> (i64, u64) {
+    (r.submit, r.id)
+}
+
+impl<T, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, R> {
+    fn next(&mut self) -> Option<(usize, PendingView)> {
+        if let Some(order) = &mut self.order {
+            let job = order.next(self.survivors)?;
+            return Some((job.handle, job.view));
+        }
+        if self.live == 0 {
+            return None;
+        }
+        let at = match self.head.take() {
+            Some(head) => head,
+            None if self.scans < self.live.ilog2() => {
+                self.scans += 1;
+                self.scan()
+            }
+            None => {
+                self.build(|_| true);
+                return self.next();
+            }
+        };
+        self.ranks[at] = GONE;
+        self.live -= 1;
+        Some((at, (self.row)(&self.rows[at]).view))
+    }
+
+    fn retain_rest(&mut self, keep: impl FnMut(&PendingView) -> bool) {
+        match &mut self.order {
+            None => self.build(keep),
+            Some(order) => order.retain_rest(self.survivors, keep),
+        }
+    }
+}
+
+/// An unordered run of [`Queued`] jobs put in priority order only as far
+/// as it is read.
 ///
 /// Invariant: `order[..cursor]`, the jobs handed out, is the **sorted
 /// prefix** — exactly the `cursor` smallest keys, ascending, i.e. the jobs
 /// a full sort would put first, in that order. `order[cursor..]` holds the
 /// rest: in no particular order until `rest_sorted`, ascending after.
 ///
-/// The prefix grows one linear minimum-scan at a time. A congested pass
-/// reads one or two jobs ahead of the backfill cut and a few survivors
-/// after it; a pass after a maintenance window can start hundreds. So once
-/// the scans spent reach `log2` of what is left, the rest is sorted once —
-/// a pass never costs more than the full sort it used to be.
-pub(crate) struct LazyOrder<'a> {
-    order: &'a mut Vec<Queued>,
+/// The prefix grows one linear minimum-scan at a time. Once the scans
+/// spent reach `log2` of what is left, the rest is sorted once — so a run
+/// never costs more than the full sort.
+#[derive(Default)]
+struct LazyOrder {
     cursor: usize,
     rest_sorted: bool,
     scans: u32,
 }
 
-impl<'a> LazyOrder<'a> {
-    /// Queues `order`, first cutting it to its `depth` smallest keys
-    /// (Slurm's `bf_max_job_test`) — by selection, not by sorting.
-    pub(crate) fn new(order: &'a mut Vec<Queued>, depth: usize) -> Self {
-        let depth = depth.max(1);
-        if order.len() > depth {
-            order.select_nth_unstable_by_key(depth - 1, |q| q.key);
-            order.truncate(depth);
-        }
-        Self {
-            order,
-            cursor: 0,
-            rest_sorted: false,
-            scans: 0,
-        }
-    }
-}
-
-impl PlanQueue for LazyOrder<'_> {
-    fn next(&mut self) -> Option<(usize, PendingView)> {
-        let rest = &mut self.order[self.cursor..];
+impl LazyOrder {
+    fn next(&mut self, order: &mut [Queued]) -> Option<Queued> {
+        let rest = &mut order[self.cursor..];
         if rest.is_empty() {
             return None;
         }
@@ -199,24 +377,23 @@ impl PlanQueue for LazyOrder<'_> {
                 self.rest_sorted = true;
             }
         }
-        let job = rest[0];
         self.cursor += 1;
-        Some((job.handle, job.view))
+        Some(rest[0])
     }
 
-    fn retain_rest(&mut self, mut keep: impl FnMut(&PendingView) -> bool) {
+    fn retain_rest(&mut self, order: &mut Vec<Queued>, mut keep: impl FnMut(&PendingView) -> bool) {
         if self.rest_sorted {
             return; // the ordering is already paid for: nothing to save
         }
         let mut kept = self.cursor;
-        for at in self.cursor..self.order.len() {
-            let job = self.order[at];
+        for at in self.cursor..order.len() {
+            let job = order[at];
             if keep(&job.view) {
-                self.order[kept] = job;
+                order[kept] = job;
                 kept += 1;
             }
         }
-        self.order.truncate(kept);
+        order.truncate(kept);
     }
 }
 
@@ -256,8 +433,8 @@ pub fn plan_schedule(
 /// the plan's working vectors for reuse across passes.
 ///
 /// This is the "already fully ordered" case of the one planner
-/// (`plan_queue`) the event-driven simulator drives with a
-/// `LazyOrder`: the slice is its own sorted prefix, and `running` is
+/// (`plan_queue`) the simulator's pass drives with a `PassQueue`: the
+/// slice is its own sorted prefix, and `running` is
 /// sorted here because the planner takes a sorted release ledger.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_schedule_into(
@@ -678,10 +855,13 @@ mod tests {
             }
         }
 
-        /// A lazily ordered queue plans exactly what sorting it first and
-        /// planning over the slice does: duplicated priorities (FIFO and id
-        /// tie-breaks decide), `sched_depth` truncation, no backfill, deep
-        /// reservations, nodes down.
+        /// The pass queue plans exactly what sorting the pending rows first
+        /// and planning over the slice does: duplicated priorities (FIFO
+        /// and id tie-breaks decide, ids in no particular order),
+        /// `sched_depth` below the backlog down to cutting every row but
+        /// the head, no backfill, deep reservations, nodes down, and narrow
+        /// jobs that phase 1 starts by the dozen, past `ilog2(n)` scans, so
+        /// the rest is sorted.
         #[test]
         fn lazy_order_matches_sort_then_plan(
             jobs in prop::collection::vec(
@@ -690,37 +870,116 @@ mod tests {
             free in 0u32..=16,
             down in 0u32..=6,
             depth in 1usize..70,
+            narrow in 0u32..2,
         ) {
-            const LIMITS: [i64; 6] = [60, 600, 3_600, 20_000, 50_000, 100_000];
-            // Handles are deliberately not positions: 1000 + arrival index.
-            let queue: Vec<Queued> = jobs
+            let rows: Vec<(f64, PassRow)> = jobs
                 .iter()
                 .enumerate()
                 .map(|(i, &(prio, submit, n, l))| {
-                    Queued::new(f64::from(prio) * 0.5, submit, i as u64 + 1, 1000 + i,
-                                p(n, LIMITS[l]))
+                    let nodes = if narrow == 1 { 1 + n % 2 } else { n };
+                    (f64::from(prio) * 0.5, row(submit, i, nodes, l))
                 })
                 .collect();
-            let mut sorted = queue.clone();
-            sorted.sort_by_key(|q| q.key);
-            sorted.truncate(depth);
-            let views: Vec<_> = sorted.iter().map(|q| q.view).collect();
             let mut ledger = running.clone();
             ledger.sort_unstable();
-
-            let mut scratch = PlanScratch::default();
-            let mut starts = Vec::new();
+            let mut scratch = PassScratch::default();
             for policy in POLICIES {
-                let want: Vec<usize> =
-                    plan_schedule(&views, free, 16 - down, 10, &running, policy)
-                        .into_iter()
-                        .map(|at| sorted[at].handle)
-                        .collect();
-                let mut order = queue.clone();
-                let mut lazy = LazyOrder::new(&mut order, depth);
-                plan_queue(&mut lazy, free, 16 - down, 10, &ledger, policy,
-                           &mut scratch, &mut starts);
-                prop_assert_eq!(&starts, &want, "{:?}", policy);
+                let want = sort_then_plan(&rows, depth, free, 16 - down, &running, policy);
+                let (got, _) =
+                    pass_plan(&rows, depth, free, 16 - down, &ledger, policy, &mut scratch);
+                prop_assert_eq!(&got, &want, "{:?}", policy);
+            }
+        }
+    }
+
+    const LIMITS: [i64; 6] = [60, 600, 3_600, 20_000, 50_000, 100_000];
+
+    /// Row `i` of a drawn queue; ids are unique but not in row order.
+    fn row(submit: i64, i: usize, nodes: u32, limit: usize) -> PassRow {
+        PassRow {
+            submit,
+            id: (i as u64 * 37) % 101 + 1,
+            view: p(nodes, LIMITS[limit]),
+        }
+    }
+
+    /// The oracle: sort every row by `(rank, submit, id)`, keep the first
+    /// `depth`, plan over the slice, and report row numbers.
+    fn sort_then_plan(
+        rows: &[(f64, PassRow)],
+        depth: usize,
+        free: u32,
+        total: u32,
+        running: &[(i64, u32)],
+        policy: BackfillPolicy,
+    ) -> Vec<usize> {
+        let mut sorted: Vec<usize> = (0..rows.len()).collect();
+        sorted.sort_by_key(|&at| {
+            let (prio, r) = rows[at];
+            (rank(prio), r.submit, r.id)
+        });
+        sorted.truncate(depth);
+        let views: Vec<_> = sorted.iter().map(|&at| rows[at].1.view).collect();
+        plan_schedule(&views, free, total, 10, running, policy)
+            .into_iter()
+            .map(|at| sorted[at])
+            .collect()
+    }
+
+    /// The simulator's way: a [`PassQueue`] over the rows. Also reports
+    /// whether the queue ended on a sorted rest.
+    fn pass_plan(
+        rows: &[(f64, PassRow)],
+        depth: usize,
+        free: u32,
+        total: u32,
+        ledger: &[(i64, u32)],
+        policy: BackfillPolicy,
+        scratch: &mut PassScratch,
+    ) -> (Vec<usize>, bool) {
+        let mut queue = PassQueue::new(scratch, rows, |r| rank(r.0), |r| r.1, depth);
+        let mut starts = Vec::new();
+        plan_queue(
+            &mut queue,
+            free,
+            total,
+            10,
+            ledger,
+            policy,
+            &mut PlanScratch::default(),
+            &mut starts,
+        );
+        (starts, queue.order.is_some_and(|o| o.rest_sorted))
+    }
+
+    /// The three shapes the property must reach, pinned: a `sched_depth`
+    /// below the backlog, every row but the head cut, and a phase 1 that
+    /// starts more than `ilog2(n)` jobs, so the rest gets sorted.
+    #[test]
+    fn pass_queue_cuts_and_sorts_like_sort_then_plan() {
+        let rows: Vec<(f64, PassRow)> = (0..40)
+            .map(|i| {
+                (
+                    f64::from(i % 4) * 0.5,
+                    row(i64::from(i % 3), i as usize, 1 + i % 3, i as usize % 6),
+                )
+            })
+            .collect();
+        let ledger = [(5_000, 4), (40_000, 8)];
+        let mut scratch = PassScratch::default();
+        for (depth, free) in [(12, 3), (1, 3), (40, 16), (25, 16)] {
+            for policy in POLICIES {
+                let want = sort_then_plan(&rows, depth, free, 16, &ledger, policy);
+                let (got, sorted) =
+                    pass_plan(&rows, depth, free, 16, &ledger, policy, &mut scratch);
+                assert_eq!(got, want, "depth {depth}, free {free}, {policy:?}");
+                if depth == 1 {
+                    assert!(got.len() <= 1, "only the head survives the cut");
+                }
+                if free == 16 {
+                    assert!(got.len() > (depth as u32).ilog2() as usize);
+                    assert!(sorted, "phase 1 past ilog2(n) scans sorts the rest");
+                }
             }
         }
     }
@@ -730,11 +989,8 @@ mod tests {
         let priorities = [0.0, 1e-300, 0.5, 1.0, 1.0 + f64::EPSILON, 1700.0, 1e300];
         for a in priorities {
             for b in priorities {
-                let (ka, kb) = (
-                    Queued::new(a, 0, 1, 0, p(1, 1)),
-                    Queued::new(b, 0, 1, 0, p(1, 1)),
-                );
-                assert_eq!(ka.key.0.cmp(&kb.key.0), (-a).total_cmp(&-b), "{a} vs {b}");
+                assert_eq!(rank(a).cmp(&rank(b)), (-a).total_cmp(&-b), "{a} vs {b}");
+                assert_ne!(rank(a), GONE);
             }
         }
     }

@@ -6,6 +6,16 @@
 //! freed up), with a monotone sequence number as the final deterministic
 //! tie-break — so interleaving a fault stream with job events can never
 //! perturb the pop order of same-timestamp events.
+//!
+//! The queue is a sorted **stream** beside a binary heap. A trace loads its
+//! arrivals in submit order, so an arrival pushed at or after the last
+//! time still waiting in the stream is appended there — already in
+//! `(time, seq)` order — and read with a cursor; everything else
+//! (completions, failures, node events, agent submits, retries, an
+//! out-of-order trace) goes to the heap. A pop takes the smaller of the two
+//! heads by the full key, so the pop order is exactly that of one heap
+//! holding every event, while the tens of thousands of future arrivals of a
+//! bulk replay never pay a heap sift.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,24 +80,35 @@ impl Event {
 /// order above plus the monotone `seq` give a total deterministic order.
 type EventKey = Reverse<(i64, EventKind, u64, usize, u32)>;
 
-/// Min-ordered event queue with deterministic tie-breaking.
+/// Min-ordered event queue with deterministic tie-breaking: a heap plus
+/// a stream of in-order arrivals (see the module docs).
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<EventKey>,
+    /// `(time, seq, job)` of arrivals (epoch 0), sorted by `(time, seq)`;
+    /// `stream[cursor..]` is still to pop.
+    stream: Vec<(i64, u64, usize)>,
+    cursor: usize,
     seq: u64,
 }
 
 impl Clone for EventQueue {
+    /// Clones only the live part of the stream.
     fn clone(&self) -> Self {
         Self {
             heap: self.heap.clone(),
+            stream: self.live().to_vec(),
+            cursor: 0,
             seq: self.seq,
         }
     }
 
-    /// In place, keeping the heap's capacity.
+    /// In place, keeping the heap's and the stream's capacity.
     fn clone_from(&mut self, source: &Self) {
         self.heap.clone_from(&source.heap);
+        self.stream.clear();
+        self.stream.extend_from_slice(source.live());
+        self.cursor = 0;
         self.seq = source.seq;
     }
 }
@@ -99,34 +120,86 @@ impl EventQueue {
     }
 
     /// Drops every outstanding event and restarts the tie-break sequence,
-    /// keeping the heap's capacity: indistinguishable from a new queue.
+    /// keeping both stores' capacity: indistinguishable from a new queue.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.stream.clear();
+        self.cursor = 0;
         self.seq = 0;
+    }
+
+    /// The stream's arrivals still to pop.
+    fn live(&self) -> &[(i64, u64, usize)] {
+        &self.stream[self.cursor..]
+    }
+
+    /// Drops the stream's popped prefix.
+    fn compact(&mut self) {
+        self.stream.drain(..self.cursor);
+        self.cursor = 0;
     }
 
     /// Schedules an event.
     pub fn push(&mut self, ev: Event) {
         self.seq += 1;
-        self.heap
-            .push(Reverse((ev.time, ev.kind, self.seq, ev.job, ev.epoch)));
+        let in_order = self.live().last().is_none_or(|&(t, ..)| t <= ev.time);
+        if ev.kind == EventKind::Arrival && ev.epoch == 0 && in_order {
+            // Reuse the popped prefix before growing: drained, or at least
+            // half popped when full.
+            if self.cursor == self.stream.len()
+                || (self.stream.len() == self.stream.capacity()
+                    && self.cursor * 2 >= self.stream.len())
+            {
+                self.compact();
+            }
+            self.stream.push((ev.time, self.seq, ev.job));
+        } else {
+            self.heap
+                .push(Reverse((ev.time, ev.kind, self.seq, ev.job, ev.epoch)));
+        }
+    }
+
+    /// Ensures the stream holds `n` more arrivals without growing: a trace
+    /// of `n` jobs reserves it once, exactly, before pushing them.
+    pub(crate) fn reserve_arrivals(&mut self, n: usize) {
+        self.compact();
+        self.stream.reserve_exact(n);
     }
 
     /// Ensures capacity for at least `cap` outstanding events, so pushes
-    /// on the steady-state path never grow the heap.
+    /// on the steady-state path never grow the heap. The stream's live
+    /// arrivals count towards `cap`: the heap is reserved net of them.
     pub fn reserve_total(&mut self, cap: usize) {
-        if self.heap.capacity() < cap {
-            self.heap.reserve(cap - self.heap.len());
+        let need = cap.saturating_sub(self.live().len());
+        if self.heap.capacity() < need {
+            self.heap.reserve(need - self.heap.len());
         }
     }
 
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<i64> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
+        let heap = self.heap.peek().map(|Reverse((t, ..))| *t);
+        let stream = self.live().first().map(|&(t, ..)| t);
+        match (heap, stream) {
+            (Some(h), Some(s)) => Some(h.min(s)),
+            (h, s) => h.or(s),
+        }
     }
 
     /// Pops the next event.
     pub fn pop(&mut self) -> Option<Event> {
+        let from_stream = match (self.heap.peek(), self.live().first()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(Reverse(head)), Some(&(time, seq, job))) => {
+                (time, EventKind::Arrival, seq, job, 0) < *head
+            }
+        };
+        if from_stream {
+            let (time, _, job) = self.stream[self.cursor];
+            self.cursor += 1;
+            return Some(Event::new(time, EventKind::Arrival, job));
+        }
         self.heap
             .pop()
             .map(|Reverse((time, kind, _, job, epoch))| Event {
@@ -139,18 +212,150 @@ impl EventQueue {
 
     /// Number of outstanding events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.live().len()
     }
 
     /// Whether no events are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The queue as it was before the arrival stream: one heap of every
+    /// event. The oracle for the property below.
+    #[derive(Debug, Default, Clone)]
+    struct HeapQueue {
+        heap: BinaryHeap<EventKey>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, ev: Event) {
+            self.seq += 1;
+            self.heap
+                .push(Reverse((ev.time, ev.kind, self.seq, ev.job, ev.epoch)));
+        }
+
+        fn peek_time(&self) -> Option<i64> {
+            self.heap.peek().map(|Reverse((t, ..))| *t)
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            self.heap
+                .pop()
+                .map(|Reverse((time, kind, _, job, epoch))| Event {
+                    time,
+                    kind,
+                    job,
+                    epoch,
+                })
+        }
+    }
+
+    /// A queue that has been used: a consumed stream prefix, live
+    /// arrivals, heap entries and a sequence number of its own.
+    fn dirty() -> EventQueue {
+        let mut q = EventQueue::new();
+        for j in 0..6 {
+            q.push(Event::new(j, EventKind::Arrival, 90 + j as usize));
+            q.push(Event::new(5 - j, EventKind::Completion, 80 + j as usize));
+        }
+        for _ in 0..4 {
+            q.pop();
+        }
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stream-plus-heap queue pops exactly the single heap's
+        /// sequence, with equal `len`, `is_empty` and `peek_time` after
+        /// every step: in-order trace arrivals (ties included) and
+        /// out-of-order ones, agent submits at the current instant,
+        /// completions and failures carrying epochs, node events, ties of
+        /// every kind at one instant, `clear`, reservations, and a
+        /// `clone_from` into a dirty queue or a `clone`.
+        #[test]
+        fn stream_and_heap_pop_like_one_heap(
+            ops in prop::collection::vec((0u32..12, 0i64..4, 0usize..40, 0u32..3), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            let mut oracle = HeapQueue::default();
+            let (mut now, mut trace_end) = (0i64, 0i64);
+            for (op, dt, job, epoch) in ops {
+                let ev = |time, kind| Event { time, kind, job, epoch };
+                match op {
+                    0 | 1 => {
+                        // The next trace arrival: in order, often tied.
+                        trace_end = trace_end.max(now) + dt / 2;
+                        let e = Event::new(trace_end, EventKind::Arrival, job);
+                        q.push(e);
+                        oracle.push(e);
+                    }
+                    2 => {
+                        // Out of order: a retry or a trace loaded late.
+                        let e = Event::new(now + dt, EventKind::Arrival, job);
+                        q.push(e);
+                        oracle.push(e);
+                    }
+                    3 => {
+                        let e = Event::new(now, EventKind::Arrival, job); // agent submit
+                        q.push(e);
+                        oracle.push(e);
+                    }
+                    4 | 5 => {
+                        let kind = [EventKind::Completion, EventKind::JobFail][op as usize - 4];
+                        q.push(ev(now + dt, kind));
+                        oracle.push(ev(now + dt, kind));
+                    }
+                    6 => {
+                        let kind = [EventKind::NodeUp, EventKind::NodeDown][epoch as usize % 2];
+                        q.push(Event::new(now + dt, kind, job));
+                        oracle.push(Event::new(now + dt, kind, job));
+                    }
+                    7 | 8 => {
+                        let (got, want) = (q.pop(), oracle.pop());
+                        prop_assert_eq!(got, want);
+                        if let Some(e) = got {
+                            now = e.time;
+                        }
+                    }
+                    9 => {
+                        if dt == 0 {
+                            q.clear();
+                            oracle = HeapQueue::default();
+                            (now, trace_end) = (0, 0);
+                        } else {
+                            q.reserve_arrivals(job);
+                            q.reserve_total(job);
+                        }
+                    }
+                    10 => {
+                        let mut restored = dirty();
+                        restored.clone_from(&q);
+                        q = restored;
+                    }
+                    _ => {
+                        q = q.clone();
+                    }
+                }
+                prop_assert_eq!(q.len(), oracle.heap.len());
+                prop_assert_eq!(q.is_empty(), oracle.heap.is_empty());
+                prop_assert_eq!(q.peek_time(), oracle.peek_time());
+            }
+            while let Some(want) = oracle.pop() {
+                prop_assert_eq!(q.pop(), Some(want));
+            }
+            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.pop(), None);
+        }
+    }
 
     #[test]
     fn orders_by_time() {

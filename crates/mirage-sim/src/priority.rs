@@ -85,19 +85,23 @@ const NEGLIGIBLE_USAGE: f64 = 1e-6;
 
 /// Tracks decayed per-user usage for the fair-share factor, densely.
 ///
-/// Users are interned to **slots** ([`FairshareTracker::slot`]); usage and
-/// the cached factor live in `Vec`s indexed by slot, so the scheduling
-/// pass never hashes. Invariants:
+/// Users are interned to **slots** ([`FairshareTracker::slot`]); usage,
+/// the factor and the queued-job count live in `Vec`s indexed by slot, so
+/// the scheduling pass never hashes. Invariants:
 ///
 /// * a slot stays valid from `slot()` until [`FairshareTracker::clear`]
 ///   (the simulators intern at admission and clear on `reset()`, which
-///   also drops every job that carried a slot),
-/// * `factor[slot]` is either NaN (stale) or exactly
-///   `fairshare_factor(normalized_usage(slot))`; every write to
-///   `usage[slot]` (`record`, an effective `decay_to`) marks it stale, so
-///   [`FairshareTracker::factor`] computes `2^(-usage)` at most once per
-///   user per change — once per user per pass — instead of once per
-///   pending job,
+///   also drops every job that carried a slot); `slot()` sizes every
+///   per-slot table, so nothing else here allocates,
+/// * `queued[slot]` counts the slot's jobs in the queue — one `enqueue`
+///   per arrival, one `dequeue` per start — and `active` lists exactly the
+///   slots whose count is positive, each once,
+/// * `refresh` sets `factor[slot]` to
+///   `fairshare_factor(normalized_usage(slot))` for every active slot in
+///   one loop — a pure function of the usage, so the bits do not depend on
+///   when it runs. The scheduling pass refreshes after its decay and then
+///   reads the factor of every pending job's slot, all active; the factor
+///   of an inactive slot is whatever its last refresh left,
 /// * usage that decays to `NEGLIGIBLE_USAGE` (1e-6) or below becomes exactly
 ///   `0.0`, which reads and accumulates like an absent entry.
 #[derive(Debug)]
@@ -105,6 +109,12 @@ pub struct FairshareTracker {
     slots: HashMap<u32, u32>,
     usage: Vec<f64>,
     factor: Vec<f64>,
+    /// Queued jobs per slot.
+    queued: Vec<u32>,
+    /// The slots with queued jobs, in no particular order.
+    active: Vec<u32>,
+    /// Position of each active slot in `active` (stale for the rest).
+    active_at: Vec<u32>,
     /// Node-seconds the cluster delivers over one half-life; usage is
     /// normalized by it. Non-positive disables the factor (usage reads 0).
     capacity: f64,
@@ -113,20 +123,22 @@ pub struct FairshareTracker {
 
 impl Clone for FairshareTracker {
     fn clone(&self) -> Self {
-        Self {
-            slots: self.slots.clone(),
-            usage: self.usage.clone(),
-            factor: self.factor.clone(),
-            ..*self
-        }
+        let mut tracker = Self::new(self.capacity);
+        tracker.clone_from(self);
+        tracker
     }
 
     /// In place, keeping every table's capacity (the user set is interned
-    /// when a trace loads, so a restore sees an equally sized `slots`).
+    /// when a trace loads, so a restore sees an equally sized `slots`),
+    /// with room for every slot to be active, as `slot()` leaves it.
     fn clone_from(&mut self, source: &Self) {
         self.slots.clone_from(&source.slots);
         self.usage.clone_from(&source.usage);
         self.factor.clone_from(&source.factor);
+        self.queued.clone_from(&source.queued);
+        self.active.clone_from(&source.active);
+        self.active.reserve(self.usage.len() - self.active.len());
+        self.active_at.clone_from(&source.active_at);
         self.capacity = source.capacity;
         self.last_decay = source.last_decay;
     }
@@ -141,29 +153,64 @@ impl FairshareTracker {
             slots: HashMap::new(),
             usage: Vec::new(),
             factor: Vec::new(),
+            queued: Vec::new(),
+            active: Vec::new(),
+            active_at: Vec::new(),
             capacity: capacity_node_seconds,
             last_decay: 0,
         }
     }
 
-    /// Forgets every user and all usage (invalidating every slot handed
-    /// out), keeping the capacity and the allocations.
+    /// Forgets every user, all usage and every queued job (invalidating
+    /// every slot handed out), keeping the capacity and the allocations.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.usage.clear();
         self.factor.clear();
+        self.queued.clear();
+        self.active.clear();
+        self.active_at.clear();
         self.last_decay = 0;
     }
 
-    /// The slot of `user`, interning it (with zero usage) on first sight.
+    /// The slot of `user`, interning it (with zero usage and nothing
+    /// queued) on first sight.
     pub fn slot(&mut self, user: u32) -> u32 {
         let next = self.usage.len() as u32;
         let slot = *self.slots.entry(user).or_insert(next);
         if slot == next {
             self.usage.push(0.0);
-            self.factor.push(f64::NAN);
+            self.factor.push(fairshare_factor(0.0));
+            self.queued.push(0);
+            self.active_at.push(0);
+            // Room for every slot to be active at once.
+            self.active.reserve(self.usage.len() - self.active.len());
         }
         slot
+    }
+
+    /// Counts one more queued job of the user in `slot`.
+    pub(crate) fn enqueue(&mut self, slot: u32) {
+        let count = &mut self.queued[slot as usize];
+        *count += 1;
+        if *count == 1 {
+            self.active_at[slot as usize] = self.active.len() as u32;
+            self.active.push(slot);
+        }
+    }
+
+    /// Counts one queued job of the user in `slot` out (it started).
+    pub(crate) fn dequeue(&mut self, slot: u32) {
+        let count = &mut self.queued[slot as usize];
+        debug_assert!(*count > 0, "dequeue of slot {slot} with nothing queued");
+        *count -= 1;
+        if *count == 0 {
+            let at = self.active_at[slot as usize] as usize;
+            self.active.swap_remove(at);
+            if let Some(&moved) = self.active.get(at) {
+                self.active_at[moved as usize] = at as u32;
+            }
+        }
     }
 
     /// Decays all recorded usage to instant `now` with the given half-life.
@@ -174,43 +221,80 @@ impl FairshareTracker {
         }
         let dt = (now - self.last_decay) as f64;
         let decay = 0.5f64.powf(dt / halflife as f64);
-        for (u, f) in self.usage.iter_mut().zip(&mut self.factor) {
+        for u in &mut self.usage {
             *u *= decay;
             if *u <= NEGLIGIBLE_USAGE {
                 *u = 0.0;
             }
-            *f = f64::NAN;
         }
         self.last_decay = now;
+    }
+
+    /// Recomputes the factor of every active slot from its current usage.
+    pub(crate) fn refresh(&mut self) {
+        let Self {
+            usage,
+            factor,
+            active,
+            capacity,
+            ..
+        } = self;
+        for &slot in active.iter() {
+            let slot = slot as usize;
+            factor[slot] = fairshare_factor(normalize(usage[slot], *capacity));
+        }
     }
 
     /// Records `node_seconds` of consumption by the user in `slot`.
     pub fn record(&mut self, slot: u32, node_seconds: f64) {
         self.usage[slot as usize] += node_seconds;
-        self.factor[slot as usize] = f64::NAN;
     }
 
     /// Normalized usage of the user in `slot` relative to the tracker's
     /// capacity. 0 = idle user.
     pub fn normalized_usage(&self, slot: u32) -> f64 {
-        if self.capacity <= 0.0 {
-            return 0.0;
-        }
-        self.usage[slot as usize] / self.capacity
+        normalize(self.usage[slot as usize], self.capacity)
     }
 
-    /// The fair-share factor of the user in `slot`:
-    /// `fairshare_factor(normalized_usage(slot))`, bit for bit, cached
-    /// until the slot's usage next changes.
-    pub fn factor(&mut self, slot: u32) -> f64 {
-        let cached = self.factor[slot as usize];
-        if !cached.is_nan() {
-            return cached;
-        }
-        let fresh = fairshare_factor(self.normalized_usage(slot));
-        self.factor[slot as usize] = fresh;
-        fresh
+    /// The fair-share factors by slot as of the last
+    /// [`FairshareTracker::refresh`]: entry `slot` is
+    /// `fairshare_factor(normalized_usage(slot))`, bit for bit, if the slot
+    /// was active then and its usage has not changed since.
+    pub(crate) fn factors(&self) -> &[f64] {
+        &self.factor
     }
+
+    /// Whether `slots`, one per queued job, are exactly what the counts
+    /// say is queued: every slot's count equals its number of entries, and
+    /// `active` lists each slot with a positive count once. A debug check
+    /// of the simulator's pass; it borrows the counts and gives them back,
+    /// so it allocates nothing.
+    pub(crate) fn counts_match(&mut self, slots: impl Iterator<Item = u32> + Clone) -> bool {
+        let mut ok = true;
+        for slot in slots.clone() {
+            let count = &mut self.queued[slot as usize];
+            ok &= *count > 0;
+            *count = count.wrapping_sub(1);
+        }
+        ok &= self.queued.iter().all(|&c| c == 0);
+        for slot in slots {
+            let count = &mut self.queued[slot as usize];
+            *count = count.wrapping_add(1);
+        }
+        let positive = self.queued.iter().filter(|&&c| c > 0).count();
+        ok && positive == self.active.len()
+            && self.active.iter().enumerate().all(|(at, &slot)| {
+                self.queued[slot as usize] > 0 && self.active_at[slot as usize] as usize == at
+            })
+    }
+}
+
+/// `usage / capacity`, or 0 when the capacity disables the factor.
+fn normalize(usage: f64, capacity: f64) -> f64 {
+    if capacity <= 0.0 {
+        return 0.0;
+    }
+    usage / capacity
 }
 
 /// Slurm's fair-share curve: `2^(-usage)`; idle users get 1.0. `exp2`
@@ -247,7 +331,7 @@ pub(crate) fn size_term(weights: &PriorityWeights, nodes: u32, total_nodes: u32)
 }
 
 /// [`priority`] given its [`size_term`] and the fair-share factor itself
-/// (see [`FairshareTracker::factor`]) rather than what they derive from:
+/// (see [`FairshareTracker::refresh`]) rather than what they derive from:
 /// the same three terms, summed in the same order.
 pub(crate) fn priority_from_terms(
     weights: &PriorityWeights,
@@ -327,7 +411,9 @@ mod tests {
         let mut fs = FairshareTracker::new(100.0);
         let u = fs.slot(42);
         assert_eq!(fs.normalized_usage(u), 0.0);
-        assert_eq!(fs.factor(u), 1.0);
+        fs.enqueue(u);
+        fs.refresh();
+        assert_eq!(fs.factors()[u as usize], 1.0);
     }
 
     #[test]
@@ -345,10 +431,17 @@ mod tests {
         let (a, b) = (fs.slot(7), fs.slot(9));
         assert_ne!(a, b);
         assert_eq!(fs.slot(7), a, "re-interning returns the same slot");
+        fs.enqueue(a);
         fs.record(a, 2.0);
-        assert_eq!(fs.factor(a), 0.25);
+        fs.refresh();
+        assert_eq!(fs.factors()[a as usize], 0.25);
         fs.record(a, 1.0);
-        assert_eq!(fs.factor(a), 0.125, "record invalidates the cached factor");
+        fs.refresh();
+        assert_eq!(
+            fs.factors()[a as usize],
+            0.125,
+            "refresh reads the current usage"
+        );
         fs.clear();
         let again = fs.slot(9);
         assert_eq!(again, 0, "clear restarts slot numbering");
@@ -387,14 +480,16 @@ mod tests {
     }
 
     proptest! {
-        /// Slot-based factors give the same priority, bit for bit, as
-        /// `priority` over the user-keyed map's normalized usage — across
-        /// interleaved records and decays, tiny usages that fall under the
-        /// drop threshold included.
+        /// Refreshed slot factors give the same priority, bit for bit, as
+        /// `priority` over the user-keyed map's normalized usage — for
+        /// every user with queued jobs, across interleaved records, decays,
+        /// enqueues and dequeues, tiny usages that fall under the drop
+        /// threshold included — and the active slots are exactly the users
+        /// with queued jobs.
         #[test]
         fn slot_factors_match_the_map_tracker_bitwise(
             ops in prop::collection::vec(
-                (0u32..6, 0u32..3, 0i64..40, 0i64..400_000), 1..60),
+                (0u32..6, 0u32..4, 0i64..40, 0i64..400_000), 1..60),
             capacity in 0u32..3,
             halflife in 0i64..3,
         ) {
@@ -402,6 +497,7 @@ mod tests {
             let halflife = [0, 3_600, 604_800][halflife as usize];
             let mut dense = FairshareTracker::new(capacity);
             let mut map = MapTracker::default();
+            let mut queued = [0u32; 6];
             let mut now = 0;
             for (user, kind, magnitude, dt) in ops {
                 let slot = dense.slot(user);
@@ -411,24 +507,43 @@ mod tests {
                         dense.decay_to(now, halflife);
                         map.decay_to(now, halflife);
                     }
-                    _ => {
+                    1 => {
                         // 2^-20 .. 2^19 node-seconds: straddles 1e-6.
                         let consumed = (f64::from(magnitude as i32) - 20.0).exp2();
                         dense.record(slot, consumed);
                         *map.usage.entry(user).or_insert(0.0) += consumed;
                     }
+                    2 => {
+                        dense.enqueue(slot);
+                        queued[user as usize] += 1;
+                    }
+                    _ => {
+                        if queued[user as usize] > 0 {
+                            dense.dequeue(slot);
+                            queued[user as usize] -= 1;
+                        }
+                    }
                 }
+                let slots: Vec<u32> = (0u32..6)
+                    .flat_map(|u| std::iter::repeat_n(u, queued[u as usize] as usize))
+                    .map(|u| dense.slot(u))
+                    .collect();
+                prop_assert!(dense.counts_match(slots.iter().copied()));
+                dense.refresh();
                 for probe in 0u32..6 {
                     let slot = dense.slot(probe);
-                    let expected = priority(
-                        &W, now, 1 + probe, 8, map.normalized_usage(probe, capacity));
-                    let got = priority_from_terms(
-                        &W, now, size_term(&W, 1 + probe, 8), dense.factor(slot));
-                    prop_assert_eq!(got.to_bits(), expected.to_bits(), "user {}", probe);
                     prop_assert_eq!(
                         dense.normalized_usage(slot).to_bits(),
                         map.normalized_usage(probe, capacity).to_bits()
                     );
+                    if queued[probe as usize] == 0 {
+                        continue; // inactive: the pass reads no factor of it
+                    }
+                    let expected = priority(
+                        &W, now, 1 + probe, 8, map.normalized_usage(probe, capacity));
+                    let got = priority_from_terms(
+                        &W, now, size_term(&W, 1 + probe, 8), dense.factors()[slot as usize]);
+                    prop_assert_eq!(got.to_bits(), expected.to_bits(), "user {}", probe);
                 }
             }
         }

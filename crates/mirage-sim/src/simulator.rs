@@ -6,6 +6,14 @@
 //! cluster state. Scheduling passes run exactly when an arrival or
 //! completion changes the system, which is what makes replaying a month of
 //! trace take well under a minute.
+//!
+//! A pass costs one loop over the pending table plus work proportional to
+//! what it starts: the fair-share tracker refreshes one factor per user
+//! with queued jobs (it counts them as jobs arrive and start), one loop
+//! ranks every pending row and finds the head, and only the rows that
+//! survive the planner's first backfill cut are copied out and ordered
+//! ([`crate::backfill`]). The event queue keeps a trace's future arrivals
+//! in a sorted stream beside its heap ([`crate::event`]).
 
 use std::collections::HashMap;
 
@@ -13,7 +21,9 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, RecentStarts};
-use crate::backfill::{plan_queue, BackfillPolicy, LazyOrder, PendingView, PlanScratch, Queued};
+use crate::backfill::{
+    plan_queue, rank, BackfillPolicy, PassQueue, PassRow, PassScratch, PendingView, PlanScratch,
+};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
@@ -268,7 +278,7 @@ pub struct Simulator {
     first_completed_submit: Option<i64>,
     // Scratch buffers reused across scheduling passes (perf-book: reuse
     // workhorse collections instead of reallocating in the hot loop).
-    scratch_order: Vec<Queued>,
+    scratch_pass: PassScratch,
     scratch_starts: Vec<usize>,
     scratch_plan: PlanScratch,
 }
@@ -307,7 +317,7 @@ impl Simulator {
             jct_sum: 0.0,
             last_end: 0,
             first_completed_submit: None,
-            scratch_order: Vec::new(),
+            scratch_pass: PassScratch::default(),
             scratch_starts: Vec::new(),
             scratch_plan: PlanScratch::default(),
         };
@@ -390,6 +400,7 @@ impl Simulator {
     /// immediately on the next event processing. Ids are preserved if
     /// unique, otherwise reassigned.
     pub fn load_trace(&mut self, jobs: &[JobRecord]) {
+        self.events.reserve_arrivals(jobs.len());
         for j in jobs {
             self.insert_future(j.clone());
         }
@@ -427,7 +438,11 @@ impl Simulator {
         // Steady-state allocation hygiene: every job contributes at most
         // one live event and one completion slot, so paying that capacity
         // here (amortized, at admission time) keeps starts/completions in
-        // the hot loop off the allocator. The pending table is not sized
+        // the hot loop off the allocator. A job whose arrival waits in the
+        // event queue's stream (reserved by `load_trace`) needs no heap
+        // slot until it starts, so the heap is reserved net of the stream
+        // and grows with the running set on the first replay only (reset
+        // keeps the capacity). The pending table is not sized
         // this way — one 56-byte row per *loaded* job is a quarter more
         // peak memory on a bulk replay, for a queue that never holds more
         // than a fraction of the trace — it grows with the backlog.
@@ -549,7 +564,7 @@ impl Simulator {
             jct_sum,
             last_end,
             first_completed_submit,
-            scratch_order: _,
+            scratch_pass: _,
             scratch_starts: _,
             scratch_plan: _,
         } = self;
@@ -768,6 +783,7 @@ impl Simulator {
             return;
         }
         job.status = JobStatus::Pending;
+        self.fairshare.enqueue(job.user_slot);
         let r = &job.record;
         self.min_pending_nodes = self.min_pending_nodes.min(r.nodes);
         self.pending.push(PendingRow {
@@ -867,6 +883,7 @@ impl Simulator {
         let now = self.now;
         let job = &mut self.jobs[idx];
         debug_assert!(matches!(job.status, JobStatus::Pending));
+        self.fairshare.dequeue(job.user_slot);
         self.recent_starts.record(now, now - job.record.submit);
         job.status = JobStatus::Running { start: now };
         job.attempt += 1;
@@ -1029,24 +1046,31 @@ impl Simulator {
         }
     }
 
-    /// One scheduling pass: priority keys, the plan over a lazily ordered
-    /// queue, then the starts — one linear scan of the pending queue per
-    /// stage, no hashing and no full sort.
+    /// One scheduling pass: decay and fair-share refresh, priority ranks,
+    /// the plan over a lazily ordered queue, then the starts — no hashing,
+    /// no full sort and no copy of the whole queue.
     ///
-    /// * Every pending job is keyed by `(-priority, submit, id)`; the
-    ///   fair-share factor comes from its slot, computed once per user per
-    ///   pass.
-    /// * [`LazyOrder`] first cuts the queue to the `sched_depth` best keys
-    ///   (Slurm's `bf_max_job_test`), then orders it only as far as
-    ///   [`plan_queue`] reads: the jobs phase 1 starts, the blocked head
-    ///   (and, for `reserve_depth > 1`, on to the last reserved job) — then
-    ///   whatever survives the exact backfill cut. The resulting starts,
-    ///   and their order, are those of sorting the whole queue first.
+    /// * The fair-share tracker decays and then refreshes the factor of
+    ///   every user with queued jobs, one `2^(-usage)` per user.
+    /// * A [`PassQueue`] over the pending table ranks every row by
+    ///   `(-priority, submit, id)` in one loop that also finds the head,
+    ///   cuts to the `sched_depth` best keys (Slurm's `bf_max_job_test`),
+    ///   and is then ordered only as far as [`plan_queue`] reads: the jobs
+    ///   phase 1 starts and the blocked head (and, for `reserve_depth > 1`,
+    ///   on to the last reserved job) are scans of the rank column, and only
+    ///   the jobs that survive the exact backfill cut are copied out and
+    ///   ordered. The resulting starts, and their order, are those of
+    ///   sorting the whole queue first.
     /// * The planner sees only physically available capacity: crashed
     ///   nodes cannot host a reservation until they recover. Priority and
     ///   fair-share keep the nominal partition size, matching how Slurm's
     ///   multifactor weights stay fixed across drained nodes.
     pub(crate) fn schedule_pass(&mut self, policy: BackfillPolicy) {
+        debug_assert!(
+            self.fairshare
+                .counts_match(self.pending.iter().map(|row| row.user_slot)),
+            "the active fair-share slots are not the pending rows' slots"
+        );
         if self.pending.is_empty() {
             return;
         }
@@ -1054,20 +1078,31 @@ impl Simulator {
         let now = self.now;
         let total = self.cfg.nodes;
         self.fairshare.decay_to(now, w.fairshare_halflife);
+        self.fairshare.refresh();
 
-        let order = &mut self.scratch_order;
-        order.clear();
-        order.reserve(self.pending.len());
-        for (at, row) in self.pending.iter().enumerate() {
-            let fs_factor = self.fairshare.factor(row.user_slot);
-            let p = priority_from_terms(&w, now - row.submit, row.size_term, fs_factor);
-            let view = PendingView {
-                nodes: row.nodes,
-                timelimit: row.timelimit,
-            };
-            order.push(Queued::new(p, row.submit, row.id, at, view));
-        }
-        let mut queue = LazyOrder::new(order, self.cfg.sched_depth);
+        let factors = self.fairshare.factors();
+        let mut queue = PassQueue::new(
+            &mut self.scratch_pass,
+            &self.pending,
+            move |row| {
+                let fs_factor = factors[row.user_slot as usize];
+                rank(priority_from_terms(
+                    &w,
+                    now - row.submit,
+                    row.size_term,
+                    fs_factor,
+                ))
+            },
+            |row| PassRow {
+                submit: row.submit,
+                id: row.id,
+                view: PendingView {
+                    nodes: row.nodes,
+                    timelimit: row.timelimit,
+                },
+            },
+            self.cfg.sched_depth,
+        );
         let mut starts = std::mem::take(&mut self.scratch_starts);
         plan_queue(
             &mut queue,
@@ -1144,7 +1179,7 @@ impl Clone for Simulator {
             jct_sum,
             last_end,
             first_completed_submit,
-            scratch_order: _,
+            scratch_pass: _,
             scratch_starts: _,
             scratch_plan: _,
         } = self;
@@ -1533,6 +1568,57 @@ mod tests {
         s.run_to_completion();
         assert_eq!(s.completed().len(), 4);
         assert_eq!(s.fault_stats().retry_successes, 1);
+    }
+
+    /// The fair-share tracker counts queued jobs per user: the active
+    /// slots must be exactly the pending rows' slots, with matching counts,
+    /// through arrivals, starts, an eviction and its retry, `reset()` and a
+    /// `clone_from` into a used simulator.
+    #[test]
+    fn active_slots_follow_the_queue() {
+        fn check(s: &mut Simulator) {
+            let slots = s.pending.iter().map(|row| row.user_slot);
+            assert!(s.fairshare.counts_match(slots), "at t={}", s.now);
+        }
+        let trace: Vec<JobRecord> = (0..12u32)
+            .map(|i| {
+                let mut j = job(u64::from(i) + 1, i64::from(i) * 60, 1, HOUR, 2 * HOUR);
+                j.user = i % 3;
+                j
+            })
+            .collect();
+        let mut s = sim(2);
+        s.load_trace(&trace);
+        s.events.push(Event::new(90, EventKind::NodeDown, 0));
+        s.events.push(Event::new(3 * HOUR, EventKind::NodeUp, 0));
+        check(&mut s);
+        for t in [30, 61, 95, 200, HOUR, 2 * HOUR + 1, 4 * HOUR] {
+            s.run_until(t);
+            check(&mut s);
+        }
+        assert_eq!(
+            s.fault_stats().retries,
+            1,
+            "the crash evicted a job that retried"
+        );
+        assert!(!s.pending.is_empty(), "the queue is live");
+
+        let mut used = sim(2);
+        used.load_trace(&trace[..5]);
+        used.run_until(7 * HOUR);
+        used.clone_from(&s);
+        check(&mut used);
+        used.run_to_completion();
+        s.run_to_completion();
+        check(&mut used);
+        assert_eq!(used.completed(), s.completed());
+
+        s.reset();
+        check(&mut s);
+        assert_eq!(s.fairshare.factors().len(), 0, "reset forgets every slot");
+        s.load_trace(&trace);
+        s.run_until(HOUR);
+        check(&mut s);
     }
 
     #[test]
