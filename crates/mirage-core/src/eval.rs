@@ -353,17 +353,6 @@ impl EvalReport {
         }
     }
 
-    /// All summaries: methods × load levels (paper figure layout).
-    pub fn all_summaries(&self) -> Vec<MethodSummary> {
-        let mut out = Vec::new();
-        for load in LoadLevel::all() {
-            for m in &self.method_names {
-                out.push(self.summarize(m, load));
-            }
-        }
-        out
-    }
-
     /// Episode count at a load level.
     pub fn episodes_at(&self, load: LoadLevel) -> usize {
         self.episodes.iter().filter(|e| e.load == load).count()
@@ -447,8 +436,6 @@ mod tests {
             // Reactive never overlaps by construction.
             assert_eq!(ep.methods[0].outcome.overlap, 0);
         }
-        let summaries = report.all_summaries();
-        assert_eq!(summaries.len(), 2 * 3);
         let total: usize = LoadLevel::all()
             .iter()
             .map(|&l| report.episodes_at(l))

@@ -13,8 +13,8 @@
 //!
 //! Reported per scenario × method: mean shaped reward, mean interruption,
 //! and the zero-interruption fraction; plus per-scenario placement totals
-//! (spans, congested placements, off-type spills, slowdowns) summed over
-//! every episode run, proving the scenario actually exercised contention.
+//! (spans, congested placements, slowdowns) summed over every episode run,
+//! proving the scenario actually exercised contention.
 
 use mirage_sim::{ClusterBackend, HeteroModel, HeteroStats, SimBuilder};
 use mirage_trace::JobRecord;

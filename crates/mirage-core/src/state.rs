@@ -396,11 +396,6 @@ impl StateHistory {
             out.row_mut(row0 + r).copy_from_slice(&self.rows[idx]);
         }
     }
-
-    /// Most recent vector.
-    pub fn latest(&self) -> &[f32; STATE_VARS] {
-        self.rows.last().expect("no state recorded yet")
-    }
 }
 
 /// Mean and population standard deviation of `xs`, as sequential f32
@@ -762,7 +757,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 2.0);
         assert_eq!(m.get(1, 0), 3.0);
         assert_eq!(m.get(2, 0), 4.0);
-        assert_eq!(h.latest()[0], 4.0);
     }
 
     #[test]

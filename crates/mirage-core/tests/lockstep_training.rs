@@ -16,6 +16,9 @@
 //!   per-lane `(seed, ε-base)` and window-start weights, exercised both
 //!   update-free (pure collection) and with the full update cadence
 //!   (the CI training-smoke shape: online_episodes = 4, batch = 2).
+//! * **host-independent width** — `collect_lanes = None` on a pool built
+//!   without an explicit worker count trains exactly like four pinned
+//!   lanes, whatever the machine's parallelism.
 //! * **frozen DQN digest** — a warm-started run of 204 updates ends on
 //!   weights and clocks captured on the commit before γ, the target
 //!   network and successor states were deleted (that tree synced its
@@ -34,7 +37,7 @@ use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::ParamSet;
 use mirage_rl::{
     ActionEncoding, BalancedReplay, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet,
-    EpisodeSample, Experience, ExploreLane, PgAgent, ReplayBuffer,
+    EpisodeSample, EpsilonSchedule, Experience, ExploreLane, MiniBatch, PgAgent, ReplayBuffer,
 };
 use mirage_sim::{BackendKind, BackendPool, ClusterBackend, SimBuilder, SimConfig};
 use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
@@ -163,6 +166,7 @@ fn legacy_train_dqn_online<B: ClusterBackend>(
     warm_start: &OfflineData,
 ) -> (DqnAgent, ReplayBuffer, ReplayBuffer, Vec<EpisodeResult>) {
     let mut agent = DqnAgent::new(net, cfg.dqn);
+    let mut mb = MiniBatch::new();
     let mut replay_wait = ReplayBuffer::new(8192);
     let mut replay_submit = ReplayBuffer::new(4096);
     let push = |e: Experience, w: &mut ReplayBuffer, s: &mut ReplayBuffer| {
@@ -203,7 +207,8 @@ fn legacy_train_dqn_online<B: ClusterBackend>(
                 if !replay_submit.is_empty() {
                     batch.extend(replay_submit.sample(&mut rng, half));
                 }
-                agent.train_batch(&batch);
+                mb.assemble_refs(&batch);
+                agent.train_minibatch(&mb);
             }
         }
         episodes.push(result);
@@ -381,6 +386,7 @@ fn windowed_sequential_dqn(
     warm_start: &OfflineData,
 ) -> (DqnAgent, BalancedReplay, Vec<EpisodeResult>) {
     let mut agent = DqnAgent::new(netv, cfg.dqn);
+    let mut mb = MiniBatch::new();
     let mut replay = BalancedReplay::new(8192, 4096);
     for s in &warm_start.reward_samples {
         replay.push(Experience::terminal(s.state.clone(), s.action, s.reward));
@@ -416,7 +422,8 @@ fn windowed_sequential_dqn(
                 let mut batch = Vec::with_capacity(cfg.batch_size);
                 for _ in 0..cfg.updates_per_episode.max(1) {
                     replay.sample_into(&mut rng, cfg.batch_size, &mut batch);
-                    agent.train_batch(&batch);
+                    mb.assemble_refs(&batch);
+                    agent.train_minibatch(&mb);
                 }
             }
             episodes.push(result);
@@ -489,6 +496,46 @@ fn pg_lanes_match_sequential_per_lane_sampling() {
         .collect();
 
     assert_outcomes_eq(&episodes, &seq_eps, "pg per-lane");
+}
+
+#[test]
+fn auto_sized_lanes_on_a_default_pool_do_not_depend_on_the_host() {
+    // `build_pool()` without `BackendKind::Pooled` has a fixed worker
+    // count, so `collect_lanes: None` sizes the lockstep windows the same
+    // on every machine: four lanes, bit for bit. ε decays to 0 within
+    // the run and the lr is high, so a window's start clock and weights
+    // steer its acting and any other width trains different weights.
+    let mut pinned = tiny_cfg(4);
+    pinned.dqn.epsilon = EpsilonSchedule::linear(0.5, 0.0, 40);
+    pinned.dqn.lr = 1e-2;
+    let auto = TrainConfig {
+        collect_lanes: None,
+        ..pinned.clone()
+    };
+    let trace = bg_trace(12);
+    let pool = SimConfig::builder().nodes(4).build_pool();
+    let starts = online_starts(&pinned, &trace, 41);
+    let offline_starts = sample_episode_starts(0, 12 * DAY, &pinned.episode, 2, 42);
+    let warm = collect_offline(&pool, &trace, &pinned, &offline_starts);
+
+    let (a, a_replay, a_eps) =
+        train_dqn_online_traced(net(&auto), &pool, &trace, &auto, &starts, &warm);
+    let (p, p_replay, p_eps) =
+        train_dqn_online_traced(net(&pinned), &pool, &trace, &pinned, &starts, &warm);
+
+    assert_outcomes_eq(&a_eps, &p_eps, "auto vs 4 lanes");
+    assert_replay_bitwise_eq(
+        a_replay.wait().iter(),
+        p_replay.wait().iter(),
+        "wait replay",
+    );
+    assert_replay_bitwise_eq(
+        a_replay.submit().iter(),
+        p_replay.submit().iter(),
+        "submit replay",
+    );
+    assert_eq!(a.steps, p.steps, "global ε clock");
+    assert_params_bitwise_eq(&a.net.ps, &p.net.ps, "auto vs 4 lanes");
 }
 
 #[test]

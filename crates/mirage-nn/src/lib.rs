@@ -11,7 +11,7 @@
 //! * [`transformer`] — the pre-LN encoder foundation model of §4.6,
 //! * [`moe`] — the dense mixture-of-experts foundation of §4.7,
 //! * [`foundation`] — the transformer/MoE abstraction agents build on,
-//! * [`optim`] — SGD and Adam,
+//! * [`optim`] — Adam,
 //! * [`loss`] — MSE/Huber/cross-entropy/REINFORCE surrogates,
 //! * [`gradcheck`] — the finite-difference checker used across the tests,
 //! * [`serialize`] — the workspace's one codec: little-endian binary
@@ -40,7 +40,7 @@ pub use foundation::{FoundationBatchCache, FoundationCache, FoundationKind, Foun
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
 pub use moe::MoEFoundation;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use param::{GradSink, Grads, ParamId, ParamSet};
 pub use scratch::Scratch;
 pub use serialize::{load_params, save_params, write_atomic, CheckpointError};
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::foundation::{FoundationKind, FoundationNet};
     pub use crate::linear::Linear;
-    pub use crate::optim::{Adam, Optimizer, Sgd};
+    pub use crate::optim::Adam;
     pub use crate::param::{Grads, ParamId, ParamSet};
     pub use crate::scratch::Scratch;
     pub use crate::tensor::Matrix;

@@ -1,4 +1,4 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The Adam optimizer.
 //!
 //! Optimizer state is held outside the parameters, indexed by [`ParamId`](crate::param::ParamId)
 //! position, so the same optimizer can be reused across many gradient
@@ -8,73 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::param::{Grads, ParamSet};
 use crate::tensor::Matrix;
-
-/// Common interface over gradient-descent optimizers.
-pub trait Optimizer {
-    /// Applies one update step from accumulated gradients.
-    fn step(&mut self, ps: &mut ParamSet, grads: &Grads);
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, ps: &mut ParamSet, grads: &Grads) {
-        if self.velocity.len() < ps.len() {
-            self.velocity.resize(ps.len(), None);
-        }
-        for (id, g) in grads.iter() {
-            if self.momentum > 0.0 {
-                let v =
-                    self.velocity[id.0].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-                *v = v.scale(self.momentum);
-                v.add_assign(g);
-                ps.get_mut(id).add_scaled(&v.clone(), -self.lr);
-            } else {
-                ps.get_mut(id).add_scaled(g, -self.lr);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction — the optimizer the
 /// paper uses for foundation-model training.
@@ -127,10 +60,9 @@ impl Adam {
         self.m = m;
         self.v = v;
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, ps: &mut ParamSet, grads: &Grads) {
+    /// Applies one update step from accumulated gradients.
+    pub fn step(&mut self, ps: &mut ParamSet, grads: &Grads) {
         if self.m.len() < ps.len() {
             self.m.resize(ps.len(), None);
             self.v.resize(ps.len(), None);
@@ -155,11 +87,13 @@ impl Optimizer for Adam {
         }
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (for schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -169,7 +103,7 @@ mod tests {
     use super::*;
 
     /// Minimizes f(w) = (w − 3)² from w = 0 and checks convergence.
-    fn quadratic_descent(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn quadratic_descent(opt: &mut Adam, steps: usize) -> f32 {
         let mut ps = ParamSet::new();
         let w = ps.alloc("w", Matrix::zeros(1, 1));
         for _ in 0..steps {
@@ -179,20 +113,6 @@ mod tests {
             opt.step(&mut ps, &grads);
         }
         ps.get(w).get(0, 0)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = quadratic_descent(&mut opt, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let w = quadratic_descent(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
     }
 
     #[test]

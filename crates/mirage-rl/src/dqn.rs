@@ -15,7 +15,7 @@
 //! update path; the unit tests hold it bit for bit to a test-only
 //! per-experience oracle.
 
-use mirage_nn::optim::{Adam, Optimizer};
+use mirage_nn::optim::Adam;
 use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
@@ -27,7 +27,7 @@ use crate::dualhead::{
     StateMismatch,
 };
 use crate::greedy_pair;
-use crate::replay::{Experience, MiniBatch};
+use crate::replay::MiniBatch;
 use crate::schedule::{EpsilonSchedule, ExploreLane};
 
 /// DQN hyperparameters.
@@ -128,8 +128,6 @@ pub struct DqnAgent {
     train_cache: HeadBatchCache,
     /// Mini-batch gradient accumulator (reset per update).
     grads: Grads,
-    /// Retained mini-batch for the reference-batch compatibility wrapper.
-    minibatch: MiniBatch,
 }
 
 impl DqnAgent {
@@ -148,7 +146,6 @@ impl DqnAgent {
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
-            minibatch: MiniBatch::new(),
         }
     }
 
@@ -276,18 +273,6 @@ impl DqnAgent {
         actions.extend(self.batch_vals.iter().map(|&q| greedy_pair(q)));
     }
 
-    /// One mini-batch update from a reference batch; returns the mean
-    /// Huber loss. Compatibility wrapper: assembles a retained row-stacked
-    /// [`MiniBatch`] and runs [`DqnAgent::train_minibatch`].
-    pub fn train_batch(&mut self, batch: &[&Experience]) -> f32 {
-        assert!(!batch.is_empty(), "empty training batch");
-        let mut mb = std::mem::take(&mut self.minibatch);
-        mb.assemble_refs(batch);
-        let loss = self.train_minibatch(&mb);
-        self.minibatch = mb;
-        loss
-    }
-
     /// One batched mini-batch update: a single forward/backward over the
     /// row-stacked states (one matmul per layer instead of one per
     /// sample). Bit-identical to the test-only per-experience oracle on
@@ -353,13 +338,20 @@ mod tests {
     use super::*;
     use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
     use crate::env::SignBandit;
-    use crate::replay::ReplayBuffer;
+    use crate::replay::{Experience, ReplayBuffer};
     use mirage_nn::foundation::FoundationKind;
     use mirage_nn::loss::huber;
     use mirage_nn::transformer::TransformerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rayon::prelude::*;
+
+    /// One batched update on reference samples.
+    fn train_refs(agent: &mut DqnAgent, batch: &[&Experience]) -> f32 {
+        let mut mb = MiniBatch::new();
+        mb.assemble_refs(batch);
+        agent.train_minibatch(&mb)
+    }
 
     /// The pinned per-experience oracle [`DqnAgent::train_minibatch`] is
     /// held to: one `q_forward` / `q_backward` per sample, each regressed
@@ -485,7 +477,7 @@ mod tests {
         let before = bandit_accuracy(&mut agent, 99, 100);
         for _ in 0..150 {
             let batch = rb.sample(&mut rng, 16);
-            agent.train_batch(&batch);
+            train_refs(&mut agent, &batch);
         }
         let after = bandit_accuracy(&mut agent, 99, 100);
         assert!(
@@ -499,7 +491,7 @@ mod tests {
         // A trained agent's snapshot: weights and both Adam moments.
         let mut src = DqnAgent::new(tiny_net(3), DqnConfig::default());
         let rb = bandit_buffer(1, 64);
-        src.train_batch(&rb.sample(&mut StdRng::seed_from_u64(2), 16));
+        train_refs(&mut src, &rb.sample(&mut StdRng::seed_from_u64(2), 16));
         let good = src.export_state();
         assert!(good.opt_m.iter().any(Option::is_some));
         let fresh = || DqnAgent::new(tiny_net(4), DqnConfig::default());
@@ -538,7 +530,7 @@ mod tests {
             for step in 0..3 {
                 let batch = make_batch(&mut rng, 5 + step);
                 let refs: Vec<&Experience> = batch.iter().collect();
-                let lb = batched.train_batch(&refs);
+                let lb = train_refs(&mut batched, &refs);
                 let ls = scalar.train_batch_scalar(&refs);
                 assert_eq!(
                     lb.to_bits(),
@@ -598,8 +590,8 @@ mod tests {
                 // identically and the batch caches invalidate.
                 let mut r1 = StdRng::seed_from_u64(9);
                 let mut r2 = StdRng::seed_from_u64(9);
-                batch_agent.train_batch(&rb.sample(&mut r1, 8));
-                seq_agent.train_batch(&rb.sample(&mut r2, 8));
+                train_refs(&mut batch_agent, &rb.sample(&mut r1, 8));
+                train_refs(&mut seq_agent, &rb.sample(&mut r2, 8));
             }
         }
     }
@@ -675,14 +667,14 @@ mod tests {
         let rb = bandit_buffer(14, 256);
         let mut rng = StdRng::seed_from_u64(15);
         let first: f32 = (0..5)
-            .map(|_| agent.train_batch(&rb.sample(&mut rng, 16)))
+            .map(|_| train_refs(&mut agent, &rb.sample(&mut rng, 16)))
             .sum::<f32>()
             / 5.0;
         for _ in 0..100 {
-            agent.train_batch(&rb.sample(&mut rng, 16));
+            train_refs(&mut agent, &rb.sample(&mut rng, 16));
         }
         let last: f32 = (0..5)
-            .map(|_| agent.train_batch(&rb.sample(&mut rng, 16)))
+            .map(|_| train_refs(&mut agent, &rb.sample(&mut rng, 16)))
             .sum::<f32>()
             / 5.0;
         assert!(last < first, "loss should drop: {first:.4} → {last:.4}");

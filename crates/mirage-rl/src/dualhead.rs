@@ -86,8 +86,6 @@ pub struct DualHeadNet {
     pub reward_head: Linear,
     /// Configuration the network was built with.
     pub cfg: DualHeadConfig,
-    /// Param ids belonging to the foundation (for freezing).
-    foundation_param_limit: usize,
 }
 
 /// Why an agent snapshot was refused by `import_state`: the first
@@ -273,7 +271,6 @@ impl DualHeadNet {
             cfg.transformer,
             &mut rng,
         );
-        let foundation_param_limit = ps.len();
         let d = foundation.out_dim();
         let q_head = Linear::new(&mut ps, "q_head", d, 2, &mut rng);
         let p_head = Linear::new(&mut ps, "p_head", d, 2, &mut rng);
@@ -285,13 +282,7 @@ impl DualHeadNet {
             p_head,
             reward_head,
             cfg,
-            foundation_param_limit,
         })
-    }
-
-    /// Whether `id` belongs to the foundation (vs a head).
-    pub fn is_foundation_param(&self, id: mirage_nn::ParamId) -> bool {
-        id.0 < self.foundation_param_limit
     }
 
     /// Per-sample forward through `head`: one foundation pass, then the
@@ -764,6 +755,11 @@ mod tests {
         assert!(DualHeadNet::try_new(tiny_cfg(FoundationKind::MoE { experts: 1 })).is_ok());
     }
 
+    /// The foundation's params are allocated before the first head's.
+    fn is_foundation_param(net: &DualHeadNet, id: mirage_nn::ParamId) -> bool {
+        id.0 < net.q_head.w.0
+    }
+
     #[test]
     fn freezing_blocks_foundation_gradients() {
         let mut cfg = tiny_cfg(FoundationKind::Transformer);
@@ -775,7 +771,7 @@ mod tests {
         net.q_backward(&cache, [1.0, 1.0], &mut grads);
         for (id, _) in grads.iter() {
             assert!(
-                !net.is_foundation_param(id),
+                !is_foundation_param(&net, id),
                 "foundation param got a gradient"
             );
         }
@@ -793,7 +789,7 @@ mod tests {
         let mut grads = Grads::new(&net.ps);
         net.reward_backward(&cache, 1.0, &mut grads);
         assert!(
-            grads.iter().any(|(id, _)| net.is_foundation_param(id)),
+            grads.iter().any(|(id, _)| is_foundation_param(&net, id)),
             "pretraining must reach the foundation"
         );
     }

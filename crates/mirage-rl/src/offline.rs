@@ -6,7 +6,7 @@
 //! dedicated reward head. This shapes the shared representation the
 //! V-head and P-head later build on.
 
-use mirage_nn::optim::{Adam, Optimizer};
+use mirage_nn::optim::Adam;
 use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;

@@ -9,7 +9,7 @@
 //! unit tests hold it bit for bit to a test-only per-step oracle.
 
 use mirage_nn::loss::policy_gradient_loss;
-use mirage_nn::optim::{Adam, Optimizer};
+use mirage_nn::optim::Adam;
 use mirage_nn::param::{GradSink, Grads};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;

@@ -366,7 +366,6 @@ pub struct SimBuilder {
     seed: u64,
     weights: PriorityWeights,
     backfill: BackfillPolicy,
-    reject_oversized: bool,
     sched_depth: usize,
     kind: BackendKind,
     tick: i64,
@@ -386,7 +385,6 @@ impl Default for SimBuilder {
             seed: 0,
             weights: sim.weights,
             backfill: sim.backfill,
-            reject_oversized: sim.reject_oversized,
             sched_depth: sim.sched_depth,
             kind: BackendKind::EventDriven,
             tick: reference.tick,
@@ -451,13 +449,6 @@ impl SimBuilder {
         self
     }
 
-    /// Whether oversized jobs are rejected on arrival. Event clock only:
-    /// the tick clock always rejects them (`reference.rs` forces `true`).
-    pub fn reject_oversized(mut self, reject: bool) -> Self {
-        self.reject_oversized = reject;
-        self
-    }
-
     /// Scheduling-pass depth (`bf_max_job_test`). Event clock only: the
     /// tick clock's passes consider the whole queue (`reference.rs`
     /// forces `usize::MAX`).
@@ -496,7 +487,6 @@ impl SimBuilder {
             nodes: self.nodes,
             weights: self.weights,
             backfill: self.backfill,
-            reject_oversized: self.reject_oversized,
             sched_depth: self.sched_depth,
             faults: self.faults,
             retry: self.retry,
@@ -548,12 +538,11 @@ impl SimBuilder {
     }
 
     /// A pool of independently seeded backends; the worker count comes
-    /// from [`BackendKind::Pooled`] or defaults to the available
-    /// parallelism.
+    /// from [`BackendKind::Pooled`] or defaults to 4.
     pub fn build_pool(&self) -> BackendPool<SimBuilder> {
         let workers = match self.kind {
             BackendKind::Pooled { workers } => workers,
-            _ => default_workers(),
+            _ => DEFAULT_WORKERS,
         };
         BackendPool::with_seed(self.clone(), workers, self.seed)
     }
@@ -584,11 +573,11 @@ impl SimConfig {
     }
 }
 
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .clamp(1, 16)
-}
+/// Worker count of [`SimBuilder::build_pool`] without
+/// [`BackendKind::Pooled`]. A constant, not the host's parallelism: online
+/// training sizes its lockstep windows from it, so the same seeds must
+/// train the same weights on any machine.
+const DEFAULT_WORKERS: usize = 4;
 
 /// A seeded backend factory with a worker count: what collection and
 /// training build their lanes from.
@@ -687,11 +676,9 @@ mod tests {
         let b = SimConfig::builder()
             .nodes(16)
             .backfill(BackfillPolicy::None)
-            .sched_depth(7)
-            .reject_oversized(false);
+            .sched_depth(7);
         assert_eq!(b.sim_config().nodes, 16);
         assert_eq!(b.sim_config().sched_depth, 7);
-        assert!(!b.sim_config().reject_oversized);
         assert_eq!(b.sim_config().backfill, BackfillPolicy::None);
         assert_eq!(b.reference_config().backfill, BackfillPolicy::None);
     }
@@ -1040,23 +1027,8 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert_eq!(err.field, "tick");
-        // Hetero misconfigurations are typed errors on both backends: an
-        // enabled model with no pools, a non-positive throughput, and pool
-        // totals disagreeing with the partition size.
-        let empty_pools = HeteroModel::with_pools(Vec::new(), 0.5, 1);
-        let err = SimConfig::builder()
-            .nodes(2)
-            .hetero(empty_pools.clone())
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err.field, "hetero.pools");
-        let err = SimConfig::builder()
-            .nodes(2)
-            .backend(BackendKind::Tick)
-            .hetero(empty_pools)
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err.field, "hetero.pools");
+        // Hetero misconfigurations are typed errors: a non-positive
+        // throughput and pool totals disagreeing with the partition size.
         let bad_thr =
             HeteroModel::with_pools(vec![crate::hetero::NodePool::new("p", 2, 0.0)], 0.5, 1);
         let err = SimConfig::builder()

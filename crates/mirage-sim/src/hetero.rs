@@ -1,33 +1,35 @@
 //! Heterogeneous node pools and placement-sensitive contention.
 //!
-//! Production GPU clusters are rarely one uniform partition: they are pools
-//! of A100/V100/T4-class nodes where the node type sets job speed and the
-//! *placement* sets a second-order penalty — a job striped across pools
+//! Each of the paper's clusters is a single-type partition, but a cluster
+//! may mix A100/V100/T4-class nodes. There the node type sets job speed and
+//! the *placement* sets a second-order penalty: a job striped across pools
 //! pays cross-pool interconnect cost, and a job landing on an almost-full
-//! pool contends for shared links. This module models both:
+//! pool contends for shared links. Pools are a property of the cluster;
+//! jobs name no node type, and the allocator fills pools in declaration
+//! order. This module models both effects:
 //!
 //! * [`NodePool`] — a typed slice of the partition with a per-type
 //!   throughput multiplier (1.0 = baseline; runtimes scale by
 //!   `1/throughput`),
 //! * [`HeteroModel`] — the pool layout plus a contention model: a
-//!   placement that spans pools, lands congested, or spills a
-//!   [`Demand`](mirage_trace::PoolRequest::Demand) request off-type draws a
-//!   deterministic, seeded slowdown factor.
+//!   placement that spans pools or lands congested draws a deterministic,
+//!   seeded slowdown factor.
 //!
 //! Determinism follows the fault-model discipline: the slowdown draw is a
 //! pure hash of `(seed, job id, attempt)`, so identically-seeded runs — and
 //! `reset()` replays — see identical slowdowns regardless of event
 //! interleaving, and retries of the same job re-draw independently.
 //!
-//! `HeteroModel::none()` (the default) is a strict no-op: simulators skip
-//! every pool code path and stay byte-identical to the homogeneous model.
+//! `HeteroModel::none()` (the default, an empty pool list) is a strict
+//! no-op: simulators skip every pool code path and stay byte-identical to
+//! the homogeneous model.
 //! A single-pool model with `throughput == 1.0` and `contention == 0.0` is
 //! also an exact identity — `place` then always returns scale 1.0 — which
 //! the property tests pin against the pre-hetero behaviour.
 
 use serde::{Deserialize, Serialize};
 
-use mirage_trace::{splitmix64, PoolRequest};
+use mirage_trace::splitmix64;
 
 use crate::fault::SimConfigError;
 
@@ -35,7 +37,7 @@ use crate::fault::SimConfigError;
 /// (`[offset, offset + nodes)` in declaration order) with a common speed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodePool {
-    /// Pool kind tag jobs refer to (e.g. `"a100"`).
+    /// Pool kind label (e.g. `"a100"`).
     pub kind: String,
     /// Nodes in this pool. Pool node counts sum to the partition size.
     pub nodes: u32,
@@ -63,12 +65,9 @@ impl NodePool {
 /// heterogeneity tape, mirroring [`FaultModel`](crate::FaultModel).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HeteroModel {
-    /// Master switch. `false` (the default) keeps the homogeneous
-    /// single-counter fast path and ignores every other field.
-    #[serde(default)]
-    pub enabled: bool,
     /// Typed pools in node-index order; counts must sum to the partition
-    /// size when enabled.
+    /// size. Empty (the default) is the homogeneous partition: simulators
+    /// keep the single-counter fast path and ignore every other field.
     #[serde(default)]
     pub pools: Vec<NodePool>,
     /// Strength of the contention slowdown. A penalized placement draws a
@@ -101,8 +100,6 @@ pub struct Placement {
     pub spans: bool,
     /// Some touched pool was at or above the congestion threshold.
     pub congested: bool,
-    /// A `Demand` request spilled onto a non-matching pool.
-    pub off_type: bool,
 }
 
 /// Running counters of the heterogeneity model, for eval lanes and benches.
@@ -114,8 +111,6 @@ pub struct HeteroStats {
     pub span_placements: u64,
     /// Placements that touched a congested pool.
     pub congested_placements: u64,
-    /// `Demand` requests that spilled off their named kind.
-    pub off_type_placements: u64,
     /// Placements whose final runtime scale exceeded 1.0 (contention draw
     /// and/or a sub-baseline pool).
     pub slowdowns: u64,
@@ -127,7 +122,6 @@ impl HeteroStats {
         self.placements += 1;
         self.span_placements += u64::from(p.spans);
         self.congested_placements += u64::from(p.congested);
-        self.off_type_placements += u64::from(p.off_type);
         self.slowdowns += u64::from(p.scale > 1.0);
     }
 }
@@ -138,7 +132,6 @@ impl std::ops::AddAssign for HeteroStats {
         self.placements += run.placements;
         self.span_placements += run.span_placements;
         self.congested_placements += run.congested_placements;
-        self.off_type_placements += run.off_type_placements;
         self.slowdowns += run.slowdowns;
     }
 }
@@ -147,7 +140,6 @@ impl HeteroModel {
     /// Homogeneous partition: no pools, no contention, a strict no-op.
     pub fn none() -> Self {
         Self {
-            enabled: false,
             pools: Vec::new(),
             contention: 0.0,
             congestion: 0.9,
@@ -157,13 +149,12 @@ impl HeteroModel {
 
     /// Whether this is the homogeneous no-op model.
     pub fn is_none(&self) -> bool {
-        !self.enabled
+        self.pools.is_empty()
     }
 
-    /// Enabled model from an explicit pool list.
+    /// Model from an explicit pool list.
     pub fn with_pools(pools: Vec<NodePool>, contention: f64, seed: u64) -> Self {
         Self {
-            enabled: true,
             pools,
             contention,
             congestion: 0.9,
@@ -209,18 +200,11 @@ impl HeteroModel {
 
     /// Validates the model against the partition size.
     ///
-    /// The disabled model always passes (every field is ignored), mirroring
-    /// how `FaultModel::none()` validates.
+    /// The homogeneous model always passes (every field is ignored),
+    /// mirroring how `FaultModel::none()` validates.
     pub fn validate(&self, nodes: u32) -> Result<(), SimConfigError> {
         if self.is_none() {
             return Ok(());
-        }
-        if self.pools.is_empty() {
-            return Err(SimConfigError::new(
-                "hetero.pools",
-                "[]",
-                "an enabled heterogeneous model needs at least one pool",
-            ));
         }
         for p in &self.pools {
             if p.nodes == 0 {
@@ -306,12 +290,10 @@ impl HeteroModel {
     /// pool count). Requires `sum(pool_free) >= nodes` — the scheduler has
     /// already admitted the job against the aggregate free counter.
     ///
-    /// Deterministic greedy fill: pools matching a named kind first
-    /// (`Prefer`/`Demand`), then the rest in declaration order.
+    /// Deterministic greedy fill of the pools in declaration order.
     pub fn place(
         &self,
         pool_free: &mut [u32],
-        req: &PoolRequest,
         nodes: u32,
         id: u64,
         attempt: u32,
@@ -320,18 +302,17 @@ impl HeteroModel {
         counts.clear();
         counts.resize(self.pools.len(), 0);
         let mut need = nodes;
-        let kind = req.kind();
-        if let Some(k) = kind {
-            take(&self.pools, pool_free, counts, &mut need, |p| p.kind == k);
+        for (free, count) in pool_free.iter_mut().zip(counts.iter_mut()) {
+            let t = need.min(*free);
+            *free -= t;
+            *count = t;
+            need -= t;
         }
-        take(&self.pools, pool_free, counts, &mut need, |_| true);
         debug_assert_eq!(need, 0, "placement admitted without enough free nodes");
 
         let mut touched = 0usize;
         let mut thr = f64::INFINITY;
         let mut congested = false;
-        let mut off_type = false;
-        let demand = matches!(req, PoolRequest::Demand(_));
         for (p, pool) in self.pools.iter().enumerate() {
             if counts[p] == 0 {
                 continue;
@@ -342,12 +323,9 @@ impl HeteroModel {
             if f64::from(busy) >= self.congestion * f64::from(pool.nodes) {
                 congested = true;
             }
-            if demand && kind != Some(pool.kind.as_str()) {
-                off_type = true;
-            }
         }
         let spans = touched > 1;
-        let factor = if spans || congested || off_type {
+        let factor = if spans || congested {
             self.slowdown(id, attempt)
         } else {
             1.0
@@ -357,30 +335,7 @@ impl HeteroModel {
             scale: factor / thr,
             spans,
             congested,
-            off_type,
         }
-    }
-}
-
-/// Greedy take from pools matching `pred`, in declaration order.
-fn take(
-    pools: &[NodePool],
-    pool_free: &mut [u32],
-    counts: &mut [u32],
-    need: &mut u32,
-    pred: impl Fn(&NodePool) -> bool,
-) {
-    for (p, pool) in pools.iter().enumerate() {
-        if *need == 0 {
-            break;
-        }
-        if !pred(pool) {
-            continue;
-        }
-        let t = (*need).min(pool_free[p]);
-        pool_free[p] -= t;
-        counts[p] += t;
-        *need -= t;
     }
 }
 
@@ -410,18 +365,15 @@ mod tests {
     fn none_is_default_and_validates_anything() {
         assert!(HeteroModel::none().is_none());
         assert_eq!(HeteroModel::default(), HeteroModel::none());
+        assert!(HeteroModel::with_pools(Vec::new(), 0.5, 7).is_none());
         let mut garbage = HeteroModel::none();
         garbage.contention = f64::NAN;
-        assert!(garbage.validate(0).is_ok(), "disabled model is inert");
+        assert!(garbage.validate(0).is_ok(), "homogeneous model is inert");
     }
 
     #[test]
     fn validation_rejects_unsound_fields() {
         let nodes = 8;
-        let mut m = two_pool();
-        m.pools.clear();
-        assert_eq!(m.validate(nodes).unwrap_err().field, "hetero.pools");
-
         let mut m = two_pool();
         m.pools[0].nodes = 0;
         assert_eq!(m.validate(nodes).unwrap_err().field, "hetero.pools.nodes");
@@ -482,37 +434,22 @@ mod tests {
     }
 
     #[test]
-    fn placement_prefers_the_named_kind_and_detects_spans() {
+    fn placement_fills_pools_in_declaration_order_and_detects_spans() {
         let m = two_pool();
         let mut free = vec![2u32, 6];
         let mut counts = Vec::new();
-        // Demand("a100") fits entirely in pool 0.
-        let p = m.place(
-            &mut free,
-            &PoolRequest::Demand("a100".into()),
-            2,
-            1,
-            1,
-            &mut counts,
-        );
+        // A job that fits in pool 0 stays there.
+        let p = m.place(&mut free, 2, 1, 1, &mut counts);
         assert_eq!(counts, vec![2, 0]);
         assert_eq!(free, vec![0, 6]);
-        assert!(!p.spans && !p.off_type);
-        // a100 is now full: a second demand spills off-type.
-        let p = m.place(
-            &mut free,
-            &PoolRequest::Demand("a100".into()),
-            1,
-            2,
-            1,
-            &mut counts,
-        );
+        assert!(!p.spans);
+        // Pool 0 is full: the next job lands in pool 1.
+        m.place(&mut free, 1, 2, 1, &mut counts);
         assert_eq!(counts, vec![0, 1]);
-        assert!(p.off_type);
-        assert!(p.scale > 1.0, "off-type placement is penalized");
-        // A wide Anywhere job spans both pools once pool 0 frees up.
+        assert_eq!(free, vec![0, 5]);
+        // A wide job spans both pools once pool 0 frees up.
         free = vec![2, 6];
-        let p = m.place(&mut free, &PoolRequest::Anywhere, 4, 3, 1, &mut counts);
+        let p = m.place(&mut free, 4, 3, 1, &mut counts);
         assert_eq!(counts, vec![2, 2]);
         assert!(p.spans);
         // Spanning runs at the slowest touched pool's speed, times the draw.
@@ -524,17 +461,13 @@ mod tests {
         let mut m = two_pool();
         m.contention = 1.0;
         m.congestion = 0.5;
-        let mut free = vec![2u32, 6];
+        // Pool 0 is full, so the job lands in pool 1 alone: 3 of 6 v100
+        // nodes busy == the 0.5 threshold.
+        let mut free = vec![0u32, 6];
         let mut counts = Vec::new();
-        // 3 of 6 v100 nodes busy == the 0.5 threshold.
-        let p = m.place(
-            &mut free,
-            &PoolRequest::Demand("v100".into()),
-            3,
-            9,
-            1,
-            &mut counts,
-        );
+        let p = m.place(&mut free, 3, 9, 1, &mut counts);
+        assert_eq!(counts, vec![0, 3]);
+        assert!(!p.spans);
         assert!(p.congested);
         assert!(p.scale > 1.0);
     }
@@ -549,7 +482,7 @@ mod tests {
             if free[0] < width {
                 free[0] = 8;
             }
-            let p = m.place(&mut free, &PoolRequest::Anywhere, width, id, 1, &mut counts);
+            let p = m.place(&mut free, width, id, 1, &mut counts);
             assert_eq!(p.scale, 1.0, "identity model must never rescale");
             assert_eq!(scale_runtime(3600, p.scale), 3600);
         }

@@ -174,7 +174,6 @@ impl ReferenceSimulator {
             weights: cfg.weights,
             // Each pass is handed its policy; the cluster's own is unused.
             backfill: cfg.backfill,
-            reject_oversized: true,
             sched_depth: usize::MAX,
             faults: cfg.faults,
             retry: cfg.retry,
@@ -498,7 +497,6 @@ mod tests {
     #[test]
     fn fast_pool_shortens_runtimes_on_tick_cadence() {
         use crate::hetero::{HeteroModel, NodePool};
-        use mirage_trace::PoolRequest;
         let mut cfg = ReferenceConfig::new(8);
         cfg.hetero = HeteroModel::with_pools(
             vec![NodePool::new("a100", 2, 2.0), NodePool::new("v100", 6, 1.0)],
@@ -507,10 +505,7 @@ mod tests {
         );
         cfg.validate().unwrap();
         let mut s = ReferenceSimulator::new(cfg);
-        s.load_trace(&[
-            job(1, 0, 2, HOUR, 2 * HOUR).with_pool(PoolRequest::Demand("a100".into())),
-            job(2, 0, 2, HOUR, 2 * HOUR).with_pool(PoolRequest::Demand("v100".into())),
-        ]);
+        s.load_trace(&[job(1, 0, 2, HOUR, 2 * HOUR), job(2, 0, 2, HOUR, 2 * HOUR)]);
         s.run_to_completion();
         let done = s.completed();
         let j1 = done.iter().find(|j| j.id == 1).unwrap();

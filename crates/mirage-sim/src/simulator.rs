@@ -34,15 +34,13 @@ use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Nodes in the partition.
+    /// Nodes in the partition. A job requesting more is rejected on
+    /// arrival.
     pub nodes: u32,
     /// Multifactor priority weights.
     pub weights: PriorityWeights,
     /// Backfill flavor.
     pub backfill: BackfillPolicy,
-    /// Reject jobs that request more nodes than the partition has. When
-    /// `false` such jobs pend forever (they can still be cleaned upstream).
-    pub reject_oversized: bool,
     /// At most this many queued jobs are considered per scheduling pass,
     /// taken in priority order (Slurm's `bf_max_job_test`). Bounds the cost
     /// of a pass when the backlog explodes.
@@ -68,7 +66,6 @@ impl SimConfig {
             nodes,
             weights: PriorityWeights::default(),
             backfill: BackfillPolicy::default(),
-            reject_oversized: true,
             sched_depth: 512,
             faults: FaultModel::none(),
             retry: RetryPolicy::default(),
@@ -777,7 +774,7 @@ impl Simulator {
     fn arrive_job(&mut self, idx: usize) {
         let job = &mut self.jobs[idx];
         debug_assert!(matches!(job.status, JobStatus::Future));
-        if self.cfg.reject_oversized && job.record.nodes > self.cfg.nodes {
+        if job.record.nodes > self.cfg.nodes {
             job.status = JobStatus::Rejected;
             self.rejected += 1;
             return;
@@ -898,13 +895,12 @@ impl Simulator {
         // Jobs are killed at their wall-clock limit.
         let mut run = job.record.runtime.min(job.record.timelimit);
         if !self.cfg.hetero.is_none() {
-            // Pool placement: fill the named kind first, then spill in
-            // declaration order. The resulting scale folds pool speed and
-            // any contention slowdown into the effective runtime (still
-            // capped by the wall-clock limit).
+            // Pool placement: fill the pools in declaration order. The
+            // resulting scale folds pool speed and any contention slowdown
+            // into the effective runtime (still capped by the wall-clock
+            // limit).
             let placed = self.cfg.hetero.place(
                 &mut self.pool_free,
-                &job.record.pool,
                 job.record.nodes,
                 job.record.id,
                 job.attempt,
@@ -1727,19 +1723,16 @@ mod tests {
     #[test]
     fn fast_pool_shortens_runtimes() {
         use crate::hetero::{HeteroModel, NodePool};
-        use mirage_trace::PoolRequest;
-        // Contention 0 isolates the pure pool-speed scaling: a job demanding
-        // the double-speed pool finishes in half its trace runtime.
+        // Contention 0 isolates the pure pool-speed scaling: the first job
+        // fills the double-speed pool and finishes in half its trace
+        // runtime; the second lands on the baseline pool.
         let m = HeteroModel::with_pools(
             vec![NodePool::new("a100", 2, 2.0), NodePool::new("v100", 6, 1.0)],
             0.0,
             1,
         );
         let mut s = hetero_sim(8, m);
-        s.load_trace(&[
-            job(1, 0, 2, HOUR, 2 * HOUR).with_pool(PoolRequest::Demand("a100".into())),
-            job(2, 0, 2, HOUR, 2 * HOUR).with_pool(PoolRequest::Demand("v100".into())),
-        ]);
+        s.load_trace(&[job(1, 0, 2, HOUR, 2 * HOUR), job(2, 0, 2, HOUR, 2 * HOUR)]);
         s.run_to_completion();
         let done = s.completed();
         let j1 = done.iter().find(|j| j.id == 1).unwrap();
@@ -1783,7 +1776,6 @@ mod tests {
     #[test]
     fn node_crash_evicts_within_the_crashed_pool() {
         use crate::hetero::{HeteroModel, NodePool};
-        use mirage_trace::PoolRequest;
         // Homogeneous LIFO would evict the most recently started job
         // (job 2); pool-aware eviction must pick the job actually holding
         // nodes in the crashed pool (job 1 on the a100 node 0).
@@ -1794,8 +1786,8 @@ mod tests {
         );
         let mut s = hetero_sim(2, m);
         s.load_trace(&[
-            job(1, 0, 1, 2 * HOUR, 3 * HOUR).with_pool(PoolRequest::Demand("a100".into())),
-            job(2, 50, 1, 2 * HOUR, 3 * HOUR).with_pool(PoolRequest::Demand("v100".into())),
+            job(1, 0, 1, 2 * HOUR, 3 * HOUR),
+            job(2, 50, 1, 2 * HOUR, 3 * HOUR),
         ]);
         s.events.push(Event::new(100, EventKind::NodeDown, 0));
         s.events.push(Event::new(200, EventKind::NodeUp, 0));

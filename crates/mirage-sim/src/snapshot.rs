@@ -70,8 +70,7 @@ pub struct ClusterSnapshot {
     #[serde(default)]
     pub pool_total: Vec<u32>,
     /// Running jobs whose placement drew a contention slowdown (spanning
-    /// pools, congested pool, or off-type demand). 0 without
-    /// heterogeneity.
+    /// pools or a congested pool). 0 without heterogeneity.
     #[serde(default)]
     pub contended_running: u32,
     /// Pending jobs (unordered).

@@ -1,9 +1,10 @@
-//! The conservation property `tests/faults.rs` and `tests/hetero.rs`
-//! share: one body, generic over [`ClusterBackend`], that both run on the
-//! event clock and on the tick clock with faults and pools combined,
-//! under drawn retry, backfill-reservation and `sched_depth` knobs — and
-//! the fork pin: a backend restored mid-run (`clone_from`) into a dirty
-//! one runs on exactly like the original.
+//! What `tests/faults.rs` and `tests/hetero.rs` share: their trace
+//! builder and the conservation property, one body generic over
+//! [`ClusterBackend`] that both run on the event clock and on the tick
+//! clock with faults and pools combined, under drawn retry,
+//! backfill-reservation and `sched_depth` knobs — and the fork pin: a
+//! backend restored mid-run (`clone_from`) into a dirty one runs on
+//! exactly like the original.
 
 use mirage_sim::{
     BackendKind, BackfillPolicy, ClusterBackend, ClusterSnapshot, FaultStats, HeteroStats,
@@ -22,6 +23,26 @@ type Observed = (
     FaultStats,
     HeteroStats,
 );
+
+/// One job per `(submit, nodes, runtime)` triple, named `<tag><index>`,
+/// spread over four users, each with a limit of twice its runtime.
+pub fn trace_from(tag: &str, seed_jobs: &[(i64, u32, i64)]) -> Vec<JobRecord> {
+    seed_jobs
+        .iter()
+        .enumerate()
+        .map(|(i, &(submit, n, runtime))| {
+            JobRecord::new(
+                i as u64 + 1,
+                format!("{tag}{i}"),
+                (i % 4) as u32,
+                submit,
+                n,
+                runtime * 2,
+                runtime,
+            )
+        })
+        .collect()
+}
 
 /// Hourly snapshots while the trace arrives and drains, then the tail.
 pub const SNAPSHOT_HOURS: i64 = 72;

@@ -19,24 +19,6 @@ use mirage_sim::{
 use mirage_trace::JobRecord;
 use proptest::prelude::*;
 
-fn trace_from(seed_jobs: &[(i64, u32, i64)]) -> Vec<JobRecord> {
-    seed_jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &(submit, n, runtime))| {
-            JobRecord::new(
-                i as u64 + 1,
-                format!("f{i}"),
-                (i % 4) as u32,
-                submit,
-                n,
-                runtime * 2,
-                runtime,
-            )
-        })
-        .collect()
-}
-
 /// Everything a run exposes, for whole-run equality checks.
 fn observe<B: ClusterBackend>(backend: &mut B) -> (Vec<JobRecord>, SimMetrics, FaultStats) {
     backend.run_to_completion();
@@ -58,7 +40,7 @@ proptest! {
         seed_jobs in prop::collection::vec(
             (0i64..100_000, 1u32..=4, 1800i64..20_000), 1..25),
     ) {
-        let trace = trace_from(&seed_jobs);
+        let trace = common::trace_from("f", &seed_jobs);
 
         let mut cfg = SimConfig::new(6);
         cfg.faults = FaultModel::severe(fault_seed);
@@ -94,7 +76,7 @@ proptest! {
             (0i64..80_000, 1u32..=4, 600i64..15_000), 1..30),
         probe in 0i64..100_000,
     ) {
-        let trace = trace_from(&seed_jobs);
+        let trace = common::trace_from("f", &seed_jobs);
 
         let plain_cfg = SimConfig::new(8);
         let mut none_cfg = plain_cfg.clone();
@@ -152,6 +134,7 @@ proptest! {
             .nodes(nodes)
             .faults(FaultModel::severe(fault_seed))
             .hetero(hetero);
-        common::check_conservation(builder, cadence, knobs, fork_hour, &trace_from(&seed_jobs))?;
+        let trace = common::trace_from("f", &seed_jobs);
+        common::check_conservation(builder, cadence, knobs, fork_hour, &trace)?;
     }
 }

@@ -117,7 +117,7 @@ fn replay<B: ClusterBackend>(mut sim: B, trace: &[JobRecord], weeks: i64) -> (u6
         h.placements,
         h.span_placements,
         h.congested_placements,
-        h.off_type_placements,
+        0,
         h.slowdowns,
     ] {
         d.push(v);

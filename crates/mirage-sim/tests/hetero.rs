@@ -2,8 +2,8 @@
 //!
 //! Two guarantees matter for the hetero evaluation lane:
 //!
-//! 1. **Identity with heterogeneity off** — both the disabled
-//!    [`HeteroModel::none`] and a *degenerate* enabled model (one
+//! 1. **Identity with heterogeneity off** — both the homogeneous
+//!    [`HeteroModel::none`] and a *degenerate* pooled model (one
 //!    baseline-speed pool, zero contention) leave every observable output
 //!    byte-for-byte equal to the pre-hetero homogeneous simulator, on both
 //!    backends. This is the same discipline `FaultModel::none()` pins.
@@ -18,36 +18,8 @@ use mirage_sim::{
     ClusterBackend, FaultModel, HeteroModel, HeteroStats, NodePool, ReferenceConfig,
     ReferenceSimulator, SimConfig, SimMetrics, Simulator,
 };
-use mirage_trace::{JobRecord, PoolRequest};
+use mirage_trace::JobRecord;
 use proptest::prelude::*;
-
-fn trace_from(seed_jobs: &[(i64, u32, i64, u8)]) -> Vec<JobRecord> {
-    seed_jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &(submit, n, runtime, style))| {
-            // Style exercises every request flavor; kinds match the
-            // two-pool scenarios below ("a100"/"v100") plus one that no
-            // pool carries, which must still place (and may go off-type).
-            let pool = match style % 4 {
-                0 => PoolRequest::Anywhere,
-                1 => PoolRequest::Prefer("a100".into()),
-                2 => PoolRequest::Demand("a100".into()),
-                _ => PoolRequest::Demand("v100".into()),
-            };
-            JobRecord::new(
-                i as u64 + 1,
-                format!("h{i}"),
-                (i % 4) as u32,
-                submit,
-                n,
-                runtime * 2,
-                runtime,
-            )
-            .with_pool(pool)
-        })
-        .collect()
-}
 
 /// Everything a run exposes, for whole-run equality checks.
 fn observe<B: ClusterBackend>(backend: &mut B) -> (Vec<JobRecord>, SimMetrics, HeteroStats) {
@@ -59,8 +31,8 @@ fn observe<B: ClusterBackend>(backend: &mut B) -> (Vec<JobRecord>, SimMetrics, H
     )
 }
 
-/// One baseline-speed pool covering the partition, contention off: enabled
-/// machinery, but mathematically an identity.
+/// One baseline-speed pool covering the partition, contention off: the
+/// pool machinery runs, but is mathematically an identity.
 fn degenerate(nodes: u32) -> HeteroModel {
     HeteroModel::with_pools(vec![NodePool::new("v100", nodes, 1.0)], 0.0, 3)
 }
@@ -74,10 +46,10 @@ proptest! {
     #[test]
     fn degenerate_pool_model_changes_nothing(
         seed_jobs in prop::collection::vec(
-            (0i64..80_000, 1u32..=4, 600i64..15_000, 0u8..4), 1..30),
+            (0i64..80_000, 1u32..=4, 600i64..15_000), 1..30),
         probe in 0i64..100_000,
     ) {
-        let trace = trace_from(&seed_jobs);
+        let trace = common::trace_from("h", &seed_jobs);
 
         let plain_cfg = SimConfig::new(8);
         let mut one_pool_cfg = plain_cfg.clone();
@@ -128,9 +100,9 @@ proptest! {
         hetero_seed in 0u64..1_000_000,
         fault_seed in 0u64..1_000_000,
         seed_jobs in prop::collection::vec(
-            (0i64..100_000, 1u32..=4, 1800i64..20_000, 0u8..4), 1..25),
+            (0i64..100_000, 1u32..=4, 1800i64..20_000), 1..25),
     ) {
-        let trace = trace_from(&seed_jobs);
+        let trace = common::trace_from("h", &seed_jobs);
 
         let mut cfg = SimConfig::new(8);
         cfg.hetero = HeteroModel::balanced(8, hetero_seed);
@@ -171,7 +143,7 @@ proptest! {
     fn pools_conserve_nodes_and_jobs(
         hetero_seed in 0u64..1_000_000,
         seed_jobs in prop::collection::vec(
-            (0i64..100_000, 1u32..=4, 1800i64..20_000, 0u8..4), 1..25),
+            (0i64..100_000, 1u32..=4, 1800i64..20_000), 1..25),
         nodes in 4u32..=12,
         faults in (0u8..3, 0u64..1_000_000),
         cadence in common::cadence_strategy(),
@@ -187,6 +159,7 @@ proptest! {
             .nodes(nodes)
             .hetero(HeteroModel::scarce(nodes, hetero_seed))
             .faults(faults);
-        common::check_conservation(builder, cadence, knobs, fork_hour, &trace_from(&seed_jobs))?;
+        let trace = common::trace_from("h", &seed_jobs);
+        common::check_conservation(builder, cadence, knobs, fork_hour, &trace)?;
     }
 }

@@ -9,35 +9,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::HOUR;
 
-/// One typed node pool of a heterogeneous partition, expressed as a
-/// fraction of the cluster so the same spec scales with `nodes`.
-///
-/// `throughput` is the relative speed of the node type: 1.0 is the
-/// profile's baseline, 1.6 finishes the same job in `1/1.6` of the time,
-/// 0.6 stretches it. An empty pool list on a profile means the classic
-/// homogeneous partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoolSpec {
-    /// Pool kind tag jobs refer to (e.g. `"a100"`).
-    pub kind: String,
-    /// Fraction of the partition's nodes in this pool.
-    pub fraction: f64,
-    /// Relative per-node throughput of this type (baseline = 1.0).
-    pub throughput: f64,
-}
-
-impl PoolSpec {
-    /// Creates a pool spec.
-    pub fn new(kind: impl Into<String>, fraction: f64, throughput: f64) -> Self {
-        Self {
-            kind: kind.into(),
-            fraction,
-            throughput,
-        }
-    }
-}
-
 /// Static description of a GPU cluster and its workload character.
+///
+/// Every profile is a single-type partition, as each of the paper's three
+/// clusters is. Mixed node types are a simulator setting
+/// (`mirage_sim::HeteroModel`), not a profile field.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterProfile {
     /// Display name (`"V100"`, `"RTX"`, `"A100"`).
@@ -75,12 +51,6 @@ pub struct ClusterProfile {
     pub chain_fraction: f64,
     /// Mean chain length (sub-jobs per chain).
     pub chain_len_mean: f64,
-    /// Typed node pools of a heterogeneous partition. Empty (the default,
-    /// and the value on every paper preset) means homogeneous: the
-    /// generator emits no pool requests and simulators keep the single
-    /// free-node counter.
-    #[serde(default)]
-    pub pools: Vec<PoolSpec>,
 }
 
 impl ClusterProfile {
@@ -102,7 +72,6 @@ impl ClusterProfile {
             burstiness: 0.5,
             chain_fraction: 0.148,
             chain_len_mean: 14.0,
-            pools: Vec::new(),
         }
     }
 
@@ -124,7 +93,6 @@ impl ClusterProfile {
             burstiness: 0.7,
             chain_fraction: 0.088,
             chain_len_mean: 14.0,
-            pools: Vec::new(),
         }
     }
 
@@ -146,7 +114,6 @@ impl ClusterProfile {
             burstiness: 0.45,
             chain_fraction: 0.077,
             chain_len_mean: 14.0,
-            pools: Vec::new(),
         }
     }
 
@@ -165,64 +132,6 @@ impl ClusterProfile {
         p.trace_months = ((self.trace_months as f64 * factor).round() as u32).max(1);
         p
     }
-
-    /// Total GPU count of the partition.
-    pub fn total_gpus(&self) -> u32 {
-        self.nodes * self.gpus_per_node
-    }
-
-    /// Attaches typed node pools (builder style).
-    pub fn with_pools(mut self, pools: Vec<PoolSpec>) -> Self {
-        self.pools = pools;
-        self
-    }
-
-    /// Canonical two-tier split: a fast A100 quarter and a V100 balance.
-    pub fn pools_a100_v100() -> Vec<PoolSpec> {
-        vec![
-            PoolSpec::new("a100", 0.25, 1.6),
-            PoolSpec::new("v100", 0.75, 1.0),
-        ]
-    }
-
-    /// Canonical three-tier split: scarce fast A100s, a V100 middle and a
-    /// slow T4 tail.
-    pub fn pools_a100_v100_t4() -> Vec<PoolSpec> {
-        vec![
-            PoolSpec::new("a100", 0.15, 2.0),
-            PoolSpec::new("v100", 0.50, 1.0),
-            PoolSpec::new("t4", 0.35, 0.6),
-        ]
-    }
-
-    /// Splits `nodes` across `pools` by fraction, deterministically.
-    ///
-    /// Every pool gets at least one node (so pool kinds stay addressable on
-    /// shrunk test clusters), the last pool absorbs rounding remainder, and
-    /// the counts always sum to `nodes`. Callers need `nodes >=
-    /// pools.len()`; profile validation downstream rejects zero-node pools.
-    pub fn pool_nodes(&self) -> Vec<u32> {
-        let n = self.pools.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let total: f64 = self.pools.iter().map(|p| p.fraction.max(0.0)).sum();
-        let total = if total > 0.0 { total } else { 1.0 };
-        let mut counts = vec![0u32; n];
-        let mut remaining = self.nodes;
-        for (i, count) in counts.iter_mut().enumerate().take(n - 1) {
-            let later = (n - 1 - i) as u32;
-            let want =
-                ((self.pools[i].fraction.max(0.0) / total) * f64::from(self.nodes)).round() as u32;
-            let c = want
-                .clamp(1, remaining.saturating_sub(later).max(1))
-                .min(remaining);
-            *count = c;
-            remaining -= c;
-        }
-        counts[n - 1] = remaining;
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -237,8 +146,6 @@ mod tests {
         assert_eq!((v.nodes, v.gpus_per_node), (88, 4));
         assert_eq!((r.nodes, r.gpus_per_node), (84, 4));
         assert_eq!((a.nodes, a.gpus_per_node), (76, 3));
-        assert_eq!(v.total_gpus(), 352);
-        assert_eq!(a.total_gpus(), 228);
     }
 
     #[test]
@@ -257,24 +164,6 @@ mod tests {
         let tiny = ClusterProfile::a100().scaled(0.001);
         assert_eq!(tiny.nodes, 1);
         assert_eq!(tiny.trace_months, 1);
-    }
-
-    #[test]
-    fn presets_are_homogeneous_and_pool_splits_are_exact() {
-        assert!(ClusterProfile::v100().pools.is_empty());
-        assert!(ClusterProfile::v100().pool_nodes().is_empty());
-
-        let p = ClusterProfile::v100().with_pools(ClusterProfile::pools_a100_v100());
-        let counts = p.pool_nodes();
-        assert_eq!(counts.iter().sum::<u32>(), p.nodes);
-        assert_eq!(counts, vec![22, 66]);
-
-        let tiny = ClusterProfile::a100()
-            .scaled(0.05)
-            .with_pools(ClusterProfile::pools_a100_v100_t4());
-        let counts = tiny.pool_nodes();
-        assert_eq!(counts.iter().sum::<u32>(), tiny.nodes);
-        assert!(counts.iter().all(|&c| c >= 1), "each pool keeps a node");
     }
 
     #[test]

@@ -9,40 +9,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How a job relates to a heterogeneous cluster's typed node pools.
-///
-/// Homogeneous traces leave every job at the default ([`Anywhere`]), which
-/// keeps pre-pool records and simulators byte-identical. On a pooled
-/// cluster the simulator's placement model reads this to decide which
-/// pools to fill first and whether an off-type placement carries a
-/// slowdown penalty.
-///
-/// [`Anywhere`]: PoolRequest::Anywhere
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PoolRequest {
-    /// Runs on any pool, at that pool's type-dependent speed.
-    #[default]
-    Anywhere,
-    /// Prefers nodes of the named pool kind; matching pools fill first,
-    /// but spilling elsewhere carries no penalty beyond pool speed.
-    Prefer(String),
-    /// Requires the named pool kind; capacity pressure can still spill it
-    /// elsewhere, but an off-type placement is penalized as contended.
-    Demand(String),
-}
-
-impl PoolRequest {
-    /// The pool kind this request names, if any.
-    pub fn kind(&self) -> Option<&str> {
-        match self {
-            PoolRequest::Anywhere => None,
-            PoolRequest::Prefer(k) | PoolRequest::Demand(k) => Some(k),
-        }
-    }
-}
-
 /// A single batch job, either freshly generated (no `start`/`end`) or
 /// completed (replayed through a scheduler, or recorded by one).
+///
+/// A job names no node type: each paper cluster is a single-type
+/// partition, so where a job lands on a mixed-type cluster is decided by
+/// the simulator's placement model, not by the record.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Unique job id within the trace.
@@ -66,17 +38,12 @@ pub struct JobRecord {
     pub start: Option<i64>,
     /// Completion timestamp, if the job has finished.
     pub end: Option<i64>,
-    /// Node-pool request on heterogeneous clusters. Defaults to
-    /// [`PoolRequest::Anywhere`], which is the homogeneous behaviour.
-    #[serde(default)]
-    pub pool: PoolRequest,
 }
 
 impl Clone for JobRecord {
     fn clone(&self) -> Self {
         Self {
             name: self.name.clone(),
-            pool: self.pool.clone(),
             ..*self
         }
     }
@@ -94,7 +61,6 @@ impl Clone for JobRecord {
             runtime,
             start,
             end,
-            pool,
         } = self;
         *id = source.id;
         name.clone_from(&source.name);
@@ -105,7 +71,6 @@ impl Clone for JobRecord {
         *runtime = source.runtime;
         *start = source.start;
         *end = source.end;
-        pool.clone_from(&source.pool);
     }
 }
 
@@ -130,14 +95,7 @@ impl JobRecord {
             runtime,
             start: None,
             end: None,
-            pool: PoolRequest::Anywhere,
         }
-    }
-
-    /// Attaches a node-pool request (builder style).
-    pub fn with_pool(mut self, pool: PoolRequest) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Queue wait time (start − submit), if the job has been scheduled.

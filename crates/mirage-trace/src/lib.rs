@@ -30,9 +30,9 @@ pub mod time;
 pub mod traffic;
 
 pub use clean::{clean_trace, CleanReport};
-pub use cluster::{ClusterProfile, PoolSpec};
+pub use cluster::ClusterProfile;
 pub use faults::{fault_schedule, NodeFaultEvent};
-pub use job::{JobRecord, PoolRequest};
+pub use job::JobRecord;
 pub use parse::{parse_sacct, to_sacct, ParseError};
 pub use seed::{split_seed, splitmix64, SeedSplitter};
 pub use split::{split_by_count, split_by_time, TraceSplit};

@@ -194,21 +194,6 @@ pub fn avg_wait(jobs: &[JobRecord]) -> f64 {
     }
 }
 
-/// Percentile of queue waits (p ∈ \[0,100\]); 0 when nothing is scheduled.
-pub fn wait_percentile(jobs: &[JobRecord], p: f64) -> f64 {
-    let mut waits: Vec<f64> = jobs
-        .iter()
-        .filter_map(|j| j.wait())
-        .map(|w| w as f64)
-        .collect();
-    if waits.is_empty() {
-        return 0.0;
-    }
-    waits.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((p / 100.0) * (waits.len() - 1) as f64).round() as usize;
-    waits[idx.min(waits.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,20 +292,8 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_order_statistics() {
-        let jobs: Vec<_> = (0..100)
-            .map(|i| scheduled(i, 0, i as i64 * 60, 1, HOUR))
-            .collect();
-        assert!((wait_percentile(&jobs, 0.0) - 0.0).abs() < 1e-9);
-        assert!((wait_percentile(&jobs, 100.0) - 99.0 * 60.0).abs() < 1e-9);
-        let med = wait_percentile(&jobs, 50.0);
-        assert!((45.0 * 60.0..=55.0 * 60.0).contains(&med));
-    }
-
-    #[test]
     fn empty_inputs_do_not_panic() {
         assert_eq!(avg_wait(&[]), 0.0);
-        assert_eq!(wait_percentile(&[], 50.0), 0.0);
         assert_eq!(multi_node_shares(&[]), (0.0, 0.0));
         assert_eq!(node_hour_shares(&[]), [0.0; 4]);
         assert!(monthly_avg_wait(&[]).is_empty());

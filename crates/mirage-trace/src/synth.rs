@@ -25,7 +25,7 @@ use rand_distr::{Distribution, Exp, LogNormal};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterProfile;
-use crate::job::{JobRecord, PoolRequest};
+use crate::job::JobRecord;
 use crate::time::{day_of_week, time_of_day, DAY, HOUR, MONTH};
 
 /// Wall-clock limit grid users pick from (typical site queue limits).
@@ -198,11 +198,6 @@ impl TraceGenerator {
     ) {
         let cfg = &self.cfg;
         let user = sample_cdf(&st.user_cdf, st.rng.gen::<f64>()) as u32;
-        // Pool request for this logical submission (chained sub-jobs inherit
-        // it: a checkpoint-restart sequence stays on one node type). Draws
-        // nothing on homogeneous profiles, keeping legacy traces
-        // byte-identical.
-        let pool = self.sample_pool(st);
 
         // §3.2 anomaly (a): early-production jobs requesting more nodes than
         // the partition has. Confined to the first two months like the paper
@@ -221,7 +216,7 @@ impl TraceGenerator {
                 runtime,
             );
             j.timelimit = j.timelimit.min(cfg.profile.max_timelimit);
-            out.push(j.with_pool(pool));
+            out.push(j);
             return;
         }
 
@@ -241,18 +236,15 @@ impl TraceGenerator {
                 if sub_submit >= span {
                     break;
                 }
-                out.push(
-                    JobRecord::new(
-                        0,
-                        format!("u{user}_chain{serial}_{k}"),
-                        user,
-                        sub_submit,
-                        nodes,
-                        sub_limit,
-                        sub_runtime,
-                    )
-                    .with_pool(pool.clone()),
-                );
+                out.push(JobRecord::new(
+                    0,
+                    format!("u{user}_chain{serial}_{k}"),
+                    user,
+                    sub_submit,
+                    nodes,
+                    sub_limit,
+                    sub_runtime,
+                ));
                 // Next sub-job enters the queue once the previous one would
                 // have finished (Slurm releases dependents on completion).
                 sub_submit += sub_runtime + st.rng.gen_range(60..30 * 60);
@@ -260,52 +252,15 @@ impl TraceGenerator {
             return;
         }
 
-        out.push(
-            JobRecord::new(
-                0,
-                format!("u{user}_job{serial}"),
-                user,
-                submit,
-                nodes,
-                timelimit,
-                runtime,
-            )
-            .with_pool(pool),
-        );
-    }
-
-    /// Samples a pool request for one logical submission.
-    ///
-    /// Homogeneous profiles (empty `pools`) return [`PoolRequest::Anywhere`]
-    /// without touching the RNG, so adding pools to a profile is the only
-    /// way this changes a trace. On pooled profiles the kind follows the
-    /// pools' capacity fractions and the binding strength splits roughly
-    /// 30 % demand / 40 % prefer / 30 % anywhere.
-    fn sample_pool(&self, st: &mut GenState) -> PoolRequest {
-        let pools = &self.cfg.profile.pools;
-        if pools.is_empty() {
-            return PoolRequest::Anywhere;
-        }
-        let total: f64 = pools.iter().map(|p| p.fraction.max(0.0)).sum();
-        let total = if total > 0.0 { total } else { 1.0 };
-        let kind_u = st.rng.gen::<f64>();
-        let mut kind = pools[pools.len() - 1].kind.as_str();
-        let mut acc = 0.0;
-        for p in pools {
-            acc += p.fraction.max(0.0) / total;
-            if kind_u < acc {
-                kind = p.kind.as_str();
-                break;
-            }
-        }
-        let style = st.rng.gen::<f64>();
-        if style < 0.30 {
-            PoolRequest::Demand(kind.to_string())
-        } else if style < 0.70 {
-            PoolRequest::Prefer(kind.to_string())
-        } else {
-            PoolRequest::Anywhere
-        }
+        out.push(JobRecord::new(
+            0,
+            format!("u{user}_job{serial}"),
+            user,
+            submit,
+            nodes,
+            timelimit,
+            runtime,
+        ));
     }
 
     /// Samples (runtime, timelimit) for a job of the given size.
@@ -704,53 +659,6 @@ mod tests {
                 .sum::<f64>()
                 / total;
             assert!((mean - target).abs() < 1e-6, "α solve failed for {target}");
-        }
-    }
-
-    #[test]
-    fn homogeneous_profiles_emit_no_pool_requests() {
-        let jobs = TraceGenerator::new(small_cfg(7)).generate();
-        assert!(jobs.iter().all(|j| j.pool == PoolRequest::Anywhere));
-    }
-
-    #[test]
-    fn pooled_profiles_emit_a_deterministic_request_mix() {
-        let mut cfg = small_cfg(7);
-        cfg.profile.pools = ClusterProfile::pools_a100_v100();
-        let jobs = TraceGenerator::new(cfg.clone()).generate();
-        let again = TraceGenerator::new(cfg).generate();
-        assert_eq!(jobs, again);
-        let demand = jobs
-            .iter()
-            .filter(|j| matches!(j.pool, PoolRequest::Demand(_)))
-            .count();
-        let prefer = jobs
-            .iter()
-            .filter(|j| matches!(j.pool, PoolRequest::Prefer(_)))
-            .count();
-        let anywhere = jobs
-            .iter()
-            .filter(|j| j.pool == PoolRequest::Anywhere)
-            .count();
-        assert!(
-            demand > 0 && prefer > 0 && anywhere > 0,
-            "all request styles present: demand={demand} prefer={prefer} anywhere={anywhere}"
-        );
-        // Named kinds come from the profile's pool list.
-        assert!(jobs
-            .iter()
-            .filter_map(|j| j.pool.kind())
-            .all(|k| k == "a100" || k == "v100"));
-        // Chained sub-jobs of one submission share a single request.
-        for j in &jobs {
-            if let Some((prefix, _)) = j.subjob_key() {
-                for other in jobs
-                    .iter()
-                    .filter(|o| o.subjob_key().is_some_and(|(p, _)| p == prefix))
-                {
-                    assert_eq!(other.pool, j.pool, "chain {prefix} split across pools");
-                }
-            }
         }
     }
 

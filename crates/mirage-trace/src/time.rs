@@ -37,39 +37,6 @@ pub fn day_of_week(t: i64) -> i64 {
     t.div_euclid(DAY).rem_euclid(7)
 }
 
-/// Formats a duration in seconds as a compact human string, e.g. `"36h"`,
-/// `"2d3h"`, `"45m"`. Used by the benchmark harness when printing rows.
-pub fn fmt_duration(secs: i64) -> String {
-    let neg = secs < 0;
-    let s = secs.abs();
-    let body = if s >= DAY {
-        let d = s / DAY;
-        let h = (s % DAY) / HOUR;
-        if h == 0 {
-            format!("{d}d")
-        } else {
-            format!("{d}d{h}h")
-        }
-    } else if s >= HOUR {
-        let h = s / HOUR;
-        let m = (s % HOUR) / MINUTE;
-        if m == 0 {
-            format!("{h}h")
-        } else {
-            format!("{h}h{m:02}m")
-        }
-    } else if s >= MINUTE {
-        format!("{}m", s / MINUTE)
-    } else {
-        format!("{s}s")
-    };
-    if neg {
-        format!("-{body}")
-    } else {
-        body
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,15 +61,5 @@ mod tests {
         assert_eq!(day_of_week(0), 0);
         assert_eq!(day_of_week(6 * DAY), 6);
         assert_eq!(day_of_week(7 * DAY), 0);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(30), "30s");
-        assert_eq!(fmt_duration(90), "1m");
-        assert_eq!(fmt_duration(HOUR), "1h");
-        assert_eq!(fmt_duration(HOUR + 30 * MINUTE), "1h30m");
-        assert_eq!(fmt_duration(2 * DAY + 3 * HOUR), "2d3h");
-        assert_eq!(fmt_duration(-HOUR), "-1h");
     }
 }

@@ -148,19 +148,6 @@ impl TrafficModel {
     fn nodes_for(&self, rps: f64) -> u32 {
         (rps / self.rps_per_node).ceil().max(1.0) as u32
     }
-
-    /// The largest required-node count over `[t0, t1]` sampled at `step`
-    /// seconds — the capacity a static provisioner would pin.
-    pub fn peak_nodes(&self, t0: i64, t1: i64, step: i64) -> u32 {
-        let step = step.max(1);
-        let mut peak = 1;
-        let mut t = t0;
-        while t <= t1 {
-            peak = peak.max(self.required_nodes(t));
-            t += step;
-        }
-        peak
-    }
 }
 
 /// One draw from Gamma(`shape`, 1) via Marsaglia–Tsang squeeze
@@ -259,18 +246,6 @@ mod tests {
                 "shape {shape} var {var}"
             );
             assert!(draws.iter().all(|&d| d > 0.0));
-        }
-    }
-
-    #[test]
-    fn peak_nodes_bounds_the_sampled_curve() {
-        let m = TrafficModel::diurnal(80.0, 8.0, 0.5, 18.0);
-        let peak = m.peak_nodes(0, 2 * DAY, 10 * 60);
-        assert_eq!(peak, 15, "ceil(80·1.5/8)");
-        let mut t = 0;
-        while t <= 2 * DAY {
-            assert!(m.required_nodes(t) <= peak);
-            t += 600;
         }
     }
 
