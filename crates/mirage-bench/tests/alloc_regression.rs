@@ -41,6 +41,13 @@
 //! the window runs both the cut to the best `sched_depth` keys and the
 //! uncut pass. Its steady-state decision steps must not allocate.
 //!
+//! Phase 8 is the reload: `reset()` keeps the job arena's slots, so a
+//! second `reset()` + `load_trace` of a trace loaded once before, and a
+//! reload of a shorter trace, copy every record into a spare slot (the
+//! name into the slot's old buffer) and allocate nothing; nor does a
+//! phase 5 restore into a working engine that holds more jobs than its
+//! source.
+//!
 //! This file intentionally contains a single test: the counter is global,
 //! and a concurrently running test would pollute it.
 
@@ -490,9 +497,9 @@ fn steady_state_decision_loop_is_allocation_free() {
             )
         })
         .collect();
-    let mut cfg = SimConfig::new(NODES);
-    cfg.sched_depth = DEPTH;
-    let mut sim = Simulator::new(cfg);
+    let mut deep = SimConfig::new(NODES);
+    deep.sched_depth = DEPTH;
+    let mut sim = Simulator::new(deep);
     let mut window_allocs = [0u64; 2];
     for allocs in &mut window_allocs {
         sim.reset();
@@ -543,5 +550,82 @@ fn steady_state_decision_loop_is_allocation_free() {
     assert_eq!(
         repeat, 0,
         "repeat of the six-user congested episode after reset() allocated {repeat} times (checksum {checksum})"
+    );
+
+    // Phase 8: reloads write into the job arena's slots. After one run
+    // of the phase 1 backlog, reloading it and then reloading a shorter
+    // trace with shorter names (run to completion in between, so every
+    // slot is dirty) must not allocate; each reload runs every job.
+    let shorter: Vec<JobRecord> = trace[..1500]
+        .iter()
+        .enumerate()
+        .map(|(i, j)| JobRecord {
+            name: format!("s{i}"),
+            runtime: j.runtime / 2,
+            ..j.clone()
+        })
+        .collect();
+    let mut sim = Simulator::new(SimConfig::new(NODES));
+    sim.load_trace(&trace);
+    sim.run_to_completion();
+    let mut reload_allocs = [0u64; 2];
+    for (allocs, jobs) in reload_allocs.iter_mut().zip([&trace, &shorter]) {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        sim.reset();
+        sim.load_trace(jobs);
+        *allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        sim.run_to_completion();
+        assert_eq!(sim.metrics().completed_jobs, jobs.len());
+    }
+    assert_eq!(
+        reload_allocs, [0; 2],
+        "reloading the same trace, then a shorter one, allocated"
+    );
+
+    // The phase 5 restore from a driver warmed on the shorter trace
+    // (1 500 jobs) into a working driver forked from one warmed on the
+    // phase 1 backlog (2 000 jobs, renamed so that no slot's name is
+    // shorter than the source's, the predecessor's included: a restore
+    // grows a name buffer only for a longer name). The first restore
+    // leaves 500 spare slots in the working arena, and each later round's
+    // working driver again holds one job more than its source (the
+    // successor). No restore may allocate.
+    let longer: Vec<JobRecord> = trace
+        .iter()
+        .enumerate()
+        .map(|(i, j)| JobRecord {
+            name: format!("background{i:04}"),
+            ..j.clone()
+        })
+        .collect();
+    let mut big = Simulator::new(SimConfig::new(NODES));
+    let mut warm_big = EpisodeDriver::new(&mut big, &longer, &cfg, 30 * HOUR);
+    warm_big.set_record_decisions(false);
+    let mut work: EpisodeDriver<Simulator> = warm_big.fork();
+    let mut small = Simulator::new(SimConfig::new(NODES));
+    let mut warm = EpisodeDriver::new(&mut small, &shorter, &cfg, 30 * HOUR);
+    warm.set_record_decisions(false);
+    let mut restore_allocs = [0u64; 3];
+    for allocs in &mut restore_allocs {
+        for step in 0..24 {
+            let ctx = work.advance().expect("the successor is not in yet");
+            checksum += ctx.snapshot.queued.len() as u64;
+            let action = if step == 12 {
+                Action::Submit
+            } else {
+                Action::Wait
+            };
+            if work.apply(action) {
+                break;
+            }
+        }
+        assert!(work.advance().is_none(), "the successor went in");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        work.restore_from(&warm);
+        *allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    assert_eq!(
+        restore_allocs, [0; 3],
+        "restoring a warm driver into one holding more jobs allocated (checksum {checksum})"
     );
 }

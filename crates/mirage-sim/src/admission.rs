@@ -4,11 +4,58 @@
 //! A job is admitted by clearing any recorded outcome, keeping the
 //! requested id when unique (otherwise assigning the next free one) and
 //! clamping the submit instant to the present; dispatches feed the
-//! recent-wait observable behind the paper's `avg` heuristic.
+//! recent-wait observable behind the paper's `avg` heuristic. The id map
+//! and the fair-share slot map hash their integer keys with [`IdHasher`].
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mirage_trace::JobRecord;
+
+/// A map keyed by job ids or user ids, hashed with [`IdHasher`] instead
+/// of SipHash: a load looks every job up and inserts it once, so the key
+/// hash is on the per-job path.
+///
+/// The hasher is fixed, so iteration order is a function of the
+/// insertions alone; nothing iterates these maps in an order that reaches
+/// any output anyway. The simulator's id map is only read by key, and the
+/// one iteration — the re-insert of a restore — fills another map that is
+/// read only by key too.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// An Fx-style hasher for integer keys: each word is folded in by a
+/// rotate, an xor and a multiply by an odd constant. `finish` rotates the
+/// well-mixed high bits down, so keys that differ only above bit 32 still
+/// spread over the low bits the table indexes by.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    /// The multiplier (odd, so multiplying is a bijection on `u64`).
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ i).wrapping_mul(Self::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
 
 /// Prepares `job` for admission at simulated time `now`: resets its
 /// outcome fields, resolves its id against `id_map`/`next_id`, tracks
@@ -17,7 +64,7 @@ use mirage_trace::JobRecord;
 pub(crate) fn prepare_admission(
     job: &mut JobRecord,
     now: i64,
-    id_map: &HashMap<u64, usize>,
+    id_map: &IdMap<u64, usize>,
     next_id: &mut u64,
     first_submit: &mut Option<i64>,
 ) -> (u64, i64) {
@@ -130,7 +177,7 @@ mod tests {
 
     #[test]
     fn unique_ids_survive_and_outcomes_clear() {
-        let id_map = HashMap::new();
+        let id_map = IdMap::default();
         let mut next_id = 1;
         let mut first = None;
         let mut j = job(7, 40);
@@ -144,7 +191,7 @@ mod tests {
 
     #[test]
     fn collisions_and_zero_ids_are_reassigned_past_taken_slots() {
-        let mut id_map = HashMap::new();
+        let mut id_map = IdMap::default();
         id_map.insert(7u64, 0usize);
         id_map.insert(8u64, 1usize);
         let mut next_id = 7;
@@ -157,5 +204,27 @@ mod tests {
         let mut zero = job(0, 20);
         let (id2, _) = prepare_admission(&mut zero, 10, &id_map, &mut next_id, &mut first);
         assert_eq!(id2, 10);
+    }
+
+    /// Keys that differ only in their low bits and keys that differ only
+    /// above bit 32 insert into and look up from the map like an ordered
+    /// map does, including overwrites and misses.
+    #[test]
+    fn id_map_agrees_with_an_ordered_map_on_low_and_high_bit_keys() {
+        use std::collections::BTreeMap;
+        let keys = (0..2000u64).chain((1..2000u64).map(|k| k << 32));
+        let mut map: IdMap<u64, usize> = IdMap::default();
+        let mut oracle = BTreeMap::new();
+        for (i, key) in keys.clone().enumerate() {
+            assert_eq!(map.insert(key, i), oracle.insert(key, i));
+        }
+        for (i, key) in keys.clone().step_by(3).enumerate() {
+            assert_eq!(map.insert(key, i), oracle.insert(key, i), "overwrite {key}");
+        }
+        assert_eq!(map.len(), oracle.len());
+        for key in keys {
+            assert_eq!(map.get(&key), oracle.get(&key), "key {key}");
+            assert_eq!(map.get(&(key | 1 << 63)), None);
+        }
     }
 }

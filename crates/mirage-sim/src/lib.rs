@@ -26,8 +26,12 @@
 //! [`backfill`]) and the fault/retry/pool ledgers are [`Simulator`]'s, and
 //! [`ReferenceSimulator`] only decides *when* a pass runs. Every backend
 //! is `Clone`: a fork is `clone()`, a restore is `clone_from()`, which
-//! reuses the target's job arena, event heap and queue, so one warm state
-//! can seed many runs. They are selected *by value* through the builder:
+//! copies the source's jobs over the target's job-arena slots in place
+//! (names into the slots' buffers; slots beyond the source's jobs stay
+//! spare) and reuses its event heap and queue, so one warm state can seed
+//! many runs. `reset()` keeps the arena's slots too, and `load_trace`
+//! refills them, so a replay of the next trace window allocates nothing
+//! the last one did not. They are selected *by value* through the builder:
 //!
 //! ```
 //! use mirage_sim::{BackendKind, ClusterBackend, SimConfig};

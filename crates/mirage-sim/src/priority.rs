@@ -13,10 +13,9 @@
 //! * **fair-share** — users with little recent usage are favored; recent
 //!   usage decays exponentially with a configurable half-life.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
+use crate::admission::IdMap;
 use crate::fault::SimConfigError;
 
 /// Weights of the multifactor priority, mirroring Slurm's
@@ -106,7 +105,7 @@ const NEGLIGIBLE_USAGE: f64 = 1e-6;
 ///   `0.0`, which reads and accumulates like an absent entry.
 #[derive(Debug)]
 pub struct FairshareTracker {
-    slots: HashMap<u32, u32>,
+    slots: IdMap<u32, u32>,
     usage: Vec<f64>,
     factor: Vec<f64>,
     /// Queued jobs per slot.
@@ -150,7 +149,7 @@ impl FairshareTracker {
     /// half-life).
     pub fn new(capacity_node_seconds: f64) -> Self {
         Self {
-            slots: HashMap::new(),
+            slots: IdMap::default(),
             usage: Vec::new(),
             factor: Vec::new(),
             queued: Vec::new(),
@@ -347,6 +346,7 @@ pub(crate) fn priority_from_terms(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const W: PriorityWeights = PriorityWeights {
         age: 1000.0,

@@ -14,13 +14,23 @@
 //! survive the planner's first backfill cut are copied out and ordered
 //! ([`crate::backfill`]). The event queue keeps a trace's future arrivals
 //! in a sorted stream beside its heap ([`crate::event`]).
+//!
+//! Loading a trace is a fill of memory the simulator already holds. The
+//! job arena keeps its slots across [`Simulator::reset`], which only
+//! marks them spare, and [`Simulator::load_trace`] writes each record
+//! into the next spare slot in place (its name into the slot's old name
+//! buffer); the id map and the fair-share user map hash with a fixed
+//! multiplicative hasher. A reload of a trace no larger than the last
+//! one allocates nothing, and a restore (`clone_from`) writes the
+//! source's jobs over the target's slots the same way.
 
-use std::collections::HashMap;
+use std::fmt;
+use std::ops::{Deref, Index, IndexMut};
 
 use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
-use crate::admission::{prepare_admission, RecentStarts};
+use crate::admission::{prepare_admission, IdMap, RecentStarts};
 use crate::backfill::{
     plan_queue, rank, BackfillPolicy, PassQueue, PassRow, PassScratch, PendingView, PlanScratch,
 };
@@ -155,6 +165,48 @@ struct SimJob {
     slowed: bool,
 }
 
+impl SimJob {
+    /// A job of `record` just loaded: future, never started, no ledger.
+    /// The user slot is the caller's to set.
+    fn future(record: JobRecord) -> Self {
+        Self {
+            record,
+            status: JobStatus::Future,
+            user_slot: 0,
+            run_slot: usize::MAX,
+            attempt: 0,
+            evicted_at: 0,
+            faults: JobFaults::default(),
+            pool_alloc: Vec::new(),
+            slowed: false,
+        }
+    }
+
+    /// Turns a spare slot into [`SimJob::future`] of the record it holds,
+    /// in place (the pool vector keeps its capacity).
+    fn reset_state(&mut self) {
+        let Self {
+            record: _,
+            status,
+            user_slot,
+            run_slot,
+            attempt,
+            evicted_at,
+            faults,
+            pool_alloc,
+            slowed,
+        } = self;
+        *status = JobStatus::Future;
+        *user_slot = 0;
+        *run_slot = usize::MAX;
+        *attempt = 0;
+        *evicted_at = 0;
+        *faults = JobFaults::default();
+        pool_alloc.clear();
+        *slowed = false;
+    }
+}
+
 impl Clone for SimJob {
     fn clone(&self) -> Self {
         Self {
@@ -189,6 +241,109 @@ impl Clone for SimJob {
     }
 }
 
+/// The job arena: `slots[..live]` are the loaded jobs, indexed by arena
+/// index; the slots past `live` are spare, left by an earlier, larger load
+/// or restore. Reads see only the live jobs (the arena derefs to
+/// `&[SimJob]` over them), [`JobArena::clear`] frees nothing, and the next
+/// load writes over the spare slots in place before it grows the vector.
+#[derive(Default)]
+struct JobArena {
+    slots: Vec<SimJob>,
+    live: usize,
+}
+
+impl JobArena {
+    /// Marks every slot spare.
+    fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Loads a copy of `record` into the next slot, reusing a spare
+    /// slot's name buffer, and returns its index.
+    fn load(&mut self, record: &JobRecord) -> usize {
+        let idx = self.live;
+        match self.slots.get_mut(idx) {
+            Some(slot) => {
+                slot.record.clone_from(record);
+                slot.reset_state();
+            }
+            None => self.slots.push(SimJob::future(record.clone())),
+        }
+        self.live += 1;
+        idx
+    }
+
+    /// Moves `record` into the next slot and returns its index.
+    fn push(&mut self, record: JobRecord) -> usize {
+        let idx = self.live;
+        match self.slots.get_mut(idx) {
+            Some(slot) => {
+                slot.record = record;
+                slot.reset_state();
+            }
+            None => self.slots.push(SimJob::future(record)),
+        }
+        self.live += 1;
+        idx
+    }
+}
+
+impl Index<usize> for JobArena {
+    type Output = SimJob;
+
+    /// The job in slot `idx`, indexed without first slicing to the live
+    /// jobs: the event loop reaches jobs only through indices of live
+    /// ones (the queue, the running list, events, the completion list).
+    fn index(&self, idx: usize) -> &SimJob {
+        debug_assert!(idx < self.live, "slot {idx} is spare");
+        &self.slots[idx]
+    }
+}
+
+impl IndexMut<usize> for JobArena {
+    fn index_mut(&mut self, idx: usize) -> &mut SimJob {
+        debug_assert!(idx < self.live, "slot {idx} is spare");
+        &mut self.slots[idx]
+    }
+}
+
+impl Deref for JobArena {
+    type Target = [SimJob];
+
+    fn deref(&self) -> &[SimJob] {
+        &self.slots[..self.live]
+    }
+}
+
+impl fmt::Debug for JobArena {
+    /// The live jobs only.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Clone for JobArena {
+    /// The live jobs, without spare slots.
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.to_vec(),
+            live: self.live,
+        }
+    }
+
+    /// Copies `source`'s live jobs over this arena's slots in place and
+    /// grows it only past its own slots; slots this arena holds beyond
+    /// `source`'s live jobs stay as spare slots.
+    fn clone_from(&mut self, source: &Self) {
+        let (over, beyond) = source.split_at(source.live.min(self.slots.len()));
+        for (slot, job) in self.slots.iter_mut().zip(over) {
+            slot.clone_from(job);
+        }
+        self.slots.extend_from_slice(beyond);
+        self.live = source.live;
+    }
+}
+
 /// One pending job as the scheduling pass, [`Simulator::sample_into`] and
 /// [`Simulator::user_usage`] read it: everything they need, copied out of
 /// the job arena at arrival, so they stream one dense table instead of
@@ -217,7 +372,8 @@ const STARTED: usize = usize::MAX;
 ///
 /// A fork is `clone()`, a restore is `clone_from()`: the restored
 /// simulator runs on exactly as the source would, and a restore into a
-/// used simulator reuses its buffers (see the `Clone` impl).
+/// used simulator writes over its job-arena slots and reuses its buffers
+/// (see the `Clone` impl), as a reload after [`Simulator::reset`] does.
 #[derive(Debug)]
 pub struct Simulator {
     cfg: SimConfig,
@@ -233,8 +389,8 @@ pub struct Simulator {
     contended_running: u32,
     fault_stats: FaultStats,
     evictions_log: EvictionLog,
-    jobs: Vec<SimJob>,
-    id_map: HashMap<u64, usize>,
+    jobs: JobArena,
+    id_map: IdMap<u64, usize>,
     /// The queue, in arrival order. Grows by doubling to the deepest
     /// backlog seen and keeps that capacity across [`Simulator::reset`].
     pending: Vec<PendingRow>,
@@ -296,8 +452,8 @@ impl Simulator {
             contended_running: 0,
             fault_stats: FaultStats::default(),
             evictions_log: EvictionLog::default(),
-            jobs: Vec::new(),
-            id_map: HashMap::new(),
+            jobs: JobArena::default(),
+            id_map: IdMap::default(),
             pending: Vec::new(),
             running: Vec::new(),
             events: EventQueue::new(),
@@ -396,11 +552,19 @@ impl Simulator {
     /// Loads a trace of future arrivals. Jobs with `submit <= now` arrive
     /// immediately on the next event processing. Ids are preserved if
     /// unique, otherwise reassigned.
+    ///
+    /// A fill, not a build: each record is copied into the job arena's
+    /// next slot in place — a slot left spare by [`Simulator::reset`]
+    /// keeps its name buffer, so the copy allocates only for a name longer
+    /// than the one it overwrites — and the arrival stream, the event heap
+    /// and the completion list are reserved once for the whole batch.
     pub fn load_trace(&mut self, jobs: &[JobRecord]) {
         self.events.reserve_arrivals(jobs.len());
         for j in jobs {
-            self.insert_future(j.clone());
+            let idx = self.jobs.load(j);
+            self.admit(idx);
         }
+        self.reserve_for_jobs();
     }
 
     /// Submits a job *now* (the agent-facing call): the job's submit time
@@ -408,50 +572,47 @@ impl Simulator {
     /// simulator tracks it.
     pub fn submit(&mut self, mut job: JobRecord) -> u64 {
         job.submit = self.now;
-        self.insert_future(job)
+        let idx = self.jobs.push(job);
+        self.reserve_for_jobs();
+        self.admit(idx)
     }
 
-    fn insert_future(&mut self, mut job: JobRecord) -> u64 {
+    /// Admits the just-loaded job in arena slot `idx`: resolves its id,
+    /// interns its user and schedules its arrival. Returns the id.
+    fn admit(&mut self, idx: usize) -> u64 {
+        let job = &mut self.jobs[idx];
         let (id, submit) = prepare_admission(
-            &mut job,
+            &mut job.record,
             self.now,
             &self.id_map,
             &mut self.next_id,
             &mut self.first_submit,
         );
-        let idx = self.jobs.len();
-        self.jobs.push(SimJob {
-            user_slot: self.fairshare.slot(job.user),
-            record: job,
-            status: JobStatus::Future,
-            run_slot: usize::MAX,
-            attempt: 0,
-            evicted_at: 0,
-            faults: JobFaults::default(),
-            pool_alloc: Vec::new(),
-            slowed: false,
-        });
+        job.user_slot = self.fairshare.slot(job.record.user);
         self.id_map.insert(id, idx);
-        // Steady-state allocation hygiene: every job contributes at most
-        // one live event and one completion slot, so paying that capacity
-        // here (amortized, at admission time) keeps starts/completions in
-        // the hot loop off the allocator. A job whose arrival waits in the
-        // event queue's stream (reserved by `load_trace`) needs no heap
-        // slot until it starts, so the heap is reserved net of the stream
-        // and grows with the running set on the first replay only (reset
-        // keeps the capacity). The pending table is not sized
-        // this way — one 56-byte row per *loaded* job is a quarter more
-        // peak memory on a bulk replay, for a queue that never holds more
-        // than a fraction of the trace — it grows with the backlog.
+        self.events
+            .push(Event::new(submit, EventKind::Arrival, idx));
+        id
+    }
+
+    /// Steady-state allocation hygiene: every job contributes at most one
+    /// live event and one completion slot, so paying that capacity at
+    /// admission time (once per loaded trace, once per submitted job)
+    /// keeps starts and completions in the hot loop off the allocator. A
+    /// job whose arrival waits in the event queue's stream (reserved by
+    /// `load_trace`) needs no heap slot until it starts, so the heap is
+    /// reserved net of the stream and grows with the running set on the
+    /// first replay only (reset keeps the capacity). The pending table is
+    /// not sized this way — one 56-byte row per *loaded* job is a quarter
+    /// more peak memory on a bulk replay, for a queue that never holds
+    /// more than a fraction of the trace — it grows with the backlog.
+    fn reserve_for_jobs(&mut self) {
         let cap = self.jobs.len() + 1;
         self.events.reserve_total(cap);
         if self.completed_order.capacity() < cap {
             self.completed_order
                 .reserve(cap - self.completed_order.len());
         }
-        self.events
-            .push(Event::new(submit, EventKind::Arrival, idx));
-        id
     }
 
     /// Observable cluster state at the current instant.
@@ -525,12 +686,17 @@ impl Simulator {
     }
 
     /// Returns to an idle cluster at time 0 with the same configuration,
-    /// dropping all loaded jobs and history — in place: collections are
-    /// cleared, not dropped, so the next episode reuses the job arena, the
-    /// event heap and every scratch buffer. [`Simulator::new`] is "empty,
-    /// then `reset()`", so a reset simulator and a fresh one differ in
-    /// nothing but spare capacity. Fair-share slots do not survive: every
-    /// job that carried one is gone, and users are interned afresh.
+    /// forgetting all loaded jobs and history — in place, and without
+    /// freeing anything: the job arena keeps every slot (the jobs only
+    /// become spare slots, which the next [`Simulator::load_trace`] writes
+    /// over), and the id map, the event heap, the queue and every scratch
+    /// buffer are cleared, keeping their capacity. Apart from pushing a
+    /// fault model's crash tape and wiping the id map's control bytes, it
+    /// does no per-job work. [`Simulator::new`] is "empty, then `reset()`", so a
+    /// reset simulator and a fresh one differ in nothing a read can see:
+    /// only in spare slots and spare capacity. Fair-share slots do not
+    /// survive: every job that carried one is gone, and users are
+    /// interned afresh.
     pub fn reset(&mut self) {
         // Exhaustive on purpose: a new field must decide what reset means.
         let Self {
@@ -1133,17 +1299,22 @@ impl Simulator {
 }
 
 impl Clone for Simulator {
+    /// A fork: a new simulator restored from this one, holding only its
+    /// live jobs (no spare slots).
     fn clone(&self) -> Self {
         let mut sim = Simulator::new(self.cfg.clone());
         sim.clone_from(self);
         sim
     }
 
-    /// Restores `source`'s state in place: the job arena, event heap,
+    /// Restores `source`'s state in place: `source`'s live jobs are copied
+    /// over the target's arena slots (names into the slots' buffers), the
+    /// target's spare slots beyond them stay spare, and the event heap,
     /// queue, running list, id map, release ledger and every log keep
-    /// their capacity, so restoring a warm simulator into one that ran
-    /// the same window allocates nothing. The pass scratch is not state
-    /// (every pass clears it) and is left alone.
+    /// their capacity — so restoring a warm simulator into one that ran
+    /// the same window, or a larger one with names no shorter, allocates
+    /// nothing. The pass scratch is not state (every pass clears it) and
+    /// is left alone.
     fn clone_from(&mut self, source: &Self) {
         // Exhaustive on purpose, like `reset`: a new field must decide
         // what a restore means.
