@@ -6,30 +6,11 @@
 //! roughly 2× the overlap of MoE+DQN — the trade-off that makes MoE+DQN
 //! Mirage's default model (§6.3).
 
-use mirage_bench::{
-    interruption_experiment, prepare_cluster, print_panel, ExperimentScale, FigureMetric,
-};
-use mirage_core::LoadLevel;
-use mirage_trace::ClusterProfile;
+use mirage_bench::{cluster_reports, prepare_clusters, print_fig10, EIGHT_NODES, ONE_NODE};
 
 fn main() {
-    let scale = ExperimentScale::default();
-    for (pair_nodes, panel) in [
-        (1u32, "Figure 10(a): one node"),
-        (8u32, "Figure 10(b): eight nodes"),
-    ] {
-        let mut reports = Vec::new();
-        for profile in ClusterProfile::all() {
-            eprintln!(
-                "[fig10] {} with {}-node pairs ...",
-                profile.name, pair_nodes
-            );
-            let pc = prepare_cluster(&profile, None, 42);
-            let exp = interruption_experiment(&pc, pair_nodes, 44 + u64::from(pair_nodes), scale);
-            reports.push((profile.name.clone(), exp.report));
-        }
-        let refs: Vec<(String, &mirage_core::EvalReport)> =
-            reports.iter().map(|(n, r)| (n.clone(), r)).collect();
-        print_panel(panel, FigureMetric::Overlap, LoadLevel::Light, &refs);
-    }
+    let prepared = prepare_clusters();
+    let one_node = cluster_reports(&prepared, ONE_NODE);
+    let eight_nodes = cluster_reports(&prepared, EIGHT_NODES);
+    print_fig10(&one_node, &eight_nodes);
 }

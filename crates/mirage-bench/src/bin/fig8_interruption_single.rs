@@ -6,36 +6,9 @@
 //! 33.7 % / 84.7 % on V100/RTX/A100 across methods); transformer+PG has
 //! the lowest interruption; MoE+PG is the weakest learned method.
 
-use mirage_bench::{
-    interruption_experiment, prepare_cluster, print_panel, print_reductions, ExperimentScale,
-    FigureMetric,
-};
-use mirage_core::LoadLevel;
-use mirage_trace::ClusterProfile;
+use mirage_bench::{cluster_reports, prepare_clusters, print_fig8, ONE_NODE};
 
 fn main() {
-    let scale = ExperimentScale::default();
-    let mut reports = Vec::new();
-    for profile in ClusterProfile::all() {
-        eprintln!("[fig8] preparing + training on {} ...", profile.name);
-        let pc = prepare_cluster(&profile, None, 42);
-        let exp = interruption_experiment(&pc, 1, 42, scale);
-        reports.push((profile.name.clone(), exp.report));
-    }
-    let refs: Vec<(String, &mirage_core::EvalReport)> =
-        reports.iter().map(|(n, r)| (n.clone(), r)).collect();
-    print_panel(
-        "Figure 8(a): avg interruption, 48h 1-node pairs",
-        FigureMetric::Interruption,
-        LoadLevel::Heavy,
-        &refs,
-    );
-    print_reductions(LoadLevel::Heavy, &refs);
-    print_panel(
-        "Figure 8(b): avg interruption, 48h 1-node pairs",
-        FigureMetric::Interruption,
-        LoadLevel::Medium,
-        &refs,
-    );
-    print_reductions(LoadLevel::Medium, &refs);
+    let reports = cluster_reports(&prepare_clusters(), ONE_NODE);
+    print_fig8(&reports);
 }

@@ -6,36 +6,9 @@
 //! behind the ensembles); transformer+PG best on average (43.9 % / 34.9 %
 //! / 90.1 %); medium load: ensembles nearly eliminate interruption.
 
-use mirage_bench::{
-    interruption_experiment, prepare_cluster, print_panel, print_reductions, ExperimentScale,
-    FigureMetric,
-};
-use mirage_core::LoadLevel;
-use mirage_trace::ClusterProfile;
+use mirage_bench::{cluster_reports, prepare_clusters, print_fig9, EIGHT_NODES};
 
 fn main() {
-    let scale = ExperimentScale::default();
-    let mut reports = Vec::new();
-    for profile in ClusterProfile::all() {
-        eprintln!("[fig9] preparing + training on {} ...", profile.name);
-        let pc = prepare_cluster(&profile, None, 42);
-        let exp = interruption_experiment(&pc, 8, 43, scale);
-        reports.push((profile.name.clone(), exp.report));
-    }
-    let refs: Vec<(String, &mirage_core::EvalReport)> =
-        reports.iter().map(|(n, r)| (n.clone(), r)).collect();
-    print_panel(
-        "Figure 9(a): avg interruption, 48h 8-node pairs",
-        FigureMetric::Interruption,
-        LoadLevel::Heavy,
-        &refs,
-    );
-    print_reductions(LoadLevel::Heavy, &refs);
-    print_panel(
-        "Figure 9(b): avg interruption, 48h 8-node pairs",
-        FigureMetric::Interruption,
-        LoadLevel::Medium,
-        &refs,
-    );
-    print_reductions(LoadLevel::Medium, &refs);
+    let reports = cluster_reports(&prepare_clusters(), EIGHT_NODES);
+    print_fig9(&reports);
 }

@@ -6,40 +6,9 @@
 //! reduces average interruption by 25–53 % / 21–44 % / 77–100 % when
 //! machines are heavily loaded.
 
-use mirage_bench::{interruption_experiment, prepare_cluster, ExperimentScale};
-use mirage_core::LoadLevel;
-use mirage_trace::ClusterProfile;
+use mirage_bench::{cluster_reports, prepare_clusters, print_headline, ONE_NODE};
 
 fn main() {
-    let scale = ExperimentScale::default();
-    println!("Headline summary (48h 1-node pairs, Mirage default = MoE+DQN, aggressive = transformer+PG)\n");
-    for profile in ClusterProfile::all() {
-        eprintln!("[headline] {} ...", profile.name);
-        let pc = prepare_cluster(&profile, None, 42);
-        let exp = interruption_experiment(&pc, 1, 42, scale);
-        let report = &exp.report;
-        println!("{}:", profile.name);
-        for load in [LoadLevel::Heavy, LoadLevel::Medium] {
-            let n = report.episodes_at(load);
-            if n == 0 {
-                println!("  {:6}: no episodes sampled at this level", load.label());
-                continue;
-            }
-            for method in ["MoE+DQN", "transformer+PG"] {
-                let s = report.summarize(method, load);
-                let red = report
-                    .reduction_vs_reactive(method, load)
-                    .map(|r| format!("{r:.0}%"))
-                    .unwrap_or_else(|| "n/a".into());
-                println!(
-                    "  {:6} {:16} zero-interruption {:4.0}% of {:2} episodes, reduction vs reactive {red}",
-                    load.label(),
-                    method,
-                    s.zero_interruption_frac * 100.0,
-                    n
-                );
-            }
-        }
-        println!();
-    }
+    let reports = cluster_reports(&prepare_clusters(), ONE_NODE);
+    print_headline(&reports);
 }

@@ -57,15 +57,6 @@ pub fn prepare_cluster(
     }
 }
 
-/// One full §6 experiment: train all eight methods on the training range,
-/// evaluate them on identical validation episodes.
-pub struct InterruptionExperiment {
-    /// Evaluation report over the validation episodes.
-    pub report: EvalReport,
-    /// The episode configuration used.
-    pub episode: EpisodeConfig,
-}
-
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentScale {
@@ -111,13 +102,58 @@ pub fn busiest_user(jobs: &[JobRecord]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Runs the Fig 8/9 pipeline for one cluster and pair size.
-pub fn interruption_experiment(
+/// A §6 pair size and its one training seed: every binary trains a pair
+/// size with the same seed, so a figure panel reads the same in its own
+/// binary and in `run_all`.
+#[derive(Debug, Clone, Copy)]
+pub struct PairSize {
+    /// Nodes per sub-job.
+    pub nodes: u32,
+    /// Training and evaluation seed.
+    pub seed: u64,
+}
+
+/// 48 h single-node pairs: Figures 8 and 10(a) and the headline.
+pub const ONE_NODE: PairSize = PairSize { nodes: 1, seed: 42 };
+
+/// 48 h eight-node pairs: Figures 9 and 10(b).
+pub const EIGHT_NODES: PairSize = PairSize { nodes: 8, seed: 43 };
+
+/// Every cluster's prepared trace, in [`ClusterProfile::all`] order.
+pub fn prepare_clusters() -> Vec<PreparedCluster> {
+    ClusterProfile::all()
+        .iter()
+        .map(|p| prepare_cluster(p, None, 42))
+        .collect()
+}
+
+/// Trains and evaluates the eight methods on every prepared cluster at
+/// one pair size, at [`ExperimentScale::default`]; the reports are named
+/// by cluster.
+pub fn cluster_reports(prepared: &[PreparedCluster], pair: PairSize) -> Vec<(String, EvalReport)> {
+    let scale = ExperimentScale::default();
+    prepared
+        .iter()
+        .map(|pc| {
+            eprintln!(
+                "[mirage-bench] training 8 methods on {} ({}-node pairs)",
+                pc.profile.name, pair.nodes
+            );
+            let report = interruption_experiment(pc, pair.nodes, pair.seed, scale);
+            (pc.profile.name.clone(), report)
+        })
+        .collect()
+}
+
+/// One full §6 experiment on one cluster and pair size: trains all eight
+/// methods on the training range and evaluates them on identical
+/// validation episodes.
+fn interruption_experiment(
     pc: &PreparedCluster,
     pair_nodes: u32,
     seed: u64,
     scale: ExperimentScale,
-) -> InterruptionExperiment {
+) -> EvalReport {
     let mut tcfg = TrainConfig::default();
     tcfg.episode.pair_nodes = pair_nodes;
     tcfg.episode.pair_user = busiest_user(&pc.jobs);
@@ -164,11 +200,7 @@ pub fn interruption_experiment(
         n_episodes: scale.eval_episodes,
         seed: seed ^ 0xEE,
     };
-    let report = evaluate(&mut methods, &mut backend, &pc.jobs, pc.val_range, &ecfg);
-    InterruptionExperiment {
-        report,
-        episode: tcfg.episode,
-    }
+    evaluate(&mut methods, &mut backend, &pc.jobs, pc.val_range, &ecfg)
 }
 
 /// Which outcome column a figure shows.
@@ -186,7 +218,7 @@ pub fn print_panel(
     title: &str,
     metric: FigureMetric,
     load: LoadLevel,
-    cluster_reports: &[(String, &EvalReport)],
+    cluster_reports: &[(String, EvalReport)],
 ) {
     println!("\n=== {title} [{} load] ===", load.label());
     print!("{:18}", "method");
@@ -221,7 +253,7 @@ pub fn print_panel(
 
 /// Prints interruption reductions vs the reactive baseline (the §6
 /// headline statistic).
-pub fn print_reductions(load: LoadLevel, cluster_reports: &[(String, &EvalReport)]) {
+pub fn print_reductions(load: LoadLevel, cluster_reports: &[(String, EvalReport)]) {
     println!(
         "\n--- interruption reduction vs reactive [{} load] ---",
         load.label()
@@ -239,6 +271,70 @@ pub fn print_reductions(load: LoadLevel, cluster_reports: &[(String, &EvalReport
             }
         }
         println!();
+    }
+}
+
+/// Figure 8 or 9: average interruption under heavy and medium load, each
+/// panel followed by its reductions vs reactive.
+fn print_interruption_figure(figure: u32, pair: PairSize, reports: &[(String, EvalReport)]) {
+    for (panel, load) in [("a", LoadLevel::Heavy), ("b", LoadLevel::Medium)] {
+        let title = format!(
+            "Figure {figure}({panel}): avg interruption, 48h {}-node pairs",
+            pair.nodes
+        );
+        print_panel(&title, FigureMetric::Interruption, load, reports);
+        print_reductions(load, reports);
+    }
+}
+
+/// Figure 8 from the [`ONE_NODE`] reports.
+pub fn print_fig8(one_node: &[(String, EvalReport)]) {
+    print_interruption_figure(8, ONE_NODE, one_node);
+}
+
+/// Figure 9 from the [`EIGHT_NODES`] reports.
+pub fn print_fig9(eight_nodes: &[(String, EvalReport)]) {
+    print_interruption_figure(9, EIGHT_NODES, eight_nodes);
+}
+
+/// Figure 10: average overlap under light load, one panel per pair size.
+pub fn print_fig10(one_node: &[(String, EvalReport)], eight_nodes: &[(String, EvalReport)]) {
+    for (panel, pair, reports) in [("a", ONE_NODE, one_node), ("b", EIGHT_NODES, eight_nodes)] {
+        let title = format!("Figure 10({panel}): avg overlap, {}-node pairs", pair.nodes);
+        print_panel(&title, FigureMetric::Overlap, LoadLevel::Light, reports);
+    }
+}
+
+/// The §6 headline from the [`ONE_NODE`] reports: per cluster, at heavy
+/// and medium load, Mirage's default (MoE+DQN) and aggressive
+/// (transformer+PG) methods' zero-interruption fraction, reduction vs
+/// reactive and mean overlap. The overlap is what a zero-interruption
+/// claim cost: submitting at once reaches 100 % on both other columns.
+pub fn print_headline(one_node: &[(String, EvalReport)]) {
+    println!("Headline summary (48h 1-node pairs, Mirage default = MoE+DQN, aggressive = transformer+PG)");
+    for (name, report) in one_node {
+        println!("\n{name}:");
+        for load in [LoadLevel::Heavy, LoadLevel::Medium] {
+            let n = report.episodes_at(load);
+            if n == 0 {
+                println!("  {:6}: no episodes sampled at this level", load.label());
+                continue;
+            }
+            for method in ["MoE+DQN", "transformer+PG"] {
+                let s = report.summarize(method, load);
+                let red = report
+                    .reduction_vs_reactive(method, load)
+                    .map(|r| format!("{r:.0}%"))
+                    .unwrap_or_else(|| "n/a".into());
+                println!(
+                    "  {:6} {:16} zero={:3.0}% (n={n:2}) reduction={red} overlap={:.2}h",
+                    load.label(),
+                    method,
+                    s.zero_interruption_frac * 100.0,
+                    s.avg_overlap_h
+                );
+            }
+        }
     }
 }
 

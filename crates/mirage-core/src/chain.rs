@@ -94,24 +94,6 @@ pub fn provision_chain<B: ClusterBackend>(
     }
 }
 
-/// Convenience: total time-to-solution of the chain (first submit to last
-/// predecessor end) versus the ideal (uninterrupted) duration.
-pub fn chain_stretch(result: &ChainResult, cfg: &EpisodeConfig) -> f64 {
-    let Some(first) = result.handoffs.first() else {
-        return 1.0;
-    };
-    let Some(last) = result.handoffs.last() else {
-        return 1.0;
-    };
-    let actual = (last.pred_end - first.pred_submit) as f64;
-    let ideal = (result.handoffs.len() as i64 * cfg.pair_runtime) as f64;
-    if ideal > 0.0 {
-        actual / ideal
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +126,6 @@ mod tests {
         assert_eq!(result.zero_interruption_handoffs, 3);
         let s = result.summary();
         assert_eq!(s.zero_fraction, 1.0);
-        assert!((chain_stretch(&result, &cfg()) - 1.0).abs() < 0.05);
     }
 
     #[test]
@@ -179,7 +160,6 @@ mod tests {
             result.total_interruption > 0,
             "saturated cluster must interrupt a reactive chain"
         );
-        assert!(chain_stretch(&result, &cfg()) > 1.0);
     }
 
     #[test]

@@ -241,8 +241,8 @@ pub(crate) fn warm_once<'t, B: ClusterBackend + Clone, M>(
 
 /// One single-service method's episode on `work`, a restore of the
 /// start's warm engine: resets the policy, runs it, and stamps the
-/// episode's guard-fallback delta into the outcome (non-zero only when a
-/// guarded policy's network emitted garbage this episode).
+/// episode's guard-fallback delta into the outcome (non-zero only when an
+/// RL policy's network emitted garbage this episode).
 fn play_method<B: ClusterBackend>(
     method: &mut dyn ProvisionPolicy,
     work: &mut MultiServiceEnv<B>,
@@ -271,8 +271,8 @@ pub struct LaneMethodSummary {
     /// Fraction of episodes with zero interruption of either kind.
     pub zero_interruption_frac: f64,
     /// Total guard fallbacks across the lane's episodes: decisions
-    /// where a guarded policy's network emitted a non-finite or
-    /// degenerate output and degraded to the heuristic. Non-zero means
+    /// where an RL policy's network emitted a non-finite or degenerate
+    /// output and its agent degraded to the heuristic. Non-zero means
     /// the method survived this lane on its fallback, not its network.
     #[serde(default)]
     pub guard_fallbacks: u64,

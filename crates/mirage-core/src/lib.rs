@@ -102,7 +102,7 @@ pub mod state;
 pub mod train;
 
 pub use batch::{BatchedEpisodeDriver, LanePolicy};
-pub use chain::{chain_stretch, provision_chain, ChainResult, ChainSummary};
+pub use chain::{provision_chain, ChainResult, ChainSummary};
 pub use chaos::{evaluate_chaos, ChaosConfig, ChaosLane, ChaosReport, ChaosSeverity};
 pub use checkpoint::{
     CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError, KIND_DQN_TRAIN,
@@ -126,8 +126,8 @@ pub use multiservice::{
 // path-qualified: the crate root already exports the multi-service node
 // allocator of the same name.
 pub use policy::{
-    AvgWaitPolicy, DqnPolicy, FcfsPolicy, GuardedDqnPolicy, GuardedPgPolicy, PgPolicy,
-    PoolGreedyPolicy, ProvisionPolicy, ReactivePolicy, SjfPolicy, WaitModel, WaitPredictorPolicy,
+    AvgWaitPolicy, DqnPolicy, FcfsPolicy, PgPolicy, PoolGreedyPolicy, ProvisionPolicy,
+    ReactivePolicy, SjfPolicy, WaitModel, WaitPredictorPolicy,
 };
 pub use reward::{EpisodeOutcome, RewardShaper};
 pub use state::{PredecessorState, StateEncoder, StateHistory, SuccessorSpec, STATE_VARS};

@@ -6,13 +6,12 @@
 //!   or XGBoost-style wait predictor.
 //! * RL: [`DqnPolicy`] and [`PgPolicy`] over a transformer or MoE
 //!   foundation — the four {transformer, MoE} × {DQN, PG} combinations.
-//! * Guarded RL: [`GuardedDqnPolicy`] / [`GuardedPgPolicy`] wrap the
-//!   same agents behind `mirage-rl`'s output guard — a non-finite or
-//!   degenerate network output degrades to the reactive heuristic and
-//!   is counted, so silent NN corruption shows up in episode outcomes.
+//!   Their agents check every network output: a non-finite or
+//!   degenerate one degrades to the reactive move and is counted, so
+//!   silent NN corruption shows up in episode outcomes.
 
 use mirage_ensemble::{GradientBoosting, RandomForest};
-use mirage_rl::{DqnAgent, GuardedPolicy, PgAgent};
+use mirage_rl::{DqnAgent, PgAgent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,10 +26,11 @@ pub trait ProvisionPolicy: Send {
     fn reset(&mut self) {}
     /// The §4.3 decision: submit the successor now or wait.
     fn decide(&mut self, ctx: &DecisionContext) -> Action;
-    /// Cumulative count of decisions where a guard rejected the policy's
-    /// network output and degraded to the heuristic. `0` for unguarded
-    /// policies; the evaluation harnesses diff this around each episode
-    /// to stamp [`EpisodeOutcome::guard_fallbacks`](crate::reward::EpisodeOutcome::guard_fallbacks).
+    /// Cumulative count of decisions where the policy's agent rejected
+    /// its network's output and degraded to the heuristic. `0` for
+    /// policies without a network; the evaluation harnesses diff this
+    /// around each episode to stamp
+    /// [`EpisodeOutcome::guard_fallbacks`](crate::reward::EpisodeOutcome::guard_fallbacks).
     fn guard_fallbacks(&self) -> u64 {
         0
     }
@@ -162,6 +162,10 @@ impl ProvisionPolicy for DqnPolicy {
     fn decide(&mut self, ctx: &DecisionContext) -> Action {
         Action::from_index(self.agent.act_greedy(ctx.state_matrix))
     }
+
+    fn guard_fallbacks(&self) -> u64 {
+        self.agent.fallbacks()
+    }
 }
 
 /// Policy-gradient policy (non-deterministic, §4.4): the action is sampled
@@ -194,78 +198,9 @@ impl ProvisionPolicy for PgPolicy {
     fn decide(&mut self, ctx: &DecisionContext) -> Action {
         Action::from_index(self.agent.act(ctx.state_matrix, &mut self.rng))
     }
-}
-
-/// [`DqnPolicy`] behind the output guard: every Q pair is validated
-/// before the argmax, and a non-finite pair degrades to `Wait` (the
-/// reactive move) instead of acting on garbage. Fallbacks are counted
-/// and surfaced through [`ProvisionPolicy::guard_fallbacks`].
-pub struct GuardedDqnPolicy {
-    /// The guarded agent (exposes the wrapped agent and its counters).
-    pub guard: GuardedPolicy<DqnAgent>,
-    /// Display label (e.g. `"transformer+DQN"`).
-    pub label: String,
-}
-
-impl GuardedDqnPolicy {
-    /// Wraps a trained agent with a zeroed fallback counter.
-    pub fn new(agent: DqnAgent, label: impl Into<String>) -> Self {
-        Self {
-            guard: GuardedPolicy::new(agent),
-            label: label.into(),
-        }
-    }
-}
-
-impl ProvisionPolicy for GuardedDqnPolicy {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext) -> Action {
-        Action::from_index(self.guard.act_greedy(ctx.state_matrix))
-    }
 
     fn guard_fallbacks(&self) -> u64 {
-        self.guard.stats().fallbacks
-    }
-}
-
-/// [`PgPolicy`] behind the output guard: the probability pair must be
-/// finite, non-negative and normalized before it is sampled; anything
-/// else degrades to `Wait` and is counted. A healthy net draws the
-/// identical RNG stream as the unguarded policy.
-pub struct GuardedPgPolicy {
-    /// The guarded agent (exposes the wrapped agent and its counters).
-    pub guard: GuardedPolicy<PgAgent>,
-    /// Display label (e.g. `"transformer+PG"`).
-    pub label: String,
-    /// Sampling seed (per-policy stream keeps evaluation reproducible).
-    pub rng: StdRng,
-}
-
-impl GuardedPgPolicy {
-    /// Sampling policy with the given seed and a zeroed fallback counter.
-    pub fn new(agent: PgAgent, label: impl Into<String>, seed: u64) -> Self {
-        Self {
-            guard: GuardedPolicy::new(agent),
-            label: label.into(),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl ProvisionPolicy for GuardedPgPolicy {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext) -> Action {
-        Action::from_index(self.guard.act(ctx.state_matrix, &mut self.rng))
-    }
-
-    fn guard_fallbacks(&self) -> u64 {
-        self.guard.stats().fallbacks
+        self.agent.fallbacks()
     }
 }
 
@@ -487,7 +422,7 @@ mod tests {
     fn guarded_policy_degrades_to_wait_and_counts() {
         use mirage_nn::foundation::FoundationKind;
         use mirage_nn::transformer::TransformerConfig;
-        use mirage_rl::{ActionEncoding, DqnConfig, DualHeadConfig, DualHeadNet};
+        use mirage_rl::{ActionEncoding, DqnConfig, DualHeadConfig, DualHeadNet, PgConfig};
 
         let mut net = DualHeadNet::new(DualHeadConfig {
             foundation: FoundationKind::Transformer,
@@ -512,12 +447,18 @@ mod tests {
             }
         }
         let d = data();
-        let mut p = GuardedDqnPolicy::new(DqnAgent::new(net, DqnConfig::default()), "guarded");
-        assert_eq!(p.guard_fallbacks(), 0);
-        for _ in 0..3 {
-            assert_eq!(p.decide(&ctx(&d, true, 0, None)), Action::Wait);
+        let mut dqn = DqnPolicy {
+            agent: DqnAgent::new(net.clone(), DqnConfig::default()),
+            label: "guarded".into(),
+        };
+        let mut pg = PgPolicy::new(PgAgent::new(net, PgConfig::default()), "guarded", 5);
+        for p in [&mut dqn as &mut dyn ProvisionPolicy, &mut pg] {
+            assert_eq!(p.guard_fallbacks(), 0);
+            for _ in 0..3 {
+                assert_eq!(p.decide(&ctx(&d, true, 0, None)), Action::Wait);
+            }
+            assert_eq!(p.guard_fallbacks(), 3, "every poisoned decision counted");
         }
-        assert_eq!(p.guard_fallbacks(), 3, "every poisoned decision counted");
     }
 
     #[test]

@@ -45,9 +45,9 @@ pub struct EpisodeOutcome {
     #[serde(default)]
     pub fault_interruption: i64,
     /// Decisions in this episode where the policy's network emitted a
-    /// non-finite or degenerate output and a guarded wrapper degraded to
-    /// the reactive heuristic. Zero for healthy (or unguarded) policies;
-    /// a non-zero count is the visible trace of silent NN corruption.
+    /// non-finite or degenerate output and its agent degraded to the
+    /// reactive heuristic. Zero for healthy nets and for policies without
+    /// one; a non-zero count is the visible trace of silent NN corruption.
     #[serde(default)]
     pub guard_fallbacks: u64,
 }

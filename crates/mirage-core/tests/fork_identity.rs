@@ -10,8 +10,8 @@
 //!
 //! The method lists cover what a restore could leak between methods:
 //! early submitters (FCFS, a sampling PG policy whose RNG stream runs on
-//! across episodes), a threshold heuristic, and a guarded DQN on a
-//! poisoned network whose fallback counter moves every decision. The
+//! across episodes), a threshold heuristic, and a DQN on a poisoned
+//! network whose fallback counter moves every decision. The
 //! first `evaluate` list has no `reactive`, so the load level comes from
 //! the implicit reactive run.
 
@@ -32,7 +32,7 @@ use mirage_core::multiservice::{
     MultiServiceReport, RlServicePolicy, ShortestQueuePolicy, UniformSharePolicy,
 };
 use mirage_core::policy::{
-    AvgWaitPolicy, FcfsPolicy, GuardedDqnPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy,
+    AvgWaitPolicy, DqnPolicy, FcfsPolicy, PgPolicy, ProvisionPolicy, ReactivePolicy,
 };
 use mirage_core::reward::RewardShaper;
 use mirage_core::state::STATE_VARS;
@@ -67,15 +67,18 @@ fn net(seed: u64) -> DualHeadNet {
     })
 }
 
-/// A guarded DQN whose every weight is NaN: each decision falls back to
-/// `Wait` and is counted.
-fn poisoned_guarded() -> GuardedDqnPolicy {
+/// A DQN whose every weight is NaN: each decision falls back to `Wait`
+/// and is counted.
+fn poisoned_guarded() -> DqnPolicy {
     let mut net = net(3);
     let ids: Vec<_> = net.ps.iter().map(|(id, _)| id).collect();
     for id in ids {
         net.ps.get_mut(id).data_mut().fill(f32::NAN);
     }
-    GuardedDqnPolicy::new(DqnAgent::new(net, DqnConfig::default()), "guarded")
+    DqnPolicy {
+        agent: DqnAgent::new(net, DqnConfig::default()),
+        label: "guarded".into(),
+    }
 }
 
 fn methods(with_reactive: bool) -> Vec<Box<dyn ProvisionPolicy>> {

@@ -51,9 +51,9 @@ pub fn fast_tanh(x: f32) -> f32 {
 /// `2^n · e^r` with `|r| ≤ ln2/2`, evaluate a degree-6 minimax
 /// polynomial for `e^r`, and apply `2^n` exactly through the exponent
 /// bits. Relative error stays below ~3e-7 — tighter than f32 matmul
-/// noise — and `fast_exp(0) = 1` exactly. NaN in gives NaN out (the
-/// guard policy depends on non-finite values surviving); ±∞ clamp like
-/// any other out-of-range input.
+/// noise — and `fast_exp(0) = 1` exactly. NaN in gives NaN out (the RL
+/// agents' output checks depend on non-finite values surviving); ±∞
+/// clamp like any other out-of-range input.
 ///
 /// `libm`'s `expf` dominates the attention softmax the same way `tanhf`
 /// dominated GELU before [`fast_tanh`]: one serial call per score. This
@@ -252,7 +252,7 @@ mod tests {
         let same = |x: f32| {
             let (new, old) = (fast_exp(x), fast_exp_frozen(x));
             if x.is_nan() {
-                // The guard policy depends on non-finite values surviving.
+                // The agents' output checks depend on NaN surviving.
                 assert!(new.is_nan() && old.is_nan(), "NaN {:#x} lost", x.to_bits());
             } else {
                 assert_eq!(new.to_bits(), old.to_bits(), "fast_exp({x:e})");

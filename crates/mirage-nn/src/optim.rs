@@ -86,16 +86,6 @@ impl Adam {
             }
         }
     }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Overrides the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -138,12 +128,5 @@ mod tests {
         }
         assert!((ps.get(a).get(0, 0) - 1.0).abs() < 0.1);
         assert_eq!(ps.get(b).get(0, 0), 7.0, "untouched param must not move");
-    }
-
-    #[test]
-    fn learning_rate_is_settable() {
-        let mut opt = Adam::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -599,18 +599,6 @@ impl Matrix {
         self.sum_rows().scale(1.0 / self.rows.max(1) as f32)
     }
 
-    /// Mean of all rows written into `out` (no allocation once warm; same
-    /// arithmetic as [`Matrix::mean_rows`]).
-    pub fn mean_rows_into(&self, out: &mut Matrix) {
-        out.reset(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        out.scale_in_place(1.0 / self.rows.max(1) as f32);
-    }
-
     /// Row-wise softmax (numerically stabilized).
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
@@ -668,16 +656,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Index of the maximum element in a `1 × n` or `n × 1` vector.
-    pub fn argmax(&self) -> usize {
-        self.data
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 }
 
@@ -804,8 +782,6 @@ mod tests {
 
     #[test]
     fn argmax_and_norm() {
-        let a = m(1, 4, &[0.1, 3.0, -2.0, 1.0]);
-        assert_eq!(a.argmax(), 1);
         let b = m(1, 2, &[3.0, 4.0]);
         assert!((b.norm() - 5.0).abs() < 1e-6);
     }
@@ -818,7 +794,6 @@ mod tests {
         let mut out_mm = Matrix::zeros(0, 0);
         let mut out_tm = Matrix::zeros(0, 0);
         let mut out_mt = Matrix::zeros(0, 0);
-        let mut out_mean = Matrix::zeros(0, 0);
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 2),
@@ -836,8 +811,6 @@ mod tests {
             assert_eq!(out_mt, a.matmul_t(&c));
             a.t_matmul_into(&d, &mut out_tm);
             assert_eq!(out_tm, a.t_matmul(&d));
-            a.mean_rows_into(&mut out_mean);
-            assert_eq!(out_mean, a.mean_rows());
         }
     }
 

@@ -556,7 +556,7 @@ impl TransformerEncoder {
     /// (`batch·seq × d_model`). Adds the positional encodings per block,
     /// runs the layer stack (attention confined to each block), and
     /// mean-pools each block into row `b` of `out` with the exact
-    /// [`Matrix::mean_rows_into`] arithmetic.
+    /// [`Matrix::mean_rows`] arithmetic.
     fn encode_embedded(
         &self,
         ps: &ParamSet,

@@ -26,9 +26,9 @@ use crate::dualhead::{
     check_snapshot_fits, install_params, BatchInferCache, DualHeadNet, HeadBatchCache,
     StateMismatch,
 };
-use crate::greedy_pair;
 use crate::replay::MiniBatch;
 use crate::schedule::{EpsilonSchedule, ExploreLane};
+use crate::{greedy_pair, q_pair_is_valid, FALLBACK_ACTION};
 
 /// DQN hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,6 +65,18 @@ fn epsilon_draw(rng: &mut impl Rng, eps: f32, greedy: impl FnOnce() -> usize) ->
         rng.gen_range(0..2)
     } else {
         greedy()
+    }
+}
+
+/// The one place a DQN turns a Q pair into a greedy action: the argmax
+/// of a finite pair, else [`FALLBACK_ACTION`], counted in `fallbacks`.
+#[inline]
+fn checked_greedy(q: [f32; 2], fallbacks: &mut u64) -> usize {
+    if q_pair_is_valid(q) {
+        greedy_pair(q)
+    } else {
+        *fallbacks += 1;
+        FALLBACK_ACTION
     }
 }
 
@@ -128,6 +140,9 @@ pub struct DqnAgent {
     train_cache: HeadBatchCache,
     /// Mini-batch gradient accumulator (reset per update).
     grads: Grads,
+    /// Greedy decisions whose Q pair was not finite (a diagnostic, not
+    /// training state: checkpoints do not carry it).
+    fallbacks: u64,
 }
 
 impl DqnAgent {
@@ -146,6 +161,7 @@ impl DqnAgent {
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
+            fallbacks: 0,
         }
     }
 
@@ -154,11 +170,16 @@ impl DqnAgent {
         self.cfg.epsilon.value(self.steps)
     }
 
-    /// The raw Q-pair `[Q(wait), Q(submit)]` for one state — the guarded
-    /// inference path reads this to validate outputs before acting on
-    /// them. Identical to what [`act_greedy`](Self::act_greedy) argmaxes.
+    /// The raw, unvalidated Q-pair `[Q(wait), Q(submit)]` for one state:
+    /// what [`act_greedy`](Self::act_greedy) checks and then argmaxes.
     pub fn q_pair(&mut self, state: &Matrix) -> [f32; 2] {
         self.net.q_values(state, &mut self.scratch)
+    }
+
+    /// Greedy decisions since construction that fell back to
+    /// [`FALLBACK_ACTION`] because the Q pair was not finite.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 
     /// Snapshots the full training state for crash-safe checkpointing.
@@ -243,17 +264,17 @@ impl DqnAgent {
             lane.steps += 1;
             let eps = self.cfg.epsilon.value(lane.steps);
             actions.push(epsilon_draw(&mut lane.rng, eps, || {
-                greedy_pair(self.batch_vals[r])
+                checked_greedy(self.batch_vals[r], &mut self.fallbacks)
             }));
         }
     }
 
     /// Greedy action (serving-time policy, §4.4: submit only when
-    /// Q(submit) exceeds Q(no-submit)). Runs the allocation-free
+    /// Q(submit) exceeds Q(no-submit)); a non-finite pair falls back to
+    /// [`FALLBACK_ACTION`] and is counted. Runs the allocation-free
     /// `q_values` fast path against the agent's own scratch arena.
     pub fn act_greedy(&mut self, state: &Matrix) -> usize {
-        let q = self.net.q_values(state, &mut self.scratch);
-        greedy_pair(q)
+        checked_greedy(self.q_pair(state), &mut self.fallbacks)
     }
 
     /// Greedy actions for `batch` row-stacked states in **one** batched
@@ -270,7 +291,9 @@ impl DqnAgent {
             &mut self.batch_cache,
         );
         actions.clear();
-        actions.extend(self.batch_vals.iter().map(|&q| greedy_pair(q)));
+        for &q in &self.batch_vals {
+            actions.push(checked_greedy(q, &mut self.fallbacks));
+        }
     }
 
     /// One batched mini-batch update: a single forward/backward over the
@@ -336,7 +359,7 @@ impl DqnAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualhead::{ActionEncoding, DualHeadConfig, DualHeadNet};
+    use crate::dualhead::{stack_states_into, ActionEncoding, DualHeadConfig, DualHeadNet};
     use crate::env::SignBandit;
     use crate::replay::{Experience, ReplayBuffer};
     use mirage_nn::foundation::FoundationKind;
@@ -409,6 +432,17 @@ mod tests {
 
     fn tiny_net(seed: u64) -> DualHeadNet {
         tiny_net_of(FoundationKind::Transformer, seed)
+    }
+
+    /// `tiny_net(seed)` with every parameter NaN: a diverged update or a corrupted
+    /// checkpoint, as seen from inference.
+    fn poisoned_net(seed: u64) -> DualHeadNet {
+        let mut net = tiny_net(seed);
+        let ids: Vec<_> = net.ps.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            net.ps.get_mut(id).data_mut().fill(f32::NAN);
+        }
+        net
     }
 
     fn assert_nets_bitwise_eq(a: &DualHeadNet, b: &DualHeadNet, ctx: &str) {
@@ -635,6 +669,81 @@ mod tests {
         // exactly the end of its own 8-step decay, not 4× past it.
         assert_eq!(schedule.value(lanes[0].steps), 0.0);
         assert!(schedule.value(lanes[0].steps / width as u64) > 0.0);
+    }
+
+    #[test]
+    fn healthy_act_paths_are_the_unchecked_formula() {
+        // On a finite net every act path is greedy_pair(q_pair(s)) under
+        // the same ε draws, and nothing falls back.
+        let epsilon = EpsilonSchedule::linear(0.8, 0.0, 12);
+        let cfg = DqnConfig {
+            epsilon,
+            ..DqnConfig::default()
+        };
+        let mut agent = DqnAgent::new(tiny_net(23), cfg);
+        let mut rng = StdRng::seed_from_u64(24);
+        let states: Vec<Matrix> = (0..3).map(|_| Matrix::xavier(2, 3, &mut rng)).collect();
+        let greedy: Vec<usize> = states
+            .iter()
+            .map(|s| greedy_pair(agent.q_pair(s)))
+            .collect();
+        let mut stacked = Matrix::zeros(0, 0);
+        stack_states_into(states.iter(), &mut stacked);
+        let fresh = || {
+            let lanes: Vec<ExploreLane> = (0..3).map(|l| ExploreLane::seeded(30 + l, 0)).collect();
+            (StdRng::seed_from_u64(25), lanes)
+        };
+        let (mut act_rng, mut lanes) = fresh();
+        let mut batch_lanes = lanes.clone();
+        let (mut oracle_rng, mut oracle_lanes) = fresh();
+        let mut actions = Vec::new();
+        for tick in 1..=6u64 {
+            agent.act_batch(&stacked, &mut batch_lanes, &[0, 1, 2], &mut actions);
+            for (l, s) in states.iter().enumerate() {
+                assert_eq!(agent.act_greedy(s), greedy[l]);
+                let eps = epsilon.value(3 * (tick - 1) + l as u64 + 1);
+                let expect = epsilon_draw(&mut oracle_rng, eps, || greedy[l]);
+                assert_eq!(agent.act(s, &mut act_rng), expect, "act, tick {tick}");
+                let lane = &mut oracle_lanes[l];
+                lane.steps += 1;
+                let expect = epsilon_draw(&mut lane.rng, epsilon.value(lane.steps), || greedy[l]);
+                assert_eq!(agent.act_lane(s, &mut lanes[l]), expect, "act_lane");
+                assert_eq!(actions[l], expect, "act_batch row {l}, tick {tick}");
+            }
+            agent.act_greedy_batch(&stacked, 3, &mut actions);
+            assert_eq!(actions, greedy);
+        }
+        assert_eq!(agent.fallbacks(), 0);
+    }
+
+    #[test]
+    fn poisoned_act_paths_fall_back_and_count_every_decision() {
+        let net = poisoned_net(27);
+        let at = |eps: f32| DqnConfig {
+            epsilon: EpsilonSchedule::constant(eps),
+            ..DqnConfig::default()
+        };
+        let mut agent = DqnAgent::new(net.clone(), at(0.0));
+        let s = Matrix::zeros(2, 3);
+        let mut stacked = Matrix::zeros(0, 0);
+        stack_states_into([&s, &s, &s].into_iter(), &mut stacked);
+        let mut lanes: Vec<ExploreLane> = (0..3).map(|l| ExploreLane::seeded(l, 0)).collect();
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut actions = Vec::new();
+        assert_eq!(agent.act_greedy(&s), FALLBACK_ACTION);
+        assert_eq!(agent.act(&s, &mut rng), FALLBACK_ACTION);
+        assert_eq!(agent.act_lane(&s, &mut lanes[0]), FALLBACK_ACTION);
+        agent.act_batch(&stacked, &mut lanes, &[0, 1, 2], &mut actions);
+        assert_eq!(actions, [FALLBACK_ACTION; 3]);
+        agent.act_greedy_batch(&stacked, 3, &mut actions);
+        assert_eq!(actions, [FALLBACK_ACTION; 3]);
+        assert_eq!(agent.fallbacks(), 9, "every decision counted");
+
+        // Exploring rows never read Q, so nothing is checked or counted.
+        let mut explorer = DqnAgent::new(net, at(1.0));
+        explorer.act(&s, &mut rng);
+        explorer.act_batch(&stacked, &mut lanes, &[0, 1, 2], &mut actions);
+        assert_eq!(explorer.fallbacks(), 0);
     }
 
     #[test]

@@ -21,14 +21,28 @@ use crate::dualhead::{
     HeadBatchCache, StateMismatch,
 };
 use crate::schedule::ExploreLane;
+use crate::{prob_pair_is_valid, FALLBACK_ACTION};
 
 /// Categorical draw over a `[p(no-submit), p(submit)]` pair from one
-/// uniform sample — the single sampler behind [`PgAgent::act`] and
-/// [`PgAgent::act_sample_batch`], so the batched stochastic path can
-/// never diverge from sequential sampling on the same draw.
+/// uniform sample.
 #[inline]
 fn sample_pair(p: [f32; 2], u: f32) -> usize {
     usize::from(u >= p[0])
+}
+
+/// The one place a PG agent turns a probability pair into an action,
+/// behind both [`PgAgent::act`] and [`PgAgent::act_sample_batch`]: a
+/// valid pair is sampled with one `draw()`; anything else falls back to
+/// [`FALLBACK_ACTION`], counted in `fallbacks`, *without* drawing, so a
+/// healthy net samples exactly the stream an unchecked one would.
+#[inline]
+fn checked_sample(p: [f32; 2], draw: impl FnOnce() -> f32, fallbacks: &mut u64) -> usize {
+    if prob_pair_is_valid(p) {
+        sample_pair(p, draw())
+    } else {
+        *fallbacks += 1;
+        FALLBACK_ACTION
+    }
 }
 
 /// REINFORCE hyperparameters.
@@ -111,6 +125,9 @@ pub struct PgAgent {
     grads: Grads,
     /// Retained per-episode gradient buffer.
     ep_grads: Grads,
+    /// Decisions whose probability pair failed the check (a diagnostic,
+    /// not training state: checkpoints do not carry it).
+    fallbacks: u64,
 }
 
 impl PgAgent {
@@ -132,6 +149,7 @@ impl PgAgent {
             train_cache: HeadBatchCache::default(),
             grads,
             ep_grads,
+            fallbacks: 0,
         }
     }
 
@@ -140,11 +158,11 @@ impl PgAgent {
         self.baseline
     }
 
-    /// The raw probability pair `[p(wait), p(submit)]` for one state —
-    /// the guarded inference path reads this to validate outputs before
-    /// sampling from them. Identical to what [`act`](Self::act) samples.
-    pub fn p_pair(&mut self, state: &Matrix) -> [f32; 2] {
-        self.net.p_probs(state, &mut self.scratch)
+    /// Decisions since construction that fell back to
+    /// [`FALLBACK_ACTION`] because the probability pair was not finite,
+    /// non-negative and normalized.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 
     /// Snapshots the full training state for crash-safe checkpointing.
@@ -181,10 +199,12 @@ impl PgAgent {
     }
 
     /// Samples an action from the policy distribution (allocation-free
-    /// `p_probs` fast path against the agent's scratch arena).
+    /// `p_probs` fast path against the agent's scratch arena); an invalid
+    /// pair falls back to [`FALLBACK_ACTION`], counted, and draws nothing
+    /// from `rng`.
     pub fn act(&mut self, state: &Matrix, rng: &mut impl Rng) -> usize {
         let p = self.net.p_probs(state, &mut self.scratch);
-        sample_pair(p, rng.gen::<f32>())
+        checked_sample(p, || rng.gen::<f32>(), &mut self.fallbacks)
     }
 
     /// Stochastic actions for a lockstep batch in **one** batched
@@ -211,7 +231,8 @@ impl PgAgent {
         );
         actions.clear();
         for (r, &l) in rows.iter().enumerate() {
-            actions.push(sample_pair(self.batch_vals[r], lanes[l].rng.gen::<f32>()));
+            let (p, rng) = (self.batch_vals[r], &mut lanes[l].rng);
+            actions.push(checked_sample(p, || rng.gen(), &mut self.fallbacks));
         }
     }
 
@@ -413,6 +434,17 @@ mod tests {
         })
     }
 
+    /// A transformer `tiny_net` with every parameter NaN: a diverged
+    /// update or a corrupted checkpoint, as seen from inference.
+    fn poisoned_net(seed: u64) -> DualHeadNet {
+        let mut net = tiny_net(FoundationKind::Transformer, seed);
+        let ids: Vec<_> = net.ps.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            net.ps.get_mut(id).data_mut().fill(f32::NAN);
+        }
+        net
+    }
+
     fn collect_episodes(
         agent: &mut PgAgent,
         env: &mut SignBandit,
@@ -437,7 +469,7 @@ mod tests {
         let mut ok = 0;
         for _ in 0..trials {
             let s = env.reset();
-            if greedy_pair(agent.p_pair(&s)) == env.correct_action() {
+            if greedy_pair(agent.net.action_probs(&s)) == env.correct_action() {
                 ok += 1;
             }
         }
@@ -552,6 +584,65 @@ mod tests {
                     seq_agent.train_episodes(&eps);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn healthy_act_paths_are_the_unchecked_formula() {
+        // On a finite net both act paths are sample_pair(p, draw) on the
+        // same streams, and nothing falls back.
+        let mut agent = PgAgent::new(
+            tiny_net(FoundationKind::Transformer, 63),
+            PgConfig::default(),
+        );
+        let mut rng = StdRng::seed_from_u64(64);
+        let states: Vec<Matrix> = (0..3).map(|_| Matrix::xavier(2, 3, &mut rng)).collect();
+        let mut scratch = Scratch::new();
+        let probs: Vec<[f32; 2]> = states
+            .iter()
+            .map(|s| agent.net.p_probs(s, &mut scratch))
+            .collect();
+        let mut stacked = Matrix::zeros(0, 0);
+        stack_states_into(states.iter(), &mut stacked);
+        let fresh = || {
+            let lanes: Vec<ExploreLane> = (0..3).map(|l| ExploreLane::seeded(70 + l, 0)).collect();
+            (StdRng::seed_from_u64(65), lanes)
+        };
+        let (mut act_rng, mut lanes) = fresh();
+        let (mut oracle_rng, mut oracle_lanes) = fresh();
+        let mut actions = Vec::new();
+        for tick in 0..6 {
+            agent.act_sample_batch(&stacked, &mut lanes, &[0, 1, 2], &mut actions);
+            for (l, s) in states.iter().enumerate() {
+                let expect = sample_pair(probs[l], oracle_rng.gen());
+                assert_eq!(agent.act(s, &mut act_rng), expect, "act, tick {tick}");
+                let expect = sample_pair(probs[l], oracle_lanes[l].rng.gen());
+                assert_eq!(actions[l], expect, "act_sample_batch row {l}, tick {tick}");
+            }
+        }
+        assert_eq!(agent.fallbacks(), 0);
+    }
+
+    #[test]
+    fn poisoned_act_paths_fall_back_count_and_draw_nothing() {
+        let mut agent = PgAgent::new(poisoned_net(66), PgConfig::default());
+        let s = Matrix::zeros(2, 3);
+        let mut stacked = Matrix::zeros(0, 0);
+        stack_states_into([&s, &s, &s].into_iter(), &mut stacked);
+        let mut rng = StdRng::seed_from_u64(67);
+        let mut lanes: Vec<ExploreLane> = (0..3).map(|l| ExploreLane::seeded(l, 0)).collect();
+        let mut actions = Vec::new();
+        for _ in 0..2 {
+            assert_eq!(agent.act(&s, &mut rng), FALLBACK_ACTION);
+            agent.act_sample_batch(&stacked, &mut lanes, &[0, 1, 2], &mut actions);
+            assert_eq!(actions, [FALLBACK_ACTION; 3]);
+        }
+        assert_eq!(agent.fallbacks(), 8, "every decision counted");
+        // Neither the caller's stream nor any lane's was drawn from.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(67).gen::<u64>());
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let untouched = StdRng::seed_from_u64(l as u64).gen::<u64>();
+            assert_eq!(lane.rng.gen::<u64>(), untouched, "lane {l}");
         }
     }
 

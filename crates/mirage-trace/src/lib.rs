@@ -35,8 +35,7 @@ pub use faults::{fault_schedule, NodeFaultEvent};
 pub use job::JobRecord;
 pub use parse::{parse_sacct, to_sacct, ParseError};
 pub use seed::{split_seed, splitmix64, SeedSplitter};
-pub use split::{split_by_count, split_by_time, TraceSplit};
-pub use stats::TraceSummary;
-pub use synth::{service_generators, SynthConfig, TraceGenerator};
+pub use split::{split_by_time, TraceSplit};
+pub use synth::{SynthConfig, TraceGenerator};
 pub use time::{DAY, HOUR, MINUTE, MONTH, WEEK};
 pub use traffic::{GammaBurst, TrafficModel};

@@ -41,31 +41,6 @@ pub fn split_by_time(jobs: &[JobRecord], train_fraction: f64) -> TraceSplit {
     partition_at(jobs, split_time)
 }
 
-/// Splits on the job-count axis: the first `train_fraction` of jobs (by
-/// submit order) train. Useful when arrival volume is very uneven.
-pub fn split_by_count(jobs: &[JobRecord], train_fraction: f64) -> TraceSplit {
-    assert!(
-        (0.0..=1.0).contains(&train_fraction),
-        "train_fraction must be in [0,1]"
-    );
-    if jobs.is_empty() {
-        return TraceSplit {
-            train: Vec::new(),
-            validation: Vec::new(),
-            split_time: 0,
-        };
-    }
-    let mut sorted: Vec<&JobRecord> = jobs.iter().collect();
-    sorted.sort_by_key(|j| j.submit);
-    let k = ((sorted.len() as f64) * train_fraction).round() as usize;
-    let split_time = if k >= sorted.len() {
-        sorted.last().unwrap().submit + 1
-    } else {
-        sorted[k].submit
-    };
-    partition_at(jobs, split_time)
-}
-
 fn partition_at(jobs: &[JobRecord], split_time: i64) -> TraceSplit {
     let mut train = Vec::new();
     let mut validation = Vec::new();
@@ -114,25 +89,6 @@ mod tests {
         assert!(s.train.iter().all(|j| j.submit < s.split_time));
         assert!(s.validation.iter().all(|j| j.submit >= s.split_time));
         assert!(s.train.len() >= 7 && s.train.len() <= 9);
-    }
-
-    #[test]
-    fn count_split_is_exact() {
-        let js = jobs(10);
-        let s = split_by_count(&js, 0.8);
-        assert_eq!(s.train.len(), 8);
-        assert_eq!(s.validation.len(), 2);
-    }
-
-    #[test]
-    fn extreme_fractions() {
-        let js = jobs(5);
-        let all_train = split_by_count(&js, 1.0);
-        assert_eq!(all_train.train.len(), 5);
-        assert!(all_train.validation.is_empty());
-        let all_val = split_by_count(&js, 0.0);
-        assert!(all_val.train.is_empty());
-        assert_eq!(all_val.validation.len(), 5);
     }
 
     #[test]

@@ -6,25 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::job::JobRecord;
 use crate::time::{month_of, HOUR};
-
-/// Table 1 row: one cluster's trace in summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSummary {
-    /// Cluster name.
-    pub cluster: String,
-    /// Node count of the production partition.
-    pub node_count: u32,
-    /// Trace span in months.
-    pub months: u32,
-    /// Jobs in the raw trace.
-    pub original_jobs: usize,
-    /// Jobs after the §3.2 cleaning pipeline.
-    pub filtered_jobs: usize,
-}
 
 /// Queue-wait distribution bucket edges used throughout the paper's Fig 4
 /// narrative: `<2h, 2–12h, 12–24h, 24–36h, >36h`.

@@ -477,26 +477,6 @@ fn solve_size_alpha(sizes: &[u32], target: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// One independently seeded [`TraceGenerator`] per service.
-///
-/// Multi-service scenarios replay a separate background workload stream
-/// per service (each service's users submit their own batch jobs).
-/// Deriving the seeds as `base.seed + i` would correlate the streams —
-/// the generators' internal sub-streams (burst intervals, monthly
-/// modulation) are themselves seed-offset — so each service's generator
-/// is seeded through [`crate::seed::split_seed`], giving N mutually
-/// independent, individually reproducible arrival processes from one
-/// master seed.
-pub fn service_generators(base: &SynthConfig, services: usize) -> Vec<TraceGenerator> {
-    (0..services)
-        .map(|i| {
-            let mut cfg = base.clone();
-            cfg.seed = crate::seed::split_seed(base.seed, i as u64);
-            TraceGenerator::new(cfg)
-        })
-        .collect()
-}
-
 /// Realized demand-to-capacity ratio of a trace: node-seconds requested over
 /// node-seconds available in the span.
 pub fn demand_ratio(jobs: &[JobRecord], profile: &ClusterProfile, span: i64) -> f64 {
@@ -531,28 +511,6 @@ mod tests {
         let a = TraceGenerator::new(small_cfg(1)).generate();
         let b = TraceGenerator::new(small_cfg(2)).generate();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn service_generators_are_independent_and_reproducible() {
-        let base = small_cfg(7);
-        let gens = service_generators(&base, 3);
-        assert_eq!(gens.len(), 3);
-        let traces: Vec<Vec<JobRecord>> = gens.iter().map(|g| g.generate()).collect();
-        // Distinct from each other and from the master-seeded stream.
-        let master = TraceGenerator::new(base.clone()).generate();
-        for (i, t) in traces.iter().enumerate() {
-            assert_ne!(*t, master, "service {i} echoed the master stream");
-            for u in &traces[i + 1..] {
-                assert_ne!(t, u, "two services share a stream");
-            }
-        }
-        // Re-splitting reproduces every stream bit-for-bit.
-        let again: Vec<Vec<JobRecord>> = service_generators(&base, 3)
-            .iter()
-            .map(|g| g.generate())
-            .collect();
-        assert_eq!(traces, again);
     }
 
     #[test]
