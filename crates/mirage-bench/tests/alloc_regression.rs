@@ -38,8 +38,8 @@
 //! Phase 7 is a congested pass the single-user backlogs never reach: six
 //! users (so the fair-share tracker counts and refreshes several active
 //! slots) and a queue hundreds deep that drains across `sched_depth`, so
-//! the window runs both the cut to the best `sched_depth` keys and the
-//! uncut pass. Its steady-state decision steps must not allocate.
+//! the window runs passes both cut to the best `sched_depth` keys and
+//! uncut. Its steady-state decision steps must not allocate.
 //!
 //! Phase 8 is the reload: `reset()` keeps the job arena's slots, so a
 //! second `reset()` + `load_trace` of a trace loaded once before, and a
@@ -333,8 +333,9 @@ fn steady_state_decision_loop_is_allocation_free() {
     // completions all happen inside the window while the queue climbs
     // from 328 to 569 — across the 512-entry capacity doubling of every
     // backlog-sized buffer. The first episode may pay those doublings
-    // (six when this phase was written) and nothing else; the same
-    // episode again after `reset()` must not allocate at all.
+    // (seven, counted when the depth cut became a budget of reads; six
+    // when this phase was written) and nothing else; the same episode
+    // again after `reset()` must not allocate at all.
     let growing: Vec<JobRecord> = (0..1200i64)
         .map(|i| {
             let submit = if i < 260 {

@@ -10,8 +10,9 @@
 //! that also finds the head, and the queue is put in priority order only
 //! as far as the planner reads — the jobs phase 1 starts are scans of the
 //! rank column, and only the jobs that survive the planner's first
-//! backfill cut are copied out and ordered (by a `LazyOrder`). A queue
-//! deeper than `sched_depth` is first cut to its best keys by selection.
+//! backfill cut are copied out and ordered (by a `LazyOrder`). The
+//! `sched_depth` cut takes the same path at every queue depth: it is a
+//! budget of reads, and only the few survivors are checked against it.
 //!
 //! The planner follows Slurm semantics:
 //!
@@ -88,8 +89,9 @@ pub(crate) trait PlanQueue {
 
     /// Drops not-yet-read jobs that fail `keep`, where that saves ordering
     /// them. The planner only passes a test whose failures are sure to
-    /// fail again when it reaches them, so dropping is optional.
-    fn retain_rest(&mut self, keep: impl FnMut(&PendingView) -> bool);
+    /// fail again when it reaches them, so dropping is optional; `keep`
+    /// fails every job wider than `free`.
+    fn retain_rest(&mut self, free: u32, keep: impl FnMut(&PendingView) -> bool);
 }
 
 /// A queue that is already fully ordered: the public entry points' case.
@@ -106,7 +108,7 @@ impl PlanQueue for SortedSlice<'_> {
         Some((at, view))
     }
 
-    fn retain_rest(&mut self, _keep: impl FnMut(&PendingView) -> bool) {}
+    fn retain_rest(&mut self, _free: u32, _keep: impl FnMut(&PendingView) -> bool) {}
 }
 
 /// The rank of a job of the given `priority` (finite —
@@ -161,10 +163,29 @@ impl Queued {
 /// allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PassScratch {
-    /// The rank of every pending row, [`GONE`] once handed out.
+    /// The rank of every pending row, [`GONE`] once handed out. Dead once
+    /// the queue leaves it, so the depth cut selects in it in place.
     ranks: Vec<i64>,
     /// The rows still in play once the queue leaves the rank column.
     survivors: Vec<Queued>,
+}
+
+/// Which branch of the depth cut a [`PassQueue`] took when it left the
+/// rank column.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    /// Every live row was inside the cut (or the queue never left).
+    Uncut,
+    /// No row fits in the free nodes: the queue ended without a build.
+    NoneFits,
+    /// The scans ran out: every live row built, then selected by key.
+    KeepAll,
+    /// A few survivors, each kept by counting the live keys below it.
+    Counted,
+    /// Survivors kept by a threshold rank selected in the rank column;
+    /// `tied` if the threshold's ties were settled by their full keys.
+    Threshold { tied: bool },
 }
 
 /// The pending table as one scheduling pass reads it, in priority order
@@ -181,67 +202,61 @@ pub(crate) struct PassScratch {
 /// scanning once the scans spent reach `log2` of what is left, and hands
 /// the whole rest to the [`LazyOrder`], which sorts it once.
 ///
-/// A queue deeper than `depth` (Slurm's `bf_max_job_test`) is first cut
-/// to its `depth` best keys, by selection, not by sorting. Selecting reads
-/// every key anyway, so there each row is built as [`Queued`] in the loop
-/// that ranks it, the selection keeps the best `depth`, and the
-/// [`LazyOrder`] takes them directly. Keys are unique, so the cut is
-/// exact.
-pub(crate) struct PassQueue<'a, T, R> {
+/// The `depth` cut (Slurm's `bf_max_job_test`: only the `depth` best keys
+/// are in play) is a budget of reads, not a pass over the table. Rows are
+/// handed out in key order, so the k-th read is inside the cut exactly
+/// when k ≤ `depth`: the queue ends once its `room` is spent. A row left
+/// in the rank column is inside the cut if fewer than `room` live keys
+/// sort below it, and only the survivors of the backfill cut are checked:
+/// up to eight by counting the live ranks below each, more against the
+/// `room`-th smallest live rank, selected in the rank column in place. A
+/// build after the scans run out keeps every live row, and selects the
+/// `room` best of them by key. A backfill cut that leaves fewer free nodes
+/// than the narrowest row asks for ends the queue without a build.
+pub(crate) struct PassQueue<'a, T, K, R> {
     ranks: &'a mut [i64],
     survivors: &'a mut Vec<Queued>,
     rows: &'a [T],
+    rank_of: K,
     row: R,
     /// The minimum key, until handed out.
     head: Option<usize>,
     /// Rows not yet handed out, while in the rank column.
     live: usize,
+    /// At most the fewest nodes any row asks for: no job fits in fewer.
+    narrowest: u32,
+    /// `depth`, at least 1: reads of the whole pass inside the cut.
+    depth: usize,
+    /// Reads left inside the cut.
+    room: usize,
     scans: u32,
     /// `Some` once the queue has moved to `survivors`.
     order: Option<LazyOrder>,
+    #[cfg(test)]
+    cut: Cut,
 }
 
-impl<'a, T, R: Fn(&T) -> PassRow> PassQueue<'a, T, R> {
+impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
     /// Queues `rows`, cut to the `depth` best: a row ranks as `rank_of`
     /// says and reads as `row` says; the plan's handles are positions in
-    /// `rows`.
+    /// `rows`. No row asks for fewer than `narrowest` nodes.
     pub(crate) fn new(
         scratch: &'a mut PassScratch,
         rows: &'a [T],
-        rank_of: impl Fn(&T) -> i64,
+        rank_of: K,
         row: R,
         depth: usize,
+        narrowest: u32,
     ) -> Self {
+        debug_assert!(rows.iter().all(|r| row(r).view.nodes >= narrowest));
         let PassScratch { ranks, survivors } = scratch;
         let len = rows.len();
-        // Room for every row in both, so they grow together: the cut
-        // builds every row.
+        // Room for every row in both, so they grow together: a build
+        // after the scans run out copies every live row.
         ranks.clear();
         ranks.reserve(len);
         survivors.clear();
         survivors.reserve(len);
-        let depth = depth.max(1);
-        if len > depth {
-            // The cut reads every key anyway: build each row once, in the
-            // loop that ranks it, and keep the best `depth`.
-            survivors.extend(
-                rows.iter()
-                    .enumerate()
-                    .map(|(at, r)| Queued::new(at, rank_of(r), row(r))),
-            );
-            survivors.select_nth_unstable_by_key(depth - 1, |q| q.key);
-            survivors.truncate(depth);
-            return Self {
-                ranks,
-                survivors,
-                rows,
-                row,
-                head: None,
-                live: 0,
-                scans: 0,
-                order: Some(LazyOrder::default()),
-            };
-        }
         let (mut head, mut head_rank) = (0, GONE);
         ranks.extend(rows.iter().enumerate().map(|(at, r)| {
             let rank = rank_of(r);
@@ -251,28 +266,36 @@ impl<'a, T, R: Fn(&T) -> PassRow> PassQueue<'a, T, R> {
             }
             rank
         }));
+        let depth = depth.max(1);
         Self {
             ranks,
             survivors,
             rows,
+            rank_of,
             row,
             head: (len > 0).then_some(head),
             live: len,
+            narrowest,
+            depth,
+            room: depth,
             scans: 0,
             order: None,
+            #[cfg(test)]
+            cut: Cut::Uncut,
         }
     }
 
-    /// The live row of minimum key.
+    /// The live row of minimum key: a minimum fold over the rank column,
+    /// then the tie-breaks among the rows of that rank only.
     fn scan(&self) -> usize {
-        let (mut min, mut best) = (0, self.ranks[0]);
-        for (at, (&rank, r)) in self.ranks.iter().zip(self.rows).enumerate().skip(1) {
-            if rank < best
-                || (rank == best
-                    && rank != GONE
-                    && tie(&(self.row)(r)) < tie(&(self.row)(&self.rows[min])))
-            {
-                (min, best) = (at, rank);
+        let best = self.ranks.iter().copied().fold(GONE, i64::min);
+        let first = self.ranks.iter().position(|&rank| rank == best);
+        let first = first.expect("a live row holds the minimum rank");
+        let tie_of = |at: usize| tie(&(self.row)(&self.rows[at]));
+        let mut min = first;
+        for (at, &rank) in self.ranks.iter().enumerate().skip(first + 1) {
+            if rank == best && tie_of(at) < tie_of(min) {
+                min = at;
             }
         }
         min
@@ -297,6 +320,93 @@ impl<'a, T, R: Fn(&T) -> PassRow> PassQueue<'a, T, R> {
             ..LazyOrder::default()
         });
     }
+
+    /// Drops the survivors of a filtered [`build`](Self::build) that sort
+    /// outside the cut: those with `room` or more live keys below them.
+    /// Needs `live > room > 0` and the rank column as the build left it.
+    fn cut(&mut self) {
+        let Self {
+            ranks,
+            survivors,
+            rows,
+            row,
+            room,
+            ..
+        } = self;
+        let room = *room;
+        // The live ranks below `rank`, and those equal to it.
+        let counts = |ranks: &[i64], rank: i64| {
+            ranks.iter().fold((0, 0), |(below, equal), &r| {
+                (
+                    below + usize::from(r < rank),
+                    equal + usize::from(r == rank),
+                )
+            })
+        };
+        if survivors.len() <= 8 {
+            #[cfg(test)]
+            {
+                self.cut = Cut::Counted;
+            }
+            survivors.retain(|s| {
+                let (below, equal) = counts(ranks, s.key.0);
+                if below + equal <= room {
+                    return true;
+                }
+                // The tie-breaks decide among the rows of this rank.
+                let ahead = ranks
+                    .iter()
+                    .zip(rows.iter())
+                    .filter(|&(&rank, r)| rank == s.key.0 && tie(&row(r)) < (s.key.1, s.key.2))
+                    .count();
+                below + ahead < room
+            });
+            return;
+        }
+        // The `room`-th smallest live rank: read rows are GONE and sort
+        // last. Survivors ranked below it are in, those above it out.
+        let threshold = *ranks.select_nth_unstable(room - 1).1;
+        let (below, equal) = counts(ranks, threshold);
+        let tied = below + equal > room && survivors.iter().any(|s| s.key.0 == threshold);
+        #[cfg(test)]
+        {
+            self.cut = Cut::Threshold { tied };
+        }
+        let last = if tied {
+            self.last_tie_inside(threshold)
+        } else {
+            (i64::MAX, u64::MAX)
+        };
+        self.survivors.retain(|s| {
+            s.key.0 < threshold || (s.key.0 == threshold && (s.key.1, s.key.2) <= last)
+        });
+    }
+
+    /// The tie-breaks of the last row of rank `threshold` inside the cut,
+    /// once the rank column is scrambled by the selection: every rank is
+    /// computed again. Read rows sort below every live row, so a row is
+    /// inside exactly when fewer than `depth` rows, read or live, sort
+    /// below it. The dead rank column holds the positions of the rows of
+    /// that rank.
+    fn last_tie_inside(&mut self, threshold: i64) -> (i64, u64) {
+        let (mut below, mut tied) = (0, 0);
+        for (at, r) in self.rows.iter().enumerate() {
+            match (self.rank_of)(r).cmp(&threshold) {
+                std::cmp::Ordering::Less => below += 1,
+                std::cmp::Ordering::Equal => {
+                    self.ranks[tied] = at as i64;
+                    tied += 1;
+                }
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+        let (rows, row) = (self.rows, &self.row);
+        let tie_of = |at: &i64| tie(&row(&rows[*at as usize]));
+        let last = *self.ranks[..tied]
+            .select_nth_unstable_by_key(self.depth - below - 1, tie_of)
+            .1;
+        tie_of(&last)
+    }
 }
 
 /// The tie-breaks of equal ranks.
@@ -304,10 +414,14 @@ fn tie(r: &PassRow) -> (i64, u64) {
     (r.submit, r.id)
 }
 
-impl<T, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, R> {
+impl<T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, K, R> {
     fn next(&mut self) -> Option<(usize, PendingView)> {
+        if self.room == 0 {
+            return None; // the rest is outside the cut
+        }
         if let Some(order) = &mut self.order {
             let job = order.next(self.survivors)?;
+            self.room -= 1;
             return Some((job.handle, job.view));
         }
         if self.live == 0 {
@@ -321,17 +435,45 @@ impl<T, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, R> {
             }
             None => {
                 self.build(|_| true);
+                if self.live > self.room {
+                    #[cfg(test)]
+                    {
+                        self.cut = Cut::KeepAll;
+                    }
+                    let room = self.room;
+                    self.survivors
+                        .select_nth_unstable_by_key(room - 1, |q| q.key);
+                    self.survivors.truncate(room);
+                }
                 return self.next();
             }
         };
         self.ranks[at] = GONE;
         self.live -= 1;
+        self.room -= 1;
         Some((at, (self.row)(&self.rows[at]).view))
     }
 
-    fn retain_rest(&mut self, keep: impl FnMut(&PendingView) -> bool) {
+    fn retain_rest(&mut self, free: u32, keep: impl FnMut(&PendingView) -> bool) {
+        if self.room == 0 {
+            return; // nothing more is read
+        }
         match &mut self.order {
-            None => self.build(keep),
+            None if free < self.narrowest => {
+                // No job fits, so none passes `keep`: the queue ends here,
+                // with no row built.
+                self.room = 0;
+                #[cfg(test)]
+                {
+                    self.cut = Cut::NoneFits;
+                }
+            }
+            None => {
+                self.build(keep);
+                if self.live > self.room {
+                    self.cut();
+                }
+            }
             Some(order) => order.retain_rest(self.survivors, keep),
         }
     }
@@ -550,13 +692,26 @@ pub(crate) fn plan_queue(
     }
 
     // Phase 3: backfill whatever is harmless among the rest.
-    queue.retain_rest(|p| harmless(p, free, now, reservations));
+    cut_rest(queue, free, now, reservations);
     while let Some((handle, p)) = queue.next() {
         if harmless(&p, free, now, reservations) {
             backfill(&p, &mut free, now, reservations);
             starts.push(handle);
-            queue.retain_rest(|p| harmless(p, free, now, reservations));
+            cut_rest(queue, free, now, reservations);
         }
+    }
+}
+
+/// Cuts the unread rest of `queue` to the jobs [`harmless`] against `free`
+/// and `reservations`. The common cases, no reservation and one, test
+/// without a branch per job.
+fn cut_rest(queue: &mut impl PlanQueue, free: u32, now: i64, reservations: &[Reservation]) {
+    match *reservations {
+        [] => queue.retain_rest(free, |p| p.nodes <= free),
+        [r] => queue.retain_rest(free, |p| {
+            (p.nodes <= free) & ((now + p.timelimit <= r.shadow) | (p.nodes <= r.extra))
+        }),
+        _ => queue.retain_rest(free, |p| harmless(p, free, now, reservations)),
     }
 }
 
@@ -859,9 +1014,12 @@ mod tests {
         /// and planning over the slice does: duplicated priorities (FIFO
         /// and id tie-breaks decide, ids in no particular order),
         /// `sched_depth` below the backlog down to cutting every row but
-        /// the head, no backfill, deep reservations, nodes down, and narrow
+        /// the head, no backfill, deep reservations, nodes down, narrow
         /// jobs that phase 1 starts by the dozen, past `ilog2(n)` scans, so
-        /// the rest is sorted.
+        /// the rest is sorted, and a backlog of harmless jobs (narrow and
+        /// short, every release far off) behind a few wide ones, so more
+        /// than eight survive the backfill cut and the depth cut falls
+        /// inside a run of equal ranks.
         #[test]
         fn lazy_order_matches_sort_then_plan(
             jobs in prop::collection::vec(
@@ -870,16 +1028,22 @@ mod tests {
             free in 0u32..=16,
             down in 0u32..=6,
             depth in 1usize..70,
-            narrow in 0u32..2,
+            shape in 0u32..3,
         ) {
             let rows: Vec<(f64, PassRow)> = jobs
                 .iter()
                 .enumerate()
                 .map(|(i, &(prio, submit, n, l))| {
-                    let nodes = if narrow == 1 { 1 + n % 2 } else { n };
-                    (f64::from(prio) * 0.5, row(submit, i, nodes, l))
+                    let (nodes, limit) = match shape {
+                        0 => (n, l),
+                        1 => (1 + n % 2, l),
+                        _ => (if n > 12 { n } else { 1 + n % 2 }, l % 2),
+                    };
+                    (f64::from(prio) * 0.5, row(submit, i, nodes, limit))
                 })
                 .collect();
+            let far = if shape == 2 { 100_000 } else { 0 };
+            let running: Vec<_> = running.iter().map(|&(t, n)| (t + far, n)).collect();
             let mut ledger = running.clone();
             ledger.sort_unstable();
             let mut scratch = PassScratch::default();
@@ -926,8 +1090,18 @@ mod tests {
             .collect()
     }
 
+    /// How a [`PassQueue`] ended: whether phase 1 spent the whole cut in
+    /// the rank column, which cut its build took, and whether its rest
+    /// ended sorted.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Ended {
+        spent: bool,
+        cut: Cut,
+        sorted: bool,
+    }
+
     /// The simulator's way: a [`PassQueue`] over the rows. Also reports
-    /// whether the queue ended on a sorted rest.
+    /// how the queue ended.
     fn pass_plan(
         rows: &[(f64, PassRow)],
         depth: usize,
@@ -936,8 +1110,9 @@ mod tests {
         ledger: &[(i64, u32)],
         policy: BackfillPolicy,
         scratch: &mut PassScratch,
-    ) -> (Vec<usize>, bool) {
-        let mut queue = PassQueue::new(scratch, rows, |r| rank(r.0), |r| r.1, depth);
+    ) -> (Vec<usize>, Ended) {
+        let narrowest = rows.iter().map(|r| r.1.view.nodes).min().unwrap_or(0);
+        let mut queue = PassQueue::new(scratch, rows, |r| rank(r.0), |r| r.1, depth, narrowest);
         let mut starts = Vec::new();
         plan_queue(
             &mut queue,
@@ -949,36 +1124,89 @@ mod tests {
             &mut PlanScratch::default(),
             &mut starts,
         );
-        (starts, queue.order.is_some_and(|o| o.rest_sorted))
+        let ended = Ended {
+            spent: queue.room == 0 && queue.order.is_none() && queue.cut == Cut::Uncut,
+            cut: queue.cut,
+            sorted: queue.order.is_some_and(|o| o.rest_sorted),
+        };
+        (starts, ended)
     }
 
-    /// The three shapes the property must reach, pinned: a `sched_depth`
-    /// below the backlog, every row but the head cut, and a phase 1 that
-    /// starts more than `ilog2(n)` jobs, so the rest gets sorted.
+    /// The shapes the property must reach, pinned: every row but the head
+    /// cut; the cut spent by phase 1 inside the rank column; a few
+    /// survivors of the backfill cut, counted against the depth cut; more
+    /// than eight, cut at a threshold rank whose ties straddle it, and at
+    /// one whose ties all fit; a phase 1 that starts more than `ilog2(n)`
+    /// jobs, so every live row is built, selected by key, and the rest
+    /// sorted; and a backfill cut with no free node, which builds nothing.
     #[test]
     fn pass_queue_cuts_and_sorts_like_sort_then_plan() {
+        // Four priorities, ten rows each; all but five rows are narrow.
         let rows: Vec<(f64, PassRow)> = (0..40)
             .map(|i| {
+                let nodes = if i % 8 == 3 { 12 } else { 1 + i % 2 };
                 (
                     f64::from(i % 4) * 0.5,
-                    row(i64::from(i % 3), i as usize, 1 + i % 3, i as usize % 6),
+                    row(i64::from(i % 3), i as usize, nodes, i as usize % 6),
                 )
             })
             .collect();
-        let ledger = [(5_000, 4), (40_000, 8)];
+        // Far off, every narrow job ends before the shadow; near, only the
+        // seven one-node jobs of limit 60 do, and no node is spare there.
+        let far: &[(i64, u32)] = &[(200_000, 4), (400_000, 8)];
+        let near: &[(i64, u32)] = &[(100, 11)];
+        // Every row one node wide: phase 1 starts sixteen.
+        let narrow: Vec<(f64, PassRow)> = rows
+            .iter()
+            .map(|&(prio, r)| {
+                (
+                    prio,
+                    PassRow {
+                        view: p(1, r.view.timelimit),
+                        ..r
+                    },
+                )
+            })
+            .collect();
         let mut scratch = PassScratch::default();
-        for (depth, free) in [(12, 3), (1, 3), (40, 16), (25, 16)] {
-            for policy in POLICIES {
-                let want = sort_then_plan(&rows, depth, free, 16, &ledger, policy);
-                let (got, sorted) =
-                    pass_plan(&rows, depth, free, 16, &ledger, policy, &mut scratch);
-                assert_eq!(got, want, "depth {depth}, free {free}, {policy:?}");
-                if depth == 1 {
-                    assert!(got.len() <= 1, "only the head survives the cut");
+        let easy: &[BackfillPolicy] = &[EASY, BackfillPolicy::Easy { reserve_depth: 3 }];
+        let one: &[BackfillPolicy] = &[EASY];
+        let (tied, untied) = (
+            Cut::Threshold { tied: true },
+            Cut::Threshold { tied: false },
+        );
+        // The branch each shape takes; `None`: phase 1 spends the cut in
+        // the rank column.
+        let cases: [(_, _, _, _, &[BackfillPolicy], _); 7] = [
+            (&rows, 1, 3, far, &POLICIES, None),
+            (&rows, 4, 16, far, &POLICIES, None),
+            (&rows, 6, 1, near, easy, Some(Cut::Counted)),
+            (&rows, 6, 9, far, one, Some(tied)),
+            (&rows, 6, 13, far, one, Some(untied)),
+            (&narrow, 25, 16, far, &POLICIES, Some(Cut::KeepAll)),
+            (&rows, 40, 0, far, easy, Some(Cut::NoneFits)),
+        ];
+        for (rows, depth, free, ledger, policies, branch) in cases {
+            for &policy in policies {
+                let want = sort_then_plan(rows, depth, free, 16, ledger, policy);
+                let (got, ended) = pass_plan(rows, depth, free, 16, ledger, policy, &mut scratch);
+                let case = format!("depth {depth}, free {free}, {policy:?}: {ended:?}");
+                assert_eq!(got, want, "{case}");
+                match branch {
+                    None => assert!(ended.spent, "phase 1 spends the cut: {case}"),
+                    Some(cut) => assert_eq!(ended.cut, cut, "{case}"),
                 }
-                if free == 16 {
-                    assert!(got.len() > (depth as u32).ilog2() as usize);
-                    assert!(sorted, "phase 1 past ilog2(n) scans sorts the rest");
+                match branch {
+                    None if depth == 1 => assert!(got.len() <= 1, "only the head: {case}"),
+                    Some(Cut::Counted | Cut::Threshold { .. }) => {
+                        let uncut = sort_then_plan(rows, usize::MAX, free, 16, ledger, policy);
+                        assert_ne!(got, uncut, "the cut drops a job that would start: {case}");
+                    }
+                    Some(Cut::KeepAll) => {
+                        assert!(got.len() > (depth as u32).ilog2() as usize);
+                        assert!(ended.sorted, "phase 1 past ilog2(n) scans sorts the rest");
+                    }
+                    _ => {}
                 }
             }
         }

@@ -12,8 +12,10 @@
 //! with queued jobs (it counts them as jobs arrive and start), one loop
 //! ranks every pending row and finds the head, and only the rows that
 //! survive the planner's first backfill cut are copied out and ordered
-//! ([`crate::backfill`]). The event queue keeps a trace's future arrivals
-//! in a sorted stream beside its heap ([`crate::event`]).
+//! ([`crate::backfill`]). A backlog deeper than `sched_depth` takes the
+//! same path: the cut bounds what the planner reads, and only those
+//! survivors are checked against it. The event queue keeps a trace's
+//! future arrivals in a sorted stream beside its heap ([`crate::event`]).
 //!
 //! Loading a trace is a fill of memory the simulator already holds. The
 //! job arena keeps its slots across [`Simulator::reset`], which only
@@ -52,8 +54,9 @@ pub struct SimConfig {
     /// Backfill flavor.
     pub backfill: BackfillPolicy,
     /// At most this many queued jobs are considered per scheduling pass,
-    /// taken in priority order (Slurm's `bf_max_job_test`). Bounds the cost
-    /// of a pass when the backlog explodes.
+    /// taken in priority order (Slurm's `bf_max_job_test`). Bounds what
+    /// the planner reads and starts, not the cost of a pass: every pass
+    /// still ranks the whole backlog.
     pub sched_depth: usize,
     /// Fault injection: node crash/recovery processes and transient job
     /// failures. [`FaultModel::none`] (the default) injects nothing.
@@ -417,7 +420,9 @@ pub struct Simulator {
     /// sweep that drops started jobs from `pending`) after every pass that
     /// starts something, and nothing else may move it. Between those
     /// points it can only be too low, which costs a redundant pass, never
-    /// skips a productive one.
+    /// skips a productive one. Inside a pass, the [`PassQueue`] ends a
+    /// backfill cut that leaves fewer free nodes than this without
+    /// building a row.
     min_pending_nodes: u32,
     // Completion bookkeeping, maintained incrementally at completion time
     // so `completed()`/`metrics()` never re-filter or sort the job arena:
@@ -1216,11 +1221,12 @@ impl Simulator {
     ///   every user with queued jobs, one `2^(-usage)` per user.
     /// * A [`PassQueue`] over the pending table ranks every row by
     ///   `(-priority, submit, id)` in one loop that also finds the head,
-    ///   cuts to the `sched_depth` best keys (Slurm's `bf_max_job_test`),
-    ///   and is then ordered only as far as [`plan_queue`] reads: the jobs
-    ///   phase 1 starts and the blocked head (and, for `reserve_depth > 1`,
-    ///   on to the last reserved job) are scans of the rank column, and only
-    ///   the jobs that survive the exact backfill cut are copied out and
+    ///   hands out at most the `sched_depth` best keys (Slurm's
+    ///   `bf_max_job_test`), and is ordered only as far as [`plan_queue`]
+    ///   reads: the jobs phase 1 starts and the blocked head (and, for
+    ///   `reserve_depth > 1`, on to the last reserved job) are scans of
+    ///   the rank column, and only the jobs that survive the exact
+    ///   backfill cut and sort inside `sched_depth` are copied out and
     ///   ordered. The resulting starts, and their order, are those of
     ///   sorting the whole queue first.
     /// * The planner sees only physically available capacity: crashed
@@ -1264,6 +1270,7 @@ impl Simulator {
                 },
             },
             self.cfg.sched_depth,
+            self.min_pending_nodes,
         );
         let mut starts = std::mem::take(&mut self.scratch_starts);
         plan_queue(

@@ -24,7 +24,9 @@
 //! the digest. Each digest folds every completed job's `(id, start, end)`
 //! in completion order plus `metrics()`, `fault_stats()` and
 //! `hetero_stats()`, so "bit-identical starts, start order and statistics"
-//! is one `assert_eq!` per scenario.
+//! is one `assert_eq!` per scenario. The plain and truncated event-clock
+//! replays both run backlogs deeper than their `sched_depth`, so the two
+//! digests pin the depth cut at 512 and at 32.
 
 use mirage_sim::{
     ClusterBackend, FaultModel, HeteroModel, ReferenceConfig, ReferenceSimulator, SimConfig,
@@ -36,7 +38,7 @@ use mirage_trace::{
 
 /// Three weeks of the RTX profile at 1.3× its arrival rate: the generator
 /// seed is picked so the backlog is established inside the window (the
-/// test asserts the queue passes 100).
+/// plain replay asserts the queue passes the default `sched_depth`, 512).
 fn congested_trace() -> Vec<JobRecord> {
     let profile = ClusterProfile::rtx();
     let mut cfg = SynthConfig::new(profile.clone(), 11);
@@ -128,8 +130,14 @@ fn replay<B: ClusterBackend>(mut sim: B, trace: &[JobRecord], weeks: i64) -> (u6
 #[test]
 fn golden_digest_congested_replay() {
     let trace = congested_trace();
-    let (digest, completed, deepest) = replay(event_clock(SimConfig::new(84)), &trace, 3);
-    assert!(deepest > 100, "queue only reached {deepest}");
+    let cfg = SimConfig::new(84);
+    // Deeper than the default `sched_depth`, so the digest pins its cut.
+    let depth = cfg.sched_depth;
+    let (digest, completed, deepest) = replay(event_clock(cfg), &trace, 3);
+    assert!(
+        deepest > depth,
+        "queue only reached {deepest}, not past {depth}"
+    );
     assert_eq!((digest, completed), (0xb3c7_4fb5_0ea2_b0d6, 6678));
 }
 
