@@ -2,7 +2,7 @@
 //! step → `sample_into` → `encode_into` → `write_matrix` → `q_values` —
 //! must perform **zero heap allocations** after warm-up, and so must the
 //! *batched* lockstep loop (N simulators → one row-stacked batch →
-//! `q_values_batch` with per-episode embed-row caches).
+//! one `q_values_batch` per tick).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! drives 1 000 decision steps (with live completions and job starts
@@ -221,9 +221,8 @@ fn steady_state_decision_loop_is_allocation_free() {
     // internal Vec capacity doublings into the measured window and
     // charge simulator growth to the batched NN path under test), their
     // state matrices are row-stacked into one batch, and a single
-    // `q_values_batch` (with per-episode embed-row caches) answers every
-    // tick. After its own warm-up the whole thing must also be
-    // allocation-free.
+    // `q_values_batch` answers every tick. After its own warm-up the
+    // whole thing must also be allocation-free.
     const BATCH: usize = 4;
     let mut lanes: Vec<(Simulator, StateHistory, ClusterSnapshot, EncoderScratch)> = (0..BATCH)
         .map(|_| {
@@ -238,13 +237,11 @@ fn steady_state_decision_loop_is_allocation_free() {
         })
         .collect();
     let mut stacked = Matrix::zeros(BATCH * K, STATE_VARS);
-    let mut cache = BatchInferCache::new();
     let mut vals: Vec<[f32; 2]> = Vec::new();
 
     let batched_step =
         |lanes: &mut Vec<(Simulator, StateHistory, ClusterSnapshot, EncoderScratch)>,
          stacked: &mut Matrix,
-         cache: &mut BatchInferCache,
          vals: &mut Vec<[f32; 2]>,
          scratch: &mut Scratch| {
             for (l, (sim, history, snap, enc)) in lanes.iter_mut().enumerate() {
@@ -253,29 +250,17 @@ fn steady_state_decision_loop_is_allocation_free() {
                 history.push(encoder.encode_into(snap, &pred, &succ, enc));
                 history.write_matrix_rows(stacked, l * K);
             }
-            net.q_values_batch(stacked, BATCH, vals, scratch, cache);
+            net.q_values_batch(stacked, BATCH, vals, scratch, &mut BatchInferCache);
             vals.iter().map(|&q| u64::from(q[1] > q[0])).sum::<u64>()
         };
 
     for _ in 0..300 {
-        checksum += batched_step(
-            &mut lanes,
-            &mut stacked,
-            &mut cache,
-            &mut vals,
-            &mut scratch,
-        );
+        checksum += batched_step(&mut lanes, &mut stacked, &mut vals, &mut scratch);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..1000 {
-        checksum += batched_step(
-            &mut lanes,
-            &mut stacked,
-            &mut cache,
-            &mut vals,
-            &mut scratch,
-        );
+        checksum += batched_step(&mut lanes, &mut stacked, &mut vals, &mut scratch);
     }
     let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(

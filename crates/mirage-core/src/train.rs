@@ -146,7 +146,8 @@ pub struct TrainConfig {
     pub online_episodes: usize,
     /// Replay-batch size for online DQN updates.
     pub batch_size: usize,
-    /// Replay mini-batch updates after each online episode.
+    /// Replay mini-batch updates after each online DQN episode (at least
+    /// one: [`validate`](Self::validate) refuses 0).
     pub updates_per_episode: usize,
     /// Lockstep episode lanes per online-collection window (offline
     /// collection plays one episode at a time and ignores it); the only
@@ -155,9 +156,11 @@ pub struct TrainConfig {
     /// collect-update cadence bit for bit, and every lane is
     /// bit-identical to a sequential run under its own `(seed, ε-base)`
     /// whatever the width (see [`crate::train`]). `None` (the default)
-    /// auto-sizes to the machine via
-    /// [`TrainConfig::collect_lanes_for`]: `min(pool workers,`
-    /// [`l1_lane_cap`](Self::l1_lane_cap)`)`.
+    /// sizes from the pool via [`TrainConfig::collect_lanes_for`]:
+    /// `min(pool workers,` [`l1_lane_cap`](Self::l1_lane_cap)`)`. The
+    /// pool's worker count is 4 unless `BackendKind::Pooled` sets it,
+    /// never the host's core count, so the width is the same on every
+    /// machine.
     pub collect_lanes: Option<usize>,
     /// Training workers. Training runs on one worker, the calling
     /// thread: `0` and `1` both mean that, and
@@ -253,6 +256,8 @@ impl TrainConfig {
     /// Rejects the values that only fail deep inside `mirage-rl`: a zero
     /// [`batch_size`](Self::batch_size) (an empty replay mini-batch) or
     /// `pretrain.batch_size` (zero-sized chunks), zero
+    /// [`updates_per_episode`](Self::updates_per_episode) (an online
+    /// DQN run that never trains), zero
     /// [`moe_experts`](Self::moe_experts), and more than one
     /// [`train_workers`](Self::train_workers). The `episode` part is
     /// validated where episodes are built. Every training entry point
@@ -271,6 +276,13 @@ impl TrainConfig {
                     reason: "a mini-batch needs at least one sample",
                 });
             }
+        }
+        if self.updates_per_episode == 0 {
+            return Err(EpisodeConfigError {
+                field: "updates_per_episode".into(),
+                value: "0".into(),
+                reason: "an online DQN episode takes at least one replay update",
+            });
         }
         if self.moe_experts == 0 {
             return Err(EpisodeConfigError {
@@ -910,7 +922,7 @@ impl OnlineLearner for DqnLearner {
                 .push(Experience::terminal(state, action, reward));
         }
         if self.replay.len() >= cfg.batch_size {
-            for _ in 0..cfg.updates_per_episode.max(1) {
+            for _ in 0..cfg.updates_per_episode {
                 self.replay
                     .sample_minibatch(&mut self.rng, cfg.batch_size, &mut self.mb);
                 self.agent.train_minibatch(&self.mb);
@@ -1580,6 +1592,9 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.pretrain.batch_size = 0;
         assert_eq!(cfg.validate().unwrap_err().field, "pretrain.batch_size");
+        let mut cfg = tiny_cfg();
+        cfg.updates_per_episode = 0;
+        assert_eq!(cfg.validate().unwrap_err().field, "updates_per_episode");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::param::{GradSink, Grads, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
 use crate::transformer::{
-    EmbedRowCache, TransformerBatchCache, TransformerCache, TransformerConfig, TransformerEncoder,
+    TransformerBatchCache, TransformerCache, TransformerConfig, TransformerEncoder,
 };
 
 /// Which foundation architecture to build (§6 compares both).
@@ -131,29 +131,6 @@ impl FoundationNet {
     ) {
         match self {
             FoundationNet::Transformer(t) => t.forward_batch_into(ps, xs, batch, out, scratch),
-            FoundationNet::MoE(m) => m.forward_batch_into(ps, xs, batch, out, scratch),
-        }
-    }
-
-    /// [`FoundationNet::forward_batch_into`] with per-episode
-    /// [`EmbedRowCache`]s (`caches.len() == batch`). Transformer
-    /// foundations reuse unchanged embed rows across decision ticks; MoE
-    /// foundations have no single shared embedding to key on and simply
-    /// recompute (the caches are left untouched). Results are
-    /// bit-identical to the uncached batch path either way.
-    pub fn forward_batch_cached_into(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        scratch: &mut Scratch,
-        caches: &mut [EmbedRowCache],
-    ) {
-        match self {
-            FoundationNet::Transformer(t) => {
-                t.forward_batch_cached_into(ps, xs, batch, out, scratch, caches)
-            }
             FoundationNet::MoE(m) => m.forward_batch_into(ps, xs, batch, out, scratch),
         }
     }

@@ -366,57 +366,6 @@ pub struct TransformerBatchCache {
     batch: usize,
 }
 
-/// Incremental embed-row cache for the inference path (one per episode):
-/// the last input window and its pre-positional embedding rows. The
-/// decision loop shifts its history window by one row per tick, so
-/// [`TransformerEncoder::forward_batch_cached_into`] reuses `seq − 1`
-/// embed rows per episode and recomputes exactly the new one.
-///
-/// Reuse is keyed on **bitwise** input-row equality, and recomputation is
-/// bit-identical to the full embed matmul — cached results can never
-/// drift from uncached ones. What the cache *cannot* see is a parameter
-/// update: call [`EmbedRowCache::clear`] after any training step on the
-/// owning network.
-#[derive(Debug, Clone)]
-pub struct EmbedRowCache {
-    /// Last input window (`seq × input_dim`).
-    x: Matrix,
-    /// Pre-positional embed rows of `x` (`seq × d_model`).
-    e: Matrix,
-    /// Whether `x`/`e` hold a previous pass.
-    warm: bool,
-}
-
-impl Default for EmbedRowCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EmbedRowCache {
-    /// Empty (cold) cache.
-    pub fn new() -> Self {
-        Self {
-            x: Matrix::zeros(0, 0),
-            e: Matrix::zeros(0, 0),
-            warm: false,
-        }
-    }
-
-    /// Drops the cached rows; the next pass recomputes everything. Must
-    /// be called after any update to the encoder's parameters.
-    pub fn clear(&mut self) {
-        self.warm = false;
-    }
-}
-
-/// Bitwise slice equality — the cache-reuse predicate. `f32::to_bits`
-/// comparison (not `==`) so `-0.0` vs `0.0` or NaN payloads can never
-/// alias two inputs whose embeddings could differ in bits.
-fn rows_bit_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 impl TransformerEncoder {
     /// Allocates all encoder parameters in `ps`.
     pub fn new(ps: &mut ParamSet, name: &str, cfg: TransformerConfig, rng: &mut impl Rng) -> Self {
@@ -474,17 +423,10 @@ impl TransformerEncoder {
     /// Inference-only encode into a caller-provided `1 × d_model` buffer,
     /// with every temporary drawn from `scratch`: no cache, no allocation
     /// once the arena is warm. Bit-identical to
-    /// [`TransformerEncoder::forward`].
+    /// [`TransformerEncoder::forward`]; a batch of one through
+    /// [`TransformerEncoder::forward_batch_into`].
     pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        assert_eq!(x.cols(), self.cfg.input_dim, "state row width mismatch");
-        assert!(
-            x.rows() <= self.cfg.seq_len,
-            "sequence longer than configured"
-        );
-        let mut h = scratch.take(x.rows(), self.cfg.d_model);
-        self.embed.forward_into(ps, x, &mut h);
-        self.encode_embedded(ps, &mut h, x.rows(), 1, out, scratch);
-        scratch.give(h);
+        self.forward_batch_into(ps, x, 1, out, scratch);
     }
 
     /// Batched inference encode: `xs` row-stacks `batch` independent
@@ -494,7 +436,7 @@ impl TransformerEncoder {
     /// matmul over the whole batch**, the layer stack shares its
     /// row-local projections the same way, and attention/pooling are
     /// confined to each block — so each output row is bit-identical to a
-    /// sequential [`TransformerEncoder::forward_into`] of that block.
+    /// sequential [`TransformerEncoder::forward`] of that block.
     pub fn forward_batch_into(
         &self,
         ps: &ParamSet,
@@ -506,34 +448,35 @@ impl TransformerEncoder {
         let seq = self.batch_seq(xs, batch);
         let mut h = scratch.take(xs.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, xs, &mut h);
-        self.encode_embedded(ps, &mut h, seq, batch, out, scratch);
-        scratch.give(h);
-    }
-
-    /// [`TransformerEncoder::forward_batch_into`] with one
-    /// [`EmbedRowCache`] per episode (`caches.len() == batch`): dirty
-    /// embed rows are recomputed per episode, everything else is reused.
-    /// Bit-identical to the uncached batch path (and therefore to the
-    /// sequential per-episode path).
-    pub fn forward_batch_cached_into(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        scratch: &mut Scratch,
-        caches: &mut [EmbedRowCache],
-    ) {
-        let seq = self.batch_seq(xs, batch);
-        assert_eq!(caches.len(), batch, "one embed cache per episode");
-        let mut h = scratch.take(xs.rows(), self.cfg.d_model);
-        for (blk, cache) in caches.iter_mut().enumerate() {
-            self.embed_cached_rows(ps, xs, blk * seq, seq, cache);
+        // e + positional encoding, in the same element order as `forward`
+        // (pos row index restarts at every block boundary).
+        for blk in 0..batch {
             for r in 0..seq {
-                h.row_mut(blk * seq + r).copy_from_slice(cache.e.row(r));
+                for (hv, &pv) in h.row_mut(blk * seq + r).iter_mut().zip(self.pos.row(r)) {
+                    *hv += pv;
+                }
             }
         }
-        self.encode_embedded(ps, &mut h, seq, batch, out, scratch);
+        let mut next = scratch.take(h.rows(), self.cfg.d_model);
+        for layer in &self.layers {
+            layer.forward_batch_into(ps, &h, batch, &mut next, scratch);
+            std::mem::swap(&mut h, &mut next);
+        }
+        // Per-block mean pooling with the exact `mean_rows` arithmetic.
+        out.reset(batch, self.cfg.d_model);
+        for blk in 0..batch {
+            let orow = out.row_mut(blk);
+            for r in 0..seq {
+                for (o, &v) in orow.iter_mut().zip(h.row(blk * seq + r)) {
+                    *o += v;
+                }
+            }
+            let inv = 1.0 / seq.max(1) as f32;
+            for o in orow.iter_mut() {
+                *o *= inv;
+            }
+        }
+        scratch.give(next);
         scratch.give(h);
     }
 
@@ -549,144 +492,6 @@ impl TransformerEncoder {
         let seq = xs.rows() / batch;
         assert!(seq <= self.cfg.seq_len, "sequence longer than configured");
         seq
-    }
-
-    /// Shared inference body behind every `forward*_into` entry point:
-    /// `h` holds `batch` row-stacked blocks of pre-positional embed rows
-    /// (`batch·seq × d_model`). Adds the positional encodings per block,
-    /// runs the layer stack (attention confined to each block), and
-    /// mean-pools each block into row `b` of `out` with the exact
-    /// [`Matrix::mean_rows`] arithmetic.
-    fn encode_embedded(
-        &self,
-        ps: &ParamSet,
-        h: &mut Matrix,
-        seq: usize,
-        batch: usize,
-        out: &mut Matrix,
-        scratch: &mut Scratch,
-    ) {
-        // e + positional encoding, in the same element order as `forward`
-        // (pos row index restarts at every block boundary).
-        for blk in 0..batch {
-            for r in 0..seq {
-                for (hv, &pv) in h.row_mut(blk * seq + r).iter_mut().zip(self.pos.row(r)) {
-                    *hv += pv;
-                }
-            }
-        }
-        let mut next = scratch.take(h.rows(), self.cfg.d_model);
-        for layer in &self.layers {
-            layer.forward_batch_into(ps, h, batch, &mut next, scratch);
-            std::mem::swap(h, &mut next);
-        }
-        out.reset(batch, self.cfg.d_model);
-        for blk in 0..batch {
-            let orow = out.row_mut(blk);
-            for r in 0..seq {
-                for (o, &v) in orow.iter_mut().zip(h.row(blk * seq + r)) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / seq.max(1) as f32;
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
-        }
-        scratch.give(next);
-    }
-
-    /// Embeds rows `row0 .. row0 + seq` of `xs` into `cache.e`
-    /// (pre-positional), recomputing only rows whose input changed since
-    /// the cached pass. Three per-row cases, checked in order:
-    ///
-    /// 1. bitwise-equal to the cached row at the same index → keep,
-    /// 2. bitwise-equal to the cached row one below (the history window
-    ///    shifted) → move that embed row up in place (ascending `r` reads
-    ///    source rows before they are overwritten),
-    /// 3. otherwise → recompute `e[r] = x[r]·W + b` with a single
-    ///    ascending-`k` accumulator per element, matching the matmul
-    ///    microkernel bit for bit.
-    fn embed_cached_rows(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        row0: usize,
-        seq: usize,
-        cache: &mut EmbedRowCache,
-    ) {
-        let m = self.cfg.input_dim;
-        if !cache.warm || cache.x.shape() != (seq, m) {
-            cache.x.reset(seq, m);
-            for r in 0..seq {
-                cache.x.row_mut(r).copy_from_slice(xs.row(row0 + r));
-            }
-            self.embed.forward_into(ps, &cache.x, &mut cache.e);
-            cache.warm = true;
-            return;
-        }
-        let w = ps.get(self.embed.w);
-        let bias = ps.get(self.embed.b).row(0);
-        // Whole-window shift fast path: the decision loop's canonical
-        // pattern is "every row moved up one, a new row arrived". Detect
-        // it with a single pass (each new row vs the cached row one
-        // below), then do one memmove over the embed block and recompute
-        // only the newest row — skipping the per-row same-index compares
-        // that would each scan a long common prefix before failing.
-        if seq > 1 && (0..seq - 1).all(|r| rows_bit_eq(xs.row(row0 + r), cache.x.row(r + 1))) {
-            let d = cache.e.cols();
-            cache.e.data_mut().copy_within(d..seq * d, 0);
-            cache.x.data_mut().copy_within(m..seq * m, 0);
-            let last = seq - 1;
-            let xr = xs.row(row0 + last);
-            if !rows_bit_eq(xr, cache.x.row(last)) {
-                let row = cache.e.row_mut(last);
-                row.fill(0.0);
-                for (k, &xv) in xr.iter().enumerate() {
-                    for (e, &wv) in row.iter_mut().zip(w.row(k)) {
-                        *e += xv * wv;
-                    }
-                }
-                for (e, &bv) in row.iter_mut().zip(bias) {
-                    *e += bv;
-                }
-                cache.x.row_mut(last).copy_from_slice(xr);
-            }
-            return;
-        }
-        for r in 0..seq {
-            let xr = xs.row(row0 + r);
-            if rows_bit_eq(xr, cache.x.row(r)) {
-                // Unchanged input row: cached embed and cached input both
-                // stay valid — no writeback needed.
-                continue;
-            }
-            if r + 1 < seq && rows_bit_eq(xr, cache.x.row(r + 1)) {
-                let d = cache.e.cols();
-                cache
-                    .e
-                    .data_mut()
-                    .copy_within((r + 1) * d..(r + 2) * d, r * d);
-            } else {
-                // Axpy-form single-row recompute: walk `w` row-major (one
-                // contiguous, vectorizable pass per input element) instead
-                // of gathering a strided column per output. Every output
-                // element still accumulates its `k` terms in ascending
-                // order with the bias added last, so the row is bit-equal
-                // to the full embed matmul's.
-                let row = cache.e.row_mut(r);
-                row.fill(0.0);
-                for (k, &xv) in xr.iter().enumerate() {
-                    for (e, &wv) in row.iter_mut().zip(w.row(k)) {
-                        *e += xv * wv;
-                    }
-                }
-                for (e, &bv) in row.iter_mut().zip(bias) {
-                    *e += bv;
-                }
-            }
-            cache.x.row_mut(r).copy_from_slice(xr);
-        }
     }
 
     /// Backward from the pooled feature gradient (`1 × d_model`).
@@ -762,7 +567,7 @@ impl TransformerEncoder {
         let mut h = scratch.take(xs.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, xs, &mut h);
         // e + positional encoding, pos row index restarting per block —
-        // the same element order as `forward` / `encode_embedded`.
+        // the same element order as `forward` / `forward_batch_into`.
         for blk in 0..batch {
             for r in 0..seq {
                 for (hv, &pv) in h.row_mut(blk * seq + r).iter_mut().zip(self.pos.row(r)) {

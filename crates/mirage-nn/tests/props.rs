@@ -12,8 +12,7 @@ use mirage_nn::foundation::{FoundationKind, FoundationNet};
 use mirage_nn::serialize::{params_from_bytes, params_to_bytes};
 use mirage_nn::tensor::Matrix;
 use mirage_nn::transformer::TransformerConfig;
-use mirage_nn::transformer::TransformerEncoder;
-use mirage_nn::{Activation, EmbedRowCache, Grads, LayerNorm, Linear, ParamSet, Scratch};
+use mirage_nn::{Activation, Grads, LayerNorm, Linear, ParamSet, Scratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -186,10 +185,9 @@ proptest! {
     }
 
     /// One batched forward over `n` row-stacked states equals `n`
-    /// sequential `forward_into` calls **bit for bit**, for every
-    /// foundation kind, with and without per-episode embed caches — the
-    /// lockstep episode engine must never drift from per-episode
-    /// execution.
+    /// sequential `forward_into` calls and `n` per-sample `forward`
+    /// calls **bit for bit**, for every foundation kind — the lockstep
+    /// episode engine must never drift from per-episode execution.
     #[test]
     fn forward_batch_into_matches_sequential_bitwise(
         seed in 0u64..500,
@@ -209,7 +207,6 @@ proptest! {
         let mut scratch = Scratch::new();
         let mut seq_out = Matrix::zeros(0, 0);
         let mut batch_out = Matrix::zeros(0, 0);
-        let mut cached_out = Matrix::zeros(0, 0);
         for kind in [
             FoundationKind::Transformer,
             FoundationKind::MoE { experts },
@@ -225,59 +222,12 @@ proptest! {
             }
             net.forward_batch_into(&ps, &stacked, batch, &mut batch_out, &mut scratch);
             prop_assert_eq!(batch_out.shape(), (batch, 8));
-            let mut caches: Vec<EmbedRowCache> = (0..batch).map(|_| EmbedRowCache::new()).collect();
-            // Cold caches, then a warm rerun on identical inputs (full reuse).
-            for _ in 0..2 {
-                net.forward_batch_cached_into(
-                    &ps, &stacked, batch, &mut cached_out, &mut scratch, &mut caches,
-                );
-                prop_assert_eq!(&cached_out, &batch_out, "cached batch, kind {:?}", kind);
-            }
             for (b, s) in states.iter().enumerate() {
                 net.forward_into(&ps, s, &mut seq_out, &mut scratch);
                 prop_assert_eq!(seq_out.row(0), batch_out.row(b), "row {} kind {:?}", b, kind);
+                let (per_sample, _) = net.forward(&ps, s);
+                prop_assert_eq!(per_sample.row(0), batch_out.row(b), "row {} kind {:?}", b, kind);
             }
-        }
-    }
-
-    /// The embed-row cache across *shifting* history windows (the actual
-    /// decision-loop access pattern: drop the oldest row, append a new
-    /// one) stays bit-identical to the uncached forward, tick after tick.
-    #[test]
-    fn embed_row_cache_tracks_shifting_windows_bitwise(
-        seed in 0u64..500,
-        seq in 2usize..6,
-        ticks in 2usize..6,
-    ) {
-        let cfg = TransformerConfig {
-            input_dim: 4,
-            seq_len: 6,
-            d_model: 8,
-            heads: 2,
-            layers: 1,
-            ff_mult: 2,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ps = ParamSet::new();
-        let enc = TransformerEncoder::new(&mut ps, "t", cfg, &mut rng);
-        let mut window = Matrix::xavier(seq, 4, &mut rng);
-        let mut scratch = Scratch::new();
-        let mut cache = EmbedRowCache::new();
-        let mut plain = Matrix::zeros(0, 0);
-        let mut cached = Matrix::zeros(0, 0);
-        for _ in 0..ticks {
-            enc.forward_into(&ps, &window, &mut plain, &mut scratch);
-            enc.forward_batch_cached_into(
-                &ps, &window, 1, &mut cached, &mut scratch, std::slice::from_mut(&mut cache),
-            );
-            prop_assert_eq!(&cached, &plain);
-            // Shift: rows move up one, a fresh row arrives at the bottom.
-            let fresh = Matrix::xavier(1, 4, &mut rng);
-            for r in 0..seq - 1 {
-                let next = window.row(r + 1).to_vec();
-                window.row_mut(r).copy_from_slice(&next);
-            }
-            window.row_mut(seq - 1).copy_from_slice(fresh.row(0));
         }
     }
 

@@ -96,7 +96,7 @@ fn huber_scalar(pred: f32, target: f32, delta: f32) -> (f32, f32) {
 
 /// Everything a [`DqnAgent`] needs to resume bit-identically after a
 /// crash: weights, Adam moments and both step clocks. Derived state
-/// (scratch arenas, embed-row caches) is rebuilt empty on import — it
+/// (scratch arenas, training buffers) is rebuilt empty on import — it
 /// never affects results, only allocation reuse.
 #[derive(Debug, Clone)]
 pub struct DqnAgentState {
@@ -131,9 +131,6 @@ pub struct DqnAgent {
     /// Reusable inference buffers: serving-time decisions allocate
     /// nothing once this arena is warm.
     scratch: Scratch,
-    /// Per-episode embed-row caches for the batched greedy path
-    /// (invalidated after every training step).
-    batch_cache: BatchInferCache,
     /// Reusable Q-pair buffer for the batched greedy path.
     batch_vals: Vec<[f32; 2]>,
     /// Retained buffers for the batched update path.
@@ -157,7 +154,6 @@ impl DqnAgent {
             steps: 0,
             train_steps: 0,
             scratch: Scratch::new(),
-            batch_cache: BatchInferCache::new(),
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
@@ -210,8 +206,6 @@ impl DqnAgent {
             .restore_state(state.opt_t, state.opt_m, state.opt_v);
         self.steps = state.steps;
         self.train_steps = state.train_steps;
-        // Cached embed rows belong to the pre-restore weights.
-        self.batch_cache.clear();
         Ok(())
     }
 
@@ -256,7 +250,7 @@ impl DqnAgent {
             rows.len(),
             &mut self.batch_vals,
             &mut self.scratch,
-            &mut self.batch_cache,
+            &mut BatchInferCache,
         );
         actions.clear();
         for (r, &l) in rows.iter().enumerate() {
@@ -278,7 +272,7 @@ impl DqnAgent {
     }
 
     /// Greedy actions for `batch` row-stacked states in **one** batched
-    /// forward (`q_values_batch` + the agent's embed-row caches):
+    /// forward (`q_values_batch`):
     /// `actions[b]` is bit-identical to `act_greedy` on episode `b`'s
     /// state alone. Does not advance the exploration clock — this is the
     /// serving/evaluation path.
@@ -288,7 +282,7 @@ impl DqnAgent {
             batch,
             &mut self.batch_vals,
             &mut self.scratch,
-            &mut self.batch_cache,
+            &mut BatchInferCache,
         );
         actions.clear();
         for &q in &self.batch_vals {
@@ -341,16 +335,13 @@ impl DqnAgent {
     }
 
     /// Shared update tail: mean-scales the accumulated gradients, clips,
-    /// steps Adam, invalidates the inference caches and advances the
-    /// update clock. Returns the mean loss.
+    /// steps Adam and advances the update clock. Returns the mean loss.
     fn apply_update(&mut self, total_loss: f32, n: usize) -> f32 {
         self.grads.scale(1.0 / n as f32);
         if self.cfg.grad_clip > 0.0 {
             self.grads.clip_global_norm(self.cfg.grad_clip);
         }
         self.opt.step(&mut self.net.ps, &self.grads);
-        // The parameters moved: cached embed rows are stale.
-        self.batch_cache.clear();
         self.train_steps += 1;
         total_loss / n as f32
     }
@@ -621,7 +612,7 @@ mod tests {
             }
             if tick == 3 {
                 // Move the weights mid-stream: both sides update
-                // identically and the batch caches invalidate.
+                // identically and act on the new weights.
                 let mut r1 = StdRng::seed_from_u64(9);
                 let mut r2 = StdRng::seed_from_u64(9);
                 train_refs(&mut batch_agent, &rb.sample(&mut r1, 8));

@@ -114,10 +114,7 @@ pub struct PgAgent {
     /// Reusable inference buffers: serving-time decisions allocate
     /// nothing once this arena is warm.
     scratch: Scratch,
-    /// Per-episode embed-row caches for the batched greedy path
-    /// (invalidated after every training step).
-    batch_cache: BatchInferCache,
-    /// Reusable probability-pair buffer for the batched greedy path.
+    /// Reusable probability-pair buffer for the batched sampling path.
     batch_vals: Vec<[f32; 2]>,
     /// Retained activation caches for the training path.
     train_cache: HeadBatchCache,
@@ -144,7 +141,6 @@ impl PgAgent {
             baseline_initialized: false,
             episodes: 0,
             scratch: Scratch::new(),
-            batch_cache: BatchInferCache::new(),
             batch_vals: Vec::new(),
             train_cache: HeadBatchCache::default(),
             grads,
@@ -193,8 +189,6 @@ impl PgAgent {
         self.baseline = state.baseline;
         self.baseline_initialized = state.baseline_initialized;
         self.episodes = state.episodes;
-        // Cached embed rows belong to the pre-restore weights.
-        self.batch_cache.clear();
         Ok(())
     }
 
@@ -227,7 +221,7 @@ impl PgAgent {
             rows.len(),
             &mut self.batch_vals,
             &mut self.scratch,
-            &mut self.batch_cache,
+            &mut BatchInferCache,
         );
         actions.clear();
         for (r, &l) in rows.iter().enumerate() {
@@ -253,16 +247,14 @@ impl PgAgent {
         self.baseline
     }
 
-    /// Shared update tail: mean-normalize, clip, Adam step, cache
-    /// invalidation and the episode clock. Returns the mean loss.
+    /// Shared update tail: mean-normalize, clip, Adam step and the episode
+    /// clock. Returns the mean loss.
     fn apply_update(&mut self, total_loss: f32, step_count: usize, n_episodes: usize) -> f32 {
         self.grads.scale(1.0 / step_count.max(1) as f32);
         if self.cfg.grad_clip > 0.0 {
             self.grads.clip_global_norm(self.cfg.grad_clip);
         }
         self.opt.step(&mut self.net.ps, &self.grads);
-        // The parameters moved: cached embed rows are stale.
-        self.batch_cache.clear();
         self.episodes += n_episodes as u64;
         total_loss / step_count.max(1) as f32
     }
