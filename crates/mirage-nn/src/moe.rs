@@ -121,23 +121,10 @@ impl MoEFoundation {
 
     /// Inference-only forward into a caller-provided `1 × d_model`
     /// buffer, temporaries from `scratch`: no cache, no allocation once
-    /// the arena is warm. Bit-identical to [`MoEFoundation::forward`].
+    /// the arena is warm. Bit-identical to [`MoEFoundation::forward`]; a
+    /// batch of one through [`MoEFoundation::forward_batch_into`].
     pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        let mut flat = scratch.take(1, self.cfg.seq_len * self.cfg.input_dim);
-        flatten_padded_into(x, self.cfg.input_dim, &mut flat);
-        let mut gate_probs = scratch.take(1, self.experts.len());
-        self.gate.forward_into(ps, &flat, &mut gate_probs);
-        gate_probs.softmax_rows_in_place();
-
-        out.reset(1, self.out_dim());
-        let mut feat = scratch.take(1, self.out_dim());
-        for (e, expert) in self.experts.iter().enumerate() {
-            expert.forward_into(ps, x, &mut feat, scratch);
-            out.add_scaled(&feat, gate_probs.get(0, e));
-        }
-        scratch.give(feat);
-        scratch.give(gate_probs);
-        scratch.give(flat);
+        self.forward_batch_into(ps, x, 1, out, scratch);
     }
 
     /// Batched inference forward: `xs` row-stacks `batch` independent
@@ -145,9 +132,9 @@ impl MoEFoundation {
     /// output receives episode `b`'s mixture. The gate runs as one matmul
     /// over the per-block flattened states, and every expert encoder runs
     /// one batched pass over the whole stack. Each output row is
-    /// bit-identical to a sequential [`MoEFoundation::forward_into`] of
-    /// that block: flattening, gate logits and softmax are row-local, and
-    /// the mixture accumulates experts in the same ascending order.
+    /// bit-identical to a [`MoEFoundation::forward`] of that block:
+    /// flattening, gate logits and softmax are row-local, and the mixture
+    /// accumulates experts in the same ascending order.
     pub fn forward_batch_into(
         &self,
         ps: &ParamSet,
@@ -359,18 +346,12 @@ impl MoEFoundation {
 /// missing rows.
 fn flatten_padded(x: &Matrix, seq_len: usize, width: usize) -> Matrix {
     let mut flat = Matrix::zeros(1, seq_len * width);
-    flatten_padded_into(x, width, &mut flat);
-    flat
-}
-
-/// Flattening kernel shared with the inference path: writes into a
-/// pre-shaped `1 × (seq_len·width)` buffer (already zeroed).
-fn flatten_padded_into(x: &Matrix, width: usize, flat: &mut Matrix) {
     for r in 0..x.rows() {
         for c in 0..x.cols() {
             flat.set(0, r * width + c, x.get(r, c));
         }
     }
+    flat
 }
 
 #[cfg(test)]

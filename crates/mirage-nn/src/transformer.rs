@@ -448,8 +448,21 @@ impl TransformerEncoder {
         let seq = self.batch_seq(xs, batch);
         let mut h = scratch.take(xs.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, xs, &mut h);
-        // e + positional encoding, in the same element order as `forward`
-        // (pos row index restarts at every block boundary).
+        self.add_positions(&mut h, batch, seq);
+        let mut next = scratch.take(h.rows(), self.cfg.d_model);
+        for layer in &self.layers {
+            layer.forward_batch_into(ps, &h, batch, &mut next, scratch);
+            std::mem::swap(&mut h, &mut next);
+        }
+        self.pool_blocks(&h, batch, seq, out);
+        scratch.give(next);
+        scratch.give(h);
+    }
+
+    /// Adds the positional encoding to the row-stacked embeddings `h` of
+    /// `batch` blocks of `seq` rows, the pos row index restarting at every
+    /// block: `forward`'s `e + pos`, in the same element order.
+    fn add_positions(&self, h: &mut Matrix, batch: usize, seq: usize) {
         for blk in 0..batch {
             for r in 0..seq {
                 for (hv, &pv) in h.row_mut(blk * seq + r).iter_mut().zip(self.pos.row(r)) {
@@ -457,13 +470,14 @@ impl TransformerEncoder {
                 }
             }
         }
-        let mut next = scratch.take(h.rows(), self.cfg.d_model);
-        for layer in &self.layers {
-            layer.forward_batch_into(ps, &h, batch, &mut next, scratch);
-            std::mem::swap(&mut h, &mut next);
-        }
-        // Per-block mean pooling with the exact `mean_rows` arithmetic.
+    }
+
+    /// Mean-pools each of the `batch` blocks of `seq` rows of `h` into its
+    /// row of `out` (`batch × d_model`), with the exact `mean_rows`
+    /// arithmetic of `forward`.
+    fn pool_blocks(&self, h: &Matrix, batch: usize, seq: usize, out: &mut Matrix) {
         out.reset(batch, self.cfg.d_model);
+        let inv = 1.0 / seq.max(1) as f32;
         for blk in 0..batch {
             let orow = out.row_mut(blk);
             for r in 0..seq {
@@ -471,13 +485,10 @@ impl TransformerEncoder {
                     *o += v;
                 }
             }
-            let inv = 1.0 / seq.max(1) as f32;
             for o in orow.iter_mut() {
                 *o *= inv;
             }
         }
-        scratch.give(next);
-        scratch.give(h);
     }
 
     /// Validates a row-stacked batch and returns the per-block sequence
@@ -566,34 +577,13 @@ impl TransformerEncoder {
             .resize_with(self.layers.len(), EncoderLayerBatchCache::default);
         let mut h = scratch.take(xs.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, xs, &mut h);
-        // e + positional encoding, pos row index restarting per block —
-        // the same element order as `forward` / `forward_batch_into`.
-        for blk in 0..batch {
-            for r in 0..seq {
-                for (hv, &pv) in h.row_mut(blk * seq + r).iter_mut().zip(self.pos.row(r)) {
-                    *hv += pv;
-                }
-            }
-        }
+        self.add_positions(&mut h, batch, seq);
         let mut next = scratch.take(h.rows(), self.cfg.d_model);
         for (layer, c) in self.layers.iter().zip(cache.c_layers.iter_mut()) {
             layer.forward_batch_cache(ps, &h, batch, &mut next, c, scratch);
             std::mem::swap(&mut h, &mut next);
         }
-        // Per-block mean pooling with the exact `mean_rows` arithmetic.
-        out.reset(batch, self.cfg.d_model);
-        for blk in 0..batch {
-            let orow = out.row_mut(blk);
-            for r in 0..seq {
-                for (o, &v) in orow.iter_mut().zip(h.row(blk * seq + r)) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / seq.max(1) as f32;
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
-        }
+        self.pool_blocks(&h, batch, seq, out);
         scratch.give(next);
         scratch.give(h);
     }

@@ -6,13 +6,15 @@
 //! [`plan_schedule`] / [`plan_schedule_into`] feed it a slice that is
 //! already sorted (outside callers, the benchmarks); the simulator's
 //! scheduling pass — on either clock — feeds it a `PassQueue` over the
-//! pending table itself: each row's rank is computed once, in the loop
-//! that also finds the head, and the queue is put in priority order only
-//! as far as the planner reads — the jobs phase 1 starts are scans of the
-//! rank column, and only the jobs that survive the planner's first
-//! backfill cut are copied out and ordered (by a `LazyOrder`). The
-//! `sched_depth` cut takes the same path at every queue depth: it is a
-//! budget of reads, and only the few survivors are checked against it.
+//! columnar pending table itself: each row's rank is computed once, into
+//! the table's rank column by two vectorised loops over its columns, a
+//! minimum fold finds the head, and the queue is put in priority order
+//! only as far as the planner reads — the jobs phase 1 starts are scans
+//! of the rank column, and only the jobs that survive the planner's first
+//! backfill cut are built from the columns and ordered (by a
+//! `LazyOrder`). The `sched_depth` cut takes the same path at every queue
+//! depth: it is a budget of reads, and only the few survivors are checked
+//! against it.
 //!
 //! The planner follows Slurm semantics:
 //!
@@ -30,6 +32,8 @@
 //!   its case on (§3).
 
 use serde::{Deserialize, Serialize};
+
+use crate::pending::{PendingTable, Ranking, Rows};
 
 /// Backfill flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,27 +118,23 @@ impl PlanQueue for SortedSlice<'_> {
 /// The rank of a job of the given `priority` (finite —
 /// `PriorityWeights::validate`): ascending rank is descending priority.
 /// `f64::total_cmp`'s own fold of the sign-magnitude bits, applied once per
-/// job so every later comparison is a plain integer one. No finite
+/// job so every later comparison is a plain integer one. Written as a
+/// compare-select rather than `bits ^ ((bits >> 63) as u64 >> 1)`, which
+/// is the same value: AVX2 has no 64-bit arithmetic shift. No finite
 /// priority folds to [`GONE`].
+#[inline]
 pub(crate) fn rank(priority: f64) -> i64 {
     let bits = (-priority).to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
+    if bits < 0 {
+        bits ^ i64::MAX
+    } else {
+        bits
+    }
 }
 
 /// The rank a [`PassQueue`] writes over a row it handed out: only a NaN
 /// folds to it.
 const GONE: i64 = i64::MAX;
-
-/// What a [`PassQueue`] reads of one pending row besides its rank.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PassRow {
-    /// Submit instant: the first tie-break of equal ranks.
-    pub(crate) submit: i64,
-    /// Job id: the last tie-break. Unique, which makes the order total.
-    pub(crate) id: u64,
-    /// What the planner sees of the job.
-    pub(crate) view: PendingView,
-}
 
 /// One job as [`LazyOrder`] holds it: its sort key, the handle the plan
 /// reports for it, and what the planner sees of it.
@@ -150,22 +150,21 @@ pub(crate) struct Queued {
 }
 
 impl Queued {
-    fn new(handle: usize, rank: i64, r: PassRow) -> Self {
+    #[inline]
+    fn new(handle: usize, rank: i64, rows: &Rows) -> Self {
+        let (submit, id) = rows.tie(handle);
         Self {
-            key: (rank, r.submit, r.id),
+            key: (rank, submit, id),
             handle,
-            view: r.view,
+            view: rows.view(handle),
         }
     }
 }
 
 /// Reusable working memory of a [`PassQueue`], so a warm scheduling pass
-/// allocates nothing.
+/// allocates nothing. (The rank column is the pending table's own.)
 #[derive(Debug, Default)]
 pub(crate) struct PassScratch {
-    /// The rank of every pending row, [`GONE`] once handed out. Dead once
-    /// the queue leaves it, so the depth cut selects in it in place.
-    ranks: Vec<i64>,
     /// The rows still in play once the queue leaves the rank column.
     survivors: Vec<Queued>,
 }
@@ -191,16 +190,19 @@ enum Cut {
 /// The pending table as one scheduling pass reads it, in priority order
 /// and only as far as the planner reads.
 ///
-/// [`PassQueue::new`] ranks every row in one loop that also finds the
-/// minimum key, the *head*. Until the planner's first
-/// [`PlanQueue::retain_rest`], the queue is that rank column: the head is
-/// handed out for free and every later read is one minimum-scan of the
-/// column. A congested pass reads the head, maybe a few reserved jobs
+/// [`PassQueue::new`] ranks every row into the table's rank column, in
+/// two loops over its columns that vectorise ([`PendingTable::rank`]),
+/// and finds the minimum key, the *head*: a minimum fold over the rank
+/// column, then the tie-breaks among the rows of that rank only. Until
+/// the planner's first [`PlanQueue::retain_rest`], the queue is that rank
+/// column: the head is handed out for free and every later read is one
+/// such scan. A congested pass reads the head, maybe a few reserved jobs
 /// behind it, and then cuts the rest to the jobs that can backfill — so
-/// only those survivors are built as [`Queued`] and ordered, by a
-/// [`LazyOrder`]. A pass that starts hundreds of jobs before any cut stops
-/// scanning once the scans spent reach `log2` of what is left, and hands
-/// the whole rest to the [`LazyOrder`], which sorts it once.
+/// only those survivors are built as [`Queued`] from the table's columns
+/// and ordered, by a [`LazyOrder`]. A pass that starts hundreds of jobs
+/// before any cut stops scanning once the scans spent reach `log2` of
+/// what is left, and hands the whole rest to the [`LazyOrder`], which
+/// sorts it once.
 ///
 /// The `depth` cut (Slurm's `bf_max_job_test`: only the `depth` best keys
 /// are in play) is a budget of reads, not a pass over the table. Rows are
@@ -213,17 +215,16 @@ enum Cut {
 /// build after the scans run out keeps every live row, and selects the
 /// `room` best of them by key. A backfill cut that leaves fewer free nodes
 /// than the narrowest row asks for ends the queue without a build.
-pub(crate) struct PassQueue<'a, T, K, R> {
+pub(crate) struct PassQueue<'a> {
     ranks: &'a mut [i64],
     survivors: &'a mut Vec<Queued>,
-    rows: &'a [T],
-    rank_of: K,
-    row: R,
+    rows: Rows<'a>,
+    ranking: Ranking<'a>,
     /// The minimum key, until handed out.
     head: Option<usize>,
     /// Rows not yet handed out, while in the rank column.
     live: usize,
-    /// At most the fewest nodes any row asks for: no job fits in fewer.
+    /// The fewest nodes any row asks for: no job fits in fewer.
     narrowest: u32,
     /// `depth`, at least 1: reads of the whole pass inside the cut.
     depth: usize,
@@ -236,45 +237,34 @@ pub(crate) struct PassQueue<'a, T, K, R> {
     cut: Cut,
 }
 
-impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
-    /// Queues `rows`, cut to the `depth` best: a row ranks as `rank_of`
-    /// says and reads as `row` says; the plan's handles are positions in
-    /// `rows`. No row asks for fewer than `narrowest` nodes.
+impl<'a> PassQueue<'a> {
+    /// Queues the rows of `table` as `ranking` ranks them, cut to the
+    /// `depth` best; the plan's handles are positions in the table.
     pub(crate) fn new(
         scratch: &'a mut PassScratch,
-        rows: &'a [T],
-        rank_of: K,
-        row: R,
+        table: &'a mut PendingTable,
+        ranking: Ranking<'a>,
         depth: usize,
-        narrowest: u32,
     ) -> Self {
-        debug_assert!(rows.iter().all(|r| row(r).view.nodes >= narrowest));
-        let PassScratch { ranks, survivors } = scratch;
-        let len = rows.len();
-        // Room for every row in both, so they grow together: a build
-        // after the scans run out copies every live row.
-        ranks.clear();
-        ranks.reserve(len);
+        let narrowest = table.min_nodes();
+        let (rows, ranks) = table.rank(&ranking);
+        debug_assert!(
+            !ranks.contains(&GONE),
+            "a finite priority never ranks as GONE"
+        );
+        let survivors = &mut scratch.survivors;
+        // Room for every row, so it grows with the table: a build after
+        // the scans run out copies every live row.
         survivors.clear();
-        survivors.reserve(len);
-        let (mut head, mut head_rank) = (0, GONE);
-        ranks.extend(rows.iter().enumerate().map(|(at, r)| {
-            let rank = rank_of(r);
-            debug_assert_ne!(rank, GONE, "a finite priority never ranks as GONE");
-            if rank < head_rank || (rank == head_rank && tie(&row(r)) < tie(&row(&rows[head]))) {
-                (head, head_rank) = (at, rank);
-            }
-            rank
-        }));
+        survivors.reserve(rows.len());
         let depth = depth.max(1);
-        Self {
+        let mut queue = Self {
             ranks,
             survivors,
             rows,
-            rank_of,
-            row,
-            head: (len > 0).then_some(head),
-            live: len,
+            ranking,
+            head: None,
+            live: rows.len(),
             narrowest,
             depth,
             room: depth,
@@ -282,19 +272,28 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
             order: None,
             #[cfg(test)]
             cut: Cut::Uncut,
+        };
+        if queue.live > 0 {
+            queue.head = Some(queue.scan());
         }
+        queue
     }
 
     /// The live row of minimum key: a minimum fold over the rank column,
-    /// then the tie-breaks among the rows of that rank only.
+    /// then the tie-breaks among the rows of that rank only. A count (which
+    /// vectorises) of the minimum behind the first row holding it skips
+    /// the tie loop when there is no tie.
     fn scan(&self) -> usize {
         let best = self.ranks.iter().copied().fold(GONE, i64::min);
         let first = self.ranks.iter().position(|&rank| rank == best);
         let first = first.expect("a live row holds the minimum rank");
-        let tie_of = |at: usize| tie(&(self.row)(&self.rows[at]));
+        let behind = &self.ranks[first + 1..];
+        if behind.iter().filter(|&&rank| rank == best).count() == 0 {
+            return first;
+        }
         let mut min = first;
         for (at, &rank) in self.ranks.iter().enumerate().skip(first + 1) {
-            if rank == best && tie_of(at) < tie_of(min) {
+            if rank == best && self.rows.tie(at) < self.rows.tie(min) {
                 min = at;
             }
         }
@@ -302,16 +301,22 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
     }
 
     /// Moves the live rows that pass `keep` to `survivors`, leaving the
-    /// rank column for good.
+    /// rank column for good. Whether a row survives is data no branch
+    /// predictor guesses, so the test runs without a branch over 64 rows
+    /// at a time into a mask, and only its set bits are built.
     fn build(&mut self, mut keep: impl FnMut(&PendingView) -> bool) {
         self.survivors.clear();
-        for (at, (&rank, r)) in self.ranks.iter().zip(self.rows).enumerate() {
-            if rank == GONE {
-                continue;
+        let mut views = self.rows.views();
+        for (block, ranks) in self.ranks.chunks(64).enumerate() {
+            let mut mask = 0u64;
+            for (bit, (&rank, view)) in ranks.iter().zip(views.by_ref()).enumerate() {
+                mask |= u64::from((rank != GONE) & keep(&view)) << bit;
             }
-            let r = (self.row)(r);
-            if keep(&r.view) {
-                self.survivors.push(Queued::new(at, rank, r));
+            while mask != 0 {
+                let at = block * 64 + mask.trailing_zeros() as usize;
+                self.survivors
+                    .push(Queued::new(at, self.ranks[at], &self.rows));
+                mask &= mask - 1;
             }
         }
         self.head = None;
@@ -329,7 +334,6 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
             ranks,
             survivors,
             rows,
-            row,
             room,
             ..
         } = self;
@@ -356,8 +360,8 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
                 // The tie-breaks decide among the rows of this rank.
                 let ahead = ranks
                     .iter()
-                    .zip(rows.iter())
-                    .filter(|&(&rank, r)| rank == s.key.0 && tie(&row(r)) < (s.key.1, s.key.2))
+                    .enumerate()
+                    .filter(|&(at, &rank)| rank == s.key.0 && rows.tie(at) < (s.key.1, s.key.2))
                     .count();
                 below + ahead < room
             });
@@ -384,14 +388,14 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
 
     /// The tie-breaks of the last row of rank `threshold` inside the cut,
     /// once the rank column is scrambled by the selection: every rank is
-    /// computed again. Read rows sort below every live row, so a row is
-    /// inside exactly when fewer than `depth` rows, read or live, sort
-    /// below it. The dead rank column holds the positions of the rows of
-    /// that rank.
+    /// computed again, row by row. Read rows sort below every live row, so
+    /// a row is inside exactly when fewer than `depth` rows, read or live,
+    /// sort below it. The dead rank column holds the positions of the rows
+    /// of that rank.
     fn last_tie_inside(&mut self, threshold: i64) -> (i64, u64) {
         let (mut below, mut tied) = (0, 0);
-        for (at, r) in self.rows.iter().enumerate() {
-            match (self.rank_of)(r).cmp(&threshold) {
+        for at in 0..self.rows.len() {
+            match self.rows.rank(at, &self.ranking).cmp(&threshold) {
                 std::cmp::Ordering::Less => below += 1,
                 std::cmp::Ordering::Equal => {
                     self.ranks[tied] = at as i64;
@@ -400,8 +404,8 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
                 std::cmp::Ordering::Greater => {}
             }
         }
-        let (rows, row) = (self.rows, &self.row);
-        let tie_of = |at: &i64| tie(&row(&rows[*at as usize]));
+        let rows = self.rows;
+        let tie_of = |at: &i64| rows.tie(*at as usize);
         let last = *self.ranks[..tied]
             .select_nth_unstable_by_key(self.depth - below - 1, tie_of)
             .1;
@@ -409,12 +413,7 @@ impl<'a, T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PassQueue<'a, T, K, R> {
     }
 }
 
-/// The tie-breaks of equal ranks.
-fn tie(r: &PassRow) -> (i64, u64) {
-    (r.submit, r.id)
-}
-
-impl<T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, K, R> {
+impl PlanQueue for PassQueue<'_> {
     fn next(&mut self) -> Option<(usize, PendingView)> {
         if self.room == 0 {
             return None; // the rest is outside the cut
@@ -451,7 +450,7 @@ impl<T, K: Fn(&T) -> i64, R: Fn(&T) -> PassRow> PlanQueue for PassQueue<'_, T, K
         self.ranks[at] = GONE;
         self.live -= 1;
         self.room -= 1;
-        Some((at, (self.row)(&self.rows[at]).view))
+        Some((at, self.rows.view(at)))
     }
 
     fn retain_rest(&mut self, free: u32, keep: impl FnMut(&PendingView) -> bool) {
@@ -771,6 +770,8 @@ fn reserve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pending::PendingRow;
+    use crate::priority::PriorityWeights;
     use proptest::prelude::*;
 
     const EASY: BackfillPolicy = BackfillPolicy::Easy { reserve_depth: 1 };
@@ -1019,18 +1020,19 @@ mod tests {
         /// the rest is sorted, and a backlog of harmless jobs (narrow and
         /// short, every release far off) behind a few wide ones, so more
         /// than eight survive the backfill cut and the depth cut falls
-        /// inside a run of equal ranks.
+        /// inside a run of equal ranks; up to 140 rows, so a build spans
+        /// more than one 64-row mask.
         #[test]
         fn lazy_order_matches_sort_then_plan(
             jobs in prop::collection::vec(
-                (0u32..4, 0i64..3, 1u32..=20, 0usize..6), 0..60),
+                (0u32..4, 0i64..3, 1u32..=20, 0usize..6), 0..140),
             running in prop::collection::vec((1i64..50_000, 1u32..=8), 0..12),
             free in 0u32..=16,
             down in 0u32..=6,
-            depth in 1usize..70,
+            depth in 1usize..150,
             shape in 0u32..3,
         ) {
-            let rows: Vec<(f64, PassRow)> = jobs
+            let rows: Vec<(f64, PendingRow)> = jobs
                 .iter()
                 .enumerate()
                 .map(|(i, &(prio, submit, n, l))| {
@@ -1059,18 +1061,53 @@ mod tests {
     const LIMITS: [i64; 6] = [60, 600, 3_600, 20_000, 50_000, 100_000];
 
     /// Row `i` of a drawn queue; ids are unique but not in row order.
-    fn row(submit: i64, i: usize, nodes: u32, limit: usize) -> PassRow {
-        PassRow {
+    fn row(submit: i64, i: usize, nodes: u32, limit: usize) -> PendingRow {
+        let n = i as u64;
+        PendingRow {
+            idx: i,
+            id: (n * 37) % 101 + 1 + 101 * (n / 101),
             submit,
-            id: (i as u64 * 37) % 101 + 1,
-            view: p(nodes, LIMITS[limit]),
+            timelimit: LIMITS[limit],
+            nodes,
+            user: 0,
+            user_slot: 0,
+            size_term: 0.0,
         }
+    }
+
+    /// What the planner sees of a row.
+    fn view(r: &PendingRow) -> PendingView {
+        p(r.nodes, r.timelimit)
+    }
+
+    /// A pending table of `rows` and the ranking under which each row's
+    /// priority is its drawn one: every weight but size is 0, and the
+    /// drawn priority is the row's size term.
+    fn table(rows: &[(f64, PendingRow)]) -> (PendingTable, Ranking<'static>) {
+        let mut table = PendingTable::default();
+        for &(prio, r) in rows {
+            table.push(PendingRow {
+                size_term: prio,
+                ..r
+            });
+        }
+        let weights = PriorityWeights {
+            age: 0.0,
+            fairshare: 0.0,
+            ..PriorityWeights::default()
+        };
+        let ranking = Ranking {
+            weights,
+            now: 10,
+            factors: &[1.0],
+        };
+        (table, ranking)
     }
 
     /// The oracle: sort every row by `(rank, submit, id)`, keep the first
     /// `depth`, plan over the slice, and report row numbers.
     fn sort_then_plan(
-        rows: &[(f64, PassRow)],
+        rows: &[(f64, PendingRow)],
         depth: usize,
         free: u32,
         total: u32,
@@ -1083,7 +1120,7 @@ mod tests {
             (rank(prio), r.submit, r.id)
         });
         sorted.truncate(depth);
-        let views: Vec<_> = sorted.iter().map(|&at| rows[at].1.view).collect();
+        let views: Vec<_> = sorted.iter().map(|&at| view(&rows[at].1)).collect();
         plan_schedule(&views, free, total, 10, running, policy)
             .into_iter()
             .map(|at| sorted[at])
@@ -1103,7 +1140,7 @@ mod tests {
     /// The simulator's way: a [`PassQueue`] over the rows. Also reports
     /// how the queue ended.
     fn pass_plan(
-        rows: &[(f64, PassRow)],
+        rows: &[(f64, PendingRow)],
         depth: usize,
         free: u32,
         total: u32,
@@ -1111,8 +1148,8 @@ mod tests {
         policy: BackfillPolicy,
         scratch: &mut PassScratch,
     ) -> (Vec<usize>, Ended) {
-        let narrowest = rows.iter().map(|r| r.1.view.nodes).min().unwrap_or(0);
-        let mut queue = PassQueue::new(scratch, rows, |r| rank(r.0), |r| r.1, depth, narrowest);
+        let (mut table, ranking) = table(rows);
+        let mut queue = PassQueue::new(scratch, &mut table, ranking, depth);
         let mut starts = Vec::new();
         plan_queue(
             &mut queue,
@@ -1142,7 +1179,7 @@ mod tests {
     #[test]
     fn pass_queue_cuts_and_sorts_like_sort_then_plan() {
         // Four priorities, ten rows each; all but five rows are narrow.
-        let rows: Vec<(f64, PassRow)> = (0..40)
+        let rows: Vec<(f64, PendingRow)> = (0..40)
             .map(|i| {
                 let nodes = if i % 8 == 3 { 12 } else { 1 + i % 2 };
                 (
@@ -1156,17 +1193,9 @@ mod tests {
         let far: &[(i64, u32)] = &[(200_000, 4), (400_000, 8)];
         let near: &[(i64, u32)] = &[(100, 11)];
         // Every row one node wide: phase 1 starts sixteen.
-        let narrow: Vec<(f64, PassRow)> = rows
+        let narrow: Vec<(f64, PendingRow)> = rows
             .iter()
-            .map(|&(prio, r)| {
-                (
-                    prio,
-                    PassRow {
-                        view: p(1, r.view.timelimit),
-                        ..r
-                    },
-                )
-            })
+            .map(|&(prio, r)| (prio, PendingRow { nodes: 1, ..r }))
             .collect();
         let mut scratch = PassScratch::default();
         let easy: &[BackfillPolicy] = &[EASY, BackfillPolicy::Easy { reserve_depth: 3 }];
@@ -1219,6 +1248,80 @@ mod tests {
             for b in priorities {
                 assert_eq!(rank(a).cmp(&rank(b)), (-a).total_cmp(&-b), "{a} vs {b}");
                 assert_ne!(rank(a), GONE);
+            }
+        }
+
+        // The compare-select is the arithmetic-shift fold, on both signs.
+        let shift = |priority: f64| {
+            let bits = (-priority).to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        let edges = [
+            0.0,
+            subnormal,
+            f64::from_bits(1),
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::MAX,
+        ];
+        for p in edges.into_iter().flat_map(|p| [p, -p]) {
+            assert_eq!(rank(p), shift(p), "{p:e}");
+            assert_ne!(rank(p), GONE, "{p:e}");
+        }
+
+        // The pass's age, `now as f64 - submit as f64`, is priority()'s
+        // `(now - submit) as f64` bit for bit for times up to 2^52 in
+        // magnitude, and so is the rank the table gives the row. An
+        // `age_max` far past every age keeps the age term unsaturated.
+        let weights = PriorityWeights {
+            age_max: 1 << 60,
+            ..PriorityWeights::default()
+        };
+        let mut fairshare = crate::priority::FairshareTracker::new(1e6);
+        let slot = fairshare.slot(0);
+        fairshare.record(slot, 3.5e5);
+        fairshare.enqueue(slot);
+        fairshare.refresh();
+        let usage = fairshare.normalized_usage(slot);
+        let big = 1i64 << 52;
+        let times = [-big, -big + 1, -1, 0, 1, 12_345_678_901, big - 3, big];
+        for now in times {
+            for submit in times {
+                let age = now as f64 - submit as f64;
+                assert_eq!(
+                    age.to_bits(),
+                    ((now - submit) as f64).to_bits(),
+                    "{now} - {submit}"
+                );
+                let mut table = PendingTable::default();
+                table.push(PendingRow {
+                    idx: 0,
+                    id: 1,
+                    submit,
+                    timelimit: 60,
+                    nodes: 3,
+                    user: 0,
+                    user_slot: slot,
+                    size_term: crate::priority::size_term(&weights, 3, 8),
+                });
+                let ranking = Ranking {
+                    weights,
+                    now,
+                    factors: fairshare.factors(),
+                };
+                let want = rank(crate::priority::priority(
+                    &weights,
+                    now - submit,
+                    3,
+                    8,
+                    usage,
+                ));
+                let (rows, ranks) = table.rank(&ranking);
+                assert_eq!(ranks[0], want, "now {now}, submit {submit}");
+                assert_eq!(rows.rank(0, &ranking), want, "now {now}, submit {submit}");
             }
         }
     }

@@ -51,6 +51,7 @@
 //! ```
 
 mod admission;
+mod pending;
 
 pub mod backend;
 pub mod backfill;

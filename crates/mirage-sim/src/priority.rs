@@ -316,7 +316,7 @@ pub fn priority(
 ) -> f64 {
     priority_from_terms(
         weights,
-        age,
+        age as f64,
         size_term(weights, nodes, total_nodes),
         fairshare_factor(usage_norm),
     )
@@ -331,14 +331,18 @@ pub(crate) fn size_term(weights: &PriorityWeights, nodes: u32, total_nodes: u32)
 
 /// [`priority`] given its [`size_term`] and the fair-share factor itself
 /// (see [`FairshareTracker::refresh`]) rather than what they derive from:
-/// the same three terms, summed in the same order.
+/// the same three terms, summed in the same order. The age is seconds
+/// pending as `f64`: [`priority`] passes `age as f64`, and the scheduling
+/// pass `now as f64 - submit as f64`, which is the same value for times
+/// of at most 2^53 in magnitude.
+#[inline]
 pub(crate) fn priority_from_terms(
     weights: &PriorityWeights,
-    age: i64,
+    age: f64,
     size_term: f64,
     fs_factor: f64,
 ) -> f64 {
-    let age_factor = (age as f64 / weights.age_max as f64).clamp(0.0, 1.0);
+    let age_factor = (age / weights.age_max as f64).clamp(0.0, 1.0);
     weights.age * age_factor + size_term + weights.fairshare * fs_factor
 }
 
@@ -542,7 +546,7 @@ mod tests {
                     let expected = priority(
                         &W, now, 1 + probe, 8, map.normalized_usage(probe, capacity));
                     let got = priority_from_terms(
-                        &W, now, size_term(&W, 1 + probe, 8), dense.factors()[slot as usize]);
+                        &W, now as f64, size_term(&W, 1 + probe, 8), dense.factors()[slot as usize]);
                     prop_assert_eq!(got.to_bits(), expected.to_bits(), "user {}", probe);
                 }
             }

@@ -7,12 +7,16 @@
 //! completion changes the system, which is what makes replaying a month of
 //! trace take well under a minute.
 //!
-//! A pass costs one loop over the pending table plus work proportional to
-//! what it starts: the fair-share tracker refreshes one factor per user
-//! with queued jobs (it counts them as jobs arrive and start), one loop
-//! ranks every pending row and finds the head, and only the rows that
-//! survive the planner's first backfill cut are copied out and ordered
-//! ([`crate::backfill`]). A backlog deeper than `sched_depth` takes the
+//! The pending table is columnar: one column per field a pass reads, all
+//! stripes of one buffer that grows as one. A pass costs a few vectorised
+//! loops over those columns plus work proportional to what it starts: the
+//! fair-share tracker refreshes one factor per user with queued jobs (it
+//! counts them as jobs arrive and start), one loop gathers each row's
+//! factor and one turns it into the row's rank, a minimum fold finds the
+//! head, and only the rows that survive the planner's first backfill cut
+//! are built from the columns and ordered ([`crate::backfill`]). The rows
+//! it started leave by a shift of only the rows on the shorter side of
+//! them, in arrival order. A backlog deeper than `sched_depth` takes the
 //! same path: the cut bounds what the planner reads, and only those
 //! survivors are checked against it. The event queue keeps a trace's
 //! future arrivals in a sorted stream beside its heap ([`crate::event`]).
@@ -33,15 +37,14 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, IdMap, RecentStarts};
-use crate::backfill::{
-    plan_queue, rank, BackfillPolicy, PassQueue, PassRow, PassScratch, PendingView, PlanScratch,
-};
+use crate::backfill::{plan_queue, BackfillPolicy, PassQueue, PassScratch, PlanScratch};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::priority::{priority_from_terms, size_term, FairshareTracker, PriorityWeights};
-use crate::snapshot::{ClusterSnapshot, QueuedJobView, RunningJobView};
+use crate::pending::{PendingRow, PendingTable, Ranking};
+use crate::priority::{size_term, FairshareTracker, PriorityWeights};
+use crate::snapshot::{ClusterSnapshot, RunningJobView};
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -347,30 +350,6 @@ impl Clone for JobArena {
     }
 }
 
-/// One pending job as the scheduling pass, [`Simulator::sample_into`] and
-/// [`Simulator::user_usage`] read it: everything they need, copied out of
-/// the job arena at arrival, so they stream one dense table instead of
-/// chasing a [`SimJob`] per pending job. Nothing here changes while the
-/// job pends (`submit` survives an eviction, so a retry's row is older
-/// than its neighbours).
-#[derive(Debug, Clone, Copy)]
-struct PendingRow {
-    /// Arena index of the job, or [`STARTED`] between a pass's starts and
-    /// the sweep that drops them.
-    idx: usize,
-    id: u64,
-    submit: i64,
-    timelimit: i64,
-    nodes: u32,
-    user: u32,
-    user_slot: u32,
-    /// The job's constant [`size_term`] of the priority.
-    size_term: f64,
-}
-
-/// [`PendingRow::idx`] of a row whose job the current pass started.
-const STARTED: usize = usize::MAX;
-
 /// Event-driven Slurm simulator.
 ///
 /// A fork is `clone()`, a restore is `clone_from()`: the restored
@@ -394,9 +373,12 @@ pub struct Simulator {
     evictions_log: EvictionLog,
     jobs: JobArena,
     id_map: IdMap<u64, usize>,
-    /// The queue, in arrival order. Grows by doubling to the deepest
-    /// backlog seen and keeps that capacity across [`Simulator::reset`].
-    pending: Vec<PendingRow>,
+    /// The queue, in arrival order, column by column. Grows by doubling
+    /// to the deepest backlog seen and keeps that room across
+    /// [`Simulator::reset`]. It also keeps the fewest nodes any queued job
+    /// asks for, exactly ([`PendingTable::min_nodes`]), which lets the
+    /// event clock skip futile passes.
+    pending: PendingTable,
     running: Vec<usize>, // arena indices of running jobs (≤ nodes entries)
     events: EventQueue,
     fairshare: FairshareTracker,
@@ -409,21 +391,6 @@ pub struct Simulator {
     /// only knows the *limit*, not the real runtime — kept sorted across
     /// passes: inserted at start, removed at completion/eviction.
     releases: Vec<(i64, u32)>,
-    /// Lower bound on the smallest node request among pending jobs.
-    /// The planner can only ever start a job whose request fits in
-    /// `free_nodes` (both the priority and the backfill phase check it),
-    /// so a pass with `free_nodes < min_pending_nodes` is provably a
-    /// no-op and the event clock skips it wholesale — on a congested
-    /// cluster that is most passes. Skipping also skips the pass's fair-share decay, so
-    /// *which* passes are skipped is part of the replayed arithmetic: the
-    /// bound is tightened by arrivals and recomputed exactly (in the same
-    /// sweep that drops started jobs from `pending`) after every pass that
-    /// starts something, and nothing else may move it. Between those
-    /// points it can only be too low, which costs a redundant pass, never
-    /// skips a productive one. Inside a pass, the [`PassQueue`] ends a
-    /// backfill cut that leaves fewer free nodes than this without
-    /// building a row.
-    min_pending_nodes: u32,
     // Completion bookkeeping, maintained incrementally at completion time
     // so `completed()`/`metrics()` never re-filter or sort the job arena:
     // `completed_order` holds arena indices sorted by `(end, id)` (ends
@@ -459,7 +426,7 @@ impl Simulator {
             evictions_log: EvictionLog::default(),
             jobs: JobArena::default(),
             id_map: IdMap::default(),
-            pending: Vec::new(),
+            pending: PendingTable::default(),
             running: Vec::new(),
             events: EventQueue::new(),
             fairshare: FairshareTracker::new(capacity_ns),
@@ -469,7 +436,6 @@ impl Simulator {
             next_id: 1,
             recent_starts: RecentStarts::default(),
             releases: Vec::new(),
-            min_pending_nodes: u32::MAX,
             completed_order: Vec::new(),
             wait_sum: 0.0,
             jct_sum: 0.0,
@@ -608,9 +574,9 @@ impl Simulator {
     /// `load_trace`) needs no heap slot until it starts, so the heap is
     /// reserved net of the stream and grows with the running set on the
     /// first replay only (reset keeps the capacity). The pending table is
-    /// not sized this way — one 56-byte row per *loaded* job is a quarter
-    /// more peak memory on a bulk replay, for a queue that never holds
-    /// more than a fraction of the trace — it grows with the backlog.
+    /// not sized this way — 80 bytes of columns per *loaded* job is a
+    /// third more peak memory on a bulk replay, for a queue that never
+    /// holds more than a fraction of the trace — it grows with the backlog.
     fn reserve_for_jobs(&mut self) {
         let cap = self.jobs.len() + 1;
         self.events.reserve_total(cap);
@@ -648,15 +614,7 @@ impl Simulator {
             out.contended_running = self.contended_running;
         }
         out.queued.clear();
-        out.queued
-            .extend(self.pending.iter().map(|row| QueuedJobView {
-                id: row.id,
-                nodes: row.nodes,
-                submit: row.submit,
-                age: self.now - row.submit,
-                timelimit: row.timelimit,
-                user: row.user,
-            }));
+        out.queued.extend(self.pending.rows().queued(self.now));
         out.running.clear();
         out.running.extend(self.running.iter().map(|&i| {
             let j = &self.jobs[i];
@@ -726,7 +684,6 @@ impl Simulator {
             next_id,
             recent_starts,
             releases,
-            min_pending_nodes,
             completed_order,
             wait_sum,
             jct_sum,
@@ -759,7 +716,6 @@ impl Simulator {
         *next_id = 1;
         recent_starts.clear();
         releases.clear();
-        *min_pending_nodes = u32::MAX;
         completed_order.clear();
         *wait_sum = 0.0;
         *jct_sum = 0.0;
@@ -800,11 +756,11 @@ impl Simulator {
 
     /// The event clock's pass after an instant's events — unless it is
     /// provably futile (no pending job fits in the free nodes; see
-    /// `min_pending_nodes`). Skipping a pass also skips its fair-share
+    /// [`PendingTable::min_nodes`]). Skipping a pass also skips its fair-share
     /// decay, so the skip is this clock's pinned arithmetic, not the
     /// pass's: a clock that runs passes on a cadence runs them all.
     fn event_pass(&mut self) {
-        if self.free_nodes >= self.min_pending_nodes {
+        if self.free_nodes >= self.pending.min_nodes() {
             self.schedule_pass(self.cfg.backfill);
         }
     }
@@ -892,10 +848,7 @@ impl Simulator {
     /// (the latter two are index lists into the job arena).
     pub fn user_usage(&self, user: u32) -> ServiceUsage {
         let mut usage = ServiceUsage::empty(user);
-        for row in self.pending.iter().filter(|row| row.user == user) {
-            usage.queued += 1;
-            usage.queued_nodes += u64::from(row.nodes);
-        }
+        (usage.queued, usage.queued_nodes) = self.pending.rows().queued_by(user);
         for &i in &self.running {
             let r = &self.jobs[i].record;
             if r.user == user {
@@ -953,7 +906,6 @@ impl Simulator {
         job.status = JobStatus::Pending;
         self.fairshare.enqueue(job.user_slot);
         let r = &job.record;
-        self.min_pending_nodes = self.min_pending_nodes.min(r.nodes);
         self.pending.push(PendingRow {
             idx,
             id: r.id,
@@ -964,6 +916,7 @@ impl Simulator {
             user_slot: job.user_slot,
             size_term: size_term(&self.cfg.weights, r.nodes, self.cfg.nodes),
         });
+        debug_assert_eq!(self.pending.min_nodes(), self.pending.scan_min_nodes());
     }
 
     fn complete_job(&mut self, idx: usize, epoch: u32) {
@@ -1219,58 +1172,51 @@ impl Simulator {
     ///
     /// * The fair-share tracker decays and then refreshes the factor of
     ///   every user with queued jobs, one `2^(-usage)` per user.
-    /// * A [`PassQueue`] over the pending table ranks every row by
-    ///   `(-priority, submit, id)` in one loop that also finds the head,
+    /// * A [`PassQueue`] ranks every row of the pending table by
+    ///   `(-priority, submit, id)` into the table's rank column, in two
+    ///   loops over its columns that vectorise (the factor gathered by
+    ///   slot, then the rank), and finds the head with a minimum fold. It
     ///   hands out at most the `sched_depth` best keys (Slurm's
     ///   `bf_max_job_test`), and is ordered only as far as [`plan_queue`]
     ///   reads: the jobs phase 1 starts and the blocked head (and, for
     ///   `reserve_depth > 1`, on to the last reserved job) are scans of
     ///   the rank column, and only the jobs that survive the exact
-    ///   backfill cut and sort inside `sched_depth` are copied out and
-    ///   ordered. The resulting starts, and their order, are those of
-    ///   sorting the whole queue first.
+    ///   backfill cut and sort inside `sched_depth` are built from the
+    ///   columns and ordered. The resulting starts, and their order, are
+    ///   those of sorting the whole queue first.
+    /// * The started rows leave the table by a shift of only the rows on
+    ///   the shorter side of them (usually the few ahead: age dominates
+    ///   priority), which keeps arrival order; the fewest nodes any row
+    ///   asks for stays exact, rescanned only when a started row asked for
+    ///   exactly that many.
     /// * The planner sees only physically available capacity: crashed
     ///   nodes cannot host a reservation until they recover. Priority and
     ///   fair-share keep the nominal partition size, matching how Slurm's
     ///   multifactor weights stay fixed across drained nodes.
     pub(crate) fn schedule_pass(&mut self, policy: BackfillPolicy) {
         debug_assert!(
-            self.fairshare
-                .counts_match(self.pending.iter().map(|row| row.user_slot)),
+            self.fairshare.counts_match(self.pending.rows().slots()),
             "the active fair-share slots are not the pending rows' slots"
         );
         if self.pending.is_empty() {
             return;
         }
-        let w = self.cfg.weights;
         let now = self.now;
         let total = self.cfg.nodes;
-        self.fairshare.decay_to(now, w.fairshare_halflife);
+        self.fairshare
+            .decay_to(now, self.cfg.weights.fairshare_halflife);
         self.fairshare.refresh();
 
-        let factors = self.fairshare.factors();
+        let ranking = Ranking {
+            weights: self.cfg.weights,
+            now,
+            factors: self.fairshare.factors(),
+        };
         let mut queue = PassQueue::new(
             &mut self.scratch_pass,
-            &self.pending,
-            move |row| {
-                let fs_factor = factors[row.user_slot as usize];
-                rank(priority_from_terms(
-                    &w,
-                    now - row.submit,
-                    row.size_term,
-                    fs_factor,
-                ))
-            },
-            |row| PassRow {
-                submit: row.submit,
-                id: row.id,
-                view: PendingView {
-                    nodes: row.nodes,
-                    timelimit: row.timelimit,
-                },
-            },
+            &mut self.pending,
+            ranking,
             self.cfg.sched_depth,
-            self.min_pending_nodes,
         );
         let mut starts = std::mem::take(&mut self.scratch_starts);
         plan_queue(
@@ -1285,22 +1231,11 @@ impl Simulator {
         );
         // The planner hands back positions in the pending table.
         for &at in &starts {
-            let idx = std::mem::replace(&mut self.pending[at].idx, STARTED);
+            let idx = self.pending.rows().idx(at);
             self.start_job(idx);
         }
-        if !starts.is_empty() {
-            // One sweep drops the started jobs and recomputes the exact
-            // bound over what is left.
-            let mut min_nodes = u32::MAX;
-            self.pending.retain(|row| {
-                let pending = row.idx != STARTED;
-                if pending {
-                    min_nodes = min_nodes.min(row.nodes);
-                }
-                pending
-            });
-            self.min_pending_nodes = min_nodes;
-        }
+        self.pending.remove(&mut starts);
+        debug_assert_eq!(self.pending.min_nodes(), self.pending.scan_min_nodes());
         self.scratch_starts = starts;
     }
 }
@@ -1347,7 +1282,6 @@ impl Clone for Simulator {
             next_id,
             recent_starts,
             releases,
-            min_pending_nodes,
             completed_order,
             wait_sum,
             jct_sum,
@@ -1391,7 +1325,6 @@ impl Clone for Simulator {
         *next_id = source.next_id;
         recent_starts.clone_from(&source.recent_starts);
         releases.clone_from(&source.releases);
-        *min_pending_nodes = source.min_pending_nodes;
         completed_order.clone_from(&source.completed_order);
         *wait_sum = source.wait_sum;
         *jct_sum = source.jct_sum;
@@ -1403,6 +1336,7 @@ impl Clone for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::QueuedJobView;
     use mirage_trace::HOUR;
 
     fn job(id: u64, submit: i64, nodes: u32, runtime: i64, limit: i64) -> JobRecord {
@@ -1709,6 +1643,7 @@ mod tests {
 
         let from_arena: Vec<QueuedJobView> = s
             .pending
+            .rows()
             .iter()
             .map(|row| {
                 let j = &s.jobs[row.idx];
@@ -1751,7 +1686,7 @@ mod tests {
     #[test]
     fn active_slots_follow_the_queue() {
         fn check(s: &mut Simulator) {
-            let slots = s.pending.iter().map(|row| row.user_slot);
+            let slots = s.pending.rows().slots();
             assert!(s.fairshare.counts_match(slots), "at t={}", s.now);
         }
         let trace: Vec<JobRecord> = (0..12u32)
