@@ -318,8 +318,8 @@ fn steady_state_decision_loop_is_allocation_free() {
     // completions all happen inside the window while the queue climbs
     // from 328 to 569 — across the 512-entry capacity doubling of every
     // backlog-sized buffer. The first episode may pay those doublings
-    // (seven, counted when the depth cut became a budget of reads; six
-    // when this phase was written) and nothing else; the same episode
+    // (five, counted when each read of the pass queue became a scan of
+    // the pending table's rank column) and nothing else; the same episode
     // again after `reset()` must not allocate at all.
     let growing: Vec<JobRecord> = (0..1200i64)
         .map(|i| {

@@ -7,14 +7,11 @@
 //! already sorted (outside callers, the benchmarks); the simulator's
 //! scheduling pass — on either clock — feeds it a `PassQueue` over the
 //! columnar pending table itself: each row's rank is computed once, into
-//! the table's rank column by two vectorised loops over its columns, a
-//! minimum fold finds the head, and the queue is put in priority order
-//! only as far as the planner reads — the jobs phase 1 starts are scans
-//! of the rank column, and only the jobs that survive the planner's first
-//! backfill cut are built from the columns and ordered (by a
-//! `LazyOrder`). The `sched_depth` cut takes the same path at every queue
-//! depth: it is a budget of reads, and only the few survivors are checked
-//! against it.
+//! the table's rank column by two vectorised loops over its columns, and
+//! every read is one scan of that column — a minimum fold over the ranks
+//! of the rows the planner's test accepts, then the tie-breaks among the
+//! rows of that rank. Nothing is built or sorted. The `sched_depth` cut is
+//! checked on the row a read finds, by one count over the rank column.
 //!
 //! The planner follows Slurm semantics:
 //!
@@ -84,18 +81,19 @@ pub struct PlanScratch {
     reservations: Vec<Reservation>,
 }
 
-/// The pending queue as the planner consumes it: strictly in priority
-/// order, but only as far as it reads.
+/// The pending queue as the planner consumes it: a read hands out the
+/// best unread job that the planner's test accepts.
 pub(crate) trait PlanQueue {
-    /// The next job in priority order as `(handle, view)`; the handle is
-    /// what the plan reports in `starts`.
-    fn next(&mut self) -> Option<(usize, PendingView)>;
-
-    /// Drops not-yet-read jobs that fail `keep`, where that saves ordering
-    /// them. The planner only passes a test whose failures are sure to
-    /// fail again when it reaches them, so dropping is optional; `keep`
-    /// fails every job wider than `free`.
-    fn retain_rest(&mut self, free: u32, keep: impl FnMut(&PendingView) -> bool);
+    /// The unread job of highest priority that passes `keep`, as `(handle,
+    /// view)`; the handle is what the plan reports in `starts`. `keep`
+    /// fails every job wider than `free`, and the planner's tests only get
+    /// stricter within a pass, so a job it skips would fail again: a skip
+    /// is for good.
+    fn next(
+        &mut self,
+        free: u32,
+        keep: impl FnMut(&PendingView) -> bool,
+    ) -> Option<(usize, PendingView)>;
 }
 
 /// A queue that is already fully ordered: the public entry points' case.
@@ -105,14 +103,19 @@ struct SortedSlice<'a> {
 }
 
 impl PlanQueue for SortedSlice<'_> {
-    fn next(&mut self) -> Option<(usize, PendingView)> {
-        let at = self.cursor;
-        let view = *self.pending.get(at)?;
-        self.cursor += 1;
-        Some((at, view))
+    fn next(
+        &mut self,
+        _free: u32,
+        mut keep: impl FnMut(&PendingView) -> bool,
+    ) -> Option<(usize, PendingView)> {
+        while let Some(&view) = self.pending.get(self.cursor) {
+            self.cursor += 1;
+            if keep(&view) {
+                return Some((self.cursor - 1, view));
+            }
+        }
+        None
     }
-
-    fn retain_rest(&mut self, _free: u32, _keep: impl FnMut(&PendingView) -> bool) {}
 }
 
 /// The rank of a job of the given `priority` (finite —
@@ -132,409 +135,136 @@ pub(crate) fn rank(priority: f64) -> i64 {
     }
 }
 
-/// The rank a [`PassQueue`] writes over a row it handed out: only a NaN
-/// folds to it.
+/// The rank a [`PassQueue`] writes over a row it handed out, and the one a
+/// scan gives a row its test fails: only a NaN folds to it.
 const GONE: i64 = i64::MAX;
 
-/// One job as [`LazyOrder`] holds it: its sort key, the handle the plan
-/// reports for it, and what the planner sees of it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Queued {
-    /// `(rank, submit, id)`, ascending = descending priority with FIFO,
-    /// then id, tie-breaks. Ids are unique, which makes the order total:
-    /// selecting minima one at a time yields exactly the sequence a full
-    /// sort would.
-    key: (i64, i64, u64),
-    handle: usize,
-    view: PendingView,
-}
-
-impl Queued {
-    #[inline]
-    fn new(handle: usize, rank: i64, rows: &Rows) -> Self {
-        let (submit, id) = rows.tie(handle);
-        Self {
-            key: (rank, submit, id),
-            handle,
-            view: rows.view(handle),
-        }
-    }
-}
-
-/// Reusable working memory of a [`PassQueue`], so a warm scheduling pass
-/// allocates nothing. (The rank column is the pending table's own.)
-#[derive(Debug, Default)]
-pub(crate) struct PassScratch {
-    /// The rows still in play once the queue leaves the rank column.
-    survivors: Vec<Queued>,
-}
-
-/// Which branch of the depth cut a [`PassQueue`] took when it left the
-/// rank column.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cut {
-    /// Every live row was inside the cut (or the queue never left).
-    Uncut,
-    /// No row fits in the free nodes: the queue ended without a build.
-    NoneFits,
-    /// The scans ran out: every live row built, then selected by key.
-    KeepAll,
-    /// A few survivors, each kept by counting the live keys below it.
-    Counted,
-    /// Survivors kept by a threshold rank selected in the rank column;
-    /// `tied` if the threshold's ties were settled by their full keys.
-    Threshold { tied: bool },
-}
-
-/// The pending table as one scheduling pass reads it, in priority order
-/// and only as far as the planner reads.
+/// The pending table as one scheduling pass reads it: its rank column,
+/// scanned once per read.
 ///
 /// [`PassQueue::new`] ranks every row into the table's rank column, in
-/// two loops over its columns that vectorise ([`PendingTable::rank`]),
-/// and finds the minimum key, the *head*: a minimum fold over the rank
-/// column, then the tie-breaks among the rows of that rank only. Until
-/// the planner's first [`PlanQueue::retain_rest`], the queue is that rank
-/// column: the head is handed out for free and every later read is one
-/// such scan. A congested pass reads the head, maybe a few reserved jobs
-/// behind it, and then cuts the rest to the jobs that can backfill — so
-/// only those survivors are built as [`Queued`] from the table's columns
-/// and ordered, by a [`LazyOrder`]. A pass that starts hundreds of jobs
-/// before any cut stops scanning once the scans spent reach `log2` of
-/// what is left, and hands the whole rest to the [`LazyOrder`], which
-/// sorts it once.
+/// two loops over its columns that vectorise ([`PendingTable::rank`]).
+/// The key of a row is `(rank, submit, id)`: ascending is descending
+/// priority, with FIFO and then id tie-breaks, and ids are unique, so the
+/// order is total. Every read is one scan of the column: a minimum fold of
+/// the rank of each row the planner's test keeps ([`GONE`] for the rest),
+/// then the tie-breaks among the kept rows of that rank. The row found is
+/// marked [`GONE`], so it is never read again. A pass scans the table once
+/// per read: once per job it starts (at most the free nodes), once per
+/// blocked job phase 2 reads, and once for the read that ends it. Nothing
+/// is built or sorted.
 ///
 /// The `depth` cut (Slurm's `bf_max_job_test`: only the `depth` best keys
-/// are in play) is a budget of reads, not a pass over the table. Rows are
-/// handed out in key order, so the k-th read is inside the cut exactly
-/// when k ≤ `depth`: the queue ends once its `room` is spent. A row left
-/// in the rank column is inside the cut if fewer than `room` live keys
-/// sort below it, and only the survivors of the backfill cut are checked:
-/// up to eight by counting the live ranks below each, more against the
-/// `room`-th smallest live rank, selected in the rank column in place. A
-/// build after the scans run out keeps every live row, and selects the
-/// `room` best of them by key. A backfill cut that leaves fewer free nodes
-/// than the narrowest row asks for ends the queue without a build.
+/// are in play) is checked on the row a read finds. Every row read earlier
+/// has a smaller key (it was the best kept row when read, and the test
+/// only gets stricter), so the row is inside the cut exactly when fewer
+/// than `depth` rows sort below it: the rows read, and the live rows of
+/// lower rank or of its rank with smaller tie-breaks. That is one count
+/// over the rank column, run only when the table holds more than `depth`
+/// rows. The first row found outside the cut ends the queue, as does a
+/// read with fewer free nodes than the narrowest row asks for.
 pub(crate) struct PassQueue<'a> {
     ranks: &'a mut [i64],
-    survivors: &'a mut Vec<Queued>,
     rows: Rows<'a>,
-    ranking: Ranking<'a>,
-    /// The minimum key, until handed out.
-    head: Option<usize>,
-    /// Rows not yet handed out, while in the rank column.
-    live: usize,
     /// The fewest nodes any row asks for: no job fits in fewer.
     narrowest: u32,
-    /// `depth`, at least 1: reads of the whole pass inside the cut.
+    /// `depth`, at least 1: the reads of the whole pass inside the cut.
     depth: usize,
-    /// Reads left inside the cut.
-    room: usize,
-    scans: u32,
-    /// `Some` once the queue has moved to `survivors`.
-    order: Option<LazyOrder>,
-    #[cfg(test)]
-    cut: Cut,
+    /// Rows handed out; `depth` once the queue has ended at the cut.
+    read: usize,
 }
 
 impl<'a> PassQueue<'a> {
     /// Queues the rows of `table` as `ranking` ranks them, cut to the
     /// `depth` best; the plan's handles are positions in the table.
-    pub(crate) fn new(
-        scratch: &'a mut PassScratch,
-        table: &'a mut PendingTable,
-        ranking: Ranking<'a>,
-        depth: usize,
-    ) -> Self {
+    pub(crate) fn new(table: &'a mut PendingTable, ranking: Ranking, depth: usize) -> Self {
         let narrowest = table.min_nodes();
         let (rows, ranks) = table.rank(&ranking);
         debug_assert!(
             !ranks.contains(&GONE),
             "a finite priority never ranks as GONE"
         );
-        let survivors = &mut scratch.survivors;
-        // Room for every row, so it grows with the table: a build after
-        // the scans run out copies every live row.
-        survivors.clear();
-        survivors.reserve(rows.len());
-        let depth = depth.max(1);
-        let mut queue = Self {
+        Self {
             ranks,
-            survivors,
             rows,
-            ranking,
-            head: None,
-            live: rows.len(),
             narrowest,
-            depth,
-            room: depth,
-            scans: 0,
-            order: None,
-            #[cfg(test)]
-            cut: Cut::Uncut,
-        };
-        if queue.live > 0 {
-            queue.head = Some(queue.scan());
+            depth: depth.max(1),
+            read: 0,
         }
-        queue
     }
 
-    /// The live row of minimum key: a minimum fold over the rank column,
-    /// then the tie-breaks among the rows of that rank only. A count (which
-    /// vectorises) of the minimum behind the first row holding it skips
-    /// the tie loop when there is no tie.
-    fn scan(&self) -> usize {
-        let best = self.ranks.iter().copied().fold(GONE, i64::min);
-        let first = self.ranks.iter().position(|&rank| rank == best);
-        let first = first.expect("a live row holds the minimum rank");
-        let behind = &self.ranks[first + 1..];
+    /// The unread row of minimum key among those that pass `keep`: a
+    /// minimum fold over the rank column with every row `keep` fails read
+    /// as [`GONE`], then the tie-breaks among the kept rows of that rank
+    /// only. A count (which vectorises) of that rank behind the first row
+    /// holding it skips the tie loop when no other row holds it.
+    fn scan(&self, mut keep: impl FnMut(&PendingView) -> bool) -> Option<usize> {
+        let ranks = &*self.ranks;
+        // A `for` loop, which vectorises where a `fold` over the zip does not.
+        let mut best = GONE;
+        for (&rank, view) in ranks.iter().zip(self.rows.views()) {
+            best = best.min(if keep(&view) { rank } else { GONE });
+        }
+        if best == GONE {
+            return None;
+        }
+        let mut holders = ranks
+            .iter()
+            .zip(self.rows.views())
+            .enumerate()
+            .filter(|&(_, (&rank, view))| rank == best && keep(&view))
+            .map(|(at, _)| at);
+        let first = holders.next().expect("a kept row holds the minimum rank");
+        let behind = &ranks[first + 1..];
         if behind.iter().filter(|&&rank| rank == best).count() == 0 {
-            return first;
+            return Some(first);
         }
-        let mut min = first;
-        for (at, &rank) in self.ranks.iter().enumerate().skip(first + 1) {
-            if rank == best && self.rows.tie(at) < self.rows.tie(min) {
-                min = at;
-            }
-        }
-        min
+        std::iter::once(first)
+            .chain(holders)
+            .min_by_key(|&at| self.rows.tie(at))
     }
 
-    /// Moves the live rows that pass `keep` to `survivors`, leaving the
-    /// rank column for good. Whether a row survives is data no branch
-    /// predictor guesses, so the test runs without a branch over 64 rows
-    /// at a time into a mask, and only its set bits are built.
-    fn build(&mut self, mut keep: impl FnMut(&PendingView) -> bool) {
-        self.survivors.clear();
-        let mut views = self.rows.views();
-        for (block, ranks) in self.ranks.chunks(64).enumerate() {
-            let mut mask = 0u64;
-            for (bit, (&rank, view)) in ranks.iter().zip(views.by_ref()).enumerate() {
-                mask |= u64::from((rank != GONE) & keep(&view)) << bit;
-            }
-            while mask != 0 {
-                let at = block * 64 + mask.trailing_zeros() as usize;
-                self.survivors
-                    .push(Queued::new(at, self.ranks[at], &self.rows));
-                mask &= mask - 1;
-            }
-        }
-        self.head = None;
-        self.order = Some(LazyOrder {
-            scans: self.scans,
-            ..LazyOrder::default()
+    /// Whether the unread row `at` is among the `depth` best keys: fewer
+    /// than `depth` rows sort below it, read (all of them) or live.
+    fn inside(&self, at: usize) -> bool {
+        let rank = self.ranks[at];
+        let (below, equal) = self.ranks.iter().fold((0, 0), |(below, equal), &r| {
+            (
+                below + usize::from(r < rank),
+                equal + usize::from(r == rank),
+            )
         });
-    }
-
-    /// Drops the survivors of a filtered [`build`](Self::build) that sort
-    /// outside the cut: those with `room` or more live keys below them.
-    /// Needs `live > room > 0` and the rank column as the build left it.
-    fn cut(&mut self) {
-        let Self {
-            ranks,
-            survivors,
-            rows,
-            room,
-            ..
-        } = self;
-        let room = *room;
-        // The live ranks below `rank`, and those equal to it.
-        let counts = |ranks: &[i64], rank: i64| {
-            ranks.iter().fold((0, 0), |(below, equal), &r| {
-                (
-                    below + usize::from(r < rank),
-                    equal + usize::from(r == rank),
-                )
-            })
-        };
-        if survivors.len() <= 8 {
-            #[cfg(test)]
-            {
-                self.cut = Cut::Counted;
-            }
-            survivors.retain(|s| {
-                let (below, equal) = counts(ranks, s.key.0);
-                if below + equal <= room {
-                    return true;
-                }
-                // The tie-breaks decide among the rows of this rank.
-                let ahead = ranks
-                    .iter()
-                    .enumerate()
-                    .filter(|&(at, &rank)| rank == s.key.0 && rows.tie(at) < (s.key.1, s.key.2))
-                    .count();
-                below + ahead < room
-            });
-            return;
+        let below = self.read + below;
+        if below + equal <= self.depth {
+            return true; // every row of its rank is inside
         }
-        // The `room`-th smallest live rank: read rows are GONE and sort
-        // last. Survivors ranked below it are in, those above it out.
-        let threshold = *ranks.select_nth_unstable(room - 1).1;
-        let (below, equal) = counts(ranks, threshold);
-        let tied = below + equal > room && survivors.iter().any(|s| s.key.0 == threshold);
-        #[cfg(test)]
-        {
-            self.cut = Cut::Threshold { tied };
-        }
-        let last = if tied {
-            self.last_tie_inside(threshold)
-        } else {
-            (i64::MAX, u64::MAX)
-        };
-        self.survivors.retain(|s| {
-            s.key.0 < threshold || (s.key.0 == threshold && (s.key.1, s.key.2) <= last)
-        });
-    }
-
-    /// The tie-breaks of the last row of rank `threshold` inside the cut,
-    /// once the rank column is scrambled by the selection: every rank is
-    /// computed again, row by row. Read rows sort below every live row, so
-    /// a row is inside exactly when fewer than `depth` rows, read or live,
-    /// sort below it. The dead rank column holds the positions of the rows
-    /// of that rank.
-    fn last_tie_inside(&mut self, threshold: i64) -> (i64, u64) {
-        let (mut below, mut tied) = (0, 0);
-        for at in 0..self.rows.len() {
-            match self.rows.rank(at, &self.ranking).cmp(&threshold) {
-                std::cmp::Ordering::Less => below += 1,
-                std::cmp::Ordering::Equal => {
-                    self.ranks[tied] = at as i64;
-                    tied += 1;
-                }
-                std::cmp::Ordering::Greater => {}
-            }
-        }
-        let rows = self.rows;
-        let tie_of = |at: &i64| rows.tie(*at as usize);
-        let last = *self.ranks[..tied]
-            .select_nth_unstable_by_key(self.depth - below - 1, tie_of)
-            .1;
-        tie_of(&last)
+        // The tie-breaks decide among the live rows of this rank.
+        let tie = self.rows.tie(at);
+        let ahead = self.ranks.iter().enumerate();
+        let ahead = ahead
+            .filter(|&(other, &r)| r == rank && self.rows.tie(other) < tie)
+            .count();
+        below + ahead < self.depth
     }
 }
 
 impl PlanQueue for PassQueue<'_> {
-    fn next(&mut self) -> Option<(usize, PendingView)> {
-        if self.room == 0 {
-            return None; // the rest is outside the cut
+    fn next(
+        &mut self,
+        free: u32,
+        keep: impl FnMut(&PendingView) -> bool,
+    ) -> Option<(usize, PendingView)> {
+        if self.read == self.depth || free < self.narrowest {
+            return None; // the rest is outside the cut, or no job fits
         }
-        if let Some(order) = &mut self.order {
-            let job = order.next(self.survivors)?;
-            self.room -= 1;
-            return Some((job.handle, job.view));
-        }
-        if self.live == 0 {
+        let at = self.scan(keep)?;
+        if self.rows.len() > self.depth && !self.inside(at) {
+            self.read = self.depth; // every row still kept sorts after it
             return None;
         }
-        let at = match self.head.take() {
-            Some(head) => head,
-            None if self.scans < self.live.ilog2() => {
-                self.scans += 1;
-                self.scan()
-            }
-            None => {
-                self.build(|_| true);
-                if self.live > self.room {
-                    #[cfg(test)]
-                    {
-                        self.cut = Cut::KeepAll;
-                    }
-                    let room = self.room;
-                    self.survivors
-                        .select_nth_unstable_by_key(room - 1, |q| q.key);
-                    self.survivors.truncate(room);
-                }
-                return self.next();
-            }
-        };
         self.ranks[at] = GONE;
-        self.live -= 1;
-        self.room -= 1;
+        self.read += 1;
         Some((at, self.rows.view(at)))
-    }
-
-    fn retain_rest(&mut self, free: u32, keep: impl FnMut(&PendingView) -> bool) {
-        if self.room == 0 {
-            return; // nothing more is read
-        }
-        match &mut self.order {
-            None if free < self.narrowest => {
-                // No job fits, so none passes `keep`: the queue ends here,
-                // with no row built.
-                self.room = 0;
-                #[cfg(test)]
-                {
-                    self.cut = Cut::NoneFits;
-                }
-            }
-            None => {
-                self.build(keep);
-                if self.live > self.room {
-                    self.cut();
-                }
-            }
-            Some(order) => order.retain_rest(self.survivors, keep),
-        }
-    }
-}
-
-/// An unordered run of [`Queued`] jobs put in priority order only as far
-/// as it is read.
-///
-/// Invariant: `order[..cursor]`, the jobs handed out, is the **sorted
-/// prefix** — exactly the `cursor` smallest keys, ascending, i.e. the jobs
-/// a full sort would put first, in that order. `order[cursor..]` holds the
-/// rest: in no particular order until `rest_sorted`, ascending after.
-///
-/// The prefix grows one linear minimum-scan at a time. Once the scans
-/// spent reach `log2` of what is left, the rest is sorted once — so a run
-/// never costs more than the full sort.
-#[derive(Default)]
-struct LazyOrder {
-    cursor: usize,
-    rest_sorted: bool,
-    scans: u32,
-}
-
-impl LazyOrder {
-    fn next(&mut self, order: &mut [Queued]) -> Option<Queued> {
-        let rest = &mut order[self.cursor..];
-        if rest.is_empty() {
-            return None;
-        }
-        if !self.rest_sorted {
-            // Bring the minimum of the rest to its front.
-            if self.scans < rest.len().ilog2() {
-                self.scans += 1;
-                let mut min = 0;
-                for at in 1..rest.len() {
-                    if rest[at].key < rest[min].key {
-                        min = at;
-                    }
-                }
-                rest.swap(0, min);
-            } else {
-                rest.sort_unstable_by_key(|q| q.key);
-                self.rest_sorted = true;
-            }
-        }
-        self.cursor += 1;
-        Some(rest[0])
-    }
-
-    fn retain_rest(&mut self, order: &mut Vec<Queued>, mut keep: impl FnMut(&PendingView) -> bool) {
-        if self.rest_sorted {
-            return; // the ordering is already paid for: nothing to save
-        }
-        let mut kept = self.cursor;
-        for at in self.cursor..order.len() {
-            let job = order[at];
-            if keep(&job.view) {
-                order[kept] = job;
-                kept += 1;
-            }
-        }
-        order.truncate(kept);
     }
 }
 
@@ -627,12 +357,12 @@ pub fn plan_schedule_into(
 /// * Phase 3 starts every remaining job that is harmless, in priority
 ///   order.
 ///
-/// Before phase 3 reads the queue, and again after every start, the unread
-/// rest is cut to the jobs that are harmless against the *current* `free`
-/// and reservations. The cut is exact: `free` and every `extra` only
+/// Phase 3 reads only the jobs that are harmless against the *current*
+/// `free` and reservations: each read hands out the best of them, and the
+/// queue skips the rest. The skip is exact: `free` and every `extra` only
 /// shrink during phase 3, so a job failing now fails when its turn comes,
-/// and a failing job changes nothing — dropping it cannot alter any later
-/// decision. It is what lets a lazy queue order only the survivors.
+/// and a failing job changes nothing — skipping it cannot alter any later
+/// decision. It is what lets a read of the pass queue be one scan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_queue(
     queue: &mut impl PlanQueue,
@@ -651,7 +381,7 @@ pub(crate) fn plan_queue(
 
     // Phase 1: strict priority order until the first blocked job.
     let head = loop {
-        let Some((handle, p)) = queue.next() else {
+        let Some((handle, p)) = queue.next(u32::MAX, |_| true) else {
             return; // everything fit
         };
         if p.nodes > free {
@@ -673,7 +403,7 @@ pub(crate) fn plan_queue(
     let mut to_reserve = reserve_depth.max(1);
     let mut blocked = Some(head);
     while to_reserve > 0 {
-        let Some((handle, p)) = blocked.take().or_else(|| queue.next()) else {
+        let Some((handle, p)) = blocked.take().or_else(|| queue.next(u32::MAX, |_| true)) else {
             return;
         };
         if harmless(&p, free, now, reservations) {
@@ -691,26 +421,28 @@ pub(crate) fn plan_queue(
     }
 
     // Phase 3: backfill whatever is harmless among the rest.
-    cut_rest(queue, free, now, reservations);
-    while let Some((handle, p)) = queue.next() {
-        if harmless(&p, free, now, reservations) {
-            backfill(&p, &mut free, now, reservations);
-            starts.push(handle);
-            cut_rest(queue, free, now, reservations);
-        }
+    while let Some((handle, p)) = next_harmless(queue, free, now, reservations) {
+        debug_assert!(harmless(&p, free, now, reservations));
+        backfill(&p, &mut free, now, reservations);
+        starts.push(handle);
     }
 }
 
-/// Cuts the unread rest of `queue` to the jobs [`harmless`] against `free`
-/// and `reservations`. The common cases, no reservation and one, test
-/// without a branch per job.
-fn cut_rest(queue: &mut impl PlanQueue, free: u32, now: i64, reservations: &[Reservation]) {
+/// The best unread job of `queue` that is [`harmless`] against `free` and
+/// `reservations`. The common cases, no reservation and one, test without
+/// a branch per job.
+fn next_harmless(
+    queue: &mut impl PlanQueue,
+    free: u32,
+    now: i64,
+    reservations: &[Reservation],
+) -> Option<(usize, PendingView)> {
     match *reservations {
-        [] => queue.retain_rest(free, |p| p.nodes <= free),
-        [r] => queue.retain_rest(free, |p| {
+        [] => queue.next(free, |p| p.nodes <= free),
+        [r] => queue.next(free, |p| {
             (p.nodes <= free) & ((now + p.timelimit <= r.shadow) | (p.nodes <= r.extra))
         }),
-        _ => queue.retain_rest(free, |p| harmless(p, free, now, reservations)),
+        _ => queue.next(free, |p| harmless(p, free, now, reservations)),
     }
 }
 
@@ -1016,14 +748,12 @@ mod tests {
         /// and id tie-breaks decide, ids in no particular order),
         /// `sched_depth` below the backlog down to cutting every row but
         /// the head, no backfill, deep reservations, nodes down, narrow
-        /// jobs that phase 1 starts by the dozen, past `ilog2(n)` scans, so
-        /// the rest is sorted, and a backlog of harmless jobs (narrow and
-        /// short, every release far off) behind a few wide ones, so more
-        /// than eight survive the backfill cut and the depth cut falls
-        /// inside a run of equal ranks; up to 140 rows, so a build spans
-        /// more than one 64-row mask.
+        /// jobs that phase 1 starts by the dozen, and a backlog of harmless
+        /// jobs (narrow and short, every release far off) behind a few wide
+        /// ones, so the backfill phase reads many rows and the depth cut
+        /// falls inside a run of equal ranks; up to 140 rows.
         #[test]
-        fn lazy_order_matches_sort_then_plan(
+        fn pass_queue_matches_sort_then_plan(
             jobs in prop::collection::vec(
                 (0u32..4, 0i64..3, 1u32..=20, 0usize..6), 0..140),
             running in prop::collection::vec((1i64..50_000, 1u32..=8), 0..12),
@@ -1048,11 +778,9 @@ mod tests {
             let running: Vec<_> = running.iter().map(|&(t, n)| (t + far, n)).collect();
             let mut ledger = running.clone();
             ledger.sort_unstable();
-            let mut scratch = PassScratch::default();
             for policy in POLICIES {
                 let want = sort_then_plan(&rows, depth, free, 16 - down, &running, policy);
-                let (got, _) =
-                    pass_plan(&rows, depth, free, 16 - down, &ledger, policy, &mut scratch);
+                let got = pass_plan(&rows, depth, free, 16 - down, &ledger, policy);
                 prop_assert_eq!(&got, &want, "{:?}", policy);
             }
         }
@@ -1127,18 +855,18 @@ mod tests {
             .collect()
     }
 
-    /// How a [`PassQueue`] ended: whether phase 1 spent the whole cut in
-    /// the rank column, which cut its build took, and whether its rest
-    /// ended sorted.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Ended {
-        spent: bool,
-        cut: Cut,
-        sorted: bool,
+    /// The row numbers of `rows` sorted by `(rank, submit, id)`, as the
+    /// oracle sorts them.
+    fn key_order(rows: &[(f64, PendingRow)]) -> Vec<usize> {
+        let mut sorted: Vec<usize> = (0..rows.len()).collect();
+        sorted.sort_by_key(|&at| {
+            let (prio, r) = rows[at];
+            (rank(prio), r.submit, r.id)
+        });
+        sorted
     }
 
-    /// The simulator's way: a [`PassQueue`] over the rows. Also reports
-    /// how the queue ended.
+    /// The simulator's way: a [`PassQueue`] over the rows.
     fn pass_plan(
         rows: &[(f64, PendingRow)],
         depth: usize,
@@ -1146,10 +874,9 @@ mod tests {
         total: u32,
         ledger: &[(i64, u32)],
         policy: BackfillPolicy,
-        scratch: &mut PassScratch,
-    ) -> (Vec<usize>, Ended) {
+    ) -> Vec<usize> {
         let (mut table, ranking) = table(rows);
-        let mut queue = PassQueue::new(scratch, &mut table, ranking, depth);
+        let mut queue = PassQueue::new(&mut table, ranking, depth);
         let mut starts = Vec::new();
         plan_queue(
             &mut queue,
@@ -1161,21 +888,15 @@ mod tests {
             &mut PlanScratch::default(),
             &mut starts,
         );
-        let ended = Ended {
-            spent: queue.room == 0 && queue.order.is_none() && queue.cut == Cut::Uncut,
-            cut: queue.cut,
-            sorted: queue.order.is_some_and(|o| o.rest_sorted),
-        };
-        (starts, ended)
+        starts
     }
 
-    /// The shapes the property must reach, pinned: every row but the head
-    /// cut; the cut spent by phase 1 inside the rank column; a few
-    /// survivors of the backfill cut, counted against the depth cut; more
-    /// than eight, cut at a threshold rank whose ties straddle it, and at
-    /// one whose ties all fit; a phase 1 that starts more than `ilog2(n)`
-    /// jobs, so every live row is built, selected by key, and the rest
-    /// sorted; and a backfill cut with no free node, which builds nothing.
+    /// The shapes the property must reach, each pinned by its outcome:
+    /// depth 1 starts only the head; phase 1 spends the depth; a filtered
+    /// read outside the cut ends the queue, where the uncut plan starts
+    /// more; the cut falls inside a run of equal ranks, so the tie count
+    /// decides; fewer free nodes than the narrowest row end the queue; and
+    /// phase 1 starts more than `ilog2(n)` jobs.
     #[test]
     fn pass_queue_cuts_and_sorts_like_sort_then_plan() {
         // Four priorities, ten rows each; all but five rows are narrow.
@@ -1192,52 +913,87 @@ mod tests {
         // seven one-node jobs of limit 60 do, and no node is spare there.
         let far: &[(i64, u32)] = &[(200_000, 4), (400_000, 8)];
         let near: &[(i64, u32)] = &[(100, 11)];
-        // Every row one node wide: phase 1 starts sixteen.
-        let narrow: Vec<(f64, PendingRow)> = rows
-            .iter()
-            .map(|&(prio, r)| (prio, PendingRow { nodes: 1, ..r }))
-            .collect();
-        let mut scratch = PassScratch::default();
+        // Every row one node wide, and every row two wide.
+        let wide = |nodes| -> Vec<(f64, PendingRow)> {
+            let rows = rows.iter();
+            rows.map(|&(prio, r)| (prio, PendingRow { nodes, ..r }))
+                .collect()
+        };
+        let (narrow, two) = (wide(1), wide(2));
         let easy: &[BackfillPolicy] = &[EASY, BackfillPolicy::Easy { reserve_depth: 3 }];
         let one: &[BackfillPolicy] = &[EASY];
-        let (tied, untied) = (
-            Cut::Threshold { tied: true },
-            Cut::Threshold { tied: false },
-        );
-        // The branch each shape takes; `None`: phase 1 spends the cut in
-        // the rank column.
-        let cases: [(_, _, _, _, &[BackfillPolicy], _); 7] = [
-            (&rows, 1, 3, far, &POLICIES, None),
-            (&rows, 4, 16, far, &POLICIES, None),
-            (&rows, 6, 1, near, easy, Some(Cut::Counted)),
-            (&rows, 6, 9, far, one, Some(tied)),
-            (&rows, 6, 13, far, one, Some(untied)),
-            (&narrow, 25, 16, far, &POLICIES, Some(Cut::KeepAll)),
-            (&rows, 40, 0, far, easy, Some(Cut::NoneFits)),
-        ];
-        for (rows, depth, free, ledger, policies, branch) in cases {
-            for &policy in policies {
+        // The plan of each policy, checked against the oracle, and the
+        // plan without the depth cut.
+        let plans = |rows: &[(f64, PendingRow)], depth, free, ledger, policies: &[_]| {
+            let plans = policies.iter().map(|&policy| {
                 let want = sort_then_plan(rows, depth, free, 16, ledger, policy);
-                let (got, ended) = pass_plan(rows, depth, free, 16, ledger, policy, &mut scratch);
-                let case = format!("depth {depth}, free {free}, {policy:?}: {ended:?}");
-                assert_eq!(got, want, "{case}");
-                match branch {
-                    None => assert!(ended.spent, "phase 1 spends the cut: {case}"),
-                    Some(cut) => assert_eq!(ended.cut, cut, "{case}"),
-                }
-                match branch {
-                    None if depth == 1 => assert!(got.len() <= 1, "only the head: {case}"),
-                    Some(Cut::Counted | Cut::Threshold { .. }) => {
-                        let uncut = sort_then_plan(rows, usize::MAX, free, 16, ledger, policy);
-                        assert_ne!(got, uncut, "the cut drops a job that would start: {case}");
-                    }
-                    Some(Cut::KeepAll) => {
-                        assert!(got.len() > (depth as u32).ilog2() as usize);
-                        assert!(ended.sorted, "phase 1 past ilog2(n) scans sorts the rest");
-                    }
-                    _ => {}
-                }
+                let got = pass_plan(rows, depth, free, 16, ledger, policy);
+                assert_eq!(got, want, "depth {depth}, free {free}, {policy:?}");
+                let uncut = sort_then_plan(rows, usize::MAX, free, 16, ledger, policy);
+                (got, uncut)
+            });
+            plans.collect::<Vec<_>>()
+        };
+        // The key order of every shape: a row's nodes do not move its rank.
+        let order = key_order(&rows);
+        let rank_of = |at: usize| rank(rows[at].0);
+
+        // The head starts if it fits, and nothing else does.
+        for (got, uncut) in plans(&narrow, 1, 3, far, &POLICIES) {
+            assert_eq!(got, order[..1]);
+            assert_eq!(uncut, order[..3]);
+        }
+        for (got, uncut) in plans(&rows, 1, 3, far, easy) {
+            assert!(got.is_empty(), "the head blocks");
+            assert!(!uncut.is_empty());
+        }
+        for (got, uncut) in plans(&narrow, 4, 16, far, &POLICIES) {
+            assert_eq!(got, order[..4], "phase 1 spends the depth");
+            assert_eq!(uncut, order[..16]);
+        }
+        // The twelve-node head blocks, and the backfill phase finds a
+        // harmless row outside the cut, which the uncut plan starts.
+        for (depth, free, ledger, policies) in
+            [(6, 1, near, easy), (6, 9, far, one), (6, 13, far, one)]
+        {
+            for (got, uncut) in plans(&rows, depth, free, ledger, policies) {
+                assert!(got.iter().all(|at| order[..depth].contains(at)));
+                assert_ne!(got, uncut, "depth {depth}, free {free}");
             }
+        }
+        // The cut splits a run of rows of one rank. The backfill phase
+        // starts one of them inside the cut, behind an unread one ahead of
+        // it, and the uncut plan one outside it: counting every row of the
+        // rank as ahead, or none, moves the plan. At depth 8 that row is
+        // the first outside the cut, with exactly `depth` rows below it.
+        for depth in [6, 8] {
+            let tied = rank_of(order[depth]);
+            assert_eq!(rank_of(order[depth - 1]), tied);
+            for (got, uncut) in plans(&rows, depth, 11, far, one) {
+                assert!(got.contains(&order[5]) && !got.contains(&order[3]));
+                assert!(uncut.contains(&order[8]) && rank_of(order[8]) == tied);
+            }
+        }
+        // Fewer free nodes than the narrowest row asks for.
+        for (got, _) in plans(&rows, 40, 0, far, easy) {
+            assert!(got.is_empty());
+        }
+        for (got, _) in plans(&narrow, 40, 5, far, easy) {
+            assert_eq!(got, order[..5], "phase 1 fills the free nodes");
+        }
+        for (got, _) in plans(&two, 40, 5, far, easy) {
+            assert_eq!(
+                got,
+                order[..2],
+                "one node is left, and every row asks for two"
+            );
+        }
+        for (got, _) in plans(&narrow, 25, 16, far, &POLICIES) {
+            assert_eq!(got, order[..16]);
+            assert!(
+                got.len() > 40u32.ilog2() as usize,
+                "phase 1 past ilog2(n) reads"
+            );
         }
     }
 
@@ -1319,9 +1075,8 @@ mod tests {
                     8,
                     usage,
                 ));
-                let (rows, ranks) = table.rank(&ranking);
+                let (_, ranks) = table.rank(&ranking);
                 assert_eq!(ranks[0], want, "now {now}, submit {submit}");
-                assert_eq!(rows.rank(0, &ranking), want, "now {now}, submit {submit}");
             }
         }
     }

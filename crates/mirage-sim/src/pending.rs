@@ -83,8 +83,8 @@ pub(crate) struct PendingTable {
     /// most passes. Skipping also skips the pass's fair-share decay, so
     /// *which* passes are skipped is part of the replayed arithmetic:
     /// nothing but the table's rows may move this bound. Inside a pass,
-    /// the [`crate::backfill::PassQueue`] ends a backfill cut that leaves
-    /// fewer free nodes than this without building a row.
+    /// the [`crate::backfill::PassQueue`] answers a read with fewer free
+    /// nodes than this with no job, without a scan.
     min_nodes: u32,
 }
 
@@ -96,15 +96,6 @@ pub(crate) struct Ranking<'a> {
     pub(crate) now: i64,
     /// The fair-share factor by slot ([`crate::priority::FairshareTracker`]).
     pub(crate) factors: &'a [f64],
-}
-
-/// The rank of a row from its `submit` as `f64`, its size term and its
-/// fair-share factor, each as the bits a cell holds: the one formula both
-/// [`PendingTable::rank`] and [`Rows::rank`] apply.
-#[inline]
-fn rank_of(weights: &PriorityWeights, now: f64, submit: i64, size: i64, factor: i64) -> i64 {
-    let [submit, size, factor] = [submit, size, factor].map(|bits| f64::from_bits(bits as u64));
-    rank(priority_from_terms(weights, now - submit, size, factor))
 }
 
 impl Default for PendingTable {
@@ -236,7 +227,9 @@ impl PendingTable {
         let (weights, now) = (by.weights, by.now as f64);
         for ((cell, &submit), &size) in ranks.iter_mut().zip(rows.col(SUBMIT_F)).zip(rows.col(SIZE))
         {
-            *cell = rank_of(&weights, now, submit, size, *cell);
+            let [submit, size, factor] =
+                [submit, size, *cell].map(|bits| f64::from_bits(bits as u64));
+            *cell = rank(priority_from_terms(&weights, now - submit, size, factor));
         }
         (rows, ranks)
     }
@@ -377,15 +370,6 @@ impl<'a> Rows<'a> {
                 nodes: nodes as u32,
                 timelimit,
             })
-    }
-
-    /// Row `at`'s rank, computed alone as [`PendingTable::rank`] computes
-    /// every row's.
-    #[inline]
-    pub(crate) fn rank(&self, at: usize, by: &Ranking) -> i64 {
-        let factor = by.factors[self.col(SLOT)[at] as usize].to_bits() as i64;
-        let (submit, size) = (self.col(SUBMIT_F)[at], self.col(SIZE)[at]);
-        rank_of(&by.weights, by.now as f64, submit, size, factor)
     }
 
     /// Every row's fair-share slot, in order.

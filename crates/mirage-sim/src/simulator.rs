@@ -12,14 +12,14 @@
 //! loops over those columns plus work proportional to what it starts: the
 //! fair-share tracker refreshes one factor per user with queued jobs (it
 //! counts them as jobs arrive and start), one loop gathers each row's
-//! factor and one turns it into the row's rank, a minimum fold finds the
-//! head, and only the rows that survive the planner's first backfill cut
-//! are built from the columns and ordered ([`crate::backfill`]). The rows
-//! it started leave by a shift of only the rows on the shorter side of
-//! them, in arrival order. A backlog deeper than `sched_depth` takes the
-//! same path: the cut bounds what the planner reads, and only those
-//! survivors are checked against it. The event queue keeps a trace's
-//! future arrivals in a sorted stream beside its heap ([`crate::event`]).
+//! factor and one turns it into the row's rank, and each job the planner
+//! reads is one scan of the rank column: a minimum fold over the rows its
+//! test accepts ([`crate::backfill`]). Nothing is built or sorted. The
+//! rows it started leave by a shift of only the rows on the shorter side
+//! of them, in arrival order. A backlog deeper than `sched_depth` takes
+//! the same path: the cut is checked on each row a read finds, by one
+//! count over the rank column. The event queue keeps a trace's future
+//! arrivals in a sorted stream beside its heap ([`crate::event`]).
 //!
 //! Loading a trace is a fill of memory the simulator already holds. The
 //! job arena keeps its slots across [`Simulator::reset`], which only
@@ -37,7 +37,7 @@ use mirage_trace::{JobRecord, DAY};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{prepare_admission, IdMap, RecentStarts};
-use crate::backfill::{plan_queue, BackfillPolicy, PassQueue, PassScratch, PlanScratch};
+use crate::backfill::{plan_queue, BackfillPolicy, PassQueue, PlanScratch};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
@@ -59,7 +59,9 @@ pub struct SimConfig {
     /// At most this many queued jobs are considered per scheduling pass,
     /// taken in priority order (Slurm's `bf_max_job_test`). Bounds what
     /// the planner reads and starts, not the cost of a pass: every pass
-    /// still ranks the whole backlog.
+    /// still ranks the whole backlog and every read scans it, and a read
+    /// checks the row it finds against the cut with one more scan when
+    /// the backlog is deeper than this.
     pub sched_depth: usize,
     /// Fault injection: node crash/recovery processes and transient job
     /// failures. [`FaultModel::none`] (the default) injects nothing.
@@ -403,7 +405,6 @@ pub struct Simulator {
     first_completed_submit: Option<i64>,
     // Scratch buffers reused across scheduling passes (perf-book: reuse
     // workhorse collections instead of reallocating in the hot loop).
-    scratch_pass: PassScratch,
     scratch_starts: Vec<usize>,
     scratch_plan: PlanScratch,
 }
@@ -441,7 +442,6 @@ impl Simulator {
             jct_sum: 0.0,
             last_end: 0,
             first_completed_submit: None,
-            scratch_pass: PassScratch::default(),
             scratch_starts: Vec::new(),
             scratch_plan: PlanScratch::default(),
         };
@@ -689,7 +689,6 @@ impl Simulator {
             jct_sum,
             last_end,
             first_completed_submit,
-            scratch_pass: _,
             scratch_starts: _,
             scratch_plan: _,
         } = self;
@@ -1167,23 +1166,22 @@ impl Simulator {
     }
 
     /// One scheduling pass: decay and fair-share refresh, priority ranks,
-    /// the plan over a lazily ordered queue, then the starts — no hashing,
-    /// no full sort and no copy of the whole queue.
+    /// the plan over a queue read by scans, then the starts — no hashing,
+    /// no sort and no copy of the queue.
     ///
     /// * The fair-share tracker decays and then refreshes the factor of
     ///   every user with queued jobs, one `2^(-usage)` per user.
     /// * A [`PassQueue`] ranks every row of the pending table by
     ///   `(-priority, submit, id)` into the table's rank column, in two
     ///   loops over its columns that vectorise (the factor gathered by
-    ///   slot, then the rank), and finds the head with a minimum fold. It
-    ///   hands out at most the `sched_depth` best keys (Slurm's
-    ///   `bf_max_job_test`), and is ordered only as far as [`plan_queue`]
-    ///   reads: the jobs phase 1 starts and the blocked head (and, for
-    ///   `reserve_depth > 1`, on to the last reserved job) are scans of
-    ///   the rank column, and only the jobs that survive the exact
-    ///   backfill cut and sort inside `sched_depth` are built from the
-    ///   columns and ordered. The resulting starts, and their order, are
-    ///   those of sorting the whole queue first.
+    ///   slot, then the rank). It hands out at most the `sched_depth` best
+    ///   keys (Slurm's `bf_max_job_test`), one per read of [`plan_queue`]:
+    ///   each read is a scan of the rank column for the best unread row
+    ///   the planner's test accepts (every row in phases 1 and 2, the
+    ///   harmless ones in the backfill phase), and the depth cut is
+    ///   checked on that row by one count over the column. The resulting
+    ///   starts, and their order, are those of sorting the whole queue
+    ///   first.
     /// * The started rows leave the table by a shift of only the rows on
     ///   the shorter side of them (usually the few ahead: age dominates
     ///   priority), which keeps arrival order; the fewest nodes any row
@@ -1212,12 +1210,7 @@ impl Simulator {
             now,
             factors: self.fairshare.factors(),
         };
-        let mut queue = PassQueue::new(
-            &mut self.scratch_pass,
-            &mut self.pending,
-            ranking,
-            self.cfg.sched_depth,
-        );
+        let mut queue = PassQueue::new(&mut self.pending, ranking, self.cfg.sched_depth);
         let mut starts = std::mem::take(&mut self.scratch_starts);
         plan_queue(
             &mut queue,
@@ -1287,7 +1280,6 @@ impl Clone for Simulator {
             jct_sum,
             last_end,
             first_completed_submit,
-            scratch_pass: _,
             scratch_starts: _,
             scratch_plan: _,
         } = self;
