@@ -9,12 +9,14 @@
 //! [`MultiHeadAttention::forward`] and [`MultiHeadAttention::backward`]
 //! are the definition: allocating, one sequence at a time, every head
 //! sliced out into its own matrices and pushed through the generic
-//! [`Matrix`] kernels. Every other entry point — `forward_into`,
-//! `forward_batch_into`, `forward_batch_cache`, `backward_batch` — runs
-//! the Q/K/V/output projections as one matmul each over the row-stacked
-//! batch and hands each `(block, head)` to one private core
-//! (`attend_head`, `backward_head`) that must reproduce the
-//! definition **bit for bit**. The contract, per element:
+//! [`Matrix`] kernels. The production pair —
+//! [`MultiHeadAttention::forward_batch`] (with or without a cache;
+//! `forward_into` is its batch of one) and
+//! [`MultiHeadAttention::backward_batch`] — runs the Q/K/V/output
+//! projections as one matmul each over the row-stacked batch and hands
+//! each `(block, head)` to one private core (`attend_head`,
+//! `backward_head`) that must reproduce the definition **bit for bit**.
+//! The contract, per element:
 //!
 //! * **score** `s[r][c]`: the products `q[r][t]·k[c][t]` summed in
 //!   ascending `t` on a single accumulator starting at `0.0`, then one
@@ -137,6 +139,12 @@ pub struct AttentionBatchCache {
 }
 
 impl AttentionBatchCache {
+    /// The buffers [`MultiHeadAttention::forward_batch`] writes through
+    /// [`Scratch::lend`]: Q, K, V and the concatenated head outputs.
+    fn slots(&mut self) -> [&mut Matrix; 4] {
+        [&mut self.q, &mut self.k, &mut self.v, &mut self.concat]
+    }
+
     /// The softmaxed `seq × seq` attention matrix of each `(block, head)`,
     /// indexed `block · heads + head`.
     pub fn attn(&self) -> &[Matrix] {
@@ -223,47 +231,51 @@ impl MultiHeadAttention {
         )
     }
 
-    /// Inference-only forward into a caller-provided buffer, with every
-    /// temporary drawn from `scratch`: no cache, no allocation once the
-    /// arena is warm. Bit-identical to [`MultiHeadAttention::forward`] at
-    /// every head width (see the module docs for the contract).
-    /// Single-sequence special case of
-    /// [`MultiHeadAttention::forward_batch_into`].
+    /// Forward into a caller-provided buffer that records nothing, every
+    /// temporary drawn from `scratch`: no allocation once the arena is
+    /// warm. [`MultiHeadAttention::forward_batch`] at batch 1 without a
+    /// cache.
     pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        self.forward_batch_into(ps, x, 1, out, scratch);
+        self.forward_batch(ps, x, 1, out, None, scratch);
     }
 
-    /// Batched inference forward: `x` row-stacks `batch` independent
+    /// The one batched forward: `x` row-stacks `batch` independent
     /// `seq × d_model` sequences (`x.rows() = batch · seq`), and `out`
     /// receives the row-stacked attention outputs. The Q/K/V and output
-    /// projections run as **one matmul each over the whole batch** (the
-    /// amortization this path exists for; row-local, so row-stacking
-    /// cannot change them), while the score/softmax/mix core is confined
-    /// to each block — sequences never attend across episode boundaries.
-    /// Per block the result is bit-identical to
+    /// projections run as **one matmul each over the whole batch**
+    /// (row-local, so row-stacking cannot change them), while the
+    /// score/softmax/mix core is confined to each block: sequences never
+    /// attend across episode boundaries.
+    ///
+    /// Given a `cache`, the call keeps the input, the projections and the
+    /// softmaxed attention of every `(block, head)` there for
+    /// [`MultiHeadAttention::backward_batch`]; without one, the projections
+    /// are borrowed from `scratch` and nothing is kept. Per block, the
+    /// output and the cached attention are bit-identical to
     /// [`MultiHeadAttention::forward`] on that block alone.
-    pub fn forward_batch_into(
+    pub fn forward_batch(
         &self,
         ps: &ParamSet,
         x: &Matrix,
         batch: usize,
         out: &mut Matrix,
+        mut cache: Option<&mut AttentionBatchCache>,
         scratch: &mut Scratch,
     ) {
-        let rows = x.rows();
-        let mut q = scratch.take(rows, self.d_model);
-        let mut k = scratch.take(rows, self.d_model);
-        let mut v = scratch.take(rows, self.d_model);
-        self.wq.forward_into(ps, x, &mut q);
-        self.wk.forward_into(ps, x, &mut k);
-        self.wv.forward_into(ps, x, &mut v);
-        let mut concat = scratch.take(rows, self.d_model);
-        self.attend(&q, &k, &v, batch, &mut concat, None, scratch);
-        self.wo.forward_into(ps, &concat, out);
-        scratch.give(concat);
-        scratch.give(v);
-        scratch.give(k);
-        scratch.give(q);
+        let mut bufs = scratch.lend(cache.as_deref_mut().map(AttentionBatchCache::slots));
+        let [q, k, v, concat] = &mut bufs;
+        self.wq.forward_into(ps, x, q);
+        self.wk.forward_into(ps, x, k);
+        self.wv.forward_into(ps, x, v);
+        concat.reset(x.rows(), self.d_model);
+        let attn = cache.as_deref_mut().map(|c| {
+            c.x.copy_from(x);
+            c.attn.resize_with(batch * self.heads, Matrix::default);
+            c.attn.as_mut_slice()
+        });
+        self.attend(q, k, v, batch, concat, attn, scratch);
+        self.wo.forward_into(ps, concat, out);
+        scratch.settle(cache.map(AttentionBatchCache::slots), bufs);
     }
 
     /// Runs the attention core over every `(block, head)` of the
@@ -344,43 +356,7 @@ impl MultiHeadAttention {
         dx_q.add(&dx_k).add(&dx_v)
     }
 
-    /// Training forward over a row-stacked batch of `batch` independent
-    /// `seq × d_model` sequences: writes the attention output into `out`
-    /// and fills `cache` for [`MultiHeadAttention::backward_batch`].
-    ///
-    /// Same projections and same core as
-    /// [`MultiHeadAttention::forward_batch_into`], additionally keeping
-    /// the softmaxed attention of every `(block, head)` — per block the
-    /// output and the cached attention are bit-identical to
-    /// [`MultiHeadAttention::forward`] on that block alone.
-    pub fn forward_batch_cache(
-        &self,
-        ps: &ParamSet,
-        x: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        cache: &mut AttentionBatchCache,
-        scratch: &mut Scratch,
-    ) {
-        cache.x.copy_from(x);
-        self.wq.forward_into(ps, x, &mut cache.q);
-        self.wk.forward_into(ps, x, &mut cache.k);
-        self.wv.forward_into(ps, x, &mut cache.v);
-        cache.concat.reset(x.rows(), self.d_model);
-        cache.attn.resize_with(batch * self.heads, Matrix::default);
-        self.attend(
-            &cache.q,
-            &cache.k,
-            &cache.v,
-            batch,
-            &mut cache.concat,
-            Some(&mut cache.attn),
-            scratch,
-        );
-        self.wo.forward_into(ps, &cache.concat, out);
-    }
-
-    /// Batched backward for [`MultiHeadAttention::forward_batch_cache`].
+    /// Batched backward for a recording [`MultiHeadAttention::forward_batch`].
     /// Block `b`'s projection gradients fold into `sink` in ascending
     /// block order (wo, then wq/wk/wv — per-parameter chains stay flat
     /// ascending sums, so this is bit-identical to the sequential

@@ -49,8 +49,8 @@ pub enum FoundationCache {
 
 /// Retained batched-training cache of a foundation network. Construct
 /// once with [`FoundationBatchCache::default`] and reuse across updates —
-/// the variant is (re)established on every
-/// [`FoundationNet::forward_batch_train`] call.
+/// the variant is (re)established on every recording
+/// [`FoundationNet::forward_batch`] call.
 #[derive(Debug, Clone)]
 pub enum FoundationBatchCache {
     /// Transformer cache.
@@ -106,32 +106,48 @@ impl FoundationNet {
         }
     }
 
-    /// Inference-only encode into a caller-provided `1 × d_model` buffer,
-    /// temporaries from `scratch`: no cache, no allocation once the arena
-    /// is warm. Bit-identical to [`FoundationNet::forward`].
-    pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        match self {
-            FoundationNet::Transformer(t) => t.forward_into(ps, x, out, scratch),
-            FoundationNet::MoE(m) => m.forward_into(ps, x, out, scratch),
-        }
-    }
-
-    /// Batched inference encode: `xs` row-stacks `batch` state matrices
+    /// The one batched encode: `xs` row-stacks `batch` state matrices
     /// (uniform sequence length), and row `b` of the `batch × d_model`
-    /// output receives episode `b`'s feature. Each output row is
-    /// bit-identical to a sequential [`FoundationNet::forward_into`] of
-    /// that block; the batching only amortizes the row-local matmuls.
-    pub fn forward_batch_into(
+    /// output receives block `b`'s feature, bit-identical to a
+    /// [`FoundationNet::forward`] of that block. Given a `cache` (its
+    /// variant re-established to match `self` if needed), the call
+    /// records for [`FoundationNet::backward_batch_params`]; without one,
+    /// nothing is kept and every temporary comes from `scratch`.
+    pub fn forward_batch(
         &self,
         ps: &ParamSet,
         xs: &Matrix,
         batch: usize,
         out: &mut Matrix,
+        cache: Option<&mut FoundationBatchCache>,
         scratch: &mut Scratch,
     ) {
         match self {
-            FoundationNet::Transformer(t) => t.forward_batch_into(ps, xs, batch, out, scratch),
-            FoundationNet::MoE(m) => m.forward_batch_into(ps, xs, batch, out, scratch),
+            FoundationNet::Transformer(t) => {
+                let c = cache.map(|cache| {
+                    if !matches!(cache, FoundationBatchCache::Transformer(_)) {
+                        *cache =
+                            FoundationBatchCache::Transformer(TransformerBatchCache::default());
+                    }
+                    let FoundationBatchCache::Transformer(c) = cache else {
+                        unreachable!()
+                    };
+                    c
+                });
+                t.forward_batch(ps, xs, batch, out, c, scratch);
+            }
+            FoundationNet::MoE(m) => {
+                let c = cache.map(|cache| {
+                    if !matches!(cache, FoundationBatchCache::MoE(_)) {
+                        *cache = FoundationBatchCache::MoE(MoEBatchCache::default());
+                    }
+                    let FoundationBatchCache::MoE(c) = cache else {
+                        unreachable!()
+                    };
+                    c
+                });
+                m.forward_batch(ps, xs, batch, out, c, scratch);
+            }
         }
     }
 
@@ -177,44 +193,8 @@ impl FoundationNet {
         }
     }
 
-    /// Training encode over a row-stacked batch: row `b` of the
-    /// `batch × d_model` output receives block `b`'s pooled feature, and
-    /// `cache` is filled for [`FoundationNet::backward_batch_params`] (its
-    /// variant is re-established to match `self` if needed). Per block,
-    /// bit-identical to [`FoundationNet::forward`].
-    pub fn forward_batch_train(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        cache: &mut FoundationBatchCache,
-        scratch: &mut Scratch,
-    ) {
-        match self {
-            FoundationNet::Transformer(t) => {
-                if !matches!(cache, FoundationBatchCache::Transformer(_)) {
-                    *cache = FoundationBatchCache::Transformer(TransformerBatchCache::default());
-                }
-                let FoundationBatchCache::Transformer(c) = cache else {
-                    unreachable!()
-                };
-                t.forward_batch_train(ps, xs, batch, out, c, scratch);
-            }
-            FoundationNet::MoE(m) => {
-                if !matches!(cache, FoundationBatchCache::MoE(_)) {
-                    *cache = FoundationBatchCache::MoE(MoEBatchCache::default());
-                }
-                let FoundationBatchCache::MoE(c) = cache else {
-                    unreachable!()
-                };
-                m.forward_batch_train(ps, xs, batch, out, c, scratch);
-            }
-        }
-    }
-
-    /// Batched parameter-gradient backward for
-    /// [`FoundationNet::forward_batch_train`]: block `b`'s parameter
+    /// Batched parameter-gradient backward for a recording
+    /// [`FoundationNet::forward_batch`]: block `b`'s parameter
     /// gradients fold into `sink` bit-identically to sequential
     /// per-block [`FoundationNet::backward`] calls. Neither architecture
     /// computes an input gradient: the foundation is a network's first

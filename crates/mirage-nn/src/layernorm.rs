@@ -70,15 +70,34 @@ impl LayerNorm {
         (y, LayerNormCache { x_hat, inv_std })
     }
 
-    /// Inference-only forward into a caller-provided buffer: no cache, no
-    /// allocation once `out` is warm. Same per-row arithmetic as
-    /// [`LayerNorm::forward`], so results are bit-identical.
+    /// Forward into a caller-provided buffer that records nothing: no
+    /// allocation once `out` is warm. [`LayerNorm::forward_batch`] without
+    /// a cache.
     pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix) {
+        self.forward_batch(ps, x, out, None);
+    }
+
+    /// The one matrix forward: normalizes every row of `x` into `out` and,
+    /// given a `cache`, records the standardized input and per-row inverse
+    /// std for [`LayerNorm::backward_batch`]. Per-row arithmetic is that of
+    /// [`LayerNorm::forward`], so outputs are bit-identical however the
+    /// rows are blocked.
+    pub fn forward_batch(
+        &self,
+        ps: &ParamSet,
+        x: &Matrix,
+        out: &mut Matrix,
+        mut cache: Option<&mut LayerNormBatchCache>,
+    ) {
         debug_assert_eq!(x.cols(), self.dim);
         let n = self.dim as f32;
         let gamma = ps.get(self.gamma).row(0);
         let beta = ps.get(self.beta).row(0);
         out.reset(x.rows(), x.cols());
+        if let Some(c) = cache.as_deref_mut() {
+            c.x_hat.reset(x.rows(), x.cols());
+            c.inv_std.clear();
+        }
         for r in 0..x.rows() {
             let row = x.row(r);
             let mean = row.iter().sum::<f32>() / n;
@@ -88,6 +107,12 @@ impl LayerNorm {
             for c in 0..row.len() {
                 let xh = (row[c] - mean) * istd;
                 orow[c] = xh * gamma[c] + beta[c];
+            }
+            if let Some(c) = cache.as_deref_mut() {
+                c.inv_std.push(istd);
+                for (h, &xv) in c.x_hat.row_mut(r).iter_mut().zip(row) {
+                    *h = (xv - mean) * istd;
+                }
             }
         }
     }
@@ -135,45 +160,8 @@ impl LayerNorm {
         dx
     }
 
-    /// Training forward over a row-stacked batch: writes `y` into `out`
-    /// and fills `cache` with the stacked standardized input + per-row
-    /// inverse std. Per-row arithmetic is identical to
-    /// [`LayerNorm::forward`], so outputs are bit-identical regardless of
-    /// how rows are blocked.
-    pub fn forward_batch_cache(
-        &self,
-        ps: &ParamSet,
-        x: &Matrix,
-        out: &mut Matrix,
-        cache: &mut LayerNormBatchCache,
-    ) {
-        debug_assert_eq!(x.cols(), self.dim);
-        let n = self.dim as f32;
-        let gamma = ps.get(self.gamma).row(0);
-        let beta = ps.get(self.beta).row(0);
-        out.reset(x.rows(), x.cols());
-        cache.x_hat.reset(x.rows(), x.cols());
-        cache.inv_std.clear();
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            cache.inv_std.push(istd);
-            let hrow = cache.x_hat.row_mut(r);
-            for (c, &xv) in row.iter().enumerate() {
-                let xh = (xv - mean) * istd;
-                hrow[c] = xh;
-            }
-            let orow = out.row_mut(r);
-            for c in 0..row.len() {
-                orow[c] = cache.x_hat.get(r, c) * gamma[c] + beta[c];
-            }
-        }
-    }
-
     /// Batched backward over a row-stacked batch of `batch` equal-height
-    /// blocks (the cache from [`LayerNorm::forward_batch_cache`]). Block
+    /// blocks (the cache from [`LayerNorm::forward_batch`]). Block
     /// `b`'s `dgamma`/`dbeta` fold into `sink` in ascending order;
     /// per-row arithmetic is the exact body of [`LayerNorm::backward`],
     /// so this reproduces the sequential per-block backward bit for bit.

@@ -61,6 +61,14 @@ pub struct MoEBatchCache {
     batch: usize,
 }
 
+impl MoEBatchCache {
+    /// The buffers [`MoEFoundation::forward_batch`] writes through
+    /// [`Scratch::lend`]: the flattened states and the gate probabilities.
+    fn slots(&mut self) -> [&mut Matrix; 2] {
+        [&mut self.flat, &mut self.gate_probs]
+    }
+}
+
 impl MoEFoundation {
     /// Builds `n_experts` expert encoders plus the gate.
     pub fn new(
@@ -119,28 +127,24 @@ impl MoEFoundation {
         )
     }
 
-    /// Inference-only forward into a caller-provided `1 × d_model`
-    /// buffer, temporaries from `scratch`: no cache, no allocation once
-    /// the arena is warm. Bit-identical to [`MoEFoundation::forward`]; a
-    /// batch of one through [`MoEFoundation::forward_batch_into`].
-    pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        self.forward_batch_into(ps, x, 1, out, scratch);
-    }
-
-    /// Batched inference forward: `xs` row-stacks `batch` independent
+    /// The one batched forward: `xs` row-stacks `batch` independent
     /// `seq × input_dim` state matrices; row `b` of the `batch × d_model`
-    /// output receives episode `b`'s mixture. The gate runs as one matmul
+    /// output receives block `b`'s mixture. The gate runs as one matmul
     /// over the per-block flattened states, and every expert encoder runs
     /// one batched pass over the whole stack. Each output row is
     /// bit-identical to a [`MoEFoundation::forward`] of that block:
     /// flattening, gate logits and softmax are row-local, and the mixture
-    /// accumulates experts in the same ascending order.
-    pub fn forward_batch_into(
+    /// accumulates experts in the same ascending order. Given a `cache`,
+    /// the gate and every expert record for
+    /// [`MoEFoundation::backward_batch_params`]; without one, nothing is
+    /// kept and every temporary comes from `scratch`.
+    pub fn forward_batch(
         &self,
         ps: &ParamSet,
         xs: &Matrix,
         batch: usize,
         out: &mut Matrix,
+        mut cache: Option<&mut MoEBatchCache>,
         scratch: &mut Scratch,
     ) {
         assert!(
@@ -150,21 +154,35 @@ impl MoEFoundation {
         );
         let seq = xs.rows() / batch;
         let width = self.cfg.input_dim;
-        let mut flat = scratch.take(batch, self.cfg.seq_len * width);
+        let e_count = self.experts.len();
+        let mut bufs = scratch.lend(cache.as_deref_mut().map(MoEBatchCache::slots));
+        let [flat, gate_probs] = &mut bufs;
+        flat.reset(batch, self.cfg.seq_len * width);
         for blk in 0..batch {
             for r in 0..seq {
                 let frow = &mut flat.row_mut(blk)[r * width..r * width + width];
                 frow.copy_from_slice(&xs.row(blk * seq + r)[..width]);
             }
         }
-        let mut gate_probs = scratch.take(batch, self.experts.len());
-        self.gate.forward_into(ps, &flat, &mut gate_probs);
+        self.gate.forward_into(ps, flat, gate_probs);
         gate_probs.softmax_rows_in_place();
 
+        if let Some(c) = cache.as_deref_mut() {
+            c.batch = batch;
+            c.c_experts
+                .resize_with(e_count, TransformerBatchCache::default);
+            c.feats.resize_with(e_count, Matrix::default);
+        }
         out.reset(batch, self.out_dim());
-        let mut feat = scratch.take(batch, self.out_dim());
+        let mut shared = scratch.take(0, 0);
         for (e, expert) in self.experts.iter().enumerate() {
-            expert.forward_batch_into(ps, xs, batch, &mut feat, scratch);
+            // A recording call keeps every expert's features for the gate
+            // gradient; otherwise one buffer serves them all.
+            let (feat, c_expert) = match cache.as_deref_mut() {
+                Some(c) => (&mut c.feats[e], Some(&mut c.c_experts[e])),
+                None => (&mut shared, None),
+            };
+            expert.forward_batch(ps, xs, batch, feat, c_expert, scratch);
             for blk in 0..batch {
                 let g = gate_probs.get(blk, e);
                 for (o, &f) in out.row_mut(blk).iter_mut().zip(feat.row(blk)) {
@@ -172,9 +190,8 @@ impl MoEFoundation {
                 }
             }
         }
-        scratch.give(feat);
-        scratch.give(gate_probs);
-        scratch.give(flat);
+        scratch.give(shared);
+        scratch.settle(cache.map(MoEBatchCache::slots), bufs);
     }
 
     /// Backward pass; accumulates gate and expert gradients and returns
@@ -211,66 +228,8 @@ impl MoEFoundation {
         dx
     }
 
-    /// Training forward over a row-stacked batch: fills `cache` for
-    /// [`MoEFoundation::backward_batch_params`] and writes the per-block
-    /// mixtures into `out` (`batch × d_model`). Gate and every
-    /// expert run batched; per block the arithmetic is bit-identical to
-    /// [`MoEFoundation::forward`].
-    pub fn forward_batch_train(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        cache: &mut MoEBatchCache,
-        scratch: &mut Scratch,
-    ) {
-        assert!(
-            batch >= 1 && xs.rows().is_multiple_of(batch),
-            "batch {batch} must evenly divide {} stacked rows",
-            xs.rows()
-        );
-        let seq = xs.rows() / batch;
-        let width = self.cfg.input_dim;
-        cache.batch = batch;
-        cache.flat.reset(batch, self.cfg.seq_len * width);
-        for blk in 0..batch {
-            for r in 0..seq {
-                let frow = &mut cache.flat.row_mut(blk)[r * width..r * width + width];
-                frow.copy_from_slice(&xs.row(blk * seq + r)[..width]);
-            }
-        }
-        self.gate
-            .forward_into(ps, &cache.flat, &mut cache.gate_probs);
-        cache.gate_probs.softmax_rows_in_place();
-
-        let e_count = self.experts.len();
-        cache
-            .c_experts
-            .resize_with(e_count, TransformerBatchCache::default);
-        cache.feats.resize_with(e_count, Matrix::default);
-        out.reset(batch, self.out_dim());
-        for (e, expert) in self.experts.iter().enumerate() {
-            expert.forward_batch_train(
-                ps,
-                xs,
-                batch,
-                &mut cache.feats[e],
-                &mut cache.c_experts[e],
-                scratch,
-            );
-            let feat = &cache.feats[e];
-            for blk in 0..batch {
-                let g = cache.gate_probs.get(blk, e);
-                for (o, &f) in out.row_mut(blk).iter_mut().zip(feat.row(blk)) {
-                    *o += g * f;
-                }
-            }
-        }
-    }
-
-    /// Batched parameter-gradient backward for
-    /// [`MoEFoundation::forward_batch_train`]: every expert's and the
+    /// Batched parameter-gradient backward for a recording
+    /// [`MoEFoundation::forward_batch`]: every expert's and the
     /// gate's gradients fold into `sink` bit-identically to sequential
     /// per-block [`MoEFoundation::backward`] calls. The MoE is always a
     /// network's first layer, so no input gradient is computed.

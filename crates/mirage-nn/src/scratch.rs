@@ -1,7 +1,7 @@
-//! Reusable buffer arena for allocation-free inference.
+//! Reusable buffer arena for allocation-free forward and backward passes.
 //!
-//! Every `forward_into` path in this crate threads a [`Scratch`] through
-//! the layer stack instead of allocating temporaries. The arena is a LIFO
+//! Every batched forward in this crate threads a [`Scratch`] through the
+//! layer stack instead of allocating temporaries. The arena is a LIFO
 //! free list of [`Matrix`] buffers:
 //!
 //! * [`Scratch::take`] pops a buffer and reshapes it in place
@@ -49,6 +49,25 @@ impl Scratch {
     /// Returns a buffer to the arena for reuse.
     pub fn give(&mut self, m: Matrix) {
         self.free.push(m);
+    }
+
+    /// The work buffers of one batched forward: moved out of the cache's
+    /// `slots` when the call records for a backward, else `N` buffers from
+    /// the arena. Hand them back with [`Scratch::settle`].
+    pub fn lend<const N: usize>(&mut self, slots: Option<[&mut Matrix; N]>) -> [Matrix; N] {
+        match slots {
+            Some(slots) => slots.map(std::mem::take),
+            None => std::array::from_fn(|_| self.take(0, 0)),
+        }
+    }
+
+    /// Returns what [`Scratch::lend`] handed out: into the cache's `slots`,
+    /// where the backward reads them, or to the arena in reverse order.
+    pub fn settle<const N: usize>(&mut self, slots: Option<[&mut Matrix; N]>, bufs: [Matrix; N]) {
+        match slots {
+            Some(slots) => slots.into_iter().zip(bufs).for_each(|(slot, m)| *slot = m),
+            None => bufs.into_iter().rev().for_each(|m| self.give(m)),
+        }
     }
 
     /// Number of parked buffers (diagnostic).

@@ -145,6 +145,14 @@ pub struct EncoderLayerBatchCache {
     g: Matrix,
 }
 
+impl EncoderLayerBatchCache {
+    /// The buffers [`EncoderLayer::forward_batch`] writes through
+    /// [`Scratch::lend`]: the FFN input and its pre-activation hidden.
+    fn slots(&mut self) -> [&mut Matrix; 2] {
+        [&mut self.n2, &mut self.f1]
+    }
+}
+
 impl EncoderLayer {
     fn new(ps: &mut ParamSet, name: &str, cfg: &TransformerConfig, rng: &mut impl Rng) -> Self {
         let d = cfg.d_model;
@@ -181,44 +189,61 @@ impl EncoderLayer {
         )
     }
 
-    /// Batched inference layer forward: `x` row-stacks `batch` sequences.
+    /// The one batched layer forward: `x` row-stacks `batch` sequences.
     /// LayerNorm, the feed-forward pair and both residual adds are
     /// row-local, so they run over the whole stacked matrix unchanged;
-    /// self-attention is confined to each block. Per block, bit-identical
-    /// to [`EncoderLayer::forward`] on that block alone.
-    fn forward_batch_into(
+    /// self-attention is confined to each block. Given a `cache`, every
+    /// sublayer records what [`EncoderLayer::backward_batch`] reads;
+    /// without one, the temporaries come from `scratch`. Per block,
+    /// bit-identical to [`EncoderLayer::forward`] on that block alone.
+    fn forward_batch(
         &self,
         ps: &ParamSet,
         x: &Matrix,
         batch: usize,
         out: &mut Matrix,
+        mut cache: Option<&mut EncoderLayerBatchCache>,
         scratch: &mut Scratch,
     ) {
         let (rows, d) = x.shape();
         let mut n1 = scratch.take(rows, d);
-        self.ln1.forward_into(ps, x, &mut n1);
+        let c_ln1 = cache.as_deref_mut().map(|c| &mut c.c_ln1);
+        self.ln1.forward_batch(ps, x, &mut n1, c_ln1);
         let mut a = scratch.take(rows, d);
+        let c_attn = cache.as_deref_mut().map(|c| &mut c.c_attn);
         self.attn
-            .forward_batch_into(ps, &n1, batch, &mut a, scratch);
+            .forward_batch(ps, &n1, batch, &mut a, c_attn, scratch);
         // h = x + a
         let mut h = scratch.take(rows, d);
         h.copy_from(x);
         h.add_assign(&a);
-        let mut n2 = scratch.take(rows, d);
-        self.ln2.forward_into(ps, &h, &mut n2);
-        let mut f1 = scratch.take(rows, self.ff1.out_dim);
-        self.ff1.forward_into(ps, &n2, &mut f1);
-        self.act.apply_in_place(&mut f1);
+        let mut bufs = scratch.lend(cache.as_deref_mut().map(EncoderLayerBatchCache::slots));
+        let [n2, f1] = &mut bufs;
+        let c_ln2 = cache.as_deref_mut().map(|c| &mut c.c_ln2);
+        self.ln2.forward_batch(ps, &h, n2, c_ln2);
+        self.ff1.forward_into(ps, n2, f1);
+        // The backward reads the pre-activation, so a recording call
+        // activates a copy; otherwise the activation runs in place.
+        let g = match cache.as_deref_mut() {
+            Some(c) => {
+                c.g.copy_from(f1);
+                self.act.apply_in_place(&mut c.g);
+                &c.g
+            }
+            None => {
+                self.act.apply_in_place(f1);
+                &*f1
+            }
+        };
         // y = h + FFN(…): ff2 lands in `out`, then the residual is added
         // via a borrowed buffer so the operand order matches `h.add(&f2)`.
-        self.ff2.forward_into(ps, &f1, out);
+        self.ff2.forward_into(ps, g, out);
         let mut y = scratch.take(0, 0);
         y.copy_from(&h);
         y.add_assign(out);
         std::mem::swap(&mut y, out);
         scratch.give(y);
-        scratch.give(f1);
-        scratch.give(n2);
+        scratch.settle(cache.map(EncoderLayerBatchCache::slots), bufs);
         scratch.give(h);
         scratch.give(a);
         scratch.give(n1);
@@ -241,47 +266,6 @@ impl EncoderLayer {
         let d_a = self.attn.backward(ps, &cache.c_attn, &dh, grads);
         let d_x_attn = self.ln1.backward(ps, &cache.c_ln1, &d_a, grads);
         dh.add(&d_x_attn)
-    }
-
-    /// Training forward over a row-stacked batch: same data flow as
-    /// [`EncoderLayer::forward_batch_into`] but filling `cache` for
-    /// [`EncoderLayer::backward_batch`]. Per block, bit-identical to
-    /// [`EncoderLayer::forward`] on that block alone.
-    fn forward_batch_cache(
-        &self,
-        ps: &ParamSet,
-        x: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        cache: &mut EncoderLayerBatchCache,
-        scratch: &mut Scratch,
-    ) {
-        let (rows, d) = x.shape();
-        let mut n1 = scratch.take(rows, d);
-        self.ln1
-            .forward_batch_cache(ps, x, &mut n1, &mut cache.c_ln1);
-        let mut a = scratch.take(rows, d);
-        self.attn
-            .forward_batch_cache(ps, &n1, batch, &mut a, &mut cache.c_attn, scratch);
-        // h = x + a
-        let mut h = scratch.take(rows, d);
-        h.copy_from(x);
-        h.add_assign(&a);
-        self.ln2
-            .forward_batch_cache(ps, &h, &mut cache.n2, &mut cache.c_ln2);
-        self.ff1.forward_into(ps, &cache.n2, &mut cache.f1);
-        cache.g.copy_from(&cache.f1);
-        self.act.apply_in_place(&mut cache.g);
-        // y = h + FFN(…), same operand order as `h.add(&f2)`.
-        self.ff2.forward_into(ps, &cache.g, out);
-        let mut y = scratch.take(0, 0);
-        y.copy_from(&h);
-        y.add_assign(out);
-        std::mem::swap(&mut y, out);
-        scratch.give(y);
-        scratch.give(h);
-        scratch.give(a);
-        scratch.give(n1);
     }
 
     /// Batched backward mirroring [`EncoderLayer::backward`] sublayer by
@@ -420,38 +404,41 @@ impl TransformerEncoder {
         )
     }
 
-    /// Inference-only encode into a caller-provided `1 × d_model` buffer,
-    /// with every temporary drawn from `scratch`: no cache, no allocation
-    /// once the arena is warm. Bit-identical to
-    /// [`TransformerEncoder::forward`]; a batch of one through
-    /// [`TransformerEncoder::forward_batch_into`].
-    pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        self.forward_batch_into(ps, x, 1, out, scratch);
-    }
-
-    /// Batched inference encode: `xs` row-stacks `batch` independent
+    /// The one batched encode: `xs` row-stacks `batch` independent
     /// `seq × input_dim` state matrices (uniform `seq = xs.rows() /
     /// batch`), and row `b` of the `batch × d_model` output receives
-    /// episode `b`'s pooled feature. The row embedding runs as **one
-    /// matmul over the whole batch**, the layer stack shares its
-    /// row-local projections the same way, and attention/pooling are
-    /// confined to each block — so each output row is bit-identical to a
-    /// sequential [`TransformerEncoder::forward`] of that block.
-    pub fn forward_batch_into(
+    /// block `b`'s pooled feature. The row embedding runs as **one matmul
+    /// over the whole batch**, the layer stack shares its row-local
+    /// projections the same way, and attention/pooling are confined to
+    /// each block, so each output row is bit-identical to a
+    /// [`TransformerEncoder::forward`] of that block. Given a `cache`,
+    /// every layer records for
+    /// [`TransformerEncoder::backward_batch_params`]; without one,
+    /// nothing is kept and every temporary comes from `scratch`.
+    pub fn forward_batch(
         &self,
         ps: &ParamSet,
         xs: &Matrix,
         batch: usize,
         out: &mut Matrix,
+        cache: Option<&mut TransformerBatchCache>,
         scratch: &mut Scratch,
     ) {
         let seq = self.batch_seq(xs, batch);
+        let mut c_layers = cache.map(|c| {
+            c.seq = seq;
+            c.batch = batch;
+            c.c_layers
+                .resize_with(self.layers.len(), EncoderLayerBatchCache::default);
+            c.c_layers.iter_mut()
+        });
         let mut h = scratch.take(xs.rows(), self.cfg.d_model);
         self.embed.forward_into(ps, xs, &mut h);
         self.add_positions(&mut h, batch, seq);
         let mut next = scratch.take(h.rows(), self.cfg.d_model);
         for layer in &self.layers {
-            layer.forward_batch_into(ps, &h, batch, &mut next, scratch);
+            let c = c_layers.as_mut().and_then(Iterator::next);
+            layer.forward_batch(ps, &h, batch, &mut next, c, scratch);
             std::mem::swap(&mut h, &mut next);
         }
         self.pool_blocks(&h, batch, seq, out);
@@ -554,42 +541,8 @@ impl TransformerEncoder {
         dh
     }
 
-    /// Training encode over a row-stacked batch: `xs` stacks `batch`
-    /// independent `seq × input_dim` state matrices, row `b` of the
-    /// `batch × d_model` output receives block `b`'s pooled feature, and
-    /// `cache` is filled for [`TransformerEncoder::backward_batch_params`]. The
-    /// embedding runs as one matmul over the whole stack; per block the
-    /// arithmetic is bit-identical to [`TransformerEncoder::forward`].
-    pub fn forward_batch_train(
-        &self,
-        ps: &ParamSet,
-        xs: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        cache: &mut TransformerBatchCache,
-        scratch: &mut Scratch,
-    ) {
-        let seq = self.batch_seq(xs, batch);
-        cache.seq = seq;
-        cache.batch = batch;
-        cache
-            .c_layers
-            .resize_with(self.layers.len(), EncoderLayerBatchCache::default);
-        let mut h = scratch.take(xs.rows(), self.cfg.d_model);
-        self.embed.forward_into(ps, xs, &mut h);
-        self.add_positions(&mut h, batch, seq);
-        let mut next = scratch.take(h.rows(), self.cfg.d_model);
-        for (layer, c) in self.layers.iter().zip(cache.c_layers.iter_mut()) {
-            layer.forward_batch_cache(ps, &h, batch, &mut next, c, scratch);
-            std::mem::swap(&mut h, &mut next);
-        }
-        self.pool_blocks(&h, batch, seq, out);
-        scratch.give(next);
-        scratch.give(h);
-    }
-
-    /// Batched parameter-gradient backward for
-    /// [`TransformerEncoder::forward_batch_train`]: `d_pooled` is
+    /// Batched parameter-gradient backward for a recording
+    /// [`TransformerEncoder::forward_batch`]: `d_pooled` is
     /// `batch × d_model` (one pooled-feature gradient row per block),
     /// `xs` is the same stacked input the forward saw, and block `b`'s
     /// parameter gradients fold into `sink` in ascending block order per

@@ -5,8 +5,8 @@
 //! tune grid reaches `d_head` 16), several heads, several blocks.
 //!
 //! For every shape, `forward` on each block alone is the reference, and
-//! `forward_into`, every block of `forward_batch_into`, every block of
-//! `forward_batch_cache` (output *and* cached attention) and
+//! `forward_into`, every block of `forward_batch` without a cache, every
+//! block of `forward_batch` with one (output *and* cached attention) and
 //! `backward_batch` against per-block `backward` must agree with it in
 //! every bit.
 
@@ -80,14 +80,14 @@ fn check_shape(
         attn_ref.extend(c.attn().iter().cloned());
     }
 
-    mha.forward_batch_into(&ps, &x, batch, &mut y, scratch);
+    mha.forward_batch(&ps, &x, batch, &mut y, None, scratch);
     if !bit_eq(&y_ref, &y) {
-        return Err(format!("forward_batch_into != forward ({shape})"));
+        return Err(format!("uncached forward_batch != forward ({shape})"));
     }
 
-    mha.forward_batch_cache(&ps, &x, batch, &mut y, cache, scratch);
+    mha.forward_batch(&ps, &x, batch, &mut y, Some(&mut *cache), scratch);
     if !bit_eq(&y_ref, &y) {
-        return Err(format!("forward_batch_cache != forward ({shape})"));
+        return Err(format!("cached forward_batch != forward ({shape})"));
     }
     if cache.attn().len() != attn_ref.len() {
         return Err(format!("cached attention count ({shape})"));
@@ -125,8 +125,8 @@ fn check_shape(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `forward` ≡ `forward_into` ≡ each block of `forward_batch_into` ≡
-    /// each block of `forward_batch_cache` (output and cached attention),
+    /// `forward` ≡ `forward_into` ≡ each block of uncached `forward_batch`
+    /// ≡ each block of cached `forward_batch` (output and cached attention),
     /// and `backward_batch` ≡ per-block `backward`, bit for bit.
     #[test]
     fn attention_core_matches_the_per_sample_definition(

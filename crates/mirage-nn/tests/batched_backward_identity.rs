@@ -115,7 +115,7 @@ proptest! {
         let mut scratch = Scratch::new();
         let mut cache = LayerNormBatchCache::default();
         let mut y = Matrix::zeros(0, 0);
-        ln.forward_batch_cache(&ps, &x, &mut y, &mut cache);
+        ln.forward_batch(&ps, &x, &mut y, Some(&mut cache));
         prop_assert!(matrix_bit_eq(&y_ref, &y), "forward diverges");
         let mut g_fused = Grads::new(&ps);
         let mut dx = Matrix::zeros(0, 0);
@@ -175,7 +175,7 @@ fn attention_batch_is_bit_identical() {
             }
 
             let mut y = Matrix::zeros(0, 0);
-            mha.forward_batch_cache(&ps, &x, batch, &mut y, &mut cache, &mut scratch);
+            mha.forward_batch(&ps, &x, batch, &mut y, Some(&mut cache), &mut scratch);
             assert!(
                 matrix_bit_eq(&y_ref, &y),
                 "forward diverges (round {round})"
@@ -231,7 +231,7 @@ fn transformer_batch_train_is_bit_identical() {
         let mut scratch = Scratch::new();
         let mut cache = mirage_nn::transformer::TransformerBatchCache::default();
         let mut pooled = Matrix::zeros(0, 0);
-        enc.forward_batch_train(&ps, &xs, batch, &mut pooled, &mut cache, &mut scratch);
+        enc.forward_batch(&ps, &xs, batch, &mut pooled, Some(&mut cache), &mut scratch);
         assert!(
             matrix_bit_eq(&pooled_ref, &pooled),
             "pooled diverges (seed {seed})"
@@ -304,7 +304,7 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
         let mut out = Matrix::zeros(0, 0);
         for round in 0..2 {
             let case = format!("seed {seed}, {experts} experts, round {round}");
-            moe.forward_batch_train(&ps, &xs, batch, &mut out, &mut cache, &mut scratch);
+            moe.forward_batch(&ps, &xs, batch, &mut out, Some(&mut cache), &mut scratch);
             assert!(matrix_bit_eq(&out_ref, &out), "forward diverges ({case})");
             let mut g_fused = Grads::new(&ps);
             moe.backward_batch_params(
@@ -341,7 +341,7 @@ fn moe_and_foundation_batch_train_are_bit_identical() {
         let mut scratch = Scratch::new();
         let mut cache = FoundationBatchCache::default();
         let mut out = Matrix::zeros(0, 0);
-        net.forward_batch_train(&ps, &xs, batch, &mut out, &mut cache, &mut scratch);
+        net.forward_batch(&ps, &xs, batch, &mut out, Some(&mut cache), &mut scratch);
         let mut g_fused = Grads::new(&ps);
         net.backward_batch_params(
             &ps,

@@ -121,10 +121,10 @@ proptest! {
         }
     }
 
-    /// `forward_into` + a reused [`Scratch`] matches the allocating,
-    /// cache-returning `forward` **bit for bit** across random shapes and
-    /// parameter seeds — the inference fast path must never drift from the
-    /// training path.
+    /// An uncached `forward_batch` of one state into a reused buffer and
+    /// [`Scratch`] matches the allocating, cache-returning `forward` **bit
+    /// for bit** across random shapes and parameter seeds — the serving
+    /// call must never drift from the per-sample definition.
     #[test]
     fn forward_into_matches_forward_bitwise(
         seed in 0u64..1_000,
@@ -155,10 +155,10 @@ proptest! {
             let net = FoundationNet::new(&mut ps, "f", kind, cfg, &mut rng);
             let x = Matrix::xavier(seq, 5, &mut rng);
             let (reference, _cache) = net.forward(&ps, &x);
-            net.forward_into(&ps, &x, &mut out, &mut scratch);
+            net.forward_batch(&ps, &x, 1, &mut out, None, &mut scratch);
             prop_assert_eq!(&out, &reference, "kind {:?}", kind);
             // Second pass on the warm scratch must be identical too.
-            net.forward_into(&ps, &x, &mut out, &mut scratch);
+            net.forward_batch(&ps, &x, 1, &mut out, None, &mut scratch);
             prop_assert_eq!(&out, &reference, "warm rerun, kind {:?}", kind);
         }
     }
@@ -185,11 +185,11 @@ proptest! {
     }
 
     /// One batched forward over `n` row-stacked states equals `n`
-    /// sequential `forward_into` calls and `n` per-sample `forward`
-    /// calls **bit for bit**, for every foundation kind — the lockstep
+    /// sequential batches of one and `n` per-sample `forward` calls
+    /// **bit for bit**, for every foundation kind — the lockstep
     /// episode engine must never drift from per-episode execution.
     #[test]
-    fn forward_batch_into_matches_sequential_bitwise(
+    fn forward_batch_matches_sequential_bitwise(
         seed in 0u64..500,
         batch in 1usize..5,
         seq in 1usize..5,
@@ -220,10 +220,10 @@ proptest! {
                     stacked.row_mut(b * seq + r).copy_from_slice(s.row(r));
                 }
             }
-            net.forward_batch_into(&ps, &stacked, batch, &mut batch_out, &mut scratch);
+            net.forward_batch(&ps, &stacked, batch, &mut batch_out, None, &mut scratch);
             prop_assert_eq!(batch_out.shape(), (batch, 8));
             for (b, s) in states.iter().enumerate() {
-                net.forward_into(&ps, s, &mut seq_out, &mut scratch);
+                net.forward_batch(&ps, s, 1, &mut seq_out, None, &mut scratch);
                 prop_assert_eq!(seq_out.row(0), batch_out.row(b), "row {} kind {:?}", b, kind);
                 let (per_sample, _) = net.forward(&ps, s);
                 prop_assert_eq!(per_sample.row(0), batch_out.row(b), "row {} kind {:?}", b, kind);

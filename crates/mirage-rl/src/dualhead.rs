@@ -17,10 +17,12 @@
 //! appends an ordinal action variable to every state row and runs the
 //! foundation once per queried action; that layout is not implemented.)
 //!
-//! Each head has one training path, the batched one
-//! (`*_forward_batch_train` / `*_backward_batch` over row-stacked
-//! states); the per-sample `*_forward` / `*_backward` pairs are the
-//! definitions the batched paths are pinned bit-identical to.
+//! Every head runs one forward body, `head_forward_batch` over
+//! row-stacked states: serving (`q_values`, `p_probs` and their `_batch`
+//! forms) calls it without a cache, training (`*_forward_batch_train`,
+//! then `*_backward_batch`) with one. The per-sample `*_forward` /
+//! `*_backward` pairs are the definitions both are pinned bit-identical
+//! to.
 
 use mirage_nn::foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
 use mirage_nn::linear::{Linear, LinearCache};
@@ -328,38 +330,30 @@ impl DualHeadNet {
         self.head_backward(&self.reward_head, true, cache, &dy, grads);
     }
 
-    /// Inference-only Q-values: no caches, every temporary drawn from
+    /// Serving Q-values: no caches, every temporary drawn from
     /// `scratch`, zero allocations once the arena is warm. Bit-identical
     /// to [`DualHeadNet::q_forward`].
     pub fn q_values(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
-        let mut feat = scratch.take(1, self.foundation.out_dim());
-        self.foundation
-            .forward_into(&self.ps, state, &mut feat, scratch);
-        let mut q = scratch.take(1, 2);
-        self.q_head.forward_into(&self.ps, &feat, &mut q);
+        let mut q = scratch.take(0, 0);
+        self.head_forward_batch(&self.q_head, state, 1, &mut q, None, scratch);
         let vals = [q.get(0, 0), q.get(0, 1)];
         scratch.give(q);
-        scratch.give(feat);
         vals
     }
 
-    /// Inference-only action probabilities (softmaxed P-head output):
-    /// zero allocations once `scratch` is warm, bit-identical to
+    /// Serving action probabilities (softmaxed P-head output): zero
+    /// allocations once `scratch` is warm, bit-identical to
     /// [`DualHeadNet::action_probs`].
     pub fn p_probs(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
-        let mut feat = scratch.take(1, self.foundation.out_dim());
-        self.foundation
-            .forward_into(&self.ps, state, &mut feat, scratch);
-        let mut logits = scratch.take(1, 2);
-        self.p_head.forward_into(&self.ps, &feat, &mut logits);
+        let mut logits = scratch.take(0, 0);
+        self.head_forward_batch(&self.p_head, state, 1, &mut logits, None, scratch);
         logits.softmax_rows_in_place();
         let probs = [logits.get(0, 0), logits.get(0, 1)];
         scratch.give(logits);
-        scratch.give(feat);
         probs
     }
 
-    /// Batched inference Q-values: `states` row-stacks `batch` state
+    /// Batched serving Q-values: `states` row-stacks `batch` state
     /// matrices (uniform row count per episode), and `out[b]` receives
     /// `[Q(s_b, no-submit), Q(s_b, submit)]`. One foundation pass and one
     /// Q-head matmul cover the whole batch; `cache` holds nothing. Each
@@ -373,14 +367,14 @@ impl DualHeadNet {
         scratch: &mut Scratch,
         _cache: &mut BatchInferCache,
     ) {
-        let mut q = scratch.take(batch, 2);
-        self.head_infer_batch(&self.q_head, states, batch, &mut q, scratch);
+        let mut q = scratch.take(0, 0);
+        self.head_forward_batch(&self.q_head, states, batch, &mut q, None, scratch);
         out.clear();
         out.extend((0..batch).map(|b| [q.get(b, 0), q.get(b, 1)]));
         scratch.give(q);
     }
 
-    /// Batched inference action probabilities: the P-path analogue of
+    /// Batched serving action probabilities: the P-path analogue of
     /// [`DualHeadNet::q_values_batch`]. `out[b]` is episode `b`'s
     /// softmaxed `[p(no-submit), p(submit)]`, bit-identical to a
     /// sequential [`DualHeadNet::p_probs`] call.
@@ -392,29 +386,12 @@ impl DualHeadNet {
         scratch: &mut Scratch,
         _cache: &mut BatchInferCache,
     ) {
-        let mut logits = scratch.take(batch, 2);
-        self.head_infer_batch(&self.p_head, states, batch, &mut logits, scratch);
+        let mut logits = scratch.take(0, 0);
+        self.head_forward_batch(&self.p_head, states, batch, &mut logits, None, scratch);
         logits.softmax_rows_in_place();
         out.clear();
         out.extend((0..batch).map(|b| [logits.get(b, 0), logits.get(b, 1)]));
         scratch.give(logits);
-    }
-
-    /// Shared body of the batched inference paths: one foundation pass
-    /// over `states`, then `head` as one matmul into `out`.
-    fn head_infer_batch(
-        &self,
-        head: &Linear,
-        states: &Matrix,
-        batch: usize,
-        out: &mut Matrix,
-        scratch: &mut Scratch,
-    ) {
-        let mut feats = scratch.take(batch, self.foundation.out_dim());
-        self.foundation
-            .forward_batch_into(&self.ps, states, batch, &mut feats, scratch);
-        head.forward_into(&self.ps, &feats, out);
-        scratch.give(feats);
     }
 
     /// Batched Q training forward: `states` row-stacks `batch` state
@@ -429,7 +406,7 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        self.head_forward_batch_train(&self.q_head, states, batch, q, cache, scratch);
+        self.head_forward_batch(&self.q_head, states, batch, q, Some(cache), scratch);
     }
 
     /// Batched backward through the Q path: `dq` holds one `[dQ0, dQ1]`
@@ -470,7 +447,7 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        self.head_forward_batch_train(&self.p_head, states, batch, logits, cache, scratch);
+        self.head_forward_batch(&self.p_head, states, batch, logits, Some(cache), scratch);
     }
 
     /// Batched backward through the P path: `d_logits` holds one row per
@@ -509,7 +486,14 @@ impl DualHeadNet {
         cache: &mut HeadBatchCache,
         scratch: &mut Scratch,
     ) {
-        self.head_forward_batch_train(&self.reward_head, states, batch, preds, cache, scratch);
+        self.head_forward_batch(
+            &self.reward_head,
+            states,
+            batch,
+            preds,
+            Some(cache),
+            scratch,
+        );
     }
 
     /// Batched backward through the reward path: `d_preds` holds one
@@ -537,26 +521,26 @@ impl DualHeadNet {
         );
     }
 
-    /// Shared body of the batched training forwards: the foundation over
-    /// `states`, then `head`.
-    fn head_forward_batch_train(
+    /// The one body of every head forward, serving and training: the
+    /// foundation over the row-stacked `states`, then `head` as one matmul
+    /// into `out`. Given a `cache`, the foundation records and the
+    /// features are kept for [`DualHeadNet::head_backward_batch`];
+    /// without one, the features are borrowed from `scratch`.
+    fn head_forward_batch(
         &self,
         head: &Linear,
         states: &Matrix,
         batch: usize,
         out: &mut Matrix,
-        cache: &mut HeadBatchCache,
+        mut cache: Option<&mut HeadBatchCache>,
         scratch: &mut Scratch,
     ) {
-        self.foundation.forward_batch_train(
-            &self.ps,
-            states,
-            batch,
-            &mut cache.feats,
-            &mut cache.f_cache,
-            scratch,
-        );
-        head.forward_into(&self.ps, &cache.feats, out);
+        let [mut feats] = scratch.lend(cache.as_deref_mut().map(|c| [&mut c.feats]));
+        let f_cache = cache.as_deref_mut().map(|c| &mut c.f_cache);
+        self.foundation
+            .forward_batch(&self.ps, states, batch, &mut feats, f_cache, scratch);
+        head.forward_into(&self.ps, &feats, out);
+        scratch.settle(cache.map(|c| [&mut c.feats]), [feats]);
     }
 
     /// Shared body of the batched backwards: `head`, then — when
@@ -676,7 +660,10 @@ mod tests {
     fn batched_inference_matches_sequential_bitwise() {
         // One batched forward over row-stacked episode states must equal
         // per-episode q_values / p_probs bit for bit, across foundations
-        // and a batch that widens and then narrows.
+        // and a batch that widens and then narrows. Serving and training
+        // run one body on one arena (as `DqnAgent::act_batch` and
+        // `train_minibatch` do), so a recording forward + backward runs
+        // on the same scratch before every width.
         let mut scratch = mirage_nn::Scratch::new();
         let mut q_out = Vec::new();
         let mut p_out = Vec::new();
@@ -685,7 +672,29 @@ mod tests {
             FoundationKind::MoE { experts: 2 },
         ] {
             let net = DualHeadNet::new(tiny_cfg(kind));
+            let mut train_cache = HeadBatchCache::default();
+            let (mut train_states, mut q_train) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            let mut grads = Grads::new(&net.ps);
             for batch in [1usize, 3, 2] {
+                let train: Vec<Matrix> = (0..=batch).map(|b| state(10 + b as u64)).collect();
+                let n = stack_states_into(train.iter(), &mut train_states);
+                net.q_forward_batch_train(
+                    &train_states,
+                    n,
+                    &mut q_train,
+                    &mut train_cache,
+                    &mut scratch,
+                );
+                let dq = Matrix::from_fn(n, 2, |r, c| if r % 2 == c { 0.5 } else { -0.25 });
+                grads.reset();
+                net.q_backward_batch(
+                    &mut train_cache,
+                    &train_states,
+                    &dq,
+                    n,
+                    &mut GradSink::Fused(&mut grads),
+                    &mut scratch,
+                );
                 let states: Vec<Matrix> = (0..batch).map(|b| state(b as u64)).collect();
                 let mut stacked = Matrix::zeros(batch * 3, 4);
                 for (b, s) in states.iter().enumerate() {
@@ -717,6 +726,12 @@ mod tests {
                         p_out[b],
                         net.p_probs(s, &mut scratch),
                         "p {kind:?} batch {batch} episode {b}"
+                    );
+                    let fresh = net.q_values(s, &mut mirage_nn::Scratch::new());
+                    assert_eq!(
+                        q_out[b].map(f32::to_bits),
+                        fresh.map(f32::to_bits),
+                        "q {kind:?} batch {batch} episode {b} after training"
                     );
                 }
             }

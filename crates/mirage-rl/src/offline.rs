@@ -13,7 +13,6 @@ use mirage_nn::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dualhead::{stack_states_into, DualHeadNet, HeadBatchCache};
@@ -132,18 +131,26 @@ pub fn fit_minibatches(
 }
 
 /// Mean reward-prediction MSE of a network over samples (for validation).
+/// The samples run through the batched reward forward in chunks of 32;
+/// the squared errors are summed in sample order, so the result equals
+/// the per-sample mean bit for bit.
 pub fn reward_mse(net: &DualHeadNet, samples: &[RewardSample]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
-    samples
-        .par_iter()
-        .map(|s| {
-            let (pred, _) = net.reward_forward(&s.state);
-            (pred - s.reward) * (pred - s.reward)
-        })
-        .sum::<f32>()
-        / samples.len() as f32
+    let mut scratch = Scratch::new();
+    let mut cache = HeadBatchCache::default();
+    let (mut states, mut preds) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut sum = 0.0f32;
+    for chunk in samples.chunks(32) {
+        let n = stack_states_into(chunk.iter().map(|s| &s.state), &mut states);
+        net.reward_forward_batch_train(&states, n, &mut preds, &mut cache, &mut scratch);
+        for (b, s) in chunk.iter().enumerate() {
+            let d = preds.get(b, 0) - s.reward;
+            sum += d * d;
+        }
+    }
+    sum / samples.len() as f32
 }
 
 #[cfg(test)]
@@ -223,7 +230,16 @@ mod tests {
         let mut net = tiny_net(61);
         let train = make_samples(256, 62);
         let valid = make_samples(64, 63);
+        // The per-sample mean `reward_mse` must equal bit for bit.
+        let per_sample = |net: &DualHeadNet| {
+            let sq = |s: &RewardSample| {
+                let d = net.reward_forward(&s.state).0 - s.reward;
+                d * d
+            };
+            valid.iter().map(sq).sum::<f32>() / valid.len() as f32
+        };
         let before = reward_mse(&net, &valid);
+        assert_eq!(before.to_bits(), per_sample(&net).to_bits());
         let curve = pretrain_foundation(
             &mut net,
             &train,
@@ -234,6 +250,7 @@ mod tests {
             },
         );
         let after = reward_mse(&net, &valid);
+        assert_eq!(after.to_bits(), per_sample(&net).to_bits());
         assert!(
             curve.last().unwrap() < curve.first().unwrap(),
             "train curve must drop"

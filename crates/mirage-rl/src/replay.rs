@@ -280,10 +280,10 @@ impl MiniBatch {
         self.len == 0
     }
 
-    /// Assembles from an already-sampled reference batch (the sequential
-    /// API's shape), stacking states in slice order. Used by the
-    /// compatibility wrappers; the sampling fast path assembles directly
-    /// from recorded draws.
+    /// Assembles from an already-sampled reference batch, stacking states
+    /// in slice order. Only tests call it, to feed a batch their
+    /// per-sample oracles also see; training assembles directly from the
+    /// recorded draws.
     pub fn assemble_refs(&mut self, batch: &[&Experience]) {
         self.assemble_with(batch.len(), |i| batch[i]);
     }

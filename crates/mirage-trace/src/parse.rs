@@ -14,6 +14,8 @@
 //! `[days-]HH:MM[:SS]` form. Unstarted/running records (`Unknown`,
 //! `None`) yield `start = end = None`.
 
+use std::ops::RangeInclusive;
+
 use crate::job::JobRecord;
 use crate::time::{DAY, HOUR, MINUTE};
 
@@ -77,8 +79,10 @@ pub fn parse_sacct(input: &str) -> Result<Vec<JobRecord>, ParseError> {
             .map_err(|_| err(format!("bad UID {:?}", fields[2])))?;
         let submit =
             parse_timestamp(fields[3]).ok_or_else(|| err(format!("bad Submit {:?}", fields[3])))?;
-        let start = parse_optional_timestamp(fields[4]);
-        let end = parse_optional_timestamp(fields[5]);
+        let start = parse_optional_timestamp(fields[4])
+            .ok_or_else(|| err(format!("bad Start {:?}", fields[4])))?;
+        let end = parse_optional_timestamp(fields[5])
+            .ok_or_else(|| err(format!("bad End {:?}", fields[5])))?;
         let timelimit = parse_timelimit(fields[6])
             .ok_or_else(|| err(format!("bad Timelimit {:?}", fields[6])))?;
         let nodes: u32 = fields[7]
@@ -105,26 +109,33 @@ pub fn parse_sacct(input: &str) -> Result<Vec<JobRecord>, ParseError> {
 
 /// `2021-02-03T04:05:06` → Unix-ish seconds (proleptic, zone-less). Only
 /// differences matter, so days are counted with a simple Gregorian rule.
+/// Years run 1..=9999, hours 0..=23, minutes 0..=59 and seconds 0..=60 (a
+/// leap second), so every time is far inside the 2^53 s within which the
+/// scheduling pass's `f64` age is exact; anything else is `None`.
 fn parse_timestamp(s: &str) -> Option<i64> {
     let (date, time) = s.split_once('T')?;
     let mut dp = date.split('-');
-    let year: i64 = dp.next()?.parse().ok()?;
-    let month: u32 = dp.next()?.parse().ok()?;
-    let day: i64 = dp.next()?.parse().ok()?;
-    if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
-        return None;
-    }
+    let year = bounded(dp.next()?, 1..=9999)?;
+    let month = bounded(dp.next()?, 1..=12)?;
+    let day = bounded(dp.next()?, 1..=31)?;
     let mut tp = time.split(':');
-    let h: i64 = tp.next()?.parse().ok()?;
-    let m: i64 = tp.next()?.parse().ok()?;
-    let sec: i64 = tp.next().unwrap_or("0").parse().ok()?;
+    let h = bounded(tp.next()?, 0..=23)?;
+    let m = bounded(tp.next()?, 0..=59)?;
+    let sec = bounded(tp.next().unwrap_or("0"), 0..=60)?;
     Some(days_from_epoch(year, month, day) * DAY + h * HOUR + m * MINUTE + sec)
 }
 
-fn parse_optional_timestamp(s: &str) -> Option<i64> {
+/// `s` parsed as a number inside `range`.
+fn bounded<T: std::str::FromStr + PartialOrd>(s: &str, range: RangeInclusive<T>) -> Option<T> {
+    s.parse().ok().filter(|v| range.contains(v))
+}
+
+/// `Some(None)` for a job that has not started (or ended), `None` for a
+/// malformed time.
+fn parse_optional_timestamp(s: &str) -> Option<Option<i64>> {
     match s {
-        "Unknown" | "None" | "" => None,
-        _ => parse_timestamp(s),
+        "Unknown" | "None" | "" => Some(None),
+        _ => parse_timestamp(s).map(Some),
     }
 }
 
@@ -140,21 +151,26 @@ fn days_from_epoch(y: i64, m: u32, d: i64) -> i64 {
 }
 
 /// Slurm timelimit: `HH:MM`, `HH:MM:SS`, `D-HH:MM[:SS]`, `UNLIMITED`.
+/// Every part is non-negative and the total must fit an `i64`.
 fn parse_timelimit(s: &str) -> Option<i64> {
     if s.eq_ignore_ascii_case("UNLIMITED") {
         return Some(365 * DAY);
     }
+    let part = |p: &str| bounded(p, 0..=i64::MAX);
     let (days, rest) = match s.split_once('-') {
-        Some((d, rest)) => (d.parse::<i64>().ok()?, rest),
+        Some((d, rest)) => (part(d)?, rest),
         None => (0, s),
     };
     let parts: Vec<&str> = rest.split(':').collect();
-    let (h, m, sec): (i64, i64, i64) = match parts.as_slice() {
-        [h, m] => (h.parse().ok()?, m.parse().ok()?, 0),
-        [h, m, s2] => (h.parse().ok()?, m.parse().ok()?, s2.parse().ok()?),
+    let (h, m, sec) = match parts.as_slice() {
+        [h, m] => (part(h)?, part(m)?, 0),
+        [h, m, s2] => (part(h)?, part(m)?, part(s2)?),
         _ => return None,
     };
-    Some(days * DAY + h * HOUR + m * MINUTE + sec)
+    days.checked_mul(DAY)?
+        .checked_add(h.checked_mul(HOUR)?)?
+        .checked_add(m.checked_mul(MINUTE)?)?
+        .checked_add(sec)
 }
 
 /// Serializes jobs back to the sacct pipe format (relative timestamps are
@@ -281,6 +297,42 @@ JobID|JobName|UID|Submit|Start|End|Timelimit|NNodes
         assert!(err.message.contains("Submit"));
         let err = parse_sacct("only|three|fields\n").unwrap_err();
         assert!(err.message.contains("8 pipe-separated"));
+    }
+
+    #[test]
+    fn out_of_range_times_are_errors_naming_the_field() {
+        let line = |submit: &str, start: &str, limit: &str| {
+            format!("1|a|5|{submit}|{start}|Unknown|{limit}|1\n")
+        };
+        let ok = "2021-02-03T04:05:06";
+        for (submit, start, limit, field) in [
+            (
+                "2021-02-03T99999999999999999:00:00",
+                "Unknown",
+                "01:00",
+                "Submit",
+            ),
+            ("9999999999-02-03T04:05:06", "Unknown", "01:00", "Submit"),
+            ("0-02-03T04:05:06", "Unknown", "01:00", "Submit"),
+            ("2021-02-03T24:00:00", "Unknown", "01:00", "Submit"),
+            ("2021-02-03T04:60:00", "Unknown", "01:00", "Submit"),
+            ("2021-02-03T04:05:61", "Unknown", "01:00", "Submit"),
+            ("2021-02-03T-1:05:06", "Unknown", "01:00", "Submit"),
+            (ok, "2021-02-03T04:05:99", "01:00", "Start"),
+            (ok, "garbage", "01:00", "Start"),
+            (ok, "Unknown", "1--5:00", "Timelimit"),
+            (ok, "Unknown", "01:-5", "Timelimit"),
+            (ok, "Unknown", "99999999999999999-00:00", "Timelimit"),
+            (ok, "Unknown", "9223372036854775807:00", "Timelimit"),
+        ] {
+            let err = parse_sacct(&line(submit, start, limit)).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.message.contains(field), "{field}: {}", err.message);
+        }
+        // The bounds themselves parse.
+        let jobs = parse_sacct(&line("9999-12-31T23:59:60", "Unknown", "0-00:00:00")).unwrap();
+        assert_eq!(jobs[0].timelimit, 0);
+        assert!(parse_sacct(&line("0001-01-01T00:00:00", ok, "01:00")).is_ok());
     }
 
     #[test]
