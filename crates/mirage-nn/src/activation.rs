@@ -17,7 +17,8 @@ pub enum Activation {
     Identity,
 }
 
-/// Forward cache: the pre-activation input.
+/// Forward cache of the per-sample pass: the pre-activation input.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct ActivationCache {
     x: Matrix,
@@ -143,35 +144,40 @@ impl Activation {
         }
     }
 
-    /// Matrix forward.
-    pub fn forward(self, x: &Matrix) -> (Matrix, ActivationCache) {
-        (x.map(|v| self.apply(v)), ActivationCache { x: x.clone() })
-    }
-
-    /// In-place matrix forward for the inference path: no cache, no
-    /// allocation. Applies the same scalar [`Activation::apply`] as
-    /// [`Activation::forward`], so results are bit-identical.
+    /// In-place matrix forward: no cache, no allocation. Applies the same
+    /// scalar [`Activation::apply`] as the per-sample `forward`, so
+    /// results are bit-identical.
     pub fn apply_in_place(self, x: &mut Matrix) {
         for v in x.data_mut() {
             *v = self.apply(*v);
         }
     }
 
-    /// Matrix backward: `dx = dy ⊙ f′(x)`.
-    pub fn backward(self, cache: &ActivationCache, dy: &Matrix) -> Matrix {
-        let deriv = cache.x.map(|v| self.derivative(v));
-        dy.hadamard(&deriv)
-    }
-
-    /// Allocation-free backward into `dx`: each element is the same
-    /// `dy · f′(x)` product as [`Activation::backward`], so the result is
-    /// bit-identical regardless of how rows are blocked into a batch.
+    /// Allocation-free backward `dx = dy ⊙ f′(x)` into `dx`: each element
+    /// is the same `dy · f′(x)` product as the per-sample `backward`, so
+    /// the result is bit-identical regardless of how rows are blocked
+    /// into a batch.
     pub fn backward_into(self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
         assert_eq!(x.shape(), dy.shape(), "activation backward shape mismatch");
         dx.reset(x.rows(), x.cols());
         for ((o, &xv), &dv) in dx.data_mut().iter_mut().zip(x.data()).zip(dy.data()) {
             *o = dv * self.derivative(xv);
         }
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl Activation {
+    /// Matrix forward.
+    pub fn forward(self, x: &Matrix) -> (Matrix, ActivationCache) {
+        (x.map(|v| self.apply(v)), ActivationCache { x: x.clone() })
+    }
+
+    /// Matrix backward: `dx = dy ⊙ f′(x)`.
+    pub fn backward(self, cache: &ActivationCache, dy: &Matrix) -> Matrix {
+        let deriv = cache.x.map(|v| self.derivative(v));
+        dy.hadamard(&deriv)
     }
 }
 

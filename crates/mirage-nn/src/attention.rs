@@ -6,10 +6,11 @@
 //!
 //! # One core, one accumulation order
 //!
-//! [`MultiHeadAttention::forward`] and [`MultiHeadAttention::backward`]
-//! are the definition: allocating, one sequence at a time, every head
-//! sliced out into its own matrices and pushed through the generic
-//! [`Matrix`] kernels. The production pair —
+//! The per-sample `MultiHeadAttention::forward` and `backward` are the
+//! definition: allocating, one sequence at a time, every head sliced out
+//! into its own matrices and pushed through the generic [`Matrix`]
+//! kernels. They are `reference` items, compiled only for tests and the
+//! crate's `reference` feature. The production pair —
 //! [`MultiHeadAttention::forward_batch`] (with or without a cache;
 //! `forward_into` is its batch of one) and
 //! [`MultiHeadAttention::backward_batch`] — runs the Q/K/V/output
@@ -69,10 +70,12 @@
 
 use rand::Rng;
 
-use crate::linear::{Linear, LinearCache};
-use crate::param::{GradSink, Grads, ParamSet};
+use crate::linear::Linear;
+use crate::param::{GradSink, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
+#[cfg(any(test, feature = "reference"))]
+use crate::{linear::LinearCache, param::Grads};
 
 /// Query rows the core processes together: that many independent
 /// accumulator chains in flight per lane vector.
@@ -102,7 +105,8 @@ pub struct MultiHeadAttention {
     pub d_model: usize,
 }
 
-/// Forward cache for the backward pass.
+/// Forward cache of the per-sample pass.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct AttentionCache {
     cq: LinearCache,
@@ -116,6 +120,7 @@ pub struct AttentionCache {
     attn: Vec<Matrix>,
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl AttentionCache {
     /// The softmaxed `seq × seq` attention matrix of each head.
     pub fn attn(&self) -> &[Matrix] {
@@ -195,42 +200,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Self-attention forward over `x` (`seq × d_model`).
-    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, AttentionCache) {
-        let (q, cq) = self.wq.forward(ps, x);
-        let (k, ck) = self.wk.forward(ps, x);
-        let (v, cv) = self.wv.forward(ps, x);
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let seq = x.rows();
-        let mut concat = Matrix::zeros(seq, self.d_model);
-        let mut attn = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = col_slice(&q, h * dh, dh);
-            let kh = col_slice(&k, h * dh, dh);
-            let vh = col_slice(&v, h * dh, dh);
-            let scores = qh.matmul_t(&kh).scale(scale);
-            let a = scores.softmax_rows();
-            let oh = a.matmul(&vh);
-            col_slice_write(&mut concat, &oh, h * dh);
-            attn.push(a);
-        }
-        let (y, co) = self.wo.forward(ps, &concat);
-        (
-            y,
-            AttentionCache {
-                cq,
-                ck,
-                cv,
-                co,
-                q,
-                k,
-                v,
-                attn,
-            },
-        )
-    }
-
     /// Forward into a caller-provided buffer that records nothing, every
     /// temporary drawn from `scratch`: no allocation once the arena is
     /// warm. [`MultiHeadAttention::forward_batch`] at batch 1 without a
@@ -251,8 +220,8 @@ impl MultiHeadAttention {
     /// softmaxed attention of every `(block, head)` there for
     /// [`MultiHeadAttention::backward_batch`]; without one, the projections
     /// are borrowed from `scratch` and nothing is kept. Per block, the
-    /// output and the cached attention are bit-identical to
-    /// [`MultiHeadAttention::forward`] on that block alone.
+    /// output and the cached attention are bit-identical to the
+    /// per-sample `forward` on that block alone.
     pub fn forward_batch(
         &self,
         ps: &ParamSet,
@@ -317,45 +286,6 @@ impl MultiHeadAttention {
         scratch.give(kt);
     }
 
-    /// Backward pass; accumulates all projection gradients and returns `dx`.
-    pub fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &AttentionCache,
-        dy: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let seq = dy.rows();
-        let d_concat = self.wo.backward(ps, &cache.co, dy, grads);
-
-        let mut dq = Matrix::zeros(seq, self.d_model);
-        let mut dk = Matrix::zeros(seq, self.d_model);
-        let mut dv = Matrix::zeros(seq, self.d_model);
-        for h in 0..self.heads {
-            let doh = col_slice(&d_concat, h * dh, dh);
-            let qh = col_slice(&cache.q, h * dh, dh);
-            let kh = col_slice(&cache.k, h * dh, dh);
-            let vh = col_slice(&cache.v, h * dh, dh);
-            let a = &cache.attn[h];
-            // O = A·V
-            let da = doh.matmul_t(&vh);
-            let dvh = a.t_matmul(&doh);
-            // softmax backward (per row).
-            let ds = softmax_rows_backward(a, &da).scale(scale);
-            let dqh = ds.matmul(&kh);
-            let dkh = ds.t_matmul(&qh);
-            col_slice_write(&mut dq, &dqh, h * dh);
-            col_slice_write(&mut dk, &dkh, h * dh);
-            col_slice_write(&mut dv, &dvh, h * dh);
-        }
-        let dx_q = self.wq.backward(ps, &cache.cq, &dq, grads);
-        let dx_k = self.wk.backward(ps, &cache.ck, &dk, grads);
-        let dx_v = self.wv.backward(ps, &cache.cv, &dv, grads);
-        dx_q.add(&dx_k).add(&dx_v)
-    }
-
     /// Batched backward for a recording [`MultiHeadAttention::forward_batch`].
     /// Block `b`'s projection gradients fold into `sink` in ascending
     /// block order (wo, then wq/wk/wv — per-parameter chains stay flat
@@ -378,8 +308,15 @@ impl MultiHeadAttention {
         let HeadShape { seq, dh, .. } = head;
 
         let mut d_concat = scratch.take(rows, self.d_model);
-        self.wo
-            .backward_batch(ps, &cache.concat, dy, batch, sink, &mut d_concat, scratch);
+        self.wo.backward_batch(
+            ps,
+            &cache.concat,
+            dy,
+            batch,
+            sink,
+            Some(&mut d_concat),
+            scratch,
+        );
 
         // `dk` and `dv` accumulate over query rows in place, so they
         // start from the arena's zero fill.
@@ -408,13 +345,13 @@ impl MultiHeadAttention {
         scratch.give(vt);
 
         self.wq
-            .backward_batch(ps, &cache.x, &dq, batch, sink, dx, scratch);
+            .backward_batch(ps, &cache.x, &dq, batch, sink, Some(dx), scratch);
         let mut dx_k = scratch.take(rows, self.d_model);
         let mut dx_v = scratch.take(rows, self.d_model);
         self.wk
-            .backward_batch(ps, &cache.x, &dk, batch, sink, &mut dx_k, scratch);
+            .backward_batch(ps, &cache.x, &dk, batch, sink, Some(&mut dx_k), scratch);
         self.wv
-            .backward_batch(ps, &cache.x, &dv, batch, sink, &mut dx_v, scratch);
+            .backward_batch(ps, &cache.x, &dv, batch, sink, Some(&mut dx_v), scratch);
         // Same elementwise (q + k) + v order as the per-sample backward's
         // `dx_q.add(&dx_k).add(&dx_v)`.
         dx.add_assign(&dx_k);
@@ -779,29 +716,9 @@ fn lanes<const W: usize>(xs: &[f32]) -> [f32; W] {
     xs[..W].try_into().expect("W-wide slice")
 }
 
-/// Copies columns `[start, start+width)` into a new matrix.
-fn col_slice(m: &Matrix, start: usize, width: usize) -> Matrix {
-    Matrix::from_fn(m.rows(), width, |r, c| m.get(r, start + c))
-}
-
-/// Writes `src` into columns `[start, ...)` of `dst`.
-fn col_slice_write(dst: &mut Matrix, src: &Matrix, start: usize) {
-    let width = src.cols();
-    for r in 0..src.rows() {
-        dst.row_mut(r)[start..start + width].copy_from_slice(src.row(r));
-    }
-}
-
-/// Row-wise softmax Jacobian-vector product: given the softmax output `a`
-/// and upstream `da`, returns `ds` where `s` are the pre-softmax scores.
-pub fn softmax_rows_backward(a: &Matrix, da: &Matrix) -> Matrix {
-    let mut ds = Matrix::zeros(0, 0);
-    softmax_rows_backward_into(a, da, &mut ds);
-    ds
-}
-
-/// Allocation-free variant of [`softmax_rows_backward`]: identical
-/// per-row arithmetic written into `ds`.
+/// Row-wise softmax Jacobian-vector product into `ds`: given the softmax
+/// output `a` and upstream `da`, writes `ds` where `s` are the
+/// pre-softmax scores.
 pub fn softmax_rows_backward_into(a: &Matrix, da: &Matrix, ds: &mut Matrix) {
     ds.reset(a.rows(), a.cols());
     for r in 0..a.rows() {
@@ -812,6 +729,109 @@ pub fn softmax_rows_backward_into(a: &Matrix, da: &Matrix, ds: &mut Matrix) {
             ds.set(r, c, arow[c] * (darow[c] - dot));
         }
     }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl MultiHeadAttention {
+    /// Self-attention forward over `x` (`seq × d_model`).
+    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, AttentionCache) {
+        let (q, cq) = self.wq.forward(ps, x);
+        let (k, ck) = self.wk.forward(ps, x);
+        let (v, cv) = self.wv.forward(ps, x);
+        let dh = self.d_head();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let seq = x.rows();
+        let mut concat = Matrix::zeros(seq, self.d_model);
+        let mut attn = Vec::with_capacity(self.heads);
+        for h in 0..self.heads {
+            let qh = col_slice(&q, h * dh, dh);
+            let kh = col_slice(&k, h * dh, dh);
+            let vh = col_slice(&v, h * dh, dh);
+            let scores = qh.matmul_t(&kh).scale(scale);
+            let a = scores.softmax_rows();
+            let oh = a.matmul(&vh);
+            col_slice_write(&mut concat, &oh, h * dh);
+            attn.push(a);
+        }
+        let (y, co) = self.wo.forward(ps, &concat);
+        (
+            y,
+            AttentionCache {
+                cq,
+                ck,
+                cv,
+                co,
+                q,
+                k,
+                v,
+                attn,
+            },
+        )
+    }
+
+    /// Backward pass; accumulates all projection gradients and returns `dx`.
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &AttentionCache,
+        dy: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        let dh = self.d_head();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let seq = dy.rows();
+        let d_concat = self.wo.backward(ps, &cache.co, dy, grads);
+
+        let mut dq = Matrix::zeros(seq, self.d_model);
+        let mut dk = Matrix::zeros(seq, self.d_model);
+        let mut dv = Matrix::zeros(seq, self.d_model);
+        for h in 0..self.heads {
+            let doh = col_slice(&d_concat, h * dh, dh);
+            let qh = col_slice(&cache.q, h * dh, dh);
+            let kh = col_slice(&cache.k, h * dh, dh);
+            let vh = col_slice(&cache.v, h * dh, dh);
+            let a = &cache.attn[h];
+            // O = A·V
+            let da = doh.matmul_t(&vh);
+            let dvh = a.t_matmul(&doh);
+            // softmax backward (per row).
+            let ds = softmax_rows_backward(a, &da).scale(scale);
+            let dqh = ds.matmul(&kh);
+            let dkh = ds.t_matmul(&qh);
+            col_slice_write(&mut dq, &dqh, h * dh);
+            col_slice_write(&mut dk, &dkh, h * dh);
+            col_slice_write(&mut dv, &dvh, h * dh);
+        }
+        let dx_q = self.wq.backward(ps, &cache.cq, &dq, grads);
+        let dx_k = self.wk.backward(ps, &cache.ck, &dk, grads);
+        let dx_v = self.wv.backward(ps, &cache.cv, &dv, grads);
+        dx_q.add(&dx_k).add(&dx_v)
+    }
+}
+
+/// Copies columns `[start, start+width)` into a new matrix.
+#[cfg(any(test, feature = "reference"))]
+fn col_slice(m: &Matrix, start: usize, width: usize) -> Matrix {
+    Matrix::from_fn(m.rows(), width, |r, c| m.get(r, start + c))
+}
+
+/// Writes `src` into columns `[start, ...)` of `dst`.
+#[cfg(any(test, feature = "reference"))]
+fn col_slice_write(dst: &mut Matrix, src: &Matrix, start: usize) {
+    let width = src.cols();
+    for r in 0..src.rows() {
+        dst.row_mut(r)[start..start + width].copy_from_slice(src.row(r));
+    }
+}
+
+/// Row-wise softmax Jacobian-vector product: given the softmax output `a`
+/// and upstream `da`, returns `ds` where `s` are the pre-softmax scores.
+#[cfg(any(test, feature = "reference"))]
+pub fn softmax_rows_backward(a: &Matrix, da: &Matrix) -> Matrix {
+    let mut ds = Matrix::zeros(0, 0);
+    softmax_rows_backward_into(a, da, &mut ds);
+    ds
 }
 
 #[cfg(test)]

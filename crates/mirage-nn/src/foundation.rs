@@ -8,13 +8,13 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::moe::{MoEBatchCache, MoECache, MoEFoundation};
-use crate::param::{GradSink, Grads, ParamSet};
+use crate::moe::{MoEBatchCache, MoEFoundation};
+use crate::param::{GradSink, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
-use crate::transformer::{
-    TransformerBatchCache, TransformerCache, TransformerConfig, TransformerEncoder,
-};
+use crate::transformer::{TransformerBatchCache, TransformerConfig, TransformerEncoder};
+#[cfg(any(test, feature = "reference"))]
+use crate::{moe::MoECache, param::Grads, transformer::TransformerCache};
 
 /// Which foundation architecture to build (§6 compares both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,7 +38,8 @@ pub enum FoundationNet {
     MoE(MoEFoundation),
 }
 
-/// Forward cache of a foundation network.
+/// Cache of a foundation network's per-sample pass.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub enum FoundationCache {
     /// Transformer cache.
@@ -92,24 +93,10 @@ impl FoundationNet {
         }
     }
 
-    /// Encodes a state matrix into a pooled feature row.
-    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, FoundationCache) {
-        match self {
-            FoundationNet::Transformer(t) => {
-                let (y, c) = t.forward(ps, x);
-                (y, FoundationCache::Transformer(c))
-            }
-            FoundationNet::MoE(m) => {
-                let (y, c) = m.forward(ps, x);
-                (y, FoundationCache::MoE(c))
-            }
-        }
-    }
-
     /// The one batched encode: `xs` row-stacks `batch` state matrices
     /// (uniform sequence length), and row `b` of the `batch × d_model`
-    /// output receives block `b`'s feature, bit-identical to a
-    /// [`FoundationNet::forward`] of that block. Given a `cache` (its
+    /// output receives block `b`'s feature, bit-identical to a per-sample
+    /// `forward` of that block. Given a `cache` (its
     /// variant re-established to match `self` if needed), the call
     /// records for [`FoundationNet::backward_batch_params`]; without one,
     /// nothing is kept and every temporary comes from `scratch`.
@@ -151,52 +138,10 @@ impl FoundationNet {
         }
     }
 
-    /// Backward from the feature gradient; returns `dx`.
-    pub fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &FoundationCache,
-        d_feat: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        match (self, cache) {
-            (FoundationNet::Transformer(t), FoundationCache::Transformer(c)) => {
-                t.backward(ps, c, d_feat, grads)
-            }
-            (FoundationNet::MoE(m), FoundationCache::MoE(c)) => m.backward(ps, c, d_feat, grads),
-            _ => panic!("foundation cache kind mismatch"),
-        }
-    }
-
-    /// [`FoundationNet::backward`] for callers that discard `dx`: the
-    /// per-sample oracle of the training heads. The transformer skips its
-    /// embedding input-gradient product; the MoE runs its full per-sample
-    /// backward, whose `dx` is dropped. Parameter gradients are
-    /// bit-identical to the full backward. Training itself runs
-    /// [`FoundationNet::backward_batch_params`], where neither
-    /// architecture computes `dx`.
-    pub fn backward_params_only(
-        &self,
-        ps: &ParamSet,
-        cache: &FoundationCache,
-        d_feat: &Matrix,
-        grads: &mut Grads,
-    ) {
-        match (self, cache) {
-            (FoundationNet::Transformer(t), FoundationCache::Transformer(c)) => {
-                t.backward_params_only(ps, c, d_feat, grads)
-            }
-            (FoundationNet::MoE(m), FoundationCache::MoE(c)) => {
-                let _ = m.backward(ps, c, d_feat, grads);
-            }
-            _ => panic!("foundation cache kind mismatch"),
-        }
-    }
-
     /// Batched parameter-gradient backward for a recording
     /// [`FoundationNet::forward_batch`]: block `b`'s parameter
     /// gradients fold into `sink` bit-identically to sequential
-    /// per-block [`FoundationNet::backward`] calls. Neither architecture
+    /// per-block per-sample `backward` calls. Neither architecture
     /// computes an input gradient: the foundation is a network's first
     /// layer. The MoE requires that `sink` hold no gate gradient on entry
     /// (see [`MoEFoundation::backward_batch_params`]).
@@ -216,6 +161,41 @@ impl FoundationNet {
             (FoundationNet::MoE(m), FoundationBatchCache::MoE(c)) => {
                 m.backward_batch_params(ps, c, xs, d_pooled, sink, scratch)
             }
+            _ => panic!("foundation cache kind mismatch"),
+        }
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl FoundationNet {
+    /// Encodes a state matrix into a pooled feature row.
+    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, FoundationCache) {
+        match self {
+            FoundationNet::Transformer(t) => {
+                let (y, c) = t.forward(ps, x);
+                (y, FoundationCache::Transformer(c))
+            }
+            FoundationNet::MoE(m) => {
+                let (y, c) = m.forward(ps, x);
+                (y, FoundationCache::MoE(c))
+            }
+        }
+    }
+
+    /// Backward from the feature gradient; returns `dx`.
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &FoundationCache,
+        d_feat: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        match (self, cache) {
+            (FoundationNet::Transformer(t), FoundationCache::Transformer(c)) => {
+                t.backward(ps, c, d_feat, grads)
+            }
+            (FoundationNet::MoE(m), FoundationCache::MoE(c)) => m.backward(ps, c, d_feat, grads),
             _ => panic!("foundation cache kind mismatch"),
         }
     }

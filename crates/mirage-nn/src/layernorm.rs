@@ -1,6 +1,8 @@
 //! Layer normalization with learnable gain/bias and exact backward pass.
 
-use crate::param::{GradSink, Grads, ParamId, ParamSet};
+#[cfg(any(test, feature = "reference"))]
+use crate::param::Grads;
+use crate::param::{GradSink, ParamId, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
 
@@ -18,7 +20,8 @@ pub struct LayerNorm {
     pub eps: f32,
 }
 
-/// Forward cache: standardized input and per-row inverse std.
+/// Per-sample forward cache: standardized input and per-row inverse std.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct LayerNormCache {
     x_hat: Matrix,
@@ -46,30 +49,6 @@ impl LayerNorm {
         }
     }
 
-    /// Normalizes each row of `x`.
-    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, LayerNormCache) {
-        debug_assert_eq!(x.cols(), self.dim);
-        let n = self.dim as f32;
-        let gamma = ps.get(self.gamma);
-        let beta = ps.get(self.beta);
-        let mut x_hat = Matrix::zeros(x.rows(), x.cols());
-        let mut inv_std = Vec::with_capacity(x.rows());
-        let mut y = Matrix::zeros(x.rows(), x.cols());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std.push(istd);
-            for (c, &xv) in row.iter().enumerate() {
-                let xh = (xv - mean) * istd;
-                x_hat.set(r, c, xh);
-                y.set(r, c, xh * gamma.get(0, c) + beta.get(0, c));
-            }
-        }
-        (y, LayerNormCache { x_hat, inv_std })
-    }
-
     /// Forward into a caller-provided buffer that records nothing: no
     /// allocation once `out` is warm. [`LayerNorm::forward_batch`] without
     /// a cache.
@@ -80,7 +59,7 @@ impl LayerNorm {
     /// The one matrix forward: normalizes every row of `x` into `out` and,
     /// given a `cache`, records the standardized input and per-row inverse
     /// std for [`LayerNorm::backward_batch`]. Per-row arithmetic is that of
-    /// [`LayerNorm::forward`], so outputs are bit-identical however the
+    /// the per-sample `forward`, so outputs are bit-identical however the
     /// rows are blocked.
     pub fn forward_batch(
         &self,
@@ -117,53 +96,10 @@ impl LayerNorm {
         }
     }
 
-    /// Backward pass. Accumulates `dgamma`, `dbeta`; returns `dx`.
-    pub fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &LayerNormCache,
-        dy: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        let n = self.dim as f32;
-        let gamma = ps.get(self.gamma);
-        let mut dgamma = Matrix::zeros(1, self.dim);
-        let mut dbeta = Matrix::zeros(1, self.dim);
-        let mut dx = Matrix::zeros(dy.rows(), dy.cols());
-        for r in 0..dy.rows() {
-            let istd = cache.inv_std[r];
-            // dl/dx̂ = dy ⊙ γ ; standard LN backward:
-            // dx = (1/n)·istd·(n·dx̂ − Σdx̂ − x̂·Σ(dx̂⊙x̂))
-            let mut sum_dxhat = 0.0;
-            let mut sum_dxhat_xhat = 0.0;
-            let mut dxhat = vec![0.0f32; self.dim];
-            for (c, slot) in dxhat.iter_mut().enumerate() {
-                let g = dy.get(r, c) * gamma.get(0, c);
-                *slot = g;
-                sum_dxhat += g;
-                sum_dxhat_xhat += g * cache.x_hat.get(r, c);
-                dgamma.set(
-                    0,
-                    c,
-                    dgamma.get(0, c) + dy.get(r, c) * cache.x_hat.get(r, c),
-                );
-                dbeta.set(0, c, dbeta.get(0, c) + dy.get(r, c));
-            }
-            for (c, &dxh) in dxhat.iter().enumerate() {
-                let xh = cache.x_hat.get(r, c);
-                let v = (n * dxh - sum_dxhat - xh * sum_dxhat_xhat) * istd / n;
-                dx.set(r, c, v);
-            }
-        }
-        grads.accumulate(self.gamma, dgamma);
-        grads.accumulate(self.beta, dbeta);
-        dx
-    }
-
     /// Batched backward over a row-stacked batch of `batch` equal-height
     /// blocks (the cache from [`LayerNorm::forward_batch`]). Block
     /// `b`'s `dgamma`/`dbeta` fold into `sink` in ascending order;
-    /// per-row arithmetic is the exact body of [`LayerNorm::backward`],
+    /// per-row arithmetic is the exact body of the per-sample `backward`,
     /// so this reproduces the sequential per-block backward bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
@@ -219,6 +155,77 @@ impl LayerNorm {
         scratch.give(dxhat);
         scratch.give(dbeta);
         scratch.give(dgamma);
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl LayerNorm {
+    /// Normalizes each row of `x`.
+    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, LayerNormCache) {
+        debug_assert_eq!(x.cols(), self.dim);
+        let n = self.dim as f32;
+        let gamma = ps.get(self.gamma);
+        let beta = ps.get(self.beta);
+        let mut x_hat = Matrix::zeros(x.rows(), x.cols());
+        let mut inv_std = Vec::with_capacity(x.rows());
+        let mut y = Matrix::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            let row = x.row(r);
+            let mean = row.iter().sum::<f32>() / n;
+            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+            let istd = 1.0 / (var + self.eps).sqrt();
+            inv_std.push(istd);
+            for (c, &xv) in row.iter().enumerate() {
+                let xh = (xv - mean) * istd;
+                x_hat.set(r, c, xh);
+                y.set(r, c, xh * gamma.get(0, c) + beta.get(0, c));
+            }
+        }
+        (y, LayerNormCache { x_hat, inv_std })
+    }
+
+    /// Backward pass. Accumulates `dgamma`, `dbeta`; returns `dx`.
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &LayerNormCache,
+        dy: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        let n = self.dim as f32;
+        let gamma = ps.get(self.gamma);
+        let mut dgamma = Matrix::zeros(1, self.dim);
+        let mut dbeta = Matrix::zeros(1, self.dim);
+        let mut dx = Matrix::zeros(dy.rows(), dy.cols());
+        for r in 0..dy.rows() {
+            let istd = cache.inv_std[r];
+            // dl/dx̂ = dy ⊙ γ ; standard LN backward:
+            // dx = (1/n)·istd·(n·dx̂ − Σdx̂ − x̂·Σ(dx̂⊙x̂))
+            let mut sum_dxhat = 0.0;
+            let mut sum_dxhat_xhat = 0.0;
+            let mut dxhat = vec![0.0f32; self.dim];
+            for (c, slot) in dxhat.iter_mut().enumerate() {
+                let g = dy.get(r, c) * gamma.get(0, c);
+                *slot = g;
+                sum_dxhat += g;
+                sum_dxhat_xhat += g * cache.x_hat.get(r, c);
+                dgamma.set(
+                    0,
+                    c,
+                    dgamma.get(0, c) + dy.get(r, c) * cache.x_hat.get(r, c),
+                );
+                dbeta.set(0, c, dbeta.get(0, c) + dy.get(r, c));
+            }
+            for (c, &dxh) in dxhat.iter().enumerate() {
+                let xh = cache.x_hat.get(r, c);
+                let v = (n * dxh - sum_dxhat - xh * sum_dxhat_xhat) * istd / n;
+                dx.set(r, c, v);
+            }
+        }
+        grads.accumulate(self.gamma, dgamma);
+        grads.accumulate(self.beta, dbeta);
+        dx
     }
 }
 

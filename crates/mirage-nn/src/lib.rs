@@ -13,15 +13,19 @@
 //! * [`foundation`] — the transformer/MoE abstraction agents build on,
 //! * [`optim`] — Adam,
 //! * [`loss`] — MSE/Huber/cross-entropy/REINFORCE surrogates,
-//! * [`gradcheck`] — the finite-difference checker used across the tests,
 //! * [`serialize`] — the workspace's one codec: little-endian binary
 //!   payloads ([`serialize::ByteWriter`] / [`serialize::ByteReader`]) in
 //!   a versioned/checksummed envelope validated on load with typed
 //!   errors, written by atomic replace-on-rename.
+//!
+//! Each layer ships one batched forward and one batched backward. The
+//! per-sample `forward` / `backward` they are pinned bit-identical to, and
+//! `gradcheck`, are `reference` items: only dev-dependencies enable them.
 
 pub mod activation;
 pub mod attention;
 pub mod foundation;
+#[cfg(any(test, feature = "reference"))]
 pub mod gradcheck;
 pub mod layernorm;
 pub mod linear;
@@ -36,7 +40,9 @@ pub mod transformer;
 
 pub use activation::Activation;
 pub use attention::MultiHeadAttention;
-pub use foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
+#[cfg(any(test, feature = "reference"))]
+pub use foundation::FoundationCache;
+pub use foundation::{FoundationBatchCache, FoundationKind, FoundationNet};
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
 pub use moe::MoEFoundation;

@@ -2,7 +2,9 @@
 
 use rand::Rng;
 
-use crate::param::{GradSink, Grads, ParamId, ParamSet};
+#[cfg(any(test, feature = "reference"))]
+use crate::param::Grads;
+use crate::param::{GradSink, ParamId, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
 
@@ -19,7 +21,8 @@ pub struct Linear {
     pub out_dim: usize,
 }
 
-/// Forward cache: the input is all the backward pass needs.
+/// Per-sample forward cache: the input is all the backward needs.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct LinearCache {
     x: Matrix,
@@ -44,20 +47,68 @@ impl Linear {
         }
     }
 
+    /// Forward into a caller-provided buffer: no cache, no allocation
+    /// once `out` is warm.
+    pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix) {
+        debug_assert_eq!(x.cols(), self.in_dim, "linear input width mismatch");
+        x.matmul_into(ps.get(self.w), out);
+        out.add_row_in_place(ps.get(self.b));
+    }
+
+    /// Batched backward over a row-stacked input: `x` and `dy` hold
+    /// `batch` equal-height blocks and block `b`'s `dW = xᵀ dy` and
+    /// `db = Σ_rows dy` fold into `sink` in ascending block order. Given
+    /// `dx`, it receives `dy Wᵀ`; a network's first layer passes `None`,
+    /// since that product (the largest transposed matmul in the net)
+    /// feeds nothing there. The per-block gradients use the same row-band
+    /// kernels as the per-sample `backward` on a standalone block, and
+    /// `dx` is row-local, so the result is bit-identical to `batch`
+    /// sequential backward calls either way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward_batch(
+        &self,
+        ps: &ParamSet,
+        x: &Matrix,
+        dy: &Matrix,
+        batch: usize,
+        sink: &mut GradSink<'_>,
+        dx: Option<&mut Matrix>,
+        scratch: &mut Scratch,
+    ) {
+        assert_eq!(x.rows(), dy.rows(), "linear backward_batch row mismatch");
+        assert!(
+            batch > 0 && x.rows().is_multiple_of(batch),
+            "rows must split into blocks"
+        );
+        let block_rows = x.rows() / batch;
+        let mut dw = scratch.take(self.in_dim, self.out_dim);
+        let mut db = scratch.take(1, self.out_dim);
+        for b in 0..batch {
+            let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
+            x.t_matmul_range_into(dy, r0, r1, &mut dw);
+            dy.sum_rows_range_into(r0, r1, &mut db);
+            let g = sink.grads();
+            g.accumulate_ref(self.w, &dw);
+            g.accumulate_ref(self.b, &db);
+        }
+        if let Some(dx) = dx {
+            let mut wt = scratch.take(self.out_dim, self.in_dim);
+            dy.matmul_t_buf_into(ps.get(self.w), dx, &mut wt);
+            scratch.give(wt);
+        }
+        scratch.give(db);
+        scratch.give(dw);
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl Linear {
     /// Forward pass over a batch of row vectors.
     pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, LinearCache) {
         let mut y = Matrix::zeros(0, 0);
         self.forward_into(ps, x, &mut y);
         (y, LinearCache { x: x.clone() })
-    }
-
-    /// Inference-only forward into a caller-provided buffer: no cache, no
-    /// allocation once `out` is warm. Bit-identical to
-    /// [`Linear::forward`].
-    pub fn forward_into(&self, ps: &ParamSet, x: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(x.cols(), self.in_dim, "linear input width mismatch");
-        x.matmul_into(ps.get(self.w), out);
-        out.add_row_in_place(ps.get(self.b));
     }
 
     /// Backward pass: accumulates `dW = xᵀ dy`, `db = Σ_rows dy` and
@@ -72,88 +123,6 @@ impl Linear {
         grads.accumulate(self.w, cache.x.t_matmul(dy));
         grads.accumulate(self.b, dy.sum_rows());
         dy.matmul_t(ps.get(self.w))
-    }
-
-    /// Parameter gradients only: [`Linear::backward`] without the
-    /// `dx = dy Wᵀ` product. For a network's first layer the input
-    /// gradient feeds nothing, and that discarded product is the largest
-    /// transposed matmul in the net — skipping it leaves every parameter
-    /// gradient bit-identical.
-    pub fn backward_params(&self, cache: &LinearCache, dy: &Matrix, grads: &mut Grads) {
-        grads.accumulate(self.w, cache.x.t_matmul(dy));
-        grads.accumulate(self.b, dy.sum_rows());
-    }
-
-    /// Batched backward over a row-stacked input: `x` and `dy` hold
-    /// `batch` equal-height blocks and block `b`'s parameter gradients
-    /// fold into `sink` in ascending block order. The per-block `dW`/`db`
-    /// use the same row-band kernels as [`Linear::backward`] on a
-    /// standalone block, and `dx = dy Wᵀ` is row-local, so the result is
-    /// bit-identical to `batch` sequential backward calls.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch(
-        &self,
-        ps: &ParamSet,
-        x: &Matrix,
-        dy: &Matrix,
-        batch: usize,
-        sink: &mut GradSink<'_>,
-        dx: &mut Matrix,
-        scratch: &mut Scratch,
-    ) {
-        assert_eq!(x.rows(), dy.rows(), "linear backward_batch row mismatch");
-        assert!(
-            batch > 0 && x.rows().is_multiple_of(batch),
-            "rows must split into blocks"
-        );
-        let block_rows = x.rows() / batch;
-        let mut dw = scratch.take(self.in_dim, self.out_dim);
-        let mut db = scratch.take(1, self.out_dim);
-        for b in 0..batch {
-            let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
-            x.t_matmul_range_into(dy, r0, r1, &mut dw);
-            dy.sum_rows_range_into(r0, r1, &mut db);
-            let g = sink.grads();
-            g.accumulate_ref(self.w, &dw);
-            g.accumulate_ref(self.b, &db);
-        }
-        let mut wt = scratch.take(self.out_dim, self.in_dim);
-        dy.matmul_t_buf_into(ps.get(self.w), dx, &mut wt);
-        scratch.give(wt);
-        scratch.give(db);
-        scratch.give(dw);
-    }
-
-    /// Batched parameter gradients only: [`Linear::backward_batch`]
-    /// without the `dx = dy Wᵀ` product (see
-    /// [`Linear::backward_params`]). Per-block gradients are
-    /// bit-identical to the full batched backward.
-    pub fn backward_batch_params(
-        &self,
-        x: &Matrix,
-        dy: &Matrix,
-        batch: usize,
-        sink: &mut GradSink<'_>,
-        scratch: &mut Scratch,
-    ) {
-        assert_eq!(x.rows(), dy.rows(), "linear backward_batch row mismatch");
-        assert!(
-            batch > 0 && x.rows().is_multiple_of(batch),
-            "rows must split into blocks"
-        );
-        let block_rows = x.rows() / batch;
-        let mut dw = scratch.take(self.in_dim, self.out_dim);
-        let mut db = scratch.take(1, self.out_dim);
-        for b in 0..batch {
-            let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
-            x.t_matmul_range_into(dy, r0, r1, &mut dw);
-            dy.sum_rows_range_into(r0, r1, &mut db);
-            let g = sink.grads();
-            g.accumulate_ref(self.w, &dw);
-            g.accumulate_ref(self.b, &db);
-        }
-        scratch.give(db);
-        scratch.give(dw);
     }
 }
 

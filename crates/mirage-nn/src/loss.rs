@@ -3,6 +3,7 @@
 use crate::tensor::{softmax_in_place, Matrix};
 
 /// Mean squared error over all elements. Returns `(loss, d_pred)`.
+#[cfg(any(test, feature = "reference"))]
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
     let n = (pred.rows() * pred.cols()) as f32;
@@ -15,6 +16,7 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
 /// Huber loss (smooth L1) with threshold `delta`. Returns `(loss, d_pred)`.
 /// Quadratic near zero, linear in the tails — the standard robust choice
 /// for TD targets with outlier rewards.
+#[cfg(any(test, feature = "reference"))]
 pub fn huber(pred: &Matrix, target: &Matrix, delta: f32) -> (f32, Matrix) {
     assert_eq!(pred.shape(), target.shape(), "huber shape mismatch");
     let n = (pred.rows() * pred.cols()) as f32;

@@ -9,20 +9,23 @@
 //!
 //! Training runs [`MoEFoundation::backward_batch_params`], which computes
 //! no input gradient and builds the gate's weight gradient as one product
-//! over the whole batch. It equals the per-sample
-//! [`MoEFoundation::backward`] bit for bit only when the gradient sink
-//! holds no gate gradient on entry; every caller resets its `Grads` first.
+//! over the whole batch. It equals the per-sample `backward` (a
+//! `reference` item) bit for bit only when the gradient sink holds no
+//! gate gradient on entry; every caller resets its `Grads` first.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::attention::{softmax_rows_backward, softmax_rows_backward_into};
-use crate::linear::{Linear, LinearCache};
-use crate::param::{GradSink, Grads, ParamSet};
+use crate::attention::softmax_rows_backward_into;
+use crate::linear::Linear;
+use crate::param::{GradSink, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
-use crate::transformer::{
-    TransformerBatchCache, TransformerCache, TransformerConfig, TransformerEncoder,
+use crate::transformer::{TransformerBatchCache, TransformerConfig, TransformerEncoder};
+#[cfg(any(test, feature = "reference"))]
+use crate::{
+    attention::softmax_rows_backward, linear::LinearCache, param::Grads,
+    transformer::TransformerCache,
 };
 
 /// Dense MoE of transformer experts with a learned softmax gate.
@@ -35,7 +38,8 @@ pub struct MoEFoundation {
     cfg: TransformerConfig,
 }
 
-/// MoE forward cache.
+/// Cache of the MoE's per-sample pass.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct MoECache {
     c_gate: LinearCache,
@@ -102,37 +106,12 @@ impl MoEFoundation {
         self.cfg.d_model
     }
 
-    /// Forward over a `seq × input_dim` state matrix.
-    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, MoECache) {
-        // Gate sees the zero-padded flattened state so short sequences work.
-        let flat = flatten_padded(x, self.cfg.seq_len, self.cfg.input_dim);
-        let (logits, c_gate) = self.gate.forward(ps, &flat);
-        let gate_probs = logits.softmax_rows();
-
-        let mut out = Matrix::zeros(1, self.out_dim());
-        let mut expert_out = Vec::with_capacity(self.experts.len());
-        for (e, expert) in self.experts.iter().enumerate() {
-            let (feat, cache) = expert.forward(ps, x);
-            out.add_scaled(&feat, gate_probs.get(0, e));
-            expert_out.push((feat, cache));
-        }
-        (
-            out,
-            MoECache {
-                c_gate,
-                gate_probs,
-                expert_out,
-                x_shape: x.shape(),
-            },
-        )
-    }
-
     /// The one batched forward: `xs` row-stacks `batch` independent
     /// `seq × input_dim` state matrices; row `b` of the `batch × d_model`
     /// output receives block `b`'s mixture. The gate runs as one matmul
     /// over the per-block flattened states, and every expert encoder runs
     /// one batched pass over the whole stack. Each output row is
-    /// bit-identical to a [`MoEFoundation::forward`] of that block:
+    /// bit-identical to a per-sample `forward` of that block:
     /// flattening, gate logits and softmax are row-local, and the mixture
     /// accumulates experts in the same ascending order. Given a `cache`,
     /// the gate and every expert record for
@@ -194,44 +173,10 @@ impl MoEFoundation {
         scratch.settle(cache.map(MoEBatchCache::slots), bufs);
     }
 
-    /// Backward pass; accumulates gate and expert gradients and returns
-    /// `dx`.
-    pub fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &MoECache,
-        d_out: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        let e_count = self.experts.len();
-        // d gate_probs_e = ⟨d_out, feat_e⟩.
-        let mut d_gate_probs = Matrix::zeros(1, e_count);
-        let (rows, cols) = cache.x_shape;
-        let mut dx = Matrix::zeros(rows, cols);
-        for (e, (feat, ecache)) in cache.expert_out.iter().enumerate() {
-            let g = cache.gate_probs.get(0, e);
-            d_gate_probs.set(0, e, d_out.hadamard(feat).sum());
-            let d_feat = d_out.scale(g);
-            let dxe = self.experts[e].backward(ps, ecache, &d_feat, grads);
-            dx.add_assign(&dxe);
-        }
-        // Through the softmax and the gate linear.
-        let d_logits = softmax_rows_backward(&cache.gate_probs, &d_gate_probs);
-        let d_flat = self.gate.backward(ps, &cache.c_gate, &d_logits, grads);
-        // Fold the flattened-gate gradient back onto the (unpadded) input.
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = dx.get(r, c) + d_flat.get(0, r * self.cfg.input_dim + c);
-                dx.set(r, c, v);
-            }
-        }
-        dx
-    }
-
     /// Batched parameter-gradient backward for a recording
     /// [`MoEFoundation::forward_batch`]: every expert's and the
     /// gate's gradients fold into `sink` bit-identically to sequential
-    /// per-block [`MoEFoundation::backward`] calls. The MoE is always a
+    /// per-block per-sample `backward` calls. The MoE is always a
     /// network's first layer, so no input gradient is computed.
     ///
     /// The experts fold block by block. The gate's weight gradient is
@@ -301,8 +246,72 @@ impl MoEFoundation {
     }
 }
 
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl MoEFoundation {
+    /// Forward over a `seq × input_dim` state matrix.
+    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, MoECache) {
+        // Gate sees the zero-padded flattened state so short sequences work.
+        let flat = flatten_padded(x, self.cfg.seq_len, self.cfg.input_dim);
+        let (logits, c_gate) = self.gate.forward(ps, &flat);
+        let gate_probs = logits.softmax_rows();
+
+        let mut out = Matrix::zeros(1, self.out_dim());
+        let mut expert_out = Vec::with_capacity(self.experts.len());
+        for (e, expert) in self.experts.iter().enumerate() {
+            let (feat, cache) = expert.forward(ps, x);
+            out.add_scaled(&feat, gate_probs.get(0, e));
+            expert_out.push((feat, cache));
+        }
+        (
+            out,
+            MoECache {
+                c_gate,
+                gate_probs,
+                expert_out,
+                x_shape: x.shape(),
+            },
+        )
+    }
+
+    /// Backward pass; accumulates gate and expert gradients and returns
+    /// `dx`.
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &MoECache,
+        d_out: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        let e_count = self.experts.len();
+        // d gate_probs_e = ⟨d_out, feat_e⟩.
+        let mut d_gate_probs = Matrix::zeros(1, e_count);
+        let (rows, cols) = cache.x_shape;
+        let mut dx = Matrix::zeros(rows, cols);
+        for (e, (feat, ecache)) in cache.expert_out.iter().enumerate() {
+            let g = cache.gate_probs.get(0, e);
+            d_gate_probs.set(0, e, d_out.hadamard(feat).sum());
+            let d_feat = d_out.scale(g);
+            let dxe = self.experts[e].backward(ps, ecache, &d_feat, grads);
+            dx.add_assign(&dxe);
+        }
+        // Through the softmax and the gate linear.
+        let d_logits = softmax_rows_backward(&cache.gate_probs, &d_gate_probs);
+        let d_flat = self.gate.backward(ps, &cache.c_gate, &d_logits, grads);
+        // Fold the flattened-gate gradient back onto the (unpadded) input.
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = dx.get(r, c) + d_flat.get(0, r * self.cfg.input_dim + c);
+                dx.set(r, c, v);
+            }
+        }
+        dx
+    }
+}
+
 /// Flattens `x` row-major into a `1 × (seq_len·width)` vector, zero-padding
 /// missing rows.
+#[cfg(any(test, feature = "reference"))]
 fn flatten_padded(x: &Matrix, seq_len: usize, width: usize) -> Matrix {
     let mut flat = Matrix::zeros(1, seq_len * width);
     for r in 0..x.rows() {

@@ -285,13 +285,6 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// Matrix product `self × rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
     /// Matrix product `self × rhs` written into `out` (reshaped in place;
     /// no allocation once `out`'s buffer is large enough).
     ///
@@ -333,13 +326,6 @@ impl Matrix {
         if r < m {
             mm_row_block::<1>(&self.data, kdim, &rhs.data, n, &mut out.data, r);
         }
-    }
-
-    /// `selfᵀ × rhs` without materializing the transpose.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(rhs, &mut out);
-        out
     }
 
     /// `selfᵀ × rhs` written into `out` (no allocation once warm).
@@ -407,22 +393,6 @@ impl Matrix {
         }
     }
 
-    /// `self × rhsᵀ`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out);
-        out
-    }
-
-    /// `self × rhsᵀ` written into `out`. Allocates a transient transpose
-    /// each call; hot loops with a reusable buffer should prefer
-    /// [`Matrix::matmul_t_buf_into`], which this delegates to (so the two
-    /// agree bitwise).
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        let mut rhs_t = Matrix::zeros(0, 0);
-        self.matmul_t_buf_into(rhs, out, &mut rhs_t);
-    }
-
     /// `self × rhsᵀ` written into `out`, materializing `rhsᵀ` in
     /// `rhs_t_buf` (reshaped in place; no allocation once warm) and
     /// running the tiled `mm_row_block` kernel over it. `rhs` is the
@@ -444,11 +414,6 @@ impl Matrix {
         self.matmul_into(rhs_t_buf, out);
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
     /// Transpose written into `out` (reshaped in place; no allocation
     /// once `out`'s buffer is large enough).
     pub fn transpose_into(&self, out: &mut Matrix) {
@@ -460,67 +425,11 @@ impl Matrix {
         }
     }
 
-    /// Elementwise sum (shapes must match).
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// In-place elementwise `self += rhs`.
     pub fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
-        }
-    }
-
-    /// In-place `self += alpha * rhs`.
-    pub fn add_scaled(&mut self, rhs: &Matrix, alpha: f32) {
-        assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "sub shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
         }
     }
 
@@ -541,21 +450,8 @@ impl Matrix {
         }
     }
 
-    /// Adds a `1 × cols` row vector to every row.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
-                *o += b;
-            }
-        }
-        out
-    }
-
     /// In-place broadcast add of a `1 × cols` row vector to every row
-    /// (same arithmetic as [`Matrix::add_row_broadcast`]).
+    /// (same arithmetic as `add_row_broadcast`).
     pub fn add_row_in_place(&mut self, row: &Matrix) {
         assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
@@ -566,19 +462,8 @@ impl Matrix {
         }
     }
 
-    /// Sums all rows into a `1 × cols` vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        out
-    }
-
     /// Sums the row band `[r0, r1)` into a `1 × cols` vector written into
-    /// `out`. Same ascending-row inner loop as [`Matrix::sum_rows`], so a
+    /// `out`. Same ascending-row inner loop as `sum_rows`, so a
     /// per-block bias gradient over a band of a row-stacked batch is
     /// bit-identical to `sum_rows` on a standalone copy of that block.
     pub fn sum_rows_range_into(&self, r0: usize, r1: usize, out: &mut Matrix) {
@@ -592,11 +477,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Mean of all rows as a `1 × cols` vector.
-    pub fn mean_rows(&self) -> Matrix {
-        self.sum_rows().scale(1.0 / self.rows.max(1) as f32)
     }
 
     /// Row-wise softmax (numerically stabilized).
@@ -647,16 +527,6 @@ impl Matrix {
             data,
         }
     }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 /// Numerically-stable in-place softmax of one slice.
@@ -679,6 +549,141 @@ pub fn softmax_in_place(xs: &mut [f32]) {
         for x in xs.iter_mut() {
             *x /= sum;
         }
+    }
+}
+
+/// Allocating whole-matrix operations: only the per-sample definitions and
+/// the tests use them.
+#[cfg(any(test, feature = "reference"))]
+impl Matrix {
+    /// Matrix product `self × rhs`.
+    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// `selfᵀ × rhs` without materializing the transpose.
+    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.t_matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// `self × rhsᵀ`.
+    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_t_into(rhs, &mut out);
+        out
+    }
+
+    /// `self × rhsᵀ` written into `out`. Allocates a transient transpose
+    /// each call; hot loops with a reusable buffer should prefer
+    /// [`Matrix::matmul_t_buf_into`], which this delegates to (so the two
+    /// agree bitwise).
+    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        let mut rhs_t = Matrix::zeros(0, 0);
+        self.matmul_t_buf_into(rhs, out, &mut rhs_t);
+    }
+
+    /// Transposed copy.
+    pub fn transpose(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+    }
+
+    /// Elementwise sum (shapes must match).
+    pub fn add(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), rhs.shape(), "add shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a + b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// In-place `self += alpha * rhs`.
+    pub fn add_scaled(&mut self, rhs: &Matrix, alpha: f32) {
+        assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += alpha * b;
+        }
+    }
+
+    /// Elementwise difference.
+    pub fn sub(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), rhs.shape(), "sub shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a - b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Elementwise (Hadamard) product.
+    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a * b)
+            .collect();
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Adds a `1 × cols` row vector to every row.
+    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+        assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
+        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
+        let mut out = self.clone();
+        for r in 0..out.rows {
+            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
+                *o += b;
+            }
+        }
+        out
+    }
+
+    /// Sums all rows into a `1 × cols` vector.
+    pub fn sum_rows(&self) -> Matrix {
+        let mut out = Matrix::zeros(1, self.cols);
+        for r in 0..self.rows {
+            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
+                *o += v;
+            }
+        }
+        out
+    }
+
+    /// Mean of all rows as a `1 × cols` vector.
+    pub fn mean_rows(&self) -> Matrix {
+        self.sum_rows().scale(1.0 / self.rows.max(1) as f32)
+    }
+
+    /// Sum of all elements.
+    pub fn sum(&self) -> f32 {
+        self.data.iter().sum()
+    }
+
+    /// Frobenius norm.
+    pub fn norm(&self) -> f32 {
+        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 

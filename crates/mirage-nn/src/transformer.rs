@@ -9,13 +9,18 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::activation::{Activation, ActivationCache};
-use crate::attention::{AttentionBatchCache, AttentionCache, MultiHeadAttention};
-use crate::layernorm::{LayerNorm, LayerNormBatchCache, LayerNormCache};
-use crate::linear::{Linear, LinearCache};
-use crate::param::{GradSink, Grads, ParamSet};
+use crate::activation::Activation;
+use crate::attention::{AttentionBatchCache, MultiHeadAttention};
+use crate::layernorm::{LayerNorm, LayerNormBatchCache};
+use crate::linear::Linear;
+use crate::param::{GradSink, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
+#[cfg(any(test, feature = "reference"))]
+use crate::{
+    activation::ActivationCache, attention::AttentionCache, layernorm::LayerNormCache,
+    linear::LinearCache, param::Grads,
+};
 
 /// Transformer encoder hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,7 +123,8 @@ pub struct EncoderLayer {
     act: Activation,
 }
 
-/// Cache of one encoder layer.
+/// Cache of one encoder layer's per-sample pass.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct EncoderLayerCache {
     c_ln1: LayerNormCache,
@@ -167,35 +173,13 @@ impl EncoderLayer {
         }
     }
 
-    fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, EncoderLayerCache) {
-        let (n1, c_ln1) = self.ln1.forward(ps, x);
-        let (a, c_attn) = self.attn.forward(ps, &n1);
-        let h = x.add(&a);
-        let (n2, c_ln2) = self.ln2.forward(ps, &h);
-        let (f1, c_ff1) = self.ff1.forward(ps, &n2);
-        let (g, c_act) = self.act.forward(&f1);
-        let (f2, c_ff2) = self.ff2.forward(ps, &g);
-        let y = h.add(&f2);
-        (
-            y,
-            EncoderLayerCache {
-                c_ln1,
-                c_attn,
-                c_ln2,
-                c_ff1,
-                c_act,
-                c_ff2,
-            },
-        )
-    }
-
     /// The one batched layer forward: `x` row-stacks `batch` sequences.
     /// LayerNorm, the feed-forward pair and both residual adds are
     /// row-local, so they run over the whole stacked matrix unchanged;
     /// self-attention is confined to each block. Given a `cache`, every
     /// sublayer records what [`EncoderLayer::backward_batch`] reads;
     /// without one, the temporaries come from `scratch`. Per block,
-    /// bit-identical to [`EncoderLayer::forward`] on that block alone.
+    /// bit-identical to the per-sample `forward` on that block alone.
     fn forward_batch(
         &self,
         ps: &ParamSet,
@@ -249,26 +233,7 @@ impl EncoderLayer {
         scratch.give(n1);
     }
 
-    fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &EncoderLayerCache,
-        dy: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        // y = h + FFN(LN2(h)) → dh = dy + LN2ᵀ(FFNᵀ(dy)).
-        let d_f2 = self.ff2.backward(ps, &cache.c_ff2, dy, grads);
-        let d_g = self.act.backward(&cache.c_act, &d_f2);
-        let d_n2 = self.ff1.backward(ps, &cache.c_ff1, &d_g, grads);
-        let d_h_ffn = self.ln2.backward(ps, &cache.c_ln2, &d_n2, grads);
-        let dh = dy.add(&d_h_ffn);
-        // h = x + MHSA(LN1(x)) → dx = dh + LN1ᵀ(MHSAᵀ(dh)).
-        let d_a = self.attn.backward(ps, &cache.c_attn, &dh, grads);
-        let d_x_attn = self.ln1.backward(ps, &cache.c_ln1, &d_a, grads);
-        dh.add(&d_x_attn)
-    }
-
-    /// Batched backward mirroring [`EncoderLayer::backward`] sublayer by
+    /// Batched backward mirroring the per-sample `backward` sublayer by
     /// sublayer. Block `b`'s parameter gradients fold into `sink` in
     /// ascending block order per parameter, so this reproduces the
     /// sequential per-sample backward bit for bit.
@@ -288,12 +253,12 @@ impl EncoderLayer {
         // y = h + FFN(LN2(h)) → dh = dy + LN2ᵀ(FFNᵀ(dy)).
         let mut dg = scratch.take(rows, d_ff);
         self.ff2
-            .backward_batch(ps, &cache.g, dy, batch, sink, &mut dg, scratch);
+            .backward_batch(ps, &cache.g, dy, batch, sink, Some(&mut dg), scratch);
         let mut df1 = scratch.take(rows, d_ff);
         self.act.backward_into(&cache.f1, &dg, &mut df1);
         let mut d_n2 = scratch.take(rows, d);
         self.ff1
-            .backward_batch(ps, &cache.n2, &df1, batch, sink, &mut d_n2, scratch);
+            .backward_batch(ps, &cache.n2, &df1, batch, sink, Some(&mut d_n2), scratch);
         let mut d_h_ffn = scratch.take(rows, d);
         self.ln2
             .backward_batch(ps, &cache.c_ln2, &d_n2, batch, sink, &mut d_h_ffn, scratch);
@@ -331,7 +296,8 @@ pub struct TransformerEncoder {
     pos: Matrix,
 }
 
-/// Encoder cache.
+/// Cache of the encoder's per-sample pass.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct TransformerCache {
     c_embed: LinearCache,
@@ -377,41 +343,14 @@ impl TransformerEncoder {
         self.cfg.d_model
     }
 
-    /// Encodes a `seq × input_dim` state matrix into a pooled `1 × d_model`
-    /// feature row.
-    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, TransformerCache) {
-        assert_eq!(x.cols(), self.cfg.input_dim, "state row width mismatch");
-        assert!(
-            x.rows() <= self.cfg.seq_len,
-            "sequence longer than configured"
-        );
-        let (e, c_embed) = self.embed.forward(ps, x);
-        let mut h = Matrix::from_fn(e.rows(), e.cols(), |r, c| e.get(r, c) + self.pos.get(r, c));
-        let mut c_layers = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (next, c) = layer.forward(ps, &h);
-            h = next;
-            c_layers.push(c);
-        }
-        let pooled = h.mean_rows();
-        (
-            pooled,
-            TransformerCache {
-                c_embed,
-                c_layers,
-                seq: x.rows(),
-            },
-        )
-    }
-
     /// The one batched encode: `xs` row-stacks `batch` independent
     /// `seq × input_dim` state matrices (uniform `seq = xs.rows() /
     /// batch`), and row `b` of the `batch × d_model` output receives
     /// block `b`'s pooled feature. The row embedding runs as **one matmul
     /// over the whole batch**, the layer stack shares its row-local
     /// projections the same way, and attention/pooling are confined to
-    /// each block, so each output row is bit-identical to a
-    /// [`TransformerEncoder::forward`] of that block. Given a `cache`,
+    /// each block, so each output row is bit-identical to a per-sample
+    /// `forward` of that block. Given a `cache`,
     /// every layer records for
     /// [`TransformerEncoder::backward_batch_params`]; without one,
     /// nothing is kept and every temporary comes from `scratch`.
@@ -492,64 +431,15 @@ impl TransformerEncoder {
         seq
     }
 
-    /// Backward from the pooled feature gradient (`1 × d_model`).
-    pub fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &TransformerCache,
-        d_pooled: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        let dh = self.backward_to_embed(ps, cache, d_pooled, grads);
-        // Positional encodings are constants: gradient passes through.
-        self.embed.backward(ps, &cache.c_embed, &dh, grads)
-    }
-
-    /// [`TransformerEncoder::backward`] minus the input gradient: the
-    /// embedding's `dx = dh Wᵀ` — the largest transposed product in the
-    /// net — feeds nothing when the encoder is a network's first layer,
-    /// so callers that discard it skip it here. Parameter gradients are
-    /// bit-identical to the full backward.
-    pub fn backward_params_only(
-        &self,
-        ps: &ParamSet,
-        cache: &TransformerCache,
-        d_pooled: &Matrix,
-        grads: &mut Grads,
-    ) {
-        let dh = self.backward_to_embed(ps, cache, d_pooled, grads);
-        self.embed.backward_params(&cache.c_embed, &dh, grads);
-    }
-
-    /// Shared spine of the two backward entry points: pooled-gradient
-    /// spread plus the encoder-layer chain, stopping just before the
-    /// embedding.
-    fn backward_to_embed(
-        &self,
-        ps: &ParamSet,
-        cache: &TransformerCache,
-        d_pooled: &Matrix,
-        grads: &mut Grads,
-    ) -> Matrix {
-        // Mean pooling spreads the gradient evenly over sequence rows.
-        let seq = cache.seq;
-        let scale = 1.0 / seq as f32;
-        let mut dh = Matrix::from_fn(seq, self.cfg.d_model, |_, c| d_pooled.get(0, c) * scale);
-        for (layer, c) in self.layers.iter().zip(&cache.c_layers).rev() {
-            dh = layer.backward(ps, c, &dh, grads);
-        }
-        dh
-    }
-
     /// Batched parameter-gradient backward for a recording
     /// [`TransformerEncoder::forward_batch`]: `d_pooled` is
     /// `batch × d_model` (one pooled-feature gradient row per block),
     /// `xs` is the same stacked input the forward saw, and block `b`'s
     /// parameter gradients fold into `sink` in ascending block order per
-    /// parameter — bit-identical to sequential per-block
-    /// [`TransformerEncoder::backward`] calls. The encoder is always a
-    /// network's first layer, so no input gradient is computed (see
-    /// [`TransformerEncoder::backward_params_only`]).
+    /// parameter — bit-identical to sequential per-block per-sample
+    /// `backward` calls. The encoder is always a network's first layer,
+    /// so no input gradient is computed: the embedding's `dx` would feed
+    /// nothing.
     pub fn backward_batch_params(
         &self,
         ps: &ParamSet,
@@ -581,7 +471,7 @@ impl TransformerEncoder {
             std::mem::swap(&mut dh, &mut next);
         }
         self.embed
-            .backward_batch_params(xs, &dh, batch, sink, scratch);
+            .backward_batch(ps, xs, &dh, batch, sink, None, scratch);
         scratch.give(next);
         scratch.give(dh);
     }
@@ -599,6 +489,101 @@ pub fn positional_encoding(seq_len: usize, d_model: usize) -> Matrix {
             angle.cos()
         }
     })
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl EncoderLayer {
+    fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, EncoderLayerCache) {
+        let (n1, c_ln1) = self.ln1.forward(ps, x);
+        let (a, c_attn) = self.attn.forward(ps, &n1);
+        let h = x.add(&a);
+        let (n2, c_ln2) = self.ln2.forward(ps, &h);
+        let (f1, c_ff1) = self.ff1.forward(ps, &n2);
+        let (g, c_act) = self.act.forward(&f1);
+        let (f2, c_ff2) = self.ff2.forward(ps, &g);
+        let y = h.add(&f2);
+        (
+            y,
+            EncoderLayerCache {
+                c_ln1,
+                c_attn,
+                c_ln2,
+                c_ff1,
+                c_act,
+                c_ff2,
+            },
+        )
+    }
+
+    fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &EncoderLayerCache,
+        dy: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        // y = h + FFN(LN2(h)) → dh = dy + LN2ᵀ(FFNᵀ(dy)).
+        let d_f2 = self.ff2.backward(ps, &cache.c_ff2, dy, grads);
+        let d_g = self.act.backward(&cache.c_act, &d_f2);
+        let d_n2 = self.ff1.backward(ps, &cache.c_ff1, &d_g, grads);
+        let d_h_ffn = self.ln2.backward(ps, &cache.c_ln2, &d_n2, grads);
+        let dh = dy.add(&d_h_ffn);
+        // h = x + MHSA(LN1(x)) → dx = dh + LN1ᵀ(MHSAᵀ(dh)).
+        let d_a = self.attn.backward(ps, &cache.c_attn, &dh, grads);
+        let d_x_attn = self.ln1.backward(ps, &cache.c_ln1, &d_a, grads);
+        dh.add(&d_x_attn)
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl TransformerEncoder {
+    /// Encodes a `seq × input_dim` state matrix into a pooled `1 × d_model`
+    /// feature row.
+    pub fn forward(&self, ps: &ParamSet, x: &Matrix) -> (Matrix, TransformerCache) {
+        assert_eq!(x.cols(), self.cfg.input_dim, "state row width mismatch");
+        assert!(
+            x.rows() <= self.cfg.seq_len,
+            "sequence longer than configured"
+        );
+        let (e, c_embed) = self.embed.forward(ps, x);
+        let mut h = Matrix::from_fn(e.rows(), e.cols(), |r, c| e.get(r, c) + self.pos.get(r, c));
+        let mut c_layers = Vec::with_capacity(self.layers.len());
+        for layer in &self.layers {
+            let (next, c) = layer.forward(ps, &h);
+            h = next;
+            c_layers.push(c);
+        }
+        let pooled = h.mean_rows();
+        (
+            pooled,
+            TransformerCache {
+                c_embed,
+                c_layers,
+                seq: x.rows(),
+            },
+        )
+    }
+
+    /// Backward from the pooled feature gradient (`1 × d_model`).
+    pub fn backward(
+        &self,
+        ps: &ParamSet,
+        cache: &TransformerCache,
+        d_pooled: &Matrix,
+        grads: &mut Grads,
+    ) -> Matrix {
+        // Mean pooling spreads the gradient evenly over sequence rows.
+        let seq = cache.seq;
+        let scale = 1.0 / seq as f32;
+        let mut dh = Matrix::from_fn(seq, self.cfg.d_model, |_, c| d_pooled.get(0, c) * scale);
+        for (layer, c) in self.layers.iter().zip(&cache.c_layers).rev() {
+            dh = layer.backward(ps, c, &dh, grads);
+        }
+        // Positional encodings are constants: gradient passes through.
+        self.embed.backward(ps, &cache.c_embed, &dh, grads)
+    }
 }
 
 #[cfg(test)]

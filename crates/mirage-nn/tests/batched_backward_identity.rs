@@ -53,7 +53,8 @@ fn block(m: &Matrix, b: usize, h: usize) -> Matrix {
 }
 
 proptest! {
-    /// Linear: fused batched backward ≡ sequential per-block backward.
+    /// Linear: fused batched backward ≡ sequential per-block backward,
+    /// with and without the input gradient.
     #[test]
     fn linear_backward_batch_is_bit_identical(
         x in matrix_strategy(6, 4),
@@ -81,9 +82,14 @@ proptest! {
         let mut scratch = Scratch::new();
         let mut g_fused = Grads::new(&ps);
         let mut dx = Matrix::zeros(0, 0);
-        lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_fused), &mut dx, &mut scratch);
+        lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_fused), Some(&mut dx), &mut scratch);
         prop_assert!(grads_bit_eq(&g_ref, &g_fused), "fused grads diverge");
         prop_assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges");
+        // Without `dx` (a first layer): the same parameter gradients.
+        let mut g_params = Grads::new(&ps);
+        lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_params), None, &mut scratch);
+        prop_assert!(grads_bit_eq(&g_ref, &g_params), "params-only grads diverge");
+        prop_assert!(grads_bit_eq(&g_fused, &g_params), "params-only grads differ from the dx arm");
     }
 
     /// LayerNorm: batched forward + backward ≡ per-block, bitwise.
@@ -376,7 +382,7 @@ fn grads_reset_reuse_is_bit_identical() {
         &other,
         3,
         &mut GradSink::Fused(&mut warm),
-        &mut dx,
+        Some(&mut dx),
         &mut scratch,
     );
     warm.reset();
@@ -386,7 +392,7 @@ fn grads_reset_reuse_is_bit_identical() {
         &dy,
         3,
         &mut GradSink::Fused(&mut warm),
-        &mut dx,
+        Some(&mut dx),
         &mut scratch,
     );
 
@@ -397,7 +403,7 @@ fn grads_reset_reuse_is_bit_identical() {
         &dy,
         3,
         &mut GradSink::Fused(&mut fresh),
-        &mut dx,
+        Some(&mut dx),
         &mut scratch,
     );
     assert!(

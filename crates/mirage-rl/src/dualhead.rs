@@ -21,15 +21,18 @@
 //! row-stacked states: serving (`q_values`, `p_probs` and their `_batch`
 //! forms) calls it without a cache, training (`*_forward_batch_train`,
 //! then `*_backward_batch`) with one. The per-sample `*_forward` /
-//! `*_backward` pairs are the definitions both are pinned bit-identical
-//! to.
+//! `*_backward` pairs and `action_probs` are the definitions both are
+//! pinned bit-identical to; they are `reference` items, compiled only
+//! for tests and the crate's `reference` feature.
 
-use mirage_nn::foundation::{FoundationBatchCache, FoundationCache, FoundationKind, FoundationNet};
-use mirage_nn::linear::{Linear, LinearCache};
-use mirage_nn::param::{GradSink, Grads, ParamId, ParamSet};
+use mirage_nn::foundation::{FoundationBatchCache, FoundationKind, FoundationNet};
+use mirage_nn::linear::Linear;
+use mirage_nn::param::{GradSink, ParamId, ParamSet};
 use mirage_nn::scratch::Scratch;
 use mirage_nn::tensor::Matrix;
 use mirage_nn::transformer::{TransformerConfig, TransformerConfigError};
+#[cfg(any(test, feature = "reference"))]
+use mirage_nn::{foundation::FoundationCache, linear::LinearCache, param::Grads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -165,6 +168,7 @@ pub(crate) fn install_params(ps: &mut ParamSet, params: Vec<Matrix>) {
 }
 
 /// Cache of one per-sample forward pass through a head (Q, P or reward).
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone)]
 pub struct HeadCache {
     f_cache: FoundationCache,
@@ -263,76 +267,9 @@ impl DualHeadNet {
         })
     }
 
-    /// Per-sample forward through `head`: one foundation pass, then the
-    /// head.
-    fn head_forward(&self, head: &Linear, state: &Matrix) -> (Matrix, HeadCache) {
-        let (feat, f_cache) = self.foundation.forward(&self.ps, state);
-        let (y, l_cache) = head.forward(&self.ps, &feat);
-        (y, HeadCache { f_cache, l_cache })
-    }
-
-    /// Per-sample backward through `head`, then — when
-    /// `train_foundation` — the foundation.
-    fn head_backward(
-        &self,
-        head: &Linear,
-        train_foundation: bool,
-        cache: &HeadCache,
-        dy: &Matrix,
-        grads: &mut Grads,
-    ) {
-        let d_feat = head.backward(&self.ps, &cache.l_cache, dy, grads);
-        if train_foundation {
-            self.foundation
-                .backward_params_only(&self.ps, &cache.f_cache, &d_feat, grads);
-        }
-    }
-
-    /// Q-values for both actions: returns `[Q(s, no-submit), Q(s, submit)]`.
-    pub fn q_forward(&self, state: &Matrix) -> ([f32; 2], HeadCache) {
-        let (q, cache) = self.head_forward(&self.q_head, state);
-        ([q.get(0, 0), q.get(0, 1)], cache)
-    }
-
-    /// Backward through the Q path with per-action output gradients.
-    pub fn q_backward(&self, cache: &HeadCache, dq: [f32; 2], grads: &mut Grads) {
-        let dy = Matrix::row_vector(vec![dq[0], dq[1]]);
-        self.head_backward(&self.q_head, !self.cfg.freeze_foundation, cache, &dy, grads);
-    }
-
-    /// Policy logits (`1 × 2`).
-    pub fn p_forward(&self, state: &Matrix) -> (Matrix, HeadCache) {
-        self.head_forward(&self.p_head, state)
-    }
-
-    /// Backward through the policy path.
-    pub fn p_backward(&self, cache: &HeadCache, d_logits: &Matrix, grads: &mut Grads) {
-        self.head_backward(
-            &self.p_head,
-            !self.cfg.freeze_foundation,
-            cache,
-            d_logits,
-            grads,
-        );
-    }
-
-    /// Scalar reward prediction for offline pretraining.
-    pub fn reward_forward(&self, state: &Matrix) -> (f32, HeadCache) {
-        let (r, cache) = self.head_forward(&self.reward_head, state);
-        (r.get(0, 0), cache)
-    }
-
-    /// Backward through the reward path. Pretraining always updates the
-    /// foundation — that is its entire purpose — regardless of the online
-    /// freeze flag.
-    pub fn reward_backward(&self, cache: &HeadCache, d_r: f32, grads: &mut Grads) {
-        let dy = Matrix::row_vector(vec![d_r]);
-        self.head_backward(&self.reward_head, true, cache, &dy, grads);
-    }
-
     /// Serving Q-values: no caches, every temporary drawn from
     /// `scratch`, zero allocations once the arena is warm. Bit-identical
-    /// to [`DualHeadNet::q_forward`].
+    /// to the per-sample `q_forward`.
     pub fn q_values(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
         let mut q = scratch.take(0, 0);
         self.head_forward_batch(&self.q_head, state, 1, &mut q, None, scratch);
@@ -342,8 +279,8 @@ impl DualHeadNet {
     }
 
     /// Serving action probabilities (softmaxed P-head output): zero
-    /// allocations once `scratch` is warm, bit-identical to
-    /// [`DualHeadNet::action_probs`].
+    /// allocations once `scratch` is warm, bit-identical to the
+    /// per-sample `action_probs`.
     pub fn p_probs(&self, state: &Matrix, scratch: &mut Scratch) -> [f32; 2] {
         let mut logits = scratch.take(0, 0);
         self.head_forward_batch(&self.p_head, state, 1, &mut logits, None, scratch);
@@ -397,7 +334,7 @@ impl DualHeadNet {
     /// Batched Q training forward: `states` row-stacks `batch` state
     /// matrices, `q` receives the `batch × 2` Q-pairs and `cache` is
     /// filled for [`DualHeadNet::q_backward_batch`]. Row `b` is
-    /// bit-identical to [`DualHeadNet::q_forward`] on block `b` alone.
+    /// bit-identical to the per-sample `q_forward` on block `b` alone.
     pub fn q_forward_batch_train(
         &self,
         states: &Matrix,
@@ -412,7 +349,7 @@ impl DualHeadNet {
     /// Batched backward through the Q path: `dq` holds one `[dQ0, dQ1]`
     /// row per block and block `b`'s parameter gradients fold into `sink`
     /// in ascending block order per parameter: bit-identical to `batch`
-    /// sequential [`DualHeadNet::q_backward`] calls accumulating into one
+    /// sequential per-sample `q_backward` calls accumulating into one
     /// `Grads`.
     pub fn q_backward_batch(
         &self,
@@ -437,8 +374,8 @@ impl DualHeadNet {
 
     /// Batched P training forward: the policy analogue of
     /// [`DualHeadNet::q_forward_batch_train`]. `logits` receives the
-    /// `batch × 2` logit rows, row `b` bit-identical to
-    /// [`DualHeadNet::p_forward`] on block `b`.
+    /// `batch × 2` logit rows, row `b` bit-identical to the per-sample
+    /// `p_forward` on block `b`.
     pub fn p_forward_batch_train(
         &self,
         states: &Matrix,
@@ -452,8 +389,8 @@ impl DualHeadNet {
 
     /// Batched backward through the P path: `d_logits` holds one row per
     /// block; gradients fold into `sink` in ascending block order,
-    /// bit-identical to sequential [`DualHeadNet::p_backward`] calls in
-    /// block order.
+    /// bit-identical to sequential per-sample `p_backward` calls in block
+    /// order.
     pub fn p_backward_batch(
         &self,
         cache: &mut HeadBatchCache,
@@ -477,7 +414,7 @@ impl DualHeadNet {
 
     /// Batched reward training forward for offline pretraining: `preds`
     /// receives the `batch × 1` reward predictions, row `b` bit-identical
-    /// to [`DualHeadNet::reward_forward`] on block `b`.
+    /// to the per-sample `reward_forward` on block `b`.
     pub fn reward_forward_batch_train(
         &self,
         states: &Matrix,
@@ -497,7 +434,7 @@ impl DualHeadNet {
     }
 
     /// Batched backward through the reward path: `d_preds` holds one
-    /// `1 × 1` row per block. Like [`DualHeadNet::reward_backward`] it
+    /// `1 × 1` row per block. Like the per-sample `reward_backward` it
     /// always reaches the foundation, and it is bit-identical to
     /// sequential `reward_backward` calls in block order.
     pub fn reward_backward_batch(
@@ -526,7 +463,7 @@ impl DualHeadNet {
     /// into `out`. Given a `cache`, the foundation records and the
     /// features are kept for [`DualHeadNet::head_backward_batch`];
     /// without one, the features are borrowed from `scratch`.
-    fn head_forward_batch(
+    pub(crate) fn head_forward_batch(
         &self,
         head: &Linear,
         states: &Matrix,
@@ -564,7 +501,7 @@ impl DualHeadNet {
             d_out,
             batch,
             sink,
-            &mut cache.d_feats,
+            Some(&mut cache.d_feats),
             scratch,
         );
         if train_foundation {
@@ -577,6 +514,77 @@ impl DualHeadNet {
                 scratch,
             );
         }
+    }
+}
+
+/// Per-sample definitions: the oracles the batched passes are pinned to.
+#[cfg(any(test, feature = "reference"))]
+impl DualHeadNet {
+    /// Per-sample forward through `head`: one foundation pass, then the
+    /// head.
+    fn head_forward(&self, head: &Linear, state: &Matrix) -> (Matrix, HeadCache) {
+        let (feat, f_cache) = self.foundation.forward(&self.ps, state);
+        let (y, l_cache) = head.forward(&self.ps, &feat);
+        (y, HeadCache { f_cache, l_cache })
+    }
+
+    /// Per-sample backward through `head`, then — when
+    /// `train_foundation` — the foundation, whose `dx` feeds nothing.
+    fn head_backward(
+        &self,
+        head: &Linear,
+        train_foundation: bool,
+        cache: &HeadCache,
+        dy: &Matrix,
+        grads: &mut Grads,
+    ) {
+        let d_feat = head.backward(&self.ps, &cache.l_cache, dy, grads);
+        if train_foundation {
+            self.foundation
+                .backward(&self.ps, &cache.f_cache, &d_feat, grads);
+        }
+    }
+
+    /// Q-values for both actions: returns `[Q(s, no-submit), Q(s, submit)]`.
+    pub fn q_forward(&self, state: &Matrix) -> ([f32; 2], HeadCache) {
+        let (q, cache) = self.head_forward(&self.q_head, state);
+        ([q.get(0, 0), q.get(0, 1)], cache)
+    }
+
+    /// Backward through the Q path with per-action output gradients.
+    pub fn q_backward(&self, cache: &HeadCache, dq: [f32; 2], grads: &mut Grads) {
+        let dy = Matrix::row_vector(vec![dq[0], dq[1]]);
+        self.head_backward(&self.q_head, !self.cfg.freeze_foundation, cache, &dy, grads);
+    }
+
+    /// Policy logits (`1 × 2`).
+    pub fn p_forward(&self, state: &Matrix) -> (Matrix, HeadCache) {
+        self.head_forward(&self.p_head, state)
+    }
+
+    /// Backward through the policy path.
+    pub fn p_backward(&self, cache: &HeadCache, d_logits: &Matrix, grads: &mut Grads) {
+        self.head_backward(
+            &self.p_head,
+            !self.cfg.freeze_foundation,
+            cache,
+            d_logits,
+            grads,
+        );
+    }
+
+    /// Scalar reward prediction for offline pretraining.
+    pub fn reward_forward(&self, state: &Matrix) -> (f32, HeadCache) {
+        let (r, cache) = self.head_forward(&self.reward_head, state);
+        (r.get(0, 0), cache)
+    }
+
+    /// Backward through the reward path. Pretraining always updates the
+    /// foundation — that is its entire purpose — regardless of the online
+    /// freeze flag.
+    pub fn reward_backward(&self, cache: &HeadCache, d_r: f32, grads: &mut Grads) {
+        let dy = Matrix::row_vector(vec![d_r]);
+        self.head_backward(&self.reward_head, true, cache, &dy, grads);
     }
 
     /// Action probabilities under the policy head.

@@ -131,20 +131,20 @@ pub fn fit_minibatches(
 }
 
 /// Mean reward-prediction MSE of a network over samples (for validation).
-/// The samples run through the batched reward forward in chunks of 32;
-/// the squared errors are summed in sample order, so the result equals
-/// the per-sample mean bit for bit.
+/// The samples run through the cacheless batched reward forward in
+/// chunks of 32; the squared errors are summed in sample order, so the
+/// result equals the per-sample mean bit for bit.
 pub fn reward_mse(net: &DualHeadNet, samples: &[RewardSample]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
     let mut scratch = Scratch::new();
-    let mut cache = HeadBatchCache::default();
     let (mut states, mut preds) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     let mut sum = 0.0f32;
     for chunk in samples.chunks(32) {
         let n = stack_states_into(chunk.iter().map(|s| &s.state), &mut states);
-        net.reward_forward_batch_train(&states, n, &mut preds, &mut cache, &mut scratch);
+        let head = &net.reward_head;
+        net.head_forward_batch(head, &states, n, &mut preds, None, &mut scratch);
         for (b, s) in chunk.iter().enumerate() {
             let d = preds.get(b, 0) - s.reward;
             sum += d * d;

@@ -109,15 +109,16 @@ pub fn parse_sacct(input: &str) -> Result<Vec<JobRecord>, ParseError> {
 
 /// `2021-02-03T04:05:06` → Unix-ish seconds (proleptic, zone-less). Only
 /// differences matter, so days are counted with a simple Gregorian rule.
-/// Years run 1..=9999, hours 0..=23, minutes 0..=59 and seconds 0..=60 (a
-/// leap second), so every time is far inside the 2^53 s within which the
-/// scheduling pass's `f64` age is exact; anything else is `None`.
+/// Years run 1..=9999, days to the month's length (leap years Gregorian),
+/// hours 0..=23, minutes 0..=59 and seconds 0..=60 (a leap second), so
+/// every time is far inside the 2^53 s within which the scheduling pass's
+/// `f64` age is exact; anything else is `None`.
 fn parse_timestamp(s: &str) -> Option<i64> {
     let (date, time) = s.split_once('T')?;
     let mut dp = date.split('-');
     let year = bounded(dp.next()?, 1..=9999)?;
     let month = bounded(dp.next()?, 1..=12)?;
-    let day = bounded(dp.next()?, 1..=31)?;
+    let day = bounded(dp.next()?, 1..=days_in_month(year, month))?;
     let mut tp = time.split(':');
     let h = bounded(tp.next()?, 0..=23)?;
     let m = bounded(tp.next()?, 0..=59)?;
@@ -128,6 +129,17 @@ fn parse_timestamp(s: &str) -> Option<i64> {
 /// `s` parsed as a number inside `range`.
 fn bounded<T: std::str::FromStr + PartialOrd>(s: &str, range: RangeInclusive<T>) -> Option<T> {
     s.parse().ok().filter(|v| range.contains(v))
+}
+
+/// Length of `month` in `year`: a leap year is divisible by 4, except a
+/// century not divisible by 400.
+fn days_in_month(year: i64, month: u32) -> i64 {
+    match month {
+        2 if year % 4 == 0 && (year % 100 != 0 || year % 400 == 0) => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        _ => 31,
+    }
 }
 
 /// `Some(None)` for a job that has not started (or ended), `None` for a
@@ -333,6 +345,25 @@ JobID|JobName|UID|Submit|Start|End|Timelimit|NNodes
         let jobs = parse_sacct(&line("9999-12-31T23:59:60", "Unknown", "0-00:00:00")).unwrap();
         assert_eq!(jobs[0].timelimit, 0);
         assert!(parse_sacct(&line("0001-01-01T00:00:00", ok, "01:00")).is_ok());
+    }
+
+    #[test]
+    fn impossible_dates_are_errors_naming_the_field() {
+        let line = |submit: &str, start: &str| format!("1|a|5|{submit}|{start}|Unknown|01:00|1\n");
+        let ok = "2021-02-03T04:05:06";
+        for date in ["2021-02-31", "2021-04-31", "2023-02-29", "1900-02-29"] {
+            let t = format!("{date}T00:00:00");
+            let err = parse_sacct(&line(&t, "Unknown")).unwrap_err();
+            assert!(err.message.contains("Submit"), "{date}: {}", err.message);
+            let err = parse_sacct(&line(ok, &t)).unwrap_err();
+            assert!(err.message.contains("Start"), "{date}: {}", err.message);
+        }
+        // Leap days of leap years parse, one day before 1 March.
+        for year in [2024, 2000] {
+            let day = |md: &str| parse_timestamp(&format!("{year}-{md}T00:00:00")).unwrap();
+            assert_eq!(day("03-01") - day("02-29"), DAY, "{year}");
+            assert!(parse_sacct(&line(&format!("{year}-02-29T12:00:00"), ok)).is_ok());
+        }
     }
 
     #[test]
