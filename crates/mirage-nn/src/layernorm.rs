@@ -1,10 +1,60 @@
 //! Layer normalization with learnable gain/bias and exact backward pass.
+//!
+//! The batched passes run rows in small groups whose per-row reductions
+//! advance together as lane vectors; each row's arithmetic stays the
+//! per-sample definition's. The parameter gradients follow the crate's
+//! accumulation contract (see [`crate::tensor`]): per block, one
+//! ascending-row chain per element from `+0.0`, closed into the running
+//! total in ascending block order, the first block copied into an empty
+//! slot.
 
 #[cfg(any(test, feature = "reference"))]
 use crate::param::Grads;
 use crate::param::{GradSink, ParamId, ParamSet};
 use crate::scratch::Scratch;
 use crate::tensor::Matrix;
+
+/// Rows whose statistics [`LayerNorm::forward_batch`] computes together:
+/// one 8-lane vector per chain. A 12-row serving forward runs one group
+/// and one half group.
+const FWD_ROWS: usize = 8;
+/// Columns [`for_each_column`] transposes at a time: an 8 × 8 tile.
+const COLUMN_CHUNK: usize = 8;
+/// Rows whose backward sums [`LayerNorm::backward_batch`] computes
+/// together: two chains per row, so 8 independent chains in flight.
+const BWD_ROWS: usize = 4;
+
+/// Calls `f(c, cols)` on each column `c` of `K` sets of `G` equal-width
+/// rows, in ascending column order, where `cols[k]` is column `c` of set
+/// `k` as one `[f32; G]` lane vector. The rows are transposed
+/// [`COLUMN_CHUNK`] columns at a time (whole-vector loads and register
+/// shuffles); the columns after the last full chunk are gathered one at a
+/// time.
+#[inline(always)]
+fn for_each_column<const G: usize, const K: usize>(
+    sets: [[&[f32]; G]; K],
+    mut f: impl FnMut(usize, &[[f32; G]; K]),
+) {
+    let d = sets[0][0].len();
+    let chunks = d / COLUMN_CHUNK;
+    for k in 0..chunks {
+        let c0 = k * COLUMN_CHUNK;
+        let mut t = [[[0.0f32; G]; K]; COLUMN_CHUNK];
+        for (s, rows) in sets.iter().enumerate() {
+            for (g, row) in rows.iter().enumerate() {
+                for (tc, &v) in t.iter_mut().zip(&row[c0..c0 + COLUMN_CHUNK]) {
+                    tc[s][g] = v;
+                }
+            }
+        }
+        for (i, cols) in t.iter().enumerate() {
+            f(c0 + i, cols);
+        }
+    }
+    for c in chunks * COLUMN_CHUNK..d {
+        f(c, &sets.map(|rows| rows.map(|row| row[c])));
+    }
+}
 
 /// Per-row layer normalization: each row is standardized, then scaled by
 /// `gamma` and shifted by `beta`.
@@ -58,9 +108,13 @@ impl LayerNorm {
 
     /// The one matrix forward: normalizes every row of `x` into `out` and,
     /// given a `cache`, records the standardized input and per-row inverse
-    /// std for [`LayerNorm::backward_batch`]. Per-row arithmetic is that of
-    /// the per-sample `forward`, so outputs are bit-identical however the
-    /// rows are blocked.
+    /// std for [`LayerNorm::backward_batch`]. Rows run in groups of
+    /// `FWD_ROWS`: the group's mean chains, then its variance chains,
+    /// advance together as one lane vector, one column per step, each from
+    /// `-0.0` in ascending column order as `Iterator::sum` runs the
+    /// per-sample `forward`'s. The rows after the last full group run as a
+    /// half group, then one at a time, through the same body, so outputs
+    /// are bit-identical however the rows are blocked or grouped.
     pub fn forward_batch(
         &self,
         ps: &ParamSet,
@@ -68,39 +122,85 @@ impl LayerNorm {
         out: &mut Matrix,
         mut cache: Option<&mut LayerNormBatchCache>,
     ) {
-        debug_assert_eq!(x.cols(), self.dim);
-        let n = self.dim as f32;
-        let gamma = ps.get(self.gamma).row(0);
-        let beta = ps.get(self.beta).row(0);
-        out.reset(x.rows(), x.cols());
+        assert_eq!(x.cols(), self.dim, "layernorm input width");
+        out.reset_unfilled(x.rows(), x.cols());
         if let Some(c) = cache.as_deref_mut() {
-            c.x_hat.reset(x.rows(), x.cols());
+            c.x_hat.reset_unfilled(x.rows(), x.cols());
             c.inv_std.clear();
         }
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            let orow = out.row_mut(r);
-            for c in 0..row.len() {
-                let xh = (row[c] - mean) * istd;
-                orow[c] = xh * gamma[c] + beta[c];
+        let mut r = 0;
+        while r + FWD_ROWS <= x.rows() {
+            self.forward_rows::<FWD_ROWS>(ps, x, r, out, cache.as_deref_mut());
+            r += FWD_ROWS;
+        }
+        if r + FWD_ROWS / 2 <= x.rows() {
+            self.forward_rows::<{ FWD_ROWS / 2 }>(ps, x, r, out, cache.as_deref_mut());
+            r += FWD_ROWS / 2;
+        }
+        for r in r..x.rows() {
+            self.forward_rows::<1>(ps, x, r, out, cache.as_deref_mut());
+        }
+    }
+
+    /// Normalizes rows `r0 .. r0 + G` of `x` into `out` (and the cache):
+    /// the `G` rows' statistics as lane vectors, then each row's outputs
+    /// as the per-sample `forward` computes them.
+    #[inline(always)]
+    fn forward_rows<const G: usize>(
+        &self,
+        ps: &ParamSet,
+        x: &Matrix,
+        r0: usize,
+        out: &mut Matrix,
+        cache: Option<&mut LayerNormBatchCache>,
+    ) {
+        let n = self.dim as f32;
+        let rows: [&[f32]; G] = std::array::from_fn(|g| x.row(r0 + g));
+        let mut sum = [-0.0f32; G];
+        for_each_column([rows], |_, [col]| {
+            for g in 0..G {
+                sum[g] += col[g];
             }
-            if let Some(c) = cache.as_deref_mut() {
-                c.inv_std.push(istd);
-                for (h, &xv) in c.x_hat.row_mut(r).iter_mut().zip(row) {
-                    *h = (xv - mean) * istd;
+        });
+        let mean = sum.map(|s| s / n);
+        let mut sq = [-0.0f32; G];
+        for_each_column([rows], |_, [col]| {
+            for g in 0..G {
+                let v = col[g] - mean[g];
+                sq[g] += v * v;
+            }
+        });
+        let istd = std::array::from_fn::<f32, G, _>(|g| 1.0 / (sq[g] / n + self.eps).sqrt());
+        let gamma = ps.get(self.gamma).row(0);
+        let beta = ps.get(self.beta).row(0);
+        for g in 0..G {
+            let (m, s) = (mean[g], istd[g]);
+            let orow = out.row_mut(r0 + g);
+            for ((o, &xv), (&gm, &bt)) in orow.iter_mut().zip(rows[g]).zip(gamma.iter().zip(beta)) {
+                *o = (xv - m) * s * gm + bt;
+            }
+        }
+        if let Some(cache) = cache {
+            for g in 0..G {
+                cache.inv_std.push(istd[g]);
+                for (h, &xv) in cache.x_hat.row_mut(r0 + g).iter_mut().zip(rows[g]) {
+                    *h = (xv - mean[g]) * istd[g];
                 }
             }
         }
     }
 
     /// Batched backward over a row-stacked batch of `batch` equal-height
-    /// blocks (the cache from [`LayerNorm::forward_batch`]). Block
-    /// `b`'s `dgamma`/`dbeta` fold into `sink` in ascending order;
-    /// per-row arithmetic is the exact body of the per-sample `backward`,
-    /// so this reproduces the sequential per-block backward bit for bit.
+    /// blocks (the cache from [`LayerNorm::forward_batch`]). `dx` is
+    /// row-local: rows run in groups of `BWD_ROWS` whose `Σdx̂` and
+    /// `Σdx̂·x̂` chains (each from `+0.0`, ascending columns) advance
+    /// together, then the rows left over one at a time, each row's
+    /// arithmetic the per-sample `backward`'s. Block `b`'s `dgamma`
+    /// (`Σ_rows dy ⊙ x̂`) and `dbeta` (`Σ_rows dy`) are per-element
+    /// ascending-row chains from `+0.0`, closed straight into `sink`'s
+    /// running total in ascending block order with the first block copied
+    /// into an unfilled slot. So this reproduces the sequential per-block
+    /// backward bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -110,51 +210,62 @@ impl LayerNorm {
         batch: usize,
         sink: &mut GradSink<'_>,
         dx: &mut Matrix,
-        scratch: &mut Scratch,
+        _scratch: &mut Scratch,
     ) {
-        assert!(
-            batch > 0 && dy.rows().is_multiple_of(batch),
-            "rows must split into blocks"
-        );
-        let block_rows = dy.rows() / batch;
-        let n = self.dim as f32;
-        let gamma = ps.get(self.gamma);
-        dx.reset(dy.rows(), dy.cols());
-        let mut dgamma = scratch.take(1, self.dim);
-        let mut dbeta = scratch.take(1, self.dim);
-        let mut dxhat = scratch.take(1, self.dim);
-        for b in 0..batch {
-            dgamma.reset(1, self.dim);
-            dbeta.reset(1, self.dim);
-            for r in b * block_rows..(b + 1) * block_rows {
-                let istd = cache.inv_std[r];
-                let mut sum_dxhat = 0.0;
-                let mut sum_dxhat_xhat = 0.0;
-                for c in 0..self.dim {
-                    let g = dy.get(r, c) * gamma.get(0, c);
-                    dxhat.set(0, c, g);
-                    sum_dxhat += g;
-                    sum_dxhat_xhat += g * cache.x_hat.get(r, c);
-                    dgamma.set(
-                        0,
-                        c,
-                        dgamma.get(0, c) + dy.get(r, c) * cache.x_hat.get(r, c),
-                    );
-                    dbeta.set(0, c, dbeta.get(0, c) + dy.get(r, c));
-                }
-                for c in 0..self.dim {
-                    let xh = cache.x_hat.get(r, c);
-                    let v = (n * dxhat.get(0, c) - sum_dxhat - xh * sum_dxhat_xhat) * istd / n;
-                    dx.set(r, c, v);
-                }
-            }
-            let g = sink.grads();
-            g.accumulate_ref(self.gamma, &dgamma);
-            g.accumulate_ref(self.beta, &dbeta);
+        assert_eq!(dy.shape(), cache.x_hat.shape(), "layernorm backward shape");
+        assert_eq!(dy.cols(), self.dim, "layernorm backward width");
+        dx.reset_unfilled(dy.rows(), dy.cols());
+        let mut r = 0;
+        while r + BWD_ROWS <= dy.rows() {
+            self.backward_rows::<BWD_ROWS>(ps, cache, dy, r, dx);
+            r += BWD_ROWS;
         }
-        scratch.give(dxhat);
-        scratch.give(dbeta);
-        scratch.give(dgamma);
+        for r in r..dy.rows() {
+            self.backward_rows::<1>(ps, cache, dy, r, dx);
+        }
+        let g = sink.grads();
+        g.fold_into(self.gamma, 1, self.dim, |dgamma, filled| {
+            dy.sum_rows_fold_blocks(Some(&cache.x_hat), batch, dgamma, filled)
+        });
+        g.fold_into(self.beta, 1, self.dim, |dbeta, filled| {
+            dy.sum_rows_fold_blocks(None, batch, dbeta, filled)
+        });
+    }
+
+    /// `dx` rows `r0 .. r0 + G`: `dx̂ = dy ⊙ γ` and
+    /// `dx = (1/n)·istd·(n·dx̂ − Σdx̂ − x̂·Σ(dx̂⊙x̂))`, the `G` rows' sums
+    /// as lane vectors.
+    #[inline(always)]
+    fn backward_rows<const G: usize>(
+        &self,
+        ps: &ParamSet,
+        cache: &LayerNormBatchCache,
+        dy: &Matrix,
+        r0: usize,
+        dx: &mut Matrix,
+    ) {
+        let n = self.dim as f32;
+        let gamma = ps.get(self.gamma).row(0);
+        let dys: [&[f32]; G] = std::array::from_fn(|g| dy.row(r0 + g));
+        let xhs: [&[f32]; G] = std::array::from_fn(|g| cache.x_hat.row(r0 + g));
+        let mut sum_dxhat = [0.0f32; G];
+        let mut sum_dxhat_xhat = [0.0f32; G];
+        for_each_column([dys, xhs], |c, [dcol, hcol]| {
+            let gm = gamma[c];
+            for g in 0..G {
+                let v = dcol[g] * gm;
+                sum_dxhat[g] += v;
+                sum_dxhat_xhat[g] += v * hcol[g];
+            }
+        });
+        for g in 0..G {
+            let istd = cache.inv_std[r0 + g];
+            let (s, sx) = (sum_dxhat[g], sum_dxhat_xhat[g]);
+            let terms = dys[g].iter().zip(xhs[g]).zip(gamma);
+            for (o, ((&dv, &xh), &gm)) in dx.row_mut(r0 + g).iter_mut().zip(terms) {
+                *o = (n * (dv * gm) - s - xh * sx) * istd / n;
+            }
+        }
     }
 }
 

@@ -1,4 +1,8 @@
 //! Fully-connected layer with manual backward pass.
+//!
+//! [`Linear::backward_batch`] folds each block's weight and bias gradient
+//! straight into the accumulator by the crate's accumulation contract
+//! (see [`crate::tensor`]).
 
 use rand::Rng;
 
@@ -56,14 +60,17 @@ impl Linear {
     }
 
     /// Batched backward over a row-stacked input: `x` and `dy` hold
-    /// `batch` equal-height blocks and block `b`'s `dW = xᵀ dy` and
-    /// `db = Σ_rows dy` fold into `sink` in ascending block order. Given
-    /// `dx`, it receives `dy Wᵀ`; a network's first layer passes `None`,
-    /// since that product (the largest transposed matmul in the net)
-    /// feeds nothing there. The per-block gradients use the same row-band
-    /// kernels as the per-sample `backward` on a standalone block, and
-    /// `dx` is row-local, so the result is bit-identical to `batch`
-    /// sequential backward calls either way.
+    /// `batch` equal-height blocks. Block `b`'s `dW = xᵀ dy` and
+    /// `db = Σ_rows dy` are each computed per element as one ascending-row
+    /// chain from `+0.0` and closed straight into `sink`'s running total in
+    /// ascending block order, the first block copied into an unfilled
+    /// slot (`Matrix::t_matmul_fold_blocks`): no per-block temporary.
+    /// Given `dx`, it receives `dy Wᵀ`; a network's first layer passes
+    /// `None`, since that product (the largest transposed matmul in the
+    /// net) feeds nothing there. The per-block chains are those of the
+    /// per-sample `backward` on a standalone block and `dx` is row-local,
+    /// so the result is bit-identical to `batch` sequential backward calls
+    /// either way.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
@@ -76,28 +83,18 @@ impl Linear {
         scratch: &mut Scratch,
     ) {
         assert_eq!(x.rows(), dy.rows(), "linear backward_batch row mismatch");
-        assert!(
-            batch > 0 && x.rows().is_multiple_of(batch),
-            "rows must split into blocks"
-        );
-        let block_rows = x.rows() / batch;
-        let mut dw = scratch.take(self.in_dim, self.out_dim);
-        let mut db = scratch.take(1, self.out_dim);
-        for b in 0..batch {
-            let (r0, r1) = (b * block_rows, (b + 1) * block_rows);
-            x.t_matmul_range_into(dy, r0, r1, &mut dw);
-            dy.sum_rows_range_into(r0, r1, &mut db);
-            let g = sink.grads();
-            g.accumulate_ref(self.w, &dw);
-            g.accumulate_ref(self.b, &db);
-        }
+        let g = sink.grads();
+        g.fold_into(self.w, self.in_dim, self.out_dim, |dw, filled| {
+            x.t_matmul_fold_blocks(dy, batch, dw, filled)
+        });
+        g.fold_into(self.b, 1, self.out_dim, |db, filled| {
+            dy.sum_rows_fold_blocks(None, batch, db, filled)
+        });
         if let Some(dx) = dx {
             let mut wt = scratch.take(self.out_dim, self.in_dim);
             dy.matmul_t_buf_into(ps.get(self.w), dx, &mut wt);
             scratch.give(wt);
         }
-        scratch.give(db);
-        scratch.give(dw);
     }
 }
 
@@ -202,6 +199,31 @@ mod tests {
             for (x, y) in a.data().iter().zip(b.data()) {
                 assert!((x - y).abs() < 1e-5);
             }
+        }
+    }
+
+    /// A batch that does not split the rows, or an input of the wrong
+    /// width, panics before an empty gradient slot counts as filled.
+    #[test]
+    fn rejected_backward_batch_leaves_empty_slots_empty() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let lin = Linear::new(&mut ps, "l", 4, 3, &mut rng);
+        let dy = Matrix::xavier(6, 3, &mut rng);
+        let mut grads = Grads::new(&ps);
+        let mut scratch = Scratch::new();
+        for (x, batch) in [
+            (Matrix::xavier(6, 4, &mut rng), 4),
+            (Matrix::xavier(6, 4, &mut rng), 0),
+            (Matrix::xavier(6, 5, &mut rng), 2),
+        ] {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut sink = GradSink::Fused(&mut grads);
+                lin.backward_batch(&ps, &x, &dy, batch, &mut sink, None, &mut scratch);
+            }));
+            assert!(run.is_err(), "batch {batch}, x {:?}", x.shape());
+            assert!(grads.get(lin.w).is_none() && grads.get(lin.b).is_none());
         }
     }
 }

@@ -225,21 +225,17 @@ impl MoEFoundation {
             expert.backward_batch_params(ps, &cache.c_experts[e], xs, &d_feat, sink, scratch);
         }
         // Through the softmax (one row per block), then the gate linear
-        // over all blocks at once: `dW = (d_logitsᵀ · flat)ᵀ`, `db = Σ rows`.
+        // over all blocks at once as one block: `dW = flatᵀ · d_logits`,
+        // `db = Σ rows`.
         let mut d_logits = scratch.take(batch, e_count);
         softmax_rows_backward_into(&cache.gate_probs, &d_gate_probs, &mut d_logits);
-        let mut dw_t = scratch.take(e_count, self.gate.in_dim);
-        d_logits.t_matmul_into(&cache.flat, &mut dw_t);
-        let mut dw = scratch.take(0, 0);
-        dw_t.transpose_into(&mut dw);
-        let mut db = scratch.take(1, e_count);
-        d_logits.sum_rows_range_into(0, batch, &mut db);
         let g = sink.grads();
-        g.accumulate_ref(self.gate.w, &dw);
-        g.accumulate_ref(self.gate.b, &db);
-        scratch.give(db);
-        scratch.give(dw);
-        scratch.give(dw_t);
+        g.fold_into(self.gate.w, self.gate.in_dim, e_count, |dw, filled| {
+            cache.flat.t_matmul_fold_blocks(&d_logits, 1, dw, filled)
+        });
+        g.fold_into(self.gate.b, 1, e_count, |db, filled| {
+            d_logits.sum_rows_fold_blocks(None, 1, db, filled)
+        });
         scratch.give(d_logits);
         scratch.give(d_feat);
         scratch.give(d_gate_probs);

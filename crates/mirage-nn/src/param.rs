@@ -63,6 +63,7 @@ impl ParamSet {
     }
 
     /// Total scalar parameter count (for model-size reporting).
+    #[cfg(any(test, feature = "reference"))]
     pub fn scalar_count(&self) -> usize {
         self.params.iter().map(|m| m.rows() * m.cols()).sum()
     }
@@ -73,6 +74,7 @@ impl ParamSet {
     }
 
     /// Applies `update(param, grad)` for every parameter with a gradient.
+    #[cfg(any(test, feature = "reference"))]
     pub fn apply_grads(&mut self, grads: &Grads, mut update: impl FnMut(&mut Matrix, &Matrix)) {
         for (i, g) in grads.iter() {
             update(&mut self.params[i.0], g);
@@ -116,6 +118,7 @@ impl Grads {
     }
 
     /// Accumulates `g` into the gradient of `id`.
+    #[cfg(any(test, feature = "reference"))]
     pub fn accumulate(&mut self, id: ParamId, g: Matrix) {
         if self.filled[id.0] {
             self.grads[id.0]
@@ -131,21 +134,30 @@ impl Grads {
         }
     }
 
-    /// Borrowing variant of [`Grads::accumulate`]: same arithmetic, no
-    /// buffer handoff, so warm slots never allocate.
-    pub fn accumulate_ref(&mut self, id: ParamId, g: &Matrix) {
-        if self.filled[id.0] {
-            self.grads[id.0]
-                .as_mut()
-                .expect("filled slot")
-                .add_assign(g);
+    /// Folds a gradient into the slot of `id`, shaped `rows × cols`, in
+    /// place: `fold(slot, filled)` gets the slot and whether it held a
+    /// gradient on entry. When it did not, the slot's contents are
+    /// unspecified and `fold` must overwrite every element, which the
+    /// block folds of [`Matrix`] do by copying their first block in (the
+    /// rule of [`Grads::merge_ref`]). The slot counts as filled only once
+    /// `fold` returns, so a fold that panics on a shape check leaves an
+    /// empty slot empty.
+    pub(crate) fn fold_into(
+        &mut self,
+        id: ParamId,
+        rows: usize,
+        cols: usize,
+        fold: impl FnOnce(&mut Matrix, bool),
+    ) {
+        let filled = self.filled[id.0];
+        let slot = self.grads[id.0].get_or_insert_with(Matrix::default);
+        if filled {
+            assert_eq!(slot.shape(), (rows, cols), "gradient shape mismatch");
         } else {
-            match &mut self.grads[id.0] {
-                Some(parked) => parked.copy_from(g),
-                slot => *slot = Some(g.clone()),
-            }
-            self.filled[id.0] = true;
+            slot.reset_unfilled(rows, cols);
         }
+        fold(slot, filled);
+        self.filled[id.0] = true;
     }
 
     /// Gradient of `id`, if any has been accumulated.
@@ -158,6 +170,7 @@ impl Grads {
     }
 
     /// Merges another accumulator into this one (summing).
+    #[cfg(any(test, feature = "reference"))]
     pub fn merge(&mut self, other: Grads) {
         assert_eq!(self.grads.len(), other.grads.len(), "grads size mismatch");
         for (i, theirs) in other.grads.into_iter().enumerate() {
@@ -177,8 +190,9 @@ impl Grads {
         }
     }
 
-    /// Borrowing variant of [`Grads::merge`] (summing; `other` is left
-    /// untouched, so a reduction can fold the same shard set repeatedly).
+    /// Sums another accumulator into this one slot by slot: added into a
+    /// filled slot, copied into an empty one. `other` is left untouched,
+    /// so a reduction can fold the same shard set repeatedly.
     pub fn merge_ref(&mut self, other: &Grads) {
         assert_eq!(self.grads.len(), other.grads.len(), "grads size mismatch");
         for (i, g) in other.iter().map(|(id, g)| (id.0, g)) {

@@ -9,6 +9,22 @@
 //! producing operation has an `*_into` variant writing into a
 //! caller-provided buffer for the allocation-free inference path (see
 //! `crate::scratch`).
+//!
+//! # The accumulation contract
+//!
+//! A batched backward sums parameter gradients over the `batch` blocks of
+//! a row-stacked mini-batch, and must equal the per-sample backward run
+//! block by block into the same `Grads` bit for bit. So every gradient
+//! element is built in one order: per block, one chain over the block's
+//! rows in ascending order from `+0.0` (a multiply, then an add; never a
+//! fused `mul_add`); then each block's chain is closed into the running
+//! total in ascending block order, `((total + p₀) + p₁) + …`, where an
+//! empty slot takes the first block by copy rather than by `0 + p₀` (that
+//! keeps a `-0.0` block bit-exact). `Matrix::t_matmul_fold_blocks` and
+//! `Matrix::sum_rows_fold_blocks` do this in registers, one output tile
+//! at a time, with no per-block temporary.
+
+use std::ops::Range;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -137,6 +153,132 @@ fn mm_row_block<const R: usize>(
             }
         }
     }
+}
+
+/// `self` columns per register block of the block-gradient fold: with a
+/// [`MM_TILE_J`]-wide column tile the per-block products take `4 × 2` = 8
+/// lane-vector registers, beside two streamed `rhs` vectors and a
+/// broadcast.
+const FOLD_TILE_I: usize = 4;
+
+/// Closes one block's per-element chains `p` into the running total `o`:
+/// copied when `first` (the first block into an unfilled slot), added
+/// otherwise: the rule of `Grads::merge_ref`, one tile at a time.
+#[inline(always)]
+fn close_into<const TJ: usize>(o: &mut [f32], p: &[f32; TJ], first: bool) {
+    if first {
+        o.copy_from_slice(p);
+    } else {
+        for (o, &v) in o.iter_mut().zip(p) {
+            *o += v;
+        }
+    }
+}
+
+/// Folds tile `[i0, i0 + R) × [j0, j0 + TJ)` of one block's
+/// `p = lhsᵀ · rhs` (rows `band` of `lhs`, `rows × kdim`, and of `rhs`,
+/// `rows × n`) into `out` (`kdim × n`). Each element of `p` is one
+/// ascending-row chain from `+0.0`, a multiply then an add, held in
+/// registers until [`close_into`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_t_tile<const R: usize, const TJ: usize>(
+    lhs: &[f32],
+    kdim: usize,
+    rhs: &[f32],
+    n: usize,
+    band: Range<usize>,
+    out: &mut [f32],
+    (i0, j0): (usize, usize),
+    first: bool,
+) {
+    let mut p = [[0.0f32; TJ]; R];
+    for r in band {
+        let a = &lhs[r * kdim + i0..r * kdim + i0 + R];
+        let b = &rhs[r * n + j0..r * n + j0 + TJ];
+        for i in 0..R {
+            let av = a[i];
+            for t in 0..TJ {
+                p[i][t] += av * b[t];
+            }
+        }
+    }
+    for (i, pi) in p.iter().enumerate() {
+        let o = (i0 + i) * n + j0;
+        close_into(&mut out[o..o + TJ], pi, first);
+    }
+}
+
+/// One column tile of [`Matrix::t_matmul_fold_blocks`] for one block, over
+/// every `lhs` column: [`FOLD_TILE_I`]-row register blocks, then 2 and 1.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_t_cols<const TJ: usize>(
+    lhs: &[f32],
+    kdim: usize,
+    rhs: &[f32],
+    n: usize,
+    band: Range<usize>,
+    out: &mut [f32],
+    j0: usize,
+    first: bool,
+) {
+    let mut i = 0;
+    while i + FOLD_TILE_I <= kdim {
+        let at = (i, j0);
+        fold_t_tile::<FOLD_TILE_I, TJ>(lhs, kdim, rhs, n, band.clone(), out, at, first);
+        i += FOLD_TILE_I;
+    }
+    if i + 2 <= kdim {
+        fold_t_tile::<2, TJ>(lhs, kdim, rhs, n, band.clone(), out, (i, j0), first);
+        i += 2;
+    }
+    if i < kdim {
+        fold_t_tile::<1, TJ>(lhs, kdim, rhs, n, band, out, (i, j0), first);
+    }
+}
+
+/// Folds one block's column sums (`rhs: None`) or column dot products
+/// (`Σ_rows lhs ⊙ rhs`) over columns `[j0, j0 + TJ)` into the `1 × n` row
+/// `out`: per column one ascending-row chain from `+0.0`.
+#[inline(always)]
+fn fold_col_tile<const TJ: usize>(
+    lhs: &[f32],
+    rhs: Option<&[f32]>,
+    n: usize,
+    band: Range<usize>,
+    out: &mut [f32],
+    j0: usize,
+    first: bool,
+) {
+    let mut p = [0.0f32; TJ];
+    for r in band {
+        let a = &lhs[r * n + j0..r * n + j0 + TJ];
+        match rhs {
+            Some(rhs) => {
+                let b = &rhs[r * n + j0..r * n + j0 + TJ];
+                for t in 0..TJ {
+                    p[t] += a[t] * b[t];
+                }
+            }
+            None => {
+                for t in 0..TJ {
+                    p[t] += a[t];
+                }
+            }
+        }
+    }
+    close_into(&mut out[j0..j0 + TJ], &p, first);
+}
+
+/// The row bands of `batch` equal-height blocks of a `rows`-row matrix.
+fn block_bands(rows: usize, batch: usize) -> impl Iterator<Item = Range<usize>> {
+    assert!(
+        batch > 0 && rows.is_multiple_of(batch),
+        "rows must split into blocks"
+    );
+    let h = rows / batch;
+    (0..batch).map(move |b| b * h..(b + 1) * h)
 }
 
 impl Matrix {
@@ -328,67 +470,76 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ × rhs` written into `out` (no allocation once warm).
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.t_matmul_range_into(rhs, 0, self.rows, out);
+    /// The weight-gradient fold of a row-stacked batch: `self` and `rhs`
+    /// hold `batch` equal-height blocks, and block `b`'s
+    /// `p_b = self_bᵀ · rhs_b` closes into the running total `acc`
+    /// (`self.cols × rhs.cols`) in ascending block order,
+    /// `((acc + p₀) + p₁) + …`, or `(p₀ + p₁) + …` when `acc_filled` is
+    /// false (the first block is copied in, and `acc`'s contents on entry
+    /// are ignored). Each element of `p_b` is the ascending-row chain from
+    /// `+0.0` that `Matrix::t_matmul_into` computes on a standalone
+    /// block, so the total is bit-identical to accumulating the
+    /// per-block products one by one, without materializing any of them.
+    pub(crate) fn t_matmul_fold_blocks(
+        &self,
+        rhs: &Matrix,
+        batch: usize,
+        acc: &mut Matrix,
+        acc_filled: bool,
+    ) {
+        assert_eq!(self.rows, rhs.rows, "t_matmul fold row mismatch");
+        assert_eq!(acc.shape(), (self.cols, rhs.cols), "fold total shape");
+        let (kdim, n) = (self.cols, rhs.cols);
+        let (lhs, rhs, out) = (&self.data, &rhs.data, &mut acc.data);
+        for (b, band) in block_bands(self.rows, batch).enumerate() {
+            let first = b == 0 && !acc_filled;
+            let mut j = 0;
+            while j + MM_TILE_J <= n {
+                fold_t_cols::<MM_TILE_J>(lhs, kdim, rhs, n, band.clone(), out, j, first);
+                j += MM_TILE_J;
+            }
+            if j + MM_LANES <= n {
+                fold_t_cols::<MM_LANES>(lhs, kdim, rhs, n, band.clone(), out, j, first);
+                j += MM_LANES;
+            }
+            for j in j..n {
+                fold_t_cols::<1>(lhs, kdim, rhs, n, band.clone(), out, j, first);
+            }
+        }
     }
 
-    /// `selfᵀ × rhs` restricted to the row band `[r0, r1)` of both
-    /// operands, written into `out`. The inner loops are the exact body of
-    /// [`Matrix::t_matmul_into`] (which delegates here with the full
-    /// range), so a per-block gradient computed over a band of a
-    /// row-stacked batch is bit-identical to computing it on a standalone
-    /// copy of that block.
-    pub fn t_matmul_range_into(&self, rhs: &Matrix, r0: usize, r1: usize, out: &mut Matrix) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "t_matmul shape mismatch: {:?}ᵀ × {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        assert!(
-            r0 <= r1 && r1 <= self.rows,
-            "t_matmul row band out of range"
-        );
-        out.reset(self.cols, rhs.cols);
-        let n = rhs.cols;
-        // Four streamed rows per pass: each output row is loaded and
-        // stored once per four rank-1 updates instead of once per update.
-        // Within an element the four adds stay separate statements on a
-        // register accumulator in ascending-`r` order, so the result is
-        // bit-identical to the one-row-at-a-time loop below.
-        let mut r = r0;
-        while r + 4 <= r1 {
-            let (a0, a1, a2, a3) = (
-                self.row(r),
-                self.row(r + 1),
-                self.row(r + 2),
-                self.row(r + 3),
-            );
-            let (b0, b1, b2, b3) = (rhs.row(r), rhs.row(r + 1), rhs.row(r + 2), rhs.row(r + 3));
-            for i in 0..self.cols {
-                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    let mut o = orow[j];
-                    o += x0 * b0[j];
-                    o += x1 * b1[j];
-                    o += x2 * b2[j];
-                    o += x3 * b3[j];
-                    orow[j] = o;
-                }
-            }
-            r += 4;
+    /// The column-sum fold of a row-stacked batch (a bias gradient):
+    /// block `b`'s `Σ_rows self_b`, or `Σ_rows self_b ⊙ rhs_b` given
+    /// `rhs`, closes into the `1 × cols` total `acc` by the rule of
+    /// [`Matrix::t_matmul_fold_blocks`]. Per column each block sum is one
+    /// ascending-row chain from `+0.0`, as `Matrix::sum_rows_into`
+    /// computes on a standalone block.
+    pub(crate) fn sum_rows_fold_blocks(
+        &self,
+        rhs: Option<&Matrix>,
+        batch: usize,
+        acc: &mut Matrix,
+        acc_filled: bool,
+    ) {
+        if let Some(rhs) = rhs {
+            assert_eq!(self.shape(), rhs.shape(), "column-dot fold shape mismatch");
         }
-        for rr in r..r1 {
-            let arow = self.row(rr);
-            let brow = rhs.row(rr);
-            for (i, &a) in arow.iter().enumerate() {
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
+        assert_eq!(acc.shape(), (1, self.cols), "fold total shape");
+        let n = self.cols;
+        let (lhs, rhs, out) = (&self.data, rhs.map(|m| &m.data[..]), &mut acc.data);
+        for (b, band) in block_bands(self.rows, batch).enumerate() {
+            let first = b == 0 && !acc_filled;
+            let mut j = 0;
+            while j + MM_TILE_J <= n {
+                fold_col_tile::<MM_TILE_J>(lhs, rhs, n, band.clone(), out, j, first);
+                j += MM_TILE_J;
+            }
+            if j + MM_LANES <= n {
+                fold_col_tile::<MM_LANES>(lhs, rhs, n, band.clone(), out, j, first);
+                j += MM_LANES;
+            }
+            for j in j..n {
+                fold_col_tile::<1>(lhs, rhs, n, band.clone(), out, j, first);
             }
         }
     }
@@ -458,23 +609,6 @@ impl Matrix {
         for r in 0..self.rows {
             for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
                 *o += b;
-            }
-        }
-    }
-
-    /// Sums the row band `[r0, r1)` into a `1 × cols` vector written into
-    /// `out`. Same ascending-row inner loop as `sum_rows`, so a
-    /// per-block bias gradient over a band of a row-stacked batch is
-    /// bit-identical to `sum_rows` on a standalone copy of that block.
-    pub fn sum_rows_range_into(&self, r0: usize, r1: usize, out: &mut Matrix) {
-        assert!(
-            r0 <= r1 && r1 <= self.rows,
-            "sum_rows row band out of range"
-        );
-        out.reset(1, self.cols);
-        for r in r0..r1 {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
             }
         }
     }
@@ -561,6 +695,58 @@ impl Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(rhs, &mut out);
         out
+    }
+
+    /// `selfᵀ × rhs` written into `out` (no allocation once warm). Per
+    /// output element the product is one ascending-row chain from `+0.0`.
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.rows,
+            rhs.rows,
+            "t_matmul shape mismatch: {:?}ᵀ × {:?}",
+            self.shape(),
+            rhs.shape()
+        );
+        out.reset(self.cols, rhs.cols);
+        let n = rhs.cols;
+        // Four streamed rows per pass: each output row is loaded and
+        // stored once per four rank-1 updates instead of once per update.
+        // Within an element the four adds stay separate statements on a
+        // register accumulator in ascending-`r` order, so the result is
+        // bit-identical to the one-row-at-a-time loop below.
+        let mut r = 0;
+        while r + 4 <= self.rows {
+            let (a0, a1, a2, a3) = (
+                self.row(r),
+                self.row(r + 1),
+                self.row(r + 2),
+                self.row(r + 3),
+            );
+            let (b0, b1, b2, b3) = (rhs.row(r), rhs.row(r + 1), rhs.row(r + 2), rhs.row(r + 3));
+            for i in 0..self.cols {
+                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
+                let orow = &mut out.data[i * n..(i + 1) * n];
+                for j in 0..n {
+                    let mut o = orow[j];
+                    o += x0 * b0[j];
+                    o += x1 * b1[j];
+                    o += x2 * b2[j];
+                    o += x3 * b3[j];
+                    orow[j] = o;
+                }
+            }
+            r += 4;
+        }
+        for rr in r..self.rows {
+            let arow = self.row(rr);
+            let brow = rhs.row(rr);
+            for (i, &a) in arow.iter().enumerate() {
+                let orow = &mut out.data[i * n..(i + 1) * n];
+                for (o, &b) in orow.iter_mut().zip(brow) {
+                    *o += a * b;
+                }
+            }
+        }
     }
 
     /// `selfᵀ × rhs` without materializing the transpose.
@@ -660,14 +846,21 @@ impl Matrix {
         out
     }
 
-    /// Sums all rows into a `1 × cols` vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+    /// Sums all rows into a `1 × cols` vector written into `out`: per
+    /// column one ascending-row chain from `+0.0`.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
+    }
+
+    /// Sums all rows into a `1 × cols` vector.
+    pub fn sum_rows(&self) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.sum_rows_into(&mut out);
         out
     }
 

@@ -16,7 +16,7 @@ use mirage_nn::transformer::TransformerConfig;
 use mirage_nn::{Activation, GradSink, Grads, Linear, ParamSet, Scratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-3.0f32..3.0, rows * cols)
@@ -52,21 +52,84 @@ fn block(m: &Matrix, b: usize, h: usize) -> Matrix {
     Matrix::from_fn(h, m.cols(), |r, c| m.get(b * h + r, c))
 }
 
+/// Widths every shape strategy draws half the time: the lane-vector
+/// widths of the kernels (8, 16, 32), one on each side of them, and the
+/// narrow and wide ends. The other half are uniform.
+const LANDMARK_DIMS: [usize; 12] = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 32, 33];
+
+fn dim_strategy(max: usize) -> impl Strategy<Value = usize> {
+    (0usize..2, 0..LANDMARK_DIMS.len(), 1..=max).prop_map(move |(pick, l, d)| {
+        if pick == 0 {
+            LANDMARK_DIMS[l].min(max)
+        } else {
+            d
+        }
+    })
+}
+
+/// A `rows × cols` matrix of uniform values in `[-3, 3)`.
+fn drawn_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0f32..3.0))
+}
+
+/// A LayerNorm input whose rows are uniform, constant (zero variance),
+/// all `-0.0`, or uniform with signed zeros mixed in.
+fn layernorm_input(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    let mut m = drawn_matrix(rng, rows, cols);
+    for r in 0..rows {
+        match rng.gen_range(0u32..4) {
+            0 => {}
+            1 => m.row_mut(r).fill(rng.gen_range(-3.0f32..3.0)),
+            2 => m.row_mut(r).fill(-0.0),
+            _ => {
+                for v in m.row_mut(r) {
+                    match rng.gen_range(0u32..3) {
+                        0 => *v = -0.0,
+                        1 => *v = 0.0,
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    m
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
     /// Linear: fused batched backward ≡ sequential per-block backward,
-    /// with and without the input gradient.
+    /// with and without the input gradient, for every lane-tile shape of
+    /// the weight-gradient fold and tail, into empty, parked and already
+    /// filled gradient slots.
     #[test]
     fn linear_backward_batch_is_bit_identical(
-        x in matrix_strategy(6, 4),
-        dy in matrix_strategy(6, 3),
+        in_dim in dim_strategy(48),
+        out_dim in dim_strategy(40),
+        h in 1usize..=13,
+        batch in 1usize..=5,
+        (seed, prefilled) in (0u64..u64::MAX, 0u32..2),
     ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = drawn_matrix(&mut rng, batch * h, in_dim);
+        let dy = drawn_matrix(&mut rng, batch * h, out_dim);
         let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(11);
-        let lin = Linear::new(&mut ps, "l", 4, 3, &mut rng);
-        let batch = 3;
-        let h = 2;
+        let lin = Linear::new(&mut ps, "l", in_dim, out_dim, &mut rng);
+        // A gradient already in the slots on entry (`prefilled`), or a
+        // cleared accumulator whose parked buffers hold stale values.
+        let prior_w = drawn_matrix(&mut rng, in_dim, out_dim);
+        let prior_b = drawn_matrix(&mut rng, 1, out_dim);
+        let entry = || {
+            let mut g = Grads::new(&ps);
+            g.accumulate(lin.w, prior_w.clone());
+            g.accumulate(lin.b, prior_b.clone());
+            if prefilled == 0 {
+                g.reset();
+            }
+            g
+        };
 
-        let mut g_ref = Grads::new(&ps);
+        let mut g_ref = entry();
         let mut dx_ref = Matrix::zeros(0, 0);
         for b in 0..batch {
             let (_, cache) = lin.forward(&ps, &block(&x, b, h));
@@ -80,35 +143,41 @@ proptest! {
         }
 
         let mut scratch = Scratch::new();
-        let mut g_fused = Grads::new(&ps);
+        let mut g_fused = entry();
         let mut dx = Matrix::zeros(0, 0);
         lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_fused), Some(&mut dx), &mut scratch);
         prop_assert!(grads_bit_eq(&g_ref, &g_fused), "fused grads diverge");
         prop_assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges");
         // Without `dx` (a first layer): the same parameter gradients.
-        let mut g_params = Grads::new(&ps);
+        let mut g_params = entry();
         lin.backward_batch(&ps, &x, &dy, batch, &mut GradSink::Fused(&mut g_params), None, &mut scratch);
         prop_assert!(grads_bit_eq(&g_ref, &g_params), "params-only grads diverge");
         prop_assert!(grads_bit_eq(&g_fused, &g_params), "params-only grads differ from the dx arm");
     }
 
-    /// LayerNorm: batched forward + backward ≡ per-block, bitwise.
+    /// LayerNorm: batched forward + backward ≡ per-block, bitwise, for
+    /// widths across the lane vectors and row counts on both sides of the
+    /// forward's and the backward's row groups, with constant rows and
+    /// signed-zero inputs.
     #[test]
     fn layernorm_batch_is_bit_identical(
-        x in matrix_strategy(6, 5),
-        dy in matrix_strategy(6, 5),
+        dim in dim_strategy(40),
+        h in 1usize..=13,
+        batch in 1usize..=4,
+        seed in 0u64..u64::MAX,
     ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = layernorm_input(&mut rng, batch * h, dim);
+        let dy = layernorm_input(&mut rng, batch * h, dim);
         let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(12);
-        let ln = LayerNorm::new(&mut ps, "ln", 5);
-        *ps.get_mut(ln.gamma) = Matrix::xavier(1, 5, &mut rng);
-        *ps.get_mut(ln.beta) = Matrix::xavier(1, 5, &mut rng);
-        let batch = 2;
-        let h = 3;
+        let ln = LayerNorm::new(&mut ps, "ln", dim);
+        *ps.get_mut(ln.gamma) = Matrix::xavier(1, dim, &mut rng);
+        // Signed-zero shifts keep the sign of a zero `x̂ · γ` in the output.
+        *ps.get_mut(ln.beta) = layernorm_input(&mut rng, 1, dim);
 
         let mut g_ref = Grads::new(&ps);
-        let mut y_ref = Matrix::zeros(batch * h, 5);
-        let mut dx_ref = Matrix::zeros(batch * h, 5);
+        let mut y_ref = Matrix::zeros(batch * h, dim);
+        let mut dx_ref = Matrix::zeros(batch * h, dim);
         for b in 0..batch {
             let (yb, cache) = ln.forward(&ps, &block(&x, b, h));
             let dxb = ln.backward(&ps, &cache, &block(&dy, b, h), &mut g_ref);
@@ -129,7 +198,9 @@ proptest! {
         prop_assert!(grads_bit_eq(&g_ref, &g_fused), "grads diverge");
         prop_assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges");
     }
+}
 
+proptest! {
     /// Activation: elementwise batched backward ≡ per-block hadamard form.
     #[test]
     fn activation_backward_into_is_bit_identical(
