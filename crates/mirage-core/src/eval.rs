@@ -24,18 +24,20 @@
 //! ([`crate::chaos::evaluate_chaos`], [`crate::hetero::evaluate_hetero`],
 //! through the sweep they share),
 //! [`crate::multiservice::evaluate_multiservice`], and §4.9.1 offline
-//! collection ([`crate::train::collect_offline`], whose "methods" are the
-//! reactive run and the split-point runs of each start). Single-service
+//! collection ([`crate::train::collect_offline`], whose one "method" per
+//! start is an [`OutcomeTable`] walk: it waits down the start's waiting
+//! line once and forks one run per submit decision). Single-service
 //! methods decide through the engine's N = 1 decision context, exactly as
 //! through [`EpisodeDriver`](crate::episode::EpisodeDriver).
 
 use std::ops::AddAssign;
 
+use mirage_nn::Matrix;
 use mirage_sim::ClusterBackend;
 use mirage_trace::{JobRecord, HOUR};
 use serde::{Deserialize, Serialize};
 
-use crate::episode::{EpisodeConfig, EpisodeResult};
+use crate::episode::{Action, DecisionContext, EpisodeConfig, EpisodeResult};
 use crate::multiservice::{MultiServiceConfig, MultiServiceEnv};
 use crate::policy::{ProvisionPolicy, ReactivePolicy};
 use crate::reward::{EpisodeOutcome, RewardShaper};
@@ -215,8 +217,8 @@ pub fn evaluate<B: ClusterBackend + Clone>(
 /// starts one each), then runs every method on a working engine restored
 /// from that warm one: `play(j, &mut methods[j], work)`. The working
 /// engine owns a clone of a host, made at the first restore and reused by
-/// every later one. Decision recording is off (the reports keep outcomes,
-/// not trajectories); `play` turns it on for a run that wants them.
+/// every later one. Decision recording is off: the reports keep
+/// outcomes, and [`OutcomeTable`] keeps the one walk's states.
 pub(crate) fn warm_once<'t, B: ClusterBackend + Clone, M>(
     hosts: &mut [B],
     starts: &[i64],
@@ -236,6 +238,59 @@ pub(crate) fn warm_once<'t, B: ClusterBackend + Clone, M>(
             }
             play(j, m, working.get_or_insert_with(|| warm.fork()));
         }
+    }
+}
+
+/// One start's single-service runs under "submit at decision k". Every
+/// run of a start is the same until it submits, so one walk that waits at
+/// every decision plays them all, forking a run at each submit decision.
+pub(crate) struct OutcomeTable {
+    /// The state matrix at every decision of the walk.
+    states: Vec<Matrix>,
+    /// `(k, run)` per forked decision k, ascending, then the walk's own
+    /// end with k = `usize::MAX`: the never-submitting (reactive) run.
+    runs: Vec<(usize, EpisodeResult)>,
+}
+
+impl OutcomeTable {
+    /// Walks `walker`, an N = 1 engine not yet deciding, to its end. At
+    /// each decision `fork_at` picks, `fork` (made once, then restored
+    /// from the walk) submits and resolves.
+    pub(crate) fn walk<B: ClusterBackend + Clone>(
+        walker: &mut MultiServiceEnv<B>,
+        fork: &mut Option<MultiServiceEnv<B>>,
+        mut fork_at: impl FnMut(&DecisionContext) -> bool,
+    ) -> Self {
+        walker.set_record_decisions(false);
+        let (mut states, mut runs) = (Vec::new(), Vec::new());
+        // At N = 1 every tick is a decision until the reactive fallback.
+        while walker.advance_tick() > 0 {
+            let ctx = walker.decision_context(0);
+            if fork_at(&ctx) {
+                let run = fork.get_or_insert_with(|| walker.fork());
+                run.restore_from(walker);
+                run.apply(&[Action::Submit]);
+                runs.push((states.len(), run.play_single(|_| unreachable!())));
+            }
+            states.push(ctx.state_matrix.clone());
+            walker.apply(&[Action::Wait]);
+        }
+        runs.push((usize::MAX, walker.play_single(|_| unreachable!())));
+        Self { states, runs }
+    }
+
+    /// Row `row`'s run (`None`: the reactive one) and its `(state, action
+    /// index)` list: wait before the submit decision, submit at it.
+    pub(crate) fn run(
+        &self,
+        row: Option<usize>,
+    ) -> (&EpisodeResult, impl Iterator<Item = (&Matrix, usize)>) {
+        let (k, result) = &self.runs[row.unwrap_or(self.runs.len() - 1)];
+        let actions = (0..).map(move |i| usize::from(i == *k));
+        (
+            result,
+            self.states.iter().take(k.saturating_add(1)).zip(actions),
+        )
     }
 }
 
@@ -374,7 +429,7 @@ impl EvalReport {
 mod tests {
     use super::*;
     use crate::policy::{AvgWaitPolicy, ReactivePolicy};
-    use mirage_sim::{SimConfig, Simulator};
+    use mirage_sim::{BackendKind, FaultModel, HeteroModel, SimConfig, Simulator};
     use mirage_trace::{DAY, MINUTE};
 
     fn tiny_episode() -> EpisodeConfig {
@@ -406,6 +461,53 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A table forked at every decision: each row, and the reactive end,
+    /// equals a re-warmed scripted run that submits at that decision (or
+    /// never), to the bit and decision for decision, on both clocks and
+    /// under faults × pools.
+    #[test]
+    fn outcome_table_rows_match_rewarmed_scripted_runs() {
+        // Every other job of the congested stream: a queue, but a short one.
+        let trace: Vec<JobRecord> = congested_trace(3).into_iter().step_by(2).collect();
+        let episode = tiny_episode();
+        let cfg = MultiServiceConfig::single(&episode, RewardShaper::default());
+        let t0 = DAY + 5 * HOUR;
+        let window = episode_window(&trace, t0, &episode);
+        for kind in [BackendKind::EventDriven, BackendKind::Tick] {
+            let plain = SimConfig::builder().nodes(4).backend(kind).tick(300);
+            let chaotic = plain
+                .clone()
+                .faults(FaultModel::severe(3))
+                .hetero(HeteroModel::scarce(4, 5));
+            for (builder, what) in [(plain, "plain"), (chaotic, "faults x pools")] {
+                let mut backend = builder.build();
+                let mut scripted = |submit_at: Option<usize>| {
+                    let mut env = MultiServiceEnv::new(&mut backend, window, &cfg, t0);
+                    let mut n = 0;
+                    let mut result = env.play_single(|_| {
+                        n += 1;
+                        Action::from_index(usize::from(Some(n - 1) == submit_at))
+                    });
+                    (result.take_decisions(), format!("{result:?}"))
+                };
+                let mut walker = MultiServiceEnv::new(builder.build(), window, &cfg, t0);
+                let table = OutcomeTable::walk(&mut walker, &mut None, |_| true);
+                let ks: Vec<usize> = table.runs.iter().map(|(k, _)| *k).collect();
+                let every: Vec<usize> = (0..table.states.len()).chain([usize::MAX]).collect();
+                assert_eq!(ks, every, "{what}");
+                assert!(ks.len() > 2, "{what}: the walk decides");
+                let rows = (0..ks.len() - 1).map(Some).chain([None]);
+                for (row, (decisions, result)) in rows.map(|r| (r, scripted(r))) {
+                    let (got, got_decisions) = table.run(row);
+                    assert_eq!(format!("{got:?}"), result, "{what}, row {row:?}");
+                    let got_decisions: Vec<_> =
+                        got_decisions.map(|(m, a)| (m.clone(), a)).collect();
+                    assert_eq!(got_decisions, decisions, "{what}, row {row:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //! * **Ensemble fitting**: the same episodes supply (features → observed
 //!   successor wait) pairs for the Random Forest / XGBoost baselines.
 //!
-//! Offline collection plays fixed split-point policies, so it runs on the
-//! warm-once loop in [`crate::eval`]: one warm-up per start, every run on
-//! a restore. The online loop steps `TrainConfig::collect_lanes` episodes
-//! per lockstep window through the [`BatchedCollector`] (one batched NN
-//! forward per decision tick) and hands the learner each window's results
-//! in episode order, so replay pushes and the update cadence are those of
-//! a sequential loop. Its contract, pinned by the `lockstep_training`
-//! property tests:
+//! Offline collection plays fixed split-point policies: one warm-up per
+//! start, one walk down its waiting line, one fork per submit decision
+//! (see [`crate::eval`]). The online loop steps
+//! `TrainConfig::collect_lanes` episodes per lockstep window through the
+//! [`BatchedCollector`] (one batched NN forward per decision tick) and
+//! hands the learner each window's results in episode order, so replay
+//! pushes and the update cadence are those of a sequential loop. Its
+//! contract, pinned by the `lockstep_training` property tests:
 //!
 //! * with `lanes == 1`, a training run is **bit-identical** to the
 //!   sequential loop it replaced — same replay contents, same final
@@ -59,8 +59,8 @@ use crate::batch::{BatchedEpisodeDriver, LanePolicy};
 use crate::checkpoint::{
     check_match, CheckpointConfig, DqnTrainCheckpoint, PgTrainCheckpoint, ResumeError,
 };
-use crate::episode::{Action, EpisodeConfig, EpisodeConfigError, EpisodeResult};
-use crate::eval::warm_once;
+use crate::episode::{EpisodeConfig, EpisodeConfigError, EpisodeResult};
+use crate::eval::{warm_once, OutcomeTable};
 use crate::features::extract_features;
 use crate::multiservice::MultiServiceConfig;
 use crate::policy::{
@@ -475,15 +475,12 @@ pub fn episode_window<'a>(
 /// credited with the delayed episode reward, and the features at a run's
 /// submit decision pair with its successor wait for the ensembles.
 ///
-/// The runs of one start are identical until the policy acts, so they
-/// run on the evaluation loop in [`crate::eval`]: each start is warmed
-/// once on one pool backend (slot 0, [`BackendPool::build_one`]) and
-/// every run plays on a restore of that warm engine, bit-identical to
-/// re-warming per run. On a fault-injecting pool every run of every
-/// start therefore replays slot 0's crash tape. No threads are spawned;
-/// the pool's worker count does not change the output. Decision matrices
-/// move straight into the reward pool — only each start's best run is
-/// copied (out of that pool) for the behavior-cloning warm start.
+/// Each start is warmed once on pool slot 0 (so a fault-injecting pool
+/// replays slot 0's crash tape) and walked once by an [`OutcomeTable`]
+/// that forks a run at each split point's first decision; a split point
+/// never passed plays the reactive run. Bit-identical to re-warming per
+/// run, whatever the worker count. The behavior-cloning warm start keeps
+/// each distinct start's best run, the first of equals over occurrences.
 pub fn collect_offline<F: BackendFactory>(
     pool: &BackendPool<F>,
     trace: &[JobRecord],
@@ -493,82 +490,60 @@ pub fn collect_offline<F: BackendFactory>(
 where
     F::Backend: Clone,
 {
-    let episode = &cfg.episode;
+    let (episode, limit) = (&cfg.episode, cfg.episode.pair_timelimit);
     let points = cfg.split_points.max(1) as i64;
-    // Run 0 is reactive (never submits proactively); run j + 1 submits
-    // once the predecessor's elapsed time passes (j+1)/(points+1) of its
-    // limit.
-    let mut thresholds: Vec<Option<i64>> = std::iter::once(None)
-        .chain((1..=points).map(|j| Some(j * episode.pair_timelimit / (points + 1))))
-        .collect();
-    let runs = thresholds.len();
-    let mut played = Vec::with_capacity(starts.len() * runs);
     let single = MultiServiceConfig::single(episode, RewardShaper::default());
-    warm_once(
-        &mut [pool.build_one()],
-        starts,
-        |t0| episode_window(trace, t0, episode),
-        &single,
-        &mut thresholds,
-        |_, threshold, work| {
-            work.set_record_decisions(true);
-            let mut features = None;
-            let result = work.play_single(|ctx| {
-                let elapsed = episode.pair_timelimit - ctx.pred_remaining;
-                if threshold.is_some_and(|th| ctx.pred_started && elapsed >= th) {
-                    // A submit ends the decision loop: this is the first.
-                    features = Some(extract_features(ctx));
-                    Action::Submit
-                } else {
-                    Action::Wait
-                }
-            });
-            played.push((result, features));
-        },
-    );
-
-    let mut data = OfflineData::default();
-    let mut best_per_start: std::collections::HashMap<i64, (f32, usize)> =
-        std::collections::HashMap::new();
-    // Reward-pool span of each task's decisions, so best runs can be
-    // copied back out without keeping a second full set of matrices.
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(played.len());
-    for (i, (mut result, features)) in played.into_iter().enumerate() {
-        let reward = cfg.shaper.reward(&result.outcome);
-        let offset = data.reward_samples.len();
-        for (state, action) in result.take_decisions() {
-            data.reward_samples.push(RewardSample {
-                state,
+    let window = |t0| episode_window(trace, t0, episode);
+    let (mut data, mut fork, mut t0s) = (OfflineData::default(), None, starts.iter());
+    let (mut best, host) = (Vec::with_capacity(starts.len()), &mut [pool.build_one()]);
+    warm_once(host, starts, window, &single, &mut [()], |_, _, walker| {
+        // Run j plays row `runs[j]`: reactive (`None`), then split j, forked
+        // once the elapsed time passes j/(points+1) of the limit.
+        let (mut runs, mut features) = (vec![None], Vec::new());
+        let table = OutcomeTable::walk(walker, &mut fork, |ctx| {
+            let elapsed = limit - ctx.pred_remaining;
+            let split = |j: &i64| ctx.pred_started && j * limit / (points + 1) <= elapsed;
+            let passed = (1..=points).filter(split).count();
+            let fork_here = passed >= runs.len();
+            if fork_here {
+                runs.resize(passed + 1, Some(features.len()));
+                features.push(extract_features(ctx));
+            }
+            fork_here
+        });
+        runs.resize(points as usize + 1, None);
+        let mut best_run = (f32::NEG_INFINITY, None);
+        for row in runs {
+            let (result, decisions) = table.run(row);
+            let reward = cfg.shaper.reward(&result.outcome);
+            let samples = decisions.map(|(m, action)| RewardSample {
+                state: m.clone(),
                 action,
                 reward,
             });
+            data.reward_samples.extend(samples);
+            if let Some(r) = row {
+                data.wait_samples
+                    .push((features[r].clone(), result.succ_wait() as f32 / 3600.0));
+            }
+            if reward > best_run.0 {
+                best_run = (reward, row);
+            }
         }
-        spans.push((offset, data.reward_samples.len()));
-        if let Some(features) = features {
-            data.wait_samples
-                .push((features, result.succ_wait() as f32 / 3600.0));
+        let decisions = table.run(best_run.1).1.map(|(m, a)| (m.clone(), a));
+        let t0 = *t0s.next().expect("one play per start");
+        best.push((t0, best_run.0, decisions.collect::<Vec<_>>()));
+    });
+    // One best run per distinct start, ascending: the sort is stable, so
+    // the first of equals over a start's occurrences is kept.
+    best.sort_by_key(|b| b.0);
+    best.dedup_by(|later, kept| {
+        if later.0 == kept.0 && later.1 > kept.1 {
+            std::mem::swap(later, kept);
         }
-        best_per_start
-            .entry(starts[i / runs])
-            .and_modify(|(best, idx)| {
-                if reward > *best {
-                    *best = reward;
-                    *idx = i;
-                }
-            })
-            .or_insert((reward, i));
-    }
-    let mut best: Vec<(i64, usize)> = best_per_start
-        .into_iter()
-        .map(|(t0, (_, idx))| (t0, idx))
-        .collect();
-    best.sort_unstable();
-    for (_, idx) in best {
-        let (lo, hi) = spans[idx];
-        for s in &data.reward_samples[lo..hi] {
-            data.best_run_decisions.push((s.state.clone(), s.action));
-        }
-    }
+        later.0 == kept.0
+    });
+    data.best_run_decisions = best.into_iter().flat_map(|b| b.2).collect();
     data
 }
 

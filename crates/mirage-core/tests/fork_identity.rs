@@ -1,12 +1,13 @@
 //! Warm once, fork per method: `evaluate`, `evaluate_chaos`,
 //! `evaluate_hetero`, `evaluate_multiservice` and `collect_offline` run
 //! on one loop that warms each episode start once and runs every method
-//! (for collection: the reactive run and every split-point run) on a
-//! restore of that warm engine. Their outputs must equal, field for field
-//! or bit for bit, those of re-warming the backend for every method
-//! (`run_method`, `oracle_multiservice` and `oracle_collect_offline`
-//! below, the test-local oracles). CI runs the five
-//! `*_matches_rewarm_oracle` tests by name.
+//! on a restore of that warm engine (collection's one method walks the
+//! start's waiting line and forks a run at each split point's submit
+//! decision). Their outputs must equal, field for field or bit for bit,
+//! those of re-warming the backend for every method (`run_method`,
+//! `oracle_multiservice` and `oracle_collect_offline` below, the
+//! test-local oracles). CI runs the five `*_matches_rewarm_oracle` tests
+//! by name.
 //!
 //! The method lists cover what a restore could leak between methods:
 //! early submitters (FCFS, a sampling PG policy whose RNG stream runs on
@@ -45,7 +46,9 @@ use mirage_rl::{
     ActionEncoding, DqnAgent, DqnConfig, DualHeadConfig, DualHeadNet, PgAgent, PgConfig,
     RewardSample,
 };
-use mirage_sim::{BackendKind, ClusterBackend, FaultModel, SimBuilder, SimConfig, Simulator};
+use mirage_sim::{
+    BackendKind, ClusterBackend, FaultModel, HeteroModel, SimBuilder, SimConfig, Simulator,
+};
 use mirage_trace::{JobRecord, DAY, HOUR, MINUTE};
 
 const K: usize = 4;
@@ -680,17 +683,32 @@ fn collect_offline_matches_rewarm_oracle() {
     // The repeated start runs twice as often as the others, and its best
     // run is chosen over both occurrences.
     let starts = [2 * DAY + 5 * HOUR, 4 * DAY, 4 * DAY, 6 * DAY + 17 * HOUR];
-    for workers in [1, 4] {
-        let pool = SimConfig::builder()
+    // The event clock at 1 and 4 workers, a coarse tick clock, and a
+    // pool whose slot 0 crashes nodes and runs unequal node pools.
+    let pooled = |workers| {
+        SimConfig::builder()
             .nodes(4)
             .backend(BackendKind::Pooled { workers })
-            .build_pool();
+    };
+    let tick = SimConfig::builder()
+        .nodes(4)
+        .backend(BackendKind::Tick)
+        .tick(300)
+        .sched_interval(300)
+        .backfill_interval(300);
+    let chaotic = pooled(2)
+        .faults(FaultModel::severe(4242))
+        .hetero(HeteroModel::scarce(4, 5));
+    for (builder, what) in [
+        (pooled(1), "1 workers"),
+        (pooled(4), "4 workers"),
+        (tick, "tick clock"),
+        (chaotic, "faults x pools"),
+    ] {
+        let pool = builder.build_pool();
         let forked = collect_offline(&pool, &trace, &cfg, &starts);
         let oracle = oracle_collect_offline(&mut pool.build_one(), &trace, &cfg, &starts);
-        assert!(
-            offline_bits(&forked) == offline_bits(&oracle),
-            "{workers} workers"
-        );
+        assert!(offline_bits(&forked) == offline_bits(&oracle), "{what}");
         assert!(!forked.wait_samples.is_empty(), "some split run submitted");
         assert!(forked.reward_samples.iter().any(|s| s.action == 0));
         assert!(!forked.best_run_decisions.is_empty());

@@ -1,7 +1,9 @@
 //! Random forest regressor (\[7\] in the paper; baseline method in §6).
 //!
-//! Bagged CART trees with feature subsampling, trained in parallel with
-//! rayon, predictions averaged.
+//! Bagged CART trees with feature subsampling, predictions averaged.
+//! Each tree draws from its own seeded stream, so the forest is the same
+//! in any fitting order; the `into_par_iter` below runs sequentially on
+//! the vendored `rayon` stand-in.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -5,8 +5,9 @@
 //! implemented here from scratch:
 //!
 //! * [`tree::RegressionTree`] — CART with variance-reduction splits,
-//! * [`forest::RandomForest`] — bagging + feature subsampling, trained in
-//!   parallel with rayon,
+//! * [`forest::RandomForest`] — bagging + feature subsampling, one
+//!   seeded stream per tree (fitted one after another: the vendored
+//!   `rayon` stand-in is sequential),
 //! * [`gbdt::GradientBoosting`] — second-order boosting with XGBoost's
 //!   regularized leaf weights and structure gain.
 

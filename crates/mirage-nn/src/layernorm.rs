@@ -11,7 +11,6 @@
 #[cfg(any(test, feature = "reference"))]
 use crate::param::Grads;
 use crate::param::{GradSink, ParamId, ParamSet};
-use crate::scratch::Scratch;
 use crate::tensor::Matrix;
 
 /// Rows whose statistics [`LayerNorm::forward_batch`] computes together:
@@ -201,7 +200,6 @@ impl LayerNorm {
     /// running total in ascending block order with the first block copied
     /// into an unfilled slot. So this reproduces the sequential per-block
     /// backward bit for bit.
-    #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
         ps: &ParamSet,
@@ -210,7 +208,6 @@ impl LayerNorm {
         batch: usize,
         sink: &mut GradSink<'_>,
         dx: &mut Matrix,
-        _scratch: &mut Scratch,
     ) {
         assert_eq!(dy.shape(), cache.x_hat.shape(), "layernorm backward shape");
         assert_eq!(dy.cols(), self.dim, "layernorm backward width");

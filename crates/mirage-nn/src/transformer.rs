@@ -261,7 +261,7 @@ impl EncoderLayer {
             .backward_batch(ps, &cache.n2, &df1, batch, sink, Some(&mut d_n2), scratch);
         let mut d_h_ffn = scratch.take(rows, d);
         self.ln2
-            .backward_batch(ps, &cache.c_ln2, &d_n2, batch, sink, &mut d_h_ffn, scratch);
+            .backward_batch(ps, &cache.c_ln2, &d_n2, batch, sink, &mut d_h_ffn);
         let mut dh = scratch.take(rows, d);
         dh.copy_from(dy);
         dh.add_assign(&d_h_ffn);
@@ -271,7 +271,7 @@ impl EncoderLayer {
             .backward_batch(ps, &cache.c_attn, &dh, batch, sink, &mut d_a, scratch);
         let mut d_x_attn = scratch.take(rows, d);
         self.ln1
-            .backward_batch(ps, &cache.c_ln1, &d_a, batch, sink, &mut d_x_attn, scratch);
+            .backward_batch(ps, &cache.c_ln1, &d_a, batch, sink, &mut d_x_attn);
         dx.copy_from(&dh);
         dx.add_assign(&d_x_attn);
         scratch.give(d_x_attn);

@@ -187,14 +187,13 @@ proptest! {
             }
         }
 
-        let mut scratch = Scratch::new();
         let mut cache = LayerNormBatchCache::default();
         let mut y = Matrix::zeros(0, 0);
         ln.forward_batch(&ps, &x, &mut y, Some(&mut cache));
         prop_assert!(matrix_bit_eq(&y_ref, &y), "forward diverges");
         let mut g_fused = Grads::new(&ps);
         let mut dx = Matrix::zeros(0, 0);
-        ln.backward_batch(&ps, &cache, &dy, batch, &mut GradSink::Fused(&mut g_fused), &mut dx, &mut scratch);
+        ln.backward_batch(&ps, &cache, &dy, batch, &mut GradSink::Fused(&mut g_fused), &mut dx);
         prop_assert!(grads_bit_eq(&g_ref, &g_fused), "grads diverge");
         prop_assert!(matrix_bit_eq(&dx_ref, &dx), "dx diverges");
     }

@@ -58,7 +58,7 @@ const COLUMNS: usize = 10;
 
 /// Times at or below this magnitude are exact in `f64`, so the pass's
 /// `now as f64 - submit as f64` is `(now - submit) as f64` bit for bit.
-const EXACT_TIME: u64 = 1 << 53;
+pub(crate) const EXACT_TIME: u64 = 1 << 53;
 
 /// The queue, in arrival order, one column per field of [`PendingRow`]
 /// plus the pass's rank column, all in one buffer.
@@ -135,7 +135,8 @@ impl PendingTable {
         self.min_nodes = u32::MAX;
     }
 
-    /// Appends `row`. When the stripes are full to their end, the rows
+    /// Appends `row`, whose submit time is exact in `f64` (the simulator
+    /// rejects any other job on arrival). When the stripes are full to their end, the rows
     /// slide back to the start of their stripes if at least as many cells
     /// are free ahead of them as there are rows (so a slide moves no more
     /// rows than it frees cells), and otherwise every stripe grows at once.

@@ -42,14 +42,15 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{EvictionLog, FaultModel, FaultStats, JobFaults, RetryPolicy, SimConfigError};
 use crate::hetero::{scale_runtime, HeteroModel, HeteroStats};
 use crate::metrics::{ServiceUsage, SimMetrics};
-use crate::pending::{PendingRow, PendingTable, Ranking};
+use crate::pending::{PendingRow, PendingTable, Ranking, EXACT_TIME};
 use crate::priority::{size_term, FairshareTracker, PriorityWeights};
 use crate::snapshot::{ClusterSnapshot, RunningJobView};
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Nodes in the partition. A job requesting more is rejected on
+    /// Nodes in the partition. A job requesting more, or submitted more
+    /// than 2^53 s from the epoch (not exact in `f64`), is rejected on
     /// arrival.
     pub nodes: u32,
     /// Multifactor priority weights.
@@ -137,7 +138,8 @@ pub enum JobStatus {
         /// Completion instant.
         end: i64,
     },
-    /// Rejected (cannot ever fit).
+    /// Rejected (cannot ever fit, or its submit time is not exact in
+    /// `f64`).
     Rejected,
     /// Evicted or failed mid-run and out of retry attempts; payload is
     /// the last attempt's `(start, end)`.
@@ -897,7 +899,7 @@ impl Simulator {
     fn arrive_job(&mut self, idx: usize) {
         let job = &mut self.jobs[idx];
         debug_assert!(matches!(job.status, JobStatus::Future));
-        if job.record.nodes > self.cfg.nodes {
+        if job.record.nodes > self.cfg.nodes || job.record.submit.unsigned_abs() > EXACT_TIME {
             job.status = JobStatus::Rejected;
             self.rejected += 1;
             return;
@@ -1404,12 +1406,17 @@ mod tests {
 
     #[test]
     fn oversized_jobs_are_rejected() {
-        let mut s = sim(4);
-        s.load_trace(&[job(1, 0, 8, HOUR, HOUR)]);
-        s.run_to_completion();
-        assert_eq!(s.job_status(1), Some(JobStatus::Rejected));
-        assert_eq!(s.metrics().rejected_jobs, 1);
-        assert!(s.completed().is_empty());
+        // Wider than the partition, or submitted where times stop being
+        // exact in f64 (the pass's age arithmetic needs them exact).
+        let edge = 1i64 << 53;
+        for (submit, nodes) in [(0, 8), (edge + 1, 1), (-edge - 1, 1)] {
+            let mut s = sim(4);
+            s.load_trace(&[job(1, submit, nodes, HOUR, HOUR)]);
+            s.run_to_completion();
+            assert_eq!(s.job_status(1), Some(JobStatus::Rejected));
+            assert_eq!(s.metrics().rejected_jobs, 1);
+            assert!(s.completed().is_empty());
+        }
     }
 
     #[test]
